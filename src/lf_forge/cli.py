@@ -1,9 +1,8 @@
 """Command line front end: generate, verify, compare, export.
 
-Output is deterministic: stable key order, no timestamps unless --stamp.
+Every command is a pure function of its arguments: the same flags give the
+same bytes on stdout, with stable key order and no timestamps unless --stamp.
 Exit codes: 0 success, 1 failed check or missing isomorphism, 2 usage error.
-LF_FORGE_SEED is reserved for future randomized modes; the current core is
-deterministic and never reads it.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ counterclockwise) presentation of the surface.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .curves import (
@@ -39,9 +40,12 @@ class DisconnectedError(SurfaceError):
 class Workspace:
     """Oriented homology workspace for one ribbon graph.
 
-    Holds the normalized presentation, the lexicographic spanning tree, the
-    co-tree basis and the Gram matrix of the intersection pairing in that
-    basis.  Cached on the graph instance; treat as read-only.
+    Holds the normalized presentation, the lexicographic spanning tree and
+    the co-tree basis, and evaluates the intersection pairing of edge-simple
+    cycles by the pushed-off corner rule (``pairing_matrix``).  Certificates
+    pair only the cycles they need that way; the Gram matrix of the whole
+    basis backs the class-level API and is the oracle the tests compare the
+    corner rule against.  Cached on the graph instance; treat as read-only.
     """
 
     def __init__(self, surface: RibbonGraph):
@@ -73,6 +77,8 @@ class Workspace:
             t, h = self.norm.edge_endpoints(e)
             self._tree_adj[t].append((e, h))
             self._tree_adj[h].append((e, t))
+        for adj in self._tree_adj.values():
+            adj.sort()
         self._slot_cache: dict[str, dict] = {}
         self._gram: list[list[int]] | None = None
 
@@ -83,12 +89,12 @@ class Workspace:
         if a == b:
             return []
         prev: dict[str, tuple[str, str]] = {a: ("", "")}
-        queue = [a]
+        queue = deque([a])
         while queue:
-            v = queue.pop(0)
+            v = queue.popleft()
             if v == b:
                 break
-            for e, w in sorted(self._tree_adj[v]):
+            for e, w in self._tree_adj[v]:
                 if w not in prev:
                     prev[w] = (e, v)
                     queue.append(w)
@@ -171,28 +177,31 @@ class Workspace:
                     total += self._chord_sign(n, pi, po, qi, qo)
         return total
 
-    def gram_matrix(self) -> list[list[int]]:
-        """Intersection pairing of the basis cycles.
+    def pairing_matrix(self, curves) -> list[list[int]]:
+        """Intersection pairing of edge-simple closed curves on this surface.
 
-        Entry (i, j) counts signed crossings of basis cycle i with a copy of
-        basis cycle j pushed off to the right of its own direction; shared
-        tree segments stay parallel inside the bands, so only vertex corners
-        contribute.
+        Entry (i, j) counts signed crossings of curve i with a copy of curve
+        j pushed off to the right of its own direction; shared segments stay
+        parallel inside the bands, so only vertex corners contribute.  The
+        diagonal is zero.
         """
+        passes = [c.passes() for c in curves]
+        n = len(passes)
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    m[i][j] = self._pushed_crossings(passes[i], passes[j], push=True)
+        for i in range(n):
+            for j in range(n):
+                if m[i][j] != -m[j][i]:
+                    raise SurfaceError("intersection pairing failed antisymmetry")
+        return m
+
+    def gram_matrix(self) -> list[list[int]]:
+        """Intersection pairing of the basis cycles."""
         if self._gram is None:
-            cycles = [self.basis_cycle(e) for e in self.basis]
-            passes = [c.passes() for c in cycles]
-            n = len(cycles)
-            m = [[0] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(n):
-                    if i != j:
-                        m[i][j] = self._pushed_crossings(passes[i], passes[j], push=True)
-            for i in range(n):
-                for j in range(n):
-                    if m[i][j] != -m[j][i]:
-                        raise SurfaceError("intersection pairing failed antisymmetry")
-            self._gram = m
+            self._gram = self.pairing_matrix([self.basis_cycle(e) for e in self.basis])
         return self._gram
 
 
@@ -244,19 +253,14 @@ def homology_basis(surface: RibbonGraph) -> tuple[str, ...]:
 
 
 def curve_class(surface: RibbonGraph, curve: CurveOnSurface) -> HomologyClass:
-    """Homology class of a closed walk: net signed co-tree traversal counts."""
+    """Homology class of a closed walk."""
     if curve.host is not surface:
         raise SurfaceError("curve lives on a different surface")
-    ws = workspace(surface)
-    vec = [0] * len(ws.basis)
-    for e, s in curve.walk:
-        i = ws.index.get(e)
-        if i is not None:
-            vec[i] += s
-    return HomologyClass(surface, tuple(vec))
+    return class_from_steps(surface, curve.walk)
 
 
 def class_from_steps(surface: RibbonGraph, steps) -> HomologyClass:
+    """Net signed co-tree traversal counts of a sequence of steps."""
     ws = workspace(surface)
     vec = [0] * len(ws.basis)
     for e, s in steps:

@@ -14,14 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .curves import CurveOnSurface
-from .homology import (
-    HomologyClass,
-    algebraic_intersection,
-    curve_class,
-    cutting_arc_system,
-    homology_basis,
-    workspace,
-)
+from .homology import curve_class, homology_basis, workspace
 from .ribbon import RibbonGraph, SurfaceError
 
 
@@ -146,8 +139,14 @@ def smith_normal_form(matrix: list[list[int]]) -> tuple[list[list[int]], list[li
     return a, u, v
 
 
-def _diagonal(d: list[list[int]]) -> list[int]:
+def _snf_diagonal(matrix: list[list[int]]) -> list[int]:
+    """Nonzero invariant factors of ``matrix``."""
+    d, _, _ = smith_normal_form(matrix)
     return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i]]
+
+
+def _cokernel_from_diagonal(diag: list[int], ambient_rank: int) -> FinAbGroup:
+    return FinAbGroup(ambient_rank - len(diag), tuple(x for x in diag if x > 1))
 
 
 def cokernel(matrix: list[list[int]], ambient_rank: int) -> FinAbGroup:
@@ -156,17 +155,7 @@ def cokernel(matrix: list[list[int]], ambient_rank: int) -> FinAbGroup:
         return FinAbGroup.free(ambient_rank)
     if len(matrix) != ambient_rank:
         raise ValueError("matrix rows must match ambient rank")
-    d, _, _ = smith_normal_form(matrix)
-    diag = _diagonal(d)
-    torsion = tuple(x for x in diag if x > 1)
-    return FinAbGroup(ambient_rank - len(diag), torsion)
-
-
-def matrix_rank(matrix: list[list[int]]) -> int:
-    if not matrix or not matrix[0]:
-        return 0
-    d, _, _ = smith_normal_form(matrix)
-    return len(_diagonal(d))
+    return _cokernel_from_diagonal(_snf_diagonal(matrix), ambient_rank)
 
 
 # -- fibration-level invariants ---------------------------------------------------
@@ -186,11 +175,11 @@ def _class_matrix(fiber: RibbonGraph, cycles) -> list[list[int]]:
 
 def total_space_homology(fiber: RibbonGraph, cycles) -> tuple[FinAbGroup, FinAbGroup]:
     """(H1, H2) of the total space: cokernel and kernel of the map sending
-    each vanishing cycle to its fiber class.  H2 is free."""
+    each vanishing cycle to its fiber class, both read from one Smith normal
+    form.  H2 is free."""
     m = _class_matrix(fiber, cycles)
-    h1 = cokernel(m, len(m))
-    h2 = FinAbGroup.free(len(cycles) - matrix_rank(m))
-    return h1, h2
+    diag = _snf_diagonal(m)
+    return _cokernel_from_diagonal(diag, len(m)), FinAbGroup.free(len(cycles) - len(diag))
 
 
 # -- open books -------------------------------------------------------------------
@@ -222,16 +211,15 @@ def monodromy_arc_relations(book: OpenBook) -> list[list[int]]:
     inserts n_k detour copies of c_k where n_k counts the running arc's signed
     crossings with c_k; crossings of a pushed-off detour copy of c_j with c_k
     equal the pairing <c_j, c_k>, and the base arc meets c_k once per signed
-    traversal of e.  The relation class telescopes to sum_k n_k [c_k].
+    traversal of e.  The relation class telescopes to sum_k n_k [c_k].  The
+    pairing is evaluated by the corner rule on the word cycles themselves,
+    so only their (2g+6)^2 entries are computed, not the whole page Gram
+    matrix.
     """
     page = book.page
-    ws = workspace(page)
-    n = len(ws.basis)
+    n = len(homology_basis(page))
     vecs = [curve_class(page, c).vector for c in book.word]
-    classes = [HomologyClass(page, v) for v in vecs]
-    pair = [
-        [algebraic_intersection(page, ci, cj) for cj in classes] for ci in classes
-    ]
+    pair = workspace(page).pairing_matrix(book.word)
     columns = []
     for i in range(n):
         counts = []

@@ -192,7 +192,6 @@ class RibbonGraph:
                 seen.add(cur)
                 cur = self._advance(cur)
             orbits.append(tuple(orbit))
-        by_min = {min(o): o for o in orbits}
         kept = []
         for o in orbits:
             partner_min = min(self._reverse_state(s) for s in o)

@@ -1,0 +1,27 @@
+"""Byte identity of the command line documents for g = 0..8.
+
+The digests pin stdout of the three document-producing commands; any change
+to a certificate, an isomorphism report or a fibration document shows here.
+"""
+
+import hashlib
+
+import pytest
+
+from lf_forge.cli import main
+
+GOLDEN = {
+    ("verify", "--genus", "0..8"):
+        "5fcd1338541e905c8bc92e73e544c20d821c38969748a048b0132d58c7f4c490",
+    ("compare", "--genus", "0..8"):
+        "b53f149f22832b78dffd5328c0019007452afbd98f39bb69fe8496eeb57aa73d",
+    ("generate", "both", "--genus", "0..8"):
+        "29e62518d71a2b29d2b82448e3f276d5425f9803265bda070a2e6fc8d22abadf",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN))
+def test_cli_stdout_is_byte_identical(capsys, argv):
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]

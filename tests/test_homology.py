@@ -1,11 +1,15 @@
 """First homology of surfaces: basis, pairing, and Dehn twist action."""
 
-import pytest
-from hypothesis import given, strategies as st
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lf_forge.builders import LefschetzFibration
 from lf_forge.curves import CurveOnSurface, TransversalityError
 from lf_forge.homology import (
     HomologyClass,
+    Workspace,
     algebraic_intersection,
     class_from_steps,
     curve_class,
@@ -16,7 +20,8 @@ from lf_forge.homology import (
     signed_crossings,
     workspace,
 )
-from lf_forge.ribbon import RibbonGraph
+from lf_forge.invariants import boundary_open_book, open_book_h1
+from lf_forge.ribbon import RibbonGraph, SurfaceError
 
 
 def loop(surface, edge, name=None):
@@ -115,6 +120,127 @@ def test_signed_crossings_equals_class_pairing(punctured_torus, genus_two):
         assert signed_crossings(surface, x, y) == algebraic_intersection(
             surface, curve_class(surface, x), curve_class(surface, y)
         )
+
+
+def random_tree_cycles(surface, rng):
+    """Fundamental cycles of a spanning tree grown from shuffled edges."""
+    edges = list(surface.edges)
+    rng.shuffle(edges)
+    root = {v: v for v in surface.vertices}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    adj = {v: [] for v in surface.vertices}
+    cotree = []
+    for e in edges:
+        t, h = surface.edge_endpoints(e)
+        rt, rh = find(t), find(h)
+        if rt == rh:
+            cotree.append(e)
+        else:
+            root[rt] = rh
+            adj[t].append((e, 1, h))
+            adj[h].append((e, -1, t))
+
+    def tree_path(a, b):
+        prev = {a: None}
+        stack = [a]
+        while stack:
+            v = stack.pop()
+            for e, s, w in adj[v]:
+                if w not in prev:
+                    prev[w] = (e, s, v)
+                    stack.append(w)
+        steps = []
+        while b != a:
+            e, s, b = prev[b]
+            steps.append((e, s))
+        return tuple(reversed(steps))
+
+    cycles = []
+    for e in cotree:
+        t, h = surface.edge_endpoints(e)
+        cycles.append(CurveOnSurface(surface, f"t[{e}]", ((e, 1),) + tree_path(h, t)))
+    return cycles
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    construction=st.sampled_from(["johns", "ishikawa"]),
+    genus=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pushed_crossings_equal_class_pairing_on_random_tree_cycles(
+    built, construction, genus, seed
+):
+    # The certificate pairs the word cycles by the corner rule alone; this
+    # checks that rule against the basis Gram matrix on edge-simple cycles
+    # that share bands, from a spanning tree unrelated to the basis.
+    fiber = built(construction, genus).fiber
+    rng = random.Random(seed)
+    cycles = random_tree_cycles(fiber, rng)
+    x = rng.choice(cycles)
+    sharing = [c for c in cycles if c is not x and c.edge_set() & x.edge_set()]
+    y = rng.choice(sharing or cycles)
+    pushed = workspace(fiber)._pushed_crossings(x.passes(), y.passes(), push=True)
+    assert pushed == algebraic_intersection(
+        fiber, curve_class(fiber, x), curve_class(fiber, y)
+    )
+
+
+def relabelled(fib, seed):
+    """The same fibration as a document with seeded fresh vertex and edge
+    names, so the spanning tree and the basis change."""
+    rng = random.Random(seed)
+    doc = fib.to_json_dict()
+    fiber = doc["fiber"]
+
+    def fresh(prefix, ids):
+        numbers = rng.sample(range(10 * len(ids)), len(ids))
+        return {old: f"{prefix}{n}" for old, n in zip(ids, numbers)}
+
+    vname = fresh("v", fiber["vertices"])
+    ename = fresh("e", [rec["id"] for rec in fiber["edges"]])
+
+    def half(token):
+        edge, _, end = token.rpartition(".")
+        return f"{ename[edge]}.{end}"
+
+    def step(token):
+        return f"-{ename[token[1:]]}" if token.startswith("-") else ename[token]
+
+    doc["fiber"] = {
+        "schema": "ribbon-graph/1",
+        "vertices": [vname[v] for v in fiber["vertices"]],
+        "edges": [{"id": ename[rec["id"]], "twist": rec["twist"]} for rec in fiber["edges"]],
+        "rotation": {vname[v]: [half(t) for t in hs] for v, hs in fiber["rotation"].items()},
+    }
+    doc["vanishing_cycles"] = [
+        {"name": rec["name"], "walk": [step(t) for t in rec["walk"]]}
+        for rec in doc["vanishing_cycles"]
+    ]
+    return LefschetzFibration.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("construction", ["johns", "ishikawa"])
+def test_word_pairing_equals_class_pairing(built, construction):
+    for genus in range(9):
+        fib = built(construction, genus)
+        for f in (fib, relabelled(fib, genus)):
+            classes = [curve_class(f.fiber, c) for c in f.word]
+            assert workspace(f.fiber).pairing_matrix(f.word) == [
+                [algebraic_intersection(f.fiber, x, y) for y in classes] for x in classes
+            ]
+
+
+def test_open_book_rejects_a_pairing_that_is_not_antisymmetric(built, monkeypatch):
+    fib = built("johns", 1)
+    monkeypatch.setattr(Workspace, "_pushed_crossings", lambda self, x, y, push: 1)
+    with pytest.raises(SurfaceError, match="antisymmetry"):
+        open_book_h1(boundary_open_book(fib.fiber, fib.word))
 
 
 # -- Dehn twists ------------------------------------------------------------------
