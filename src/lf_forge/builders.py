@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .curves import CurveOnSurface, Step, curve_from_json
 from .divides import Divide, check_admissible, checkerboard_coloring, standard_divide
 from .homology import curve_class
-from .ribbon import HalfEdge, RibbonGraph, SurfaceError
+from .ribbon import HalfEdge, RibbonGraph, SurfaceError, json_field
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -381,11 +381,16 @@ class LefschetzFibration:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "LefschetzFibration":
-        if doc.get("schema") != "lefschetz-fibration/1":
-            raise SurfaceError(f"unsupported schema {doc.get('schema')!r}")
-        fiber = RibbonGraph.from_json_dict(doc["fiber"])
-        word = tuple(curve_from_json(fiber, rec) for rec in doc["vanishing_cycles"])
-        return cls(doc["construction"], int(doc["genus"]), fiber, word)
+        schema = doc.get("schema") if isinstance(doc, dict) else None
+        if schema != "lefschetz-fibration/1":
+            raise SurfaceError(f"unsupported schema {schema!r}")
+        where = "lefschetz-fibration"
+        construction = json_field(doc, "construction", str, where)
+        genus = json_field(doc, "genus", int, where)
+        fiber = RibbonGraph.from_json_dict(json_field(doc, "fiber", dict, where))
+        cycles = json_field(doc, "vanishing_cycles", list, where, dict)
+        word = tuple(curve_from_json(fiber, rec) for rec in cycles)
+        return cls(construction, genus, fiber, word)
 
 
 def _check_page(fiber: RibbonGraph, genus: int) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ribbon import HalfEdge, RibbonGraph, SurfaceError
+from .ribbon import HalfEdge, RibbonGraph, SurfaceError, json_field
 
 
 class TransversalityError(SurfaceError):
@@ -129,8 +129,9 @@ def parse_signed_edge_id(token: str) -> Step:
 
 
 def curve_from_json(surface: RibbonGraph, rec: dict) -> CurveOnSurface:
-    walk = tuple(parse_signed_edge_id(t) for t in rec["walk"])
-    return CurveOnSurface(surface, rec["name"], walk)
+    name = json_field(rec, "name", str, "vanishing cycle")
+    walk = json_field(rec, "walk", list, f"vanishing cycle {name!r}", str)
+    return CurveOnSurface(surface, name, tuple(parse_signed_edge_id(t) for t in walk))
 
 
 # -- arcs ---------------------------------------------------------------------

@@ -157,24 +157,23 @@ class Workspace:
         return self._pushed_crossings(x.passes(), y.passes(), push=False)
 
     def _pushed_crossings(self, x_passes, y_passes, push: bool) -> int:
-        by_vertex: dict[str, list] = {}
-        for p in x_passes:
-            by_vertex.setdefault(p[0], []).append(p)
+        y_at: dict[str, list] = {}
+        for q in y_passes:
+            y_at.setdefault(q[0], []).append(q)
         total = 0
-        for v, xs in by_vertex.items():
-            ys = [q for q in y_passes if q[0] == v]
+        for (v, xin, xout, _) in x_passes:
+            ys = y_at.get(v)
             if not ys:
                 continue
             slots = self._slots(v)
             n = 3 * len(self.norm.rotation[v])
-            for (_, xin, xout, _) in xs:
-                pi, po = slots[(xin, "S")], slots[(xout, "S")]
-                for (_, yin, yout, _) in ys:
-                    if push:
-                        qi, qo = slots[(yin, SIDE_L)], slots[(yout, SIDE_R)]
-                    else:
-                        qi, qo = slots[(yin, "S")], slots[(yout, "S")]
-                    total += self._chord_sign(n, pi, po, qi, qo)
+            pi, po = slots[(xin, "S")], slots[(xout, "S")]
+            for (_, yin, yout, _) in ys:
+                if push:
+                    qi, qo = slots[(yin, SIDE_L)], slots[(yout, SIDE_R)]
+                else:
+                    qi, qo = slots[(yin, "S")], slots[(yout, "S")]
+                total += self._chord_sign(n, pi, po, qi, qo)
         return total
 
     def pairing_matrix(self, curves) -> list[list[int]]:
@@ -193,9 +192,13 @@ class Workspace:
                 if i != j:
                     m[i][j] = self._pushed_crossings(passes[i], passes[j], push=True)
         for i in range(n):
-            for j in range(n):
+            for j in range(i + 1, n):
                 if m[i][j] != -m[j][i]:
-                    raise SurfaceError("intersection pairing failed antisymmetry")
+                    x, y = curves[i].name, curves[j].name
+                    raise SurfaceError(
+                        f"intersection pairing failed antisymmetry: "
+                        f"<{x!r}, {y!r}> = {m[i][j]} but <{y!r}, {x!r}> = {m[j][i]}"
+                    )
         return m
 
     def gram_matrix(self) -> list[list[int]]:

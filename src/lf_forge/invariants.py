@@ -140,9 +140,54 @@ def smith_normal_form(matrix: list[list[int]]) -> tuple[list[list[int]], list[li
 
 
 def _snf_diagonal(matrix: list[list[int]]) -> list[int]:
-    """Nonzero invariant factors of ``matrix``."""
-    d, _, _ = smith_normal_form(matrix)
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i]]
+    """Nonzero invariant factors of ``matrix``.
+
+    Unit pivots are peeled first on sparse rows: a +-1 entry in a shortest
+    row clears its column by row operations, after which column operations
+    clear its row without touching anything else, so the pivot splits off as
+    a factor 1 and its row and column drop out.  Only the residue, which
+    has no unit entry left, goes to ``smith_normal_form``.
+    """
+    rows = [{j: x for j, x in enumerate(r) if x} for r in matrix]
+    cols: dict[int, set[int]] = {}
+    for i, r in enumerate(rows):
+        for j in r:
+            cols.setdefault(j, set()).add(i)
+    ones = 0
+    while True:
+        pivot = None
+        for i, r in enumerate(rows):
+            if not r or pivot is not None and len(r) >= len(rows[pivot[0]]):
+                continue
+            units = [j for j, x in r.items() if x in (1, -1)]
+            if units:
+                pivot = (i, min(units, key=lambda j: (len(cols[j]), j)))
+        if pivot is None:
+            break
+        p, c = pivot
+        prow = rows[p]
+        for i in cols[c] - {p}:
+            row = rows[i]
+            f = row[c] * prow[c]
+            for j, x in prow.items():
+                y = row.get(j, 0) - f * x
+                if y:
+                    cols[j].add(i)
+                    row[j] = y
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+        for j in prow:
+            cols[j].discard(p)
+        del cols[c]
+        rows[p] = {}
+        ones += 1
+    residue_cols = sorted(j for j, rs in cols.items() if rs)
+    if not residue_cols:
+        return [1] * ones
+    residue = [[r.get(j, 0) for j in residue_cols] for r in rows if r]
+    d, _, _ = smith_normal_form(residue)
+    return [1] * ones + [d[i][i] for i in range(min(len(d), len(d[0]))) if d[i][i]]
 
 
 def _cokernel_from_diagonal(diag: list[int], ambient_rank: int) -> FinAbGroup:
@@ -214,24 +259,28 @@ def monodromy_arc_relations(book: OpenBook) -> list[list[int]]:
     traversal of e.  The relation class telescopes to sum_k n_k [c_k].  The
     pairing is evaluated by the corner rule on the word cycles themselves,
     so only their (2g+6)^2 entries are computed, not the whole page Gram
-    matrix.
+    matrix.  All arcs are carried at once: counts[k][e] is n_k for the arc
+    dual to e, so counts[k] = [c_k] + sum_{j<k} <c_j, c_k> counts[j], and the
+    relation matrix is sum_k [c_k] counts[k]^T, built from the nonzero
+    entries of the sparse classes.
     """
     page = book.page
     n = len(homology_basis(page))
     vecs = [curve_class(page, c).vector for c in book.word]
     pair = workspace(page).pairing_matrix(book.word)
-    columns = []
-    for i in range(n):
-        counts = []
-        for k in range(len(vecs)):
-            nk = vecs[k][i] + sum(counts[j] * pair[j][k] for j in range(k))
-            counts.append(nk)
-        col = [0] * n
-        for k, nk in enumerate(counts):
-            if nk:
-                col = [c + nk * v for c, v in zip(col, vecs[k])]
-        columns.append(col)
-    return [[columns[j][i] for j in range(n)] for i in range(n)]
+    counts: list[list[int]] = []
+    for k, vec in enumerate(vecs):
+        nk = list(vec)
+        for j in range(k):
+            if pair[j][k]:
+                nk = [a + pair[j][k] * b for a, b in zip(nk, counts[j])]
+        counts.append(nk)
+    rel = [[0] * n for _ in range(n)]
+    for vec, nk in zip(vecs, counts):
+        for r, v in enumerate(vec):
+            if v:
+                rel[r] = [a + v * b for a, b in zip(rel[r], nk)]
+    return rel
 
 
 def open_book_h1(book: OpenBook) -> FinAbGroup:

@@ -32,6 +32,30 @@ HalfEdge = tuple[str, int]
 SIDE_R = 0
 SIDE_L = 1
 
+_JSON_TYPE_NAMES = {
+    str: "a string", int: "an integer", bool: "a boolean", list: "a list", dict: "an object",
+}
+
+
+def json_field(doc, key: str, kind: type, where: str, item: type | None = None):
+    """``doc[key]`` of JSON type ``kind`` (a list whose entries are ``item``
+    when given).  A non-object document or a missing or mistyped field
+    raises SurfaceError naming ``where``."""
+    if not isinstance(doc, dict):
+        raise SurfaceError(f"{where} must be an object, got {type(doc).__name__}")
+    if key not in doc:
+        raise SurfaceError(f"{where} is missing field {key!r}")
+    value = doc[key]
+    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
+        raise SurfaceError(f"{where} field {key!r} must be {_JSON_TYPE_NAMES[kind]}, got {value!r}")
+    if item is not None:
+        for x in value:
+            if not isinstance(x, item):
+                raise SurfaceError(
+                    f"{where} field {key!r} has an entry that is not {_JSON_TYPE_NAMES[item]}: {x!r}"
+                )
+    return value
+
 
 @dataclass(frozen=True)
 class SurfaceInvariants:
@@ -422,14 +446,22 @@ class RibbonGraph:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "RibbonGraph":
-        if doc.get("schema") != "ribbon-graph/1":
-            raise SurfaceError(f"unsupported schema {doc.get('schema')!r}")
-        edges = [rec["id"] for rec in doc["edges"]]
-        twists = [rec["id"] for rec in doc["edges"] if rec.get("twist")]
-        rotation = {
-            v: [cls.parse_half_edge(s) for s in hs] for v, hs in doc["rotation"].items()
-        }
-        return cls(doc["vertices"], edges, rotation, twists)
+        schema = doc.get("schema") if isinstance(doc, dict) else None
+        if schema != "ribbon-graph/1":
+            raise SurfaceError(f"unsupported schema {schema!r}")
+        vertices = json_field(doc, "vertices", list, "ribbon-graph", str)
+        records = json_field(doc, "edges", list, "ribbon-graph", dict)
+        edges = [json_field(rec, "id", str, "ribbon-graph edge") for rec in records]
+        twists = [
+            e for e, rec in zip(edges, records)
+            if "twist" in rec and json_field(rec, "twist", bool, f"ribbon-graph edge {e!r}")
+        ]
+        rotation = json_field(doc, "rotation", dict, "ribbon-graph")
+        parsed = {}
+        for v in rotation:
+            halves = json_field(rotation, v, list, "ribbon-graph rotation", str)
+            parsed[v] = [cls.parse_half_edge(h) for h in halves]
+        return cls(vertices, edges, parsed, twists)
 
     def to_dot(self, name: str = "surface") -> str:
         """Graphviz rendering of the underlying graph; diagnostic only."""

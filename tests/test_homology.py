@@ -239,7 +239,7 @@ def test_word_pairing_equals_class_pairing(built, construction):
 def test_open_book_rejects_a_pairing_that_is_not_antisymmetric(built, monkeypatch):
     fib = built("johns", 1)
     monkeypatch.setattr(Workspace, "_pushed_crossings", lambda self, x, y, push: 1)
-    with pytest.raises(SurfaceError, match="antisymmetry"):
+    with pytest.raises(SurfaceError, match=r"antisymmetry: <'a0', 'a1'> = 1 but <'a1', 'a0'> = 1"):
         open_book_h1(boundary_open_book(fib.fiber, fib.word))
 
 

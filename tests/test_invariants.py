@@ -5,10 +5,13 @@ from hypothesis import given, strategies as st
 
 from lf_forge.builders import sphere_planar_fibration
 from lf_forge.curves import CurveOnSurface
+from lf_forge.homology import curve_class, homology_basis, workspace
 from lf_forge.invariants import (
     FinAbGroup,
+    _snf_diagonal,
     boundary_open_book,
     cokernel,
+    monodromy_arc_relations,
     open_book_h1,
     smith_normal_form,
     total_space_euler,
@@ -107,6 +110,43 @@ def test_smith_normal_form_known_case():
     assert [d[0][0], d[1][1]] == [1, 6]
 
 
+# Tall and wide matrices that look like relation matrices: mostly 0 and +-1,
+# with the odd larger entry so that a residue is left after the unit pivots.
+sparse_entries = st.one_of(
+    st.sampled_from([0, 0, 0, 1, -1]),
+    st.integers(-4, 4),
+)
+sparse_matrices = st.tuples(st.integers(1, 9), st.integers(1, 9)).flatmap(
+    lambda shape: st.lists(
+        st.lists(sparse_entries, min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0],
+        max_size=shape[0],
+    )
+)
+
+
+def snf_oracle_diagonal(m):
+    d, _, _ = smith_normal_form(m)
+    return [d[i][i] for i in range(min(len(d), len(d[0]))) if d[i][i]]
+
+
+@given(matrices)
+def test_snf_diagonal_matches_smith_normal_form(m):
+    assert _snf_diagonal(m) == snf_oracle_diagonal(m)
+
+
+@given(sparse_matrices)
+def test_snf_diagonal_matches_smith_normal_form_on_sparse_unit_matrices(m):
+    assert _snf_diagonal(m) == snf_oracle_diagonal(m)
+
+
+def test_snf_diagonal_known_cases():
+    assert _snf_diagonal([[2, 0], [0, 3]]) == [1, 6]
+    assert _snf_diagonal([[1, 2], [3, 4]]) == [1, 2]
+    assert _snf_diagonal([[0, 0], [0, 0]]) == []
+    assert _snf_diagonal([[], []]) == []
+
+
 # -- cokernels ---------------------------------------------------------------------
 
 
@@ -187,3 +227,30 @@ def test_total_space_homology_with_empty_word(punctured_torus):
     h1, h2 = total_space_homology(punctured_torus, ())
     assert h1 == FinAbGroup.free(2)
     assert h2 == FinAbGroup.trivial()
+
+
+# -- open-book relations -------------------------------------------------------------
+
+
+def per_arc_relations(book):
+    """The recurrence of ``monodromy_arc_relations``' docstring, one arc at a
+    time: n_k = [c_k]_i + sum_{j<k} n_j <c_j, c_k>, relation sum_k n_k [c_k]."""
+    page = book.page
+    n = len(homology_basis(page))
+    vecs = [curve_class(page, c).vector for c in book.word]
+    pair = workspace(page).pairing_matrix(book.word)
+    columns = []
+    for i in range(n):
+        counts = []
+        for k in range(len(vecs)):
+            counts.append(vecs[k][i] + sum(counts[j] * pair[j][k] for j in range(k)))
+        columns.append([sum(nk * vecs[k][r] for k, nk in enumerate(counts)) for r in range(n)])
+    return [[columns[i][r] for i in range(n)] for r in range(n)]
+
+
+@pytest.mark.parametrize("construction", ["johns", "ishikawa"])
+def test_arc_relations_equal_the_per_arc_recurrence(built, construction):
+    for g in range(7):
+        fib = built(construction, g)
+        book = boundary_open_book(fib.fiber, fib.word)
+        assert monodromy_arc_relations(book) == per_arc_relations(book)

@@ -1,12 +1,15 @@
 """JSON documents: schemas, round-trips, and byte-level determinism."""
 
 import json
+import re
+
+import pytest
 
 from lf_forge.builders import LefschetzFibration, johns_fibration
 from lf_forge.certify import fibration_certificate
 from lf_forge.curves import curve_from_json, parse_signed_edge_id, signed_edge_id
 from lf_forge.equivalence import isomorphism_certificate
-from lf_forge.ribbon import RibbonGraph
+from lf_forge.ribbon import RibbonGraph, SurfaceError
 
 
 def test_signed_edge_tokens():
@@ -64,6 +67,53 @@ def test_fibration_schema_guard():
 
     with pytest.raises(SurfaceError, match="schema"):
         LefschetzFibration.from_json_dict({"schema": "nope/9"})
+
+
+DELETE = object()
+
+
+def _edit(path, value):
+    """A johns g=1 document with the field at ``path`` replaced (or deleted
+    when ``value`` is DELETE)."""
+    doc = json.loads(json.dumps(johns_fibration(1).to_json_dict()))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "path,value,message",
+    [
+        (("fiber", "edges"), DELETE, "ribbon-graph is missing field 'edges'"),
+        (("fiber", "edges", 0, "id"), 7, "ribbon-graph edge field 'id' must be a string, got 7"),
+        (("fiber", "edges", 0, "twist"), "no", "edge 'a0e0' field 'twist' must be a boolean, got 'no'"),
+        (("genus",), "two", "field 'genus' must be an integer, got 'two'"),
+        (("genus",), True, "field 'genus' must be an integer, got True"),
+        (("fiber", "vertices"), "ab", "field 'vertices' must be a list, got 'ab'"),
+        (("fiber", "vertices", 0), 3, "field 'vertices' has an entry that is not a string: 3"),
+        (("fiber", "rotation"), [], "field 'rotation' must be an object"),
+        (("fiber", "rotation", "s1_0"), "a0e0.0", "rotation field 's1_0' must be a list"),
+        (("fiber",), None, "field 'fiber' must be an object, got None"),
+        (("vanishing_cycles", 0, "walk"), "a0e0", "cycle 'a0' field 'walk' must be a list"),
+        (("vanishing_cycles", 1), ["a1"], "field 'vanishing_cycles' has an entry that is not an object"),
+        (("construction",), DELETE, "lefschetz-fibration is missing field 'construction'"),
+    ],
+)
+def test_malformed_documents_raise_surface_error(path, value, message):
+    with pytest.raises(SurfaceError, match=re.escape(message)):
+        LefschetzFibration.from_json_dict(_edit(path, value))
+
+
+def test_non_object_documents_raise_surface_error():
+    with pytest.raises(SurfaceError, match="schema"):
+        LefschetzFibration.from_json_dict([])
+    with pytest.raises(SurfaceError, match="schema"):
+        RibbonGraph.from_json_dict("ribbon-graph/1")
 
 
 def test_certificate_document_shape(built):
