@@ -102,16 +102,13 @@ class CurveOnSurface:
         """The cyclic walk starting at step ``index``."""
         return self.walk[index:] + self.walk[:index]
 
-    def cyclically_equal(self, other: "CurveOnSurface", allow_reversal: bool = False) -> bool:
+    def cyclically_equal(self, other: "CurveOnSurface") -> bool:
+        """Same walk up to the choice of basepoint; direction counts."""
         if len(self.walk) != len(other.walk):
             return False
         doubled = other.walk + other.walk
         n = len(self.walk)
-        if any(self.walk == doubled[i:i + n] for i in range(n)):
-            return True
-        if allow_reversal:
-            return self.cyclically_equal(other.reversed_curve(), allow_reversal=False)
-        return False
+        return any(self.walk == doubled[i:i + n] for i in range(n))
 
     def to_json_dict(self) -> dict:
         return {"name": self.name, "walk": [signed_edge_id(s) for s in self.walk]}

@@ -265,19 +265,39 @@ def _propagate(g1: RibbonGraph, g2: RibbonGraph, seed1: HalfEdge, seed2: HalfEdg
     return vertex_map, edge_map
 
 
-def _match_families(curves1: dict[str, CurveOnSurface], curves2: dict[str, CurveOnSurface],
-                    fams1, fams2, g2: RibbonGraph,
+def _rotation_index(curves2: dict[str, CurveOnSurface],
+                    fams2) -> dict[str, dict[tuple, list[str]]]:
+    """Per family, every rotation of every target walk and of its reversal,
+    mapped to the target names having it, each listed once in word order."""
+    index: dict[str, dict[tuple, list[str]]] = {}
+    for fam, targets in fams2.items():
+        rotations: dict[tuple, list[str]] = {}
+        for t in targets:
+            walk = curves2[t.name].walk
+            for w in (walk, tuple((e, -s) for e, s in reversed(walk))):
+                for i in range(len(w)):
+                    names = rotations.setdefault(w[i:] + w[:i], [])
+                    if not names or names[-1] != t.name:
+                        names.append(t.name)
+        index[fam] = rotations
+    return index
+
+
+def _match_families(curves1: dict[str, CurveOnSurface], index, fams1,
                     edge_map) -> dict[str, str] | None:
     """Pair each mapped source cycle with an equal target cycle, family by
-    family, up to cyclic rotation and reversal.  Returns the name bijection."""
+    family, up to cyclic rotation and reversal.  Returns the name bijection.
+
+    A mapped walk is looked up in the rotation index of the target word, so
+    it is accepted only as a rotation of a target walk already validated on
+    the target surface."""
     cycle_map: dict[str, str] = {}
     for fam, sources in fams1.items():
-        targets = list(fams2[fam])
-        images = {c.name: _mapped_curve(curves1[c.name], g2, edge_map) for c in sources}
+        rotations = index[fam]
         options = {}
         for c in sources:
-            opts = [t.name for t in targets
-                    if images[c.name].cyclically_equal(curves2[t.name], allow_reversal=True)]
+            image = tuple((edge_map[e][0], s * edge_map[e][1]) for e, s in curves1[c.name].walk)
+            opts = rotations.get(image)
             if not opts:
                 return None
             options[c.name] = opts
@@ -329,18 +349,22 @@ def find_isomorphism(lf1: LefschetzFibration, lf2: LefschetzFibration) -> Fibrat
     Cheap invariants gate the search; then every placement of the first
     first-family core onto the target's first-family cores is propagated to a
     full map and checked against the word and the smoothing move.  The first
-    success in scan order is returned.
+    success in scan order is returned.  A fiber that cannot be reduced raises
+    SurfaceError: that is a failure to compare, not a missing isomorphism.
     """
     if not all(ok for _, ok in _gate(lf1, lf2)):
         return None
-    try:
-        g1, curves1 = reduced_word(lf1)
-        g2, curves2 = reduced_word(lf2)
-    except SurfaceError:
-        return None
+    return _search(lf1, lf2)
+
+
+def _search(lf1: LefschetzFibration, lf2: LefschetzFibration) -> FibrationIso | None:
+    """The search behind find_isomorphism, for a pair that passed the gate."""
+    g1, curves1 = reduced_word(lf1)
+    g2, curves2 = reduced_word(lf2)
     if len(g1.edges) != len(g2.edges) or len(g1.vertices) != len(g2.vertices):
         return None
     fams1, fams2 = word_families(lf1), word_families(lf2)
+    index = _rotation_index(curves2, fams2)
     first_family = next(iter(fams1))
     anchor = curves1[fams1[first_family][0].name]
     e0, s0 = anchor.walk[0]
@@ -355,7 +379,7 @@ def find_isomorphism(lf1: LefschetzFibration, lf2: LefschetzFibration) -> Fibrat
             if grown is None:
                 continue
             vertex_map, edge_map = grown
-            cycle_map = _match_families(curves1, curves2, fams1, fams2, g2, edge_map)
+            cycle_map = _match_families(curves1, index, fams1, edge_map)
             if cycle_map is None:
                 continue
             if not _surgery_commutes(fams1, curves1, g2, edge_map):
@@ -367,25 +391,18 @@ def find_isomorphism(lf1: LefschetzFibration, lf2: LefschetzFibration) -> Fibrat
 def isomorphism_certificate(lf1: LefschetzFibration, lf2: LefschetzFibration) -> dict:
     """Certificate document for a comparison, found or not."""
     gate = _gate(lf1, lf2)
-    if not all(ok for _, ok in gate):
-        return {
-            "schema": "isomorphism/1",
-            "genus": lf1.genus,
-            "found": False,
-            "orientation_preserving": None,
-            "cycle_map": None,
-            "checks": [{"name": n, "passed": ok} for n, ok in gate],
-        }
-    iso = find_isomorphism(lf1, lf2)
-    if iso is None:
-        checks = [{"name": n, "passed": ok} for n, ok in gate]
+    passed = all(ok for _, ok in gate)
+    iso = _search(lf1, lf2) if passed else None
+    if iso is not None:
+        return iso.to_json_dict()
+    checks = [{"name": n, "passed": ok} for n, ok in gate]
+    if passed:
         checks.append({"name": "ribbon_graph_bijection", "passed": False})
-        return {
-            "schema": "isomorphism/1",
-            "genus": lf1.genus,
-            "found": False,
-            "orientation_preserving": None,
-            "cycle_map": None,
-            "checks": checks,
-        }
-    return iso.to_json_dict()
+    return {
+        "schema": "isomorphism/1",
+        "genus": lf1.genus,
+        "found": False,
+        "orientation_preserving": None,
+        "cycle_map": None,
+        "checks": checks,
+    }

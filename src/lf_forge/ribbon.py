@@ -452,6 +452,13 @@ class RibbonGraph:
         vertices = json_field(doc, "vertices", list, "ribbon-graph", str)
         records = json_field(doc, "edges", list, "ribbon-graph", dict)
         edges = [json_field(rec, "id", str, "ribbon-graph edge") for rec in records]
+        for e, rec in zip(edges, records):
+            halves = json_field(rec, "half_edges", list, f"ribbon-graph edge {e!r}")
+            expected = [cls.half_edge_id((e, 0)), cls.half_edge_id((e, 1))]
+            if halves != expected:
+                raise SurfaceError(
+                    f"ribbon-graph edge {e!r} field 'half_edges' must be {expected}, got {halves!r}"
+                )
         twists = [
             e for e, rec in zip(edges, records)
             if "twist" in rec and json_field(rec, "twist", bool, f"ribbon-graph edge {e!r}")

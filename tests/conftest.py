@@ -4,9 +4,16 @@ Fibrations are pure functions of (construction, genus), so one build per key
 is shared across the whole run to keep the suite fast.
 """
 
+import random
+
 import pytest
 
-from lf_forge import ishikawa_fibration, johns_fibration, sphere_planar_fibration
+from lf_forge import (
+    LefschetzFibration,
+    ishikawa_fibration,
+    johns_fibration,
+    sphere_planar_fibration,
+)
 from lf_forge.ribbon import RibbonGraph
 
 _BUILDERS = {
@@ -27,6 +34,53 @@ def built():
         return cache[key]
 
     return get
+
+
+def _relabelled(fib, seed):
+    """The same fibration as a document with seeded fresh vertex and edge
+    names, so the spanning tree and the basis change."""
+    rng = random.Random(seed)
+    doc = fib.to_json_dict()
+    fiber = doc["fiber"]
+
+    def fresh(prefix, ids):
+        numbers = rng.sample(range(10 * len(ids)), len(ids))
+        return {old: f"{prefix}{n}" for old, n in zip(ids, numbers)}
+
+    vname = fresh("v", fiber["vertices"])
+    ename = fresh("e", [rec["id"] for rec in fiber["edges"]])
+
+    def half(token):
+        edge, _, end = token.rpartition(".")
+        return f"{ename[edge]}.{end}"
+
+    def step(token):
+        return f"-{ename[token[1:]]}" if token.startswith("-") else ename[token]
+
+    doc["fiber"] = {
+        "schema": "ribbon-graph/1",
+        "vertices": [vname[v] for v in fiber["vertices"]],
+        "edges": [
+            {"id": ename[rec["id"]], "half_edges": [half(h) for h in rec["half_edges"]],
+             "twist": rec["twist"]}
+            for rec in fiber["edges"]
+        ],
+        "rotation": {vname[v]: [half(t) for t in hs] for v, hs in fiber["rotation"].items()},
+    }
+    doc["vanishing_cycles"] = [
+        {"name": rec["name"], "walk": [step(t) for t in rec["walk"]]}
+        for rec in doc["vanishing_cycles"]
+    ]
+    return LefschetzFibration.from_json_dict(doc)
+
+
+@pytest.fixture(scope="session")
+def relabelled():
+    """``relabelled(fib, seed)``: ``fib`` rebuilt from a document with
+    seeded fresh vertex and edge names.  Rotations are kept as they are, so
+    on a fiber with twisted bands a new least vertex can leave the reduced
+    fiber mirrored."""
+    return _relabelled
 
 
 @pytest.fixture(scope="session")

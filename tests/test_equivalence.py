@@ -1,10 +1,15 @@
 """Reduced-presentation comparison and the isomorphism search."""
 
+import itertools
+
 import pytest
 
-from lf_forge.builders import johns_pattern
+from lf_forge.builders import LefschetzFibration, johns_pattern
 from lf_forge.curves import CurveOnSurface
 from lf_forge.equivalence import (
+    _match_families,
+    _propagate,
+    _rotation_index,
     carry_curve,
     extract_plumbing_pattern,
     find_isomorphism,
@@ -20,7 +25,7 @@ from lf_forge.homology import (
     homology_basis,
     workspace,
 )
-from lf_forge.ribbon import RibbonGraph
+from lf_forge.ribbon import RibbonGraph, SurfaceError
 
 
 def matmul(a, b):
@@ -118,6 +123,82 @@ def test_constructions_are_isomorphic(built, genus):
     assert iso.orientation_preserving
     for name, image in iso.cycle_map.items():
         assert name.rstrip("0123456789") == image.rstrip("0123456789")
+
+
+def mirrored(fib):
+    """``fib`` rebuilt from its document with every rotation reversed: the
+    same fibration, opposite orientation."""
+    doc = fib.to_json_dict()
+    doc["fiber"]["rotation"] = {v: hs[::-1] for v, hs in doc["fiber"]["rotation"].items()}
+    return LefschetzFibration.from_json_dict(doc)
+
+
+def pairwise_match(curves1, curves2, backs2, fams1, fams2, g2, edge_map):
+    """Oracle for _match_families: every mapped source cycle against every
+    target cycle of its family and that cycle's reversal (``backs2``), then
+    the first injective choice with options taken in word order."""
+    cycle_map = {}
+    for fam, sources in fams1.items():
+        options = []
+        for c in sources:
+            image = CurveOnSurface(g2, c.name, tuple(
+                (edge_map[e][0], s * edge_map[e][1]) for e, s in curves1[c.name].walk))
+            opts = [t.name for t in fams2[fam]
+                    if image.cyclically_equal(curves2[t.name]) or image.cyclically_equal(backs2[t.name])]
+            if not opts:
+                return None
+            options.append(opts)
+        choice = next((names for names in itertools.product(*options)
+                       if len(set(names)) == len(names)), None)
+        if choice is None:
+            return None
+        cycle_map.update(zip((c.name for c in sources), choice))
+    return cycle_map
+
+
+@pytest.mark.parametrize("construction", ["johns", "ishikawa"])
+def test_rotation_index_matches_pairwise_oracle(built, relabelled, construction):
+    """Every seed of every preference that propagates to a full map gets
+    the oracle's verdict, not only the first that succeeds."""
+    other = "ishikawa" if construction == "johns" else "johns"
+    verdicts = {True: 0, False: 0}
+    for genus in range(6):
+        fib = built(construction, genus)
+        lf2 = built(other, genus)
+        g2, curves2 = reduced_word(lf2)
+        fams2 = word_families(lf2)
+        index = _rotation_index(curves2, fams2)
+        backs2 = {n: CurveOnSurface(g2, n, tuple((e, -s) for e, s in reversed(c.walk)))
+                  for n, c in curves2.items()}
+        halves2 = sorted((e, end) for e in g2.edges for end in (0, 1))
+        mirror = mirrored(fib)
+        for lf1 in (fib, relabelled(fib, genus), mirror):
+            g1, curves1 = reduced_word(lf1)
+            fams1 = word_families(lf1)
+            e0, s0 = curves1[fams1["a"][0].name].walk[0]
+            seed1 = (e0, 0 if s0 > 0 else 1)
+            for preserve in (True, False):
+                for seed2 in halves2:
+                    grown = _propagate(g1, g2, seed1, seed2, preserve)
+                    if grown is None:
+                        continue
+                    _, edge_map = grown
+                    expected = pairwise_match(curves1, curves2, backs2, fams1, fams2, g2, edge_map)
+                    assert _match_families(curves1, index, fams1, edge_map) == expected
+                    verdicts[expected is not None] += 1
+            iso = find_isomorphism(lf1, lf2)
+            assert iso is not None
+            if lf1 is mirror:
+                assert iso.orientation_preserving is False
+    assert verdicts[True] and verdicts[False]
+
+
+def test_unreducible_fiber_raises_instead_of_no_isomorphism(built):
+    sphere = built("sphere", 0)
+    with pytest.raises(SurfaceError, match="cannot smooth a pure cycle of degree-2 vertices"):
+        isomorphism_certificate(sphere, sphere)
+    with pytest.raises(SurfaceError, match="cannot smooth a pure cycle of degree-2 vertices"):
+        find_isomorphism(sphere, sphere)
 
 
 def test_isomorphism_is_symmetric(built):

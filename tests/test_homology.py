@@ -5,7 +5,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lf_forge.builders import LefschetzFibration
 from lf_forge.curves import CurveOnSurface, TransversalityError
 from lf_forge.homology import (
     HomologyClass,
@@ -191,42 +190,8 @@ def test_pushed_crossings_equal_class_pairing_on_random_tree_cycles(
     )
 
 
-def relabelled(fib, seed):
-    """The same fibration as a document with seeded fresh vertex and edge
-    names, so the spanning tree and the basis change."""
-    rng = random.Random(seed)
-    doc = fib.to_json_dict()
-    fiber = doc["fiber"]
-
-    def fresh(prefix, ids):
-        numbers = rng.sample(range(10 * len(ids)), len(ids))
-        return {old: f"{prefix}{n}" for old, n in zip(ids, numbers)}
-
-    vname = fresh("v", fiber["vertices"])
-    ename = fresh("e", [rec["id"] for rec in fiber["edges"]])
-
-    def half(token):
-        edge, _, end = token.rpartition(".")
-        return f"{ename[edge]}.{end}"
-
-    def step(token):
-        return f"-{ename[token[1:]]}" if token.startswith("-") else ename[token]
-
-    doc["fiber"] = {
-        "schema": "ribbon-graph/1",
-        "vertices": [vname[v] for v in fiber["vertices"]],
-        "edges": [{"id": ename[rec["id"]], "twist": rec["twist"]} for rec in fiber["edges"]],
-        "rotation": {vname[v]: [half(t) for t in hs] for v, hs in fiber["rotation"].items()},
-    }
-    doc["vanishing_cycles"] = [
-        {"name": rec["name"], "walk": [step(t) for t in rec["walk"]]}
-        for rec in doc["vanishing_cycles"]
-    ]
-    return LefschetzFibration.from_json_dict(doc)
-
-
 @pytest.mark.parametrize("construction", ["johns", "ishikawa"])
-def test_word_pairing_equals_class_pairing(built, construction):
+def test_word_pairing_equals_class_pairing(built, relabelled, construction):
     for genus in range(9):
         fib = built(construction, genus)
         for f in (fib, relabelled(fib, genus)):

@@ -102,6 +102,9 @@ def _edit(path, value):
         (("vanishing_cycles", 0, "walk"), "a0e0", "cycle 'a0' field 'walk' must be a list"),
         (("vanishing_cycles", 1), ["a1"], "field 'vanishing_cycles' has an entry that is not an object"),
         (("construction",), DELETE, "lefschetz-fibration is missing field 'construction'"),
+        (("fiber", "edges", 0, "half_edges"), DELETE, "edge 'a0e0' is missing field 'half_edges'"),
+        (("fiber", "edges", 0, "half_edges"), ["zz.0", "qq.7"],
+         "edge 'a0e0' field 'half_edges' must be ['a0e0.0', 'a0e0.1'], got ['zz.0', 'qq.7']"),
     ],
 )
 def test_malformed_documents_raise_surface_error(path, value, message):
