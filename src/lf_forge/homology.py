@@ -133,19 +133,6 @@ class Workspace:
             self._slot_cache[vertex] = pos
         return self._slot_cache[vertex]
 
-    @staticmethod
-    def _chord_sign(n: int, p_in: int, p_out: int, q_in: int, q_out: int) -> int:
-        """Sign of the crossing of directed chords p and q of a disk whose
-        boundary carries n marked positions counterclockwise; 0 if disjoint."""
-        r_out = (p_out - p_in) % n
-        r_qin = (q_in - p_in) % n
-        r_qout = (q_out - p_in) % n
-        if 0 < r_qin < r_out < r_qout:
-            return 1
-        if 0 < r_qout < r_out < r_qin:
-            return -1
-        return 0
-
     def crossing_number(self, x: CurveOnSurface, y: CurveOnSurface) -> int:
         """Signed crossings of two walks sharing no edges (corner rule)."""
         shared = x.edge_set() & y.edge_set()
@@ -154,43 +141,57 @@ class Workspace:
                 f"curves {x.name!r} and {y.name!r} share edges {sorted(shared)}; "
                 "refine one of them off the shared bands"
             )
-        return self._pushed_crossings(x.passes(), y.passes(), push=False)
+        return self.pairing_matrix((x, y), push=False)[0][1]
 
-    def _pushed_crossings(self, x_passes, y_passes, push: bool) -> int:
-        y_at: dict[str, list] = {}
-        for q in y_passes:
-            y_at.setdefault(q[0], []).append(q)
-        total = 0
-        for (v, xin, xout, _) in x_passes:
-            ys = y_at.get(v)
-            if not ys:
+    def _corner_crossings(self, pass_lists, push: bool):
+        """The corner rule: yield (i, p, j, q, sign) for every crossing of a
+        pass p of list i with a pass q of list j != i at a common vertex.
+
+        Passes are grouped by vertex once.  At a vertex disk a pass is the
+        chord between its arriving and departing attachments; q's chord is
+        pushed off to the right of its own direction when ``push`` (it
+        starts just after its arrival and ends just before its departure).
+        The sign is +1 when q crosses p from p's right to its left.
+        """
+        at: dict[str, list] = {}
+        for i, passes in enumerate(pass_lists):
+            for p in passes:
+                at.setdefault(p[0], []).append((i, p))
+        q_in, q_out = (SIDE_L, SIDE_R) if push else ("S", "S")
+        for v, here in at.items():
+            if len(here) < 2:
                 continue
             slots = self._slots(v)
             n = 3 * len(self.norm.rotation[v])
-            pi, po = slots[(xin, "S")], slots[(xout, "S")]
-            for (_, yin, yout, _) in ys:
-                if push:
-                    qi, qo = slots[(yin, SIDE_L)], slots[(yout, SIDE_R)]
-                else:
-                    qi, qo = slots[(yin, "S")], slots[(yout, "S")]
-                total += self._chord_sign(n, pi, po, qi, qo)
-        return total
+            chords = [
+                (i, p, slots[(p[1], "S")], slots[(p[2], "S")], slots[(p[1], q_in)], slots[(p[2], q_out)])
+                for i, p in here
+            ]
+            for i, p, pi, po, _, _ in chords:
+                r_out = (po - pi) % n
+                for j, q, _, _, qi, qo in chords:
+                    if j == i:
+                        continue
+                    r_qin = (qi - pi) % n
+                    r_qout = (qo - pi) % n
+                    if 0 < r_qin < r_out < r_qout:
+                        yield i, p, j, q, 1
+                    elif 0 < r_qout < r_out < r_qin:
+                        yield i, p, j, q, -1
 
-    def pairing_matrix(self, curves) -> list[list[int]]:
+    def pairing_matrix(self, curves, push: bool = True) -> list[list[int]]:
         """Intersection pairing of edge-simple closed curves on this surface.
 
         Entry (i, j) counts signed crossings of curve i with a copy of curve
         j pushed off to the right of its own direction; shared segments stay
         parallel inside the bands, so only vertex corners contribute.  The
-        diagonal is zero.
+        diagonal is zero.  With ``push`` false the copies are not pushed off,
+        which counts the crossings of walks that share no edges.
         """
-        passes = [c.passes() for c in curves]
-        n = len(passes)
+        n = len(curves)
         m = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    m[i][j] = self._pushed_crossings(passes[i], passes[j], push=True)
+        for i, _, j, _, s in self._corner_crossings([c.passes() for c in curves], push):
+            m[i][j] += s
         for i in range(n):
             for j in range(i + 1, n):
                 if m[i][j] != -m[j][i]:
@@ -303,24 +304,14 @@ def signed_crossings(surface: RibbonGraph, x: CurveOnSurface, y: CurveOnSurface)
 def _crossings_with_curve(surface: RibbonGraph, passes, curve: CurveOnSurface):
     """All signed (pass index in host walk, detour steps) crossings of a
     sequence of vertex passes with an edge-simple closed curve."""
-    ws = workspace(surface)
     out = []
-    c_passes = curve.passes()
-    for (v, pin, pout, host_idx) in passes:
-        for (w, qin, qout, cidx) in c_passes:
-            if v != w:
-                continue
-            slots = ws._slots(v)
-            n = 3 * len(ws.norm.rotation[v])
-            s = ws._chord_sign(
-                n, slots[(pin, "S")], slots[(pout, "S")], slots[(qin, "S")], slots[(qout, "S")]
-            )
-            if s == 0:
-                continue
-            detour = list(curve.rebased((cidx + 1) % len(curve.walk)))
-            if s < 0:
-                detour = [reversed_step(st) for st in reversed(detour)]
-            out.append((host_idx, s, detour))
+    for i, p, _, q, s in workspace(surface)._corner_crossings([passes, curve.passes()], push=False):
+        if i:
+            continue
+        detour = list(curve.rebased((q[3] + 1) % len(curve.walk)))
+        if s < 0:
+            detour = [reversed_step(st) for st in reversed(detour)]
+        out.append((p[3], s, detour))
     return out
 
 

@@ -90,14 +90,20 @@ class RibbonGraph:
         self.edges = tuple(sorted(edges))
         self.twists = frozenset(twists)
         self.rotation = {v: tuple((str(e), int(i)) for e, i in rotation.get(v, ())) for v in self.vertices}
-        self._check()
-        self._vertex_of = {}
-        for v in self.vertices:
-            for h in self.rotation[v]:
-                self._vertex_of[h] = v
+        self._vertex_of = self._check()
+        succ: dict[HalfEdge, HalfEdge] = {}
+        pred: dict[HalfEdge, HalfEdge] = {}
+        for rot in self.rotation.values():
+            before = rot[-1] if rot else None
+            for h in rot:
+                succ[before] = h
+                pred[h] = before
+                before = h
+        self._next, self._prev = succ, pred
         self._cache = {}
 
-    def _check(self):
+    def _check(self) -> dict[HalfEdge, str]:
+        """Validate the data; returns the vertex of every half-edge."""
         if len(set(self.vertices)) != len(self.vertices):
             raise SurfaceError("duplicate vertex ids")
         if len(set(self.edges)) != len(self.edges):
@@ -114,12 +120,13 @@ class RibbonGraph:
                     raise SurfaceError(f"half-edge {h} attached twice")
                 seen[h] = v
         expected = {(e, i) for e in self.edges for i in (0, 1)}
-        if set(seen) != expected:
-            missing = expected - set(seen)
-            extra = set(seen) - expected
+        if seen.keys() != expected:
+            missing = expected - seen.keys()
+            extra = seen.keys() - expected
             raise SurfaceError(f"half-edge mismatch: missing {sorted(missing)}, unknown {sorted(extra)}")
         if not self.twists <= set(self.edges):
             raise SurfaceError("twist set contains unknown edges")
+        return seen
 
     # -- basic structure ---------------------------------------------------
 
@@ -135,12 +142,10 @@ class RibbonGraph:
         return t == h
 
     def rotation_next(self, half_edge: HalfEdge) -> HalfEdge:
-        rot = self.rotation[self._vertex_of[half_edge]]
-        return rot[(rot.index(half_edge) + 1) % len(rot)]
+        return self._next[half_edge]
 
     def rotation_prev(self, half_edge: HalfEdge) -> HalfEdge:
-        rot = self.rotation[self._vertex_of[half_edge]]
-        return rot[(rot.index(half_edge) - 1) % len(rot)]
+        return self._prev[half_edge]
 
     @staticmethod
     def partner(half_edge: HalfEdge) -> HalfEdge:

@@ -184,7 +184,7 @@ def test_pushed_crossings_equal_class_pairing_on_random_tree_cycles(
     x = rng.choice(cycles)
     sharing = [c for c in cycles if c is not x and c.edge_set() & x.edge_set()]
     y = rng.choice(sharing or cycles)
-    pushed = workspace(fiber)._pushed_crossings(x.passes(), y.passes(), push=True)
+    pushed = workspace(fiber).pairing_matrix([x, y])[0][1]
     assert pushed == algebraic_intersection(
         fiber, curve_class(fiber, x), curve_class(fiber, y)
     )
@@ -203,7 +203,13 @@ def test_word_pairing_equals_class_pairing(built, relabelled, construction):
 
 def test_open_book_rejects_a_pairing_that_is_not_antisymmetric(built, monkeypatch):
     fib = built("johns", 1)
-    monkeypatch.setattr(Workspace, "_pushed_crossings", lambda self, x, y, push: 1)
+    monkeypatch.setattr(
+        Workspace, "_corner_crossings",
+        lambda self, pass_lists, push: (
+            (i, None, j, None, 1)
+            for i in range(len(pass_lists)) for j in range(len(pass_lists)) if i != j
+        ),
+    )
     with pytest.raises(SurfaceError, match=r"antisymmetry: <'a0', 'a1'> = 1 but <'a1', 'a0'> = 1"):
         open_book_h1(boundary_open_book(fib.fiber, fib.word))
 

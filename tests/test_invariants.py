@@ -1,13 +1,14 @@
 """Integer linear algebra and the homology of total spaces and boundaries."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lf_forge.builders import sphere_planar_fibration
 from lf_forge.curves import CurveOnSurface
 from lf_forge.homology import curve_class, homology_basis, workspace
 from lf_forge.invariants import (
     FinAbGroup,
+    _bordered_presentation,
     _snf_diagonal,
     boundary_open_book,
     cokernel,
@@ -233,12 +234,17 @@ def test_total_space_homology_with_empty_word(punctured_torus):
 
 
 def per_arc_relations(book):
-    """The recurrence of ``monodromy_arc_relations``' docstring, one arc at a
-    time: n_k = [c_k]_i + sum_{j<k} n_j <c_j, c_k>, relation sum_k n_k [c_k]."""
     page = book.page
-    n = len(homology_basis(page))
     vecs = [curve_class(page, c).vector for c in book.word]
-    pair = workspace(page).pairing_matrix(book.word)
+    return recurrence_relations(
+        len(homology_basis(page)), vecs, workspace(page).pairing_matrix(book.word)
+    )
+
+
+def recurrence_relations(n, vecs, pair):
+    """The recurrence of ``monodromy_arc_relations``' docstring, one arc at a
+    time: n_k = [c_k]_i + sum_{j<k} n_j <c_j, c_k>, relation sum_k n_k [c_k];
+    only the entries of ``pair`` above the diagonal are read."""
     columns = []
     for i in range(n):
         counts = []
@@ -254,3 +260,37 @@ def test_arc_relations_equal_the_per_arc_recurrence(built, construction):
         fib = built(construction, g)
         book = boundary_open_book(fib.fiber, fib.word)
         assert monodromy_arc_relations(book) == per_arc_relations(book)
+
+
+# -- the bordered presentation ------------------------------------------------------
+
+
+@st.composite
+def classes_and_pairings(draw):
+    """Random integer C (n x m) and strictly upper-triangular U (m x m)."""
+    n = draw(st.integers(0, 8))
+    m = draw(st.integers(0, 8))
+    entries = st.integers(-2, 2)
+    classes = [tuple(draw(st.lists(entries, min_size=n, max_size=n))) for _ in range(m)]
+    pair = [[draw(entries) if j < k else 0 for k in range(m)] for j in range(m)]
+    return n, classes, pair
+
+
+@settings(max_examples=200, deadline=None)
+@given(classes_and_pairings())
+def test_bordered_presentation_has_the_cokernel_of_the_arc_relations(data):
+    n, classes, pair = data
+    m = len(classes)
+    rows = _bordered_presentation(n, classes, pair)
+    dense = [[r.get(j, 0) for j in range(n + m)] for r in rows]
+    assert cokernel(dense, n + m) == cokernel(recurrence_relations(n, classes, pair), n)
+
+
+def test_open_book_h1_equals_the_cokernel_of_the_arc_relations(built, relabelled):
+    for construction in ("johns", "ishikawa"):
+        for g in range(9):
+            fib = built(construction, g)
+            for f in (fib, relabelled(fib, g)):
+                book = boundary_open_book(f.fiber, f.word)
+                n = len(homology_basis(f.fiber))
+                assert open_book_h1(book) == cokernel(monodromy_arc_relations(book), n)

@@ -122,6 +122,15 @@ def test_rotation_next_prev_are_inverse(punctured_torus):
 
 
 @given(ribbon_graphs())
+def test_rotation_steps_follow_the_cyclic_order(g):
+    for v in g.vertices:
+        rot = g.rotation[v]
+        for i, h in enumerate(rot):
+            assert g.rotation_next(h) == rot[(i + 1) % len(rot)]
+            assert g.rotation_prev(h) == rot[(i - 1) % len(rot)]
+
+
+@given(ribbon_graphs())
 def test_euler_characteristic_is_vertices_minus_edges(g):
     assert g.euler_characteristic() == len(g.vertices) - len(g.edges)
     assert g.invariants().euler == g.euler_characteristic()
