@@ -185,9 +185,6 @@ class CombPath:
                     raise SurfaceError(f"path breaks between {prev} and {st}")
             prev = st
 
-    def edge_steps(self) -> list[Step]:
-        return [(st.edge, st.sign) for st in self.steps if st.kind == "edge"]
-
     def traversed_edges(self) -> frozenset[str]:
         return frozenset(st.edge for st in self.steps if st.kind == "edge")
 

@@ -93,9 +93,6 @@ class Divide:
         e, i = half_edge
         return (e, 1 - i)
 
-    def slot_of(self, half_edge: HalfEdge) -> int:
-        return self._slot[half_edge]
-
     def opposite_slot(self, half_edge: HalfEdge) -> HalfEdge:
         """The slot the immersed curve continues through."""
         v = self._vertex_of[half_edge]

@@ -13,6 +13,13 @@ along a first-family core of the target, so only half-edges on those cores
 seed the propagation, and each seed extends to at most one full map.  Seeds
 are scanned in a fixed order (orientation-preserving first, then by half-edge
 id), making the returned isomorphism deterministic.
+
+Reversing the orientation negates the intersection pairing, so the triple
+product T of the word's pairing (``_triple_product``) tells the orientations
+apart.  Once an orientation-preserving seed has failed the word, T of both
+words is computed and the remaining seeds of an orientation it rules out are
+skipped; a skipped seed could not have succeeded, so the result is the one
+of the full scan.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from dataclasses import dataclass
 
 from .builders import LefschetzFibration, PlumbingPattern, simultaneous_surgery
 from .curves import CurveOnSurface
+from .homology import workspace
 from .ribbon import HalfEdge, RibbonGraph, SurfaceError
 
 __all__ = [
@@ -229,16 +237,19 @@ def _propagate(g1: RibbonGraph, g2: RibbonGraph, seed1: HalfEdge, seed2: HalfEdg
 
     Rotation-next maps to rotation-next (or -previous when reversing) and
     partner maps to partner; on a connected graph the closure is total and
-    any conflict kills the seed.
+    any conflict kills the seed.  This is the search's inner loop, so it
+    reads the graphs' rotation and vertex tables directly.
     """
-    succ2 = g2.rotation_next if preserve else g2.rotation_prev
+    next1 = g1._next
+    succ2 = g2._next if preserve else g2._prev
     phi: dict[HalfEdge, HalfEdge] = {seed1: seed2}
     stack = [seed1]
     while stack:
         h = stack.pop()
         img = phi[h]
-        for nxt, nxt_img in ((g1.partner(h), g2.partner(img)),
-                             (g1.rotation_next(h), succ2(img))):
+        e, i = h
+        f, j = img
+        for nxt, nxt_img in (((e, 1 - i), (f, 1 - j)), (next1[h], succ2[img])):
             known = phi.get(nxt)
             if known is None:
                 phi[nxt] = nxt_img
@@ -247,10 +258,11 @@ def _propagate(g1: RibbonGraph, g2: RibbonGraph, seed1: HalfEdge, seed2: HalfEdg
                 return None
     if len(phi) != 2 * len(g1.edges) or len(set(phi.values())) != len(phi):
         return None
+    vertex_of1, vertex_of2 = g1._vertex_of, g2._vertex_of
     vertex_map: dict[str, str] = {}
     for h, img in phi.items():
-        v, w = g1.vertex_of(h), g2.vertex_of(img)
-        if vertex_map.setdefault(v, w) != w:
+        w = vertex_of2[img]
+        if vertex_map.setdefault(vertex_of1[h], w) != w:
             return None
     if len(set(vertex_map.values())) != len(g1.vertices):
         return None
@@ -263,6 +275,29 @@ def _propagate(g1: RibbonGraph, g2: RibbonGraph, seed1: HalfEdge, seed2: HalfEdg
     if len(set(e2 for e2, _ in edge_map.values())) != len(g1.edges):
         return None
     return vertex_map, edge_map
+
+
+def _triple_product(g: RibbonGraph, curves: dict[str, CurveOnSurface], fams) -> int | None:
+    """T = sum of P_ij P_jk P_ki over a-cycles i, b-cycles j and c-cycles k,
+    where P is the intersection pairing of the word carried onto ``g``.
+
+    Reversing a cycle flips the sign of two factors of each of its terms and
+    relabelling inside the families permutes the terms, so T is preserved by
+    every orientation-preserving isomorphism and negated by every reversing
+    one.  None when the word lacks the three families or cannot be paired;
+    then T decides nothing.
+    """
+    if not {"a", "b", "c"} <= set(fams):
+        return None
+    a, b, c = ([curves[x.name] for x in fams[f]] for f in ("a", "b", "c"))
+    try:
+        p = workspace(g).pairing_matrix(a + b + c)
+    except SurfaceError:
+        return None
+    ai = range(len(a))
+    bi = range(len(a), len(a) + len(b))
+    ci = range(len(a) + len(b), len(p))
+    return sum(p[i][j] * p[j][k] * p[k][i] for i in ai for j in bi for k in ci)
 
 
 def _rotation_index(curves2: dict[str, CurveOnSurface],
@@ -348,7 +383,9 @@ def find_isomorphism(lf1: LefschetzFibration, lf2: LefschetzFibration) -> Fibrat
 
     Cheap invariants gate the search; then every placement of the first
     first-family core onto the target's first-family cores is propagated to a
-    full map and checked against the word and the smoothing move.  The first
+    full map and checked against the word and the smoothing move, except the
+    placements of an orientation the triple product T rules out (computed
+    after the first orientation-preserving seed fails the word).  The first
     success in scan order is returned.  A fiber that cannot be reduced raises
     SurfaceError: that is a failure to compare, not a missing isomorphism.
     """
@@ -358,7 +395,13 @@ def find_isomorphism(lf1: LefschetzFibration, lf2: LefschetzFibration) -> Fibrat
 
 
 def _search(lf1: LefschetzFibration, lf2: LefschetzFibration) -> FibrationIso | None:
-    """The search behind find_isomorphism, for a pair that passed the gate."""
+    """The search behind find_isomorphism, for a pair that passed the gate.
+
+    Orientation-preserving seeds come first.  When the first of them that
+    propagates fails the word, T of both words (``_triple_product``) rules
+    orientations out and their remaining seeds are skipped; with T unknown
+    for either word nothing is skipped.
+    """
     g1, curves1 = reduced_word(lf1)
     g2, curves2 = reduced_word(lf2)
     if len(g1.edges) != len(g2.edges) or len(g1.vertices) != len(g2.vertices):
@@ -373,14 +416,24 @@ def _search(lf1: LefschetzFibration, lf2: LefschetzFibration) -> FibrationIso | 
                          for c in fams2[first_family]
                          for e in curves2[c.name].edge_set()
                          for end in (0, 1)})
+    possible = {True: True, False: True}
+    decided = False
     for preserve in (True, False):
         for seed2 in candidates:
+            if not possible[preserve]:
+                break
             grown = _propagate(g1, g2, seed1, seed2, preserve)
             if grown is None:
                 continue
             vertex_map, edge_map = grown
             cycle_map = _match_families(curves1, index, fams1, edge_map)
             if cycle_map is None:
+                if preserve and not decided:
+                    decided = True
+                    t1 = _triple_product(g1, curves1, fams1)
+                    t2 = _triple_product(g2, curves2, fams2)
+                    if t1 is not None and t2 is not None:
+                        possible = {True: t1 == t2, False: t1 == -t2}
                 continue
             if not _surgery_commutes(fams1, curves1, g2, edge_map):
                 continue

@@ -25,10 +25,6 @@ from .curves import (
     Step,
     TransversalityError,
     reversed_step,
-    step_head,
-    step_head_half,
-    step_tail,
-    step_tail_half,
 )
 from .ribbon import RibbonGraph, SurfaceError, SIDE_L, SIDE_R
 
@@ -376,14 +372,6 @@ def dehn_twist_on_path(surface: RibbonGraph, curve: CurveOnSurface, path):
                 new_steps.extend(PathStep("edge", e, s) for e, s in detour)
         return CombPath(surface, tuple(new_steps), path.start, path.end)
     raise SurfaceError(f"cannot twist object of type {type(path).__name__}")
-
-
-def arc_loop_class(surface: RibbonGraph, twisted: CombPath, original: CombPath) -> HomologyClass:
-    """Class of (twisted arc) * (original arc reversed), a closed loop."""
-    if twisted.start != original.start or twisted.end != original.end:
-        raise SurfaceError("arcs do not share endpoints")
-    diff = twisted.edge_steps() + [reversed_step(s) for s in reversed(original.edge_steps())]
-    return class_from_steps(surface, diff)
 
 
 def cutting_arc_system(surface: RibbonGraph) -> tuple[CombPath, ...]:

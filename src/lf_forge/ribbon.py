@@ -137,10 +137,6 @@ class RibbonGraph:
         """(tail, head) for the forward traversal of ``edge``."""
         return self._vertex_of[(edge, 0)], self._vertex_of[(edge, 1)]
 
-    def is_loop(self, edge: str) -> bool:
-        t, h = self.edge_endpoints(edge)
-        return t == h
-
     def rotation_next(self, half_edge: HalfEdge) -> HalfEdge:
         return self._next[half_edge]
 
@@ -334,18 +330,23 @@ class RibbonGraph:
         Genus is computed from chi = 2 - 2h - b and requires a connected
         graph; non-orientable surfaces report genus None.
         """
+        if "invariants" in self._cache:
+            return self._cache["invariants"]
         if not self.is_connected():
             raise SurfaceError("surface invariants require a connected graph")
         chi = self.euler_characteristic()
         b = self.num_boundary_components()
         if not self.is_orientable():
-            return SurfaceInvariants(chi, b, None, False)
-        if (2 - chi - b) % 2 != 0:
-            raise SurfaceError(f"impossible invariants: chi={chi}, b={b}")
-        h = (2 - chi - b) // 2
-        if h < 0:
-            raise SurfaceError(f"negative genus from chi={chi}, b={b}")
-        return SurfaceInvariants(chi, b, h, True)
+            result = SurfaceInvariants(chi, b, None, False)
+        else:
+            if (2 - chi - b) % 2 != 0:
+                raise SurfaceError(f"impossible invariants: chi={chi}, b={b}")
+            h = (2 - chi - b) // 2
+            if h < 0:
+                raise SurfaceError(f"negative genus from chi={chi}, b={b}")
+            result = SurfaceInvariants(chi, b, h, True)
+        self._cache["invariants"] = result
+        return result
 
     # -- degree-two smoothing ------------------------------------------------
 

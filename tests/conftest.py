@@ -7,6 +7,7 @@ is shared across the whole run to keep the suite fast.
 import random
 
 import pytest
+from hypothesis import settings
 
 from lf_forge import (
     LefschetzFibration,
@@ -15,6 +16,11 @@ from lf_forge import (
     sphere_planar_fibration,
 )
 from lf_forge.ribbon import RibbonGraph
+
+# Property tests check results, not speed; a per-example deadline only
+# measures how busy the host is.
+settings.register_profile("no-deadline", deadline=None)
+settings.load_profile("no-deadline")
 
 _BUILDERS = {
     "johns": johns_fibration,
@@ -81,6 +87,20 @@ def relabelled():
     on a fiber with twisted bands a new least vertex can leave the reduced
     fiber mirrored."""
     return _relabelled
+
+
+def _mirrored(fib):
+    """``fib`` rebuilt from its document with every rotation reversed: the
+    same fibration, opposite orientation."""
+    doc = fib.to_json_dict()
+    doc["fiber"]["rotation"] = {v: hs[::-1] for v, hs in doc["fiber"]["rotation"].items()}
+    return LefschetzFibration.from_json_dict(doc)
+
+
+@pytest.fixture(scope="session")
+def mirrored():
+    """``mirrored(fib)``: ``fib`` with the opposite orientation."""
+    return _mirrored
 
 
 @pytest.fixture(scope="session")

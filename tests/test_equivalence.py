@@ -4,12 +4,17 @@ import itertools
 
 import pytest
 
-from lf_forge.builders import LefschetzFibration, johns_pattern
+from lf_forge import equivalence
+from lf_forge.builders import johns_pattern
 from lf_forge.curves import CurveOnSurface
 from lf_forge.equivalence import (
+    FibrationIso,
     _match_families,
     _propagate,
     _rotation_index,
+    _search,
+    _surgery_commutes,
+    _triple_product,
     carry_curve,
     extract_plumbing_pattern,
     find_isomorphism,
@@ -21,6 +26,7 @@ from lf_forge.equivalence import (
 from lf_forge.homology import (
     HomologyClass,
     class_from_steps,
+    Workspace,
     dehn_twist_on_class,
     homology_basis,
     workspace,
@@ -125,14 +131,6 @@ def test_constructions_are_isomorphic(built, genus):
         assert name.rstrip("0123456789") == image.rstrip("0123456789")
 
 
-def mirrored(fib):
-    """``fib`` rebuilt from its document with every rotation reversed: the
-    same fibration, opposite orientation."""
-    doc = fib.to_json_dict()
-    doc["fiber"]["rotation"] = {v: hs[::-1] for v, hs in doc["fiber"]["rotation"].items()}
-    return LefschetzFibration.from_json_dict(doc)
-
-
 def pairwise_match(curves1, curves2, backs2, fams1, fams2, g2, edge_map):
     """Oracle for _match_families: every mapped source cycle against every
     target cycle of its family and that cycle's reversal (``backs2``), then
@@ -157,7 +155,7 @@ def pairwise_match(curves1, curves2, backs2, fams1, fams2, g2, edge_map):
 
 
 @pytest.mark.parametrize("construction", ["johns", "ishikawa"])
-def test_rotation_index_matches_pairwise_oracle(built, relabelled, construction):
+def test_rotation_index_matches_pairwise_oracle(built, relabelled, mirrored, construction):
     """Every seed of every preference that propagates to a full map gets
     the oracle's verdict, not only the first that succeeds."""
     other = "ishikawa" if construction == "johns" else "johns"
@@ -191,6 +189,96 @@ def test_rotation_index_matches_pairwise_oracle(built, relabelled, construction)
             if lf1 is mirror:
                 assert iso.orientation_preserving is False
     assert verdicts[True] and verdicts[False]
+
+
+# -- the triple-product invariant and the seeds it skips ------------------------------
+
+
+def triple_product(lf):
+    return _triple_product(*reduced_word(lf), word_families(lf))
+
+
+@pytest.mark.parametrize("construction", ["johns", "ishikawa"])
+def test_triple_product_closed_form(built, relabelled, mirrored, construction):
+    """T = 8(g+1)^2 for every build, negated by mirroring.  A relabelled
+    twisted fiber can come back mirrored (see the fixture); its T carries
+    the orientation that the scan without T finds."""
+    for genus in range(9):
+        fib = built(construction, genus)
+        expected = 8 * (genus + 1) ** 2
+        assert triple_product(fib) == expected
+        assert triple_product(mirrored(fib)) == -expected
+        renamed = relabelled(fib, genus)
+        sign = 1 if exhaustive_search(renamed, fib).orientation_preserving else -1
+        assert triple_product(renamed) == sign * expected
+
+
+def test_triple_product_is_unknown_without_three_families_or_a_pairing(built, monkeypatch):
+    fib = built("johns", 2)
+    g, curves = reduced_word(fib)
+    fams = word_families(fib)
+    assert _triple_product(g, curves, {f: fams[f] for f in ("a", "b")}) is None
+
+    def unpairable(self, curves, push=True):
+        raise SurfaceError("intersection pairing failed antisymmetry")
+
+    monkeypatch.setattr(Workspace, "pairing_matrix", unpairable)
+    assert _triple_product(g, curves, fams) is None
+
+
+def exhaustive_search(lf1, lf2):
+    """Oracle for _search: the same seeds in the same order, none skipped."""
+    g1, curves1 = reduced_word(lf1)
+    g2, curves2 = reduced_word(lf2)
+    fams1, fams2 = word_families(lf1), word_families(lf2)
+    index = _rotation_index(curves2, fams2)
+    e0, s0 = curves1[fams1["a"][0].name].walk[0]
+    seed1 = (e0, 0 if s0 > 0 else 1)
+    candidates = sorted({(e, end) for c in fams2["a"]
+                         for e in curves2[c.name].edge_set() for end in (0, 1)})
+    for preserve in (True, False):
+        for seed2 in candidates:
+            grown = _propagate(g1, g2, seed1, seed2, preserve)
+            if grown is None:
+                continue
+            vertex_map, edge_map = grown
+            cycle_map = _match_families(curves1, index, fams1, edge_map)
+            if cycle_map is not None and _surgery_commutes(fams1, curves1, g2, edge_map):
+                return FibrationIso(lf1, lf2, vertex_map, edge_map, preserve, cycle_map)
+    return None
+
+
+@pytest.mark.parametrize("construction", ["johns", "ishikawa"])
+def test_skipping_seeds_keeps_the_full_scan_result(built, relabelled, mirrored,
+                                                   monkeypatch, construction):
+    """_search returns the map of a scan that skips nothing, and a pair
+    related by orientation reversal makes exactly one orientation-preserving
+    propagation."""
+    preserving = []
+
+    def counted(g1, g2, seed1, seed2, preserve):
+        preserving.append(preserve)
+        return _propagate(g1, g2, seed1, seed2, preserve)
+
+    other = "ishikawa" if construction == "johns" else "johns"
+    for genus in range(6):
+        fib, lf2 = built(construction, genus), built(other, genus)
+        mirror = mirrored(fib)
+        for lf1 in (fib, relabelled(fib, genus), mirror):
+            expected = exhaustive_search(lf1, lf2)
+            assert expected is not None
+            preserving.clear()
+            monkeypatch.setattr(equivalence, "_propagate", counted)
+            iso = _search(lf1, lf2)
+            monkeypatch.undo()
+            assert iso.orientation_preserving == expected.orientation_preserving
+            assert iso.vertex_map == expected.vertex_map
+            assert iso.edge_map == expected.edge_map
+            assert iso.cycle_map == expected.cycle_map
+            if lf1 is mirror:
+                assert not expected.orientation_preserving
+            if not expected.orientation_preserving:
+                assert preserving.count(True) == 1
 
 
 def test_unreducible_fiber_raises_instead_of_no_isomorphism(built):

@@ -64,6 +64,20 @@ def test_pants_profile(pants):
     assert (inv.euler, inv.boundary_components, inv.genus, inv.orientable) == (-1, 3, 0, True)
 
 
+@given(ribbon_graphs())
+def test_cached_invariants_match_a_rebuilt_graph(g):
+    first = g.invariants()
+    assert g.invariants() is first
+    assert RibbonGraph.from_json_dict(g.to_json_dict()).invariants() == first
+
+
+@pytest.mark.parametrize("construction", ["johns", "ishikawa"])
+def test_cached_fiber_invariants_match_a_rebuilt_fiber(built, construction):
+    fiber = built(construction, 3).fiber
+    assert fiber.invariants() is fiber.invariants()
+    assert RibbonGraph.from_json_dict(fiber.to_json_dict()).invariants() == fiber.invariants()
+
+
 def test_theta_with_uniform_far_end_is_punctured_torus():
     # same attachment order at both ends turns two of the bands into a handle
     g = RibbonGraph(
