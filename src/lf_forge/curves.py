@@ -1,9 +1,6 @@
-"""Closed curves and arcs carried by a ribbon graph.
+"""Closed curves carried by a ribbon graph.
 
-A closed curve is a cyclic walk of directed edge traversals; an arc is an
-open path whose endpoints sit on boundary walks.  Arc steps may also cross a
-band transversally (a "rung"), which is how the cutting system dual to the
-homology basis is represented.
+A closed curve is a cyclic walk of directed edge traversals.
 """
 
 from __future__ import annotations
@@ -20,10 +17,6 @@ class TransversalityError(SurfaceError):
 
 Step = tuple[str, int]  # (edge id, +1 forward / -1 backward)
 
-
-def step_tail(surface: RibbonGraph, step: Step) -> str:
-    e, s = step
-    return surface.vertex_of((e, 0 if s > 0 else 1))
 
 def step_head(surface: RibbonGraph, step: Step) -> str:
     e, s = step
@@ -43,16 +36,33 @@ def reversed_step(step: Step) -> Step:
 
 
 def check_walk(surface: RibbonGraph, walk, closed: bool) -> None:
+    """Raise SurfaceError unless ``walk`` is a nonempty chain of steps on
+    ``surface``, closing up from its last step to its first when ``closed``.
+
+    Every step is validated before the chain is followed, so a walk with
+    both faults reports the step that is not on the surface.  Steps and
+    chain ends are looked up in the surface's half-edge table directly.
+    """
     if not walk:
         raise SurfaceError("empty walk")
-    known = set(surface.edges)
+    vertex_of = surface._vertex_of
+    tails, heads = [], []
     for e, s in walk:
-        if e not in known or s not in (1, -1):
+        if (e, 0) not in vertex_of or s not in (1, -1):
             raise SurfaceError(f"walk step ({e!r}, {s}) is not on the surface")
-    pairs = zip(walk, walk[1:] + walk[:1]) if closed else zip(walk, walk[1:])
-    for a, b in pairs:
-        if step_head(surface, a) != step_tail(surface, b):
-            raise SurfaceError(f"walk breaks between {a} and {b}")
+        if s > 0:
+            tails.append(vertex_of[(e, 0)])
+            heads.append(vertex_of[(e, 1)])
+        else:
+            tails.append(vertex_of[(e, 1)])
+            heads.append(vertex_of[(e, 0)])
+    if closed:
+        tails.append(tails[0])
+    else:
+        heads.pop()
+    if heads != tails[1:]:
+        i = next(i for i, (h, t) in enumerate(zip(heads, tails[1:])) if h != t)
+        raise SurfaceError(f"walk breaks between {walk[i]} and {walk[(i + 1) % len(walk)]}")
 
 
 @dataclass(frozen=True)
@@ -69,8 +79,8 @@ class CurveOnSurface:
     walk: tuple[Step, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "walk", tuple((str(e), int(s)) for e, s in self.walk))
-        check_walk(self.host, list(self.walk), closed=True)
+        object.__setattr__(self, "walk", tuple([(str(e), int(s)) for e, s in self.walk]))
+        check_walk(self.host, self.walk, closed=True)
 
     def is_edge_simple(self) -> bool:
         edges = [e for e, _ in self.walk]
@@ -87,11 +97,12 @@ class CurveOnSurface:
     def passes(self) -> list[tuple[str, HalfEdge, HalfEdge, int]]:
         """Vertex passes as (vertex, arriving half-edge, departing half-edge,
         index of the arriving step)."""
+        vertex_of = self.host._vertex_of
+        walk = self.walk
         out = []
-        n = len(self.walk)
-        for i, step in enumerate(self.walk):
-            nxt = self.walk[(i + 1) % n]
-            out.append((step_head(self.host, step), step_head_half(step), step_tail_half(nxt), i))
+        for i, ((e, s), (f, t)) in enumerate(zip(walk, walk[1:] + walk[:1])):
+            head = (e, 1) if s > 0 else (e, 0)
+            out.append((vertex_of[head], head, (f, 0) if t > 0 else (f, 1), i))
         return out
 
     def reversed_curve(self, name: str | None = None) -> "CurveOnSurface":
@@ -129,81 +140,3 @@ def curve_from_json(surface: RibbonGraph, rec: dict) -> CurveOnSurface:
     name = json_field(rec, "name", str, "vanishing cycle")
     walk = json_field(rec, "walk", list, f"vanishing cycle {name!r}", str)
     return CurveOnSurface(surface, name, tuple(parse_signed_edge_id(t) for t in walk))
-
-
-# -- arcs ---------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PathStep:
-    """One step of an arc: ``kind`` is "edge" (run along the band) or
-    "cross" (cross the band transversally, side to side)."""
-
-    kind: str
-    edge: str
-    sign: int
-
-    def __post_init__(self):
-        if self.kind not in ("edge", "cross") or self.sign not in (1, -1):
-            raise SurfaceError(f"bad path step {self!r}")
-
-
-@dataclass(frozen=True)
-class BoundaryPosition:
-    walk: int
-    offset: int
-
-
-@dataclass(frozen=True)
-class CombPath:
-    """An arc with endpoints on the boundary.
-
-    Consecutive "edge" steps must chain head-to-tail; corner passages at the
-    intermediate vertices are implicit in the pair of half-edges there, which
-    is all the crossing rules need.  A "cross" step records a transverse
-    crossing of one band and carries no graph traversal.
-    """
-
-    host: RibbonGraph
-    steps: tuple[PathStep, ...]
-    start: BoundaryPosition
-    end: BoundaryPosition
-
-    def __post_init__(self):
-        if not self.steps:
-            raise SurfaceError("empty path")
-        known = set(self.host.edges)
-        for st in self.steps:
-            if st.edge not in known:
-                raise SurfaceError(f"path step {st} is not on the surface")
-        prev = None
-        for st in self.steps:
-            if prev is not None and prev.kind == "edge" and st.kind == "edge":
-                a = step_head(self.host, (prev.edge, prev.sign))
-                b = step_tail(self.host, (st.edge, st.sign))
-                if a != b:
-                    raise SurfaceError(f"path breaks between {prev} and {st}")
-            prev = st
-
-    def traversed_edges(self) -> frozenset[str]:
-        return frozenset(st.edge for st in self.steps if st.kind == "edge")
-
-    def interior_passes(self) -> list[tuple[str, HalfEdge, HalfEdge, int]]:
-        """Corner passages between consecutive edge steps, as in
-        CurveOnSurface.passes (open: no wrap-around)."""
-        out = []
-        prev = None
-        for i, st in enumerate(self.steps):
-            if st.kind != "edge":
-                prev = None
-                continue
-            if prev is not None:
-                j, pst = prev
-                out.append((
-                    step_head(self.host, (pst.edge, pst.sign)),
-                    step_head_half((pst.edge, pst.sign)),
-                    step_tail_half((st.edge, st.sign)),
-                    j,
-                ))
-            prev = (i, st)
-        return out

@@ -46,8 +46,7 @@ class Divide:
     def __init__(self, vertices, edges, rotation):
         self.vertices = tuple(sorted(vertices))
         self.edges = tuple(sorted(edges))
-        self.rotation = {v: tuple((str(e), int(i)) for e, i in rotation.get(v, ())) for v in self.vertices}
-        self._check()
+        self._check(rotation)
         self._vertex_of = {}
         self._slot = {}
         for v in self.vertices:
@@ -56,7 +55,8 @@ class Divide:
                 self._slot[h] = k
         self._cache = {}
 
-    def _check(self):
+    def _check(self, rotation):
+        """Validate the data; sets ``rotation`` from the caller's mapping."""
         if len(set(self.vertices)) != len(self.vertices):
             raise DivideError("duplicate vertex ids")
         if len(set(self.edges)) != len(self.edges):
@@ -64,8 +64,9 @@ class Divide:
         for e in self.edges:
             if e.startswith("-"):
                 raise DivideError(f"edge id may not start with '-': {e!r}")
-        if set(self.rotation) != set(self.vertices):
+        if set(rotation) != set(self.vertices):
             raise DivideError("rotation keys must match vertex set")
+        self.rotation = {v: tuple((str(e), int(i)) for e, i in rotation[v]) for v in self.vertices}
         seen = set()
         for v, rot in self.rotation.items():
             if len(rot) != VALENCE:

@@ -17,15 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .curves import (
-    CombPath,
-    CurveOnSurface,
-    BoundaryPosition,
-    PathStep,
-    Step,
-    TransversalityError,
-    reversed_step,
-)
+from .curves import CurveOnSurface, Step, TransversalityError, reversed_step
 from .ribbon import RibbonGraph, SurfaceError, SIDE_L, SIDE_R
 
 
@@ -294,7 +286,7 @@ def signed_crossings(surface: RibbonGraph, x: CurveOnSurface, y: CurveOnSurface)
     return workspace(surface).crossing_number(x, y)
 
 
-# -- Dehn twists on walks and arcs ---------------------------------------------
+# -- Dehn twists on walks ------------------------------------------------------
 
 
 def _crossings_with_curve(surface: RibbonGraph, passes, curve: CurveOnSurface):
@@ -311,83 +303,31 @@ def _crossings_with_curve(surface: RibbonGraph, passes, curve: CurveOnSurface):
     return out
 
 
-def dehn_twist_on_path(surface: RibbonGraph, curve: CurveOnSurface, path):
-    """Positive Dehn twist along ``curve`` applied to a walk or arc.
+def dehn_twist_on_path(surface: RibbonGraph, curve: CurveOnSurface, path: CurveOnSurface) -> CurveOnSurface:
+    """Positive Dehn twist along ``curve`` applied to a closed walk.
 
     At every signed crossing the result detours around a full copy of the
     twist curve (reversed at negative crossings), so the homology effect
-    matches ``dehn_twist_on_class`` exactly.  The input must meet the curve
-    only at vertices or transverse band crossings; sharing an edge traversal
-    raises TransversalityError.
+    matches ``dehn_twist_on_class`` exactly.  The walk must meet the curve
+    only at vertices; sharing an edge traversal raises TransversalityError.
     """
     curve.require_edge_simple()
-    if isinstance(path, CurveOnSurface):
-        if path.host is not surface or curve.host is not surface:
-            raise SurfaceError("twist inputs live on different surfaces")
-        shared = path.edge_set() & curve.edge_set()
-        if shared:
-            raise TransversalityError(
-                f"walk shares edges {sorted(shared)} with twist curve {curve.name!r}; "
-                "refine the walk off those bands first"
-            )
-        inserts = _crossings_with_curve(surface, path.passes(), curve)
-        new_walk: list[Step] = []
-        by_idx: dict[int, list] = {}
-        for host_idx, _, detour in inserts:
-            by_idx.setdefault(host_idx, []).append(detour)
-        for i, step in enumerate(path.walk):
-            new_walk.append(step)
-            for detour in by_idx.get(i, ()):
-                new_walk.extend(detour)
-        return CurveOnSurface(surface, path.name, tuple(new_walk))
-    if isinstance(path, CombPath):
-        if path.host is not surface or curve.host is not surface:
-            raise SurfaceError("twist inputs live on different surfaces")
-        shared = path.traversed_edges() & curve.edge_set()
-        if shared:
-            raise TransversalityError(
-                f"arc shares edges {sorted(shared)} with twist curve {curve.name!r}; "
-                "refine the arc off those bands first"
-            )
-        inserts: dict[int, list] = {}
-        for host_idx, _, detour in _crossings_with_curve(surface, path.interior_passes(), curve):
-            inserts.setdefault(host_idx, []).append(detour)
-        # Transverse rung crossings: one detour per traversal of the crossed
-        # band, based at the head of that traversal.
-        for i, st in enumerate(path.steps):
-            if st.kind != "cross":
-                continue
-            for cidx, cstep in enumerate(curve.walk):
-                if cstep[0] != st.edge:
-                    continue
-                s = st.sign * cstep[1]
-                detour = list(curve.rebased((cidx + 1) % len(curve.walk)))
-                if s < 0:
-                    detour = [reversed_step(x) for x in reversed(detour)]
-                inserts.setdefault(i, []).append(detour)
-        new_steps: list[PathStep] = []
-        for i, st in enumerate(path.steps):
-            new_steps.append(st)
-            for detour in inserts.get(i, ()):
-                new_steps.extend(PathStep("edge", e, s) for e, s in detour)
-        return CombPath(surface, tuple(new_steps), path.start, path.end)
-    raise SurfaceError(f"cannot twist object of type {type(path).__name__}")
-
-
-def cutting_arc_system(surface: RibbonGraph) -> tuple[CombPath, ...]:
-    """One transverse rung per co-tree edge; cutting along all of them
-    reduces the surface to a thickened spanning tree, a disk."""
-    ws = workspace(surface)
-    arcs = []
-    for e in ws.basis:
-        start = surface.boundary_position(((e, 0), SIDE_R))
-        end = surface.boundary_position(((e, 0), SIDE_L))
-        arcs.append(
-            CombPath(
-                surface,
-                (PathStep("cross", e, 1),),
-                BoundaryPosition(*start),
-                BoundaryPosition(*end),
-            )
+    if not isinstance(path, CurveOnSurface):
+        raise SurfaceError(f"cannot twist object of type {type(path).__name__}")
+    if path.host is not surface or curve.host is not surface:
+        raise SurfaceError("twist inputs live on different surfaces")
+    shared = path.edge_set() & curve.edge_set()
+    if shared:
+        raise TransversalityError(
+            f"walk shares edges {sorted(shared)} with twist curve {curve.name!r}; "
+            "refine the walk off those bands first"
         )
-    return tuple(arcs)
+    by_idx: dict[int, list] = {}
+    for host_idx, _, detour in _crossings_with_curve(surface, path.passes(), curve):
+        by_idx.setdefault(host_idx, []).append(detour)
+    new_walk: list[Step] = []
+    for i, step in enumerate(path.walk):
+        new_walk.append(step)
+        for detour in by_idx.get(i, ()):
+            new_walk.extend(detour)
+    return CurveOnSurface(surface, path.name, tuple(new_walk))

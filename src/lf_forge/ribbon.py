@@ -78,7 +78,8 @@ class RibbonGraph:
         vertices: iterable of vertex ids (strings).
         edges: iterable of edge ids (strings).
         rotation: dict vertex -> sequence of half-edges, the cyclic
-            counterclockwise order of attachments at that vertex.
+            counterclockwise order of attachments at that vertex; one
+            entry per vertex and no other keys.
         twists: collection of edge ids whose band carries a half twist.
 
     Every half-edge (e, 0) and (e, 1) must occur exactly once in the
@@ -89,21 +90,13 @@ class RibbonGraph:
         self.vertices = tuple(sorted(vertices))
         self.edges = tuple(sorted(edges))
         self.twists = frozenset(twists)
-        self.rotation = {v: tuple((str(e), int(i)) for e, i in rotation.get(v, ())) for v in self.vertices}
-        self._vertex_of = self._check()
-        succ: dict[HalfEdge, HalfEdge] = {}
-        pred: dict[HalfEdge, HalfEdge] = {}
-        for rot in self.rotation.values():
-            before = rot[-1] if rot else None
-            for h in rot:
-                succ[before] = h
-                pred[h] = before
-                before = h
-        self._next, self._prev = succ, pred
+        self._check(rotation)
         self._cache = {}
 
-    def _check(self) -> dict[HalfEdge, str]:
-        """Validate the data; returns the vertex of every half-edge."""
+    def _check(self, rotation) -> None:
+        """Validate the data and build the lookup tables: ``rotation``,
+        ``_vertex_of`` (the vertex of every half-edge) and ``_next``/``_prev``
+        (the cyclic successor and predecessor at that vertex)."""
         if len(set(self.vertices)) != len(self.vertices):
             raise SurfaceError("duplicate vertex ids")
         if len(set(self.edges)) != len(self.edges):
@@ -111,22 +104,27 @@ class RibbonGraph:
         for e in self.edges:
             if e.startswith("-"):
                 raise SurfaceError(f"edge id may not start with '-': {e!r}")
-        if set(self.rotation) != set(self.vertices):
+        if set(rotation) != set(self.vertices):
             raise SurfaceError("rotation keys must match vertex set")
-        seen = {}
-        for v, rot in self.rotation.items():
-            for h in rot:
-                if h in seen:
-                    raise SurfaceError(f"half-edge {h} attached twice")
-                seen[h] = v
-        expected = {(e, i) for e in self.edges for i in (0, 1)}
-        if seen.keys() != expected:
+        self.rotation = {v: tuple([(str(e), int(i)) for e, i in rotation[v]]) for v in self.vertices}
+        seen = {h: v for v, rot in self.rotation.items() for h in rot}
+        if len(seen) != sum(map(len, self.rotation.values())):
+            seen = {}
+            for v, rot in self.rotation.items():
+                for h in rot:
+                    if h in seen:
+                        raise SurfaceError(f"half-edge {h} attached twice")
+                    seen[h] = v
+        if len(seen) != 2 * len(self.edges) or not all((e, 0) in seen and (e, 1) in seen for e in self.edges):
+            expected = {(e, i) for e in self.edges for i in (0, 1)}
             missing = expected - seen.keys()
             extra = seen.keys() - expected
             raise SurfaceError(f"half-edge mismatch: missing {sorted(missing)}, unknown {sorted(extra)}")
         if not self.twists <= set(self.edges):
             raise SurfaceError("twist set contains unknown edges")
-        return seen
+        self._vertex_of = seen
+        self._next = {a: b for rot in self.rotation.values() for a, b in zip(rot, rot[1:] + rot[:1])}
+        self._prev = {b: a for a, b in self._next.items()}
 
     # -- basic structure ---------------------------------------------------
 
@@ -154,12 +152,13 @@ class RibbonGraph:
     def is_connected(self) -> bool:
         if not self.vertices:
             return True
+        vertex_of = self._vertex_of
         seen = {self.vertices[0]}
         stack = [self.vertices[0]]
         while stack:
             v = stack.pop()
-            for h in self.rotation[v]:
-                w = self._vertex_of[self.partner(h)]
+            for e, i in self.rotation[v]:
+                w = vertex_of[(e, 1 - i)]
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
@@ -197,12 +196,11 @@ class RibbonGraph:
     def boundary_walks(self) -> tuple[tuple[tuple[HalfEdge, int], ...], ...]:
         """Boundary circles as state cycles, one orbit per circle.
 
-        Each circle is traversed by two direction-reversed state orbits; the
-        one whose minimal state is smaller is kept, so positions along the
-        returned walks are canonical.
+        The test oracle for ``num_boundary_components``: it traces the states
+        one ``_advance`` at a time.  Each circle is traversed by two
+        direction-reversed state orbits; the one whose minimal state is
+        smaller is kept, so positions along the returned walks are canonical.
         """
-        if "boundary" in self._cache:
-            return self._cache["boundary"]
         states = [((e, i), s) for e in self.edges for i in (0, 1) for s in (0, 1)]
         seen = set()
         orbits = []
@@ -224,24 +222,48 @@ class RibbonGraph:
                 kept.append(o)
         if 2 * len(kept) != len(orbits):
             raise SurfaceError("boundary tracing produced unpaired orbits")
-        result = tuple(sorted(kept))
-        self._cache["boundary"] = result
-        return result
-
-    def boundary_position(self, state) -> tuple[int, int]:
-        """(walk index, offset) of a band-side state on the canonical walks."""
-        walks = self.boundary_walks()
-        for i, walk in enumerate(walks):
-            if state in walk:
-                return (i, walk.index(state))
-        rev = self._reverse_state(state)
-        for i, walk in enumerate(walks):
-            if rev in walk:
-                return (i, walk.index(rev))
-        raise SurfaceError(f"state {state} not on any boundary walk")
+        return tuple(sorted(kept))
 
     def num_boundary_components(self) -> int:
-        return len(self.boundary_walks())
+        """Number of boundary circles of the thickened surface.
+
+        Counts the cycles of ``_advance`` on a flat numbering of the states:
+        half-edge (edges[k], end) is 2k + end and state (h, side) is
+        2h + side.  Each circle is two direction-reversed cycles, so the
+        count is half the number of cycles once the reversal of every state
+        is checked to land in the one other cycle paired with its own.
+        """
+        number = {e: 2 * k for k, e in enumerate(self.edges)}
+        n = 2 * len(self.edges)
+        nxt = [0] * n
+        for a, b in self._next.items():
+            nxt[number[a[0]] + a[1]] = number[b[0]] + b[1]
+        prv = [0] * n
+        for a, b in enumerate(nxt):
+            prv[b] = a
+        twisted = [e in self.twists for e in self.edges]
+        # Untwisted, side R leaves by the partner's next attachment at side R
+        # and side L by its previous one at side L; a twist swaps the two.
+        advance = [0] * (2 * n)
+        for h in range(n):
+            t = twisted[h >> 1]
+            advance[2 * h + t] = 2 * nxt[h ^ 1]
+            advance[2 * h + 1 - t] = 2 * prv[h ^ 1] + 1
+        orbit = [-1] * (2 * n)
+        count = 0
+        for start in range(2 * n):
+            if orbit[start] < 0:
+                s = start
+                while orbit[s] < 0:
+                    orbit[s] = count
+                    s = advance[s]
+                count += 1
+        # The reversal of state 2h + side enters the partner 2(h ^ 1) at the
+        # same side across a twist and at the other side otherwise.
+        pairs = {(orbit[s], orbit[s ^ (2 if twisted[s >> 2] else 3)]) for s in range(2 * n)}
+        if len(pairs) != count or any(o == r for o, r in pairs):
+            raise SurfaceError("boundary tracing produced unpaired orbits")
+        return count // 2
 
     # -- orientation -------------------------------------------------------
 
@@ -257,8 +279,9 @@ class RibbonGraph:
             return self._cache["orientation"]
         eps: dict[str, int] = {}
         adj: dict[str, list[tuple[str, str]]] = {v: [] for v in self.vertices}
+        vertex_of = self._vertex_of
         for e in self.edges:
-            t, h = self.edge_endpoints(e)
+            t, h = vertex_of[(e, 0)], vertex_of[(e, 1)]
             adj[t].append((e, h))
             adj[h].append((e, t))
         result: dict[str, int] | None = {}

@@ -1,0 +1,67 @@
+"""Closed walks on a ribbon graph: validation messages and vertex passes."""
+
+import pytest
+
+from lf_forge.curves import (
+    CurveOnSurface,
+    check_walk,
+    step_head,
+    step_head_half,
+    step_tail_half,
+)
+from lf_forge.ribbon import SurfaceError
+
+# On the pants fixture every band e, f, g runs forward from u to v.
+MALFORMED = [
+    ([], True, "empty walk"),
+    ([], False, "empty walk"),
+    ([("zz", 1)], True, "walk step ('zz', 1) is not on the surface"),
+    ([("e", 0)], True, "walk step ('e', 0) is not on the surface"),
+    ([("e", 2)], False, "walk step ('e', 2) is not on the surface"),
+    ([("e", -2)], True, "walk step ('e', -2) is not on the surface"),
+    # every step is validated before the chain is followed
+    ([("e", 1), ("f", 1), ("zz", 1)], False, "walk step ('zz', 1) is not on the surface"),
+    ([("e", 1), ("f", 1)], False, "walk breaks between ('e', 1) and ('f', 1)"),
+    ([("e", 1), ("f", -1), ("g", -1)], True, "walk breaks between ('f', -1) and ('g', -1)"),
+    # a closed walk must also close up from its last step to its first
+    ([("e", 1)], True, "walk breaks between ('e', 1) and ('e', 1)"),
+    ([("e", 1), ("f", -1), ("g", 1)], True, "walk breaks between ('g', 1) and ('e', 1)"),
+]
+
+
+@pytest.mark.parametrize("walk,closed,message", MALFORMED)
+def test_malformed_walks_name_the_first_fault(pants, walk, closed, message):
+    with pytest.raises(SurfaceError) as err:
+        check_walk(pants, walk, closed)
+    assert str(err.value) == message
+
+
+def test_closed_curves_validate_their_walk(pants):
+    with pytest.raises(SurfaceError) as err:
+        CurveOnSurface(pants, "open", (("e", 1),))
+    assert str(err.value) == "walk breaks between ('e', 1) and ('e', 1)"
+
+
+@pytest.mark.parametrize(
+    "walk,closed",
+    [
+        ([("e", 1)], False),
+        ([("e", 1), ("f", -1), ("g", 1)], False),
+        ([("e", 1), ("f", -1)], True),
+        ([("g", -1), ("e", 1), ("f", -1), ("e", 1)], True),
+    ],
+)
+def test_well_formed_walks_pass(pants, walk, closed):
+    check_walk(pants, walk, closed)
+
+
+@pytest.mark.parametrize("construction", ["johns", "ishikawa"])
+@pytest.mark.parametrize("genus", range(5))
+def test_passes_follow_the_walk(built, construction, genus):
+    for curve in built(construction, genus).word:
+        walk = curve.walk
+        expected = [
+            (step_head(curve.host, step), step_head_half(step), step_tail_half(walk[(i + 1) % len(walk)]), i)
+            for i, step in enumerate(walk)
+        ]
+        assert curve.passes() == expected

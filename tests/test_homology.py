@@ -12,7 +12,6 @@ from lf_forge.homology import (
     algebraic_intersection,
     class_from_steps,
     curve_class,
-    cutting_arc_system,
     dehn_twist_on_class,
     dehn_twist_on_path,
     homology_basis,
@@ -264,20 +263,3 @@ def test_twist_fixes_null_homologous_walk_class(punctured_torus):
     assert cls.is_zero()
     for e in ("a", "b"):
         assert dehn_twist_on_class(punctured_torus, loop(punctured_torus, e), cls).is_zero()
-
-
-# -- cutting arcs -----------------------------------------------------------------
-
-
-def test_cutting_arc_system_sizes(annulus, punctured_torus, pants, genus_two):
-    for surface in (annulus, punctured_torus, pants, genus_two):
-        arcs = cutting_arc_system(surface)
-        assert len(arcs) == len(homology_basis(surface))
-
-
-def test_cutting_arcs_cross_their_own_edge_once(punctured_torus):
-    basis = homology_basis(punctured_torus)
-    for e, arc in zip(basis, cutting_arc_system(punctured_torus)):
-        # a single transverse band crossing, no edge traversals
-        assert [(s.kind, s.edge) for s in arc.steps] == [("cross", e)]
-        assert arc.traversed_edges() == frozenset()

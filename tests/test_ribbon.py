@@ -3,6 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from lf_forge.builders import ishikawa_fibration, johns_fibration
+from lf_forge.certify import fibration_certificate
+from lf_forge.equivalence import isomorphism_certificate
 from lf_forge.ribbon import NonOrientableError, RibbonGraph, SurfaceError
 
 
@@ -154,6 +157,24 @@ def test_euler_characteristic_is_vertices_minus_edges(g):
 def test_boundary_walks_cover_every_edge_side_once(g):
     steps = [s for walk in g.boundary_walks() for s in walk]
     assert len(steps) == 2 * len(g.edges)
+
+
+@given(ribbon_graphs())
+def test_boundary_count_matches_the_traced_walks(g):
+    for h in (g, g.mirrored()):
+        assert h.num_boundary_components() == len(h.boundary_walks())
+
+
+@pytest.mark.parametrize("genus", range(4))
+def test_certificates_do_not_trace_boundary_walks(monkeypatch, genus):
+    def oracle_only(self):
+        raise AssertionError("boundary_walks is a test oracle")
+
+    monkeypatch.setattr(RibbonGraph, "boundary_walks", oracle_only)
+    johns, ishikawa = johns_fibration(genus), ishikawa_fibration(genus)
+    assert fibration_certificate(johns)["passed"]
+    assert fibration_certificate(ishikawa)["passed"]
+    assert isomorphism_certificate(johns, ishikawa)["found"]
 
 
 @given(ribbon_graphs())

@@ -8,6 +8,7 @@ import pytest
 from lf_forge.builders import LefschetzFibration, johns_fibration
 from lf_forge.certify import fibration_certificate
 from lf_forge.curves import curve_from_json, parse_signed_edge_id, signed_edge_id
+from lf_forge.divides import Divide, DivideError, standard_divide
 from lf_forge.equivalence import isomorphism_certificate
 from lf_forge.ribbon import RibbonGraph, SurfaceError
 
@@ -105,11 +106,20 @@ def _edit(path, value):
         (("fiber", "edges", 0, "half_edges"), DELETE, "edge 'a0e0' is missing field 'half_edges'"),
         (("fiber", "edges", 0, "half_edges"), ["zz.0", "qq.7"],
          "edge 'a0e0' field 'half_edges' must be ['a0e0.0', 'a0e0.1'], got ['zz.0', 'qq.7']"),
+        (("fiber", "rotation", "ghost"), [], "rotation keys must match vertex set"),
+        (("fiber", "rotation", "s1_0"), DELETE, "rotation keys must match vertex set"),
     ],
 )
 def test_malformed_documents_raise_surface_error(path, value, message):
     with pytest.raises(SurfaceError, match=re.escape(message)):
         LefschetzFibration.from_json_dict(_edit(path, value))
+
+
+def test_divide_document_with_an_unlisted_crossing_raises_divide_error():
+    doc = standard_divide(1).to_json_dict()
+    doc["rotation"]["ghost"] = []
+    with pytest.raises(DivideError, match="rotation keys must match vertex set"):
+        Divide.from_json_dict(doc)
 
 
 def test_non_object_documents_raise_surface_error():
