@@ -20,10 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curves import CurveOnSurface, Step, curve_from_json
+from .curves import CurveOnSurface, Step, canonical_rotation, curve_from_json
 from .divides import Divide, check_admissible, checkerboard_coloring, standard_divide
-from .homology import curve_class
-from .ribbon import HalfEdge, RibbonGraph, SurfaceError, json_field
+from .ribbon import HalfEdge, RibbonGraph, SurfaceError, edge_links, json_field, orientation_signs
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -194,6 +193,23 @@ def simultaneous_surgery(surface: RibbonGraph, family_x, family_y, prefix: str =
     return tuple(CurveOnSurface(surface, f"{prefix}{i}", w) for i, w in enumerate(outputs))
 
 
+def replay_closing_smoothing(surface: RibbonGraph, family_x, family_y, closing) -> tuple[bool, str | None]:
+    """Smooth ``family_x`` through ``family_y`` again; the outputs must be
+    the ``closing`` cycles up to basepoint, direction counting, compared by
+    canonical rotation.  Returns (True, None), or (False, witness) naming
+    the output count or the first unmatched output, in the words of the
+    divide builder's gate.  A SurfaceError of the smoothing propagates.
+    """
+    outs = simultaneous_surgery(surface, family_x, family_y)
+    if len(outs) != len(closing):
+        return False, f"smoothing produced {len(outs)} curves, expected {len(closing)}"
+    wanted = {canonical_rotation(c.walk) for c in closing}
+    for out in outs:
+        if canonical_rotation(out.walk) not in wanted:
+            return False, f"smoothing output {out.name!r} does not match any black face cycle"
+    return True, None
+
+
 def _interleaved(surface: RibbonGraph, vertex: str, x_halves, y_halves) -> bool:
     """Whether the two strand passes cross transversally inside the vertex disk."""
     pos = {h: i for i, h in enumerate(surface.rotation[vertex])}
@@ -227,6 +243,8 @@ def divide_fiber_model(divide: Divide) -> DivideFiberModel:
     (the roundabout core) and per black face (bands plus two-edge roundabout
     passages); smoothing the first family through the second must reproduce
     the third exactly, which pins every orientation convention in here.
+    The fiber is constructed once, its site rotations set from orientation
+    signs read off the edge tables.
     """
     report = check_admissible(divide)
     if not report.admissible:
@@ -271,15 +289,15 @@ def divide_fiber_model(divide: Divide) -> DivideFiberModel:
     _require(not clash, f"divide edge ids collide with roundabout ids: {sorted(clash)}")
     edges += list(divide.edges)
     twists.update(divide.edges)
-    # Local orientation signs depend only on twists and endpoints, so a
-    # provisional rotation suffices to compute them.  Each site is then
+    # Local orientation signs depend only on twists and endpoints, so they
+    # are read off the tables of the provisional rotation.  Each site is then
     # rewritten so that, after normalization flips the -1 vertices, every
     # site reads (r_in, band_out, r_out, band_in) in one global orientation.
     # A uniform rule cannot do this directly: the half-twisted bands force
     # opposite signs on the two ends of every band.
-    provisional = RibbonGraph(vertices, edges, rotation, twists)
-    _require(provisional.is_connected(), "divide fiber is disconnected")
-    eps = provisional.local_orientations()
+    vertex_of = {h: v for v, rot in rotation.items() for h in rot}
+    eps, components = orientation_signs(vertices, edge_links(edges, vertex_of), twists)
+    _require(components <= 1, "divide fiber is disconnected")
     _require(eps is not None, "divide fiber is non-orientable; twist placement is broken")
     for site, (r_in, r_out, arriving, departing) in site_ends.items():
         if eps[site] == 1:
@@ -318,27 +336,15 @@ def divide_fiber_model(divide: Divide) -> DivideFiberModel:
         curve = CurveOnSurface(fiber, f"c{j}", tuple(steps)).reversed_curve()
         black_cycles.append(curve)
 
-    model = DivideFiberModel(divide, fiber, tuple(white_cycles), tuple(crossing_cycles), tuple(black_cycles))
-    _check_smoothing_matches(model)
-    return model
+    ok, witness = replay_closing_smoothing(fiber, white_cycles, crossing_cycles, black_cycles)
+    _require(ok, witness)
+    return DivideFiberModel(divide, fiber, tuple(white_cycles), tuple(crossing_cycles), tuple(black_cycles))
 
 
 def _roundabout_passage(v: str, from_w0: bool) -> list[Step]:
     """Two-edge arc across the roundabout of crossing v, against its core."""
     r = [f"{v}_r{k}" for k in range(4)]
     return [(r[3], -1), (r[2], -1)] if from_w0 else [(r[1], -1), (r[0], -1)]
-
-
-def _check_smoothing_matches(model: DivideFiberModel) -> None:
-    """Gate: smoothing white through crossing cycles must yield the black cycles."""
-    outs = simultaneous_surgery(model.fiber, model.white_cycles, model.crossing_cycles)
-    _require(len(outs) == len(model.black_cycles),
-             f"smoothing produced {len(outs)} curves, expected {len(model.black_cycles)}")
-    by_min = {min(c.edge_set()): c for c in model.black_cycles}
-    for out in outs:
-        target = by_min.get(min(out.edge_set()))
-        _require(target is not None and out.cyclically_equal(target),
-                 f"smoothing output {out.name!r} does not match any black face cycle")
 
 
 # -- fibrations ---------------------------------------------------------------------
@@ -403,16 +409,17 @@ def _check_page(fiber: RibbonGraph, genus: int) -> None:
 
 
 def _check_conservation(fiber: RibbonGraph, ins, outs) -> None:
-    """The smoothing must preserve the total homology class."""
-    total_in = None
-    for c in ins:
-        cls = curve_class(fiber, c)
-        total_in = cls if total_in is None else total_in + cls
-    total_out = None
-    for c in outs:
-        cls = curve_class(fiber, c)
-        total_out = cls if total_out is None else total_out + cls
-    _require(total_in == total_out, "smoothing failed to conserve the total homology class")
+    """The smoothing must preserve the total chain: net of direction, every
+    edge is traversed as often by the outputs as by the inputs.  A homology
+    class is the co-tree part of its chain, so this implies that the total
+    class is preserved, and it needs no homology workspace."""
+    net: dict[str, int] = {}
+    for sign, curves in ((1, ins), (-1, outs)):
+        for c in curves:
+            _require(c.host is fiber, "curve lives on a different surface")
+            for e, s in c.walk:
+                net[e] = net.get(e, 0) + sign * s
+    _require(not any(net.values()), "smoothing failed to conserve the total homology class")
 
 
 def johns_fibration(genus: int) -> LefschetzFibration:

@@ -114,7 +114,10 @@ class CurveOnSurface:
         return self.walk[index:] + self.walk[:index]
 
     def cyclically_equal(self, other: "CurveOnSurface") -> bool:
-        """Same walk up to the choice of basepoint; direction counts."""
+        """Same walk up to the choice of basepoint; direction counts.
+
+        Test oracle, trying every rotation: production code compares
+        ``canonical_rotation`` keys."""
         if len(self.walk) != len(other.walk):
             return False
         doubled = other.walk + other.walk
@@ -123,6 +126,16 @@ class CurveOnSurface:
 
     def to_json_dict(self) -> dict:
         return {"name": self.name, "walk": [signed_edge_id(s) for s in self.walk]}
+
+
+def canonical_rotation(walk: tuple[Step, ...]) -> tuple[Step, ...]:
+    """The least rotation of a nonempty cyclic walk, so that two walks are
+    equal up to basepoint exactly when their canonical rotations are.
+
+    Only the rotations that start at the least step compete; an edge-simple
+    walk has one, which makes the key linear in the walk's length."""
+    least = min(walk)
+    return min(walk[i:] + walk[:i] for i, step in enumerate(walk) if step == least)
 
 
 def signed_edge_id(step: Step) -> str:

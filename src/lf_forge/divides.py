@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ribbon import HalfEdge, RibbonGraph
+from .ribbon import HalfEdge, RibbonGraph, SurfaceError, json_field
 
 
 class DivideError(ValueError):
@@ -212,14 +212,26 @@ class Divide:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Divide":
-        if doc.get("schema") != "divide/1":
-            raise DivideError(f"unsupported schema {doc.get('schema')!r}")
-        rotation = {v: [RibbonGraph.parse_half_edge(s) for s in hs] for v, hs in doc["rotation"].items()}
-        divide = cls(doc["vertices"], [rec["id"] for rec in doc["edges"]], rotation)
-        for rec in doc["edges"]:
-            declared = (rec["tail"], rec["head"])
-            if divide.edge_endpoints(rec["id"]) != declared:
-                raise DivideError(f"edge {rec['id']!r} endpoints disagree with rotation placement")
+        """Parse a ``divide/1`` document.  Fields are validated by
+        ``ribbon.json_field``; every fault raises DivideError."""
+        schema = doc.get("schema") if isinstance(doc, dict) else None
+        if schema != "divide/1":
+            raise DivideError(f"unsupported schema {schema!r}")
+        try:
+            vertices = json_field(doc, "vertices", list, "divide", str)
+            records = json_field(doc, "edges", list, "divide", dict)
+            edges = [json_field(rec, "id", str, "divide edge") for rec in records]
+            declared = [tuple(json_field(rec, k, str, f"divide edge {e!r}") for k in ("tail", "head"))
+                        for e, rec in zip(edges, records)]
+            rotation = json_field(doc, "rotation", dict, "divide")
+            parsed = {v: [RibbonGraph.parse_half_edge(h) for h in json_field(rotation, v, list, "divide rotation", str)]
+                      for v in rotation}
+        except SurfaceError as exc:
+            raise DivideError(str(exc)) from exc
+        divide = cls(vertices, edges, parsed)
+        for e, ends in zip(edges, declared):
+            if divide.edge_endpoints(e) != ends:
+                raise DivideError(f"edge {e!r} endpoints disagree with rotation placement")
         return divide
 
     def to_text(self) -> str:
@@ -245,7 +257,10 @@ class Divide:
                 raise DivideError(f"expected 'vertex: h h h h', got {raw!r}")
             if v in rotation:
                 raise DivideError(f"crossing {v!r} listed twice")
-            rotation[v] = tuple(RibbonGraph.parse_half_edge(t) for t in tokens)
+            try:
+                rotation[v] = tuple(RibbonGraph.parse_half_edge(t) for t in tokens)
+            except SurfaceError as exc:
+                raise DivideError(str(exc)) from exc
         if not rotation:
             raise DivideError("empty divide description")
         edges = {h[0] for rot in rotation.values() for h in rot}

@@ -27,8 +27,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .builders import LefschetzFibration, PlumbingPattern, simultaneous_surgery
-from .curves import CurveOnSurface
+from .builders import LefschetzFibration, PlumbingPattern, replay_closing_smoothing
+from .curves import CurveOnSurface, canonical_rotation
 from .homology import workspace
 from .ribbon import HalfEdge, RibbonGraph, SurfaceError
 
@@ -83,15 +83,13 @@ def reduced_word(fib: LefschetzFibration) -> tuple[RibbonGraph, dict[str, CurveO
     """The fiber with degree-two vertices suppressed and twists cleared,
     together with the word carried onto it.
 
-    Orientation is inherited from the full fiber, not re-rooted: suppressing
-    vertices can change which vertex normalization anchors at, silently
-    mirroring the reduced surface relative to the original.
+    The graph comes from ``RibbonGraph._reduced``: one construction, none
+    when the fiber is already reduced.  Orientation is inherited from the
+    full fiber, not re-rooted: suppressing vertices can change which vertex
+    normalization anchors at, silently mirroring the reduced surface
+    relative to the original.
     """
-    smooth, edge_map = fib.fiber.smoothed()
-    norm = smooth.normalized()
-    eps = fib.fiber.local_orientations()
-    if eps is not None and eps[min(smooth.vertices)] == -1:
-        norm = norm.mirrored()
+    norm, edge_map = fib.fiber._reduced()
     return norm, {c.name: carry_curve(c, norm, edge_map) for c in fib.word}
 
 
@@ -302,18 +300,18 @@ def _triple_product(g: RibbonGraph, curves: dict[str, CurveOnSurface], fams) -> 
 
 def _rotation_index(curves2: dict[str, CurveOnSurface],
                     fams2) -> dict[str, dict[tuple, list[str]]]:
-    """Per family, every rotation of every target walk and of its reversal,
-    mapped to the target names having it, each listed once in word order."""
+    """Per family, the canonical rotation of every target walk and of its
+    reversal, mapped to the target names having it, each listed once in
+    word order."""
     index: dict[str, dict[tuple, list[str]]] = {}
     for fam, targets in fams2.items():
         rotations: dict[tuple, list[str]] = {}
         for t in targets:
             walk = curves2[t.name].walk
             for w in (walk, tuple((e, -s) for e, s in reversed(walk))):
-                for i in range(len(w)):
-                    names = rotations.setdefault(w[i:] + w[:i], [])
-                    if not names or names[-1] != t.name:
-                        names.append(t.name)
+                names = rotations.setdefault(canonical_rotation(w), [])
+                if not names or names[-1] != t.name:
+                    names.append(t.name)
         index[fam] = rotations
     return index
 
@@ -323,16 +321,16 @@ def _match_families(curves1: dict[str, CurveOnSurface], index, fams1,
     """Pair each mapped source cycle with an equal target cycle, family by
     family, up to cyclic rotation and reversal.  Returns the name bijection.
 
-    A mapped walk is looked up in the rotation index of the target word, so
-    it is accepted only as a rotation of a target walk already validated on
-    the target surface."""
+    A mapped walk is looked up in the rotation index of the target word by
+    its canonical rotation, so it is accepted only as a rotation of a target
+    walk already validated on the target surface."""
     cycle_map: dict[str, str] = {}
     for fam, sources in fams1.items():
         rotations = index[fam]
         options = {}
         for c in sources:
             image = tuple((edge_map[e][0], s * edge_map[e][1]) for e, s in curves1[c.name].walk)
-            opts = rotations.get(image)
+            opts = rotations.get(canonical_rotation(image))
             if not opts:
                 return None
             options[c.name] = opts
@@ -365,17 +363,10 @@ def _surgery_commutes(fams1, curves1, g2, edge_map) -> bool:
     imgs = {f: [_mapped_curve(curves1[c.name], g2, edge_map) for c in fams1[f]]
             for f in ("a", "b", "c")}
     try:
-        outs = simultaneous_surgery(g2, tuple(imgs["a"]), tuple(imgs["b"]), prefix="resmooth")
+        ok, _ = replay_closing_smoothing(g2, imgs["a"], imgs["b"], imgs["c"])
     except SurfaceError:
         return False
-    if len(outs) != len(imgs["c"]):
-        return False
-    by_min = {min(c.edge_set()): c for c in imgs["c"]}
-    for out in outs:
-        target = by_min.get(min(out.edge_set()))
-        if target is None or not out.cyclically_equal(target):
-            return False
-    return True
+    return ok
 
 
 def find_isomorphism(lf1: LefschetzFibration, lf2: LefschetzFibration) -> FibrationIso | None:

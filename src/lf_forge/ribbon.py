@@ -150,19 +150,7 @@ class RibbonGraph:
         return len(self.vertices) - len(self.edges)
 
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        vertex_of = self._vertex_of
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            v = stack.pop()
-            for e, i in self.rotation[v]:
-                w = vertex_of[(e, 1 - i)]
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
+        return self._orientation()[1] <= 1
 
     # -- boundary tracing --------------------------------------------------
 
@@ -270,40 +258,18 @@ class RibbonGraph:
     def local_orientations(self) -> dict[str, int] | None:
         """Consistent +-1 per vertex, or None if the surface is non-orientable.
 
-        An untwisted band is compatible with equal signs at its endpoints, a
-        twisted band with opposite signs; loops therefore force their own
-        twist bit to be clear.  Propagated over each component from its
-        lexicographically least vertex, set to +1.
+        The signs of ``orientation_signs`` over this graph's bands: each
+        component is rooted at its lexicographically least vertex, set to +1.
         """
-        if "orientation" in self._cache:
-            return self._cache["orientation"]
-        eps: dict[str, int] = {}
-        adj: dict[str, list[tuple[str, str]]] = {v: [] for v in self.vertices}
-        vertex_of = self._vertex_of
-        for e in self.edges:
-            t, h = vertex_of[(e, 0)], vertex_of[(e, 1)]
-            adj[t].append((e, h))
-            adj[h].append((e, t))
-        result: dict[str, int] | None = {}
-        for root in self.vertices:
-            if root in eps:
-                continue
-            eps[root] = 1
-            stack = [root]
-            while stack and result is not None:
-                v = stack.pop()
-                for e, w in adj[v]:
-                    want = -eps[v] if e in self.twists else eps[v]
-                    if w not in eps:
-                        eps[w] = want
-                        stack.append(w)
-                    elif eps[w] != want:
-                        result = None
-                        break
-        if result is not None:
-            result = eps
-        self._cache["orientation"] = result
-        return result
+        return self._orientation()[0]
+
+    def _orientation(self) -> tuple[dict[str, int] | None, int]:
+        """``orientation_signs`` of this graph, cached: the signs and the
+        number of components."""
+        if "orientation" not in self._cache:
+            links = edge_links(self.edges, self._vertex_of)
+            self._cache["orientation"] = orientation_signs(self.vertices, links, self.twists)
+        return self._cache["orientation"]
 
     def is_orientable(self) -> bool:
         return self.local_orientations() is not None
@@ -324,24 +290,16 @@ class RibbonGraph:
         if not self.twists and all(s == 1 for s in eps.values()):
             self._cache["normalized"] = self
             return self
-        rotation = {}
-        for v in self.vertices:
-            rot = self.rotation[v]
-            rotation[v] = rot if eps[v] == 1 else tuple(reversed(rot))
-        twists = set()
-        for e in self.edges:
-            t, h = self.edge_endpoints(e)
-            tw = (e in self.twists) ^ (eps[t] == -1) ^ (eps[h] == -1)
-            if tw:
-                twists.add(e)
-        if twists:
-            raise SurfaceError("orientation propagation left twisted edges")
+        rotation = _oriented_rotation(self.rotation, edge_links(self.edges, self._vertex_of), self.twists, eps)
         norm = RibbonGraph(self.vertices, self.edges, rotation, ())
         self._cache["normalized"] = norm
         return norm
 
     def mirrored(self) -> "RibbonGraph":
-        """The same surface with the opposite global orientation convention."""
+        """The same surface with the opposite global orientation convention.
+
+        Test oracle: no production path mirrors a graph; ``_reduced`` folds
+        the mirror into its one construction."""
         rotation = {v: tuple(reversed(rot)) for v, rot in self.rotation.items()}
         return RibbonGraph(self.vertices, self.edges, rotation, self.twists)
 
@@ -379,12 +337,26 @@ class RibbonGraph:
         Returns the reduced graph and a map old edge -> (new edge, sign):
         traversing the old edge forward corresponds to traversing the new
         edge with that sign.  A component that is entirely a cycle of
-        degree-2 vertices cannot be smoothed and raises.
+        degree-2 vertices cannot be smoothed and raises.  Returns this graph
+        itself when no vertex is suppressible.  ``_reduced`` orients the same
+        tables (``_smoothing_tables``) without building this graph, and is
+        tested against smoothing, normalizing and mirroring in turn.
         """
+        tables = self._smoothing_tables()
+        if tables is None:
+            return self, {e: (e, 1) for e in self.edges}
+        vertices, edges, rotation, twists, edge_map = tables
+        return RibbonGraph(vertices, edges, rotation, twists), edge_map
+
+    def _smoothing_tables(self):
+        """The data of ``smoothed`` before construction: (kept vertices,
+        edges, rotation, twists, edge map), or None when no vertex is
+        suppressible.  Raises the smoothing's own errors; the constructor's
+        are left to whoever builds the graph."""
         deg2 = {v for v in self.vertices if len(self.rotation[v]) == 2
                 and self.rotation[v][0][0] != self.rotation[v][1][0]}
         if not deg2:
-            return self, {e: (e, 1) for e in self.edges}
+            return None
         # Walk each maximal chain of degree-2 vertices from its anchored ends.
         edge_map: dict[str, tuple[str, int]] = {}
         new_edges = []
@@ -397,7 +369,6 @@ class RibbonGraph:
             path = []
             cur = h  # half-edge at the anchor vertex, pointing into the chain
             while True:
-                e = cur[0]
                 path.append(cur)
                 far = self.partner(cur)
                 v = self._vertex_of[far]
@@ -437,13 +408,33 @@ class RibbonGraph:
                     new_twists.add(e)
         if len(new_edges) != len(set(new_edges)):
             raise SurfaceError("smoothing produced clashing edge ids")
-        kept = set(self.vertices) - deg2
+        kept = sorted(set(self.vertices) - deg2)
         if not kept:
             raise SurfaceError("cannot smooth a pure cycle of degree-2 vertices")
-        rotation = {}
-        for v in sorted(kept):
-            rotation[v] = tuple(half_replacement.get(h, h) for h in self.rotation[v])
-        return RibbonGraph(kept, new_edges, rotation, new_twists), edge_map
+        rotation = {v: tuple(half_replacement.get(h, h) for h in self.rotation[v]) for v in kept}
+        return kept, new_edges, rotation, new_twists, edge_map
+
+    def _reduced(self) -> tuple["RibbonGraph", dict[str, tuple[str, int]]]:
+        """``smoothed``, ``normalized`` and, when this graph orients the
+        least kept vertex negatively, ``mirrored``, in one construction:
+        suppressing vertices can move the vertex that normalization anchors
+        at, which would silently mirror the result.  Returns the reduced
+        graph and the smoothing's edge map; errors come in the order of that
+        chain, which ``tests/test_ribbon.py`` keeps as the oracle.
+        """
+        tables = self._smoothing_tables()
+        if tables is None:
+            return self.normalized(), {e: (e, 1) for e in self.edges}
+        vertices, edges, rotation, twists, edge_map = tables
+        # An edge with an unplaced end makes the constructor raise below.
+        links = edge_links(edges, {h: v for v, rot in rotation.items() for h in rot})
+        signs = orientation_signs(vertices, links, twists)[0]
+        if signs is None:
+            RibbonGraph(vertices, edges, rotation, twists)  # the smoothed graph's errors come first
+            raise NonOrientableError("cannot orient a non-orientable surface")
+        eps = self.local_orientations()
+        ref = 1 if eps is None else eps[vertices[0]]
+        return RibbonGraph(vertices, edges, _oriented_rotation(rotation, links, twists, signs, ref), ()), edge_map
 
     # -- serialization -------------------------------------------------------
 
@@ -513,6 +504,58 @@ class RibbonGraph:
 
     def __repr__(self):
         return f"RibbonGraph(V={len(self.vertices)}, E={len(self.edges)}, twists={len(self.twists)})"
+
+
+def edge_links(edges, vertex_of) -> list[tuple[str, str, str]]:
+    """(edge, tail, head) for every edge with both ends in ``vertex_of``."""
+    return [(e, vertex_of[(e, 0)], vertex_of[(e, 1)]) for e in edges
+            if (e, 0) in vertex_of and (e, 1) in vertex_of]
+
+
+def orientation_signs(vertices, links, twists) -> tuple[dict[str, int] | None, int]:
+    """Consistent +-1 per vertex from the bands alone, and the number of
+    connected components.
+
+    ``links`` holds one (edge, tail, head) triple per band.  An untwisted
+    band (edge not in ``twists``) asks for equal signs at its ends, a twisted
+    one for opposite signs, so a loop must be untwisted.  Each component's
+    least vertex gets +1.  The signs are None when some band disagrees; the
+    components are counted in full either way.
+    """
+    adj: dict[str, list[tuple[str, bool]]] = {v: [] for v in vertices}
+    for e, t, h in links:
+        flip = e in twists
+        adj[t].append((h, flip))
+        adj[h].append((t, flip))
+    eps: dict[str, int] = {}
+    consistent = True
+    components = 0
+    for root in sorted(vertices):
+        if root in eps:
+            continue
+        components += 1
+        eps[root] = 1
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for w, flip in adj[v]:
+                want = -eps[v] if flip else eps[v]
+                if w not in eps:
+                    eps[w] = want
+                    stack.append(w)
+                elif eps[w] != want:
+                    consistent = False
+    return (eps if consistent else None), components
+
+
+def _oriented_rotation(rotation, links, twists, signs, ref=1):
+    """``rotation`` with every vertex whose sign is not ``ref`` reversed.
+
+    The signs must clear every twist: a band is twisted exactly when its
+    ends' signs differ."""
+    if any((e in twists) != (signs[t] != signs[h]) for e, t, h in links):
+        raise SurfaceError("orientation propagation left twisted edges")
+    return {v: rot if signs[v] == ref else rot[::-1] for v, rot in rotation.items()}
 
 
 def surface_invariants(surface: RibbonGraph) -> SurfaceInvariants:

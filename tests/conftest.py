@@ -103,6 +103,25 @@ def mirrored():
     return _mirrored
 
 
+@pytest.fixture
+def constructions(monkeypatch):
+    """``constructions(cls)``: a list that receives every ``cls`` instance
+    built from then on, until ``monkeypatch.undo()``."""
+
+    def start(cls):
+        made = []
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            made.append(self)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+        return made
+
+    return start
+
+
 @pytest.fixture(scope="session")
 def annulus():
     return RibbonGraph(("v",), ("e",), {"v": (("e", 0), ("e", 1))})

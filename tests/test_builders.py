@@ -1,7 +1,10 @@
 """Fibration builders: plumbing realization, surgery, and the divide model."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from lf_forge import builders
 from lf_forge.builders import (
     LefschetzFibration,
     PlumbingPattern,
@@ -16,7 +19,7 @@ from lf_forge.builders import (
 from lf_forge.curves import CurveOnSurface
 from lf_forge.divides import Divide, standard_divide
 from lf_forge.homology import curve_class
-from lf_forge.ribbon import SurfaceError
+from lf_forge.ribbon import RibbonGraph, SurfaceError
 
 
 # -- plumbing patterns -------------------------------------------------------------
@@ -86,6 +89,45 @@ def test_surgery_output_count_and_conservation(built):
         )
         total_out = curve_class(fiber, outs[0]) + curve_class(fiber, outs[1])
         assert total_in == total_out
+
+
+def _families(fib):
+    return [[c for c in fib.word if c.name.startswith(f)] for f in "abc"]
+
+
+@pytest.mark.parametrize("construction", ["johns", "ishikawa"])
+def test_conservation_accepts_reordered_and_rotated_outputs(built, construction):
+    for genus in range(3):
+        fib = built(construction, genus)
+        a, b, c = _families(fib)
+        rotated = [CurveOnSurface(fib.fiber, x.name, x.rebased(k + 1)) for k, x in enumerate(c)]
+        builders._check_conservation(fib.fiber, b + a, rotated[::-1])
+
+
+@pytest.mark.parametrize("construction", ["johns", "ishikawa"])
+def test_conservation_rejects_a_dropped_curve_and_a_reversed_step(built, construction):
+    fib = built(construction, 1)
+    a, b, c = _families(fib)
+    message = "smoothing failed to conserve the total homology class"
+    with pytest.raises(SurfaceError, match=message):
+        builders._check_conservation(fib.fiber, a + b, c[:-1])
+    # Any one step reversed, on a tree edge or a co-tree edge alike; such a
+    # chain is no closed walk, so it is passed as a bare walk.
+    for i, (e, s) in enumerate(c[0].walk):
+        walk = c[0].walk[:i] + ((e, -s),) + c[0].walk[i + 1:]
+        bent = SimpleNamespace(host=fib.fiber, name=c[0].name, walk=walk)
+        with pytest.raises(SurfaceError, match=message):
+            builders._check_conservation(fib.fiber, a + b, [bent, *c[1:]])
+
+
+def test_divide_fiber_model_builds_one_ribbon_graph(constructions, monkeypatch):
+    divides = [standard_divide(genus) for genus in range(4)]
+    divides.append(Divide(("x",), ("e", "f"), {"x": (("e", 0), ("e", 1), ("f", 0), ("f", 1))}))
+    for divide in divides:
+        made = constructions(RibbonGraph)
+        model = divide_fiber_model(divide)
+        monkeypatch.undo()
+        assert made == [model.fiber]
 
 
 def test_surgery_rejects_shared_edges(built):

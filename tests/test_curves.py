@@ -1,9 +1,11 @@
 """Closed walks on a ribbon graph: validation messages and vertex passes."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lf_forge.curves import (
     CurveOnSurface,
+    canonical_rotation,
     check_walk,
     step_head,
     step_head_half,
@@ -65,3 +67,16 @@ def test_passes_follow_the_walk(built, construction, genus):
             for i, step in enumerate(walk)
         ]
         assert curve.passes() == expected
+
+
+walks = st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from((1, -1))), min_size=1, max_size=9).map(tuple)
+
+
+@given(walks)
+def test_canonical_rotation_is_the_least_of_all_rotations(walk):
+    """Short walks over three edges repeat edges and steps, so several
+    rotations start at the least step and the tie has to be broken."""
+    rotations = [walk[i:] + walk[:i] for i in range(len(walk))]
+    assert canonical_rotation(walk) == min(rotations)
+    assert all(canonical_rotation(r) == canonical_rotation(walk) for r in rotations)
+

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from lf_forge import equivalence
-from lf_forge.builders import johns_pattern
+from lf_forge.builders import ishikawa_fibration, johns_fibration, johns_pattern
 from lf_forge.curves import CurveOnSurface
 from lf_forge.equivalence import (
     FibrationIso,
@@ -82,6 +82,35 @@ def test_reduced_word_keeps_families_and_type(built):
         # no suppressible vertices remain
         for v in reduced.vertices:
             assert len(reduced.rotation[v]) != 2
+
+
+@pytest.mark.parametrize("construction", ["johns", "ishikawa"])
+def test_reduced_word_builds_at_most_one_ribbon_graph(built, relabelled, mirrored, constructions,
+                                                      monkeypatch, construction):
+    for genus in range(4):
+        fib = built(construction, genus)
+        for lf in (fib, relabelled(fib, genus), mirrored(fib)):
+            made = constructions(RibbonGraph)
+            reduced_word(lf)
+            monkeypatch.undo()
+            assert len(made) <= 1
+
+
+def test_comparing_fresh_builds_makes_no_workspace_on_an_unreduced_fiber(mirrored, constructions,
+                                                                         monkeypatch):
+    """Building both sides and comparing them pairs cycles only on reduced
+    fibers: no twisted band, no degree-2 vertex.  The mirrored pairs make
+    the search compute the triple product, which does pair cycles."""
+    for genus in range(4):
+        made = constructions(Workspace)
+        lf1, lf2 = johns_fibration(genus), ishikawa_fibration(genus)
+        for pair in ((lf1, lf2), (lf2, lf1), (mirrored(lf1), lf2), (mirrored(lf2), lf1)):
+            assert isomorphism_certificate(*pair)["found"]
+        monkeypatch.undo()
+        assert made
+        for g in (ws.graph for ws in made):
+            assert not g.twists
+            assert all(len(g.rotation[v]) != 2 for v in g.vertices)
 
 
 # -- pattern extraction --------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Ribbon graph structure, classification invariants, and rewriting."""
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
 from lf_forge.builders import ishikawa_fibration, johns_fibration
 from lf_forge.certify import fibration_certificate
 from lf_forge.equivalence import isomorphism_certificate
-from lf_forge.ribbon import NonOrientableError, RibbonGraph, SurfaceError
+from lf_forge.ribbon import NonOrientableError, RibbonGraph, SurfaceError, orientation_signs
 
 
 # -- random ribbon graphs ---------------------------------------------------------
@@ -39,6 +41,23 @@ def ribbon_graphs(draw, max_vertices=4, max_edges=7, allow_twists=True):
     twists = ()
     if allow_twists:
         twists = tuple(e for e in names if draw(st.booleans()))
+    return RibbonGraph(vertices, names, rotation, twists)
+
+
+@st.composite
+def loose_ribbon_graphs(draw, max_vertices=6, max_edges=8):
+    """Ribbon graph with every edge end placed at random and no spanning
+    chain: often disconnected, with degree-2 chains, pure degree-2 cycles,
+    isolated vertices and non-orientable twist placements."""
+    nv = draw(st.integers(1, max_vertices))
+    vertices = [f"v{i}" for i in range(nv)]
+    names = [f"e{j}" for j in range(draw(st.integers(0, max_edges)))]
+    attach = {v: [] for v in vertices}
+    for e in names:
+        for end in (0, 1):
+            attach[vertices[draw(st.integers(0, nv - 1))]].append((e, end))
+    rotation = {v: tuple(draw(st.permutations(attach[v]))) for v in vertices}
+    twists = tuple(e for e in names if draw(st.booleans()))
     return RibbonGraph(vertices, names, rotation, twists)
 
 
@@ -265,3 +284,76 @@ def test_json_round_trip_is_exact():
     assert back.edges == g.edges
     assert back.rotation == g.rotation
     assert back.twists == g.twists
+
+
+# -- orientation signs and the one-construction reduction ---------------------------
+
+
+def brute_force_orientations(g):
+    """Oracle for ``orientation_signs``: the sign vector, found by trying
+    them all, that every band accepts and that puts +1 on the least vertex
+    of each component (None when there is none), and the component count."""
+    root = {}
+    for v in g.vertices:
+        if v in root:
+            continue
+        root[v] = v
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            for e, i in g.rotation[u]:
+                w = g.vertex_of((e, 1 - i))
+                if w not in root:
+                    root[w] = v
+                    stack.append(w)
+    roots = set(root.values())
+    for signs in itertools.product((1, -1), repeat=len(g.vertices)):
+        eps = dict(zip(g.vertices, signs))
+        if all(eps[r] == 1 for r in roots) and all(
+            (eps[t] != eps[h]) == (e in g.twists) for e in g.edges for t, h in [g.edge_endpoints(e)]
+        ):
+            return eps, len(roots)
+    return None, len(roots)
+
+
+@given(loose_ribbon_graphs())
+def test_orientation_signs_match_the_oracle(g):
+    links = [(e, *g.edge_endpoints(e)) for e in g.edges]
+    expected = brute_force_orientations(g)
+    assert orientation_signs(g.vertices, links, g.twists) == expected
+    assert g.local_orientations() == expected[0]
+    assert g.is_connected() == (expected[1] <= 1)
+
+
+def chain_reduction(g):
+    """Oracle for ``RibbonGraph._reduced``: smooth, normalize, then mirror
+    when the full graph orients the least kept vertex negatively."""
+    smooth, edge_map = g.smoothed()
+    norm = smooth.normalized()
+    eps = g.local_orientations()
+    if eps is not None and eps[min(smooth.vertices)] == -1:
+        norm = norm.mirrored()
+    return norm, edge_map
+
+
+def reduction_outcome(reduce, g):
+    """Everything a reduction shows: the graph's tables and the edge map,
+    or the type and text of the error it raises."""
+    try:
+        r, edge_map = reduce(g)
+    except SurfaceError as exc:
+        return type(exc), str(exc)
+    return r.vertices, r.edges, r.rotation, r.twists, edge_map
+
+
+@given(loose_ribbon_graphs())
+def test_reduction_matches_the_smooth_normalize_mirror_chain(g):
+    assert reduction_outcome(RibbonGraph._reduced, g) == reduction_outcome(chain_reduction, g)
+
+
+@pytest.mark.parametrize("construction", ["johns", "ishikawa"])
+def test_reduction_of_the_builds_matches_the_chain(built, relabelled, mirrored, construction):
+    for genus in range(4):
+        fib = built(construction, genus)
+        for lf in (fib, relabelled(fib, genus), mirrored(fib)):
+            assert reduction_outcome(RibbonGraph._reduced, lf.fiber) == reduction_outcome(chain_reduction, lf.fiber)

@@ -73,10 +73,9 @@ def test_fibration_schema_guard():
 DELETE = object()
 
 
-def _edit(path, value):
-    """A johns g=1 document with the field at ``path`` replaced (or deleted
-    when ``value`` is DELETE)."""
-    doc = json.loads(json.dumps(johns_fibration(1).to_json_dict()))
+def _edited(doc, path, value):
+    """``doc`` with the field at ``path`` replaced (or deleted when
+    ``value`` is DELETE)."""
     node = doc
     for key in path[:-1]:
         node = node[key]
@@ -85,6 +84,11 @@ def _edit(path, value):
     else:
         node[path[-1]] = value
     return doc
+
+
+def _edit(path, value):
+    """A johns g=1 document with the field at ``path`` edited."""
+    return _edited(json.loads(json.dumps(johns_fibration(1).to_json_dict())), path, value)
 
 
 @pytest.mark.parametrize(
@@ -120,6 +124,33 @@ def test_divide_document_with_an_unlisted_crossing_raises_divide_error():
     doc["rotation"]["ghost"] = []
     with pytest.raises(DivideError, match="rotation keys must match vertex set"):
         Divide.from_json_dict(doc)
+
+
+def _divide_edit(path, value):
+    return _edited(standard_divide(1).to_json_dict(), path, value)
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ({"schema": "divide/1"}, "divide is missing field 'vertices'"),
+        ([], "unsupported schema None"),
+        (_divide_edit(("edges",), 5), "divide field 'edges' must be a list, got 5"),
+        (_divide_edit(("edges", 0, "tail"), DELETE), "divide edge 'a0' is missing field 'tail'"),
+        (_divide_edit(("edges", 1, "head"), 7), "divide edge 'a1' field 'head' must be a string, got 7"),
+        (_divide_edit(("rotation", "v0", 0), "a0"), "bad half-edge id 'a0'"),
+        (_divide_edit(("rotation", "v0"), "a0.1"), "divide rotation field 'v0' must be a list, got 'a0.1'"),
+    ],
+)
+def test_malformed_divide_documents_raise_divide_error(doc, message):
+    with pytest.raises(DivideError) as err:
+        Divide.from_json_dict(doc)
+    assert str(err.value) == message
+
+
+def test_divide_text_with_a_bad_half_edge_raises_divide_error():
+    with pytest.raises(DivideError, match="bad half-edge id 'a0.2'"):
+        Divide.from_text("v0: a0.0 a0.2 b0.0 b0.1\n")
 
 
 def test_non_object_documents_raise_surface_error():
