@@ -6,7 +6,6 @@ from .ribbon import (
     RibbonGraph,
     SurfaceError,
     SurfaceInvariants,
-    surface_invariants,
 )
 from .curves import CurveOnSurface, TransversalityError
 from .homology import (
@@ -53,10 +52,8 @@ from .builders import (
 )
 from .equivalence import (
     FibrationIso,
-    extract_plumbing_pattern,
     find_isomorphism,
     isomorphism_certificate,
-    patterns_equivalent,
 )
 from .certify import (
     expected_boundary_group,
@@ -92,7 +89,6 @@ __all__ = [
     "dehn_twist_on_path",
     "divide_fiber_model",
     "expected_boundary_group",
-    "extract_plumbing_pattern",
     "fibration_certificate",
     "find_isomorphism",
     "homology_basis",
@@ -102,14 +98,12 @@ __all__ = [
     "johns_pattern",
     "morse_data",
     "open_book_h1",
-    "patterns_equivalent",
     "realize_plumbing",
     "signed_crossings",
     "simultaneous_surgery",
     "smith_normal_form",
     "sphere_planar_fibration",
     "standard_divide",
-    "surface_invariants",
     "total_space_euler",
     "total_space_homology",
 ]

@@ -9,7 +9,7 @@ matrix.
 
 from __future__ import annotations
 
-from .builders import LefschetzFibration, replay_closing_smoothing
+from .builders import LefschetzFibration, expected_fiber_profile, replay_closing_smoothing
 from .equivalence import word_families
 from .invariants import (
     FinAbGroup,
@@ -36,20 +36,6 @@ def expected_boundary_group(genus: int) -> FinAbGroup:
     if e == 1:
         return FinAbGroup(2 * genus, ())
     return FinAbGroup(2 * genus, (e,))
-
-
-def expected_fiber_profile(construction: str, genus: int) -> dict:
-    """Fiber and word-shape expectations per construction."""
-    if construction == "sphere":
-        if genus != 0:
-            raise ValueError("the annulus-page model exists only at genus 0")
-        return {"genus": 0, "boundary": 2, "euler": 0, "word_length": 2}
-    return {
-        "genus": 1,
-        "boundary": 4 * genus + 4,
-        "euler": -4 * genus - 4,
-        "word_length": 2 * genus + 6,
-    }
 
 
 def _check(name: str, expected, actual) -> dict:

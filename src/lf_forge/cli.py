@@ -11,7 +11,6 @@ import argparse
 import datetime
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .builders import (
@@ -31,19 +30,6 @@ _BUILDERS = {
     "ishikawa": ishikawa_fibration,
     "sphere": lambda g: sphere_planar_fibration(),
 }
-
-
-@dataclass
-class RunConfig:
-    command: str
-    genus: tuple[int, ...] = (0,)
-    construction: str = "both"
-    target: str = ""
-    against: str | None = None
-    out: str | None = None
-    format: str = "json"
-    stamp: bool = False
-    verbose: bool = False
 
 
 def _parse_genus(text: str, max_genus: int) -> tuple[int, ...]:
@@ -67,32 +53,38 @@ def _build(construction: str, genus: int) -> LefschetzFibration:
     return _BUILDERS[construction](genus)
 
 
-def _constructions(selector: str) -> tuple[str, ...]:
-    return ("johns", "ishikawa") if selector == "both" else (selector,)
+def _builds(args: argparse.Namespace):
+    """Each selected construction at each selected genus, built, as
+    (construction, genus, fibration); the sphere only at genus 0."""
+    selected = ("johns", "ishikawa") if args.construction == "both" else (args.construction,)
+    for construction in selected:
+        for g in args.genus:
+            if construction != "sphere" or g == 0:
+                yield construction, g, _build(construction, g)
 
 
 def _dumps(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _stamped(doc: dict, cfg: RunConfig) -> dict:
-    if cfg.stamp:
+def _stamped(doc: dict, args: argparse.Namespace) -> dict:
+    if args.stamp:
         doc = dict(doc)
         doc["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     return doc
 
 
-def _emit(texts: dict[str, str], cfg: RunConfig) -> None:
+def _emit(texts: dict[str, str], args: argparse.Namespace) -> None:
     """Write named documents to --out (file or directory) or stdout.
 
     Several documents need a directory; a single one may go to a plain file.
     """
-    if cfg.out is None:
+    if args.out is None:
         for text in texts.values():
             sys.stdout.write(text)
         return
-    out = Path(cfg.out)
-    if len(texts) == 1 and not out.is_dir() and not str(cfg.out).endswith("/"):
+    out = Path(args.out)
+    if len(texts) == 1 and not out.is_dir() and not args.out.endswith("/"):
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(next(iter(texts.values())))
         return
@@ -101,100 +93,89 @@ def _emit(texts: dict[str, str], cfg: RunConfig) -> None:
         (out / name).write_text(text)
 
 
-def _note(cfg: RunConfig, message: str) -> None:
-    if cfg.verbose:
+def _note(args: argparse.Namespace, message: str) -> None:
+    if args.verbose:
         print(message, file=sys.stderr)
 
 
-def cmd_generate(cfg: RunConfig) -> int:
+def cmd_generate(args: argparse.Namespace) -> int:
     texts = {}
-    for construction in _constructions(cfg.construction):
-        for g in cfg.genus:
-            if construction == "sphere" and g != 0:
-                continue
-            fib = _build(construction, g)
-            _note(cfg, f"built {construction} genus {g}")
-            if cfg.format == "dot":
-                texts[f"{construction}-g{g}.dot"] = fib.fiber.to_dot(f"{construction}_g{g}")
-            else:
-                texts[f"{construction}-g{g}.json"] = _dumps(_stamped(fib.to_json_dict(), cfg))
+    for construction, g, fib in _builds(args):
+        _note(args, f"built {construction} genus {g}")
+        if args.format == "dot":
+            texts[f"{construction}-g{g}.dot"] = fib.fiber.to_dot(f"{construction}_g{g}")
+        else:
+            texts[f"{construction}-g{g}.json"] = _dumps(_stamped(fib.to_json_dict(), args))
     if not texts:
         raise ValueError("nothing to generate for that construction/genus choice")
-    _emit(texts, cfg)
+    _emit(texts, args)
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     certificates = []
     failures = []
-    for construction in _constructions(cfg.construction):
-        for g in cfg.genus:
-            if construction == "sphere" and g != 0:
-                continue
-            cert = fibration_certificate(_build(construction, g))
-            certificates.append(_stamped(cert, cfg))
-            _note(cfg, f"verified {construction} genus {g}: "
-                       f"{'ok' if cert['passed'] else 'FAILED'}")
-            failures += [f"{construction} genus {g}: {c['name']}"
-                         for c in cert["checks"] if not c["passed"]]
+    for construction, g, fib in _builds(args):
+        cert = fibration_certificate(fib)
+        certificates.append(_stamped(cert, args))
+        _note(args, f"verified {construction} genus {g}: "
+                    f"{'ok' if cert['passed'] else 'FAILED'}")
+        failures += [f"{construction} genus {g}: {c['name']}"
+                     for c in cert["checks"] if not c["passed"]]
     if not certificates:
         raise ValueError("nothing to verify for that construction/genus choice")
     doc = certificates[0] if len(certificates) == 1 else certificates
-    _emit({"verify.json": _dumps(doc)}, cfg)
+    _emit({"verify.json": _dumps(doc)}, args)
     for line in failures:
         print(f"failed invariant: {line}", file=sys.stderr)
     return 1 if failures else 0
 
 
-def cmd_compare(cfg: RunConfig) -> int:
+def cmd_compare(args: argparse.Namespace) -> int:
     against = None
-    if cfg.against:
-        name, sep, g2 = cfg.against.partition(":")
+    if args.against:
+        name, sep, g2 = args.against.partition(":")
         if name not in _BUILDERS or not sep or not g2.isdigit():
-            raise ValueError(f"--against expects construction:genus, got {cfg.against!r}")
+            raise ValueError(f"--against expects construction:genus, got {args.against!r}")
         against = _build(name, int(g2))
     certificates = []
     missing = []
-    for g in cfg.genus:
+    for g in args.genus:
         other = against if against is not None else _build("ishikawa", g)
         cert = isomorphism_certificate(_build("johns", g), other)
-        certificates.append(_stamped(cert, cfg))
-        _note(cfg, f"compared genus {g}: found={cert['found']}")
+        certificates.append(_stamped(cert, args))
+        _note(args, f"compared genus {g}: found={cert['found']}")
         if not cert["found"]:
             missing.append(g)
     doc = certificates[0] if len(certificates) == 1 else certificates
-    _emit({"compare.json": _dumps(doc)}, cfg)
+    _emit({"compare.json": _dumps(doc)}, args)
     for g in missing:
         print(f"no isomorphism at genus {g}", file=sys.stderr)
     return 1 if missing else 0
 
 
-def cmd_export(cfg: RunConfig) -> int:
+def cmd_export(args: argparse.Namespace) -> int:
     texts = {}
-    if cfg.target == "divide":
-        for g in cfg.genus:
+    if args.target == "divide":
+        for g in args.genus:
             divide = standard_divide(g)
-            if cfg.format == "text":
+            if args.format == "text":
                 texts[f"divide-g{g}.txt"] = divide.to_text()
-            elif cfg.format == "dot":
+            elif args.format == "dot":
                 texts[f"divide-g{g}.dot"] = divide.to_dot(f"divide_g{g}")
             else:
-                texts[f"divide-g{g}.json"] = _dumps(_stamped(divide.to_json_dict(), cfg))
+                texts[f"divide-g{g}.json"] = _dumps(_stamped(divide.to_json_dict(), args))
     else:
-        if cfg.format == "text":
+        if args.format == "text":
             raise ValueError("text export exists only for divides")
-        for construction in _constructions(cfg.construction):
-            for g in cfg.genus:
-                if construction == "sphere" and g != 0:
-                    continue
-                fiber = _build(construction, g).fiber
-                if cfg.format == "dot":
-                    texts[f"fiber-{construction}-g{g}.dot"] = fiber.to_dot(f"fiber_{construction}_g{g}")
-                else:
-                    texts[f"fiber-{construction}-g{g}.json"] = _dumps(_stamped(fiber.to_json_dict(), cfg))
+        for construction, g, fib in _builds(args):
+            if args.format == "dot":
+                texts[f"fiber-{construction}-g{g}.dot"] = fib.fiber.to_dot(f"fiber_{construction}_g{g}")
+            else:
+                texts[f"fiber-{construction}-g{g}.json"] = _dumps(_stamped(fib.fiber.to_json_dict(), args))
     if not texts:
         raise ValueError("nothing to export for that choice")
-    _emit(texts, cfg)
+    _emit(texts, args)
     return 0
 
 
@@ -218,21 +199,25 @@ def _parser() -> argparse.ArgumentParser:
                            choices=("johns", "ishikawa", "sphere", "both"))
 
     g = sub.add_parser("generate", help="write fibration documents")
+    g.set_defaults(run=cmd_generate)
     g.add_argument("construction", choices=("johns", "ishikawa", "sphere", "both"))
     g.add_argument("--format", default="json", choices=("json", "dot"))
     common(g, construction_flag=False)
 
     v = sub.add_parser("verify", help="run all invariant checks")
+    v.set_defaults(run=cmd_verify)
     v.add_argument("--format", default="json", choices=("json",))
     common(v)
 
     c = sub.add_parser("compare", help="search for the fibration isomorphism")
+    c.set_defaults(run=cmd_compare)
     c.add_argument("--against", default=None,
                    help="compare against construction:genus instead of ishikawa")
     c.add_argument("--format", default="json", choices=("json",))
     common(c, construction_flag=False)
 
     e = sub.add_parser("export", help="write the underlying combinatorial objects")
+    e.set_defaults(run=cmd_export)
     e.add_argument("target", choices=("divide", "fiber"))
     e.add_argument("--format", default="json", choices=("json", "dot", "text"))
     common(e)
@@ -240,34 +225,12 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "generate": cmd_generate,
-    "verify": cmd_verify,
-    "compare": cmd_compare,
-    "export": cmd_export,
-}
-
-
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
     try:
-        genus = _parse_genus(args.genus, args.max_genus)
-        cfg = RunConfig(
-            command=args.command,
-            genus=genus,
-            construction=getattr(args, "construction", "both"),
-            target=getattr(args, "target", ""),
-            against=getattr(args, "against", None),
-            out=args.out,
-            format=getattr(args, "format", "json"),
-            stamp=args.stamp,
-            verbose=args.verbose,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
-    try:
-        return _COMMANDS[cfg.command](cfg)
+        args.genus = _parse_genus(args.genus, args.max_genus)
+        return args.run(args)
     except ValueError as exc:
         parser.error(str(exc))
 

@@ -35,9 +35,9 @@ def reversed_step(step: Step) -> Step:
     return (step[0], -step[1])
 
 
-def check_walk(surface: RibbonGraph, walk, closed: bool) -> None:
+def check_walk(surface: RibbonGraph, walk) -> None:
     """Raise SurfaceError unless ``walk`` is a nonempty chain of steps on
-    ``surface``, closing up from its last step to its first when ``closed``.
+    ``surface`` that closes up from its last step to its first.
 
     Every step is validated before the chain is followed, so a walk with
     both faults reports the step that is not on the surface.  Steps and
@@ -56,10 +56,7 @@ def check_walk(surface: RibbonGraph, walk, closed: bool) -> None:
         else:
             tails.append(vertex_of[(e, 1)])
             heads.append(vertex_of[(e, 0)])
-    if closed:
-        tails.append(tails[0])
-    else:
-        heads.pop()
+    tails.append(tails[0])
     if heads != tails[1:]:
         i = next(i for i, (h, t) in enumerate(zip(heads, tails[1:])) if h != t)
         raise SurfaceError(f"walk breaks between {walk[i]} and {walk[(i + 1) % len(walk)]}")
@@ -80,7 +77,7 @@ class CurveOnSurface:
 
     def __post_init__(self):
         object.__setattr__(self, "walk", tuple([(str(e), int(s)) for e, s in self.walk]))
-        check_walk(self.host, self.walk, closed=True)
+        check_walk(self.host, self.walk)
 
     def is_edge_simple(self) -> bool:
         edges = [e for e, _ in self.walk]
@@ -105,9 +102,9 @@ class CurveOnSurface:
             out.append((vertex_of[head], head, (f, 0) if t > 0 else (f, 1), i))
         return out
 
-    def reversed_curve(self, name: str | None = None) -> "CurveOnSurface":
+    def reversed_curve(self) -> "CurveOnSurface":
         walk = tuple(reversed_step(s) for s in reversed(self.walk))
-        return CurveOnSurface(self.host, name or self.name, walk)
+        return CurveOnSurface(self.host, self.name, walk)
 
     def rebased(self, index: int) -> tuple[Step, ...]:
         """The cyclic walk starting at step ``index``."""

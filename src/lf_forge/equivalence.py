@@ -24,10 +24,9 @@ of the full scan.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .builders import LefschetzFibration, PlumbingPattern, replay_closing_smoothing
+from .builders import LefschetzFibration, replay_closing_smoothing
 from .curves import CurveOnSurface, canonical_rotation
 from .homology import workspace
 from .ribbon import HalfEdge, RibbonGraph, SurfaceError
@@ -35,17 +34,15 @@ from .ribbon import HalfEdge, RibbonGraph, SurfaceError
 __all__ = [
     "FibrationIso",
     "carry_curve",
-    "extract_plumbing_pattern",
     "find_isomorphism",
     "isomorphism_certificate",
-    "patterns_equivalent",
     "reduced_word",
     "word_families",
 ]
 
 
 def carry_curve(curve: CurveOnSurface, target: RibbonGraph,
-                edge_map: dict[str, tuple[str, int]], name: str | None = None) -> CurveOnSurface:
+                edge_map: dict[str, tuple[str, int]]) -> CurveOnSurface:
     """Rewrite a closed walk through the edge map of a smoothing.
 
     Consecutive steps that land on the same merged edge with the same
@@ -67,7 +64,7 @@ def carry_curve(curve: CurveOnSurface, target: RibbonGraph,
         if first[0] == last[0] and first[1] == last[1] and last[3] != first[2]:
             runs.pop()
     walk = tuple((new, d) for new, d, _, _ in runs)
-    return CurveOnSurface(target, curve.name if name is None else name, walk)
+    return CurveOnSurface(target, curve.name, walk)
 
 
 def word_families(fib: LefschetzFibration) -> dict[str, tuple[CurveOnSurface, ...]]:
@@ -91,85 +88,6 @@ def reduced_word(fib: LefschetzFibration) -> tuple[RibbonGraph, dict[str, CurveO
     """
     norm, edge_map = fib.fiber._reduced()
     return norm, {c.name: carry_curve(c, norm, edge_map) for c in fib.word}
-
-
-# -- plumbing pattern recovery -------------------------------------------------------
-
-
-def extract_plumbing_pattern(fib: LefschetzFibration) -> PlumbingPattern:
-    """Recover the abstract crossing pattern of the first two cycle families.
-
-    On the reduced fiber the first- and second-family cores must partition
-    the edges, each edge traversed exactly once, and every vertex must be a
-    transverse crossing of one core from each family; the fibration is "of
-    plumbed type".  The loops record, per core, the crossings in traversal
-    order, so the builder's own pattern round-trips exactly.
-    """
-    fams = word_families(fib)
-    if not {"a", "b"} <= set(fams):
-        raise SurfaceError("not of plumbed type: word lacks the two core families")
-    surface, carried = reduced_word(fib)
-    owner: dict[str, str] = {}
-    for f in ("a", "b"):
-        for c in fams[f]:
-            for e, _ in carried[c.name].walk:
-                if e in owner:
-                    raise SurfaceError(f"not of plumbed type: edge {e!r} carried twice")
-                owner[e] = f
-    missing = set(surface.edges) - set(owner)
-    if missing:
-        raise SurfaceError(f"not of plumbed type: edges {sorted(missing)} off the cores")
-    for v in surface.vertices:
-        around = tuple(owner[e] for e, _ in surface.rotation[v])
-        if len(around) != 4 or around[0] == around[1] or around[0] != around[2] or around[1] != around[3]:
-            raise SurfaceError(f"not of plumbed type: vertex {v!r} is not a transverse square")
-    loops = {}
-    for f in ("a", "b"):
-        seqs = []
-        for c in fams[f]:
-            walk = carried[c.name].walk
-            seqs.append(tuple(surface.edge_endpoints(e)[0 if s > 0 else 1] for e, s in walk))
-        loops[f] = tuple(seqs)
-    return PlumbingPattern(loops["a"], loops["b"])
-
-
-def _pattern_key(pattern: PlumbingPattern):
-    """Canonical form under square relabeling, loop reordering, rotation and
-    reversal.  Squares are renamed (a-loop index, position along it); the key
-    is the least sorted tuple of canonicalized b-loops over all placements."""
-
-    def placements(loop):
-        n = len(loop)
-        for start in range(n):
-            for step in (1, -1):
-                yield tuple(loop[(start + step * t) % n] for t in range(n))
-
-    def cyclic_min(seq):
-        n = len(seq)
-        variants = [tuple(seq[(i + t) % n] for t in range(n)) for i in range(n)]
-        rev = tuple(reversed(seq))
-        variants += [tuple(rev[(i + t) % n] for t in range(n)) for i in range(n)]
-        return min(variants)
-
-    best = None
-    shapes = tuple(sorted(len(loop) for loop in pattern.loops_a))
-    for order in itertools.permutations(range(len(pattern.loops_a))):
-        for placed in itertools.product(*(placements(pattern.loops_a[i]) for i in order)):
-            label = {}
-            for i, loop in enumerate(placed):
-                for t, q in enumerate(loop):
-                    label[q] = (i, t)
-            key = tuple(sorted(cyclic_min(tuple(label[q] for q in loop))
-                               for loop in pattern.loops_b))
-            if best is None or key < best:
-                best = key
-    return (shapes, best)
-
-
-def patterns_equivalent(p1: PlumbingPattern, p2: PlumbingPattern) -> bool:
-    """True when some square relabeling identifies the two patterns, loops
-    taken up to reordering within each family, rotation and reversal."""
-    return _pattern_key(p1) == _pattern_key(p2)
 
 
 # -- isomorphism search --------------------------------------------------------------
@@ -377,8 +295,9 @@ def find_isomorphism(lf1: LefschetzFibration, lf2: LefschetzFibration) -> Fibrat
     full map and checked against the word and the smoothing move, except the
     placements of an orientation the triple product T rules out (computed
     after the first orientation-preserving seed fails the word).  The first
-    success in scan order is returned.  A fiber that cannot be reduced raises
-    SurfaceError: that is a failure to compare, not a missing isomorphism.
+    success in scan order is returned.  A fiber that cannot be reduced, or a
+    pair of empty words, raises SurfaceError: that is a failure to compare,
+    not a missing isomorphism.
     """
     if not all(ok for _, ok in _gate(lf1, lf2)):
         return None
@@ -398,6 +317,8 @@ def _search(lf1: LefschetzFibration, lf2: LefschetzFibration) -> FibrationIso | 
     if len(g1.edges) != len(g2.edges) or len(g1.vertices) != len(g2.vertices):
         return None
     fams1, fams2 = word_families(lf1), word_families(lf2)
+    if not fams1:
+        raise SurfaceError("cannot compare fibrations with an empty word")
     index = _rotation_index(curves2, fams2)
     first_family = next(iter(fams1))
     anchor = curves1[fams1[first_family][0].name]

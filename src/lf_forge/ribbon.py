@@ -556,8 +556,3 @@ def _oriented_rotation(rotation, links, twists, signs, ref=1):
     if any((e in twists) != (signs[t] != signs[h]) for e, t, h in links):
         raise SurfaceError("orientation propagation left twisted edges")
     return {v: rot if signs[v] == ref else rot[::-1] for v, rot in rotation.items()}
-
-
-def surface_invariants(surface: RibbonGraph) -> SurfaceInvariants:
-    """Module-level alias for RibbonGraph.invariants."""
-    return surface.invariants()

@@ -69,7 +69,7 @@ def test_criterion_3_surgery_components_and_conservation(built):
         for g in GENERA:
             fib = built(construction, g)
             fams = word_families(fib)
-            outs = simultaneous_surgery(fib.fiber, fams["a"], fams["b"], prefix="t")
+            outs = simultaneous_surgery(fib.fiber, fams["a"], fams["b"])
             assert len(outs) == 2
             total_in = None
             for c in list(fams["a"]) + list(fams["b"]):

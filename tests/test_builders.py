@@ -1,10 +1,7 @@
 """Fibration builders: plumbing realization, surgery, and the divide model."""
 
-from types import SimpleNamespace
-
 import pytest
 
-from lf_forge import builders
 from lf_forge.builders import (
     LefschetzFibration,
     PlumbingPattern,
@@ -81,43 +78,14 @@ def test_surgery_output_count_and_conservation(built):
         fiber = fib.fiber
         a = [c for c in fib.word if c.name.startswith("a")]
         b = [c for c in fib.word if c.name.startswith("b")]
-        outs = simultaneous_surgery(fiber, a, b, prefix="t")
+        outs = simultaneous_surgery(fiber, a, b)
         assert len(outs) == 2
-        assert [c.name for c in outs] == ["t0", "t1"]
+        assert [c.name for c in outs] == ["c0", "c1"]
         total_in = sum(
             (curve_class(fiber, c) for c in a[1:] + b), curve_class(fiber, a[0])
         )
         total_out = curve_class(fiber, outs[0]) + curve_class(fiber, outs[1])
         assert total_in == total_out
-
-
-def _families(fib):
-    return [[c for c in fib.word if c.name.startswith(f)] for f in "abc"]
-
-
-@pytest.mark.parametrize("construction", ["johns", "ishikawa"])
-def test_conservation_accepts_reordered_and_rotated_outputs(built, construction):
-    for genus in range(3):
-        fib = built(construction, genus)
-        a, b, c = _families(fib)
-        rotated = [CurveOnSurface(fib.fiber, x.name, x.rebased(k + 1)) for k, x in enumerate(c)]
-        builders._check_conservation(fib.fiber, b + a, rotated[::-1])
-
-
-@pytest.mark.parametrize("construction", ["johns", "ishikawa"])
-def test_conservation_rejects_a_dropped_curve_and_a_reversed_step(built, construction):
-    fib = built(construction, 1)
-    a, b, c = _families(fib)
-    message = "smoothing failed to conserve the total homology class"
-    with pytest.raises(SurfaceError, match=message):
-        builders._check_conservation(fib.fiber, a + b, c[:-1])
-    # Any one step reversed, on a tree edge or a co-tree edge alike; such a
-    # chain is no closed walk, so it is passed as a bare walk.
-    for i, (e, s) in enumerate(c[0].walk):
-        walk = c[0].walk[:i] + ((e, -s),) + c[0].walk[i + 1:]
-        bent = SimpleNamespace(host=fib.fiber, name=c[0].name, walk=walk)
-        with pytest.raises(SurfaceError, match=message):
-            builders._check_conservation(fib.fiber, a + b, [bent, *c[1:]])
 
 
 def test_divide_fiber_model_builds_one_ribbon_graph(constructions, monkeypatch):
@@ -134,14 +102,14 @@ def test_surgery_rejects_shared_edges(built):
     fib = built("johns", 0)
     a = [c for c in fib.word if c.name.startswith("a")]
     with pytest.raises(SurfaceError):
-        simultaneous_surgery(fib.fiber, a, a, prefix="t")
+        simultaneous_surgery(fib.fiber, a, a)
 
 
 def test_surgery_without_crossings_returns_inputs_relabeled(annulus):
     core = CurveOnSurface(annulus, "core", (("e", 1),))
-    outs = simultaneous_surgery(annulus, [core], [], prefix="t")
+    outs = simultaneous_surgery(annulus, [core], [])
     assert len(outs) == 1
-    assert outs[0].name == "t0" and outs[0].walk == core.walk
+    assert outs[0].name == "c0" and outs[0].walk == core.walk
 
 
 def test_surgery_rejects_tangential_meeting():
@@ -154,7 +122,7 @@ def test_surgery_rejects_tangential_meeting():
     x = CurveOnSurface(surface, "x", (("a", 1),))
     y = CurveOnSurface(surface, "y", (("b", 1),))
     with pytest.raises(SurfaceError, match="tangentially"):
-        simultaneous_surgery(surface, [x], [y], prefix="t")
+        simultaneous_surgery(surface, [x], [y])
 
 
 def test_surgery_rejects_repeated_vertex_pass():
@@ -165,7 +133,7 @@ def test_surgery_rejects_repeated_vertex_pass():
     x = CurveOnSurface(surface, "x", (("a", 1), ("b", 1)))
     y = CurveOnSurface(surface, "y", (("c", 1),))
     with pytest.raises(SurfaceError, match="twice"):
-        simultaneous_surgery(surface, [x], [y], prefix="t")
+        simultaneous_surgery(surface, [x], [y])
 
 
 # -- the divide fiber model --------------------------------------------------------

@@ -15,26 +15,25 @@ from lf_forge.ribbon import SurfaceError
 
 # On the pants fixture every band e, f, g runs forward from u to v.
 MALFORMED = [
-    ([], True, "empty walk"),
-    ([], False, "empty walk"),
-    ([("zz", 1)], True, "walk step ('zz', 1) is not on the surface"),
-    ([("e", 0)], True, "walk step ('e', 0) is not on the surface"),
-    ([("e", 2)], False, "walk step ('e', 2) is not on the surface"),
-    ([("e", -2)], True, "walk step ('e', -2) is not on the surface"),
+    ([], "empty walk"),
+    ([("zz", 1)], "walk step ('zz', 1) is not on the surface"),
+    ([("e", 0)], "walk step ('e', 0) is not on the surface"),
+    ([("e", 2)], "walk step ('e', 2) is not on the surface"),
+    ([("e", -2)], "walk step ('e', -2) is not on the surface"),
     # every step is validated before the chain is followed
-    ([("e", 1), ("f", 1), ("zz", 1)], False, "walk step ('zz', 1) is not on the surface"),
-    ([("e", 1), ("f", 1)], False, "walk breaks between ('e', 1) and ('f', 1)"),
-    ([("e", 1), ("f", -1), ("g", -1)], True, "walk breaks between ('f', -1) and ('g', -1)"),
-    # a closed walk must also close up from its last step to its first
-    ([("e", 1)], True, "walk breaks between ('e', 1) and ('e', 1)"),
-    ([("e", 1), ("f", -1), ("g", 1)], True, "walk breaks between ('g', 1) and ('e', 1)"),
+    ([("e", 1), ("f", 1), ("zz", 1)], "walk step ('zz', 1) is not on the surface"),
+    ([("e", 1), ("f", 1)], "walk breaks between ('e', 1) and ('f', 1)"),
+    ([("e", 1), ("f", -1), ("g", -1)], "walk breaks between ('f', -1) and ('g', -1)"),
+    # the walk must also close up from its last step to its first
+    ([("e", 1)], "walk breaks between ('e', 1) and ('e', 1)"),
+    ([("e", 1), ("f", -1), ("g", 1)], "walk breaks between ('g', 1) and ('e', 1)"),
 ]
 
 
-@pytest.mark.parametrize("walk,closed,message", MALFORMED)
-def test_malformed_walks_name_the_first_fault(pants, walk, closed, message):
+@pytest.mark.parametrize("walk,message", MALFORMED)
+def test_malformed_walks_name_the_first_fault(pants, walk, message):
     with pytest.raises(SurfaceError) as err:
-        check_walk(pants, walk, closed)
+        check_walk(pants, walk)
     assert str(err.value) == message
 
 
@@ -45,16 +44,14 @@ def test_closed_curves_validate_their_walk(pants):
 
 
 @pytest.mark.parametrize(
-    "walk,closed",
+    "walk",
     [
-        ([("e", 1)], False),
-        ([("e", 1), ("f", -1), ("g", 1)], False),
-        ([("e", 1), ("f", -1)], True),
-        ([("g", -1), ("e", 1), ("f", -1), ("e", 1)], True),
+        [("e", 1), ("f", -1)],
+        [("g", -1), ("e", 1), ("f", -1), ("e", 1)],
     ],
 )
-def test_well_formed_walks_pass(pants, walk, closed):
-    check_walk(pants, walk, closed)
+def test_well_formed_walks_pass(pants, walk):
+    check_walk(pants, walk)
 
 
 @pytest.mark.parametrize("construction", ["johns", "ishikawa"])

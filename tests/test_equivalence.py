@@ -5,7 +5,13 @@ import itertools
 import pytest
 
 from lf_forge import equivalence
-from lf_forge.builders import ishikawa_fibration, johns_fibration, johns_pattern
+from lf_forge.builders import (
+    LefschetzFibration,
+    ishikawa_fibration,
+    johns_fibration,
+    johns_pattern,
+    realize_plumbing,
+)
 from lf_forge.curves import CurveOnSurface
 from lf_forge.equivalence import (
     FibrationIso,
@@ -16,10 +22,8 @@ from lf_forge.equivalence import (
     _surgery_commutes,
     _triple_product,
     carry_curve,
-    extract_plumbing_pattern,
     find_isomorphism,
     isomorphism_certificate,
-    patterns_equivalent,
     reduced_word,
     word_families,
 )
@@ -113,33 +117,6 @@ def test_comparing_fresh_builds_makes_no_workspace_on_an_unreduced_fiber(mirrore
             assert all(len(g.rotation[v]) != 2 for v in g.vertices)
 
 
-# -- pattern extraction --------------------------------------------------------------
-
-
-@pytest.mark.parametrize("genus", range(3))
-def test_plumbing_pattern_round_trip(built, genus):
-    assert extract_plumbing_pattern(built("johns", genus)) == johns_pattern(genus)
-
-
-@pytest.mark.parametrize("genus", range(3))
-def test_divide_model_yields_equivalent_pattern(built, genus):
-    extracted = extract_plumbing_pattern(built("ishikawa", genus))
-    assert patterns_equivalent(extracted, johns_pattern(genus))
-
-
-def test_different_genus_patterns_differ():
-    assert not patterns_equivalent(johns_pattern(1), johns_pattern(2))
-
-
-def test_pattern_equivalence_is_relabeling_invariant():
-    p = johns_pattern(0)
-    renamed = type(p)(
-        tuple(tuple(q.upper() for q in loop) for loop in p.loops_a),
-        tuple(tuple(q.upper() for q in loop) for loop in p.loops_b),
-    )
-    assert patterns_equivalent(p, renamed)
-
-
 # -- isomorphism search ---------------------------------------------------------------
 
 
@@ -153,7 +130,12 @@ def test_self_isomorphism_is_identity(built):
 
 @pytest.mark.parametrize("genus", range(3))
 def test_constructions_are_isomorphic(built, genus):
-    iso = find_isomorphism(built("johns", genus), built("ishikawa", genus))
+    """The reduced Johns fiber is the realized Johns pattern, and the map
+    carries family a onto a and b onto b, so Ishikawa's a/b cores realize
+    that pattern too."""
+    johns = built("johns", genus)
+    assert reduced_word(johns)[0].rotation == realize_plumbing(johns_pattern(genus))[0].rotation
+    iso = find_isomorphism(johns, built("ishikawa", genus))
     assert iso is not None
     assert iso.orientation_preserving
     for name, image in iso.cycle_map.items():
@@ -316,6 +298,14 @@ def test_unreducible_fiber_raises_instead_of_no_isomorphism(built):
         isomorphism_certificate(sphere, sphere)
     with pytest.raises(SurfaceError, match="cannot smooth a pure cycle of degree-2 vertices"):
         find_isomorphism(sphere, sphere)
+
+
+def test_empty_words_raise_instead_of_no_isomorphism():
+    empty = LefschetzFibration("johns", 1, johns_fibration(1).fiber, ())
+    with pytest.raises(SurfaceError, match="cannot compare fibrations with an empty word"):
+        isomorphism_certificate(empty, empty)
+    with pytest.raises(SurfaceError, match="cannot compare fibrations with an empty word"):
+        find_isomorphism(empty, empty)
 
 
 def test_isomorphism_is_symmetric(built):
