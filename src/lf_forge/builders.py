@@ -165,7 +165,7 @@ def simultaneous_surgery(surface: RibbonGraph, family_x, family_y) -> tuple[Curv
     for v in sorted(set(px) & set(py)):
         xci, xin, xout, xi = px[v]
         yci, yin, yout, yi = py[v]
-        if not _interleaved(surface, v, (xin, xout), (yin, yout)):
+        if not _interleaved(surface, (xin, xout), (yin, yout)):
             raise SurfaceError(f"the families meet tangentially at vertex {v!r}")
         succ[("x", xci, xi)] = ("y", yci, (yi + 1) % len(fams["y"][yci].walk))
         succ[("y", yci, yi)] = ("x", xci, (xi + 1) % len(fams["x"][xci].walk))
@@ -210,9 +210,10 @@ def replay_closing_smoothing(surface: RibbonGraph, family_x, family_y, closing) 
     return True, None
 
 
-def _interleaved(surface: RibbonGraph, vertex: str, x_halves, y_halves) -> bool:
-    """Whether the two strand passes cross transversally inside the vertex disk."""
-    pos = {h: i for i, h in enumerate(surface.rotation[vertex])}
+def _interleaved(surface: RibbonGraph, x_halves, y_halves) -> bool:
+    """Whether two strand passes through one vertex cross transversally
+    inside its disk."""
+    pos = surface._pos
     lo, hi = sorted((pos[x_halves[0]], pos[x_halves[1]]))
     return (lo < pos[y_halves[0]] < hi) != (lo < pos[y_halves[1]] < hi)
 

@@ -2,7 +2,8 @@
 
 Every command is a pure function of its arguments: the same flags give the
 same bytes on stdout, with stable key order and no timestamps unless --stamp.
-Exit codes: 0 success, 1 failed check or missing isomorphism, 2 usage error.
+Exit codes: 0 success, 1 failed check or missing isomorphism, 2 usage error
+(the message on stderr), 3 internal error (the traceback on stderr).
 """
 
 from __future__ import annotations
@@ -233,6 +234,11 @@ def main(argv=None) -> int:
         return args.run(args)
     except ValueError as exc:
         parser.error(str(exc))
+    except Exception:
+        import traceback  # here, so that a run without errors does not load it
+
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -241,35 +241,24 @@ def _match_families(curves1: dict[str, CurveOnSurface], index, fams1,
 
     A mapped walk is looked up in the rotation index of the target word by
     its canonical rotation, so it is accepted only as a rotation of a target
-    walk already validated on the target surface."""
+    walk already validated on the target surface.
+
+    Each source takes the first unused target in word order.  Two option
+    lists are equal or disjoint (sources with one key share a list, and a
+    walk and its reversal share one), so the targets of one list are
+    interchangeable and first-fit succeeds exactly when any matching
+    exists."""
     cycle_map: dict[str, str] = {}
     for fam, sources in fams1.items():
         rotations = index[fam]
-        options = {}
+        used: set[str] = set()
         for c in sources:
             image = tuple((edge_map[e][0], s * edge_map[e][1]) for e, s in curves1[c.name].walk)
-            opts = rotations.get(canonical_rotation(image))
-            if not opts:
+            t = next((t for t in rotations.get(canonical_rotation(image), ()) if t not in used), None)
+            if t is None:
                 return None
-            options[c.name] = opts
-
-        def assign(names, used):
-            if not names:
-                return {}
-            head, rest = names[0], names[1:]
-            for t in options[head]:
-                if t in used:
-                    continue
-                sub = assign(rest, used | {t})
-                if sub is not None:
-                    sub[head] = t
-                    return sub
-            return None
-
-        matched = assign([c.name for c in sources], frozenset())
-        if matched is None:
-            return None
-        cycle_map.update(matched)
+            used.add(t)
+            cycle_map[c.name] = t
     return cycle_map
 
 

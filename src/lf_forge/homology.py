@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .curves import CurveOnSurface, Step, TransversalityError, reversed_step
-from .ribbon import RibbonGraph, SurfaceError, SIDE_L, SIDE_R
+from .ribbon import RibbonGraph, SurfaceError
 
 
 class DisconnectedError(SurfaceError):
@@ -67,7 +67,6 @@ class Workspace:
             self._tree_adj[h].append((e, t))
         for adj in self._tree_adj.values():
             adj.sort()
-        self._slot_cache: dict[str, dict] = {}
         self._gram: list[list[int]] | None = None
 
     # -- basis cycles -------------------------------------------------------
@@ -106,21 +105,6 @@ class Workspace:
         walk = [(edge, 1)] + self.tree_path(h, t)
         return CurveOnSurface(self.graph, f"z[{edge}]", tuple(walk))
 
-    # -- chord bookkeeping ----------------------------------------------------
-
-    def _slots(self, vertex: str) -> dict:
-        """Cyclic positions of the marked points on the vertex disk: for each
-        attachment, a pre-attachment point (R), the attachment itself (S) and
-        a post-attachment point (L), in counterclockwise order."""
-        if vertex not in self._slot_cache:
-            pos = {}
-            for i, h in enumerate(self.norm.rotation[vertex]):
-                pos[(h, SIDE_R)] = 3 * i
-                pos[(h, "S")] = 3 * i + 1
-                pos[(h, SIDE_L)] = 3 * i + 2
-            self._slot_cache[vertex] = pos
-        return self._slot_cache[vertex]
-
     def crossing_number(self, x: CurveOnSurface, y: CurveOnSurface) -> int:
         """Signed crossings of two walks sharing no edges (corner rule)."""
         shared = x.edge_set() & y.edge_set()
@@ -135,26 +119,30 @@ class Workspace:
         """The corner rule: yield (i, p, j, q, sign) for every crossing of a
         pass p of list i with a pass q of list j != i at a common vertex.
 
-        Passes are grouped by vertex once.  At a vertex disk a pass is the
-        chord between its arriving and departing attachments; q's chord is
-        pushed off to the right of its own direction when ``push`` (it
-        starts just after its arrival and ends just before its departure).
-        The sign is +1 when q crosses p from p's right to its left.
+        Passes are grouped by vertex once.  The marked points of a vertex
+        disk with d attachments are numbered 0..3d-1 counterclockwise: the
+        attachment at rotation position k is 3k + 1, with 3k just before it
+        and 3k + 2 just after it.  A pass is the chord between its arriving
+        and departing attachments; q's chord is pushed off to the right of
+        its own direction when ``push`` (it starts just after its arrival
+        and ends just before its departure).  The sign is +1 when q crosses
+        p from p's right to its left.
         """
         at: dict[str, list] = {}
         for i, passes in enumerate(pass_lists):
             for p in passes:
                 at.setdefault(p[0], []).append((i, p))
-        q_in, q_out = (SIDE_L, SIDE_R) if push else ("S", "S")
+        pos = self.norm._pos
+        rotation = self.norm.rotation
+        q_in, q_out = (2, 0) if push else (1, 1)
         for v, here in at.items():
             if len(here) < 2:
                 continue
-            slots = self._slots(v)
-            n = 3 * len(self.norm.rotation[v])
-            chords = [
-                (i, p, slots[(p[1], "S")], slots[(p[2], "S")], slots[(p[1], q_in)], slots[(p[2], q_out)])
-                for i, p in here
-            ]
+            n = 3 * len(rotation[v])
+            chords = []
+            for i, p in here:
+                a, d = 3 * pos[p[1]], 3 * pos[p[2]]
+                chords.append((i, p, a + 1, d + 1, a + q_in, d + q_out))
             for i, p, pi, po, _, _ in chords:
                 r_out = (po - pi) % n
                 for j, q, _, _, qi, qo in chords:
@@ -260,6 +248,20 @@ def class_from_steps(surface: RibbonGraph, steps) -> HomologyClass:
         if i is not None:
             vec[i] += s
     return HomologyClass(surface, tuple(vec))
+
+
+def _sparse_class(surface: RibbonGraph, curve: CurveOnSurface) -> dict[int, int]:
+    """``curve_class`` as a sparse ``{basis index: count}`` map without
+    zero counts."""
+    if curve.host is not surface:
+        raise SurfaceError("curve lives on a different surface")
+    index = workspace(surface).index
+    counts: dict[int, int] = {}
+    for e, s in curve.walk:
+        i = index.get(e)
+        if i is not None:
+            counts[i] = counts.get(i, 0) + s
+    return {i: x for i, x in counts.items() if x}
 
 
 def algebraic_intersection(surface: RibbonGraph, x: HomologyClass, y: HomologyClass) -> int:

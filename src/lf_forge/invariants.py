@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .curves import CurveOnSurface
-from .homology import curve_class, homology_basis, workspace
+from .homology import _sparse_class, curve_class, homology_basis, workspace
 from .ribbon import RibbonGraph, SurfaceError
 
 
@@ -173,26 +173,34 @@ def _sparse_snf_diagonal(rows: list[dict[int, int]]) -> list[int]:
         prow = rows[p]
         if len(prow) != length:
             continue
-        units = [j for j, x in prow.items() if x in (1, -1)]
-        if not units:
+        c = -1  # the unit entry in the shortest column, lowest index first
+        for j, x in prow.items():
+            if x == 1 or x == -1:
+                k = len(cols[j])
+                if c < 0 or k < best or k == best and j < c:
+                    c, best = j, k
+        if c < 0:
             continue
-        c = min(units, key=lambda j: (len(cols[j]), j))
-        for i in cols[c] - {p}:
+        pc = prow.pop(c)
+        for i in cols.pop(c):
+            if i == p:
+                continue
             row = rows[i]
-            f = row[c] * prow[c]
+            f = row.pop(c) * pc
             for j, x in prow.items():
-                y = row.get(j, 0) - f * x
-                if y:
+                y = row.get(j)
+                if y is None:
+                    row[j] = -f * x
                     cols[j].add(i)
-                    row[j] = y
-                else:
+                elif y == f * x:
                     del row[j]
-                    cols[j].discard(i)
+                    cols[j].remove(i)
+                else:
+                    row[j] = y - f * x
             if row:
                 heapq.heappush(heap, (len(row), i))
         for j in prow:
             cols[j].discard(p)
-        del cols[c]
         rows[p] = {}
         ones += 1
     residue_cols = sorted(j for j, rs in cols.items() if rs)
@@ -225,19 +233,14 @@ def total_space_euler(fiber: RibbonGraph, cycles) -> int:
     return fiber.euler_characteristic() + len(cycles)
 
 
-def _class_matrix(fiber: RibbonGraph, cycles) -> list[list[int]]:
-    basis = homology_basis(fiber)
-    cols = [curve_class(fiber, c).vector for c in cycles]
-    return [[col[i] for col in cols] for i in range(len(basis))]
-
-
 def total_space_homology(fiber: RibbonGraph, cycles) -> tuple[FinAbGroup, FinAbGroup]:
-    """(H1, H2) of the total space: cokernel and kernel of the map sending
+    """(H1, H2) of the total space: cokernel and kernel of the map C sending
     each vanishing cycle to its fiber class, both read from one Smith normal
-    form.  H2 is free."""
-    m = _class_matrix(fiber, cycles)
-    diag = _snf_diagonal(m)
-    return _cokernel_from_diagonal(diag, len(m)), FinAbGroup.free(len(cycles) - len(diag))
+    form.  H2 is free.  The elimination runs on the sparse class maps as the
+    rows of C^T, which has the invariant factors of C."""
+    n = len(homology_basis(fiber))
+    diag = _sparse_snf_diagonal([_sparse_class(fiber, c) for c in cycles])
+    return _cokernel_from_diagonal(diag, n), FinAbGroup.free(len(cycles) - len(diag))
 
 
 # -- open books -------------------------------------------------------------------
@@ -299,18 +302,16 @@ def monodromy_arc_relations(book: OpenBook) -> list[list[int]]:
 def _bordered_presentation(n: int, classes, pair) -> list[dict[int, int]]:
     """Sparse rows of B = [[0, C], [-C^T, (I - U)^T]], (n + m) x (n + m).
 
-    ``classes`` are the m columns of C (length-n class vectors) and U_jk is
-    ``pair[j][k]`` for j < k; entries on and below the diagonal of ``pair``
-    are not read.
+    ``classes`` are the m columns of C as sparse ``{row: entry}`` maps with
+    rows below n and no zero entries, and U_jk is ``pair[j][k]`` for j < k;
+    entries on and below the diagonal of ``pair`` are not read.
     """
-    m = len(classes)
     rows: list[dict[int, int]] = [{} for _ in range(n)]
-    for k, vec in enumerate(classes):
+    for k, col in enumerate(classes):
         row = {n + k: 1}
-        for i, x in enumerate(vec):
-            if x:
-                rows[i][n + k] = x
-                row[i] = -x
+        for i, x in col.items():
+            rows[i][n + k] = x
+            row[i] = -x
         for j in range(k):
             if pair[j][k]:
                 row[n + j] = -pair[j][k]
@@ -330,7 +331,7 @@ def open_book_h1(book: OpenBook) -> FinAbGroup:
     """
     page = book.page
     n = len(homology_basis(page))
-    classes = [curve_class(page, c).vector for c in book.word]
+    classes = [_sparse_class(page, c) for c in book.word]
     pair = workspace(page).pairing_matrix(book.word)
     rows = _bordered_presentation(n, classes, pair)
     return _cokernel_from_diagonal(_sparse_snf_diagonal(rows), len(rows))

@@ -95,8 +95,9 @@ class RibbonGraph:
 
     def _check(self, rotation) -> None:
         """Validate the data and build the lookup tables: ``rotation``,
-        ``_vertex_of`` (the vertex of every half-edge) and ``_next``/``_prev``
-        (the cyclic successor and predecessor at that vertex)."""
+        ``_vertex_of`` (the vertex of every half-edge), ``_next``/``_prev``
+        (the cyclic successor and predecessor at that vertex) and ``_pos``
+        (the index of every half-edge in its vertex's rotation)."""
         if len(set(self.vertices)) != len(self.vertices):
             raise SurfaceError("duplicate vertex ids")
         if len(set(self.edges)) != len(self.edges):
@@ -125,6 +126,7 @@ class RibbonGraph:
         self._vertex_of = seen
         self._next = {a: b for rot in self.rotation.values() for a, b in zip(rot, rot[1:] + rot[:1])}
         self._prev = {b: a for a, b in self._next.items()}
+        self._pos = {h: i for rot in self.rotation.values() for i, h in enumerate(rot)}
 
     # -- basic structure ---------------------------------------------------
 

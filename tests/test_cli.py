@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from lf_forge import cli
 from lf_forge.cli import main
 
 
@@ -163,3 +164,16 @@ def test_verbose_notes_go_to_stderr(capsys):
     assert code == 0
     assert "built johns genus 0" in err
     assert "built" not in out
+
+
+@pytest.mark.parametrize("argv", [["generate", "johns"], ["verify"], ["compare"]])
+def test_internal_error_exits_3_with_its_traceback(capsys, monkeypatch, argv):
+    def broken(genus):
+        raise KeyError("broken builder")
+
+    monkeypatch.setitem(cli._BUILDERS, "johns", broken)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("Traceback")
+    assert "KeyError: 'broken builder'" in err

@@ -308,6 +308,14 @@ def test_empty_words_raise_instead_of_no_isomorphism():
         find_isomorphism(empty, empty)
 
 
+def test_family_matching_needs_no_recursion_at_large_genus():
+    # Family b has 2g + 2 cycles; one nested call per cycle would exceed
+    # the interpreter's recursion limit from g = 495.
+    iso = find_isomorphism(johns_fibration(500), ishikawa_fibration(500))
+    assert iso is not None
+    assert iso.orientation_preserving
+
+
 def test_isomorphism_is_symmetric(built):
     assert find_isomorphism(built("ishikawa", 1), built("johns", 1)) is not None
 

@@ -9,6 +9,7 @@ from lf_forge.curves import CurveOnSurface, TransversalityError
 from lf_forge.homology import (
     HomologyClass,
     Workspace,
+    _sparse_class,
     algebraic_intersection,
     class_from_steps,
     curve_class,
@@ -59,6 +60,17 @@ def test_class_from_steps_matches_curve_class(punctured_torus):
     walk = (("a", 1), ("b", 1), ("a", 1))
     by_curve = curve_class(punctured_torus, CurveOnSurface(punctured_torus, "w", walk))
     assert class_from_steps(punctured_torus, walk) == by_curve
+
+
+def test_sparse_class_is_the_nonzero_part_of_curve_class(built):
+    # The reversals make every count negative, which no built word has.
+    for construction in ("johns", "ishikawa"):
+        fib = built(construction, 3)
+        for c in fib.word + tuple(c.reversed_curve() for c in fib.word):
+            vector = curve_class(fib.fiber, c).vector
+            assert _sparse_class(fib.fiber, c) == {i: x for i, x in enumerate(vector) if x}
+    with pytest.raises(SurfaceError, match="different surface"):
+        _sparse_class(built("johns", 1).fiber, built("johns", 2).word[0])
 
 
 # -- intersection pairing ---------------------------------------------------------
@@ -198,6 +210,51 @@ def test_word_pairing_equals_class_pairing(built, relabelled, construction):
             assert workspace(f.fiber).pairing_matrix(f.word) == [
                 [algebraic_intersection(f.fiber, x, y) for y in classes] for x in classes
             ]
+
+
+def reference_pairing(surface, curves, push):
+    """Oracle for ``Workspace.pairing_matrix``: the corner rule with the
+    marked points of each vertex disk of the normalized presentation keyed
+    by (half-edge, point), where "R" lies just before the attachment, "S"
+    is the attachment and "L" lies just after it, at 3k, 3k + 1 and 3k + 2
+    for rotation position k.  Every pass of each curve is held against
+    every pass of each other curve; q's chord runs from L to R when
+    ``push``, from S to S otherwise."""
+    norm = surface.normalized()
+    slots = {}
+    for rot in norm.rotation.values():
+        for k, h in enumerate(rot):
+            slots[(h, "R")], slots[(h, "S")], slots[(h, "L")] = 3 * k, 3 * k + 1, 3 * k + 2
+    q_in, q_out = ("L", "R") if push else ("S", "S")
+    m = [[0] * len(curves) for _ in curves]
+    for i, x in enumerate(curves):
+        for j, y in enumerate(curves):
+            if i == j:
+                continue
+            for v, x_in, x_out, _ in x.passes():
+                for w, y_in, y_out, _ in y.passes():
+                    if v != w:
+                        continue
+                    n = 3 * len(norm.rotation[v])
+                    start = slots[(x_in, "S")]
+                    r_out = (slots[(x_out, "S")] - start) % n
+                    r_qin = (slots[(y_in, q_in)] - start) % n
+                    r_qout = (slots[(y_out, q_out)] - start) % n
+                    if 0 < r_qin < r_out < r_qout:
+                        m[i][j] += 1
+                    elif 0 < r_qout < r_out < r_qin:
+                        m[i][j] -= 1
+    return m
+
+
+@pytest.mark.parametrize("construction", ["johns", "ishikawa"])
+def test_word_pairing_equals_the_named_point_reference(built, relabelled, mirrored, construction):
+    for genus in range(9):
+        fib = built(construction, genus)
+        for f in (fib, relabelled(fib, genus), mirrored(fib)):
+            ws = workspace(f.fiber)
+            for push in (True, False):
+                assert ws.pairing_matrix(f.word, push=push) == reference_pairing(f.fiber, f.word, push)
 
 
 def test_open_book_rejects_a_pairing_that_is_not_antisymmetric(built, monkeypatch):

@@ -10,6 +10,7 @@ from lf_forge.invariants import (
     FinAbGroup,
     _bordered_presentation,
     _snf_diagonal,
+    _sparse_snf_diagonal,
     boundary_open_book,
     cokernel,
     monodromy_arc_relations,
@@ -141,6 +142,14 @@ def test_snf_diagonal_matches_smith_normal_form_on_sparse_unit_matrices(m):
     assert _snf_diagonal(m) == snf_oracle_diagonal(m)
 
 
+@given(sparse_matrices)
+def test_sparse_peel_gives_a_matrix_and_its_transpose_the_same_factors(m):
+    # total_space_homology eliminates the rows of C^T for the factors of C.
+    rows = [{j: x for j, x in enumerate(r) if x} for r in m]
+    columns = [{i: r[j] for i, r in enumerate(m) if r[j]} for j in range(len(m[0]))]
+    assert _sparse_snf_diagonal(rows) == _sparse_snf_diagonal(columns) == snf_oracle_diagonal(m)
+
+
 def test_snf_diagonal_known_cases():
     assert _snf_diagonal([[2, 0], [0, 3]]) == [1, 6]
     assert _snf_diagonal([[1, 2], [3, 4]]) == [1, 2]
@@ -230,6 +239,26 @@ def test_total_space_homology_with_empty_word(punctured_torus):
     assert h2 == FinAbGroup.trivial()
 
 
+def dense_total_space_homology(fiber, cycles):
+    """Oracle for ``total_space_homology``: the dense n x m matrix C whose
+    columns are the cycle classes, with H1 = coker C and H2 = ker C of rank
+    m minus the number of nonzero factors ``smith_normal_form`` finds."""
+    n = len(homology_basis(fiber))
+    cols = [curve_class(fiber, c).vector for c in cycles]
+    matrix = [[col[i] for col in cols] for i in range(n)]
+    d, _, _ = smith_normal_form(matrix)
+    rank = sum(1 for i in range(min(n, len(cols))) if d[i][i])
+    return cokernel(matrix, n), FinAbGroup.free(len(cycles) - rank)
+
+
+@pytest.mark.parametrize("construction", ["johns", "ishikawa", "sphere"])
+def test_total_space_homology_equals_the_dense_class_matrix(built, relabelled, construction):
+    for g in [0] if construction == "sphere" else range(9):
+        fib = built(construction, g)
+        for f in (fib, relabelled(fib, g)):
+            assert total_space_homology(f.fiber, f.word) == dense_total_space_homology(f.fiber, f.word)
+
+
 # -- open-book relations -------------------------------------------------------------
 
 
@@ -281,7 +310,8 @@ def classes_and_pairings(draw):
 def test_bordered_presentation_has_the_cokernel_of_the_arc_relations(data):
     n, classes, pair = data
     m = len(classes)
-    rows = _bordered_presentation(n, classes, pair)
+    sparse = [{i: x for i, x in enumerate(vec) if x} for vec in classes]
+    rows = _bordered_presentation(n, sparse, pair)
     dense = [[r.get(j, 0) for j in range(n + m)] for r in rows]
     assert cokernel(dense, n + m) == cokernel(recurrence_relations(n, classes, pair), n)
 
