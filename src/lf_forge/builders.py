@@ -326,8 +326,8 @@ def divide_fiber_model(divide: Divide) -> DivideFiberModel:
         for t, h in enumerate(orbit):
             e, end = h
             steps.append((e, 1 if end == 0 else -1))
-            landing = divide.partner(h)
-            v = divide.vertex_of(landing)
+            landing = RibbonGraph.partner(h)
+            v = divide.graph.vertex_of(landing)
             depart = orbit[(t + 1) % len(orbit)]
             site_a = site_of_corner[(v, white_corner_slot[landing])]
             site_b = site_of_corner[(v, white_corner_slot[depart])]

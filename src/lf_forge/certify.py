@@ -33,8 +33,6 @@ def expected_boundary_group(genus: int) -> FinAbGroup:
     e = abs(2 - 2 * genus)
     if e == 0:
         return FinAbGroup(2 * genus + 1, ())
-    if e == 1:
-        return FinAbGroup(2 * genus, ())
     return FinAbGroup(2 * genus, (e,))
 
 

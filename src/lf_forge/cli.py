@@ -207,14 +207,12 @@ def _parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run all invariant checks")
     v.set_defaults(run=cmd_verify)
-    v.add_argument("--format", default="json", choices=("json",))
     common(v)
 
     c = sub.add_parser("compare", help="search for the fibration isomorphism")
     c.set_defaults(run=cmd_compare)
     c.add_argument("--against", default=None,
                    help="compare against construction:genus instead of ishikawa")
-    c.add_argument("--format", default="json", choices=("json",))
     common(c, construction_flag=False)
 
     e = sub.add_parser("export", help="write the underlying combinatorial objects")

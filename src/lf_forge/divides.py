@@ -1,13 +1,13 @@
 """Immersed curve systems on closed oriented surfaces, crossings only.
 
 A divide is the image of a curve system whose only singularities are
-transverse double points.  It is stored as a 4-valent graph with a rotation
-system: crossings are vertices, the arcs between consecutive crossings are
+transverse double points.  It is stored as an untwisted 4-valent ribbon
+graph: crossings are vertices, the arcs between consecutive crossings are
 edges, and each crossing lists its four half-edge slots counterclockwise.
 The curves themselves are recovered by entering a crossing and leaving
-through the opposite slot.  Complementary faces are traced from the rotation
-data; they are disks, so the data pins down a closed oriented ambient
-surface and its genus.
+through the opposite slot.  The complementary faces are the boundary circles
+of the graph's thickening; capping them with disks gives the closed oriented
+ambient surface, whose genus is the thickening's.
 
 Admissibility asks for connectedness plus a checkerboard coloring of the
 faces.  The coloring drives the Morse counts and, downstream, which corners
@@ -36,82 +36,24 @@ VALENCE = 4
 
 
 class Divide:
-    """Immutable 4-valent rotation graph.
+    """Immutable divide: an untwisted 4-valent ``RibbonGraph``, ``graph``.
 
-    Parameters mirror RibbonGraph minus twists: ``rotation`` maps each
-    crossing to its four half-edges in counterclockwise order, and every
-    half-edge (e, 0), (e, 1) must occur exactly once overall.
+    ``rotation`` maps each crossing to its four half-edges in counterclockwise
+    order, and every half-edge (e, 0), (e, 1) must occur exactly once overall.
+    The graph validates that and holds the half-edge tables; the faces are
+    the boundary circles of its thickening.
     """
 
     def __init__(self, vertices, edges, rotation):
-        self.vertices = tuple(sorted(vertices))
-        self.edges = tuple(sorted(edges))
-        self._check(rotation)
-        self._vertex_of = {}
-        self._slot = {}
-        for v in self.vertices:
-            for k, h in enumerate(self.rotation[v]):
-                self._vertex_of[h] = v
-                self._slot[h] = k
-        self._cache = {}
-
-    def _check(self, rotation):
-        """Validate the data; sets ``rotation`` from the caller's mapping."""
-        if len(set(self.vertices)) != len(self.vertices):
-            raise DivideError("duplicate vertex ids")
-        if len(set(self.edges)) != len(self.edges):
-            raise DivideError("duplicate edge ids")
-        for e in self.edges:
-            if e.startswith("-"):
-                raise DivideError(f"edge id may not start with '-': {e!r}")
-        if set(rotation) != set(self.vertices):
-            raise DivideError("rotation keys must match vertex set")
-        self.rotation = {v: tuple((str(e), int(i)) for e, i in rotation[v]) for v in self.vertices}
-        seen = set()
-        for v, rot in self.rotation.items():
+        try:
+            self.graph = RibbonGraph(vertices, edges, rotation)
+        except SurfaceError as exc:
+            raise DivideError(str(exc)) from exc
+        for v, rot in self.graph.rotation.items():
             if len(rot) != VALENCE:
                 raise DivideError(f"crossing {v!r} has {len(rot)} slots, divides need exactly {VALENCE}")
-            for h in rot:
-                if h in seen:
-                    raise DivideError(f"half-edge {h} attached twice")
-                seen.add(h)
-        expected = {(e, i) for e in self.edges for i in (0, 1)}
-        if seen != expected:
-            missing = expected - seen
-            extra = seen - expected
-            raise DivideError(f"half-edge mismatch: missing {sorted(missing)}, unknown {sorted(extra)}")
-
-    # -- structure -----------------------------------------------------------
-
-    def vertex_of(self, half_edge: HalfEdge) -> str:
-        return self._vertex_of[half_edge]
-
-    def edge_endpoints(self, edge: str) -> tuple[str, str]:
-        return self._vertex_of[(edge, 0)], self._vertex_of[(edge, 1)]
-
-    @staticmethod
-    def partner(half_edge: HalfEdge) -> HalfEdge:
-        e, i = half_edge
-        return (e, 1 - i)
-
-    def opposite_slot(self, half_edge: HalfEdge) -> HalfEdge:
-        """The slot the immersed curve continues through."""
-        v = self._vertex_of[half_edge]
-        return self.rotation[v][(self._slot[half_edge] + 2) % VALENCE]
-
-    def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            v = stack.pop()
-            for h in self.rotation[v]:
-                w = self._vertex_of[self.partner(h)]
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
+        self.vertices, self.edges, self.rotation = self.graph.vertices, self.graph.edges, self.graph.rotation
+        self._cache = {}
 
     # -- curve components ----------------------------------------------------
 
@@ -123,6 +65,7 @@ class Divide:
         """
         if "components" in self._cache:
             return self._cache["components"]
+        nxt = self.graph.rotation_next
         claimed = set()
         walks = []
         for e in self.edges:
@@ -133,8 +76,8 @@ class Divide:
             while True:
                 walk.append(step)
                 claimed.add(step[0])
-                arrive = (step[0], 1 if step[1] == 1 else 0)
-                depart = self.opposite_slot(arrive)
+                # the curve leaves through the slot opposite the arriving one
+                depart = nxt(nxt((step[0], 1 if step[1] == 1 else 0)))
                 step = (depart[0], 1 if depart[1] == 0 else -1)
                 if step == (e, 1):
                     break
@@ -146,36 +89,32 @@ class Divide:
     # -- faces -----------------------------------------------------------------
 
     def faces(self) -> tuple[tuple[HalfEdge, ...], ...]:
-        """Complementary disks as half-edge orbits of next-after-partner.
+        """Complementary disks as half-edge orbits of next-after-partner:
+        the boundary circles of the graph's thickening.
 
-        Each orbit is rebased to start at its least half-edge and the orbits
-        are sorted, so face indices are canonical.
+        The half-edges are visited in sorted order, so each orbit starts at
+        its least half-edge and the orbits come sorted: face indices are
+        canonical.
         """
         if "faces" in self._cache:
             return self._cache["faces"]
-        todo = sorted(self._vertex_of)
+        nxt, partner = self.graph.rotation_next, RibbonGraph.partner
         seen = set()
         orbits = []
-        for start in todo:
+        for start in ((e, i) for e in self.edges for i in (0, 1)):
             if start in seen:
                 continue
             orbit = [start]
             seen.add(start)
-            cur = self._face_next(start)
+            cur = nxt(partner(start))
             while cur != start:
                 orbit.append(cur)
                 seen.add(cur)
-                cur = self._face_next(cur)
-            k = orbit.index(min(orbit))
-            orbits.append(tuple(orbit[k:] + orbit[:k]))
-        result = tuple(sorted(orbits))
+                cur = nxt(partner(cur))
+            orbits.append(tuple(orbit))
+        result = tuple(orbits)
         self._cache["faces"] = result
         return result
-
-    def _face_next(self, half_edge: HalfEdge) -> HalfEdge:
-        k = self.partner(half_edge)
-        rot = self.rotation[self._vertex_of[k]]
-        return rot[(self._slot[k] + 1) % VALENCE]
 
     def face_of(self, half_edge: HalfEdge) -> int:
         if "face_of" not in self._cache:
@@ -187,15 +126,8 @@ class Divide:
         return self.face_of(self.rotation[vertex][(slot + 1) % VALENCE])
 
     def euler_characteristic(self) -> int:
-        return len(self.vertices) - len(self.edges) + len(self.faces())
-
-    def ambient_genus(self) -> int:
-        if not self.is_connected():
-            raise DivideError("ambient genus requires a connected divide")
-        chi = self.euler_characteristic()
-        if chi % 2 or chi > 2:
-            raise DivideError(f"impossible Euler characteristic {chi} for a closed oriented surface")
-        return (2 - chi) // 2
+        """Of the closed surface: the graph's plus one disk per face."""
+        return self.graph.euler_characteristic() + len(self.faces())
 
     # -- serialization ---------------------------------------------------------
 
@@ -204,7 +136,7 @@ class Divide:
             "schema": "divide/1",
             "vertices": list(self.vertices),
             "edges": [
-                {"id": e, "tail": self._vertex_of[(e, 0)], "head": self._vertex_of[(e, 1)]}
+                {"id": e, "tail": self.graph.vertex_of((e, 0)), "head": self.graph.vertex_of((e, 1))}
                 for e in self.edges
             ],
             "rotation": {v: [RibbonGraph.half_edge_id(h) for h in self.rotation[v]] for v in self.vertices},
@@ -230,7 +162,7 @@ class Divide:
             raise DivideError(str(exc)) from exc
         divide = cls(vertices, edges, parsed)
         for e, ends in zip(edges, declared):
-            if divide.edge_endpoints(e) != ends:
+            if divide.graph.edge_endpoints(e) != ends:
                 raise DivideError(f"edge {e!r} endpoints disagree with rotation placement")
         return divide
 
@@ -267,14 +199,7 @@ class Divide:
         return cls(rotation.keys(), edges, rotation)
 
     def to_dot(self, name: str = "divide") -> str:
-        lines = [f"graph {name} {{"]
-        for v in self.vertices:
-            lines.append(f'  "{v}";')
-        for e in self.edges:
-            t, h = self.edge_endpoints(e)
-            lines.append(f'  "{t}" -- "{h}" [label="{e}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        return self.graph.to_dot(name)
 
     def __repr__(self):
         return f"Divide(V={len(self.vertices)}, E={len(self.edges)})"
@@ -389,7 +314,7 @@ class AdmissibilityReport:
 
 def check_admissible(divide: Divide) -> AdmissibilityReport:
     """Connectedness plus checkerboard colorability, with the counts."""
-    connected = divide.is_connected()
+    connected = divide.graph.is_connected()
     faces = divide.faces()
     chi = divide.euler_characteristic()
     genus = None
@@ -398,7 +323,7 @@ def check_admissible(divide: Divide) -> AdmissibilityReport:
     if not connected:
         problem = "divide is not connected"
     else:
-        genus = divide.ambient_genus()
+        genus = divide.graph.invariants().genus
         try:
             checkerboard_coloring(divide)
             colorable = True

@@ -292,8 +292,7 @@ class RibbonGraph:
         if not self.twists and all(s == 1 for s in eps.values()):
             self._cache["normalized"] = self
             return self
-        rotation = _oriented_rotation(self.rotation, edge_links(self.edges, self._vertex_of), self.twists, eps)
-        norm = RibbonGraph(self.vertices, self.edges, rotation, ())
+        norm = RibbonGraph(self.vertices, self.edges, _oriented_rotation(self.rotation, eps), ())
         self._cache["normalized"] = norm
         return norm
 
@@ -436,7 +435,7 @@ class RibbonGraph:
             raise NonOrientableError("cannot orient a non-orientable surface")
         eps = self.local_orientations()
         ref = 1 if eps is None else eps[vertices[0]]
-        return RibbonGraph(vertices, edges, _oriented_rotation(rotation, links, twists, signs, ref), ()), edge_map
+        return RibbonGraph(vertices, edges, _oriented_rotation(rotation, signs, ref), ()), edge_map
 
     # -- serialization -------------------------------------------------------
 
@@ -550,11 +549,9 @@ def orientation_signs(vertices, links, twists) -> tuple[dict[str, int] | None, i
     return (eps if consistent else None), components
 
 
-def _oriented_rotation(rotation, links, twists, signs, ref=1):
+def _oriented_rotation(rotation, signs, ref=1):
     """``rotation`` with every vertex whose sign is not ``ref`` reversed.
 
-    The signs must clear every twist: a band is twisted exactly when its
-    ends' signs differ."""
-    if any((e in twists) != (signs[t] != signs[h]) for e, t, h in links):
-        raise SurfaceError("orientation propagation left twisted edges")
+    The signs come from ``orientation_signs``, so they clear every twist: a
+    band is twisted exactly when its ends' signs differ."""
     return {v: rot if signs[v] == ref else rot[::-1] for v, rot in rotation.items()}

@@ -89,6 +89,42 @@ def relabelled():
     return _relabelled
 
 
+def _flipped(fib, seed):
+    """The same fibration as a document in which a seeded random half of
+    the fiber's edges run the other way: their two ends swap places in the
+    rotations and every walk step along them changes sign.  All names are
+    kept."""
+    rng = random.Random(seed)
+    doc = fib.to_json_dict()
+    fiber = doc["fiber"]
+    ids = [rec["id"] for rec in fiber["edges"]]
+    flip = set(rng.sample(ids, len(ids) // 2))
+
+    def half(token):
+        edge, _, end = token.rpartition(".")
+        return f"{edge}.{1 - int(end)}" if edge in flip else token
+
+    def step(token):
+        edge = token.lstrip("-")
+        if edge not in flip:
+            return token
+        return edge if token.startswith("-") else f"-{edge}"
+
+    fiber["rotation"] = {v: [half(t) for t in hs] for v, hs in fiber["rotation"].items()}
+    doc["vanishing_cycles"] = [
+        {"name": rec["name"], "walk": [step(t) for t in rec["walk"]]}
+        for rec in doc["vanishing_cycles"]
+    ]
+    return LefschetzFibration.from_json_dict(doc)
+
+
+@pytest.fixture(scope="session")
+def flipped():
+    """``flipped(fib, seed)``: ``fib`` with a seeded half of its edges
+    reversed and every name kept."""
+    return _flipped
+
+
 def _mirrored(fib):
     """``fib`` rebuilt from its document with every rotation reversed: the
     same fibration, opposite orientation."""

@@ -47,6 +47,32 @@ def test_rejects_duplicate_slot():
         )
 
 
+_X = (("e", 0), ("e", 1), ("f", 0), ("f", 1))
+
+
+@pytest.mark.parametrize("vertices, edges, rotation, message", [
+    (("x", "x"), ("e", "f"), {"x": _X}, "duplicate vertex ids"),
+    (("x",), ("e", "f", "f"), {"x": _X}, "duplicate edge ids"),
+    (("x",), ("-e", "f"), {"x": (("-e", 0), ("-e", 1), ("f", 0), ("f", 1))},
+     "edge id may not start with '-': '-e'"),
+    (("x",), ("e", "f"), {"y": _X}, "rotation keys must match vertex set"),
+    (("x", "y"), ("e", "f", "g", "h"),
+     {"x": (("e", 0), ("e", 1), ("f", 0)), "y": (("f", 1), ("g", 0), ("g", 1), ("h", 0), ("h", 1))},
+     "crossing 'x' has 3 slots, divides need exactly 4"),
+    (("x",), ("e", "f"), {"x": (("e", 0), ("e", 0), ("f", 0), ("f", 1))},
+     "half-edge ('e', 0) attached twice"),
+    (("x",), ("e", "f"), {"x": (("e", 0), ("e", 1), ("f", 0), ("g", 1))},
+     "half-edge mismatch: missing [('f', 1)], unknown [('g', 1)]"),
+], ids=["duplicate-vertex", "duplicate-edge", "minus-edge", "rotation-keys",
+        "three-slots", "attached-twice", "missing-and-unknown"])
+def test_constructor_names_each_fault(vertices, edges, rotation, message):
+    """One fault per input; the valence fault needs a second odd crossing,
+    since the half-edge count is even."""
+    with pytest.raises(DivideError) as err:
+        Divide(vertices, edges, rotation)
+    assert str(err.value) == message
+
+
 def test_faces_partition_half_edges():
     d = standard_divide(1)
     seen = [h for face in d.faces() for h in face]

@@ -12,6 +12,7 @@ from lf_forge.builders import (
     johns_pattern,
     realize_plumbing,
 )
+from lf_forge.certify import fibration_certificate
 from lf_forge.curves import CurveOnSurface
 from lf_forge.equivalence import (
     FibrationIso,
@@ -290,6 +291,23 @@ def test_skipping_seeds_keeps_the_full_scan_result(built, relabelled, mirrored,
                 assert not expected.orientation_preserving
             if not expected.orientation_preserving:
                 assert preserving.count(True) == 1
+
+
+@pytest.mark.parametrize("construction", ["johns", "ishikawa"])
+def test_reversing_edge_directions_changes_no_certificate(built, flipped, construction):
+    """An edge's direction is a naming convention: reversing a random half
+    of the edges leaves the fibration certificate and the isomorphism
+    certificate against the other build as they are."""
+    other = "ishikawa" if construction == "johns" else "johns"
+    for genus in range(9):
+        fib, lf2 = built(construction, genus), built(other, genus)
+        cert = fibration_certificate(fib)
+        iso = isomorphism_certificate(fib, lf2)
+        for seed in range(3):
+            lf1 = flipped(fib, seed)
+            assert lf1.fiber.rotation != fib.fiber.rotation
+            assert fibration_certificate(lf1) == cert
+            assert isomorphism_certificate(lf1, lf2) == iso
 
 
 def test_unreducible_fiber_raises_instead_of_no_isomorphism(built):

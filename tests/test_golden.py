@@ -1,7 +1,8 @@
 """Byte identity of the command line documents for g = 0..8.
 
-The digests pin stdout of the three document-producing commands; any change
-to a certificate, an isomorphism report or a fibration document shows here.
+The digests pin stdout of the four document-producing commands; any change
+to a certificate, an isomorphism report, a fibration document or a divide
+export shows here.
 The certificates of g = 9..18 are pinned too, which covers the genera the
 benchmark certifies from documents.  The `compare` stdout only ever pairs
 builds of the same orientation, so the certificates of relabelled and
@@ -26,6 +27,12 @@ GOLDEN = {
         "29e62518d71a2b29d2b82448e3f276d5425f9803265bda070a2e6fc8d22abadf",
     ("verify", "--genus", "9..18"):
         "fa5fb9256ed0d4fbcfdb4a0d75a088f2c617af1e2d9f6e36cb8a7934ae471b0f",
+    ("export", "divide", "--genus", "0..8", "--format", "json"):
+        "318c1895c441878297346764344d05e7e1463a8b59edab6b2b753830bfd2c44f",
+    ("export", "divide", "--genus", "0..8", "--format", "dot"):
+        "4b345054434700fa163863ab4091ca8747b44b9b62c92ef131d4b4a11b19187f",
+    ("export", "divide", "--genus", "0..8", "--format", "text"):
+        "4344b76547da6c5b43441c0238d99171301d5c30be68f76a1b612ceaf7d99b5a",
 }
 
 MIRRORED_AND_RELABELLED = "05f211f4e67fdb01b99bf8e1f5e8811a83d6996aa129fed01a49111efcfb3a47"
