@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curves import CurveOnSurface, Step, canonical_rotation, curve_from_json
+from .curves import CurveOnSurface, Step, canonical_rotation, curve_from_json, reversed_step, step_head_half
 from .divides import Divide, check_admissible, checkerboard_coloring, standard_divide
 from .ribbon import HalfEdge, RibbonGraph, SurfaceError, edge_links, json_field, orientation_signs
 
@@ -134,63 +134,45 @@ def simultaneous_surgery(surface: RibbonGraph, family_x, family_y) -> tuple[Curv
     The resolved curves are returned sorted by their least edge, each walk
     starting at that edge, named ``c0``, ``c1``, ...
     """
-    fams = {"x": tuple(family_x), "y": tuple(family_y)}
-    owner: dict[str, tuple[str, int, int]] = {}
-    for f, curves in fams.items():
-        for ci, c in enumerate(curves):
+    family_x, family_y = tuple(family_x), tuple(family_y)
+    owner: dict[str, Step] = {}
+    for curves in (family_x, family_y):
+        for c in curves:
             if c.host is not surface:
                 raise SurfaceError(f"curve {c.name!r} lives on a different surface")
             c.require_edge_simple()
-            for si, (e, _) in enumerate(c.walk):
-                if e in owner:
-                    raise SurfaceError(f"edge {e!r} is traversed twice; the families must be edge-disjoint")
-                owner[e] = (f, ci, si)
-
-    def family_passes(f: str) -> dict[str, tuple[int, HalfEdge, HalfEdge, int]]:
-        out = {}
-        for ci, c in enumerate(fams[f]):
-            for (v, hin, hout, i) in c.passes():
-                if v in out:
+            for step in c.walk:
+                if step[0] in owner:
+                    raise SurfaceError(f"edge {step[0]!r} is traversed twice; the families must be edge-disjoint")
+                owner[step[0]] = step
+    # depart[h]: the half-edge along which a strand arriving on h leaves
+    depart: dict[HalfEdge, HalfEdge] = {}
+    px: dict[str, tuple[HalfEdge, HalfEdge]] = {}
+    py: dict[str, tuple[HalfEdge, HalfEdge]] = {}
+    for curves, at in ((family_x, px), (family_y, py)):
+        for c in curves:
+            for v, hin, hout, _ in c.passes():
+                if v in at:
                     raise SurfaceError(f"one family passes vertex {v!r} twice; crossings must be simple")
-                out[v] = (ci, hin, hout, i)
-        return out
-
-    px, py = family_passes("x"), family_passes("y")
-    succ: dict[tuple[str, int, int], tuple[str, int, int]] = {}
-    for f, curves in fams.items():
-        for ci, c in enumerate(curves):
-            n = len(c.walk)
-            for si in range(n):
-                succ[(f, ci, si)] = (f, ci, (si + 1) % n)
-    for v in sorted(set(px) & set(py)):
-        xci, xin, xout, xi = px[v]
-        yci, yin, yout, yi = py[v]
-        if not _interleaved(surface, (xin, xout), (yin, yout)):
+                at[v] = (hin, hout)
+                depart[hin] = hout
+    pos = surface._pos
+    for v in sorted(px.keys() & py.keys()):
+        (xin, xout), (yin, yout) = px[v], py[v]
+        lo, hi = sorted((pos[xin], pos[xout]))
+        if (lo < pos[yin] < hi) == (lo < pos[yout] < hi):
             raise SurfaceError(f"the families meet tangentially at vertex {v!r}")
-        succ[("x", xci, xi)] = ("y", yci, (yi + 1) % len(fams["y"][yci].walk))
-        succ[("y", yci, yi)] = ("x", xci, (xi + 1) % len(fams["x"][xci].walk))
-
-    def step_at(key):
-        f, ci, si = key
-        return fams[f][ci].walk[si]
+        depart[xin], depart[yin] = yout, xout
 
     outputs = []
-    consumed = set()
     for e in sorted(owner):
-        if e in consumed:
+        if e not in owner:
             continue
-        start = owner[e]
-        walk = []
-        key = start
-        while True:
-            st = step_at(key)
-            walk.append(st)
-            consumed.add(st[0])
-            key = succ[key]
-            if key == start:
-                break
-        outputs.append(tuple(walk))
-    return tuple(CurveOnSurface(surface, f"c{i}", w) for i, w in enumerate(outputs))
+        walk = [owner.pop(e)]
+        while (nxt := depart[step_head_half(walk[-1])][0]) != e:
+            walk.append(owner.pop(nxt))
+        outputs.append(CurveOnSurface(surface, f"c{len(outputs)}", tuple(walk)))
+    return tuple(outputs)
 
 
 def replay_closing_smoothing(surface: RibbonGraph, family_x, family_y, closing) -> tuple[bool, str | None]:
@@ -208,14 +190,6 @@ def replay_closing_smoothing(surface: RibbonGraph, family_x, family_y, closing) 
         if canonical_rotation(out.walk) not in wanted:
             return False, f"smoothing output {out.name!r} does not match any black face cycle"
     return True, None
-
-
-def _interleaved(surface: RibbonGraph, x_halves, y_halves) -> bool:
-    """Whether two strand passes through one vertex cross transversally
-    inside its disk."""
-    pos = surface._pos
-    lo, hi = sorted((pos[x_halves[0]], pos[x_halves[1]]))
-    return (lo < pos[y_halves[0]] < hi) != (lo < pos[y_halves[1]] < hi)
 
 
 # -- the divide fiber --------------------------------------------------------------
@@ -334,8 +308,8 @@ def divide_fiber_model(divide: Divide) -> DivideFiberModel:
             _require(site_a != site_b, f"black passage at {v!r} does not cross the roundabout")
             steps.extend(_roundabout_passage(v, from_w0=site_a.endswith("_w0")))
         # the smoothing orientation runs against the black face walk
-        curve = CurveOnSurface(fiber, f"c{j}", tuple(steps)).reversed_curve()
-        black_cycles.append(curve)
+        walk = tuple(reversed_step(st) for st in reversed(steps))
+        black_cycles.append(CurveOnSurface(fiber, f"c{j}", walk))
 
     ok, witness = replay_closing_smoothing(fiber, white_cycles, crossing_cycles, black_cycles)
     _require(ok, witness)

@@ -45,13 +45,17 @@ class Divide:
     """
 
     def __init__(self, vertices, edges, rotation):
+        vertices = tuple(vertices)
+        # before the graph's checks: an odd crossing also leaves a half-edge
+        # unpaired, and the graph would name only that
+        if set(rotation) == set(vertices):
+            for v in sorted(rotation):
+                if len(rotation[v]) != VALENCE:
+                    raise DivideError(f"crossing {v!r} has {len(rotation[v])} slots, divides need exactly {VALENCE}")
         try:
             self.graph = RibbonGraph(vertices, edges, rotation)
         except SurfaceError as exc:
             raise DivideError(str(exc)) from exc
-        for v, rot in self.graph.rotation.items():
-            if len(rot) != VALENCE:
-                raise DivideError(f"crossing {v!r} has {len(rot)} slots, divides need exactly {VALENCE}")
         self.vertices, self.edges, self.rotation = self.graph.vertices, self.graph.edges, self.graph.rotation
         self._cache = {}
 
@@ -298,19 +302,6 @@ class AdmissibilityReport:
     def admissible(self) -> bool:
         return self.connected and self.colorable
 
-    def to_json_dict(self) -> dict:
-        return {
-            "admissible": self.admissible,
-            "connected": self.connected,
-            "crossings": self.crossings,
-            "arcs": self.arcs,
-            "faces": self.faces,
-            "euler": self.euler,
-            "ambient_genus": self.ambient_genus,
-            "colorable": self.colorable,
-            "problem": self.problem,
-        }
-
 
 def check_admissible(divide: Divide) -> AdmissibilityReport:
     """Connectedness plus checkerboard colorability, with the counts."""
@@ -323,7 +314,7 @@ def check_admissible(divide: Divide) -> AdmissibilityReport:
     if not connected:
         problem = "divide is not connected"
     else:
-        genus = divide.graph.invariants().genus
+        genus = (2 - chi) // 2
         try:
             checkerboard_coloring(divide)
             colorable = True

@@ -136,6 +136,51 @@ def test_surgery_rejects_repeated_vertex_pass():
         simultaneous_surgery(surface, [x], [y])
 
 
+def _surgery_fault_cases():
+    """(id, x curves, y curves, surface, message)."""
+    loops = RibbonGraph(("v",), ("a", "b", "c"),
+                        {"v": (("a", 0), ("b", 0), ("a", 1), ("b", 1), ("c", 0), ("c", 1))})
+    crossing = RibbonGraph(("v",), ("a", "b"), {"v": (("a", 0), ("b", 0), ("a", 1), ("b", 1))})
+    copy = RibbonGraph.from_json_dict(crossing.to_json_dict())
+    touching = RibbonGraph(("v",), ("a", "b"), {"v": (("a", 0), ("a", 1), ("b", 0), ("b", 1))})
+    # two vertices where x and y meet tangentially; x reaches w before u
+    twice = RibbonGraph(("w", "u"), ("p", "q", "r", "s"), {
+        "u": (("q", 1), ("p", 0), ("s", 1), ("r", 0)),
+        "w": (("p", 1), ("q", 0), ("r", 1), ("s", 0)),
+    })
+
+    def on(surface, name, *walk):
+        return [CurveOnSurface(surface, name, walk)]
+
+    return [
+        ("other-host", on(copy, "x", ("a", 1)), on(crossing, "y", ("b", 1)), crossing,
+         "curve 'x' lives on a different surface"),
+        ("repeated-edge", on(crossing, "x", ("a", 1), ("a", 1)), on(crossing, "y", ("b", 1)), crossing,
+         "curve 'x' repeats an edge"),
+        ("shared-edge", on(crossing, "x", ("a", 1)), on(crossing, "y", ("b", 1), ("a", 1)), crossing,
+         "edge 'a' is traversed twice; the families must be edge-disjoint"),
+        ("vertex-twice", on(loops, "x", ("a", 1), ("b", 1)), on(loops, "y", ("c", 1)), loops,
+         "one family passes vertex 'v' twice; crossings must be simple"),
+        ("tangency", on(touching, "x", ("a", 1)), on(touching, "y", ("b", 1)), touching,
+         "the families meet tangentially at vertex 'v'"),
+        ("vertex-twice-and-shared-edge", on(loops, "x", ("a", 1), ("b", 1)), on(loops, "y", ("b", 1)), loops,
+         "edge 'b' is traversed twice; the families must be edge-disjoint"),
+        ("two-tangencies", on(twice, "x", ("p", 1), ("q", 1)), on(twice, "y", ("r", 1), ("s", 1)), twice,
+         "the families meet tangentially at vertex 'u'"),
+    ]
+
+
+@pytest.mark.parametrize("case", _surgery_fault_cases(), ids=lambda case: case[0])
+def test_surgery_names_each_fault(case):
+    """The exact message, and with coinciding faults the one reported
+    first: edge-disjointness before vertex passes, the least tangential
+    vertex."""
+    _, x, y, surface, message = case
+    with pytest.raises(SurfaceError) as err:
+        simultaneous_surgery(surface, x, y)
+    assert str(err.value) == message
+
+
 # -- the divide fiber model --------------------------------------------------------
 
 

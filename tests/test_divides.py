@@ -11,6 +11,7 @@ from lf_forge.divides import (
     morse_data,
     standard_divide,
 )
+from lf_forge.ribbon import RibbonGraph
 
 
 def figure_eight():
@@ -63,11 +64,13 @@ _X = (("e", 0), ("e", 1), ("f", 0), ("f", 1))
      "half-edge ('e', 0) attached twice"),
     (("x",), ("e", "f"), {"x": (("e", 0), ("e", 1), ("f", 0), ("g", 1))},
      "half-edge mismatch: missing [('f', 1)], unknown [('g', 1)]"),
+    (("x",), ("e", "f"), {"x": (("e", 0), ("e", 1), ("f", 0))},
+     "crossing 'x' has 3 slots, divides need exactly 4"),
 ], ids=["duplicate-vertex", "duplicate-edge", "minus-edge", "rotation-keys",
-        "three-slots", "attached-twice", "missing-and-unknown"])
+        "three-slots", "attached-twice", "missing-and-unknown", "lone-three-slots"])
 def test_constructor_names_each_fault(vertices, edges, rotation, message):
-    """One fault per input; the valence fault needs a second odd crossing,
-    since the half-edge count is even."""
+    """One fault per input, except that a lone odd crossing always leaves a
+    half-edge unpaired too: the valence is named first."""
     with pytest.raises(DivideError) as err:
         Divide(vertices, edges, rotation)
     assert str(err.value) == message
@@ -94,6 +97,25 @@ def test_necklace_counts(genus):
     assert rep.faces == 4
     assert rep.euler == 2 - 2 * genus
     assert rep.ambient_genus == genus
+
+
+def test_admissibility_traces_the_faces_once(monkeypatch):
+    """The ambient genus comes from the face count ``check_admissible``
+    already has, not from a second trace of the boundary circles."""
+    calls = []
+    count = RibbonGraph.num_boundary_components
+
+    def counted(self):
+        calls.append(self)
+        return count(self)
+
+    monkeypatch.setattr(RibbonGraph, "num_boundary_components", counted)
+    divides = [standard_divide(genus) for genus in range(9)]
+    reports = [check_admissible(d) for d in divides]
+    assert calls == []
+    monkeypatch.undo()
+    for genus, d, rep in zip(range(9), divides, reports):
+        assert rep.ambient_genus == d.graph.invariants().genus == genus
 
 
 @pytest.mark.parametrize("genus", range(6))

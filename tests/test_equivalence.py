@@ -1,6 +1,7 @@
 """Reduced-presentation comparison and the isomorphism search."""
 
 import itertools
+import random
 
 import pytest
 
@@ -308,6 +309,33 @@ def test_reversing_edge_directions_changes_no_certificate(built, flipped, constr
             assert lf1.fiber.rotation != fib.fiber.rotation
             assert fibration_certificate(lf1) == cert
             assert isomorphism_certificate(lf1, lf2) == iso
+
+
+def _with_reversed_cycles(fib, seed):
+    """``fib`` rebuilt from its document with a seeded half of its vanishing
+    cycles run the other way."""
+    doc = fib.to_json_dict()
+    cycles = doc["vanishing_cycles"]
+    for rec in random.Random(seed).sample(cycles, len(cycles) // 2):
+        rec["walk"] = [t[1:] if t.startswith("-") else f"-{t}" for t in reversed(rec["walk"])]
+    return LefschetzFibration.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("construction", ["johns", "ishikawa"])
+def test_reversing_vanishing_cycles_changes_no_invariant(built, flipped, construction):
+    """A Dehn twist does not depend on the direction of its curve, so
+    reversing cycles changes no check of the certificate but the closing
+    smoothing, which follows the orientations by design.  The builds run
+    every edge of their cycles one way; reversed cycles, on plain and on
+    flipped documents, run edges against their direction."""
+    for genus in range(9):
+        fib = built(construction, genus)
+        want = [c for c in fibration_certificate(fib)["checks"] if c["name"] != "closing_smoothing"]
+        for seed in range(3):
+            for plain in (fib, flipped(fib, seed)):
+                lf = _with_reversed_cycles(plain, seed)
+                checks = fibration_certificate(lf)["checks"]
+                assert [c for c in checks if c["name"] != "closing_smoothing"] == want
 
 
 def test_unreducible_fiber_raises_instead_of_no_isomorphism(built):

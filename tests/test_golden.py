@@ -8,10 +8,13 @@ benchmark certifies from documents.  The `compare` stdout only ever pairs
 builds of the same orientation, so the certificates of relabelled and
 mirrored documents, where the search has to reject seeds, are pinned
 separately.
+The benchmark's table of all acceptance commands, `perfbench/cli_expected.json`,
+is read here as well, so a change to any of their outputs fails tier-1 too.
 """
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +38,8 @@ GOLDEN = {
         "4344b76547da6c5b43441c0238d99171301d5c30be68f76a1b612ceaf7d99b5a",
 }
 
+CLI_TABLE = Path(__file__).resolve().parent.parent / "perfbench" / "cli_expected.json"
+
 MIRRORED_AND_RELABELLED = "05f211f4e67fdb01b99bf8e1f5e8811a83d6996aa129fed01a49111efcfb3a47"
 
 
@@ -56,3 +61,21 @@ def test_mirrored_and_relabelled_certificates_are_byte_identical(built, relabell
                 cert = isomorphism_certificate(lf1, built(other, genus))
                 digest.update((json.dumps(cert, indent=2) + "\n").encode())
     assert digest.hexdigest() == MIRRORED_AND_RELABELLED
+
+
+def test_acceptance_commands_match_the_benchmark_table(capsysbinary):
+    """Exit code, byte count and sha256 of stdout of every command in the
+    table, run in process."""
+    table = json.loads(CLI_TABLE.read_text())
+    assert table
+    wrong = []
+    for command, want in sorted(table.items()):
+        try:
+            code = main(command.split(" "))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsysbinary.readouterr().out
+        got = {"exit": code, "bytes": len(out), "sha256": hashlib.sha256(out).hexdigest()}
+        if got != want:
+            wrong.append(command)
+    assert wrong == []
