@@ -18,11 +18,9 @@ checks that this smoothing reproduces its black-face cycles exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .curves import CurveOnSurface, Step, canonical_rotation, curve_from_json, reversed_step, step_head_half
 from .divides import Divide, check_admissible, checkerboard_coloring, standard_divide
-from .ribbon import HalfEdge, RibbonGraph, SurfaceError, edge_links, json_field, orientation_signs
+from .ribbon import HalfEdge, Record, RibbonGraph, SurfaceError, edge_links, json_field, orientation_signs
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -33,8 +31,7 @@ def _require(cond: bool, msg: str) -> None:
 # -- plumbing patterns -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlumbingPattern:
+class PlumbingPattern(Record):
     """Squares where strips of one annulus family cross strips of another.
 
     ``loops_a`` and ``loops_b`` list, per annulus, the cyclic order of the
@@ -43,13 +40,12 @@ class PlumbingPattern:
     with one b-strip.
     """
 
-    loops_a: tuple[tuple[str, ...], ...]
-    loops_b: tuple[tuple[str, ...], ...]
+    __slots__ = ("loops_a", "loops_b")
 
-    def __post_init__(self):
-        object.__setattr__(self, "loops_a", tuple(tuple(q for q in loop) for loop in self.loops_a))
-        object.__setattr__(self, "loops_b", tuple(tuple(q for q in loop) for loop in self.loops_b))
-        for fam, loops in (("a", self.loops_a), ("b", self.loops_b)):
+    def __init__(self, loops_a: tuple[tuple[str, ...], ...], loops_b: tuple[tuple[str, ...], ...]):
+        loops_a = tuple(tuple(q for q in loop) for loop in loops_a)
+        loops_b = tuple(tuple(q for q in loop) for loop in loops_b)
+        for fam, loops in (("a", loops_a), ("b", loops_b)):
             if not loops:
                 raise SurfaceError(f"family {fam} has no annuli")
             seen = [q for loop in loops for q in loop]
@@ -57,8 +53,10 @@ class PlumbingPattern:
                 raise SurfaceError(f"family {fam} visits no squares")
             if len(seen) != len(set(seen)):
                 raise SurfaceError(f"family {fam} visits a square twice")
-        if set(q for loop in self.loops_a for q in loop) != set(q for loop in self.loops_b for q in loop):
+        if set(q for loop in loops_a for q in loop) != set(q for loop in loops_b for q in loop):
             raise SurfaceError("the two families must cross at the same square set")
+        object.__setattr__(self, "loops_a", loops_a)
+        object.__setattr__(self, "loops_b", loops_b)
 
     @property
     def squares(self) -> tuple[str, ...]:
@@ -196,15 +194,18 @@ def replay_closing_smoothing(surface: RibbonGraph, family_x, family_y, closing) 
 
 
 
-@dataclass(frozen=True)
-class DivideFiberModel:
+class DivideFiberModel(Record):
     """The thickened divide and its three cycle families."""
 
-    divide: Divide
-    fiber: RibbonGraph
-    white_cycles: tuple[CurveOnSurface, ...]
-    crossing_cycles: tuple[CurveOnSurface, ...]
-    black_cycles: tuple[CurveOnSurface, ...]
+    __slots__ = ("divide", "fiber", "white_cycles", "crossing_cycles", "black_cycles")
+
+    def __init__(self, divide: Divide, fiber: RibbonGraph, white_cycles: tuple[CurveOnSurface, ...],
+                 crossing_cycles: tuple[CurveOnSurface, ...], black_cycles: tuple[CurveOnSurface, ...]):
+        object.__setattr__(self, "divide", divide)
+        object.__setattr__(self, "fiber", fiber)
+        object.__setattr__(self, "white_cycles", white_cycles)
+        object.__setattr__(self, "crossing_cycles", crossing_cycles)
+        object.__setattr__(self, "black_cycles", black_cycles)
 
 
 def divide_fiber_model(divide: Divide) -> DivideFiberModel:
@@ -325,22 +326,22 @@ def _roundabout_passage(v: str, from_w0: bool) -> list[Step]:
 # -- fibrations ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LefschetzFibration:
+class LefschetzFibration(Record):
     """An ordered word of vanishing cycles on a fixed fiber surface."""
 
-    construction: str
-    genus: int
-    fiber: RibbonGraph
-    word: tuple[CurveOnSurface, ...]
+    __slots__ = ("construction", "genus", "fiber", "word")
 
-    def __post_init__(self):
-        names = [c.name for c in self.word]
+    def __init__(self, construction: str, genus: int, fiber: RibbonGraph, word: tuple[CurveOnSurface, ...]):
+        names = [c.name for c in word]
         if len(names) != len(set(names)):
             raise SurfaceError("vanishing cycle names must be unique")
-        for c in self.word:
-            if c.host is not self.fiber:
+        for c in word:
+            if c.host is not fiber:
                 raise SurfaceError(f"cycle {c.name!r} lives off the fiber")
+        object.__setattr__(self, "construction", construction)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "fiber", fiber)
+        object.__setattr__(self, "word", word)
 
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.word)

@@ -9,7 +9,6 @@ Exit codes: 0 success, 1 failed check or missing isomorphism, 2 usage error
 from __future__ import annotations
 
 import argparse
-import datetime
 import json
 import sys
 from pathlib import Path
@@ -70,6 +69,8 @@ def _dumps(doc) -> str:
 
 def _stamped(doc: dict, args: argparse.Namespace) -> dict:
     if args.stamp:
+        import datetime  # here, so that a run without --stamp does not load it
+
         doc = dict(doc)
         doc["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     return doc
@@ -138,7 +139,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         name, sep, g2 = args.against.partition(":")
         if name not in _BUILDERS or not sep or not g2.isdigit():
             raise ValueError(f"--against expects construction:genus, got {args.against!r}")
-        against = _build(name, int(g2))
+        (g2,) = _parse_genus(g2, args.max_genus)
+        against = _build(name, g2)
     certificates = []
     missing = []
     for g in args.genus:

@@ -5,9 +5,7 @@ A closed curve is a cyclic walk of directed edge traversals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .ribbon import HalfEdge, RibbonGraph, SurfaceError, json_field
+from .ribbon import HalfEdge, Record, RibbonGraph, SurfaceError, json_field
 
 
 class TransversalityError(SurfaceError):
@@ -62,8 +60,7 @@ def check_walk(surface: RibbonGraph, walk) -> None:
         raise SurfaceError(f"walk breaks between {walk[i]} and {walk[(i + 1) % len(walk)]}")
 
 
-@dataclass(frozen=True)
-class CurveOnSurface:
+class CurveOnSurface(Record):
     """A named closed walk on a ribbon graph.
 
     The walk need not be edge-simple in general (Dehn-twisted images repeat
@@ -71,13 +68,14 @@ class CurveOnSurface:
     ``require_edge_simple`` first.
     """
 
-    host: RibbonGraph
-    name: str
-    walk: tuple[Step, ...]
+    __slots__ = ("host", "name", "walk")
 
-    def __post_init__(self):
-        object.__setattr__(self, "walk", tuple([(str(e), int(s)) for e, s in self.walk]))
-        check_walk(self.host, self.walk)
+    def __init__(self, host: RibbonGraph, name: str, walk: tuple[Step, ...]):
+        walk = tuple([(str(e), int(s)) for e, s in walk])
+        check_walk(host, walk)
+        object.__setattr__(self, "host", host)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "walk", walk)
 
     def is_edge_simple(self) -> bool:
         edges = [e for e, _ in self.walk]
@@ -101,10 +99,6 @@ class CurveOnSurface:
             head = (e, 1) if s > 0 else (e, 0)
             out.append((vertex_of[head], head, (f, 0) if t > 0 else (f, 1), i))
         return out
-
-    def reversed_curve(self) -> "CurveOnSurface":
-        walk = tuple(reversed_step(s) for s in reversed(self.walk))
-        return CurveOnSurface(self.host, self.name, walk)
 
     def rebased(self, index: int) -> tuple[Step, ...]:
         """The cyclic walk starting at step ``index``."""

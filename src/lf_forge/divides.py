@@ -16,9 +16,7 @@ of each crossing carry band attachments in the fiber construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .ribbon import HalfEdge, RibbonGraph, SurfaceError, json_field
+from .ribbon import HalfEdge, Record, RibbonGraph, SurfaceError, json_field
 
 
 class DivideError(ValueError):
@@ -212,16 +210,18 @@ class Divide:
 # -- checkerboard coloring -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Checkerboard:
+class Checkerboard(Record):
     """Face indices split into the two color classes.
 
     White is, by convention, the class containing the face that holds the
     overall least half-edge.
     """
 
-    white: tuple[int, ...]
-    black: tuple[int, ...]
+    __slots__ = ("white", "black")
+
+    def __init__(self, white: tuple[int, ...], black: tuple[int, ...]):
+        object.__setattr__(self, "white", white)
+        object.__setattr__(self, "black", black)
 
     def color_of(self, face: int) -> str:
         if face in self.white:
@@ -287,16 +287,19 @@ def _odd_chain(parent: dict[int, int | None], u: int, w: int) -> str:
 # -- admissibility and Morse counts ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    connected: bool
-    crossings: int
-    arcs: int
-    faces: int
-    euler: int
-    ambient_genus: int | None
-    colorable: bool
-    problem: str | None = None
+class AdmissibilityReport(Record):
+    __slots__ = ("connected", "crossings", "arcs", "faces", "euler", "ambient_genus", "colorable", "problem")
+
+    def __init__(self, connected: bool, crossings: int, arcs: int, faces: int, euler: int,
+                 ambient_genus: int | None, colorable: bool, problem: str | None = None):
+        object.__setattr__(self, "connected", connected)
+        object.__setattr__(self, "crossings", crossings)
+        object.__setattr__(self, "arcs", arcs)
+        object.__setattr__(self, "faces", faces)
+        object.__setattr__(self, "euler", euler)
+        object.__setattr__(self, "ambient_genus", ambient_genus)
+        object.__setattr__(self, "colorable", colorable)
+        object.__setattr__(self, "problem", problem)
 
     @property
     def admissible(self) -> bool:

@@ -24,12 +24,10 @@ of the full scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .builders import LefschetzFibration, replay_closing_smoothing
 from .curves import CurveOnSurface, canonical_rotation
 from .homology import workspace
-from .ribbon import HalfEdge, RibbonGraph, SurfaceError
+from .ribbon import HalfEdge, Record, RibbonGraph, SurfaceError
 
 __all__ = [
     "FibrationIso",
@@ -93,22 +91,28 @@ def reduced_word(fib: LefschetzFibration) -> tuple[RibbonGraph, dict[str, CurveO
 # -- isomorphism search --------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class FibrationIso:
+class FibrationIso(Record):
     """A certified identification of two fibrations on their reduced fibers.
 
     vertex_map and edge_map form a ribbon-graph bijection; edge_map values
     carry the direction sign.  orientation_preserving reports whether all
     rotations are preserved (True) or all reversed (False).  cycle_map pairs
-    vanishing cycle names family by family.
+    vanishing cycle names family by family.  Two isomorphisms are equal only
+    when they are the same object.
     """
 
-    source: LefschetzFibration
-    target: LefschetzFibration
-    vertex_map: dict[str, str]
-    edge_map: dict[str, tuple[str, int]]
-    orientation_preserving: bool
-    cycle_map: dict[str, str]
+    __slots__ = ("source", "target", "vertex_map", "edge_map", "orientation_preserving", "cycle_map")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, source: LefschetzFibration, target: LefschetzFibration, vertex_map: dict[str, str],
+                 edge_map: dict[str, tuple[str, int]], orientation_preserving: bool, cycle_map: dict[str, str]):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "vertex_map", vertex_map)
+        object.__setattr__(self, "edge_map", edge_map)
+        object.__setattr__(self, "orientation_preserving", orientation_preserving)
+        object.__setattr__(self, "cycle_map", cycle_map)
 
     def to_json_dict(self) -> dict:
         return {

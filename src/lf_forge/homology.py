@@ -15,10 +15,9 @@ counterclockwise) presentation of the surface.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .curves import CurveOnSurface, Step, TransversalityError, reversed_step
-from .ribbon import RibbonGraph, SurfaceError
+from .ribbon import Record, RibbonGraph, SurfaceError
 
 
 class DisconnectedError(SurfaceError):
@@ -193,17 +192,17 @@ def workspace(surface: RibbonGraph) -> Workspace:
     return ws
 
 
-@dataclass(frozen=True)
-class HomologyClass:
+class HomologyClass(Record):
     """Element of H1 of the thickened surface in the co-tree basis."""
 
-    host: RibbonGraph
-    vector: tuple[int, ...]
+    __slots__ = ("host", "vector")
 
-    def __post_init__(self):
-        n = len(workspace(self.host).basis)
-        if len(self.vector) != n:
-            raise SurfaceError(f"class vector has length {len(self.vector)}, basis has {n}")
+    def __init__(self, host: RibbonGraph, vector: tuple[int, ...]):
+        n = len(workspace(host).basis)
+        if len(vector) != n:
+            raise SurfaceError(f"class vector has length {len(vector)}, basis has {n}")
+        object.__setattr__(self, "host", host)
+        object.__setattr__(self, "vector", vector)
 
     def _require_same_host(self, other: "HomologyClass"):
         if self.host is not other.host:

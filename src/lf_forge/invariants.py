@@ -12,32 +12,30 @@ bordered matrix with the same cokernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .curves import CurveOnSurface
 from .homology import _sparse_class, curve_class, homology_basis, workspace
-from .ribbon import RibbonGraph, SurfaceError
+from .ribbon import Record, RibbonGraph, SurfaceError
 
 
 # -- finitely generated abelian groups ------------------------------------------
 
 
-@dataclass(frozen=True)
-class FinAbGroup:
+class FinAbGroup(Record):
     """Z^free_rank plus cyclic torsion factors in a divisibility chain."""
 
-    free_rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()):
+        if free_rank < 0:
             raise ValueError("negative free rank")
-        for t in self.torsion:
+        for t in torsion:
             if t < 2:
                 raise ValueError(f"torsion factor {t} must be at least 2 (Z/0 is never stored)")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
-                raise ValueError(f"torsion {self.torsion} is not a divisibility chain")
+                raise ValueError(f"torsion {torsion} is not a divisibility chain")
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
 
     @classmethod
     def trivial(cls) -> "FinAbGroup":
@@ -246,12 +244,14 @@ def total_space_homology(fiber: RibbonGraph, cycles) -> tuple[FinAbGroup, FinAbG
 # -- open books -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OpenBook:
+class OpenBook(Record):
     """Boundary open book: page plus the ordered word of positive twists."""
 
-    page: RibbonGraph
-    word: tuple[CurveOnSurface, ...]
+    __slots__ = ("page", "word")
+
+    def __init__(self, page: RibbonGraph, word: tuple[CurveOnSurface, ...]):
+        object.__setattr__(self, "page", page)
+        object.__setattr__(self, "word", word)
 
     def binding_components(self) -> int:
         return self.page.num_boundary_components()

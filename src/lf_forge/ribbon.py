@@ -13,8 +13,6 @@ edge "forward" (sign +1) runs from end 0 to end 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 class SurfaceError(ValueError):
     """Input does not describe the object an operation requires."""
@@ -57,18 +55,61 @@ def json_field(doc, key: str, kind: type, where: str, item: type | None = None):
     return value
 
 
-@dataclass(frozen=True)
-class SurfaceInvariants:
+class Record:
+    """Base of the package's immutable record types.
+
+    A record lists its fields in ``__slots__``, in the order of its
+    ``__init__`` parameters, and its ``__init__`` writes them through
+    ``object.__setattr__``; assigning or deleting a field afterwards raises
+    AttributeError.  Records are equal, and hash alike, when they have the
+    same type and equal fields, and repr as ``Name(field=value, ...)``.
+    The methods are written out once here rather than generated per class
+    at import: generating them loads ``inspect`` and ``ast`` and runs
+    dozens of ``exec`` calls, which cost every short CLI process more than
+    the work of most of its commands.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class SurfaceInvariants(Record):
     """Homeomorphism data of the thickened surface.
 
     ``genus`` is None when the surface is non-orientable; there is then no
     orientable genus to report and callers must consult ``orientable``.
     """
 
-    euler: int
-    boundary_components: int
-    genus: int | None
-    orientable: bool
+    __slots__ = ("euler", "boundary_components", "genus", "orientable")
+
+    def __init__(self, euler: int, boundary_components: int, genus: int | None, orientable: bool):
+        object.__setattr__(self, "euler", euler)
+        object.__setattr__(self, "boundary_components", boundary_components)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "orientable", orientable)
 
 
 class RibbonGraph:

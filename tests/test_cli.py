@@ -90,6 +90,13 @@ def test_compare_mismatched_genus_fails(capsys):
     assert "no isomorphism" in err
 
 
+def test_compare_against_genus_respects_the_cap(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--genus", "0", "--against", "johns:40"])
+    assert exc.value.code == 2
+    assert "genus 40 exceeds the cap 32; raise --max-genus" in capsys.readouterr().err
+
+
 def test_compare_rejects_malformed_against(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["compare", "--genus", "0", "--against", "johns"])

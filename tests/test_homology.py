@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lf_forge.curves import CurveOnSurface, TransversalityError
+from lf_forge.curves import CurveOnSurface, TransversalityError, reversed_step
 from lf_forge.homology import (
     HomologyClass,
     Workspace,
@@ -66,7 +66,11 @@ def test_sparse_class_is_the_nonzero_part_of_curve_class(built):
     # The reversals make every count negative, which no built word has.
     for construction in ("johns", "ishikawa"):
         fib = built(construction, 3)
-        for c in fib.word + tuple(c.reversed_curve() for c in fib.word):
+        reversals = tuple(
+            CurveOnSurface(c.host, c.name, tuple(reversed_step(s) for s in reversed(c.walk)))
+            for c in fib.word
+        )
+        for c in fib.word + reversals:
             vector = curve_class(fib.fiber, c).vector
             assert _sparse_class(fib.fiber, c) == {i: x for i, x in enumerate(vector) if x}
     with pytest.raises(SurfaceError, match="different surface"):

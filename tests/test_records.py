@@ -1,0 +1,87 @@
+"""The record types: value semantics, the frozen guard, and a light import."""
+
+import copy
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from lf_forge import (
+    AdmissibilityReport,
+    Checkerboard,
+    CurveOnSurface,
+    DivideFiberModel,
+    FibrationIso,
+    FinAbGroup,
+    HomologyClass,
+    LefschetzFibration,
+    OpenBook,
+    PlumbingPattern,
+    SurfaceInvariants,
+    divide_fiber_model,
+    sphere_planar_fibration,
+    standard_divide,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+SPHERE = sphere_planar_fibration()
+MODEL = divide_fiber_model(standard_divide(0))
+
+# Each record type with field values; two records built from one tuple have
+# equal fields.
+RECORDS = {
+    "SurfaceInvariants": (SurfaceInvariants, (-2, 2, 1, True)),
+    "CurveOnSurface": (CurveOnSurface, (SPHERE.fiber, "core", (("c", 1), ("t", -1)))),
+    "HomologyClass": (HomologyClass, (SPHERE.fiber, (1,))),
+    "FinAbGroup": (FinAbGroup, (2, (3,))),
+    "OpenBook": (OpenBook, (SPHERE.fiber, SPHERE.word)),
+    "PlumbingPattern": (PlumbingPattern, ((("s0", "s1"),), (("s0",), ("s1",)))),
+    "DivideFiberModel": (DivideFiberModel, (MODEL.divide, MODEL.fiber, MODEL.white_cycles,
+                                            MODEL.crossing_cycles, MODEL.black_cycles)),
+    "LefschetzFibration": (LefschetzFibration, ("sphere", 0, SPHERE.fiber, SPHERE.word)),
+    "Checkerboard": (Checkerboard, ((0, 2), (1, 3))),
+    "AdmissibilityReport": (AdmissibilityReport, (True, 2, 4, 4, 2, 0, True)),
+    "FibrationIso": (FibrationIso, (SPHERE, SPHERE, {"p": "p"}, {"c": ("c", 1)}, True, {"core0": "core0"})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_semantics(name):
+    cls, fields = RECORDS[name]
+    a, b = cls(*fields), cls(*fields)
+    if cls is FibrationIso:
+        # compared by identity: equal fields do not make equal isomorphisms
+        assert a != b and a == a
+    else:
+        assert a == b and hash(a) == hash(b)
+    other = type(f"Other{name}", (cls,), {"__slots__": ()})(*fields)
+    assert other != a and a != other
+    field = cls.__slots__[0]
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(b, field))
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    assert [getattr(copy.copy(a), f) for f in cls.__slots__] == [getattr(a, f) for f in cls.__slots__]
+    assert repr(a).startswith(f"{name}({field}=")
+
+
+def test_record_repr_lists_the_fields_by_name():
+    assert repr(FinAbGroup(2, (3,))) == "FinAbGroup(free_rank=2, torsion=(3,))"
+    assert repr(AdmissibilityReport(False, 0, 0, 0, 0, None, False, "divide is not connected")) == (
+        "AdmissibilityReport(connected=False, crossings=0, arcs=0, faces=0, euler=0, "
+        "ambient_genus=None, colorable=False, problem='divide is not connected')"
+    )
+
+
+def test_cli_import_loads_no_unused_standard_modules():
+    """Every lf-forge process imports the CLI; the modules named here cost
+    it start-up time that no command without --stamp uses."""
+    code = ("import sys, lf_forge.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'datetime'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
