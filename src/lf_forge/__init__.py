@@ -1,109 +1,62 @@
 """Explicit combinatorial models of the genus-one Lefschetz fibrations on
-disk cotangent bundles of closed surfaces, with homological certification."""
+disk cotangent bundles of closed surfaces, with homological certification.
 
-from .ribbon import (
-    NonOrientableError,
-    RibbonGraph,
-    SurfaceError,
-    SurfaceInvariants,
-)
-from .curves import CurveOnSurface, TransversalityError
-from .homology import (
-    HomologyClass,
-    algebraic_intersection,
-    curve_class,
-    dehn_twist_on_class,
-    dehn_twist_on_path,
-    homology_basis,
-    signed_crossings,
-)
-from .divides import (
-    AdmissibilityReport,
-    Checkerboard,
-    ColoringError,
-    Divide,
-    DivideError,
-    check_admissible,
-    checkerboard_coloring,
-    morse_data,
-    standard_divide,
-)
-from .invariants import (
-    FinAbGroup,
-    OpenBook,
-    boundary_open_book,
-    cokernel,
-    open_book_h1,
-    smith_normal_form,
-    total_space_euler,
-    total_space_homology,
-)
-from .builders import (
-    DivideFiberModel,
-    LefschetzFibration,
-    PlumbingPattern,
-    divide_fiber_model,
-    ishikawa_fibration,
-    johns_fibration,
-    johns_pattern,
-    realize_plumbing,
-    simultaneous_surgery,
-    sphere_planar_fibration,
-)
-from .equivalence import (
-    FibrationIso,
-    find_isomorphism,
-    isomorphism_certificate,
-)
-from .certify import (
-    expected_boundary_group,
-    fibration_certificate,
-)
+Each exported name is looked up in its submodule when it is used, so that
+importing the package loads no layer, and a command loads only the layers
+it calls."""
 
-__all__ = [
-    "AdmissibilityReport",
-    "Checkerboard",
-    "ColoringError",
-    "CurveOnSurface",
-    "Divide",
-    "DivideError",
-    "DivideFiberModel",
-    "FibrationIso",
-    "FinAbGroup",
-    "HomologyClass",
-    "LefschetzFibration",
-    "NonOrientableError",
-    "OpenBook",
-    "PlumbingPattern",
-    "RibbonGraph",
-    "SurfaceError",
-    "SurfaceInvariants",
-    "TransversalityError",
-    "algebraic_intersection",
-    "boundary_open_book",
-    "check_admissible",
-    "checkerboard_coloring",
-    "cokernel",
-    "curve_class",
-    "dehn_twist_on_class",
-    "dehn_twist_on_path",
-    "divide_fiber_model",
-    "expected_boundary_group",
-    "fibration_certificate",
-    "find_isomorphism",
-    "homology_basis",
-    "ishikawa_fibration",
-    "isomorphism_certificate",
-    "johns_fibration",
-    "johns_pattern",
-    "morse_data",
-    "open_book_h1",
-    "realize_plumbing",
-    "signed_crossings",
-    "simultaneous_surgery",
-    "smith_normal_form",
-    "sphere_planar_fibration",
-    "standard_divide",
-    "total_space_euler",
-    "total_space_homology",
-]
+import importlib
+
+# Each exported name and the submodule that defines it.
+_EXPORTS = {
+    "NonOrientableError": "ribbon",
+    "RibbonGraph": "ribbon",
+    "SurfaceError": "ribbon",
+    "SurfaceInvariants": "ribbon",
+    "CurveOnSurface": "curves",
+    "TransversalityError": "curves",
+    "HomologyClass": "homology",
+    "curve_class": "homology",
+    "homology_basis": "homology",
+    "AdmissibilityReport": "divides",
+    "Checkerboard": "divides",
+    "ColoringError": "divides",
+    "Divide": "divides",
+    "DivideError": "divides",
+    "check_admissible": "divides",
+    "checkerboard_coloring": "divides",
+    "standard_divide": "divides",
+    "FinAbGroup": "invariants",
+    "OpenBook": "invariants",
+    "boundary_open_book": "invariants",
+    "open_book_h1": "invariants",
+    "smith_normal_form": "invariants",
+    "total_space_euler": "invariants",
+    "total_space_homology": "invariants",
+    "DivideFiberModel": "builders",
+    "LefschetzFibration": "builders",
+    "PlumbingPattern": "builders",
+    "divide_fiber_model": "builders",
+    "ishikawa_fibration": "builders",
+    "johns_fibration": "builders",
+    "johns_pattern": "builders",
+    "realize_plumbing": "builders",
+    "simultaneous_surgery": "builders",
+    "sphere_planar_fibration": "builders",
+    "FibrationIso": "equivalence",
+    "find_isomorphism": "equivalence",
+    "isomorphism_certificate": "equivalence",
+    "expected_boundary_group": "certify",
+    "fibration_certificate": "certify",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    """The exported ``name``, read from its submodule on every access (PEP
+    562), so that a rebinding there, by a tracer or a monkeypatch, is seen."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

@@ -346,12 +346,6 @@ class LefschetzFibration(Record):
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.word)
 
-    def cycle(self, name: str) -> CurveOnSurface:
-        for c in self.word:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
     def to_json_dict(self) -> dict:
         return {
             "schema": "lefschetz-fibration/1",
@@ -375,11 +369,20 @@ class LefschetzFibration(Record):
         return cls(construction, genus, fiber, word)
 
 
+def word_families(fib: LefschetzFibration) -> dict[str, tuple[CurveOnSurface, ...]]:
+    """Vanishing cycles grouped by name prefix (the name minus trailing digits),
+    keyed in order of first appearance in the word."""
+    fams: dict[str, list[CurveOnSurface]] = {}
+    for c in fib.word:
+        fams.setdefault(c.name.rstrip("0123456789"), []).append(c)
+    return {k: tuple(v) for k, v in fams.items()}
+
+
 def expected_fiber_profile(construction: str, genus: int) -> dict:
     """Fiber and word-shape expectations per construction."""
     if construction == "sphere":
         if genus != 0:
-            raise ValueError("the annulus-page model exists only at genus 0")
+            raise SurfaceError("the annulus-page model exists only at genus 0")
         return {"genus": 0, "boundary": 2, "euler": 0, "word_length": 2}
     return {
         "genus": 1,

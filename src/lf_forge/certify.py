@@ -9,8 +9,7 @@ matrix.
 
 from __future__ import annotations
 
-from .builders import LefschetzFibration, expected_fiber_profile, replay_closing_smoothing
-from .equivalence import word_families
+from .builders import LefschetzFibration, expected_fiber_profile, replay_closing_smoothing, word_families
 from .invariants import (
     FinAbGroup,
     boundary_open_book,

@@ -19,9 +19,7 @@ from .builders import (
     johns_fibration,
     sphere_planar_fibration,
 )
-from .certify import fibration_certificate
 from .divides import standard_divide
-from .equivalence import isomorphism_certificate
 
 DEFAULT_MAX_GENUS = 32
 
@@ -115,6 +113,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .certify import fibration_certificate  # here, so that generate and export do not load it
+
     certificates = []
     failures = []
     for construction, g, fib in _builds(args):
@@ -134,6 +134,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from .equivalence import isomorphism_certificate  # here, so that generate and export do not load it
+
     against = None
     if args.against:
         name, sep, g2 = args.against.partition(":")

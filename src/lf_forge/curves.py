@@ -16,18 +16,10 @@ class TransversalityError(SurfaceError):
 Step = tuple[str, int]  # (edge id, +1 forward / -1 backward)
 
 
-def step_head(surface: RibbonGraph, step: Step) -> str:
-    e, s = step
-    return surface.vertex_of((e, 1 if s > 0 else 0))
-
 def step_head_half(step: Step) -> HalfEdge:
     """Half-edge at the head vertex, i.e. where the traversal arrives."""
     e, s = step
     return (e, 1 if s > 0 else 0)
-
-def step_tail_half(step: Step) -> HalfEdge:
-    e, s = step
-    return (e, 0 if s > 0 else 1)
 
 def reversed_step(step: Step) -> Step:
     return (step[0], -step[1])
@@ -99,10 +91,6 @@ class CurveOnSurface(Record):
             head = (e, 1) if s > 0 else (e, 0)
             out.append((vertex_of[head], head, (f, 0) if t > 0 else (f, 1), i))
         return out
-
-    def rebased(self, index: int) -> tuple[Step, ...]:
-        """The cyclic walk starting at step ``index``."""
-        return self.walk[index:] + self.walk[:index]
 
     def cyclically_equal(self, other: "CurveOnSurface") -> bool:
         """Same walk up to the choice of basepoint; direction counts.

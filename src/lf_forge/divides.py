@@ -10,8 +10,8 @@ of the graph's thickening; capping them with disks gives the closed oriented
 ambient surface, whose genus is the thickening's.
 
 Admissibility asks for connectedness plus a checkerboard coloring of the
-faces.  The coloring drives the Morse counts and, downstream, which corners
-of each crossing carry band attachments in the fiber construction.
+faces.  The coloring decides, downstream, which corners of each crossing
+carry band attachments in the fiber construction.
 """
 
 from __future__ import annotations
@@ -27,9 +27,6 @@ class ColoringError(DivideError):
     """The faces of the divide admit no checkerboard coloring."""
 
 
-# A step of a curve traversal: (edge, +1) runs tail to head.
-Step = tuple[str, int]
-
 VALENCE = 4
 
 
@@ -44,6 +41,8 @@ class Divide:
 
     def __init__(self, vertices, edges, rotation):
         vertices = tuple(vertices)
+        if not vertices:
+            raise DivideError("empty divide description")
         # before the graph's checks: an odd crossing also leaves a half-edge
         # unpaired, and the graph would name only that
         if set(rotation) == set(vertices):
@@ -56,37 +55,6 @@ class Divide:
             raise DivideError(str(exc)) from exc
         self.vertices, self.edges, self.rotation = self.graph.vertices, self.graph.edges, self.graph.rotation
         self._cache = {}
-
-    # -- curve components ----------------------------------------------------
-
-    def components(self) -> tuple[tuple[Step, ...], ...]:
-        """The immersed curves as closed signed-edge walks.
-
-        Each walk starts at its least edge, traversed forward; walks are
-        ordered by that edge.  Every edge appears in exactly one walk.
-        """
-        if "components" in self._cache:
-            return self._cache["components"]
-        nxt = self.graph.rotation_next
-        claimed = set()
-        walks = []
-        for e in self.edges:
-            if e in claimed:
-                continue
-            walk = []
-            step: Step = (e, 1)
-            while True:
-                walk.append(step)
-                claimed.add(step[0])
-                # the curve leaves through the slot opposite the arriving one
-                depart = nxt(nxt((step[0], 1 if step[1] == 1 else 0)))
-                step = (depart[0], 1 if depart[1] == 0 else -1)
-                if step == (e, 1):
-                    break
-            walks.append(tuple(walk))
-        result = tuple(walks)
-        self._cache["components"] = result
-        return result
 
     # -- faces -----------------------------------------------------------------
 
@@ -195,8 +163,6 @@ class Divide:
                 rotation[v] = tuple(RibbonGraph.parse_half_edge(t) for t in tokens)
             except SurfaceError as exc:
                 raise DivideError(str(exc)) from exc
-        if not rotation:
-            raise DivideError("empty divide description")
         edges = {h[0] for rot in rotation.values() for h in rot}
         return cls(rotation.keys(), edges, rotation)
 
@@ -284,7 +250,7 @@ def _odd_chain(parent: dict[int, int | None], u: int, w: int) -> str:
     return " - ".join(f"F{i}" for i in cycle)
 
 
-# -- admissibility and Morse counts ---------------------------------------------
+# -- admissibility ----------------------------------------------------------------
 
 
 class AdmissibilityReport(Record):
@@ -333,16 +299,6 @@ def check_admissible(divide: Divide) -> AdmissibilityReport:
         colorable=colorable,
         problem=problem,
     )
-
-
-def morse_data(divide: Divide) -> tuple[int, int, int]:
-    """(minima, saddles, maxima) of the induced height function.
-
-    One minimum per white face, one saddle per crossing, one maximum per
-    black face; the alternating sum is the ambient Euler characteristic.
-    """
-    coloring = checkerboard_coloring(divide)
-    return (len(coloring.white), len(divide.vertices), len(coloring.black))
 
 
 # -- the necklace family ----------------------------------------------------------

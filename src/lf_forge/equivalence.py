@@ -24,7 +24,7 @@ of the full scan.
 
 from __future__ import annotations
 
-from .builders import LefschetzFibration, replay_closing_smoothing
+from .builders import LefschetzFibration, replay_closing_smoothing, word_families
 from .curves import CurveOnSurface, canonical_rotation
 from .homology import workspace
 from .ribbon import HalfEdge, Record, RibbonGraph, SurfaceError
@@ -35,7 +35,6 @@ __all__ = [
     "find_isomorphism",
     "isomorphism_certificate",
     "reduced_word",
-    "word_families",
 ]
 
 
@@ -63,15 +62,6 @@ def carry_curve(curve: CurveOnSurface, target: RibbonGraph,
             runs.pop()
     walk = tuple((new, d) for new, d, _, _ in runs)
     return CurveOnSurface(target, curve.name, walk)
-
-
-def word_families(fib: LefschetzFibration) -> dict[str, tuple[CurveOnSurface, ...]]:
-    """Vanishing cycles grouped by name prefix (the name minus trailing digits),
-    keyed in order of first appearance in the word."""
-    fams: dict[str, list[CurveOnSurface]] = {}
-    for c in fib.word:
-        fams.setdefault(c.name.rstrip("0123456789"), []).append(c)
-    return {k: tuple(v) for k, v in fams.items()}
 
 
 def reduced_word(fib: LefschetzFibration) -> tuple[RibbonGraph, dict[str, CurveOnSurface]]:

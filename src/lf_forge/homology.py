@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .curves import CurveOnSurface, Step, TransversalityError, reversed_step
+from .curves import CurveOnSurface, Step
 from .ribbon import Record, RibbonGraph, SurfaceError
 
 
@@ -31,8 +31,9 @@ class Workspace:
     the co-tree basis, and evaluates the intersection pairing of edge-simple
     cycles by the pushed-off corner rule (``pairing_matrix``).  Certificates
     pair only the cycles they need that way; the Gram matrix of the whole
-    basis backs the class-level API and is the oracle the tests compare the
-    corner rule against.  Cached on the graph instance; treat as read-only.
+    basis is the pairing of the tests' class-level oracles, which they hold
+    the corner rule against.  Cached on the graph instance; treat as
+    read-only.
     """
 
     def __init__(self, surface: RibbonGraph):
@@ -103,16 +104,6 @@ class Workspace:
         t, h = self.norm.edge_endpoints(edge)
         walk = [(edge, 1)] + self.tree_path(h, t)
         return CurveOnSurface(self.graph, f"z[{edge}]", tuple(walk))
-
-    def crossing_number(self, x: CurveOnSurface, y: CurveOnSurface) -> int:
-        """Signed crossings of two walks sharing no edges (corner rule)."""
-        shared = x.edge_set() & y.edge_set()
-        if shared:
-            raise TransversalityError(
-                f"curves {x.name!r} and {y.name!r} share edges {sorted(shared)}; "
-                "refine one of them off the shared bands"
-            )
-        return self.pairing_matrix((x, y), push=False)[0][1]
 
     def _corner_crossings(self, pass_lists, push: bool):
         """The corner rule: yield (i, p, j, q, sign) for every crossing of a
@@ -261,74 +252,3 @@ def _sparse_class(surface: RibbonGraph, curve: CurveOnSurface) -> dict[int, int]
         if i is not None:
             counts[i] = counts.get(i, 0) + s
     return {i: x for i, x in counts.items() if x}
-
-
-def algebraic_intersection(surface: RibbonGraph, x: HomologyClass, y: HomologyClass) -> int:
-    """Skew-symmetric intersection pairing on H1."""
-    if x.host is not surface or y.host is not surface:
-        raise SurfaceError("classes live on a different surface")
-    gram = workspace(surface).gram_matrix()
-    return sum(
-        xi * gram[i][j] * yj
-        for i, xi in enumerate(x.vector) if xi
-        for j, yj in enumerate(y.vector) if yj
-    )
-
-
-def dehn_twist_on_class(surface: RibbonGraph, curve: CurveOnSurface, x: HomologyClass) -> HomologyClass:
-    """Action of the positive Dehn twist along ``curve``: x + <x, c> [c]."""
-    c = curve_class(surface, curve.require_edge_simple())
-    return x + c.scaled(algebraic_intersection(surface, x, c))
-
-
-def signed_crossings(surface: RibbonGraph, x: CurveOnSurface, y: CurveOnSurface) -> int:
-    """Signed corner crossings of edge-disjoint walks; equals the pairing of
-    their classes."""
-    return workspace(surface).crossing_number(x, y)
-
-
-# -- Dehn twists on walks ------------------------------------------------------
-
-
-def _crossings_with_curve(surface: RibbonGraph, passes, curve: CurveOnSurface):
-    """All signed (pass index in host walk, detour steps) crossings of a
-    sequence of vertex passes with an edge-simple closed curve."""
-    out = []
-    for i, p, _, q, s in workspace(surface)._corner_crossings([passes, curve.passes()], push=False):
-        if i:
-            continue
-        detour = list(curve.rebased((q[3] + 1) % len(curve.walk)))
-        if s < 0:
-            detour = [reversed_step(st) for st in reversed(detour)]
-        out.append((p[3], s, detour))
-    return out
-
-
-def dehn_twist_on_path(surface: RibbonGraph, curve: CurveOnSurface, path: CurveOnSurface) -> CurveOnSurface:
-    """Positive Dehn twist along ``curve`` applied to a closed walk.
-
-    At every signed crossing the result detours around a full copy of the
-    twist curve (reversed at negative crossings), so the homology effect
-    matches ``dehn_twist_on_class`` exactly.  The walk must meet the curve
-    only at vertices; sharing an edge traversal raises TransversalityError.
-    """
-    curve.require_edge_simple()
-    if not isinstance(path, CurveOnSurface):
-        raise SurfaceError(f"cannot twist object of type {type(path).__name__}")
-    if path.host is not surface or curve.host is not surface:
-        raise SurfaceError("twist inputs live on different surfaces")
-    shared = path.edge_set() & curve.edge_set()
-    if shared:
-        raise TransversalityError(
-            f"walk shares edges {sorted(shared)} with twist curve {curve.name!r}; "
-            "refine the walk off those bands first"
-        )
-    by_idx: dict[int, list] = {}
-    for host_idx, _, detour in _crossings_with_curve(surface, path.passes(), curve):
-        by_idx.setdefault(host_idx, []).append(detour)
-    new_walk: list[Step] = []
-    for i, step in enumerate(path.walk):
-        new_walk.append(step)
-        for detour in by_idx.get(i, ()):
-            new_walk.extend(detour)
-    return CurveOnSurface(surface, path.name, tuple(new_walk))

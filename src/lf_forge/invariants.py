@@ -45,13 +45,6 @@ class FinAbGroup(Record):
     def free(cls, rank: int) -> "FinAbGroup":
         return cls(rank, ())
 
-    @classmethod
-    def cyclic(cls, n: int) -> "FinAbGroup":
-        if n == 0:
-            return cls(1, ())
-        n = abs(n)
-        return cls(0, ()) if n == 1 else cls(0, (n,))
-
     def __str__(self):
         parts = [f"Z^{self.free_rank}"] if self.free_rank > 1 else (["Z"] if self.free_rank else [])
         parts += [f"Z/{t}" for t in self.torsion]
@@ -138,11 +131,6 @@ def smith_normal_form(matrix: list[list[int]]) -> tuple[list[list[int]], list[li
     return a, u, v
 
 
-def _snf_diagonal(matrix: list[list[int]]) -> list[int]:
-    """Nonzero invariant factors of ``matrix``."""
-    return _sparse_snf_diagonal([{j: x for j, x in enumerate(r) if x} for r in matrix])
-
-
 def _sparse_snf_diagonal(rows: list[dict[int, int]]) -> list[int]:
     """Nonzero invariant factors of the matrix whose rows are the sparse
     ``{column: entry}`` dicts ``rows`` (consumed).
@@ -213,15 +201,6 @@ def _cokernel_from_diagonal(diag: list[int], ambient_rank: int) -> FinAbGroup:
     return FinAbGroup(ambient_rank - len(diag), tuple(x for x in diag if x > 1))
 
 
-def cokernel(matrix: list[list[int]], ambient_rank: int) -> FinAbGroup:
-    """Z^ambient_rank modulo the column span of ``matrix``."""
-    if not matrix or not matrix[0]:
-        return FinAbGroup.free(ambient_rank)
-    if len(matrix) != ambient_rank:
-        raise ValueError("matrix rows must match ambient rank")
-    return _cokernel_from_diagonal(_snf_diagonal(matrix), ambient_rank)
-
-
 # -- fibration-level invariants ---------------------------------------------------
 
 
@@ -252,9 +231,6 @@ class OpenBook(Record):
     def __init__(self, page: RibbonGraph, word: tuple[CurveOnSurface, ...]):
         object.__setattr__(self, "page", page)
         object.__setattr__(self, "word", word)
-
-    def binding_components(self) -> int:
-        return self.page.num_boundary_components()
 
 
 def boundary_open_book(fiber: RibbonGraph, cycles) -> OpenBook:

@@ -24,12 +24,6 @@ class NonOrientableError(SurfaceError):
 
 HalfEdge = tuple[str, int]
 
-# Boundary-walk states are (half_edge, side).  Side 0 is the band side that
-# meets the corner *before* the attachment in the vertex's cyclic order, side 1
-# the one after.  A state means "enter the band of this half-edge at this side".
-SIDE_R = 0
-SIDE_L = 1
-
 _JSON_TYPE_NAMES = {
     str: "a string", int: "an integer", bool: "a boolean", list: "a list", dict: "an object",
 }
@@ -197,72 +191,18 @@ class RibbonGraph:
 
     # -- boundary tracing --------------------------------------------------
 
-    def _advance(self, state):
-        """One step of the boundary walk.
-
-        Entering the band of half-edge h at side R runs along the side that
-        (untwisted) exits at the partner's L end, after which the walk wraps
-        the next corner counterclockwise; a twist swaps the exit side and
-        reverses the corner direction.  The map is a bijection on states.
-        """
-        h, side = state
-        k = self.partner(h)
-        twisted = h[0] in self.twists
-        if side == SIDE_R:
-            if not twisted:
-                return (self.rotation_next(k), SIDE_R)
-            return (self.rotation_prev(k), SIDE_L)
-        if not twisted:
-            return (self.rotation_prev(k), SIDE_L)
-        return (self.rotation_next(k), SIDE_R)
-
-    def _reverse_state(self, state):
-        """The same band side entered from its other end."""
-        h, side = state
-        k = self.partner(h)
-        if h[0] in self.twists:
-            return (k, side)
-        return (k, 1 - side)
-
-    def boundary_walks(self) -> tuple[tuple[tuple[HalfEdge, int], ...], ...]:
-        """Boundary circles as state cycles, one orbit per circle.
-
-        The test oracle for ``num_boundary_components``: it traces the states
-        one ``_advance`` at a time.  Each circle is traversed by two
-        direction-reversed state orbits; the one whose minimal state is
-        smaller is kept, so positions along the returned walks are canonical.
-        """
-        states = [((e, i), s) for e in self.edges for i in (0, 1) for s in (0, 1)]
-        seen = set()
-        orbits = []
-        for start in sorted(states):
-            if start in seen:
-                continue
-            orbit = [start]
-            seen.add(start)
-            cur = self._advance(start)
-            while cur != start:
-                orbit.append(cur)
-                seen.add(cur)
-                cur = self._advance(cur)
-            orbits.append(tuple(orbit))
-        kept = []
-        for o in orbits:
-            partner_min = min(self._reverse_state(s) for s in o)
-            if min(o) < partner_min:
-                kept.append(o)
-        if 2 * len(kept) != len(orbits):
-            raise SurfaceError("boundary tracing produced unpaired orbits")
-        return tuple(sorted(kept))
-
     def num_boundary_components(self) -> int:
         """Number of boundary circles of the thickened surface.
 
-        Counts the cycles of ``_advance`` on a flat numbering of the states:
-        half-edge (edges[k], end) is 2k + end and state (h, side) is
-        2h + side.  Each circle is two direction-reversed cycles, so the
-        count is half the number of cycles once the reversal of every state
-        is checked to land in the one other cycle paired with its own.
+        A state (h, side) enters the band of half-edge h along the side that
+        meets the corner before (side 0) or after (side 1) the attachment.
+        This counts the cycles of the boundary walk's step on a flat
+        numbering of the states: half-edge (edges[k], end) is 2k + end and
+        state (h, side) is 2h + side.  Each circle is two direction-reversed
+        cycles, so the count is half the number of cycles once the reversal
+        of every state is checked to land in the one other cycle paired with
+        its own.  ``boundary_walks`` in ``tests/oracles.py`` traces the same
+        walks one state at a time.
         """
         number = {e: 2 * k for k, e in enumerate(self.edges)}
         n = 2 * len(self.edges)
@@ -336,14 +276,6 @@ class RibbonGraph:
         norm = RibbonGraph(self.vertices, self.edges, _oriented_rotation(self.rotation, eps), ())
         self._cache["normalized"] = norm
         return norm
-
-    def mirrored(self) -> "RibbonGraph":
-        """The same surface with the opposite global orientation convention.
-
-        Test oracle: no production path mirrors a graph; ``_reduced`` folds
-        the mirror into its one construction."""
-        rotation = {v: tuple(reversed(rot)) for v, rot in self.rotation.items()}
-        return RibbonGraph(self.vertices, self.edges, rotation, self.twists)
 
     # -- invariants ----------------------------------------------------------
 
@@ -458,7 +390,7 @@ class RibbonGraph:
 
     def _reduced(self) -> tuple["RibbonGraph", dict[str, tuple[str, int]]]:
         """``smoothed``, ``normalized`` and, when this graph orients the
-        least kept vertex negatively, ``mirrored``, in one construction:
+        least kept vertex negatively, mirroring, in one construction:
         suppressing vertices can move the vertex that normalization anchors
         at, which would silently mirror the result.  Returns the reduced
         graph and the smoothing's edge map; errors come in the order of that

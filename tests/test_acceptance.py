@@ -9,18 +9,15 @@ import random
 
 import pytest
 
-from lf_forge.builders import simultaneous_surgery
+from lf_forge.builders import simultaneous_surgery, word_families
 from lf_forge.certify import expected_boundary_group
 from lf_forge.curves import CurveOnSurface
-from lf_forge.divides import check_admissible, morse_data, standard_divide
-from lf_forge.equivalence import find_isomorphism, word_families
+from lf_forge.divides import check_admissible, standard_divide
+from lf_forge.equivalence import find_isomorphism
 from lf_forge.homology import (
     HomologyClass,
-    algebraic_intersection,
     class_from_steps,
     curve_class,
-    dehn_twist_on_class,
-    dehn_twist_on_path,
     homology_basis,
 )
 from lf_forge.invariants import (
@@ -31,6 +28,8 @@ from lf_forge.invariants import (
     total_space_homology,
 )
 from lf_forge.ribbon import RibbonGraph
+
+from oracles import algebraic_intersection, dehn_twist_on_class, dehn_twist_on_path, morse_data
 
 GENERA = range(9)
 CONSTRUCTIONS = ("johns", "ishikawa")

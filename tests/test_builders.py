@@ -238,13 +238,6 @@ def test_word_order_and_names(built):
         assert fib.genus == 1
 
 
-def test_cycle_lookup(built):
-    fib = built("johns", 0)
-    assert fib.cycle("a0").name == "a0"
-    with pytest.raises(KeyError):
-        fib.cycle("zz")
-
-
 def test_duplicate_cycle_names_rejected(built):
     fib = built("johns", 0)
     with pytest.raises(SurfaceError, match="unique"):

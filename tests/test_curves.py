@@ -7,11 +7,11 @@ from lf_forge.curves import (
     CurveOnSurface,
     canonical_rotation,
     check_walk,
-    step_head,
     step_head_half,
-    step_tail_half,
 )
 from lf_forge.ribbon import SurfaceError
+
+from oracles import step_head, step_tail_half
 
 # On the pants fixture every band e, f, g runs forward from u to v.
 MALFORMED = [

@@ -8,10 +8,11 @@ from lf_forge.divides import (
     DivideError,
     check_admissible,
     checkerboard_coloring,
-    morse_data,
     standard_divide,
 )
 from lf_forge.ribbon import RibbonGraph
+
+from oracles import components, morse_data
 
 
 def figure_eight():
@@ -66,8 +67,9 @@ _X = (("e", 0), ("e", 1), ("f", 0), ("f", 1))
      "half-edge mismatch: missing [('f', 1)], unknown [('g', 1)]"),
     (("x",), ("e", "f"), {"x": (("e", 0), ("e", 1), ("f", 0))},
      "crossing 'x' has 3 slots, divides need exactly 4"),
+    ((), (), {}, "empty divide description"),
 ], ids=["duplicate-vertex", "duplicate-edge", "minus-edge", "rotation-keys",
-        "three-slots", "attached-twice", "missing-and-unknown", "lone-three-slots"])
+        "three-slots", "attached-twice", "missing-and-unknown", "lone-three-slots", "empty"])
 def test_constructor_names_each_fault(vertices, edges, rotation, message):
     """One fault per input, except that a lone odd crossing always leaves a
     half-edge unpaired too: the valence is named first."""
@@ -210,7 +212,7 @@ def test_coloring_classes_cover_all_faces():
 def test_necklace_component_count():
     for genus in range(3):
         d = standard_divide(genus)
-        assert len(d.components()) == 2 * genus + 2
+        assert len(components(d)) == 2 * genus + 2
 
 
 def test_text_round_trip():

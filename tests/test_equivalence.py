@@ -12,6 +12,7 @@ from lf_forge.builders import (
     johns_fibration,
     johns_pattern,
     realize_plumbing,
+    word_families,
 )
 from lf_forge.certify import fibration_certificate
 from lf_forge.curves import CurveOnSurface
@@ -27,17 +28,17 @@ from lf_forge.equivalence import (
     find_isomorphism,
     isomorphism_certificate,
     reduced_word,
-    word_families,
 )
 from lf_forge.homology import (
     HomologyClass,
     class_from_steps,
     Workspace,
-    dehn_twist_on_class,
     homology_basis,
     workspace,
 )
 from lf_forge.ribbon import RibbonGraph, SurfaceError
+
+from oracles import dehn_twist_on_class
 
 
 def matmul(a, b):

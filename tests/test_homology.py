@@ -10,17 +10,15 @@ from lf_forge.homology import (
     HomologyClass,
     Workspace,
     _sparse_class,
-    algebraic_intersection,
     class_from_steps,
     curve_class,
-    dehn_twist_on_class,
-    dehn_twist_on_path,
     homology_basis,
-    signed_crossings,
     workspace,
 )
 from lf_forge.invariants import boundary_open_book, open_book_h1
 from lf_forge.ribbon import RibbonGraph, SurfaceError
+
+from oracles import algebraic_intersection, dehn_twist_on_class, dehn_twist_on_path
 
 
 def loop(surface, edge, name=None):
@@ -126,14 +124,6 @@ def test_pairing_is_bilinear_and_antisymmetric(u, v, w, k):
     pairing = lambda p, q: algebraic_intersection(surface, p, q)
     assert pairing(x, y) == -pairing(y, x)
     assert pairing(x + z.scaled(k), y) == pairing(x, y) + k * pairing(z, y)
-
-
-def test_signed_crossings_equals_class_pairing(punctured_torus, genus_two):
-    for surface, e, f in ((punctured_torus, "a", "b"), (genus_two, "c", "d")):
-        x, y = loop(surface, e), loop(surface, f)
-        assert signed_crossings(surface, x, y) == algebraic_intersection(
-            surface, curve_class(surface, x), curve_class(surface, y)
-        )
 
 
 def random_tree_cycles(surface, rng):

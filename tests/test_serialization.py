@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from lf_forge.builders import LefschetzFibration, johns_fibration
+from lf_forge.builders import LefschetzFibration, johns_fibration, sphere_planar_fibration
 from lf_forge.certify import fibration_certificate
 from lf_forge.curves import curve_from_json, parse_signed_edge_id, signed_edge_id
 from lf_forge.divides import Divide, DivideError, standard_divide
@@ -140,6 +140,7 @@ def _divide_edit(path, value):
         (_divide_edit(("edges", 1, "head"), 7), "divide edge 'a1' field 'head' must be a string, got 7"),
         (_divide_edit(("rotation", "v0", 0), "a0"), "bad half-edge id 'a0'"),
         (_divide_edit(("rotation", "v0"), "a0.1"), "divide rotation field 'v0' must be a list, got 'a0.1'"),
+        ({"schema": "divide/1", "vertices": [], "edges": [], "rotation": {}}, "empty divide description"),
     ],
 )
 def test_malformed_divide_documents_raise_divide_error(doc, message):
@@ -151,6 +152,21 @@ def test_malformed_divide_documents_raise_divide_error(doc, message):
 def test_divide_text_with_a_bad_half_edge_raises_divide_error():
     with pytest.raises(DivideError, match="bad half-edge id 'a0.2'"):
         Divide.from_text("v0: a0.0 a0.2 b0.0 b0.1\n")
+
+
+def test_divide_text_without_crossings_raises_divide_error():
+    with pytest.raises(DivideError) as err:
+        Divide.from_text("# no crossings\n")
+    assert str(err.value) == "empty divide description"
+
+
+def test_sphere_document_of_another_genus_raises_surface_error():
+    doc = sphere_planar_fibration().to_json_dict()
+    doc["genus"] = 1
+    fib = LefschetzFibration.from_json_dict(doc)
+    with pytest.raises(SurfaceError) as err:
+        fibration_certificate(fib)
+    assert str(err.value) == "the annulus-page model exists only at genus 0"
 
 
 def test_non_object_documents_raise_surface_error():
