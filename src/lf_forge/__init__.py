@@ -14,7 +14,6 @@ _EXPORTS = {
     "SurfaceError": "ribbon",
     "SurfaceInvariants": "ribbon",
     "CurveOnSurface": "curves",
-    "TransversalityError": "curves",
     "HomologyClass": "homology",
     "curve_class": "homology",
     "homology_basis": "homology",

@@ -131,8 +131,17 @@ def simultaneous_surgery(surface: RibbonGraph, family_x, family_y) -> tuple[Curv
 
     The resolved curves are returned sorted by their least edge, each walk
     starting at that edge, named ``c0``, ``c1``, ...
+
+    The last successful smoothing on a surface is kept in its cache as walk
+    tuples only, so the cache makes no cycle through the surface.  A call
+    whose curves carry the very same walk objects (``is``), in order, on
+    that surface rebuilds its outputs from them without tracing: a fresh
+    build's certificate reuses the builder's smoothing.  Errors are not kept.
     """
     family_x, family_y = tuple(family_x), tuple(family_y)
+    memo = surface._cache.get("smoothing")
+    if memo is not None and _same_walks(surface, memo[0], family_x) and _same_walks(surface, memo[1], family_y):
+        return tuple(CurveOnSurface(surface, f"c{i}", walk) for i, walk in enumerate(memo[2]))
     owner: dict[str, Step] = {}
     for curves in (family_x, family_y):
         for c in curves:
@@ -170,7 +179,15 @@ def simultaneous_surgery(surface: RibbonGraph, family_x, family_y) -> tuple[Curv
         while (nxt := depart[step_head_half(walk[-1])][0]) != e:
             walk.append(owner.pop(nxt))
         outputs.append(CurveOnSurface(surface, f"c{len(outputs)}", tuple(walk)))
+    surface._cache["smoothing"] = (tuple(c.walk for c in family_x), tuple(c.walk for c in family_y),
+                                   tuple(c.walk for c in outputs))
     return tuple(outputs)
+
+
+def _same_walks(surface: RibbonGraph, walks: tuple, curves: tuple) -> bool:
+    """Whether ``curves`` live on ``surface`` and carry exactly the walk
+    objects ``walks``, in order."""
+    return len(walks) == len(curves) and all(c.host is surface and c.walk is w for w, c in zip(walks, curves))
 
 
 def replay_closing_smoothing(surface: RibbonGraph, family_x, family_y, closing) -> tuple[bool, str | None]:

@@ -13,21 +13,32 @@ import json
 import sys
 from pathlib import Path
 
-from .builders import (
-    LefschetzFibration,
-    ishikawa_fibration,
-    johns_fibration,
-    sphere_planar_fibration,
-)
 from .divides import standard_divide
 
 DEFAULT_MAX_GENUS = 32
 
-_BUILDERS = {
-    "johns": johns_fibration,
-    "ishikawa": ishikawa_fibration,
-    "sphere": lambda g: sphere_planar_fibration(),
-}
+
+# The builders are imported when one runs, so that ``export divide`` does
+# not load them.
+def _johns(genus: int):
+    from .builders import johns_fibration
+
+    return johns_fibration(genus)
+
+
+def _ishikawa(genus: int):
+    from .builders import ishikawa_fibration
+
+    return ishikawa_fibration(genus)
+
+
+def _sphere(genus: int):
+    from .builders import sphere_planar_fibration
+
+    return sphere_planar_fibration()
+
+
+_BUILDERS = {"johns": _johns, "ishikawa": _ishikawa, "sphere": _sphere}
 
 
 def _parse_genus(text: str, max_genus: int) -> tuple[int, ...]:
@@ -45,7 +56,8 @@ def _parse_genus(text: str, max_genus: int) -> tuple[int, ...]:
     return tuple(range(a, b + 1))
 
 
-def _build(construction: str, genus: int) -> LefschetzFibration:
+def _build(construction: str, genus: int):
+    """The ``LefschetzFibration`` of one construction at one genus."""
     if construction == "sphere" and genus != 0:
         raise ValueError("the sphere construction exists only at genus 0")
     return _BUILDERS[construction](genus)
@@ -78,19 +90,23 @@ def _emit(texts: dict[str, str], args: argparse.Namespace) -> None:
     """Write named documents to --out (file or directory) or stdout.
 
     Several documents need a directory; a single one may go to a plain file.
+    A filesystem error is a usage error naming --out.
     """
     if args.out is None:
         for text in texts.values():
             sys.stdout.write(text)
         return
     out = Path(args.out)
-    if len(texts) == 1 and not out.is_dir() and not args.out.endswith("/"):
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(next(iter(texts.values())))
-        return
-    out.mkdir(parents=True, exist_ok=True)
-    for name, text in texts.items():
-        (out / name).write_text(text)
+    try:
+        if len(texts) == 1 and not out.is_dir() and not args.out.endswith("/"):
+            out.parent.mkdir(parents=True, exist_ok=True)
+            out.write_text(next(iter(texts.values())))
+            return
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in texts.items():
+            (out / name).write_text(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {args.out}: {exc}") from None
 
 
 def _note(args: argparse.Namespace, message: str) -> None:

@@ -8,11 +8,6 @@ from __future__ import annotations
 from .ribbon import HalfEdge, Record, RibbonGraph, SurfaceError, json_field
 
 
-class TransversalityError(SurfaceError):
-    """Two objects share an edge traversal where a crossing rule needs them
-    to meet only at vertices.  Refine one of them off the shared band."""
-
-
 Step = tuple[str, int]  # (edge id, +1 forward / -1 backward)
 
 

@@ -201,8 +201,11 @@ def checkerboard_coloring(divide: Divide) -> Checkerboard:
     """2-color the faces so the two sides of every edge differ.
 
     Raises ColoringError when impossible, naming an odd closed chain of
-    faces as the witness.
+    faces as the witness.  The coloring is cached on the divide, next to
+    its faces; an error is not.
     """
+    if "coloring" in divide._cache:
+        return divide._cache["coloring"]
     faces = divide.faces()
     adjacency: dict[int, set[int]] = {i: set() for i in range(len(faces))}
     for e in divide.edges:
@@ -231,7 +234,9 @@ def checkerboard_coloring(divide: Divide) -> Checkerboard:
     anchor = color[divide.face_of((divide.edges[0], 0))] if divide.edges else 0
     white = tuple(i for i in range(len(faces)) if color[i] == anchor)
     black = tuple(i for i in range(len(faces)) if color[i] != anchor)
-    return Checkerboard(white, black)
+    result = Checkerboard(white, black)
+    divide._cache["coloring"] = result
+    return result
 
 
 def _odd_chain(parent: dict[int, int | None], u: int, w: int) -> str:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from .builders import LefschetzFibration, replay_closing_smoothing, word_families
 from .curves import CurveOnSurface, canonical_rotation
-from .homology import workspace
 from .ribbon import HalfEdge, Record, RibbonGraph, SurfaceError
 
 __all__ = [
@@ -197,6 +196,8 @@ def _triple_product(g: RibbonGraph, curves: dict[str, CurveOnSurface], fams) -> 
     one.  None when the word lacks the three families or cannot be paired;
     then T decides nothing.
     """
+    from .homology import workspace  # here, the only user, so that a compare that needs no T does not load it
+
     if not {"a", "b", "c"} <= set(fams):
         return None
     a, b, c = ([curves[x.name] for x in fams[f]] for f in ("a", "b", "c"))

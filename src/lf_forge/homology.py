@@ -60,13 +60,7 @@ class Workspace:
                 self.tree.add(e)
         self.basis: tuple[str, ...] = tuple(e for e in self.norm.edges if e not in self.tree)
         self.index = {e: i for i, e in enumerate(self.basis)}
-        self._tree_adj: dict[str, list[tuple[str, str]]] = {v: [] for v in self.norm.vertices}
-        for e in self.tree:
-            t, h = self.norm.edge_endpoints(e)
-            self._tree_adj[t].append((e, h))
-            self._tree_adj[h].append((e, t))
-        for adj in self._tree_adj.values():
-            adj.sort()
+        self._tree_adj: dict[str, list[tuple[str, str]]] | None = None  # built by the first tree_path
         self._gram: list[list[int]] | None = None
 
     # -- basis cycles -------------------------------------------------------
@@ -75,6 +69,14 @@ class Workspace:
         """Steps along tree edges from vertex a to vertex b."""
         if a == b:
             return []
+        if self._tree_adj is None:
+            self._tree_adj = {v: [] for v in self.norm.vertices}
+            for e in self.tree:
+                t, h = self.norm.edge_endpoints(e)
+                self._tree_adj[t].append((e, h))
+                self._tree_adj[h].append((e, t))
+            for adj in self._tree_adj.values():
+                adj.sort()
         prev: dict[str, tuple[str, str]] = {a: ("", "")}
         queue = deque([a])
         while queue:

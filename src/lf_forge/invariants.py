@@ -38,10 +38,6 @@ class FinAbGroup(Record):
         object.__setattr__(self, "torsion", torsion)
 
     @classmethod
-    def trivial(cls) -> "FinAbGroup":
-        return cls(0, ())
-
-    @classmethod
     def free(cls, rank: int) -> "FinAbGroup":
         return cls(rank, ())
 

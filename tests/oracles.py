@@ -7,11 +7,17 @@ crossing at a time), so the tests can hold the package's faster or more
 indirect code against it.
 """
 
-from lf_forge.curves import CurveOnSurface, TransversalityError, reversed_step
+from lf_forge.curves import CurveOnSurface, reversed_step
 from lf_forge.divides import Divide, checkerboard_coloring
 from lf_forge.homology import HomologyClass, curve_class, workspace
 from lf_forge.invariants import FinAbGroup, _cokernel_from_diagonal, _sparse_snf_diagonal
 from lf_forge.ribbon import RibbonGraph, SurfaceError
+
+
+class TransversalityError(SurfaceError):
+    """Two objects share an edge traversal where a crossing rule needs them
+    to meet only at vertices.  Refine one of them off the shared band."""
+
 
 # -- ribbon graphs ------------------------------------------------------------------
 

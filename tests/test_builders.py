@@ -1,5 +1,7 @@
 """Fibration builders: plumbing realization, surgery, and the divide model."""
 
+import sys
+
 import pytest
 
 from lf_forge.builders import (
@@ -12,8 +14,10 @@ from lf_forge.builders import (
     realize_plumbing,
     simultaneous_surgery,
     sphere_planar_fibration,
+    word_families,
 )
-from lf_forge.curves import CurveOnSurface
+from lf_forge.certify import fibration_certificate
+from lf_forge.curves import CurveOnSurface, reversed_step
 from lf_forge.divides import Divide, standard_divide
 from lf_forge.homology import curve_class
 from lf_forge.ribbon import RibbonGraph, SurfaceError
@@ -86,6 +90,59 @@ def test_surgery_output_count_and_conservation(built):
         )
         total_out = curve_class(fiber, outs[0]) + curve_class(fiber, outs[1])
         assert total_in == total_out
+
+
+def _smoothing_traces(monkeypatch) -> list:
+    """The curves whose passes ``simultaneous_surgery`` reads: each input
+    curve once whenever it traces, none when it rebuilds a kept smoothing."""
+    traced = []
+    passes = CurveOnSurface.passes
+
+    def counted(self):
+        if sys._getframe(1).f_code.co_name == "simultaneous_surgery":
+            traced.append(self)
+        return passes(self)
+
+    monkeypatch.setattr(CurveOnSurface, "passes", counted)
+    return traced
+
+
+@pytest.mark.parametrize("build", [johns_fibration, ishikawa_fibration], ids=["johns", "ishikawa"])
+def test_certificate_of_a_fresh_build_reuses_the_builders_smoothing(build, monkeypatch):
+    traced = _smoothing_traces(monkeypatch)
+    for genus in range(9):
+        traced.clear()
+        fib = build(genus)
+        fams = word_families(fib)
+        inputs = [*fams["a"], *fams["b"]]
+        assert traced == inputs
+        doc = LefschetzFibration.from_json_dict(fib.to_json_dict())
+        traced.clear()
+        cert = fibration_certificate(fib)
+        assert cert["passed"] and cert["checks"][-1]["name"] == "closing_smoothing"
+        assert traced == []
+        cert = fibration_certificate(doc)
+        assert cert["passed"] and cert["checks"][-1]["name"] == "closing_smoothing"
+        assert [c.name for c in traced] == [c.name for c in inputs]
+
+
+@pytest.mark.parametrize("corruption", ["reversed", "b_cycle"])
+@pytest.mark.parametrize("build", [johns_fibration, ishikawa_fibration], ids=["johns", "ishikawa"])
+def test_kept_smoothing_cannot_vouch_for_a_foreign_closing_family(build, corruption):
+    """The a- and b-cycles are the build's own, so the kept smoothing is
+    used; the c-family is still compared against it."""
+    fib = build(2)
+    fams = word_families(fib)
+    c0 = fams["c"][0]
+    if corruption == "reversed":
+        walk = tuple(reversed_step(step) for step in reversed(c0.walk))
+    else:
+        walk = fams["b"][0].walk
+    word = (*fams["a"], *fams["b"], CurveOnSurface(fib.fiber, c0.name, walk), *fams["c"][1:])
+    cert = fibration_certificate(LefschetzFibration(fib.construction, fib.genus, fib.fiber, word))
+    check = cert["checks"][-1]
+    assert check["name"] == "closing_smoothing"
+    assert not check["passed"] and not cert["passed"]
 
 
 def test_divide_fiber_model_builds_one_ribbon_graph(constructions, monkeypatch):

@@ -166,6 +166,23 @@ def test_single_output_to_file(capsys, tmp_path):
     assert json.loads(target.read_text())["schema"] == "lefschetz-fibration/1"
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "both", "--genus", "0..1", "--out", "{plain}"],
+    ["generate", "johns", "--genus", "0", "--out", "{plain}/x.json"],
+], ids=["directory", "file"])
+def test_out_filesystem_errors_are_usage_errors(capsys, tmp_path, argv):
+    plain = tmp_path / "plain"
+    plain.write_text("kept\n")
+    argv = [a.format(plain=plain) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"cannot write --out {argv[-1]}:" in err
+    assert "Traceback" not in err
+    assert plain.read_text() == "kept\n"
+
+
 def test_verbose_notes_go_to_stderr(capsys):
     code, out, err = run(capsys, "generate", "johns", "--genus", "0", "-v")
     assert code == 0

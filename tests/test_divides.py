@@ -2,7 +2,9 @@
 
 import pytest
 
+from lf_forge.builders import divide_fiber_model
 from lf_forge.divides import (
+    Checkerboard,
     ColoringError,
     Divide,
     DivideError,
@@ -120,6 +122,27 @@ def test_admissibility_traces_the_faces_once(monkeypatch):
         assert rep.ambient_genus == d.graph.invariants().genus == genus
 
 
+def test_admissibility_and_the_fiber_model_colour_once(monkeypatch):
+    """``divide_fiber_model`` reads the coloring that ``check_admissible``
+    already found: it is cached on the divide."""
+    made = []
+    init = Checkerboard.__init__
+
+    def counted(self, white, black):
+        made.append(self)
+        init(self, white, black)
+
+    monkeypatch.setattr(Checkerboard, "__init__", counted)
+    for genus in range(9):
+        d = standard_divide(genus)
+        made.clear()
+        assert check_admissible(d).admissible
+        model = divide_fiber_model(d)
+        assert len(made) == 1
+        assert checkerboard_coloring(d) is made[0]
+        assert len(model.white_cycles) == len(made[0].white)
+
+
 @pytest.mark.parametrize("genus", range(6))
 def test_necklace_morse_counts(genus):
     d = standard_divide(genus)
@@ -168,8 +191,10 @@ def test_odd_dual_cycle_is_rejected():
     assert rep.connected and not rep.colorable and not rep.admissible
     assert (rep.faces, rep.ambient_genus) == (3, 1)
     assert rep.problem.startswith("odd face chain")
-    with pytest.raises(ColoringError, match="odd face chain"):
-        checkerboard_coloring(d)
+    # a failed coloring is not cached: every call raises again
+    for _ in range(2):
+        with pytest.raises(ColoringError, match="odd face chain"):
+            checkerboard_coloring(d)
 
 
 def test_self_adjacent_face_is_rejected():

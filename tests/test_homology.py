@@ -5,7 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lf_forge.curves import CurveOnSurface, TransversalityError, reversed_step
+from lf_forge.builders import ishikawa_fibration, johns_fibration
+from lf_forge.certify import fibration_certificate
+from lf_forge.curves import CurveOnSurface, reversed_step
 from lf_forge.homology import (
     HomologyClass,
     Workspace,
@@ -18,7 +20,7 @@ from lf_forge.homology import (
 from lf_forge.invariants import boundary_open_book, open_book_h1
 from lf_forge.ribbon import RibbonGraph, SurfaceError
 
-from oracles import algebraic_intersection, dehn_twist_on_class, dehn_twist_on_path
+from oracles import TransversalityError, algebraic_intersection, dehn_twist_on_class, dehn_twist_on_path
 
 
 def loop(surface, edge, name=None):
@@ -39,6 +41,18 @@ def test_basis_ranks(annulus, punctured_torus, pants, genus_two):
     assert len(homology_basis(punctured_torus)) == 2
     assert len(homology_basis(pants)) == 2
     assert len(homology_basis(genus_two)) == 4
+
+
+@pytest.mark.parametrize("build", [johns_fibration, ishikawa_fibration], ids=["johns", "ishikawa"])
+def test_certificate_leaves_the_tree_adjacency_unbuilt(build):
+    """Only ``tree_path`` reads the tree adjacency, and it builds it."""
+    fib = build(3)
+    assert fibration_certificate(fib)["passed"]
+    ws = workspace(fib.fiber)
+    assert ws._tree_adj is None
+    cycle = ws.basis_cycle(ws.basis[0])
+    assert ws._tree_adj is not None
+    assert _sparse_class(fib.fiber, cycle) == {0: 1}
 
 
 def test_one_vertex_basis_cycles_are_unit_classes(punctured_torus):

@@ -91,3 +91,22 @@ def test_cli_import_loads_no_unused_standard_modules():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.split("\n") == ["[]", "[]", "[]", ""]
+
+
+@pytest.mark.parametrize("argv, exit_code, unused", [
+    (["compare", "--genus", "0..2"], 0, ["lf_forge.homology", "lf_forge.invariants"]),
+    (["compare", "--genus", "0", "--against", "johns:3"], 1, ["lf_forge.homology", "lf_forge.invariants"]),
+    (["export", "divide", "--genus", "0..2"], 0, ["lf_forge.builders", "lf_forge.curves"]),
+], ids=["compare", "compare-against", "export-divide"])
+def test_each_command_loads_only_the_layers_it_runs(argv, exit_code, unused):
+    """A compare that needs no triple product never pairs curves, and an
+    exported divide needs no fiber: neither loads those layers."""
+    code = ("import contextlib, io, sys\n"
+            "from lf_forge.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main({argv!r})\n"
+            f"print(code, sorted(set({unused!r}) & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == f"{exit_code} []\n"
