@@ -396,7 +396,12 @@ def word_families(fib: LefschetzFibration) -> dict[str, tuple[CurveOnSurface, ..
 
 
 def expected_fiber_profile(construction: str, genus: int) -> dict:
-    """Fiber and word-shape expectations per construction."""
+    """Fiber and word-shape expectations per construction: johns and
+    ishikawa at any genus >= 0, sphere at genus 0."""
+    if construction not in ("johns", "ishikawa", "sphere"):
+        raise SurfaceError(f"no closed-form expectations for construction {construction!r}")
+    if genus < 0:
+        raise SurfaceError(f"genus must be nonnegative, got {genus}")
     if construction == "sphere":
         if genus != 0:
             raise SurfaceError("the annulus-page model exists only at genus 0")

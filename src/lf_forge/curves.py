@@ -24,27 +24,35 @@ def check_walk(surface: RibbonGraph, walk) -> None:
     """Raise SurfaceError unless ``walk`` is a nonempty chain of steps on
     ``surface`` that closes up from its last step to its first.
 
-    Every step is validated before the chain is followed, so a walk with
-    both faults reports the step that is not on the surface.  Steps and
-    chain ends are looked up in the surface's half-edge table directly.
+    One pass looks every step up in the surface's half-edge table and
+    keeps the first break it meets; a step that is not on the surface is
+    raised when it is reached, so it beats any break, and the closing
+    break, from the last step to the first, comes last.
     """
     if not walk:
         raise SurfaceError("empty walk")
     vertex_of = surface._vertex_of
-    tails, heads = [], []
-    for e, s in walk:
-        if (e, 0) not in vertex_of or s not in (1, -1):
-            raise SurfaceError(f"walk step ({e!r}, {s}) is not on the surface")
-        if s > 0:
-            tails.append(vertex_of[(e, 0)])
-            heads.append(vertex_of[(e, 1)])
+    prev = head = start = fault = None
+    for step in walk:
+        e, s = step
+        if s == 1:
+            tail, next_head = vertex_of.get((e, 0)), vertex_of.get((e, 1))
+        elif s == -1:
+            tail, next_head = vertex_of.get((e, 1)), vertex_of.get((e, 0))
         else:
-            tails.append(vertex_of[(e, 1)])
-            heads.append(vertex_of[(e, 0)])
-    tails.append(tails[0])
-    if heads != tails[1:]:
-        i = next(i for i, (h, t) in enumerate(zip(heads, tails[1:])) if h != t)
-        raise SurfaceError(f"walk breaks between {walk[i]} and {walk[(i + 1) % len(walk)]}")
+            tail = None
+        if tail is None:
+            raise SurfaceError(f"walk step ({e!r}, {s}) is not on the surface")
+        if tail != head:
+            if prev is None:
+                start = tail
+            elif fault is None:
+                fault = (prev, step)
+        prev, head = step, next_head
+    if fault is None and head != start:
+        fault = (prev, walk[0])
+    if fault is not None:
+        raise SurfaceError(f"walk breaks between {fault[0]} and {fault[1]}")
 
 
 class CurveOnSurface(Record):
@@ -124,6 +132,13 @@ def parse_signed_edge_id(token: str) -> Step:
 
 
 def curve_from_json(surface: RibbonGraph, rec: dict) -> CurveOnSurface:
-    name = json_field(rec, "name", str, "vanishing cycle")
-    walk = json_field(rec, "walk", list, f"vanishing cycle {name!r}", str)
-    return CurveOnSurface(surface, name, tuple(parse_signed_edge_id(t) for t in walk))
+    """A ``vanishing_cycles`` entry on ``surface``.  As in
+    ``RibbonGraph.from_json_dict``, only a field whose value has not exactly
+    its JSON type goes to ``json_field``."""
+    name = rec.get("name") if type(rec) is dict else None
+    if type(name) is not str:
+        name = json_field(rec, "name", str, "vanishing cycle")
+    walk = rec.get("walk")
+    if type(walk) is not list or not all(type(t) is str for t in walk):
+        walk = json_field(rec, "walk", list, f"vanishing cycle {name!r}", str)
+    return CurveOnSurface(surface, name, tuple([parse_signed_edge_id(t) for t in walk]))

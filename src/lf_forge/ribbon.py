@@ -264,6 +264,12 @@ class RibbonGraph:
         this toggles the twist bit of every edge with exactly one flipped
         endpoint and leaves the surface unchanged.  Only defined for
         orientable graphs.  Vertex, edge and half-edge ids are preserved.
+
+        The tables come from this validated graph rather than from the
+        constructor, which could not fail on them: the half-edges sit at the
+        same vertices, and at a reversed vertex successor and predecessor
+        swap and the index i of a rotation of length d becomes d - 1 - i.
+        ``tests/oracles.py`` holds the constructor-built reference.
         """
         if "normalized" in self._cache:
             return self._cache["normalized"]
@@ -273,7 +279,23 @@ class RibbonGraph:
         if not self.twists and all(s == 1 for s in eps.values()):
             self._cache["normalized"] = self
             return self
-        norm = RibbonGraph(self.vertices, self.edges, _oriented_rotation(self.rotation, eps), ())
+        norm = object.__new__(RibbonGraph)
+        norm.vertices = self.vertices
+        norm.edges = self.edges
+        norm.twists = frozenset()
+        norm.rotation = _oriented_rotation(self.rotation, eps)
+        norm._vertex_of = self._vertex_of
+        nxt, prv, pos = self._next, self._prev, self._pos
+        norm._next, norm._prev, norm._pos = dict(nxt), dict(prv), dict(pos)
+        for v, s in eps.items():
+            if s < 0:
+                rot = self.rotation[v]
+                last = len(rot) - 1
+                for h in rot:
+                    norm._next[h] = prv[h]
+                    norm._prev[h] = nxt[h]
+                    norm._pos[h] = last - pos[h]
+        norm._cache = {}
         self._cache["normalized"] = norm
         return norm
 
@@ -440,26 +462,50 @@ class RibbonGraph:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "RibbonGraph":
+        """Parse a ``ribbon-graph/1`` document.
+
+        A field whose value has exactly its JSON type is taken as it is;
+        any other value goes to ``json_field``, which accepts it or raises
+        the field's message.  Rotation ids are looked up among the edges'
+        ``half_edges``; an id not there goes to ``parse_half_edge`` and then
+        to the constructor, which name the malformed id or the unknown edge.
+        """
         schema = doc.get("schema") if isinstance(doc, dict) else None
         if schema != "ribbon-graph/1":
             raise SurfaceError(f"unsupported schema {schema!r}")
         vertices = json_field(doc, "vertices", list, "ribbon-graph", str)
         records = json_field(doc, "edges", list, "ribbon-graph", dict)
-        edges = [json_field(rec, "id", str, "ribbon-graph edge") for rec in records]
+        edges = [rec["id"] if type(rec.get("id")) is str else json_field(rec, "id", str, "ribbon-graph edge")
+                 for rec in records]
+        half_edge_of = {}
         for e, rec in zip(edges, records):
-            halves = json_field(rec, "half_edges", list, f"ribbon-graph edge {e!r}")
-            expected = [cls.half_edge_id((e, 0)), cls.half_edge_id((e, 1))]
+            halves = rec.get("half_edges")
+            if type(halves) is not list:
+                halves = json_field(rec, "half_edges", list, f"ribbon-graph edge {e!r}")
+            expected = [f"{e}.0", f"{e}.1"]
             if halves != expected:
                 raise SurfaceError(
                     f"ribbon-graph edge {e!r} field 'half_edges' must be {expected}, got {halves!r}"
                 )
-        twists = [
-            e for e, rec in zip(edges, records)
-            if "twist" in rec and json_field(rec, "twist", bool, f"ribbon-graph edge {e!r}")
-        ]
+            if e:  # parse_half_edge rejects the ids of an empty edge id
+                half_edge_of[expected[0]] = (e, 0)
+                half_edge_of[expected[1]] = (e, 1)
+        twists = []
+        for e, rec in zip(edges, records):
+            twist = rec.get("twist", False)
+            if type(twist) is not bool:
+                twist = json_field(rec, "twist", bool, f"ribbon-graph edge {e!r}")
+            if twist:
+                twists.append(e)
         rotation = json_field(doc, "rotation", dict, "ribbon-graph")
         parsed = {}
-        for v in rotation:
+        for v, halves in rotation.items():
+            if type(halves) is list:
+                try:
+                    parsed[v] = [half_edge_of[h] for h in halves]
+                    continue
+                except (KeyError, TypeError):  # an unknown id or a non-string entry
+                    pass
             halves = json_field(rotation, v, list, "ribbon-graph rotation", str)
             parsed[v] = [cls.parse_half_edge(h) for h in halves]
         return cls(vertices, edges, parsed, twists)

@@ -11,7 +11,7 @@ from lf_forge.curves import CurveOnSurface, reversed_step
 from lf_forge.divides import Divide, checkerboard_coloring
 from lf_forge.homology import HomologyClass, curve_class, workspace
 from lf_forge.invariants import FinAbGroup, _cokernel_from_diagonal, _sparse_snf_diagonal
-from lf_forge.ribbon import RibbonGraph, SurfaceError
+from lf_forge.ribbon import RibbonGraph, SurfaceError, _oriented_rotation
 
 
 class TransversalityError(SurfaceError):
@@ -97,6 +97,12 @@ def mirrored(g: RibbonGraph) -> RibbonGraph:
     return RibbonGraph(g.vertices, g.edges, rotation, g.twists)
 
 
+def normalized(g: RibbonGraph) -> RibbonGraph:
+    """The reference for ``RibbonGraph.normalized``: the constructor run on
+    the oriented rotation, so every table is built and checked afresh."""
+    return RibbonGraph(g.vertices, g.edges, _oriented_rotation(g.rotation, g.local_orientations()), ())
+
+
 # -- steps of walks -----------------------------------------------------------------
 
 
@@ -110,6 +116,25 @@ def step_tail_half(step):
     """Half-edge at the tail vertex, where the traversal departs."""
     e, s = step
     return (e, 0 if s > 0 else 1)
+
+
+def check_walk(surface: RibbonGraph, walk) -> None:
+    """The reference for ``curves.check_walk``: list every step's tail and
+    head first, then compare the heads with the next tails."""
+    if not walk:
+        raise SurfaceError("empty walk")
+    vertex_of = surface._vertex_of
+    tails, heads = [], []
+    for e, s in walk:
+        if (e, 0) not in vertex_of or s not in (1, -1):
+            raise SurfaceError(f"walk step ({e!r}, {s}) is not on the surface")
+        ends = (vertex_of[(e, 0)], vertex_of[(e, 1)])
+        tails.append(ends[s < 0])
+        heads.append(ends[s > 0])
+    tails.append(tails[0])
+    for i, (h, t) in enumerate(zip(heads, tails[1:])):
+        if h != t:
+            raise SurfaceError(f"walk breaks between {walk[i]} and {walk[(i + 1) % len(walk)]}")
 
 
 def rebased(curve: CurveOnSurface, index: int):

@@ -11,6 +11,7 @@ from lf_forge.curves import (
 )
 from lf_forge.ribbon import SurfaceError
 
+import oracles
 from oracles import step_head, step_tail_half
 
 # On the pants fixture every band e, f, g runs forward from u to v.
@@ -35,6 +36,21 @@ def test_malformed_walks_name_the_first_fault(pants, walk, message):
     with pytest.raises(SurfaceError) as err:
         check_walk(pants, walk)
     assert str(err.value) == message
+
+
+def _fault(check, surface, walk):
+    try:
+        check(surface, walk)
+    except SurfaceError as exc:
+        return str(exc)
+    return None
+
+
+@given(st.lists(st.tuples(st.sampled_from(["e", "f", "g", "zz"]), st.sampled_from([1, -1, 0])), max_size=6))
+def test_one_pass_walk_check_names_the_oracles_fault(pants, walk):
+    """Random short walks on the pants, most of them broken somewhere and
+    some off the surface: the first fault reported is the reference's."""
+    assert _fault(check_walk, pants, walk) == _fault(oracles.check_walk, pants, walk)
 
 
 def test_closed_curves_validate_their_walk(pants):

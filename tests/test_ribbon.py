@@ -73,6 +73,8 @@ def test_mobius_profile(mobius):
     assert (inv.euler, inv.boundary_components, inv.orientable) == (0, 1, False)
     assert inv.genus is None
     assert mobius.local_orientations() is None
+    with pytest.raises(NonOrientableError):
+        mobius.normalized()
 
 
 def test_punctured_torus_profile(punctured_torus):
@@ -209,6 +211,32 @@ def test_normalization_clears_twists_and_preserves_type(g):
     norm = g.normalized()
     assert not norm.twists
     assert norm.invariants() == g.invariants()
+
+
+def tables(g):
+    """Every table a ribbon graph holds."""
+    return g.vertices, g.edges, g.twists, g.rotation, g._vertex_of, g._next, g._prev, g._pos
+
+
+@given(ribbon_graphs())
+def test_normalization_derives_the_constructors_tables(g):
+    if not g.is_orientable():
+        with pytest.raises(NonOrientableError):
+            g.normalized()
+        return
+    norm = g.normalized()
+    assert tables(norm) == tables(oracles.normalized(g))
+    assert norm.normalized() is norm
+
+
+@pytest.mark.parametrize("construction", ["johns", "ishikawa"])
+def test_normalized_builds_match_the_constructor(built, relabelled, mirrored, construction):
+    for genus in range(9):
+        fib = built(construction, genus)
+        for lf in (fib, relabelled(fib, genus), mirrored(fib)):
+            norm = lf.fiber.normalized()
+            assert tables(norm) == tables(oracles.normalized(lf.fiber))
+            assert norm.normalized() is norm
 
 
 @given(ribbon_graphs())

@@ -112,6 +112,15 @@ def _edit(path, value):
          "edge 'a0e0' field 'half_edges' must be ['a0e0.0', 'a0e0.1'], got ['zz.0', 'qq.7']"),
         (("fiber", "rotation", "ghost"), [], "rotation keys must match vertex set"),
         (("fiber", "rotation", "s1_0"), DELETE, "rotation keys must match vertex set"),
+        (("fiber", "edges", 0, "half_edges"), "a0e0.0",
+         "edge 'a0e0' field 'half_edges' must be a list, got 'a0e0.0'"),
+        (("fiber", "edges", 0, "twist"), 1, "edge 'a0e0' field 'twist' must be a boolean, got 1"),
+        (("fiber", "rotation", "s1_0", 0), 5, "rotation field 's1_0' has an entry that is not a string: 5"),
+        (("fiber", "rotation", "s1_0", 0), "zz.0",
+         "half-edge mismatch: missing [('a0e0', 0)], unknown [('zz', 0)]"),
+        (("fiber", "rotation", "s1_0", 0), "a0e0.2", "bad half-edge id 'a0e0.2'"),
+        (("fiber", "edges", 0, "id"), DELETE, "ribbon-graph edge is missing field 'id'"),
+        (("vanishing_cycles", 0, "walk", 0), 3, "cycle 'a0' field 'walk' has an entry that is not a string: 3"),
     ],
 )
 def test_malformed_documents_raise_surface_error(path, value, message):
@@ -167,6 +176,23 @@ def test_sphere_document_of_another_genus_raises_surface_error():
     with pytest.raises(SurfaceError) as err:
         fibration_certificate(fib)
     assert str(err.value) == "the annulus-page model exists only at genus 0"
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("construction", "banana", "no closed-form expectations for construction 'banana'"),
+        ("genus", -1, "genus must be nonnegative, got -1"),
+    ],
+)
+def test_certificate_needs_a_known_construction_and_genus(field, value, message):
+    """A document parses whatever construction and genus it names, but only
+    johns, ishikawa and sphere at genus >= 0 have expectations to certify
+    against; any other pair raises instead of passing or failing checks."""
+    fib = LefschetzFibration.from_json_dict(_edit((field,), value))
+    with pytest.raises(SurfaceError) as err:
+        fibration_certificate(fib)
+    assert str(err.value) == message
 
 
 def test_non_object_documents_raise_surface_error():
