@@ -298,6 +298,7 @@ def divide_fiber_model(divide: Divide) -> DivideFiberModel:
         else:
             rotation[site] = (r_in, arriving, r_out, departing)
     fiber = RibbonGraph(vertices, edges, rotation, twists)
+    fiber._cache["orientation"] = (eps, components)  # the rewrite moved no band end
 
     faces = divide.faces()
     white_cycles = []

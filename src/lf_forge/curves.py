@@ -5,7 +5,7 @@ A closed curve is a cyclic walk of directed edge traversals.
 
 from __future__ import annotations
 
-from .ribbon import HalfEdge, Record, RibbonGraph, SurfaceError, json_field
+from .ribbon import HalfEdge, Record, RibbonGraph, SurfaceError, as_pairs, json_field
 
 
 Step = tuple[str, int]  # (edge id, +1 forward / -1 backward)
@@ -56,17 +56,17 @@ def check_walk(surface: RibbonGraph, walk) -> None:
 
 
 class CurveOnSurface(Record):
-    """A named closed walk on a ribbon graph.
-
-    The walk need not be edge-simple in general (Dehn-twisted images repeat
-    edges); operations that require an embedded curve call
+    """A named closed walk on a ribbon graph, checked by ``check_walk`` and
+    stored as ``(str, int)`` steps (``as_pairs``: an exact-typed walk is
+    kept as it is).  The walk need not be edge-simple (Dehn-twisted images
+    repeat edges); operations that require an embedded curve call
     ``require_edge_simple`` first.
     """
 
     __slots__ = ("host", "name", "walk")
 
     def __init__(self, host: RibbonGraph, name: str, walk: tuple[Step, ...]):
-        walk = tuple([(str(e), int(s)) for e, s in walk])
+        walk = as_pairs(walk)
         check_walk(host, walk)
         object.__setattr__(self, "host", host)
         object.__setattr__(self, "name", name)

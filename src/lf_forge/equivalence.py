@@ -12,14 +12,8 @@ The search is anchored: the image of the first first-family core must run
 along a first-family core of the target, so only half-edges on those cores
 seed the propagation, and each seed extends to at most one full map.  Seeds
 are scanned in a fixed order (orientation-preserving first, then by half-edge
-id), making the returned isomorphism deterministic.
-
-Reversing the orientation negates the intersection pairing, so the triple
-product T of the word's pairing (``_triple_product``) tells the orientations
-apart.  Once an orientation-preserving seed has failed the word, T of both
-words is computed and the remaining seeds of an orientation it rules out are
-skipped; a skipped seed could not have succeeded, so the result is the one
-of the full scan.
+id), making the result deterministic, and those of an orientation that the
+words' triple product (``_triple_product``) rules out are skipped.
 """
 
 from __future__ import annotations
@@ -64,16 +58,15 @@ def carry_curve(curve: CurveOnSurface, target: RibbonGraph,
 
 
 def reduced_word(fib: LefschetzFibration) -> tuple[RibbonGraph, dict[str, CurveOnSurface]]:
-    """The fiber with degree-two vertices suppressed and twists cleared,
-    together with the word carried onto it.
-
-    The graph comes from ``RibbonGraph._reduced``: one construction, none
-    when the fiber is already reduced.  Orientation is inherited from the
-    full fiber, not re-rooted: suppressing vertices can change which vertex
-    normalization anchors at, silently mirroring the reduced surface
-    relative to the original.
+    """The fiber with degree-two vertices suppressed and twists cleared
+    (``RibbonGraph._reduced``, orientation inherited from the full fiber),
+    with the word carried onto it.  When that is the fiber itself (every
+    plumbing fiber, either orientation), the word's own curves are returned:
+    the identity edge map would carry each onto an equal walk on that graph.
     """
     norm, edge_map = fib.fiber._reduced()
+    if norm is fib.fiber:
+        return norm, {c.name: c for c in fib.word}
     return norm, {c.name: carry_curve(c, norm, edge_map) for c in fib.word}
 
 
@@ -123,21 +116,12 @@ _CHECK_NAMES = (
 )
 
 
-def _family_shape(fib: LefschetzFibration) -> tuple[tuple[str, int], ...]:
-    return tuple((name, len(curves)) for name, curves in word_families(fib).items())
-
-
 def _gate(lf1: LefschetzFibration, lf2: LefschetzFibration) -> list[tuple[str, bool]]:
+    shape1, shape2 = ([(name, len(cs)) for name, cs in word_families(lf).items()] for lf in (lf1, lf2))
     return [
         ("fiber_invariants", lf1.fiber.invariants() == lf2.fiber.invariants()),
-        ("word_families", _family_shape(lf1) == _family_shape(lf2)),
+        ("word_families", shape1 == shape2),
     ]
-
-
-def _mapped_curve(curve: CurveOnSurface, target: RibbonGraph,
-                  edge_map: dict[str, tuple[str, int]]) -> CurveOnSurface:
-    walk = tuple((edge_map[e][0], s * edge_map[e][1]) for e, s in curve.walk)
-    return CurveOnSurface(target, curve.name, walk)
 
 
 def _propagate(g1: RibbonGraph, g2: RibbonGraph, seed1: HalfEdge, seed2: HalfEdge,
@@ -230,9 +214,10 @@ def _rotation_index(curves2: dict[str, CurveOnSurface],
 
 
 def _match_families(curves1: dict[str, CurveOnSurface], index, fams1,
-                    edge_map) -> dict[str, str] | None:
+                    edge_map) -> tuple[dict[str, str], dict[str, tuple]] | None:
     """Pair each mapped source cycle with an equal target cycle, family by
-    family, up to cyclic rotation and reversal.  Returns the name bijection.
+    family, up to cyclic rotation and reversal.  Returns the name bijection
+    and every mapped walk by source name, for ``_surgery_commutes``.
 
     A mapped walk is looked up in the rotation index of the target word by
     its canonical rotation, so it is accepted only as a rotation of a target
@@ -244,6 +229,7 @@ def _match_families(curves1: dict[str, CurveOnSurface], index, fams1,
     interchangeable and first-fit succeeds exactly when any matching
     exists."""
     cycle_map: dict[str, str] = {}
+    images: dict[str, tuple] = {}
     for fam, sources in fams1.items():
         rotations = index[fam]
         used: set[str] = set()
@@ -254,34 +240,28 @@ def _match_families(curves1: dict[str, CurveOnSurface], index, fams1,
                 return None
             used.add(t)
             cycle_map[c.name] = t
-    return cycle_map
+            images[c.name] = image
+    return cycle_map, images
 
 
-def _surgery_commutes(fams1, curves1, g2, edge_map) -> bool:
-    """Re-run the closing smoothing on the mapped cores; the outputs must be
-    the mapped closing cycles, orientations included."""
+def _surgery_commutes(fams1, images: dict[str, tuple], g2: RibbonGraph) -> bool:
+    """Replay the closing smoothing on the mapped a/b cores (``images``, on
+    ``g2``); the outputs must be the mapped c cycles, orientations included."""
     if not {"a", "b", "c"} <= set(fams1):
         return True
-    imgs = {f: [_mapped_curve(curves1[c.name], g2, edge_map) for c in fams1[f]]
-            for f in ("a", "b", "c")}
+    a, b, c = ([CurveOnSurface(g2, x.name, images[x.name]) for x in fams1[f]] for f in ("a", "b", "c"))
     try:
-        ok, _ = replay_closing_smoothing(g2, imgs["a"], imgs["b"], imgs["c"])
+        return replay_closing_smoothing(g2, a, b, c)[0]
     except SurfaceError:
         return False
-    return ok
 
 
 def find_isomorphism(lf1: LefschetzFibration, lf2: LefschetzFibration) -> FibrationIso | None:
     """Search for an isomorphism of fibrations, None when there is none.
 
-    Cheap invariants gate the search; then every placement of the first
-    first-family core onto the target's first-family cores is propagated to a
-    full map and checked against the word and the smoothing move, except the
-    placements of an orientation the triple product T rules out (computed
-    after the first orientation-preserving seed fails the word).  The first
-    success in scan order is returned.  A fiber that cannot be reduced, or a
-    pair of empty words, raises SurfaceError: that is a failure to compare,
-    not a missing isomorphism.
+    Cheap invariants gate the search (``_search``).  A fiber that cannot be
+    reduced, or a pair of empty words, raises SurfaceError: that is a
+    failure to compare, not a missing isomorphism.
     """
     if not all(ok for _, ok in _gate(lf1, lf2)):
         return None
@@ -291,10 +271,11 @@ def find_isomorphism(lf1: LefschetzFibration, lf2: LefschetzFibration) -> Fibrat
 def _search(lf1: LefschetzFibration, lf2: LefschetzFibration) -> FibrationIso | None:
     """The search behind find_isomorphism, for a pair that passed the gate.
 
-    Orientation-preserving seeds come first.  When the first of them that
-    propagates fails the word, T of both words (``_triple_product``) rules
-    orientations out and their remaining seeds are skipped; with T unknown
-    for either word nothing is skipped.
+    Each placement of the first first-family core onto a target first-family
+    core propagates to at most one full map, checked against the word and the
+    smoothing move; the first success in scan order is returned.  Once an
+    orientation-preserving seed fails the word, seeds of an orientation that
+    the words' ``_triple_product`` rules out are skipped (none if unknown).
     """
     g1, curves1 = reduced_word(lf1)
     g2, curves2 = reduced_word(lf2)
@@ -322,8 +303,8 @@ def _search(lf1: LefschetzFibration, lf2: LefschetzFibration) -> FibrationIso | 
             if grown is None:
                 continue
             vertex_map, edge_map = grown
-            cycle_map = _match_families(curves1, index, fams1, edge_map)
-            if cycle_map is None:
+            matched = _match_families(curves1, index, fams1, edge_map)
+            if matched is None:
                 if preserve and not decided:
                     decided = True
                     t1 = _triple_product(g1, curves1, fams1)
@@ -331,7 +312,8 @@ def _search(lf1: LefschetzFibration, lf2: LefschetzFibration) -> FibrationIso | 
                     if t1 is not None and t2 is not None:
                         possible = {True: t1 == t2, False: t1 == -t2}
                 continue
-            if not _surgery_commutes(fams1, curves1, g2, edge_map):
+            cycle_map, images = matched
+            if not _surgery_commutes(fams1, images, g2):
                 continue
             return FibrationIso(lf1, lf2, vertex_map, edge_map, preserve, cycle_map)
     return None

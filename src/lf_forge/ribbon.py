@@ -24,6 +24,22 @@ class NonOrientableError(SurfaceError):
 
 HalfEdge = tuple[str, int]
 
+
+def as_pairs(items) -> tuple:
+    """``items`` as a tuple of ``(str, int)`` pairs; a tuple or list of
+    exactly such tuples, as every producer here builds, is not rebuilt."""
+    if type(items) is tuple or type(items) is list:
+        for x in items:
+            if type(x) is not tuple:
+                break
+            a, b = x  # a wrong length raises what the rebuild would raise
+            if type(a) is not str or type(b) is not int:
+                break
+        else:
+            return tuple(items)
+    return tuple([(str(a), int(b)) for a, b in items])
+
+
 _JSON_TYPE_NAMES = {
     str: "a string", int: "an integer", bool: "a boolean", list: "a list", dict: "an object",
 }
@@ -142,7 +158,7 @@ class RibbonGraph:
                 raise SurfaceError(f"edge id may not start with '-': {e!r}")
         if set(rotation) != set(self.vertices):
             raise SurfaceError("rotation keys must match vertex set")
-        self.rotation = {v: tuple([(str(e), int(i)) for e, i in rotation[v]]) for v in self.vertices}
+        self.rotation = {v: as_pairs(rotation[v]) for v in self.vertices}
         seen = {h: v for v, rot in self.rotation.items() for h in rot}
         if len(seen) != sum(map(len, self.rotation.values())):
             seen = {}

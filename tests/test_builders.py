@@ -20,7 +20,8 @@ from lf_forge.certify import fibration_certificate
 from lf_forge.curves import CurveOnSurface, reversed_step
 from lf_forge.divides import Divide, standard_divide
 from lf_forge.homology import curve_class
-from lf_forge.ribbon import RibbonGraph, SurfaceError
+from lf_forge import builders, ribbon
+from lf_forge.ribbon import RibbonGraph, SurfaceError, edge_links, orientation_signs
 
 
 # -- plumbing patterns -------------------------------------------------------------
@@ -282,6 +283,27 @@ def test_divide_model_cycle_counts_match_faces_and_crossings():
             + list(model.black_cycles)
         ):
             assert c.is_edge_simple()
+
+
+@pytest.mark.parametrize("genus", range(9))
+def test_divide_fiber_keeps_the_orientation_it_computed(monkeypatch, genus):
+    """The signs the divide model read off its provisional rotation are the
+    fiber's own: the site rewrite moves no band end.  Building computes
+    them once (the divide's own graph is oriented too)."""
+    calls = []
+
+    def counted(vertices, links, twists):
+        calls.append(sorted(vertices))
+        return orientation_signs(vertices, links, twists)
+
+    monkeypatch.setattr(builders, "orientation_signs", counted)
+    monkeypatch.setattr(ribbon, "orientation_signs", counted)
+    fiber = ishikawa_fibration(genus).fiber
+    monkeypatch.undo()
+    assert calls.count(list(fiber.vertices)) == 1
+    fresh = orientation_signs(fiber.vertices, edge_links(fiber.edges, fiber._vertex_of), fiber.twists)
+    assert fiber._cache["orientation"] == fresh
+    assert fresh[0] is not None and fresh[1] == 1
 
 
 # -- assembled fibrations ----------------------------------------------------------

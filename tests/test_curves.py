@@ -59,6 +59,42 @@ def test_closed_curves_validate_their_walk(pants):
     assert str(err.value) == "walk breaks between ('e', 1) and ('e', 1)"
 
 
+# Walks that are not a tuple of (str, int) tuples are rebuilt step by step
+# as (str(e), int(s)); these are the results of that rebuild.
+COERCED = [
+    [["e", 1], ["f", -1]],
+    (["e", 1], ["f", -1]),
+    [("e", 1), ("f", -1)],
+    (("e", True), ("f", -1)),
+    (("e", 1.0), ("f", -1)),
+    (("e", "1"), ("f", -1)),
+    iter([("e", 1), ("f", -1)]),
+]
+
+
+@pytest.mark.parametrize("walk", COERCED, ids=range(len(COERCED)))
+def test_odd_typed_steps_are_stored_as_str_int_tuples(pants, walk):
+    curve = CurveOnSurface(pants, "w", walk)
+    assert curve.walk == (("e", 1), ("f", -1))
+    assert all(type(st) is tuple and type(st[0]) is str and type(st[1]) is int for st in curve.walk)
+    assert curve.to_json_dict() == {"name": "w", "walk": ["e", "-f"]}
+
+
+@pytest.mark.parametrize("walk,message", [
+    (((["c"], 1),), "walk step (\"['c']\", 1) is not on the surface"),
+    (((5, 1),), "walk step ('5', 1) is not on the surface"),
+])
+def test_odd_typed_edge_ids_are_not_on_the_surface(pants, walk, message):
+    with pytest.raises(SurfaceError) as err:
+        CurveOnSurface(pants, "w", walk)
+    assert str(err.value) == message
+
+
+def test_an_exact_typed_walk_is_kept_as_it_is(pants):
+    walk = (("e", 1), ("f", -1))
+    assert CurveOnSurface(pants, "w", walk).walk is walk
+
+
 @pytest.mark.parametrize(
     "walk",
     [

@@ -103,6 +103,22 @@ def test_reduced_word_builds_at_most_one_ribbon_graph(built, relabelled, mirrore
             assert len(made) <= 1
 
 
+def test_reduced_word_of_a_plumbing_fiber_builds_nothing(built, relabelled, mirrored, constructions,
+                                                        monkeypatch):
+    """A fiber that is its own reduction keeps its word: no graph and no
+    curve is built, and the curves are the word's own objects."""
+    for genus in range(4):
+        fib = built("johns", genus)
+        for lf in (fib, mirrored(fib), relabelled(fib, genus)):
+            graphs, curves = constructions(RibbonGraph), constructions(CurveOnSurface)
+            reduced, carried = reduced_word(lf)
+            monkeypatch.undo()
+            assert graphs == [] and curves == []
+            assert reduced is lf.fiber
+            assert list(carried) == list(lf.names())
+            assert all(carried[c.name] is c for c in lf.word)
+
+
 def test_comparing_fresh_builds_makes_no_workspace_on_an_unreduced_fiber(mirrored, constructions,
                                                                          monkeypatch):
     """Building both sides and comparing them pairs cycles only on reduced
@@ -196,13 +212,47 @@ def test_rotation_index_matches_pairwise_oracle(built, relabelled, mirrored, con
                         continue
                     _, edge_map = grown
                     expected = pairwise_match(curves1, curves2, backs2, fams1, fams2, g2, edge_map)
-                    assert _match_families(curves1, index, fams1, edge_map) == expected
+                    matched = _match_families(curves1, index, fams1, edge_map)
+                    assert (None if matched is None else matched[0]) == expected
+                    if matched is not None:  # the walks _surgery_commutes builds its curves from
+                        assert matched[1] == {n: tuple((edge_map[e][0], s * edge_map[e][1]) for e, s in c.walk)
+                                              for n, c in curves1.items()}
                     verdicts[expected is not None] += 1
             iso = find_isomorphism(lf1, lf2)
             assert iso is not None
             if lf1 is mirror:
                 assert iso.orientation_preserving is False
     assert verdicts[True] and verdicts[False]
+
+
+def with_c0_reversed(fib):
+    """``fib`` with its first closing cycle run the other way."""
+    word = tuple(CurveOnSurface(fib.fiber, c.name, tuple((e, -s) for e, s in reversed(c.walk)))
+                 if c.name == "c0" else c for c in fib.word)
+    return LefschetzFibration(fib.construction, fib.genus, fib.fiber, word)
+
+
+@pytest.mark.parametrize("construction", ["johns", "ishikawa"])
+@pytest.mark.parametrize("genus", range(9))
+def test_a_reversed_closing_cycle_is_rejected_by_the_surgery_check(built, monkeypatch, construction, genus):
+    """The rotation index holds reversals, so the cycles still match; only
+    replaying the smoothing on the mapped cores sees the wrong orientation."""
+    other = "ishikawa" if construction == "johns" else "johns"
+    matches, verdicts = [], []
+
+    def match_spy(*args):
+        matches.append(_match_families(*args))
+        return matches[-1]
+
+    def surgery_spy(*args):
+        verdicts.append(_surgery_commutes(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(equivalence, "_match_families", match_spy)
+    monkeypatch.setattr(equivalence, "_surgery_commutes", surgery_spy)
+    assert find_isomorphism(with_c0_reversed(built(construction, genus)), built(other, genus)) is None
+    assert verdicts and len(verdicts) == len([m for m in matches if m is not None])
+    assert not any(verdicts)
 
 
 # -- the triple-product invariant and the seeds it skips ------------------------------
@@ -256,9 +306,9 @@ def exhaustive_search(lf1, lf2):
             if grown is None:
                 continue
             vertex_map, edge_map = grown
-            cycle_map = _match_families(curves1, index, fams1, edge_map)
-            if cycle_map is not None and _surgery_commutes(fams1, curves1, g2, edge_map):
-                return FibrationIso(lf1, lf2, vertex_map, edge_map, preserve, cycle_map)
+            matched = _match_families(curves1, index, fams1, edge_map)
+            if matched is not None and _surgery_commutes(fams1, matched[1], g2):
+                return FibrationIso(lf1, lf2, vertex_map, edge_map, preserve, matched[0])
     return None
 
 

@@ -149,6 +149,33 @@ def test_rejects_sign_prefixed_edge_id():
         RibbonGraph(("v",), ("-e",), {"v": (("-e", 0), ("-e", 1))})
 
 
+# Rotations that are not lists or tuples of (str, int) tuples are rebuilt
+# entry by entry as (str(e), int(end)); these are the results of that rebuild.
+ODD_ROTATIONS = [
+    {"u": [["e", 0], ["f", 0], ["g", 0]], "v": [["g", 1], ["f", 1], ["e", 1]]},
+    {"u": (("e", False), ("f", False), ("g", False)), "v": (("g", True), ("f", True), ("e", True))},
+    {"u": (("e", "0"), ("f", "0"), ("g", "0")), "v": (("g", "1"), ("f", "1"), ("e", "1"))},
+    {"u": iter([("e", 0), ("f", 0), ("g", 0)]), "v": iter([("g", 1), ("f", 1), ("e", 1)])},
+]
+
+
+@pytest.mark.parametrize("rotation", ODD_ROTATIONS, ids=range(len(ODD_ROTATIONS)))
+def test_odd_typed_rotation_entries_are_stored_as_str_int_tuples(pants, rotation):
+    g = RibbonGraph(("u", "v"), ("e", "f", "g"), rotation)
+    assert g.rotation == pants.rotation
+    halves = [h for rot in g.rotation.values() for h in rot] + [*g._vertex_of, *g._next, *g._prev, *g._pos]
+    assert all(type(h) is tuple and type(h[0]) is str and type(h[1]) is int for h in halves)
+    assert g.to_json_dict() == pants.to_json_dict()  # half-edge ids read e.0, never e.False
+    assert g.invariants() == pants.invariants()
+
+
+def test_exact_typed_rotation_entries_are_kept(pants):
+    rot = (("e", 0), ("f", 0), ("g", 0))
+    g = RibbonGraph(("u", "v"), ("e", "f", "g"), {"u": rot, "v": [("g", 1), ("f", 1), ("e", 1)]})
+    assert g.rotation["u"] is rot
+    assert g.rotation == pants.rotation
+
+
 def test_rotation_next_prev_are_inverse(punctured_torus):
     for v in punctured_torus.vertices:
         for h in punctured_torus.rotation[v]:
