@@ -6,7 +6,9 @@ Comparison therefore happens on the reduced presentation (degree-two vertices
 suppressed, twist bits cleared), where an isomorphism is a vertex/edge
 bijection that preserves every rotation or reverses every rotation, carries
 each named cycle of one word onto a cycle of the other within the same
-family, and commutes with the closing smoothing move.
+family, and commutes with the closing smoothing move.  A bijection of
+either orientation carries a smoothing onto the smoothing of the images,
+so one replay on the source word decides that for every map.
 
 The search is anchored: the image of the first first-family core must run
 along a first-family core of the target, so only half-edges on those cores
@@ -213,11 +215,9 @@ def _rotation_index(curves2: dict[str, CurveOnSurface],
     return index
 
 
-def _match_families(curves1: dict[str, CurveOnSurface], index, fams1,
-                    edge_map) -> tuple[dict[str, str], dict[str, tuple]] | None:
+def _match_families(curves1: dict[str, CurveOnSurface], index, fams1, edge_map) -> dict[str, str] | None:
     """Pair each mapped source cycle with an equal target cycle, family by
-    family, up to cyclic rotation and reversal.  Returns the name bijection
-    and every mapped walk by source name, for ``_surgery_commutes``.
+    family, up to cyclic rotation and reversal; the name bijection, or None.
 
     A mapped walk is looked up in the rotation index of the target word by
     its canonical rotation, so it is accepted only as a rotation of a target
@@ -229,7 +229,6 @@ def _match_families(curves1: dict[str, CurveOnSurface], index, fams1,
     interchangeable and first-fit succeeds exactly when any matching
     exists."""
     cycle_map: dict[str, str] = {}
-    images: dict[str, tuple] = {}
     for fam, sources in fams1.items():
         rotations = index[fam]
         used: set[str] = set()
@@ -240,18 +239,18 @@ def _match_families(curves1: dict[str, CurveOnSurface], index, fams1,
                 return None
             used.add(t)
             cycle_map[c.name] = t
-            images[c.name] = image
-    return cycle_map, images
+    return cycle_map
 
 
-def _surgery_commutes(fams1, images: dict[str, tuple], g2: RibbonGraph) -> bool:
-    """Replay the closing smoothing on the mapped a/b cores (``images``, on
-    ``g2``); the outputs must be the mapped c cycles, orientations included."""
+def _surgery_commutes(fams1, curves1: dict[str, CurveOnSurface], g1: RibbonGraph) -> bool:
+    """Replay the closing smoothing on the source's own a/b cores, on its
+    reduced fiber ``g1``; the outputs must be its own c cycles, orientations
+    included.  One replay decides every map (see the module docstring)."""
     if not {"a", "b", "c"} <= set(fams1):
         return True
-    a, b, c = ([CurveOnSurface(g2, x.name, images[x.name]) for x in fams1[f]] for f in ("a", "b", "c"))
+    a, b, c = ([curves1[x.name] for x in fams1[f]] for f in ("a", "b", "c"))
     try:
-        return replay_closing_smoothing(g2, a, b, c)[0]
+        return replay_closing_smoothing(g1, a, b, c)[0]
     except SurfaceError:
         return False
 
@@ -272,8 +271,9 @@ def _search(lf1: LefschetzFibration, lf2: LefschetzFibration) -> FibrationIso | 
     """The search behind find_isomorphism, for a pair that passed the gate.
 
     Each placement of the first first-family core onto a target first-family
-    core propagates to at most one full map, checked against the word and the
-    smoothing move; the first success in scan order is returned.  Once an
+    core propagates to at most one full map, checked against the word; the
+    first match in scan order is returned if the smoothing move commutes,
+    which no later seed would change (``_surgery_commutes``).  Once an
     orientation-preserving seed fails the word, seeds of an orientation that
     the words' ``_triple_product`` rules out are skipped (none if unknown).
     """
@@ -303,8 +303,8 @@ def _search(lf1: LefschetzFibration, lf2: LefschetzFibration) -> FibrationIso | 
             if grown is None:
                 continue
             vertex_map, edge_map = grown
-            matched = _match_families(curves1, index, fams1, edge_map)
-            if matched is None:
+            cycle_map = _match_families(curves1, index, fams1, edge_map)
+            if cycle_map is None:
                 if preserve and not decided:
                     decided = True
                     t1 = _triple_product(g1, curves1, fams1)
@@ -312,9 +312,8 @@ def _search(lf1: LefschetzFibration, lf2: LefschetzFibration) -> FibrationIso | 
                     if t1 is not None and t2 is not None:
                         possible = {True: t1 == t2, False: t1 == -t2}
                 continue
-            cycle_map, images = matched
-            if not _surgery_commutes(fams1, images, g2):
-                continue
+            if not _surgery_commutes(fams1, curves1, g1):
+                return None
             return FibrationIso(lf1, lf2, vertex_map, edge_map, preserve, cycle_map)
     return None
 

@@ -2,11 +2,12 @@
 
 No command runs any of these.  Each one traces or enumerates directly
 (boundary walks one state at a time, the pairing of classes through the Gram
-matrix of the basis, Dehn twists on classes and on walks, divide curves one
-crossing at a time), so the tests can hold the package's faster or more
-indirect code against it.
+matrix of the basis, Dehn twists on classes and on walks, the closing
+smoothing on the mapped word, divide curves one crossing at a time), so the
+tests can hold the package's faster or more indirect code against it.
 """
 
+from lf_forge.builders import replay_closing_smoothing
 from lf_forge.curves import CurveOnSurface, reversed_step
 from lf_forge.divides import Divide, checkerboard_coloring
 from lf_forge.homology import HomologyClass, curve_class, workspace
@@ -206,6 +207,24 @@ def dehn_twist_on_path(surface: RibbonGraph, curve: CurveOnSurface, path: CurveO
         for detour in by_idx.get(i, ()):
             new_walk.extend(detour)
     return CurveOnSurface(surface, path.name, tuple(new_walk))
+
+
+# -- maps of fibrations -------------------------------------------------------------
+
+
+def mapped_surgery_commutes(fams1, curves1, edge_map, g2: RibbonGraph) -> bool:
+    """The reference for ``equivalence._surgery_commutes``: build the images
+    of the source's a/b/c cycles under ``edge_map`` as curves on the target
+    ``g2`` and replay the closing smoothing there, for this one map."""
+    if not {"a", "b", "c"} <= set(fams1):
+        return True
+    a, b, c = ([CurveOnSurface(g2, x.name, tuple((edge_map[e][0], s * edge_map[e][1])
+                                                 for e, s in curves1[x.name].walk))
+                for x in fams1[f]] for f in ("a", "b", "c"))
+    try:
+        return replay_closing_smoothing(g2, a, b, c)[0]
+    except SurfaceError:
+        return False
 
 
 # -- divides ------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from lf_forge.builders import (
 from lf_forge.certify import fibration_certificate
 from lf_forge.curves import CurveOnSurface, reversed_step
 from lf_forge.divides import Divide, standard_divide
+from lf_forge.equivalence import find_isomorphism, isomorphism_certificate
 from lf_forge.homology import curve_class
 from lf_forge import builders, ribbon
 from lf_forge.ribbon import RibbonGraph, SurfaceError, edge_links, orientation_signs
@@ -125,6 +126,23 @@ def test_certificate_of_a_fresh_build_reuses_the_builders_smoothing(build, monke
         cert = fibration_certificate(doc)
         assert cert["passed"] and cert["checks"][-1]["name"] == "closing_smoothing"
         assert [c.name for c in traced] == [c.name for c in inputs]
+
+
+def test_comparing_keeps_and_reuses_a_plumbing_builds_smoothing(monkeypatch):
+    """A comparison replays the smoothing on its source word only: comparing
+    into a fresh johns build leaves that build's kept smoothing for its
+    certificate, and comparing out of one (the CLI's order) reuses it."""
+    traced = _smoothing_traces(monkeypatch)
+    for genus in range(9):
+        johns, ishikawa = johns_fibration(genus), ishikawa_fibration(genus)
+        assert find_isomorphism(ishikawa, johns) is not None
+        traced.clear()
+        assert fibration_certificate(johns)["passed"]
+        assert traced == []
+        johns, ishikawa = johns_fibration(genus), ishikawa_fibration(genus)
+        traced.clear()
+        assert isomorphism_certificate(johns, ishikawa)["found"]
+        assert traced == []
 
 
 @pytest.mark.parametrize("corruption", ["reversed", "b_cycle"])

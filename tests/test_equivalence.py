@@ -38,7 +38,7 @@ from lf_forge.homology import (
 )
 from lf_forge.ribbon import RibbonGraph, SurfaceError
 
-from oracles import dehn_twist_on_class
+from oracles import dehn_twist_on_class, mapped_surgery_commutes
 
 
 def matmul(a, b):
@@ -212,11 +212,7 @@ def test_rotation_index_matches_pairwise_oracle(built, relabelled, mirrored, con
                         continue
                     _, edge_map = grown
                     expected = pairwise_match(curves1, curves2, backs2, fams1, fams2, g2, edge_map)
-                    matched = _match_families(curves1, index, fams1, edge_map)
-                    assert (None if matched is None else matched[0]) == expected
-                    if matched is not None:  # the walks _surgery_commutes builds its curves from
-                        assert matched[1] == {n: tuple((edge_map[e][0], s * edge_map[e][1]) for e, s in c.walk)
-                                              for n, c in curves1.items()}
+                    assert _match_families(curves1, index, fams1, edge_map) == expected
                     verdicts[expected is not None] += 1
             iso = find_isomorphism(lf1, lf2)
             assert iso is not None
@@ -225,34 +221,73 @@ def test_rotation_index_matches_pairwise_oracle(built, relabelled, mirrored, con
     assert verdicts[True] and verdicts[False]
 
 
-def with_c0_reversed(fib):
-    """``fib`` with its first closing cycle run the other way."""
-    word = tuple(CurveOnSurface(fib.fiber, c.name, tuple((e, -s) for e, s in reversed(c.walk)))
-                 if c.name == "c0" else c for c in fib.word)
+def with_walk(fib, name, walk):
+    """``fib`` with the cycle called ``name`` running along ``walk``."""
+    word = tuple(CurveOnSurface(fib.fiber, c.name, walk) if c.name == name else c for c in fib.word)
     return LefschetzFibration(fib.construction, fib.genus, fib.fiber, word)
+
+
+def reversed_walk(walk):
+    return tuple((e, -s) for e, s in reversed(walk))
+
+
+def corrupted(fib, corruption):
+    """``fib`` with c0 run the other way, or with b0's walk in c0's place."""
+    fams = word_families(fib)
+    walk = reversed_walk(fams["c"][0].walk) if corruption == "reversed" else fams["b"][0].walk
+    return with_walk(fib, "c0", walk)
 
 
 @pytest.mark.parametrize("construction", ["johns", "ishikawa"])
 @pytest.mark.parametrize("genus", range(9))
 def test_a_reversed_closing_cycle_is_rejected_by_the_surgery_check(built, monkeypatch, construction, genus):
-    """The rotation index holds reversals, so the cycles still match; only
-    replaying the smoothing on the mapped cores sees the wrong orientation."""
+    """Both sides carry the same corruption (c0 reversed, or b0's walk in
+    c0's place) and the rotation index holds reversals, so the cycles still
+    match; only replaying the smoothing sees the wrong closing family, and
+    it is replayed once per search."""
     other = "ishikawa" if construction == "johns" else "johns"
-    matches, verdicts = [], []
-
-    def match_spy(*args):
-        matches.append(_match_families(*args))
-        return matches[-1]
+    verdicts = []
 
     def surgery_spy(*args):
         verdicts.append(_surgery_commutes(*args))
         return verdicts[-1]
 
-    monkeypatch.setattr(equivalence, "_match_families", match_spy)
     monkeypatch.setattr(equivalence, "_surgery_commutes", surgery_spy)
-    assert find_isomorphism(with_c0_reversed(built(construction, genus)), built(other, genus)) is None
-    assert verdicts and len(verdicts) == len([m for m in matches if m is not None])
-    assert not any(verdicts)
+    for corruption in ("reversed", "b_cycle"):
+        verdicts.clear()
+        lf1, lf2 = (corrupted(built(c, genus), corruption) for c in (construction, other))
+        assert find_isomorphism(lf1, lf2) is None
+        assert verdicts == [False]  # one replay per search, and it rejects
+
+
+def test_one_replay_decides_every_seed(built, relabelled, mirrored, flipped):
+    """On every map that propagates, in both orientations, replaying the
+    smoothing on the mapped word agrees with the one replay on the source
+    word, for sound and corrupted words alike."""
+    verdicts = {True: 0, False: 0}
+    for genus in range(4):
+        targets = [reduced_word(built(c, genus))[0] for c in ("johns", "ishikawa")]
+        for construction in ("johns", "ishikawa"):
+            fib = built(construction, genus)
+            fams = word_families(fib)
+            inputs = (fib, LefschetzFibration.from_json_dict(fib.to_json_dict()), relabelled(fib, genus),
+                      mirrored(fib), flipped(fib, genus), corrupted(fib, "reversed"), corrupted(fib, "b_cycle"),
+                      with_walk(fib, "a0", reversed_walk(fams["a"][0].walk)))
+            for lf1 in inputs:
+                g1, curves1 = reduced_word(lf1)
+                fams1 = word_families(lf1)
+                expected = _surgery_commutes(fams1, curves1, g1)
+                e0, s0 = curves1[fams1["a"][0].name].walk[0]
+                seed1 = (e0, 0 if s0 > 0 else 1)
+                for g2 in targets:
+                    for preserve in (True, False):
+                        for seed2 in sorted((e, end) for e in g2.edges for end in (0, 1)):
+                            grown = _propagate(g1, g2, seed1, seed2, preserve)
+                            if grown is None:
+                                continue
+                            assert mapped_surgery_commutes(fams1, curves1, grown[1], g2) == expected
+                            verdicts[expected] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 # -- the triple-product invariant and the seeds it skips ------------------------------
@@ -306,9 +341,9 @@ def exhaustive_search(lf1, lf2):
             if grown is None:
                 continue
             vertex_map, edge_map = grown
-            matched = _match_families(curves1, index, fams1, edge_map)
-            if matched is not None and _surgery_commutes(fams1, matched[1], g2):
-                return FibrationIso(lf1, lf2, vertex_map, edge_map, preserve, matched[0])
+            cycle_map = _match_families(curves1, index, fams1, edge_map)
+            if cycle_map is not None and mapped_surgery_commutes(fams1, curves1, edge_map, g2):
+                return FibrationIso(lf1, lf2, vertex_map, edge_map, preserve, cycle_map)
     return None
 
 
