@@ -241,10 +241,11 @@ def corrupted(fib, corruption):
 @pytest.mark.parametrize("construction", ["johns", "ishikawa"])
 @pytest.mark.parametrize("genus", range(9))
 def test_a_reversed_closing_cycle_is_rejected_by_the_surgery_check(built, monkeypatch, construction, genus):
-    """Both sides carry the same corruption (c0 reversed, or b0's walk in
-    c0's place) and the rotation index holds reversals, so the cycles still
-    match; only replaying the smoothing sees the wrong closing family, and
-    it is replayed once per search."""
+    """A source with c0 reversed, against the other, sound build; or both
+    sides with b0's walk in c0's place, so that the families match at all.
+    The rotation index holds reversals, so the cycles still match; only
+    replaying the smoothing on the source word sees the wrong closing
+    family, and it is replayed once per search."""
     other = "ishikawa" if construction == "johns" else "johns"
     verdicts = []
 
@@ -255,7 +256,8 @@ def test_a_reversed_closing_cycle_is_rejected_by_the_surgery_check(built, monkey
     monkeypatch.setattr(equivalence, "_surgery_commutes", surgery_spy)
     for corruption in ("reversed", "b_cycle"):
         verdicts.clear()
-        lf1, lf2 = (corrupted(built(c, genus), corruption) for c in (construction, other))
+        lf1 = corrupted(built(construction, genus), corruption)
+        lf2 = built(other, genus) if corruption == "reversed" else corrupted(built(other, genus), corruption)
         assert find_isomorphism(lf1, lf2) is None
         assert verdicts == [False]  # one replay per search, and it rejects
 
