@@ -12,12 +12,11 @@ import time
 
 from lf_forge import (
     boundary_open_book,
+    fibration_homology,
     find_isomorphism,
     ishikawa_fibration,
     johns_fibration,
-    open_book_h1,
     total_space_euler,
-    total_space_homology,
 )
 
 
@@ -28,14 +27,14 @@ def survey_row(genus: int) -> dict:
     rows = {}
     for fib in (johns, ishikawa):
         inv = fib.fiber.invariants()
-        h1, h2 = total_space_homology(fib.fiber, fib.word)
+        h1, h2, boundary = fibration_homology(boundary_open_book(fib.fiber, fib.word))
         rows[fib.construction] = {
             "fiber": f"({inv.genus}, {inv.boundary_components})",
             "word": len(fib.word),
             "chi": total_space_euler(fib.fiber, fib.word),
             "h1": str(h1),
             "h2": str(h2),
-            "boundary": str(open_book_h1(boundary_open_book(fib.fiber, fib.word))),
+            "boundary": str(boundary),
         }
     iso = find_isomorphism(johns, ishikawa)
     return {

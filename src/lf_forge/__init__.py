@@ -28,6 +28,7 @@ _EXPORTS = {
     "FinAbGroup": "invariants",
     "OpenBook": "invariants",
     "boundary_open_book": "invariants",
+    "fibration_homology": "invariants",
     "open_book_h1": "invariants",
     "smith_normal_form": "invariants",
     "total_space_euler": "invariants",

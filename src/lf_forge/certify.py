@@ -13,9 +13,8 @@ from .builders import LefschetzFibration, expected_fiber_profile, replay_closing
 from .invariants import (
     FinAbGroup,
     boundary_open_book,
-    open_book_h1,
+    fibration_homology,
     total_space_euler,
-    total_space_homology,
 )
 from .ribbon import SurfaceError
 
@@ -64,8 +63,7 @@ def fibration_certificate(fib: LefschetzFibration) -> dict:
     g = fib.genus
     want = expected_fiber_profile(fib.construction, g)
     inv = fib.fiber.invariants()
-    h1, h2 = total_space_homology(fib.fiber, fib.word)
-    boundary = open_book_h1(boundary_open_book(fib.fiber, fib.word))
+    h1, h2, boundary = fibration_homology(boundary_open_book(fib.fiber, fib.word))
     checks = [
         _check("fiber_genus", want["genus"], inv.genus),
         _check("fiber_boundary_components", want["boundary"], inv.boundary_components),

@@ -264,11 +264,12 @@ def find_isomorphism(lf1: LefschetzFibration, lf2: LefschetzFibration) -> Fibrat
     """
     if not all(ok for _, ok in _gate(lf1, lf2)):
         return None
-    return _search(lf1, lf2)
+    return _search(lf1, lf2)[0]
 
 
-def _search(lf1: LefschetzFibration, lf2: LefschetzFibration) -> FibrationIso | None:
-    """The search behind find_isomorphism, for a pair that passed the gate.
+def _search(lf1: LefschetzFibration, lf2: LefschetzFibration) -> tuple[FibrationIso | None, str | None]:
+    """The search behind find_isomorphism, for a pair that passed the gate:
+    the isomorphism and None, or None and the check that failed.
 
     Each placement of the first first-family core onto a target first-family
     core propagates to at most one full map, checked against the word; the
@@ -280,7 +281,7 @@ def _search(lf1: LefschetzFibration, lf2: LefschetzFibration) -> FibrationIso | 
     g1, curves1 = reduced_word(lf1)
     g2, curves2 = reduced_word(lf2)
     if len(g1.edges) != len(g2.edges) or len(g1.vertices) != len(g2.vertices):
-        return None
+        return None, "ribbon_graph_bijection"
     fams1, fams2 = word_families(lf1), word_families(lf2)
     if not fams1:
         raise SurfaceError("cannot compare fibrations with an empty word")
@@ -295,6 +296,7 @@ def _search(lf1: LefschetzFibration, lf2: LefschetzFibration) -> FibrationIso | 
                          for end in (0, 1)})
     possible = {True: True, False: True}
     decided = False
+    failed = "ribbon_graph_bijection"
     for preserve in (True, False):
         for seed2 in candidates:
             if not possible[preserve]:
@@ -302,6 +304,7 @@ def _search(lf1: LefschetzFibration, lf2: LefschetzFibration) -> FibrationIso | 
             grown = _propagate(g1, g2, seed1, seed2, preserve)
             if grown is None:
                 continue
+            failed = "cycle_images_match"
             vertex_map, edge_map = grown
             cycle_map = _match_families(curves1, index, fams1, edge_map)
             if cycle_map is None:
@@ -313,21 +316,23 @@ def _search(lf1: LefschetzFibration, lf2: LefschetzFibration) -> FibrationIso | 
                         possible = {True: t1 == t2, False: t1 == -t2}
                 continue
             if not _surgery_commutes(fams1, curves1, g1):
-                return None
-            return FibrationIso(lf1, lf2, vertex_map, edge_map, preserve, cycle_map)
-    return None
+                return None, "surgery_commutes"
+            return FibrationIso(lf1, lf2, vertex_map, edge_map, preserve, cycle_map), None
+    return None, failed
 
 
 def isomorphism_certificate(lf1: LefschetzFibration, lf2: LefschetzFibration) -> dict:
-    """Certificate document for a comparison, found or not."""
+    """Certificate document for a comparison, found or not; a search that
+    fails lists its checks up to the one that failed."""
     gate = _gate(lf1, lf2)
     passed = all(ok for _, ok in gate)
-    iso = _search(lf1, lf2) if passed else None
+    iso, failed = _search(lf1, lf2) if passed else (None, None)
     if iso is not None:
         return iso.to_json_dict()
     checks = [{"name": n, "passed": ok} for n, ok in gate]
     if passed:
-        checks.append({"name": "ribbon_graph_bijection", "passed": False})
+        searched = _CHECK_NAMES[len(gate):_CHECK_NAMES.index(failed) + 1]
+        checks += [{"name": n, "passed": n != failed} for n in searched]
     return {
         "schema": "isomorphism/1",
         "genus": lf1.genus,

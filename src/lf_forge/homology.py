@@ -29,7 +29,7 @@ class Workspace:
 
     Holds the normalized presentation, the lexicographic spanning tree and
     the co-tree basis, and evaluates the intersection pairing of edge-simple
-    cycles by the pushed-off corner rule (``pairing_matrix``).  Certificates
+    cycles by the pushed-off corner rule (``pairings``).  Certificates
     pair only the cycles they need that way; the Gram matrix of the whole
     basis is the pairing of the tests' class-level oracles, which they hold
     the corner rule against.  Cached on the graph instance; treat as
@@ -111,30 +111,27 @@ class Workspace:
         """The corner rule: yield (i, p, j, q, sign) for every crossing of a
         pass p of list i with a pass q of list j != i at a common vertex.
 
-        Passes are grouped by vertex once.  The marked points of a vertex
-        disk with d attachments are numbered 0..3d-1 counterclockwise: the
-        attachment at rotation position k is 3k + 1, with 3k just before it
-        and 3k + 2 just after it.  A pass is the chord between its arriving
-        and departing attachments; q's chord is pushed off to the right of
-        its own direction when ``push`` (it starts just after its arrival
-        and ends just before its departure).  The sign is +1 when q crosses
-        p from p's right to its left.
+        Passes are turned into chords and grouped by vertex once.  The marked
+        points of a vertex disk with d attachments are numbered 0..3d-1
+        counterclockwise: the attachment at rotation position k is 3k + 1,
+        with 3k just before it and 3k + 2 just after it.  A pass is the chord
+        between its arriving and departing attachments; q's chord is pushed
+        off to the right of its own direction when ``push`` (it starts just
+        after its arrival and ends just before its departure).  The sign is
+        +1 when q crosses p from p's right to its left.
         """
+        pos = self.norm._pos
+        q_in, q_out = (2, 0) if push else (1, 1)
         at: dict[str, list] = {}
         for i, passes in enumerate(pass_lists):
             for p in passes:
-                at.setdefault(p[0], []).append((i, p))
-        pos = self.norm._pos
+                a, d = 3 * pos[p[1]], 3 * pos[p[2]]
+                at.setdefault(p[0], []).append((i, p, a + 1, d + 1, a + q_in, d + q_out))
         rotation = self.norm.rotation
-        q_in, q_out = (2, 0) if push else (1, 1)
-        for v, here in at.items():
-            if len(here) < 2:
+        for v, chords in at.items():
+            if len(chords) < 2:
                 continue
             n = 3 * len(rotation[v])
-            chords = []
-            for i, p in here:
-                a, d = 3 * pos[p[1]], 3 * pos[p[2]]
-                chords.append((i, p, a + 1, d + 1, a + q_in, d + q_out))
             for i, p, pi, po, _, _ in chords:
                 r_out = (po - pi) % n
                 for j, q, _, _, qi, qo in chords:
@@ -147,27 +144,40 @@ class Workspace:
                     elif 0 < r_qout < r_out < r_qin:
                         yield i, p, j, q, -1
 
-    def pairing_matrix(self, curves, push: bool = True) -> list[list[int]]:
-        """Intersection pairing of edge-simple closed curves on this surface.
+    def pairings(self, curves, push: bool = True) -> list[dict[int, int]]:
+        """Intersection pairing of edge-simple closed curves on this surface,
+        as sparse rows: ``rows[i][j]`` is <curve i, curve j> for each pair
+        that crosses at all; the other pairs pair to 0 and have no entry.
 
         Entry (i, j) counts signed crossings of curve i with a copy of curve
         j pushed off to the right of its own direction; shared segments stay
         parallel inside the bands, so only vertex corners contribute.  The
         diagonal is zero.  With ``push`` false the copies are not pushed off,
-        which counts the crossings of walks that share no edges.
+        which counts the crossings of walks that share no edges.  The pairing
+        must be antisymmetric; the first pair (i < j, row by row) that is not
+        is raised.
         """
-        n = len(curves)
-        m = [[0] * n for _ in range(n)]
+        rows: list[dict[int, int]] = [{} for _ in curves]
         for i, _, j, _, s in self._corner_crossings([c.passes() for c in curves], push):
-            m[i][j] += s
-        for i in range(n):
-            for j in range(i + 1, n):
-                if m[i][j] != -m[j][i]:
-                    x, y = curves[i].name, curves[j].name
-                    raise SurfaceError(
-                        f"intersection pairing failed antisymmetry: "
-                        f"<{x!r}, {y!r}> = {m[i][j]} but <{y!r}, {x!r}> = {m[j][i]}"
-                    )
+            row = rows[i]
+            row[j] = row.get(j, 0) + s
+        bad = [(min(i, j), max(i, j)) for i, row in enumerate(rows)
+               for j, x in row.items() if rows[j].get(i, 0) != -x]
+        if bad:
+            i, j = min(bad)
+            x, y = curves[i].name, curves[j].name
+            raise SurfaceError(
+                f"intersection pairing failed antisymmetry: "
+                f"<{x!r}, {y!r}> = {rows[i].get(j, 0)} but <{y!r}, {x!r}> = {rows[j].get(i, 0)}"
+            )
+        return rows
+
+    def pairing_matrix(self, curves, push: bool = True) -> list[list[int]]:
+        """``pairings`` as a dense matrix."""
+        m = [[0] * len(curves) for _ in curves]
+        for i, row in enumerate(self.pairings(curves, push)):
+            for j, x in row.items():
+                m[i][j] = x
         return m
 
     def gram_matrix(self) -> list[list[int]]:

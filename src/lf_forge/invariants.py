@@ -2,12 +2,12 @@
 
 Everything is exact integer linear algebra.  The total space of a fibration
 with fiber F and vanishing cycles c_1..c_m deformation-retracts to F with m
-disks attached, so its homology is read off the chain map Z^m -> H1(F)
+disks attached, so H1 = coker C and H2 = ker C for the map C: Z^m -> H1(F)
 sending each cycle to its class.  The boundary is an open book with page F
 and monodromy the product of positive Dehn twists along the word; its H1 is
-presented on the page basis with one relation per cutting arc, the class of
-(monodromy image of the arc) * (arc reversed), and computed from a sparse
-bordered matrix with the same cokernel.
+coker B, B = [[0, C], [-C^T, (I - U)^T]], U_jk = <c_j, c_k> for j < k.  One
+peel of the rows of C^T, with its row operations recorded, gives all three
+groups without building B (``fibration_homology``).
 """
 
 from __future__ import annotations
@@ -89,37 +89,21 @@ def smith_normal_form(matrix: list[list[int]]) -> tuple[list[list[int]], list[li
     t = 0
     while t < min(rows, cols):
         # Pivot: smallest nonzero magnitude in the remaining block.
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
+        pivot = min(((abs(a[i][j]), i, j) for i in range(t, rows) for j in range(t, cols) if a[i][j]), default=None)
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
+        swap_rows(t, pivot[1])
+        swap_cols(t, pivot[2])
         if a[t][t] < 0:
             negate_row(t)
-        dirty = False
         for i in range(t + 1, rows):
-            if a[i][t] % a[t][t]:
-                dirty = True
             row_op(i, t, -(a[i][t] // a[t][t]))
         for j in range(t + 1, cols):
-            if a[t][j] % a[t][t]:
-                dirty = True
             col_op(j, t, -(a[t][j] // a[t][t]))
-        if dirty or any(a[i][t] for i in range(t + 1, rows)) or any(a[t][j] for j in range(t + 1, cols)):
+        if any(a[i][t] for i in range(t + 1, rows)) or any(a[t][j] for j in range(t + 1, cols)):
             continue  # remainders surfaced; redo this pivot
         # Divisibility: fold in any entry the pivot does not divide.
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % a[t][t]:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        offender = next((i for i in range(t + 1, rows) for j in range(t + 1, cols) if a[i][j] % a[t][t]), None)
         if offender is not None:
             row_op(t, offender, 1)
             continue
@@ -127,7 +111,7 @@ def smith_normal_form(matrix: list[list[int]]) -> tuple[list[list[int]], list[li
     return a, u, v
 
 
-def _sparse_snf_diagonal(rows: list[dict[int, int]]) -> list[int]:
+def _sparse_snf_diagonal(rows: list[dict[int, int]], ops: list[dict[int, int]] | None = None) -> list[int]:
     """Nonzero invariant factors of the matrix whose rows are the sparse
     ``{column: entry}`` dicts ``rows`` (consumed).
 
@@ -139,7 +123,9 @@ def _sparse_snf_diagonal(rows: list[dict[int, int]]) -> list[int]:
     (length, index) holds every row, a row is pushed again whenever an
     elimination changes it, and entries whose length is out of date are
     skipped.  Only the residue, which has no unit entry left, goes to
-    ``smith_normal_form``.
+    ``smith_normal_form``.  A pivot row ends empty.  ``ops`` (sparse, the
+    identity to start with) repeats each row operation, so non-pivot row i
+    ends as sum_j ops[i][j] * (row j as given); a pivot row's ops end empty.
     """
     import heapq  # here, so that importing the package does not load it
 
@@ -181,9 +167,17 @@ def _sparse_snf_diagonal(rows: list[dict[int, int]]) -> list[int]:
                     row[j] = y - f * x
             if row:
                 heapq.heappush(heap, (len(row), i))
+            if ops is not None:
+                op = ops[i]
+                for j, x in ops[p].items():
+                    y = op.pop(j, 0) - f * x
+                    if y:
+                        op[j] = y
         for j in prow:
             cols[j].discard(p)
         rows[p] = {}
+        if ops is not None:
+            ops[p] = {}
         ones += 1
     residue_cols = sorted(j for j, rs in cols.items() if rs)
     if not residue_cols:
@@ -197,26 +191,12 @@ def _cokernel_from_diagonal(diag: list[int], ambient_rank: int) -> FinAbGroup:
     return FinAbGroup(ambient_rank - len(diag), tuple(x for x in diag if x > 1))
 
 
-# -- fibration-level invariants ---------------------------------------------------
+# -- fibration-level invariants and open books ------------------------------------
 
 
 def total_space_euler(fiber: RibbonGraph, cycles) -> int:
-    """chi of the 4-manifold: chi(fiber) x chi(disk) plus one per critical
-    point, i.e. chi(F) + #cycles here."""
+    """chi of the 4-manifold: chi(F) x chi(disk) + one per critical point."""
     return fiber.euler_characteristic() + len(cycles)
-
-
-def total_space_homology(fiber: RibbonGraph, cycles) -> tuple[FinAbGroup, FinAbGroup]:
-    """(H1, H2) of the total space: cokernel and kernel of the map C sending
-    each vanishing cycle to its fiber class, both read from one Smith normal
-    form.  H2 is free.  The elimination runs on the sparse class maps as the
-    rows of C^T, which has the invariant factors of C."""
-    n = len(homology_basis(fiber))
-    diag = _sparse_snf_diagonal([_sparse_class(fiber, c) for c in cycles])
-    return _cokernel_from_diagonal(diag, n), FinAbGroup.free(len(cycles) - len(diag))
-
-
-# -- open books -------------------------------------------------------------------
 
 
 class OpenBook(Record):
@@ -237,20 +217,78 @@ def boundary_open_book(fiber: RibbonGraph, cycles) -> OpenBook:
     return OpenBook(fiber, tuple(cycles))
 
 
+def fibration_homology(book: OpenBook) -> tuple[FinAbGroup, FinAbGroup, FinAbGroup]:
+    """(H1, H2) of the total space and H1 of its boundary."""
+    ws = workspace(book.page)
+    classes = [_sparse_class(book.page, c) for c in book.word]
+    return _peeled_homology(len(ws.basis), classes, ws.pairings(book.word))
+
+
+def _peeled_homology(n: int, rows, pairs) -> tuple[FinAbGroup, FinAbGroup, FinAbGroup]:
+    """(coker C, ker C, coker B) from one peel of the sparse word classes
+    ``rows`` (consumed) as the rows of C^T, and the sparse pairing ``pairs``.
+
+    With P and Q the peel's row and column operations, diag(Q^T, P) B
+    diag(Q, P^T) has P C^T Q in its corners, where each of the s pivots is a
+    lone unit: 2s factors 1 split off.  A basis column left with no pivot
+    and no entry is a free Z, and the square ``_boundary_matrix`` is the rest.
+    """
+    m = len(rows)
+    ops = [{i: 1} for i in range(m)]
+    diag = _sparse_snf_diagonal(rows, ops)
+    kernel = [i for i in range(m) if ops[i]]
+    square = _boundary_matrix(rows, ops, kernel, pairs)
+    boundary = _cokernel_from_diagonal(_sparse_snf_diagonal(square), n - m + 2 * len(kernel))
+    return _cokernel_from_diagonal(diag, n), FinAbGroup.free(m - len(diag)), boundary
+
+
+def _boundary_matrix(rows, ops, kernel, pairs) -> list[dict[int, int]]:
+    """Sparse rows of the square matrix that is left of B after the peel,
+    from the peel's ``rows`` and ``ops`` and its non-pivot rows ``kernel`` (K).
+
+    Columns: x_c per residue column c, then z_k per k in K.  Row x_c holds
+    rows[k][c] at z_k; row z_i holds -rows[i][c] at x_c and (P (I - U)^T P^T)_ik
+    = ops_i.ops_k - sum_{b<a} U_ba ops_i[a] ops_k[b] at z_k.
+    """
+    cols = sorted({c for k in kernel for c in rows[k]})
+    z0 = len(cols)
+    square = [{z0 + t: rows[k][c] for t, k in enumerate(kernel) if c in rows[k]} for c in cols]
+    for i in kernel:
+        row = {s: -rows[i][c] for s, c in enumerate(cols) if c in rows[i]}
+        w = dict(ops[i])  # (I - U) ops_i
+        for b, paired in enumerate(pairs):
+            for a, u in paired.items():
+                if a > b and a in ops[i]:
+                    w[b] = w.get(b, 0) - u * ops[i][a]
+        for t, k in enumerate(kernel):
+            a_ik = sum(y * w.get(j, 0) for j, y in ops[k].items())
+            if a_ik:
+                row[z0 + t] = a_ik
+        square.append(row)
+    return square
+
+
+def total_space_homology(fiber: RibbonGraph, cycles) -> tuple[FinAbGroup, FinAbGroup]:
+    """(H1, H2) of the total space, from ``fibration_homology``."""
+    return fibration_homology(boundary_open_book(fiber, cycles))[:2]
+
+
+def open_book_h1(book: OpenBook) -> FinAbGroup:
+    """H1 of the 3-manifold the open book describes (``fibration_homology``)."""
+    return fibration_homology(book)[2]
+
+
 def monodromy_arc_relations(book: OpenBook) -> list[list[int]]:
     """Relation matrix R of H1 of the open book on the page basis; the
     oracle the tests hold ``open_book_h1`` against.
 
-    For the cutting arc dual to co-tree edge e, iterating the word's twists
-    inserts n_k detour copies of c_k where n_k counts the running arc's signed
-    crossings with c_k; crossings of a pushed-off detour copy of c_j with c_k
-    equal the pairing <c_j, c_k>, and the base arc meets c_k once per signed
-    traversal of e.  The relation class telescopes to sum_k n_k [c_k].  All
-    arcs are carried at once: counts[k][e] is n_k for the arc dual to e, so
-    counts[k] = [c_k] + sum_{j<k} <c_j, c_k> counts[j], and the relation
-    matrix is sum_k [c_k] counts[k]^T.  With C the n x m matrix of the word
-    classes and U_jk = <c_j, c_k> for j < k (zero otherwise), the counts are
-    N = C (I - U)^-1, so R = C (I - U)^-T C^T: dense n x n, built here only.
+    For the cutting arc dual to co-tree edge e, the word's twists insert n_k
+    detour copies of c_k, n_k the running arc's signed crossings with c_k; a
+    pushed-off copy of c_j meets c_k <c_j, c_k> times, and the base arc meets
+    c_k once per signed traversal of e, so the relation is sum_k n_k [c_k].
+    All arcs at once: counts[k] = [c_k] + sum_{j<k} <c_j, c_k> counts[j] and
+    R = sum_k [c_k] counts[k]^T.  With U as in the module docstring the counts
+    are N = C (I - U)^-1, so R = C (I - U)^-T C^T: dense n x n, built only here.
     """
     page = book.page
     n = len(homology_basis(page))
@@ -269,41 +307,3 @@ def monodromy_arc_relations(book: OpenBook) -> list[list[int]]:
             if v:
                 rel[r] = [a + v * b for a, b in zip(rel[r], nk)]
     return rel
-
-
-def _bordered_presentation(n: int, classes, pair) -> list[dict[int, int]]:
-    """Sparse rows of B = [[0, C], [-C^T, (I - U)^T]], (n + m) x (n + m).
-
-    ``classes`` are the m columns of C as sparse ``{row: entry}`` maps with
-    rows below n and no zero entries, and U_jk is ``pair[j][k]`` for j < k;
-    entries on and below the diagonal of ``pair`` are not read.
-    """
-    rows: list[dict[int, int]] = [{} for _ in range(n)]
-    for k, col in enumerate(classes):
-        row = {n + k: 1}
-        for i, x in col.items():
-            rows[i][n + k] = x
-            row[i] = -x
-        for j in range(k):
-            if pair[j][k]:
-                row[n + j] = -pair[j][k]
-        rows.append(row)
-    return rows
-
-
-def open_book_h1(book: OpenBook) -> FinAbGroup:
-    """H1 of the closed 3-manifold the open book describes.
-
-    The cokernel of the bordered matrix B of ``_bordered_presentation``
-    replaces that of the arc relations R of ``monodromy_arc_relations``:
-    (I - U)^T is unitriangular, so unimodular row and column operations
-    turn B into diag(R, I_m) and coker B = coker R.  B is sparse (C and U
-    are), so unit-pivot peeling makes little fill-in, and neither R nor the
-    dense arc counts are built.
-    """
-    page = book.page
-    n = len(homology_basis(page))
-    classes = [_sparse_class(page, c) for c in book.word]
-    pair = workspace(page).pairing_matrix(book.word)
-    rows = _bordered_presentation(n, classes, pair)
-    return _cokernel_from_diagonal(_sparse_snf_diagonal(rows), len(rows))

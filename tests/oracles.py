@@ -278,3 +278,25 @@ def cokernel(matrix: list[list[int]], ambient_rank: int) -> FinAbGroup:
         raise ValueError("matrix rows must match ambient rank")
     rows = [{j: x for j, x in enumerate(r) if x} for r in matrix]
     return _cokernel_from_diagonal(_sparse_snf_diagonal(rows), ambient_rank)
+
+
+def _bordered_presentation(n: int, classes, pair) -> list[dict[int, int]]:
+    """Sparse rows of B = [[0, C], [-C^T, (I - U)^T]], (n + m) x (n + m), the
+    presentation of boundary H1 that ``fibration_homology`` reduces without
+    building it.
+
+    ``classes`` are the m columns of C as sparse ``{row: entry}`` maps with
+    rows below n and no zero entries, and U_jk is ``pair[j][k]`` for j < k;
+    entries on and below the diagonal of ``pair`` are not read.
+    """
+    rows: list[dict[int, int]] = [{} for _ in range(n)]
+    for k, col in enumerate(classes):
+        row = {n + k: 1}
+        for i, x in col.items():
+            rows[i][n + k] = x
+            row[i] = -x
+        for j in range(k):
+            if pair[j][k]:
+                row[n + j] = -pair[j][k]
+        rows.append(row)
+    return rows

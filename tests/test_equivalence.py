@@ -262,6 +262,28 @@ def test_a_reversed_closing_cycle_is_rejected_by_the_surgery_check(built, monkey
         assert verdicts == [False]  # one replay per search, and it rejects
 
 
+@pytest.mark.parametrize("construction", ["johns", "ishikawa"])
+def test_a_failed_search_names_the_check_that_failed(built, construction):
+    """Against the other, sound build, a source with c0 reversed has a
+    bijection whose cycle images match, and only the smoothing replay
+    fails; a source with b0's walk in c0's place has a bijection whose
+    cycle images do not match.  The certificate names that check rather
+    than denying the bijection."""
+    other = "ishikawa" if construction == "johns" else "johns"
+    for genus in range(9):
+        for corruption, searched in (
+            ("reversed", [("ribbon_graph_bijection", True), ("cycle_images_match", True), ("surgery_commutes", False)]),
+            ("b_cycle", [("ribbon_graph_bijection", True), ("cycle_images_match", False)]),
+        ):
+            cert = isomorphism_certificate(corrupted(built(construction, genus), corruption), built(other, genus))
+            assert cert["found"] is False
+            assert [(c["name"], c["passed"]) for c in cert["checks"]] == [
+                ("fiber_invariants", True),
+                ("word_families", True),
+                *searched,
+            ]
+
+
 def test_one_replay_decides_every_seed(built, relabelled, mirrored, flipped):
     """On every map that propagates, in both orientations, replaying the
     smoothing on the mapped word agrees with the one replay on the source
@@ -370,8 +392,9 @@ def test_skipping_seeds_keeps_the_full_scan_result(built, relabelled, mirrored,
             assert expected is not None
             preserving.clear()
             monkeypatch.setattr(equivalence, "_propagate", counted)
-            iso = _search(lf1, lf2)
+            iso, failed = _search(lf1, lf2)
             monkeypatch.undo()
+            assert failed is None
             assert iso.orientation_preserving == expected.orientation_preserving
             assert iso.vertex_map == expected.vertex_map
             assert iso.edge_map == expected.edge_map

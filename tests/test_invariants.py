@@ -3,14 +3,16 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lf_forge.builders import sphere_planar_fibration
+from lf_forge.builders import sphere_planar_fibration, word_families
 from lf_forge.curves import CurveOnSurface
-from lf_forge.homology import curve_class, homology_basis, workspace
+from lf_forge.homology import _sparse_class, curve_class, homology_basis, workspace
 from lf_forge.invariants import (
     FinAbGroup,
-    _bordered_presentation,
+    _boundary_matrix,
+    _peeled_homology,
     _sparse_snf_diagonal,
     boundary_open_book,
+    fibration_homology,
     monodromy_arc_relations,
     open_book_h1,
     smith_normal_form,
@@ -18,7 +20,7 @@ from lf_forge.invariants import (
     total_space_homology,
 )
 
-from oracles import cokernel
+from oracles import _bordered_presentation, cokernel
 
 
 def det(m):
@@ -319,3 +321,152 @@ def test_open_book_h1_equals_the_cokernel_of_the_arc_relations(built, relabelled
                 book = boundary_open_book(f.fiber, f.word)
                 n = len(homology_basis(f.fiber))
                 assert open_book_h1(book) == cokernel(monodromy_arc_relations(book), n)
+
+
+# -- one peel for all three groups -----------------------------------------------------
+
+
+@st.composite
+def degenerate_classes_and_pairings(draw):
+    """C with a kernel of rank at least 2 and a residue with no unit entry.
+
+    Base classes are doubled in a nonempty set of columns, which then never
+    hold a unit; 2 e_j for one of those columns stays a residue row to the
+    end, since no pivot column meets it.  Two or more repeated base classes
+    and doubled copies exceed the rank of C by at least 2."""
+    n = draw(st.integers(1, 6))
+    even = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    base = [
+        tuple(2 * x if i in even else x for i, x in enumerate(draw(st.lists(st.integers(-2, 3), min_size=n, max_size=n))))
+        for _ in range(draw(st.integers(0, 5)))
+    ]
+    j = draw(st.sampled_from(sorted(even)))
+    base.append(tuple(2 if i == j else 0 for i in range(n)))
+    repeated = draw(st.lists(st.sampled_from(base), min_size=2, max_size=4))
+    doubled = [tuple(2 * x for x in c) for c in draw(st.lists(st.sampled_from(base), max_size=2))]
+    classes = draw(st.permutations(base + repeated + doubled))
+    m = len(classes)
+    pair = [[draw(st.integers(-2, 2)) if j < k else 0 for k in range(m)] for j in range(m)]
+    return n, classes, pair
+
+
+def sparse(vectors):
+    return [{i: x for i, x in enumerate(vec) if x} for vec in vectors]
+
+
+def antisymmetric_pairs(pair):
+    """A strictly upper-triangular ``pair`` completed to an antisymmetric
+    pairing, as the sparse rows ``Workspace.pairings`` gives."""
+    return [
+        {k: pair[j][k] if j < k else -pair[k][j] for k in range(len(pair)) if pair[min(j, k)][max(j, k)] and j != k}
+        for j in range(len(pair))
+    ]
+
+
+def peel(classes):
+    """(rows, ops, diagonal) as ``_sparse_snf_diagonal`` leaves them on
+    copies of the sparse ``classes``, with ops from the identity."""
+    rows = [dict(c) for c in classes]
+    ops = [{i: 1} for i in range(len(rows))]
+    return rows, ops, _sparse_snf_diagonal(rows, ops)
+
+
+def dense_groups(n, classes, pair):
+    """Oracle for ``_peeled_homology``: coker C and ker C from the dense C,
+    and the cokernel of the per-arc relations."""
+    matrix = [[vec[i] for vec in classes] for i in range(n)]
+    rank = len(snf_oracle_diagonal(matrix)) if n and classes else 0
+    return (
+        cokernel(matrix, n),
+        FinAbGroup.free(len(classes) - rank),
+        cokernel(recurrence_relations(n, classes, pair), n),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(classes_and_pairings(), degenerate_classes_and_pairings()))
+def test_one_peel_gives_the_groups_of_the_class_matrix_and_the_arc_relations(data):
+    n, classes, pair = data
+    groups = _peeled_homology(n, sparse(classes), antisymmetric_pairs(pair))
+    assert groups == dense_groups(n, classes, pair)
+
+
+@settings(max_examples=100, deadline=None)
+@given(degenerate_classes_and_pairings())
+def test_degenerate_classes_leave_a_residue_without_units_and_a_kernel(data):
+    n, classes, pair = data
+    rows, ops, diag = peel(sparse(classes))
+    assert len(classes) - len(diag) >= 2
+    residue = [x for r in rows for x in r.values()]
+    assert residue and all(abs(x) != 1 for x in residue)
+    assert _peeled_homology(n, sparse(classes), antisymmetric_pairs(pair)) == dense_groups(n, classes, pair)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(classes_and_pairings(), degenerate_classes_and_pairings()))
+def test_recorded_row_operations_witness_every_row_the_peel_left(data):
+    """Every non-pivot row i ends as sum_j ops[i][j] * class_j, a residue
+    row or an empty one; pivot rows end with no row and no ops."""
+    _, classes, _ = data
+    rows, ops, diag = peel(sparse(classes))
+    assert sum(1 for o in ops if not o) <= len(diag)
+    for row, op in zip(rows, ops):
+        if not op:
+            assert row == {}
+            continue
+        combined = {}
+        for j, f in op.items():
+            for c, x in enumerate(classes[j]):
+                combined[c] = combined.get(c, 0) + f * x
+        assert {c: x for c, x in combined.items() if x} == row
+
+
+@pytest.mark.parametrize("construction", ["johns", "ishikawa"])
+def test_the_peel_pins_the_h2_generator(built, relabelled, construction):
+    """On both builds the peel leaves one kernel row and no residue, and
+    its recorded combination is v = -1 on every a- and b-cycle and +1 on
+    every c-cycle, up to sign, whatever the names.  On fresh builds the
+    square that is left of B is [2 - 2g]."""
+    for g in range(9):
+        fib = built(construction, g)
+        for f in (fib, relabelled(fib, g)):
+            rows, ops, _ = peel([_sparse_class(f.fiber, c) for c in f.word])
+            kernel = [i for i, o in enumerate(ops) if o]
+            assert len(kernel) == 1
+            assert all(r == {} for r in rows)
+            assert set(word_families(f)) == {"a", "b", "c"}
+            v = {i: 1 if c.name.startswith("c") else -1 for i, c in enumerate(f.word)}
+            assert ops[kernel[0]] in (v, {i: -x for i, x in v.items()})
+            if f is fib:
+                square = _boundary_matrix(rows, ops, kernel, workspace(f.fiber).pairings(f.word))
+                assert square == [{0: 2 - 2 * g} if g != 1 else {}]
+
+
+def entry_point_books(built, relabelled, punctured_torus):
+    for construction in ("johns", "ishikawa"):
+        for g in range(9):
+            fib = built(construction, g)
+            for f in (fib, relabelled(fib, g)):
+                yield boundary_open_book(f.fiber, f.word)
+    sphere = sphere_planar_fibration()
+    yield boundary_open_book(sphere.fiber, sphere.word)
+    for length in (0, 1, 2, 3, 5):
+        yield annulus_book(length)
+    a = CurveOnSurface(punctured_torus, "a", (("a", 1),))
+    b = CurveOnSurface(punctured_torus, "b", (("b", 1),))
+    for word in ((a, b), (b, a), (a,), ()):
+        yield boundary_open_book(punctured_torus, word)
+
+
+def test_one_answer_from_three_entry_points(built, relabelled, punctured_torus):
+    """``fibration_homology`` gives what ``total_space_homology`` and
+    ``open_book_h1`` give, and what the dense class matrix and the arc
+    relations give."""
+    for book in entry_point_books(built, relabelled, punctured_torus):
+        page, word = book.page, book.word
+        groups = fibration_homology(book)
+        assert groups == (*total_space_homology(page, word), open_book_h1(book))
+        n = len(homology_basis(page))
+        oracle = dense_total_space_homology(page, word)
+        assert groups == (*oracle, cokernel(monodromy_arc_relations(book), n))
+
