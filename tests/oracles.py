@@ -283,7 +283,9 @@ def cokernel(matrix: list[list[int]], ambient_rank: int) -> FinAbGroup:
 def _bordered_presentation(n: int, classes, pair) -> list[dict[int, int]]:
     """Sparse rows of B = [[0, C], [-C^T, (I - U)^T]], (n + m) x (n + m), the
     presentation of boundary H1 that ``fibration_homology`` reduces without
-    building it.
+    building it.  (I - U)^T is unitriangular, so unimodular row and column
+    operations turn B into diag(R, I_m), with R the arc relations of
+    ``monodromy_arc_relations``: coker B = coker R.
 
     ``classes`` are the m columns of C as sparse ``{row: entry}`` maps with
     rows below n and no zero entries, and U_jk is ``pair[j][k]`` for j < k;
