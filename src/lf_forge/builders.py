@@ -207,6 +207,21 @@ def replay_closing_smoothing(surface: RibbonGraph, family_x, family_y, closing) 
     return True, None
 
 
+def closing_smoothing(fib: LefschetzFibration) -> tuple[bool, str | None] | None:
+    """The one check of a word's closing move: replay its a/b families on
+    its own fiber against its own c family.  None when the word lacks one
+    of the three families; else (True, None), (False, None) on a mismatch,
+    or (False, message) when the smoothing raises a SurfaceError.  A fresh
+    build answers from the smoothing its fiber keeps."""
+    fams = word_families(fib)
+    if not {"a", "b", "c"} <= fams.keys():
+        return None
+    try:
+        return replay_closing_smoothing(fib.fiber, fams["a"], fams["b"], fams["c"])[0], None
+    except SurfaceError as exc:
+        return False, str(exc)
+
+
 # -- the divide fiber --------------------------------------------------------------
 
 

@@ -9,14 +9,13 @@ matrix.
 
 from __future__ import annotations
 
-from .builders import LefschetzFibration, expected_fiber_profile, replay_closing_smoothing, word_families
+from .builders import LefschetzFibration, closing_smoothing, expected_fiber_profile, word_families
 from .invariants import (
     FinAbGroup,
     boundary_open_book,
     fibration_homology,
     total_space_euler,
 )
-from .ribbon import SurfaceError
 
 __all__ = [
     "expected_boundary_group",
@@ -43,21 +42,6 @@ def _check(name: str, expected, actual) -> dict:
     }
 
 
-def _smoothing_check(fib: LefschetzFibration) -> dict | None:
-    """Re-run the closing smoothing when the word has the three families."""
-    fams = word_families(fib)
-    if not {"a", "b", "c"} <= set(fams):
-        return None
-    try:
-        ok, _ = replay_closing_smoothing(fib.fiber, fams["a"], fams["b"], fams["c"])
-    except SurfaceError as exc:
-        return {"name": "closing_smoothing", "passed": False,
-                "expected": "smoothing succeeds", "actual": str(exc)}
-    return {"name": "closing_smoothing", "passed": ok,
-            "expected": f"{len(fams['c'])} closing cycles reproduced",
-            "actual": "reproduced" if ok else "mismatch"}
-
-
 def fibration_certificate(fib: LefschetzFibration) -> dict:
     """Check every stated invariant of one fibration; schema certificate/1."""
     g = fib.genus
@@ -75,9 +59,13 @@ def fibration_certificate(fib: LefschetzFibration) -> dict:
         _check("total_space_h2", FinAbGroup.free(1), h2),
         _check("boundary_h1", expected_boundary_group(g), boundary),
     ]
-    smoothing = _smoothing_check(fib)
-    if smoothing is not None:
-        checks.append(smoothing)
+    replay = closing_smoothing(fib)
+    if replay is not None:
+        ok, error = replay
+        n = len(word_families(fib)["c"])
+        expected = f"{n} closing cycles reproduced" if error is None else "smoothing succeeds"
+        actual = error if error is not None else "reproduced" if ok else "mismatch"
+        checks.append({"name": "closing_smoothing", "passed": ok, "expected": expected, "actual": actual})
     return {
         "schema": "certificate/1",
         "construction": fib.construction,

@@ -167,11 +167,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
         certificates.append(_stamped(cert, args))
         _note(args, f"compared genus {g}: found={cert['found']}")
         if not cert["found"]:
-            missing.append(g)
+            missing.append((g, next(c["name"] for c in cert["checks"] if not c["passed"])))
     doc = certificates[0] if len(certificates) == 1 else certificates
     _emit({"compare.json": _dumps(doc)}, args)
-    for g in missing:
-        print(f"no isomorphism at genus {g}", file=sys.stderr)
+    for g, failed in missing:
+        print(f"no isomorphism at genus {g}: {failed}", file=sys.stderr)
     return 1 if missing else 0
 
 

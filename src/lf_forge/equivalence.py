@@ -6,9 +6,15 @@ Comparison therefore happens on the reduced presentation (degree-two vertices
 suppressed, twist bits cleared), where an isomorphism is a vertex/edge
 bijection that preserves every rotation or reverses every rotation, carries
 each named cycle of one word onto a cycle of the other within the same
-family, and commutes with the closing smoothing move.  A bijection of
-either orientation carries a smoothing onto the smoothing of the images,
-so one replay on the source word decides that for every map.
+family, and commutes with the closing smoothing move.  That last condition
+is each word's own ``closing_smoothing``, the check a certificate makes,
+replayed once per word on its own fiber.  The smoothing is resolved at
+4-valent crossing vertices by the interleaving of the strands, so its
+answer does not change when degree-two vertices are suppressed, twist bits
+are cleared or every rotation is reversed; and a bijection of either
+orientation carries one word's smoothing onto the other word's.  So the
+two replays decide the condition for every map, whichever word is the
+source, and a fresh build answers from the smoothing its fiber keeps.
 
 The search is anchored: the image of the first first-family core must run
 along a first-family core of the target, so only half-edges on those cores
@@ -20,7 +26,7 @@ words' triple product (``_triple_product``) rules out are skipped.
 
 from __future__ import annotations
 
-from .builders import LefschetzFibration, replay_closing_smoothing, word_families
+from .builders import LefschetzFibration, closing_smoothing, word_families
 from .curves import CurveOnSurface, canonical_rotation
 from .ribbon import HalfEdge, Record, RibbonGraph, SurfaceError
 
@@ -242,19 +248,6 @@ def _match_families(curves1: dict[str, CurveOnSurface], index, fams1, edge_map) 
     return cycle_map
 
 
-def _surgery_commutes(fams1, curves1: dict[str, CurveOnSurface], g1: RibbonGraph) -> bool:
-    """Replay the closing smoothing on the source's own a/b cores, on its
-    reduced fiber ``g1``; the outputs must be its own c cycles, orientations
-    included.  One replay decides every map (see the module docstring)."""
-    if not {"a", "b", "c"} <= set(fams1):
-        return True
-    a, b, c = ([curves1[x.name] for x in fams1[f]] for f in ("a", "b", "c"))
-    try:
-        return replay_closing_smoothing(g1, a, b, c)[0]
-    except SurfaceError:
-        return False
-
-
 def find_isomorphism(lf1: LefschetzFibration, lf2: LefschetzFibration) -> FibrationIso | None:
     """Search for an isomorphism of fibrations, None when there is none.
 
@@ -273,8 +266,8 @@ def _search(lf1: LefschetzFibration, lf2: LefschetzFibration) -> tuple[Fibration
 
     Each placement of the first first-family core onto a target first-family
     core propagates to at most one full map, checked against the word; the
-    first match in scan order is returned if the smoothing move commutes,
-    which no later seed would change (``_surgery_commutes``).  Once an
+    first match in scan order is returned if both words pass their own
+    ``closing_smoothing``, which no later seed would change.  Once an
     orientation-preserving seed fails the word, seeds of an orientation that
     the words' ``_triple_product`` rules out are skipped (none if unknown).
     """
@@ -315,8 +308,10 @@ def _search(lf1: LefschetzFibration, lf2: LefschetzFibration) -> tuple[Fibration
                     if t1 is not None and t2 is not None:
                         possible = {True: t1 == t2, False: t1 == -t2}
                 continue
-            if not _surgery_commutes(fams1, curves1, g1):
-                return None, "surgery_commutes"
+            for lf in (lf1, lf2):
+                replay = closing_smoothing(lf)
+                if replay is not None and not replay[0]:
+                    return None, "surgery_commutes"
             return FibrationIso(lf1, lf2, vertex_map, edge_map, preserve, cycle_map), None
     return None, failed
 

@@ -87,7 +87,7 @@ def test_compare_mismatched_genus_fails(capsys):
     )
     assert code == 1
     assert json.loads(out)["found"] is False
-    assert "no isomorphism" in err
+    assert "no isomorphism at genus 0: fiber_invariants" in err
 
 
 def test_compare_against_genus_respects_the_cap(capsys):

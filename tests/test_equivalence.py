@@ -8,6 +8,7 @@ import pytest
 from lf_forge import equivalence
 from lf_forge.builders import (
     LefschetzFibration,
+    closing_smoothing,
     ishikawa_fibration,
     johns_fibration,
     johns_pattern,
@@ -22,7 +23,6 @@ from lf_forge.equivalence import (
     _propagate,
     _rotation_index,
     _search,
-    _surgery_commutes,
     _triple_product,
     carry_curve,
     find_isomorphism,
@@ -241,53 +241,61 @@ def corrupted(fib, corruption):
 @pytest.mark.parametrize("construction", ["johns", "ishikawa"])
 @pytest.mark.parametrize("genus", range(9))
 def test_a_reversed_closing_cycle_is_rejected_by_the_surgery_check(built, monkeypatch, construction, genus):
-    """A source with c0 reversed, against the other, sound build; or both
-    sides with b0's walk in c0's place, so that the families match at all.
-    The rotation index holds reversals, so the cycles still match; only
-    replaying the smoothing on the source word sees the wrong closing
-    family, and it is replayed once per search."""
+    """A build with c0 reversed against the other, sound build, in both
+    orders; or both sides with b0's walk in c0's place, so that the
+    families match at all.  The rotation index holds reversals, so the
+    cycles still match; only each word's own closing smoothing sees the
+    wrong closing family.  A search replays each word at most once, and
+    stops at the first word that fails."""
     other = "ishikawa" if construction == "johns" else "johns"
-    verdicts = []
+    calls = []
 
-    def surgery_spy(*args):
-        verdicts.append(_surgery_commutes(*args))
-        return verdicts[-1]
+    def smoothing_spy(lf):
+        replay = closing_smoothing(lf)
+        calls.append((lf, replay[0]))
+        return replay
 
-    monkeypatch.setattr(equivalence, "_surgery_commutes", surgery_spy)
+    monkeypatch.setattr(equivalence, "closing_smoothing", smoothing_spy)
+    sound = built(other, genus)
     for corruption in ("reversed", "b_cycle"):
-        verdicts.clear()
-        lf1 = corrupted(built(construction, genus), corruption)
-        lf2 = built(other, genus) if corruption == "reversed" else corrupted(built(other, genus), corruption)
-        assert find_isomorphism(lf1, lf2) is None
-        assert verdicts == [False]  # one replay per search, and it rejects
+        bad = corrupted(built(construction, genus), corruption)
+        lf2 = sound if corruption == "reversed" else corrupted(sound, corruption)
+        for pair in ((bad, lf2), (lf2, bad)):
+            calls.clear()
+            assert find_isomorphism(*pair) is None
+            assert [lf for lf, _ in calls] == list(pair[:len(calls)])
+            assert [ok for _, ok in calls] == [True] * (len(calls) - 1) + [False]
 
 
 @pytest.mark.parametrize("construction", ["johns", "ishikawa"])
 def test_a_failed_search_names_the_check_that_failed(built, construction):
-    """Against the other, sound build, a source with c0 reversed has a
-    bijection whose cycle images match, and only the smoothing replay
-    fails; a source with b0's walk in c0's place has a bijection whose
-    cycle images do not match.  The certificate names that check rather
-    than denying the bijection."""
+    """Against the other, sound build, in both orders, a word with c0
+    reversed has a bijection whose cycle images match, and only its own
+    closing smoothing fails; a word with b0's walk in c0's place has a
+    bijection whose cycle images do not match.  The certificate names that
+    check rather than denying the bijection."""
     other = "ishikawa" if construction == "johns" else "johns"
     for genus in range(9):
         for corruption, searched in (
             ("reversed", [("ribbon_graph_bijection", True), ("cycle_images_match", True), ("surgery_commutes", False)]),
             ("b_cycle", [("ribbon_graph_bijection", True), ("cycle_images_match", False)]),
         ):
-            cert = isomorphism_certificate(corrupted(built(construction, genus), corruption), built(other, genus))
-            assert cert["found"] is False
-            assert [(c["name"], c["passed"]) for c in cert["checks"]] == [
-                ("fiber_invariants", True),
-                ("word_families", True),
-                *searched,
-            ]
+            bad, sound = corrupted(built(construction, genus), corruption), built(other, genus)
+            for pair in ((bad, sound), (sound, bad)):
+                assert find_isomorphism(*pair) is None
+                cert = isomorphism_certificate(*pair)
+                assert cert["found"] is False
+                assert [(c["name"], c["passed"]) for c in cert["checks"]] == [
+                    ("fiber_invariants", True),
+                    ("word_families", True),
+                    *searched,
+                ]
 
 
 def test_one_replay_decides_every_seed(built, relabelled, mirrored, flipped):
     """On every map that propagates, in both orientations, replaying the
-    smoothing on the mapped word agrees with the one replay on the source
-    word, for sound and corrupted words alike."""
+    smoothing on the mapped word agrees with the word's own replay on its
+    own fiber (``closing_smoothing``), for sound and corrupted words alike."""
     verdicts = {True: 0, False: 0}
     for genus in range(4):
         targets = [reduced_word(built(c, genus))[0] for c in ("johns", "ishikawa")]
@@ -300,7 +308,7 @@ def test_one_replay_decides_every_seed(built, relabelled, mirrored, flipped):
             for lf1 in inputs:
                 g1, curves1 = reduced_word(lf1)
                 fams1 = word_families(lf1)
-                expected = _surgery_commutes(fams1, curves1, g1)
+                expected = closing_smoothing(lf1)[0]
                 e0, s0 = curves1[fams1["a"][0].name].walk[0]
                 seed1 = (e0, 0 if s0 > 0 else 1)
                 for g2 in targets:
@@ -473,8 +481,29 @@ def test_family_matching_needs_no_recursion_at_large_genus():
     assert iso.orientation_preserving
 
 
-def test_isomorphism_is_symmetric(built):
-    assert find_isomorphism(built("ishikawa", 1), built("johns", 1)) is not None
+def test_isomorphism_is_symmetric(built, relabelled, mirrored, flipped):
+    """For every ordered pair of sixteen variants per genus (both builds,
+    each plain, relabelled, mirrored, edge-flipped, with c0 reversed, with
+    a0 reversed, with b0's walk in c0's place and with half its cycles
+    reversed), an isomorphism exists one way exactly when it exists the
+    other way, with the same orientation."""
+    found = 0
+    for genus in range(5):
+        variants = []
+        for fib in (built("johns", genus), built("ishikawa", genus)):
+            a0_reversed = with_walk(fib, "a0", reversed_walk(word_families(fib)["a"][0].walk))
+            variants += [fib, relabelled(fib, genus), mirrored(fib), flipped(fib, genus),
+                         corrupted(fib, "reversed"), a0_reversed, corrupted(fib, "b_cycle"),
+                         _with_reversed_cycles(fib, genus)]
+        isos = {(i, j): find_isomorphism(x, y)
+                for (i, x), (j, y) in itertools.permutations(enumerate(variants), 2)}
+        for (i, j), iso in isos.items():
+            back = isos[j, i]
+            assert (iso is None) == (back is None), (genus, i, j)
+            if iso is not None:
+                found += 1
+                assert iso.orientation_preserving == back.orientation_preserving, (genus, i, j)
+    assert found
 
 
 def test_no_isomorphism_across_genus(built):
