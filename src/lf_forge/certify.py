@@ -4,24 +4,44 @@ A certificate is a flat list of named checks with expected and computed
 values, so a failing run says exactly which invariant broke.  Expectations
 are closed-form in the genus; the boundary group comes from the disk-bundle
 picture (Euler number 2 - 2g), the total-space groups from the cycle class
-matrix.
+matrix.  This is the one place a build is checked against them.
 """
 
 from __future__ import annotations
 
-from .builders import LefschetzFibration, closing_smoothing, expected_fiber_profile, word_families
+from .builders import LefschetzFibration, closing_smoothing, word_families
 from .invariants import (
     FinAbGroup,
     boundary_open_book,
     fibration_homology,
     total_space_euler,
 )
+from .ribbon import SurfaceError
 
 __all__ = [
     "expected_boundary_group",
     "expected_fiber_profile",
     "fibration_certificate",
 ]
+
+
+def expected_fiber_profile(construction: str, genus: int) -> dict:
+    """Fiber and word-shape expectations per construction: johns and
+    ishikawa at any genus >= 0, sphere at genus 0."""
+    if construction not in ("johns", "ishikawa", "sphere"):
+        raise SurfaceError(f"no closed-form expectations for construction {construction!r}")
+    if genus < 0:
+        raise SurfaceError(f"genus must be nonnegative, got {genus}")
+    if construction == "sphere":
+        if genus != 0:
+            raise SurfaceError("the annulus-page model exists only at genus 0")
+        return {"genus": 0, "boundary": 2, "euler": 0, "word_length": 2}
+    return {
+        "genus": 1,
+        "boundary": 4 * genus + 4,
+        "euler": -4 * genus - 4,
+        "word_length": 2 * genus + 6,
+    }
 
 
 def expected_boundary_group(genus: int) -> FinAbGroup:

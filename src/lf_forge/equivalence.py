@@ -14,7 +14,8 @@ answer does not change when degree-two vertices are suppressed, twist bits
 are cleared or every rotation is reversed; and a bijection of either
 orientation carries one word's smoothing onto the other word's.  So the
 two replays decide the condition for every map, whichever word is the
-source, and a fresh build answers from the smoothing its fiber keeps.
+source; a fresh plumbing build answers from the smoothing its fiber keeps,
+and any other word traces its own once.
 
 The search is anchored: the image of the first first-family core must run
 along a first-family core of the target, so only half-edges on those cores
@@ -67,10 +68,11 @@ def carry_curve(curve: CurveOnSurface, target: RibbonGraph,
 
 def reduced_word(fib: LefschetzFibration) -> tuple[RibbonGraph, dict[str, CurveOnSurface]]:
     """The fiber with degree-two vertices suppressed and twists cleared
-    (``RibbonGraph._reduced``, orientation inherited from the full fiber),
-    with the word carried onto it.  When that is the fiber itself (every
-    plumbing fiber, either orientation), the word's own curves are returned:
-    the identity edge map would carry each onto an equal walk on that graph.
+    (``RibbonGraph._reduced``, each kept vertex oriented by the full
+    fiber's own sign), with the word carried onto it.  When that is the
+    fiber itself (every plumbing fiber, either orientation), the word's own
+    curves are returned: the identity edge map would carry each onto an
+    equal walk on that graph.
     """
     norm, edge_map = fib.fiber._reduced()
     if norm is fib.fiber:

@@ -351,8 +351,8 @@ class RibbonGraph:
         edge with that sign.  A component that is entirely a cycle of
         degree-2 vertices cannot be smoothed and raises.  Returns this graph
         itself when no vertex is suppressible.  ``_reduced`` orients the same
-        tables (``_smoothing_tables``) without building this graph, and is
-        tested against smoothing, normalizing and mirroring in turn.
+        tables (``_smoothing_tables``) by this graph's signs without building
+        this graph, and is tested against smoothing and then orienting.
         """
         tables = self._smoothing_tables()
         if tables is None:
@@ -427,26 +427,23 @@ class RibbonGraph:
         return kept, new_edges, rotation, new_twists, edge_map
 
     def _reduced(self) -> tuple["RibbonGraph", dict[str, tuple[str, int]]]:
-        """``smoothed``, ``normalized`` and, when this graph orients the
-        least kept vertex negatively, mirroring, in one construction:
-        suppressing vertices can move the vertex that normalization anchors
-        at, which would silently mirror the result.  Returns the reduced
-        graph and the smoothing's edge map; errors come in the order of that
-        chain, which ``tests/test_ribbon.py`` keeps as the oracle.
+        """``smoothed`` and then every kept vertex oriented by this graph's
+        own signs (``local_orientations``), in one construction.  Orienting
+        the smoothed graph by its own signs could anchor a component at
+        another vertex and so mirror it against this page.  Returns the
+        reduced graph and the smoothing's edge map; the smoothing's errors
+        come first, then the smoothed graph's, then NonOrientableError,
+        which ``tests/test_ribbon.py`` keeps as the oracle.
         """
         tables = self._smoothing_tables()
         if tables is None:
             return self.normalized(), {e: (e, 1) for e in self.edges}
         vertices, edges, rotation, twists, edge_map = tables
-        # An edge with an unplaced end makes the constructor raise below.
-        links = edge_links(edges, {h: v for v, rot in rotation.items() for h in rot})
-        signs = orientation_signs(vertices, links, twists)[0]
-        if signs is None:
+        eps = self.local_orientations()
+        if eps is None:
             RibbonGraph(vertices, edges, rotation, twists)  # the smoothed graph's errors come first
             raise NonOrientableError("cannot orient a non-orientable surface")
-        eps = self.local_orientations()
-        ref = 1 if eps is None else eps[vertices[0]]
-        return RibbonGraph(vertices, edges, _oriented_rotation(rotation, signs, ref), ()), edge_map
+        return RibbonGraph(vertices, edges, _oriented_rotation(rotation, eps), ()), edge_map
 
     # -- serialization -------------------------------------------------------
 
@@ -584,9 +581,9 @@ def orientation_signs(vertices, links, twists) -> tuple[dict[str, int] | None, i
     return (eps if consistent else None), components
 
 
-def _oriented_rotation(rotation, signs, ref=1):
-    """``rotation`` with every vertex whose sign is not ``ref`` reversed.
+def _oriented_rotation(rotation, signs):
+    """``rotation`` with every vertex of sign -1 reversed.
 
     The signs come from ``orientation_signs``, so they clear every twist: a
     band is twisted exactly when its ends' signs differ."""
-    return {v: rot if signs[v] == ref else rot[::-1] for v, rot in rotation.items()}
+    return {v: rot if signs[v] == 1 else rot[::-1] for v, rot in rotation.items()}

@@ -92,8 +92,7 @@ def boundary_walks(g: RibbonGraph):
 
 def mirrored(g: RibbonGraph) -> RibbonGraph:
     """The same surface with the opposite global orientation convention:
-    every rotation reversed.  ``RibbonGraph._reduced`` folds the mirror into
-    its one construction."""
+    every rotation reversed."""
     rotation = {v: tuple(reversed(rot)) for v, rot in g.rotation.items()}
     return RibbonGraph(g.vertices, g.edges, rotation, g.twists)
 

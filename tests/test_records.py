@@ -93,14 +93,21 @@ def test_cli_import_loads_no_unused_standard_modules():
     assert out.split("\n") == ["[]", "[]", "[]", ""]
 
 
+# The layers that check a build; building imports none of them.
+_CHECKING_LAYERS = ["lf_forge.certify", "lf_forge.equivalence", "lf_forge.invariants", "lf_forge.homology"]
+
+
 @pytest.mark.parametrize("argv, exit_code, unused", [
     (["compare", "--genus", "0..2"], 0, ["lf_forge.homology", "lf_forge.invariants"]),
     (["compare", "--genus", "0", "--against", "johns:3"], 1, ["lf_forge.homology", "lf_forge.invariants"]),
     (["export", "divide", "--genus", "0..2"], 0, ["lf_forge.builders", "lf_forge.curves"]),
-], ids=["compare", "compare-against", "export-divide"])
+    (["generate", "both", "--genus", "0..2"], 0, _CHECKING_LAYERS),
+    (["export", "fiber", "--genus", "0..2"], 0, _CHECKING_LAYERS),
+], ids=["compare", "compare-against", "export-divide", "generate", "export-fiber"])
 def test_each_command_loads_only_the_layers_it_runs(argv, exit_code, unused):
-    """A compare that needs no triple product never pairs curves, and an
-    exported divide needs no fiber: neither loads those layers."""
+    """A compare that needs no triple product never pairs curves, an
+    exported divide needs no fiber, and a build checks nothing: none of
+    them loads those layers."""
     code = ("import contextlib, io, sys\n"
             "from lf_forge.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"

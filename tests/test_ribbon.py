@@ -368,14 +368,18 @@ def test_orientation_signs_match_the_oracle(g):
 
 
 def chain_reduction(g):
-    """Oracle for ``RibbonGraph._reduced``: smooth, normalize, then mirror
-    when the full graph orients the least kept vertex negatively."""
+    """Oracle for ``RibbonGraph._reduced``: smooth, then orient every kept
+    vertex by the page's own sign.  Those signs must orient the smoothed
+    graph: a merged band is twisted exactly when its ends' signs differ."""
     smooth, edge_map = g.smoothed()
-    norm = smooth.normalized()
     eps = g.local_orientations()
-    if eps is not None and eps[min(smooth.vertices)] == -1:
-        norm = oracles.mirrored(norm)
-    return norm, edge_map
+    if eps is None:
+        raise NonOrientableError("cannot orient a non-orientable surface")
+    for e in smooth.edges:
+        t, h = smooth.edge_endpoints(e)
+        assert (eps[t] != eps[h]) == (e in smooth.twists)
+    rotation = {v: rot if eps[v] == 1 else rot[::-1] for v, rot in smooth.rotation.items()}
+    return RibbonGraph(smooth.vertices, smooth.edges, rotation, ()), edge_map
 
 
 def reduction_outcome(reduce, g):
@@ -389,8 +393,25 @@ def reduction_outcome(reduce, g):
 
 
 @given(loose_ribbon_graphs())
-def test_reduction_matches_the_smooth_normalize_mirror_chain(g):
+def test_reduction_matches_the_smooth_then_orient_chain(g):
     assert reduction_outcome(RibbonGraph._reduced, g) == reduction_outcome(chain_reduction, g)
+
+
+def test_reduction_orients_each_component_by_the_page():
+    """Vertex a carries loop x; b and c are joined by twisted y and z, and
+    c carries loop w.  Smoothing b leaves c, which the page orients -1, in a
+    component of its own: the reduced page reverses c as ``normalized``
+    does, rather than taking the smoothed component's own anchor."""
+    g = RibbonGraph(("a", "b", "c"), ("w", "x", "y", "z"), {
+        "a": (("x", 0), ("x", 1)),
+        "b": (("y", 0), ("z", 0)),
+        "c": (("y", 1), ("w", 0), ("z", 1), ("w", 1)),
+    }, twists=("y", "z"))
+    assert g.local_orientations() == {"a": 1, "b": 1, "c": -1}
+    reduced, edge_map = g._reduced()
+    assert edge_map == {"y": ("y", -1), "z": ("y", 1), "w": ("w", 1), "x": ("x", 1)}
+    assert reduced.rotation == {"a": (("x", 0), ("x", 1)), "c": (("w", 1), ("y", 1), ("w", 0), ("y", 0))}
+    assert reduced.twists == frozenset()
 
 
 @pytest.mark.parametrize("construction", ["johns", "ishikawa"])
