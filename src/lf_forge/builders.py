@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .curves import CurveOnSurface, Step, canonical_rotation, curve_from_json, reversed_step, step_head_half
 from .divides import Divide, check_admissible, checkerboard_coloring, standard_divide
-from .ribbon import HalfEdge, Record, RibbonGraph, SurfaceError, edge_links, json_field, orientation_signs
+from .ribbon import HalfEdge, Record, RibbonGraph, SurfaceError, json_field, orientation_signs
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -293,7 +293,7 @@ def divide_fiber_model(divide: Divide) -> DivideFiberModel:
     # A uniform rule cannot do this directly: the half-twisted bands force
     # opposite signs on the two ends of every band.
     vertex_of = {h: v for v, rot in rotation.items() for h in rot}
-    eps, components = orientation_signs(vertices, edge_links(edges, vertex_of), twists)
+    eps, components = orientation_signs(vertices, edges, vertex_of, twists)
     _require(components <= 1, "divide fiber is disconnected")
     _require(eps is not None, "divide fiber is non-orientable; twist placement is broken")
     for site, (r_in, r_out, arriving, departing) in site_ends.items():

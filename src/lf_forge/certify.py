@@ -72,7 +72,7 @@ def fibration_certificate(fib: LefschetzFibration) -> dict:
         _check("fiber_genus", want["genus"], inv.genus),
         _check("fiber_boundary_components", want["boundary"], inv.boundary_components),
         _check("fiber_euler", want["euler"], inv.euler),
-        _check("fiber_orientable", True, inv.orientable),
+        _check("fiber_orientable", True, fib.fiber.is_orientable()),
         _check("word_length", want["word_length"], len(fib.word)),
         _check("total_space_euler", 2 - 2 * g, total_space_euler(fib.fiber, fib.word)),
         _check("total_space_h1", FinAbGroup.free(2 * g), h1),

@@ -59,32 +59,12 @@ class Divide:
     # -- faces -----------------------------------------------------------------
 
     def faces(self) -> tuple[tuple[HalfEdge, ...], ...]:
-        """Complementary disks as half-edge orbits of next-after-partner:
-        the boundary circles of the graph's thickening.
-
-        The half-edges are visited in sorted order, so each orbit starts at
-        its least half-edge and the orbits come sorted: face indices are
-        canonical.
+        """Complementary disks: the boundary circles of the graph's
+        thickening, ``RibbonGraph.faces``.  Each orbit of next-after-partner
+        starts at its least half-edge and the orbits come sorted, so face
+        indices are canonical.
         """
-        if "faces" in self._cache:
-            return self._cache["faces"]
-        nxt, partner = self.graph.rotation_next, RibbonGraph.partner
-        seen = set()
-        orbits = []
-        for start in ((e, i) for e in self.edges for i in (0, 1)):
-            if start in seen:
-                continue
-            orbit = [start]
-            seen.add(start)
-            cur = nxt(partner(start))
-            while cur != start:
-                orbit.append(cur)
-                seen.add(cur)
-                cur = nxt(partner(cur))
-            orbits.append(tuple(orbit))
-        result = tuple(orbits)
-        self._cache["faces"] = result
-        return result
+        return self.graph.faces()
 
     def face_of(self, half_edge: HalfEdge) -> int:
         if "face_of" not in self._cache:
@@ -201,8 +181,8 @@ def checkerboard_coloring(divide: Divide) -> Checkerboard:
     """2-color the faces so the two sides of every edge differ.
 
     Raises ColoringError when impossible, naming an odd closed chain of
-    faces as the witness.  The coloring is cached on the divide, next to
-    its faces; an error is not.
+    faces as the witness.  The coloring is cached on the divide, as its
+    faces are on its graph; an error is not.
     """
     if "coloring" in divide._cache:
         return divide._cache["coloring"]

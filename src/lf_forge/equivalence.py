@@ -255,7 +255,9 @@ def find_isomorphism(lf1: LefschetzFibration, lf2: LefschetzFibration) -> Fibrat
 
     Cheap invariants gate the search (``_search``).  A fiber that cannot be
     reduced, or a pair of empty words, raises SurfaceError: that is a
-    failure to compare, not a missing isomorphism.
+    failure to compare, not a missing isomorphism.  A non-orientable fiber
+    has no invariants, so it raises NonOrientableError at the gate,
+    whichever side it is on.
     """
     if not all(ok for _, ok in _gate(lf1, lf2)):
         return None

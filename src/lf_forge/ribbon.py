@@ -3,9 +3,11 @@
 A ribbon graph is a finite graph together with a cyclic order of half-edge
 attachments around every vertex and a twist bit per edge.  Thickening vertices
 to disks and edges to (half-twisted, when flagged) bands produces a compact
-surface with boundary; all surface-level questions asked here (Euler
-characteristic, boundary count, orientability, genus) are answered purely
-combinatorially from that data.
+surface with boundary.  Orientability is read off the twist bits and the
+edge ends alone (``orientation_signs``).  The boundary circles, and with them
+the boundary count and genus, are traced on the oriented presentation
+(``normalized``), so only an orientable surface has them; a non-orientable
+one raises NonOrientableError.
 
 Half-edges are pairs ``(edge_id, end)`` with ``end`` 0 or 1.  Traversing an
 edge "forward" (sign +1) runs from end 0 to end 1.
@@ -107,19 +109,15 @@ class Record:
 
 
 class SurfaceInvariants(Record):
-    """Homeomorphism data of the thickened surface.
+    """Homeomorphism data of the thickened surface, which is orientable:
+    ``RibbonGraph.invariants`` raises on a non-orientable one."""
 
-    ``genus`` is None when the surface is non-orientable; there is then no
-    orientable genus to report and callers must consult ``orientable``.
-    """
+    __slots__ = ("euler", "boundary_components", "genus")
 
-    __slots__ = ("euler", "boundary_components", "genus", "orientable")
-
-    def __init__(self, euler: int, boundary_components: int, genus: int | None, orientable: bool):
+    def __init__(self, euler: int, boundary_components: int, genus: int):
         object.__setattr__(self, "euler", euler)
         object.__setattr__(self, "boundary_components", boundary_components)
         object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "orientable", orientable)
 
 
 class RibbonGraph:
@@ -207,50 +205,33 @@ class RibbonGraph:
 
     # -- boundary tracing --------------------------------------------------
 
-    def num_boundary_components(self) -> int:
-        """Number of boundary circles of the thickened surface.
-
-        A state (h, side) enters the band of half-edge h along the side that
-        meets the corner before (side 0) or after (side 1) the attachment.
-        This counts the cycles of the boundary walk's step on a flat
-        numbering of the states: half-edge (edges[k], end) is 2k + end and
-        state (h, side) is 2h + side.  Each circle is two direction-reversed
-        cycles, so the count is half the number of cycles once the reversal
-        of every state is checked to land in the one other cycle paired with
-        its own.  ``boundary_walks`` in ``tests/oracles.py`` traces the same
-        walks one state at a time.
+    def faces(self) -> tuple[tuple[HalfEdge, ...], ...]:
+        """Boundary circles of the thickened surface, traced once on the
+        oriented presentation ``normalized()``, where no band is twisted:
+        the orbits of rotation-next after partner, each starting at its
+        least half-edge and listed in half-edge order.  Cached; raises
+        NonOrientableError on a non-orientable graph.  ``boundary_walks`` in
+        ``tests/oracles.py`` traces the twisted presentation instead.
         """
-        number = {e: 2 * k for k, e in enumerate(self.edges)}
-        n = 2 * len(self.edges)
-        nxt = [0] * n
-        for a, b in self._next.items():
-            nxt[number[a[0]] + a[1]] = number[b[0]] + b[1]
-        prv = [0] * n
-        for a, b in enumerate(nxt):
-            prv[b] = a
-        twisted = [e in self.twists for e in self.edges]
-        # Untwisted, side R leaves by the partner's next attachment at side R
-        # and side L by its previous one at side L; a twist swaps the two.
-        advance = [0] * (2 * n)
-        for h in range(n):
-            t = twisted[h >> 1]
-            advance[2 * h + t] = 2 * nxt[h ^ 1]
-            advance[2 * h + 1 - t] = 2 * prv[h ^ 1] + 1
-        orbit = [-1] * (2 * n)
-        count = 0
-        for start in range(2 * n):
-            if orbit[start] < 0:
-                s = start
-                while orbit[s] < 0:
-                    orbit[s] = count
-                    s = advance[s]
-                count += 1
-        # The reversal of state 2h + side enters the partner 2(h ^ 1) at the
-        # same side across a twist and at the other side otherwise.
-        pairs = {(orbit[s], orbit[s ^ (2 if twisted[s >> 2] else 3)]) for s in range(2 * n)}
-        if len(pairs) != count or any(o == r for o, r in pairs):
-            raise SurfaceError("boundary tracing produced unpaired orbits")
-        return count // 2
+        if "faces" not in self._cache:
+            nxt = self.normalized()._next
+            seen = set()
+            orbits = []
+            for start in ((e, i) for e in self.edges for i in (0, 1)):
+                if start not in seen:
+                    orbit = [start]
+                    cur = nxt[(start[0], 1 - start[1])]
+                    while cur != start:
+                        orbit.append(cur)
+                        cur = nxt[(cur[0], 1 - cur[1])]
+                    seen.update(orbit)
+                    orbits.append(tuple(orbit))
+            self._cache["faces"] = tuple(orbits)
+        return self._cache["faces"]
+
+    def num_boundary_components(self) -> int:
+        """Number of boundary circles: the orbits of ``faces``."""
+        return len(self.faces())
 
     # -- orientation -------------------------------------------------------
 
@@ -266,8 +247,8 @@ class RibbonGraph:
         """``orientation_signs`` of this graph, cached: the signs and the
         number of components."""
         if "orientation" not in self._cache:
-            links = edge_links(self.edges, self._vertex_of)
-            self._cache["orientation"] = orientation_signs(self.vertices, links, self.twists)
+            self._cache["orientation"] = orientation_signs(self.vertices, self.edges, self._vertex_of,
+                                                           self.twists)
         return self._cache["orientation"]
 
     def is_orientable(self) -> bool:
@@ -318,10 +299,9 @@ class RibbonGraph:
     # -- invariants ----------------------------------------------------------
 
     def invariants(self) -> SurfaceInvariants:
-        """Euler characteristic, boundary count, genus, orientability.
-
-        Genus is computed from chi = 2 - 2h - b and requires a connected
-        graph; non-orientable surfaces report genus None.
+        """Euler characteristic, boundary count and genus, from
+        chi = 2 - 2h - b.  Requires a connected graph; a non-orientable one
+        raises NonOrientableError.
         """
         if "invariants" in self._cache:
             return self._cache["invariants"]
@@ -329,15 +309,12 @@ class RibbonGraph:
             raise SurfaceError("surface invariants require a connected graph")
         chi = self.euler_characteristic()
         b = self.num_boundary_components()
-        if not self.is_orientable():
-            result = SurfaceInvariants(chi, b, None, False)
-        else:
-            if (2 - chi - b) % 2 != 0:
-                raise SurfaceError(f"impossible invariants: chi={chi}, b={b}")
-            h = (2 - chi - b) // 2
-            if h < 0:
-                raise SurfaceError(f"negative genus from chi={chi}, b={b}")
-            result = SurfaceInvariants(chi, b, h, True)
+        if (2 - chi - b) % 2 != 0:
+            raise SurfaceError(f"impossible invariants: chi={chi}, b={b}")
+        h = (2 - chi - b) // 2
+        if h < 0:
+            raise SurfaceError(f"negative genus from chi={chi}, b={b}")
+        result = SurfaceInvariants(chi, b, h)
         self._cache["invariants"] = result
         return result
 
@@ -539,24 +516,20 @@ class RibbonGraph:
         return f"RibbonGraph(V={len(self.vertices)}, E={len(self.edges)}, twists={len(self.twists)})"
 
 
-def edge_links(edges, vertex_of) -> list[tuple[str, str, str]]:
-    """(edge, tail, head) for every edge with both ends in ``vertex_of``."""
-    return [(e, vertex_of[(e, 0)], vertex_of[(e, 1)]) for e in edges
-            if (e, 0) in vertex_of and (e, 1) in vertex_of]
-
-
-def orientation_signs(vertices, links, twists) -> tuple[dict[str, int] | None, int]:
+def orientation_signs(vertices, edges, vertex_of, twists) -> tuple[dict[str, int] | None, int]:
     """Consistent +-1 per vertex from the bands alone, and the number of
     connected components.
 
-    ``links`` holds one (edge, tail, head) triple per band.  An untwisted
-    band (edge not in ``twists``) asks for equal signs at its ends, a twisted
-    one for opposite signs, so a loop must be untwisted.  Each component's
-    least vertex gets +1.  The signs are None when some band disagrees; the
-    components are counted in full either way.
+    ``vertex_of`` maps both half-edges (e, 0) and (e, 1) of every edge to
+    their vertices.  An untwisted band (edge not in ``twists``) asks for
+    equal signs at its ends, a twisted one for opposite signs, so a loop
+    must be untwisted.  Each component's least vertex gets +1.  The signs
+    are None when some band disagrees; the components are counted in full
+    either way.
     """
     adj: dict[str, list[tuple[str, bool]]] = {v: [] for v in vertices}
-    for e, t, h in links:
+    for e in edges:
+        t, h = vertex_of[(e, 0)], vertex_of[(e, 1)]
         flip = e in twists
         adj[t].append((h, flip))
         adj[h].append((t, flip))

@@ -22,7 +22,7 @@ from lf_forge.divides import Divide, standard_divide
 from lf_forge.equivalence import find_isomorphism, isomorphism_certificate
 from lf_forge.homology import curve_class
 from lf_forge import builders, ribbon
-from lf_forge.ribbon import RibbonGraph, SurfaceError, edge_links, orientation_signs
+from lf_forge.ribbon import RibbonGraph, SurfaceError, orientation_signs
 
 
 # -- plumbing patterns -------------------------------------------------------------
@@ -58,11 +58,8 @@ def test_realized_plumbing_profile():
     for genus in range(3):
         fiber, a_curves, b_curves = realize_plumbing(johns_pattern(genus))
         inv = fiber.invariants()
-        assert (inv.genus, inv.boundary_components, inv.orientable) == (
-            1,
-            4 * genus + 4,
-            True,
-        )
+        assert (inv.genus, inv.boundary_components) == (1, 4 * genus + 4)
+        assert fiber.is_orientable()
         assert inv.euler == -4 * genus - 4
         assert len(a_curves) == 2 and len(b_curves) == 2 * genus + 2
         for c in list(a_curves) + list(b_curves):
@@ -277,12 +274,8 @@ def test_figure_eight_fiber_profile():
     f8 = Divide(("x",), ("e", "f"), {"x": (("e", 0), ("e", 1), ("f", 0), ("f", 1))})
     model = divide_fiber_model(f8)
     inv = model.fiber.invariants()
-    assert (inv.euler, inv.boundary_components, inv.genus, inv.orientable) == (
-        -2,
-        2,
-        1,
-        True,
-    )
+    assert (inv.euler, inv.boundary_components, inv.genus) == (-2, 2, 1)
+    assert model.fiber.is_orientable()
     assert len(model.white_cycles) == 1
     assert len(model.crossing_cycles) == 1
     assert len(model.black_cycles) == 2
@@ -323,16 +316,16 @@ def test_divide_fiber_keeps_the_orientation_it_computed(monkeypatch, genus):
     them once (the divide's own graph is oriented too)."""
     calls = []
 
-    def counted(vertices, links, twists):
+    def counted(vertices, edges, vertex_of, twists):
         calls.append(sorted(vertices))
-        return orientation_signs(vertices, links, twists)
+        return orientation_signs(vertices, edges, vertex_of, twists)
 
     monkeypatch.setattr(builders, "orientation_signs", counted)
     monkeypatch.setattr(ribbon, "orientation_signs", counted)
     fiber = ishikawa_fibration(genus).fiber
     monkeypatch.undo()
     assert calls.count(list(fiber.vertices)) == 1
-    fresh = orientation_signs(fiber.vertices, edge_links(fiber.edges, fiber._vertex_of), fiber.twists)
+    fresh = orientation_signs(fiber.vertices, fiber.edges, fiber._vertex_of, fiber.twists)
     assert fiber._cache["orientation"] == fresh
     assert fresh[0] is not None and fresh[1] == 1
 

@@ -104,22 +104,27 @@ def test_necklace_counts(genus):
 
 
 def test_admissibility_traces_the_faces_once(monkeypatch):
-    """The ambient genus comes from the face count ``check_admissible``
-    already has, not from a second trace of the boundary circles."""
-    calls = []
-    count = RibbonGraph.num_boundary_components
+    """``check_admissible``, ``divide_fiber_model`` and the graph's own
+    invariants share one trace of the divide's faces: the ambient genus
+    comes from the face count ``check_admissible`` already has, and the
+    boundary count from the faces cached on the graph."""
+    traced = []
+    faces = RibbonGraph.faces
 
     def counted(self):
-        calls.append(self)
-        return count(self)
+        if "faces" not in self._cache:
+            traced.append(self)
+        return faces(self)
 
-    monkeypatch.setattr(RibbonGraph, "num_boundary_components", counted)
+    monkeypatch.setattr(RibbonGraph, "faces", counted)
     divides = [standard_divide(genus) for genus in range(9)]
     reports = [check_admissible(d) for d in divides]
-    assert calls == []
+    for d in divides:
+        divide_fiber_model(d)
+    genera = [d.graph.invariants().genus for d in divides]
     monkeypatch.undo()
-    for genus, d, rep in zip(range(9), divides, reports):
-        assert rep.ambient_genus == d.graph.invariants().genus == genus
+    assert traced == [d.graph for d in divides]
+    assert [rep.ambient_genus for rep in reports] == genera == list(range(9))
 
 
 def test_admissibility_and_the_fiber_model_colour_once(monkeypatch):

@@ -36,7 +36,7 @@ from lf_forge.homology import (
     homology_basis,
     workspace,
 )
-from lf_forge.ribbon import RibbonGraph, SurfaceError
+from lf_forge.ribbon import NonOrientableError, RibbonGraph, SurfaceError
 
 from oracles import dehn_twist_on_class, mapped_surgery_commutes
 
@@ -463,6 +463,22 @@ def test_unreducible_fiber_raises_instead_of_no_isomorphism(built):
         isomorphism_certificate(sphere, sphere)
     with pytest.raises(SurfaceError, match="cannot smooth a pure cycle of degree-2 vertices"):
         find_isomorphism(sphere, sphere)
+
+
+def test_non_orientable_input_raises_instead_of_no_isomorphism():
+    """A twisted band on one edge of a plumbing fiber leaves a surface with
+    no orientation: it has no invariants, so certifying it and comparing it
+    with a sound build, in either order, raise NonOrientableError."""
+    good = johns_fibration(1)
+    doc = good.to_json_dict()
+    doc["fiber"]["edges"][0]["twist"] = True
+    bad = LefschetzFibration.from_json_dict(doc)
+    assert not bad.fiber.is_orientable()
+    for call in (bad.fiber.invariants, bad.fiber.faces, lambda: fibration_certificate(bad),
+                 lambda: isomorphism_certificate(bad, good), lambda: isomorphism_certificate(good, bad),
+                 lambda: find_isomorphism(bad, good), lambda: find_isomorphism(good, bad)):
+        with pytest.raises(NonOrientableError):
+            call()
 
 
 def test_empty_words_raise_instead_of_no_isomorphism():

@@ -33,7 +33,7 @@ MODEL = divide_fiber_model(standard_divide(0))
 # Each record type with field values; two records built from one tuple have
 # equal fields.
 RECORDS = {
-    "SurfaceInvariants": (SurfaceInvariants, (-2, 2, 1, True)),
+    "SurfaceInvariants": (SurfaceInvariants, (-2, 2, 1)),
     "CurveOnSurface": (CurveOnSurface, (SPHERE.fiber, "core", (("c", 1), ("t", -1)))),
     "HomologyClass": (HomologyClass, (SPHERE.fiber, (1,))),
     "FinAbGroup": (FinAbGroup, (2, (3,))),

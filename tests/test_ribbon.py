@@ -60,38 +60,54 @@ def loose_ribbon_graphs(draw, max_vertices=6, max_edges=8):
     return RibbonGraph(vertices, names, rotation, twists)
 
 
+def surface_type(g):
+    """``g.invariants()`` when g is orientable.  When it is not, None, once
+    ``invariants``, ``faces`` and ``num_boundary_components`` are seen to
+    raise NonOrientableError."""
+    if g.is_orientable():
+        return g.invariants()
+    for method in (g.invariants, g.faces, g.num_boundary_components):
+        with pytest.raises(NonOrientableError):
+            method()
+    return None
+
+
 # -- frozen classification table --------------------------------------------------
 
 
 def test_annulus_profile(annulus):
     inv = annulus.invariants()
-    assert (inv.euler, inv.boundary_components, inv.genus, inv.orientable) == (0, 2, 0, True)
+    assert (inv.euler, inv.boundary_components, inv.genus) == (0, 2, 0)
+    assert annulus.is_orientable()
 
 
 def test_mobius_profile(mobius):
-    inv = mobius.invariants()
-    assert (inv.euler, inv.boundary_components, inv.orientable) == (0, 1, False)
-    assert inv.genus is None
+    assert mobius.euler_characteristic() == 0
+    assert len(oracles.boundary_walks(mobius)) == 1
     assert mobius.local_orientations() is None
+    assert surface_type(mobius) is None
     with pytest.raises(NonOrientableError):
         mobius.normalized()
 
 
 def test_punctured_torus_profile(punctured_torus):
     inv = punctured_torus.invariants()
-    assert (inv.euler, inv.boundary_components, inv.genus, inv.orientable) == (-1, 1, 1, True)
+    assert (inv.euler, inv.boundary_components, inv.genus) == (-1, 1, 1)
+    assert punctured_torus.is_orientable()
 
 
 def test_pants_profile(pants):
     inv = pants.invariants()
-    assert (inv.euler, inv.boundary_components, inv.genus, inv.orientable) == (-1, 3, 0, True)
+    assert (inv.euler, inv.boundary_components, inv.genus) == (-1, 3, 0)
+    assert pants.is_orientable()
 
 
 @given(ribbon_graphs())
 def test_cached_invariants_match_a_rebuilt_graph(g):
-    first = g.invariants()
-    assert g.invariants() is first
-    assert RibbonGraph.from_json_dict(g.to_json_dict()).invariants() == first
+    first = surface_type(g)
+    if first is not None:
+        assert g.invariants() is first
+    assert surface_type(RibbonGraph.from_json_dict(g.to_json_dict())) == first
 
 
 @pytest.mark.parametrize("construction", ["johns", "ishikawa"])
@@ -109,14 +125,16 @@ def test_theta_with_uniform_far_end_is_punctured_torus():
         {"u": (("e", 0), ("f", 0), ("g", 0)), "v": (("e", 1), ("f", 1), ("g", 1))},
     )
     inv = g.invariants()
-    assert (inv.euler, inv.boundary_components, inv.genus, inv.orientable) == (-1, 1, 1, True)
+    assert (inv.euler, inv.boundary_components, inv.genus) == (-1, 1, 1)
+    assert g.is_orientable()
 
 
 def test_one_vertex_genus_two():
     rot = (("a", 0), ("b", 0), ("a", 1), ("b", 1), ("c", 0), ("d", 0), ("c", 1), ("d", 1))
     g = RibbonGraph(("v",), ("a", "b", "c", "d"), {"v": rot})
     inv = g.invariants()
-    assert (inv.euler, inv.boundary_components, inv.genus, inv.orientable) == (-3, 1, 2, True)
+    assert (inv.euler, inv.boundary_components, inv.genus) == (-3, 1, 2)
+    assert g.is_orientable()
 
 
 # -- constructor validation -------------------------------------------------------
@@ -197,7 +215,9 @@ def test_rotation_steps_follow_the_cyclic_order(g):
 @given(ribbon_graphs())
 def test_euler_characteristic_is_vertices_minus_edges(g):
     assert g.euler_characteristic() == len(g.vertices) - len(g.edges)
-    assert g.invariants().euler == g.euler_characteristic()
+    inv = surface_type(g)
+    if inv is not None:
+        assert inv.euler == g.euler_characteristic()
 
 
 @given(ribbon_graphs())
@@ -209,16 +229,31 @@ def test_boundary_walks_cover_every_edge_side_once(g):
 @given(ribbon_graphs())
 def test_boundary_count_matches_the_traced_walks(g):
     for h in (g, oracles.mirrored(g)):
-        assert h.num_boundary_components() == len(oracles.boundary_walks(h))
+        if surface_type(h) is not None:
+            assert h.num_boundary_components() == len(oracles.boundary_walks(h))
+
+
+@given(ribbon_graphs())
+def test_faces_are_the_sorted_orbits_of_next_after_partner(g):
+    if surface_type(g) is None:
+        return
+    faces = g.faces()
+    assert g.faces() is faces
+    norm = g.normalized()
+    halves = [h for face in faces for h in face]
+    assert sorted(halves) == [(e, i) for e in g.edges for i in (0, 1)]
+    assert [face[0] for face in faces] == sorted(min(face) for face in faces)
+    for face in faces:
+        assert face[0] == min(face)
+        for h, k in zip(face, face[1:] + face[:1]):
+            assert norm.rotation_next(g.partner(h)) == k
 
 
 @given(ribbon_graphs())
 def test_orientable_genus_parity(g):
-    inv = g.invariants()
-    if inv.orientable:
+    inv = surface_type(g)
+    if inv is not None:
         assert 2 - 2 * inv.genus - inv.boundary_components == inv.euler
-    else:
-        assert inv.genus is None
 
 
 @given(ribbon_graphs(allow_twists=False))
@@ -226,12 +261,13 @@ def test_untwisted_graphs_are_orientable(g):
     eps = g.local_orientations()
     assert eps is not None
     assert set(eps.values()) <= {1, -1}
-    assert g.invariants().orientable
+    assert g.is_orientable()
+    assert g.invariants().genus >= 0
 
 
 @given(ribbon_graphs())
 def test_normalization_clears_twists_and_preserves_type(g):
-    if not g.invariants().orientable:
+    if surface_type(g) is None:
         with pytest.raises(NonOrientableError):
             g.normalized()
         return
@@ -269,7 +305,7 @@ def test_normalized_builds_match_the_constructor(built, relabelled, mirrored, co
 @given(ribbon_graphs())
 def test_mirror_is_an_involution_preserving_type(g):
     m = oracles.mirrored(g)
-    assert m.invariants() == g.invariants()
+    assert surface_type(m) == surface_type(g)
     back = oracles.mirrored(m)
     assert back.rotation == g.rotation and back.twists == g.twists
 
@@ -287,7 +323,7 @@ def test_smoothing_preserves_type_and_removes_valence_two(g):
             g.smoothed()
         return
     smooth, edge_map = g.smoothed()
-    assert smooth.invariants() == g.invariants()
+    assert surface_type(smooth) == surface_type(g)
     assert set(edge_map) == set(g.edges)
     assert set(smooth.vertices) == set(g.vertices) - deg2
     for new, sign in edge_map.values():
@@ -360,9 +396,8 @@ def brute_force_orientations(g):
 
 @given(loose_ribbon_graphs())
 def test_orientation_signs_match_the_oracle(g):
-    links = [(e, *g.edge_endpoints(e)) for e in g.edges]
     expected = brute_force_orientations(g)
-    assert orientation_signs(g.vertices, links, g.twists) == expected
+    assert orientation_signs(g.vertices, g.edges, g._vertex_of, g.twists) == expected
     assert g.local_orientations() == expected[0]
     assert g.is_connected() == (expected[1] <= 1)
 

@@ -7,7 +7,7 @@ sound build in one way and names exactly the certificate checks that fail.
 
 import pytest
 
-from lf_forge import builders
+from lf_forge import builders, homology, invariants
 from lf_forge.builders import LefschetzFibration, johns_fibration, realize_plumbing
 from lf_forge.certify import fibration_certificate
 from lf_forge.curves import CurveOnSurface
@@ -109,3 +109,54 @@ def test_each_corrupted_document_fails_exactly_its_checks(built, construction, c
         corrupt(doc)
         fib = LefschetzFibration.from_json_dict(doc)
         assert [name for name, _, _ in failed_checks(fib)] == expected(genus)
+
+
+# -- corrupted production seams ----------------------------------------------------
+
+
+def _flip_u_block(monkeypatch):
+    """Negate every pairing entry that the boundary matrix receives: the U
+    block of B with its sign flipped."""
+    boundary_matrix = invariants._boundary_matrix
+
+    def flipped(rows, ops, kernel, pairs):
+        return boundary_matrix(rows, ops, kernel, [{a: -u for a, u in p.items()} for p in pairs])
+
+    monkeypatch.setattr(invariants, "_boundary_matrix", flipped)
+
+
+def _unsigned_sparse_class(monkeypatch):
+    """Count every co-tree traversal as +1 in the sparse word classes:
+    ``abs(s)`` in ``homology._sparse_class``."""
+
+    def unsigned(surface, curve):
+        index = homology.workspace(surface).index
+        counts = {}
+        for e, s in curve.walk:
+            i = index.get(e)
+            if i is not None:
+                counts[i] = counts.get(i, 0) + abs(s)
+        return {i: x for i, x in counts.items() if x}
+
+    monkeypatch.setattr(homology, "_sparse_class", unsigned)
+    monkeypatch.setattr(invariants, "_sparse_class", unsigned)
+
+
+# Each corrupted seam and the checks it fails, the same at every genus.  The
+# unsigned classes fail none: a blind spot, which the intersection-form
+# checks of ROADMAP items 2 and 12 must catch.
+SEAMS = {
+    "u-block-flipped": (_flip_u_block, {"boundary_h1"}),
+    "unsigned-sparse-class": (_unsigned_sparse_class, set()),
+}
+
+
+@pytest.mark.parametrize("seam", sorted(SEAMS))
+@pytest.mark.parametrize("construction", ["johns", "ishikawa"])
+def test_each_corrupted_seam_fails_exactly_its_checks(built, monkeypatch, construction, seam):
+    corrupt, expected = SEAMS[seam]
+    fibs = [built(construction, genus) for genus in range(9)]
+    docs = [LefschetzFibration.from_json_dict(fib.to_json_dict()) for fib in fibs]
+    corrupt(monkeypatch)
+    for fib in fibs + docs:
+        assert {name for name, _, _ in failed_checks(fib)} == expected
