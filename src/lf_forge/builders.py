@@ -24,11 +24,6 @@ from .divides import Divide, check_admissible, checkerboard_coloring, standard_d
 from .ribbon import HalfEdge, Record, RibbonGraph, SurfaceError, json_field, orientation_signs
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise SurfaceError(msg)
-
-
 # -- plumbing patterns -----------------------------------------------------------
 
 
@@ -92,8 +87,9 @@ def realize_plumbing(pattern: PlumbingPattern) -> tuple[RibbonGraph, tuple[Curve
     for fam, loops in (("a", pattern.loops_a), ("b", pattern.loops_b)):
         w = len(str(len(loops) - 1))
         families.append([(f"{fam}{i:0{w}d}", loop) for i, loop in enumerate(loops)])
+    squares = pattern.squares
     edges = []
-    strands: dict[str, dict[str, tuple[HalfEdge, HalfEdge]]] = {q: {} for q in pattern.squares}
+    strands: dict[str, dict[str, tuple[HalfEdge, HalfEdge]]] = {q: {} for q in squares}
     walks: dict[str, list[Step]] = {}
     for fam, named_loops in zip("ab", families):
         for name, loop in named_loops:
@@ -107,11 +103,11 @@ def realize_plumbing(pattern: PlumbingPattern) -> tuple[RibbonGraph, tuple[Curve
                 departing = (eids[t], 0)
                 strands[q][fam] = (arriving, departing)
     rotation = {}
-    for q in pattern.squares:
+    for q in squares:
         (a_in, a_out) = strands[q]["a"]
         (b_in, b_out) = strands[q]["b"]
         rotation[q] = (a_out, b_out, a_in, b_in)
-    fiber = RibbonGraph(pattern.squares, edges, rotation)
+    fiber = RibbonGraph(squares, edges, rotation)
     a_curves = tuple(CurveOnSurface(fiber, name, tuple(walks[name])) for name, _ in families[0])
     b_curves = tuple(CurveOnSurface(fiber, name, tuple(walks[name])) for name, _ in families[1])
     return fiber, a_curves, b_curves
@@ -251,22 +247,29 @@ def divide_fiber_model(divide: Divide) -> DivideFiberModel:
     site_of_corner: dict[tuple[str, int], str] = {}
     # per site: (r_in, r_out, arriving band half, departing band half)
     site_ends: dict[str, tuple[HalfEdge, HalfEdge, HalfEdge, HalfEdge]] = {}
+    # per site: the two-edge passage across its roundabout, against the core
+    passage: dict[str, tuple[Step, Step]] = {}
+    crossing_walks = []
     vertices = []
     edges = []
     twists = set()
     rotation: dict[str, tuple[HalfEdge, ...]] = {}
     for v in divide.vertices:
         whites = [k for k in range(4) if coloring.color_of(divide.corner_face(v, k)) == "white"]
-        _require(len(whites) == 2 and whites[1] - whites[0] == 2,
-                 f"corner colors fail to alternate at crossing {v!r}")
-        site_of_corner[(v, whites[0])] = f"{v}_w0"
-        site_of_corner[(v, whites[1])] = f"{v}_w2"
+        if len(whites) != 2 or whites[1] - whites[0] != 2:
+            raise SurfaceError(f"corner colors fail to alternate at crossing {v!r}")
+        w0, m1, w2, m3 = f"{v}_w0", f"{v}_m1", f"{v}_w2", f"{v}_m3"
+        site_of_corner[(v, whites[0])] = w0
+        site_of_corner[(v, whites[1])] = w2
         for k, h in enumerate(divide.rotation[v]):
             prev = (k - 1) % 4
-            white_corner_slot[h] = prev if (v, prev) in site_of_corner else k
-            _require((v, white_corner_slot[h]) in site_of_corner, f"no white corner borders {h}")
+            slot = white_corner_slot[h] = prev if (v, prev) in site_of_corner else k
+            if (v, slot) not in site_of_corner:
+                raise SurfaceError(f"no white corner borders {h}")
         r = [f"{v}_r{k}" for k in range(4)]
-        w0, m1, w2, m3 = f"{v}_w0", f"{v}_m1", f"{v}_w2", f"{v}_m3"
+        crossing_walks.append(tuple((e, 1) for e in r))
+        passage[w0] = ((r[3], -1), (r[2], -1))
+        passage[w2] = ((r[1], -1), (r[0], -1))
         vertices += [w0, m1, w2, m3]
         edges += r
         twists.update((r[0], r[2]))
@@ -283,7 +286,8 @@ def divide_fiber_model(divide: Divide) -> DivideFiberModel:
             site_ends[site] = (r_in, r_out, arriving, departing)
             rotation[site] = (r_in, departing, r_out, arriving)
     clash = set(divide.edges) & set(edges)
-    _require(not clash, f"divide edge ids collide with roundabout ids: {sorted(clash)}")
+    if clash:
+        raise SurfaceError(f"divide edge ids collide with roundabout ids: {sorted(clash)}")
     edges += list(divide.edges)
     twists.update(divide.edges)
     # Local orientation signs depend only on twists and endpoints, so they
@@ -294,8 +298,10 @@ def divide_fiber_model(divide: Divide) -> DivideFiberModel:
     # opposite signs on the two ends of every band.
     vertex_of = {h: v for v, rot in rotation.items() for h in rot}
     eps, components = orientation_signs(vertices, edges, vertex_of, twists)
-    _require(components <= 1, "divide fiber is disconnected")
-    _require(eps is not None, "divide fiber is non-orientable; twist placement is broken")
+    if components > 1:
+        raise SurfaceError("divide fiber is disconnected")
+    if eps is None:
+        raise SurfaceError("divide fiber is non-orientable; twist placement is broken")
     for site, (r_in, r_out, arriving, departing) in site_ends.items():
         if eps[site] == 1:
             rotation[site] = (r_in, departing, r_out, arriving)
@@ -311,36 +317,27 @@ def divide_fiber_model(divide: Divide) -> DivideFiberModel:
         white_cycles.append(CurveOnSurface(fiber, f"a{j}", walk))
 
     wb = len(str(len(divide.vertices) - 1))
-    crossing_cycles = []
-    for j, v in enumerate(divide.vertices):
-        walk = tuple((f"{v}_r{k}", 1) for k in range(4))
-        crossing_cycles.append(CurveOnSurface(fiber, f"b{j:0{wb}d}", walk))
+    crossing_cycles = [CurveOnSurface(fiber, f"b{j:0{wb}d}", walk) for j, walk in enumerate(crossing_walks)]
 
+    divide_vertex_of = divide.graph._vertex_of
     black_cycles = []
     for j, fi in enumerate(coloring.black):
         orbit = faces[fi]
         steps: list[Step] = []
-        for t, h in enumerate(orbit):
-            e, end = h
+        for t, (e, end) in enumerate(orbit):
             steps.append((e, 1 if end == 0 else -1))
-            landing = RibbonGraph.partner(h)
-            v = divide.graph.vertex_of(landing)
-            depart = orbit[(t + 1) % len(orbit)]
+            landing = (e, 1 - end)
+            v = divide_vertex_of[landing]
             site_a = site_of_corner[(v, white_corner_slot[landing])]
-            site_b = site_of_corner[(v, white_corner_slot[depart])]
-            _require(site_a != site_b, f"black passage at {v!r} does not cross the roundabout")
-            steps.extend(_roundabout_passage(v, from_w0=site_a.endswith("_w0")))
+            site_b = site_of_corner[(v, white_corner_slot[orbit[(t + 1) % len(orbit)]])]
+            if site_a == site_b:
+                raise SurfaceError(f"black passage at {v!r} does not cross the roundabout")
+            steps.extend(passage[site_a])
         # the smoothing orientation runs against the black face walk
         walk = tuple(reversed_step(st) for st in reversed(steps))
         black_cycles.append(CurveOnSurface(fiber, f"c{j}", walk))
 
     return DivideFiberModel(divide, fiber, tuple(white_cycles), tuple(crossing_cycles), tuple(black_cycles))
-
-
-def _roundabout_passage(v: str, from_w0: bool) -> list[Step]:
-    """Two-edge arc across the roundabout of crossing v, against its core."""
-    r = [f"{v}_r{k}" for k in range(4)]
-    return [(r[3], -1), (r[2], -1)] if from_w0 else [(r[1], -1), (r[0], -1)]
 
 
 # -- fibrations ---------------------------------------------------------------------

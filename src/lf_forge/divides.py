@@ -69,11 +69,20 @@ class Divide:
     def face_of(self, half_edge: HalfEdge) -> int:
         if "face_of" not in self._cache:
             self._cache["face_of"] = {h: i for i, orbit in enumerate(self.faces()) for h in orbit}
-        return self._cache["face_of"][half_edge]
+        try:
+            return self._cache["face_of"][half_edge]
+        except (KeyError, TypeError):  # not a half-edge of this divide, or unhashable
+            raise DivideError(f"no half-edge {half_edge!r} in the divide") from None
 
     def corner_face(self, vertex: str, slot: int) -> int:
         """Face filling the corner between ``slot`` and the next slot."""
-        return self.face_of(self.rotation[vertex][(slot + 1) % VALENCE])
+        try:
+            rot = self.rotation[vertex]
+        except (KeyError, TypeError):  # not a crossing of this divide, or unhashable
+            raise DivideError(f"no crossing {vertex!r} in the divide") from None
+        if type(slot) is not int or not 0 <= slot < VALENCE:
+            raise DivideError(f"slot {slot!r} is not one of 0..{VALENCE - 1}")
+        return self.face_of(rot[(slot + 1) % VALENCE])
 
     def euler_characteristic(self) -> int:
         """Of the closed surface: the graph's plus one disk per face."""
@@ -174,7 +183,7 @@ class Checkerboard(Record):
             return "white"
         if face in self.black:
             return "black"
-        raise KeyError(f"no face {face}")
+        raise DivideError(f"no face {face!r}")
 
 
 def checkerboard_coloring(divide: Divide) -> Checkerboard:
@@ -303,14 +312,7 @@ def standard_divide(genus: int) -> Divide:
     n = 2 * genus + 2
     w = len(str(n - 1))  # pad indices so id order equals cyclic order
     vertices = [f"v{i:0{w}d}" for i in range(n)]
-    edges = [f"a{i:0{w}d}" for i in range(n)] + [f"b{i:0{w}d}" for i in range(n)]
-    rotation = {}
-    for i in range(n):
-        p = (i - 1) % n
-        rotation[vertices[i]] = (
-            (f"a{p:0{w}d}", 1),
-            (f"a{i:0{w}d}", 0),
-            (f"b{p:0{w}d}", 1),
-            (f"b{i:0{w}d}", 0),
-        )
-    return Divide(vertices, edges, rotation)
+    a = [f"a{i:0{w}d}" for i in range(n)]
+    b = [f"b{i:0{w}d}" for i in range(n)]
+    rotation = {v: ((a[i - 1], 1), (a[i], 0), (b[i - 1], 1), (b[i], 0)) for i, v in enumerate(vertices)}
+    return Divide(vertices, a + b, rotation)

@@ -14,6 +14,7 @@ counterclockwise) presentation of the surface.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 
 from .curves import CurveOnSurface, Step
@@ -32,8 +33,8 @@ class Workspace:
     cycles by the pushed-off corner rule (``pairings``).  Certificates
     pair only the cycles they need that way; the Gram matrix of the whole
     basis is the pairing of the tests' class-level oracles, which they hold
-    the corner rule against.  Cached on the graph instance; treat as
-    read-only.
+    the corner rule against.  Cached weakly on the graph instance
+    (``workspace``); treat as read-only.
     """
 
     def __init__(self, surface: RibbonGraph):
@@ -107,26 +108,30 @@ class Workspace:
         walk = [(edge, 1)] + self.tree_path(h, t)
         return CurveOnSurface(self.graph, f"z[{edge}]", tuple(walk))
 
-    def _corner_crossings(self, pass_lists, push: bool):
-        """The corner rule: yield (i, p, j, q, sign) for every crossing of a
-        pass p of list i with a pass q of list j != i at a common vertex.
+    def _corner_crossings(self, walks, push: bool):
+        """The corner rule: yield (i, t, j, u, sign) for every crossing of
+        the pass of walk i after its step t with the pass of walk j != i
+        after its step u at a common vertex.
 
-        Passes are turned into chords and grouped by vertex once.  The marked
+        Each pass is the chord from a step's arriving half-edge to the next
+        step's departing one; chords are grouped by vertex once.  The marked
         points of a vertex disk with d attachments are numbered 0..3d-1
         counterclockwise: the attachment at rotation position k is 3k + 1,
-        with 3k just before it and 3k + 2 just after it.  A pass is the chord
-        between its arriving and departing attachments; q's chord is pushed
-        off to the right of its own direction when ``push`` (it starts just
-        after its arrival and ends just before its departure).  The sign is
-        +1 when q crosses p from p's right to its left.
+        with 3k just before it and 3k + 2 just after it.  The chord of the
+        pass u is pushed off to the right of its own direction when ``push``
+        (it starts just after its arrival and ends just before its
+        departure).  The sign is +1 when it crosses t's chord from that
+        chord's right to its left.
         """
         pos = self.norm._pos
+        vertex_of = self.norm._vertex_of
         q_in, q_out = (2, 0) if push else (1, 1)
         at: dict[str, list] = {}
-        for i, passes in enumerate(pass_lists):
-            for p in passes:
-                a, d = 3 * pos[p[1]], 3 * pos[p[2]]
-                at.setdefault(p[0], []).append((i, p, a + 1, d + 1, a + q_in, d + q_out))
+        for i, walk in enumerate(walks):
+            for t, ((e, s), (f, u)) in enumerate(zip(walk, walk[1:] + walk[:1])):
+                head = (e, 1) if s > 0 else (e, 0)
+                a, d = 3 * pos[head], 3 * pos[(f, 0) if u > 0 else (f, 1)]
+                at.setdefault(vertex_of[head], []).append((i, t, a + 1, d + 1, a + q_in, d + q_out))
         rotation = self.norm.rotation
         for v, chords in at.items():
             if len(chords) < 2:
@@ -158,7 +163,7 @@ class Workspace:
         is raised.
         """
         rows: list[dict[int, int]] = [{} for _ in curves]
-        for i, _, j, _, s in self._corner_crossings([c.passes() for c in curves], push):
+        for i, _, j, _, s in self._corner_crossings([c.walk for c in curves], push):
             row = rows[i]
             row[j] = row.get(j, 0) + s
         bad = [(min(i, j), max(i, j)) for i, row in enumerate(rows)
@@ -188,10 +193,14 @@ class Workspace:
 
 
 def workspace(surface: RibbonGraph) -> Workspace:
-    ws = surface._cache.get("homology")
+    """The surface's ``Workspace``, cached weakly: the workspace holds the
+    surface, so a strong cache entry would make a reference cycle.  It lives
+    as long as a caller holds it."""
+    ref = surface._cache.get("homology")
+    ws = ref() if ref is not None else None
     if ws is None:
         ws = Workspace(surface)
-        surface._cache["homology"] = ws
+        surface._cache["homology"] = weakref.ref(ws)
     return ws
 
 

@@ -219,7 +219,7 @@ def boundary_open_book(fiber: RibbonGraph, cycles) -> OpenBook:
 
 def fibration_homology(book: OpenBook) -> tuple[FinAbGroup, FinAbGroup, FinAbGroup]:
     """(H1, H2) of the total space and H1 of its boundary."""
-    ws = workspace(book.page)
+    ws = workspace(book.page)  # held, so that every _sparse_class finds it in the weak cache
     classes = [_sparse_class(book.page, c) for c in book.word]
     return _peeled_homology(len(ws.basis), classes, ws.pairings(book.word))
 

@@ -269,12 +269,12 @@ class RibbonGraph:
         ``tests/oracles.py`` holds the constructor-built reference.
         """
         if "normalized" in self._cache:
-            return self._cache["normalized"]
+            return self._cache["normalized"] or self
         eps = self.local_orientations()
         if eps is None:
             raise NonOrientableError("cannot orient a non-orientable surface")
         if not self.twists and all(s == 1 for s in eps.values()):
-            self._cache["normalized"] = self
+            self._cache["normalized"] = None  # already oriented; caching self would make a cycle
             return self
         norm = object.__new__(RibbonGraph)
         norm.vertices = self.vertices

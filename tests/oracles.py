@@ -164,17 +164,17 @@ def dehn_twist_on_class(surface: RibbonGraph, curve: CurveOnSurface, x: Homology
     return x + c.scaled(algebraic_intersection(surface, x, c))
 
 
-def _crossings_with_curve(surface: RibbonGraph, passes, curve: CurveOnSurface):
+def _crossings_with_curve(surface: RibbonGraph, walk, curve: CurveOnSurface):
     """All signed (pass index in host walk, detour steps) crossings of a
-    sequence of vertex passes with an edge-simple closed curve."""
+    closed walk's vertex passes with an edge-simple closed curve."""
     out = []
-    for i, p, _, q, s in workspace(surface)._corner_crossings([passes, curve.passes()], push=False):
+    for i, t, _, u, s in workspace(surface)._corner_crossings([walk, curve.walk], push=False):
         if i:
             continue
-        detour = list(rebased(curve, (q[3] + 1) % len(curve.walk)))
+        detour = list(rebased(curve, (u + 1) % len(curve.walk)))
         if s < 0:
             detour = [reversed_step(st) for st in reversed(detour)]
-        out.append((p[3], s, detour))
+        out.append((t, s, detour))
     return out
 
 
@@ -198,7 +198,7 @@ def dehn_twist_on_path(surface: RibbonGraph, curve: CurveOnSurface, path: CurveO
             "refine the walk off those bands first"
         )
     by_idx: dict[int, list] = {}
-    for host_idx, _, detour in _crossings_with_curve(surface, path.passes(), curve):
+    for host_idx, _, detour in _crossings_with_curve(surface, path.walk, curve):
         by_idx.setdefault(host_idx, []).append(detour)
     new_walk = []
     for i, step in enumerate(path.walk):

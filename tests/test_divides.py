@@ -88,6 +88,23 @@ def test_faces_partition_half_edges():
         assert d.face_of(h) == d.face_of(h)
 
 
+def test_face_of_names_a_half_edge_not_in_the_divide():
+    with pytest.raises(DivideError, match=r"^no half-edge \('zz', 0\) in the divide$"):
+        standard_divide(1).face_of(("zz", 0))
+
+
+@pytest.mark.parametrize("vertex, slot, message", [
+    ("nope", 0, "no crossing 'nope' in the divide"),
+    (["v0"], 0, "no crossing ['v0'] in the divide"),
+    ("v0", 7, "slot 7 is not one of 0..3"),
+    ("v0", -1, "slot -1 is not one of 0..3"),
+], ids=["unknown-crossing", "unhashable-crossing", "slot-past-the-end", "negative-slot"])
+def test_corner_face_names_a_crossing_or_slot_not_in_the_divide(vertex, slot, message):
+    with pytest.raises(DivideError) as err:
+        standard_divide(1).corner_face(vertex, slot)
+    assert str(err.value) == message
+
+
 # -- the necklace family ----------------------------------------------------------
 
 
@@ -234,6 +251,12 @@ def test_coloring_classes_cover_all_faces():
     for e in d.edges:
         sides = {coloring.color_of(d.face_of((e, i))) for i in (0, 1)}
         assert sides == {"white", "black"}
+
+
+def test_color_of_names_a_face_not_in_the_coloring():
+    coloring = checkerboard_coloring(standard_divide(1))
+    with pytest.raises(DivideError, match=r"^no face 9$"):
+        coloring.color_of(9)
 
 
 # -- components and serialization --------------------------------------------------

@@ -1,5 +1,6 @@
 """First homology of surfaces: basis, pairing, and Dehn twist action."""
 
+import gc
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from lf_forge.builders import ishikawa_fibration, johns_fibration
 from lf_forge.certify import fibration_certificate
 from lf_forge.curves import CurveOnSurface, reversed_step
+from lf_forge.equivalence import isomorphism_certificate
 from lf_forge.homology import (
     HomologyClass,
     Workspace,
@@ -87,6 +89,38 @@ def test_sparse_class_is_the_nonzero_part_of_curve_class(built):
             assert _sparse_class(fib.fiber, c) == {i: x for i, x in enumerate(vector) if x}
     with pytest.raises(SurfaceError, match="different surface"):
         _sparse_class(built("johns", 1).fiber, built("johns", 2).word[0])
+
+
+# -- the workspace cache ----------------------------------------------------------
+
+
+def test_certifying_and_comparing_leave_no_cyclic_garbage(relabelled, mirrored):
+    """Graphs are freed by reference counting: ``workspace`` caches its
+    workspace weakly and an oriented graph's ``normalized()`` caches a
+    marker, not the graph itself."""
+    gc.collect()
+    gc.disable()
+    try:
+        for genus in range(5):
+            lf1, lf2 = johns_fibration(genus), ishikawa_fibration(genus)
+            for fib in (lf1, lf2, relabelled(lf1, genus), relabelled(lf2, genus)):
+                fibration_certificate(fib)
+                assert gc.collect() == 0
+            for pair in ((lf1, lf2), (lf2, lf1), (mirrored(lf1), lf2)):
+                assert isomorphism_certificate(*pair)["found"]
+                assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_a_certificate_builds_one_workspace(constructions, monkeypatch):
+    """The weak cache still serves a whole certificate: every class and the
+    pairing come from one workspace."""
+    fib = ishikawa_fibration(3)
+    made = constructions(Workspace)
+    fibration_certificate(fib)
+    monkeypatch.undo()
+    assert len(made) == 1
 
 
 # -- intersection pairing ---------------------------------------------------------
