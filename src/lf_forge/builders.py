@@ -255,17 +255,14 @@ def divide_fiber_model(divide: Divide) -> DivideFiberModel:
     twists = set()
     rotation: dict[str, tuple[HalfEdge, ...]] = {}
     for v in divide.vertices:
-        whites = [k for k in range(4) if coloring.color_of(divide.corner_face(v, k)) == "white"]
-        if len(whites) != 2 or whites[1] - whites[0] != 2:
-            raise SurfaceError(f"corner colors fail to alternate at crossing {v!r}")
+        # A proper face 2-coloring alternates around a 4-valent crossing, so
+        # the white corners are k0 and k0 + 2 and each slot borders one.
+        k0 = 0 if coloring.color_of(divide.corner_face(v, 0)) == "white" else 1
         w0, m1, w2, m3 = f"{v}_w0", f"{v}_m1", f"{v}_w2", f"{v}_m3"
-        site_of_corner[(v, whites[0])] = w0
-        site_of_corner[(v, whites[1])] = w2
+        site_of_corner[(v, k0)] = w0
+        site_of_corner[(v, k0 + 2)] = w2
         for k, h in enumerate(divide.rotation[v]):
-            prev = (k - 1) % 4
-            slot = white_corner_slot[h] = prev if (v, prev) in site_of_corner else k
-            if (v, slot) not in site_of_corner:
-                raise SurfaceError(f"no white corner borders {h}")
+            white_corner_slot[h] = k if (k - k0) % 2 == 0 else (k - 1) % 4
         r = [f"{v}_r{k}" for k in range(4)]
         crossing_walks.append(tuple((e, 1) for e in r))
         passage[w0] = ((r[3], -1), (r[2], -1))
@@ -276,8 +273,8 @@ def divide_fiber_model(divide: Divide) -> DivideFiberModel:
         rotation[m1] = ((r[0], 1), (r[1], 0))
         rotation[m3] = ((r[2], 1), (r[3], 0))
         for site, corner, r_in, r_out in (
-            (w0, whites[0], (r[3], 1), (r[0], 0)),
-            (w2, whites[1], (r[1], 1), (r[2], 0)),
+            (w0, k0, (r[3], 1), (r[0], 0)),
+            (w2, k0 + 2, (r[1], 1), (r[2], 0)),
         ):
             # the white face walk enters the corner along the lower slot's
             # half-edge and leaves along the upper slot's
@@ -298,8 +295,6 @@ def divide_fiber_model(divide: Divide) -> DivideFiberModel:
     # opposite signs on the two ends of every band.
     vertex_of = {h: v for v, rot in rotation.items() for h in rot}
     eps, components = orientation_signs(vertices, edges, vertex_of, twists)
-    if components > 1:
-        raise SurfaceError("divide fiber is disconnected")
     if eps is None:
         raise SurfaceError("divide fiber is non-orientable; twist placement is broken")
     for site, (r_in, r_out, arriving, departing) in site_ends.items():
@@ -322,17 +317,11 @@ def divide_fiber_model(divide: Divide) -> DivideFiberModel:
     divide_vertex_of = divide.graph._vertex_of
     black_cycles = []
     for j, fi in enumerate(coloring.black):
-        orbit = faces[fi]
         steps: list[Step] = []
-        for t, (e, end) in enumerate(orbit):
+        for e, end in faces[fi]:
             steps.append((e, 1 if end == 0 else -1))
             landing = (e, 1 - end)
-            v = divide_vertex_of[landing]
-            site_a = site_of_corner[(v, white_corner_slot[landing])]
-            site_b = site_of_corner[(v, white_corner_slot[orbit[(t + 1) % len(orbit)]])]
-            if site_a == site_b:
-                raise SurfaceError(f"black passage at {v!r} does not cross the roundabout")
-            steps.extend(passage[site_a])
+            steps.extend(passage[site_of_corner[(divide_vertex_of[landing], white_corner_slot[landing])]])
         # the smoothing orientation runs against the black face walk
         walk = tuple(reversed_step(st) for st in reversed(steps))
         black_cycles.append(CurveOnSurface(fiber, f"c{j}", walk))

@@ -172,11 +172,7 @@ def _propagate(g1: RibbonGraph, g2: RibbonGraph, seed1: HalfEdge, seed2: HalfEdg
     edge_map: dict[str, tuple[str, int]] = {}
     for e in g1.edges:
         e2, end = phi[(e, 0)]
-        if phi[(e, 1)] != (e2, 1 - end):
-            return None
         edge_map[e] = (e2, 1 if end == 0 else -1)
-    if len(set(e2 for e2, _ in edge_map.values())) != len(g1.edges):
-        return None
     return vertex_map, edge_map
 
 

@@ -53,62 +53,41 @@ class FinAbGroup(Record):
 # -- Smith normal form -----------------------------------------------------------
 
 
-def smith_normal_form(matrix: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """(D, U, V) with D = U * matrix * V, U and V unimodular, D diagonal with
-    d_1 | d_2 | ... Exact over Python ints."""
+def smith_normal_form(matrix: list[list[int]]) -> list[int]:
+    """The nonzero invariant factors d_1 | d_2 | ... of an integer matrix,
+    exact over Python ints."""
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
     a = [list(map(int, r)) for r in matrix]
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    def row_op(i, j, k):  # row_i += k * row_j
-        a[i] = [x + k * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + k * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, k):  # col_i += k * col_j
-        for r in a:
-            r[i] += k * r[j]
-        for r in v:
-            r[i] += k * r[j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
     t = 0
     while t < min(rows, cols):
         # Pivot: smallest nonzero magnitude in the remaining block.
         pivot = min(((abs(a[i][j]), i, j) for i in range(t, rows) for j in range(t, cols) if a[i][j]), default=None)
         if pivot is None:
             break
-        swap_rows(t, pivot[1])
-        swap_cols(t, pivot[2])
+        _, pi, pj = pivot
+        a[t], a[pi] = a[pi], a[t]
+        for r in a:
+            r[t], r[pj] = r[pj], r[t]
         if a[t][t] < 0:
-            negate_row(t)
+            a[t] = [-x for x in a[t]]
+        p = a[t][t]
         for i in range(t + 1, rows):
-            row_op(i, t, -(a[i][t] // a[t][t]))
+            k = a[i][t] // p
+            a[i] = [x - k * y for x, y in zip(a[i], a[t])]
         for j in range(t + 1, cols):
-            col_op(j, t, -(a[t][j] // a[t][t]))
+            k = a[t][j] // p
+            for r in a:
+                r[j] -= k * r[t]
         if any(a[i][t] for i in range(t + 1, rows)) or any(a[t][j] for j in range(t + 1, cols)):
             continue  # remainders surfaced; redo this pivot
         # Divisibility: fold in any entry the pivot does not divide.
-        offender = next((i for i in range(t + 1, rows) for j in range(t + 1, cols) if a[i][j] % a[t][t]), None)
+        offender = next((i for i in range(t + 1, rows) for j in range(t + 1, cols) if a[i][j] % p), None)
         if offender is not None:
-            row_op(t, offender, 1)
+            a[t] = [x + y for x, y in zip(a[t], a[offender])]
             continue
         t += 1
-    return a, u, v
+    return [a[i][i] for i in range(t)]
 
 
 def _sparse_snf_diagonal(rows: list[dict[int, int]], ops: list[dict[int, int]] | None = None) -> list[int]:
@@ -180,11 +159,8 @@ def _sparse_snf_diagonal(rows: list[dict[int, int]], ops: list[dict[int, int]] |
             ops[p] = {}
         ones += 1
     residue_cols = sorted(j for j, rs in cols.items() if rs)
-    if not residue_cols:
-        return [1] * ones
     residue = [[r.get(j, 0) for j in residue_cols] for r in rows if r]
-    d, _, _ = smith_normal_form(residue)
-    return [1] * ones + [d[i][i] for i in range(min(len(d), len(d[0]))) if d[i][i]]
+    return [1] * ones + smith_normal_form(residue)
 
 
 def _cokernel_from_diagonal(diag: list[int], ambient_rank: int) -> FinAbGroup:

@@ -309,12 +309,7 @@ class RibbonGraph:
             raise SurfaceError("surface invariants require a connected graph")
         chi = self.euler_characteristic()
         b = self.num_boundary_components()
-        if (2 - chi - b) % 2 != 0:
-            raise SurfaceError(f"impossible invariants: chi={chi}, b={b}")
-        h = (2 - chi - b) // 2
-        if h < 0:
-            raise SurfaceError(f"negative genus from chi={chi}, b={b}")
-        result = SurfaceInvariants(chi, b, h)
+        result = SurfaceInvariants(chi, b, (2 - chi - b) // 2)
         self._cache["invariants"] = result
         return result
 
@@ -395,8 +390,6 @@ class RibbonGraph:
                 new_edges.append(e)
                 if e in self.twists:
                     new_twists.add(e)
-        if len(new_edges) != len(set(new_edges)):
-            raise SurfaceError("smoothing produced clashing edge ids")
         kept = sorted(set(self.vertices) - deg2)
         if not kept:
             raise SurfaceError("cannot smooth a pure cycle of degree-2 vertices")

@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from lf_forge import equivalence
 from lf_forge.builders import (
@@ -38,7 +39,9 @@ from lf_forge.homology import (
 )
 from lf_forge.ribbon import NonOrientableError, RibbonGraph, SurfaceError
 
+import oracles
 from oracles import dehn_twist_on_class, mapped_surgery_commutes
+from test_ribbon import loose_ribbon_graphs
 
 
 def matmul(a, b):
@@ -560,6 +563,62 @@ def test_iso_maps_rotations_to_rotations(built):
         if not iso.orientation_preserving:
             images = images[::-1]
         assert mapped in cyclic_shifts(images)
+
+
+def renamed_graph(g, rng):
+    """The same untwisted ribbon graph as ``g`` under fresh vertex and edge
+    names, with some edges run the other way and every rotation started at
+    a random slot."""
+    vnames = dict(zip(g.vertices, rng.sample([f"w{i}" for i in range(len(g.vertices))], len(g.vertices))))
+    enames = dict(zip(g.edges, rng.sample([f"f{j}" for j in range(len(g.edges))], len(g.edges))))
+    flip = {e: rng.random() < 0.5 for e in g.edges}
+    rotation = {}
+    for v, rot in g.rotation.items():
+        k = rng.randrange(len(rot))
+        rotation[vnames[v]] = tuple((enames[e], 1 - end if flip[e] else end) for e, end in rot[k:] + rot[:k])
+    return RibbonGraph(list(vnames.values()), list(enames.values()), rotation)
+
+
+@given(loose_ribbon_graphs(), st.randoms(use_true_random=False))
+def test_propagate_grows_only_ribbon_graph_isomorphisms(loose, rng):
+    """From the least half-edge to every half-edge of a renamed copy and of
+    a renamed mirror, both ways: every map grown is a vertex bijection and
+    an edge bijection whose signs carry endpoints to endpoints, under which
+    the rotations are all preserved or all reversed as asked.  The true
+    isomorphism is found from some seed."""
+    g1 = RibbonGraph(loose.vertices, loose.edges, loose.rotation)
+    assume(g1.edges and g1.is_connected())
+    seed1 = min((e, end) for e in g1.edges for end in (0, 1))
+    for g2, wanted in ((renamed_graph(g1, rng), True), (renamed_graph(oracles.mirrored(g1), rng), False)):
+        found = set()
+        for preserve in (True, False):
+            for seed2 in sorted((e, end) for e in g2.edges for end in (0, 1)):
+                grown = _propagate(g1, g2, seed1, seed2, preserve)
+                if grown is None:
+                    continue
+                found.add(preserve)
+                vertex_map, edge_map = grown
+                assert sorted(vertex_map) == sorted(g1.vertices)
+                assert sorted(vertex_map.values()) == sorted(g2.vertices)
+                assert sorted(edge_map) == sorted(g1.edges)
+                assert sorted(e2 for e2, _ in edge_map.values()) == sorted(g2.edges)
+                for h in ((e, end) for e in g1.edges for end in (0, 1)):
+                    assert g2.vertex_of(half_image(edge_map, h)) == vertex_map[g1.vertex_of(h)]
+                for v, rot in g1.rotation.items():
+                    images = list(g2.rotation[vertex_map[v]])
+                    if not preserve:
+                        images = images[::-1]
+                    assert [half_image(edge_map, h) for h in rot] in cyclic_shifts(images)
+        assert wanted in found
+
+
+def test_propagate_rejects_a_map_that_is_not_injective():
+    """Two loops at one vertex wrap twice around one loop at one vertex:
+    the closure is consistent and total, and only its injectivity test
+    rejects it."""
+    two_loops = RibbonGraph(("v",), ("a", "b"), {"v": (("a", 0), ("a", 1), ("b", 0), ("b", 1))})
+    one_loop = RibbonGraph(("w",), ("l",), {"w": (("l", 0), ("l", 1))})
+    assert _propagate(two_loops, one_loop, ("a", 0), ("l", 0), True) is None
 
 
 def test_iso_intertwines_twist_actions(built):

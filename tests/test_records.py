@@ -1,5 +1,7 @@
-"""The record types: value semantics, the frozen guard, and a light import."""
+"""The record types: value semantics, the frozen guard, a light import and
+the declared Python floor."""
 
+import ast
 import copy
 import os
 import subprocess
@@ -91,6 +93,19 @@ def test_cli_import_loads_no_unused_standard_modules():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.split("\n") == ["[]", "[]", "[]", ""]
+
+
+def test_every_module_parses_at_the_declared_python_floor():
+    """``pyproject.toml`` declares Python 3.10 as the floor, so every module
+    of the package must parse as 3.10; 3.11-only syntax such as ``except*``
+    does not."""
+    assert 'requires-python = ">=3.10"' in (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    modules = sorted((SRC / "lf_forge").glob("*.py"))
+    assert modules
+    for path in modules:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
 
 
 # The layers that check a build; building imports none of them.
