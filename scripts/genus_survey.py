@@ -11,7 +11,6 @@ import argparse
 import time
 
 from lf_forge import (
-    boundary_open_book,
     fibration_homology,
     find_isomorphism,
     ishikawa_fibration,
@@ -27,7 +26,7 @@ def survey_row(genus: int) -> dict:
     rows = {}
     for fib in (johns, ishikawa):
         inv = fib.fiber.invariants()
-        h1, h2, boundary = fibration_homology(boundary_open_book(fib.fiber, fib.word))
+        h1, h2, boundary = fibration_homology(fib.fiber, fib.word)
         rows[fib.construction] = {
             "fiber": f"({inv.genus}, {inv.boundary_components})",
             "word": len(fib.word),

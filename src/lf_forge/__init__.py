@@ -26,8 +26,6 @@ _EXPORTS = {
     "checkerboard_coloring": "divides",
     "standard_divide": "divides",
     "FinAbGroup": "invariants",
-    "OpenBook": "invariants",
-    "boundary_open_book": "invariants",
     "fibration_homology": "invariants",
     "open_book_h1": "invariants",
     "smith_normal_form": "invariants",

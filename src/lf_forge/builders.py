@@ -156,7 +156,10 @@ def simultaneous_surgery(surface: RibbonGraph, family_x, family_y) -> tuple[Curv
     py: dict[str, tuple[HalfEdge, HalfEdge]] = {}
     for curves, at in ((family_x, px), (family_y, py)):
         for c in curves:
-            for v, hin, hout, _ in c.passes():
+            # a pass arrives on one step's head and departs on the next step's tail
+            for (e, s), (f, t) in zip(c.walk, c.walk[1:] + c.walk[:1]):
+                hin, hout = ((e, 1) if s > 0 else (e, 0)), ((f, 0) if t > 0 else (f, 1))
+                v = surface._vertex_of[hin]
                 if v in at:
                     raise SurfaceError(f"one family passes vertex {v!r} twice; crossings must be simple")
                 at[v] = (hin, hout)
@@ -375,12 +378,17 @@ class LefschetzFibration(Record):
         return cls(construction, genus, fiber, word)
 
 
+def cycle_family(name: str) -> str:
+    """The family of a vanishing cycle: its name minus trailing digits."""
+    return name.rstrip("0123456789")
+
+
 def word_families(fib: LefschetzFibration) -> dict[str, tuple[CurveOnSurface, ...]]:
-    """Vanishing cycles grouped by name prefix (the name minus trailing digits),
-    keyed in order of first appearance in the word."""
+    """Vanishing cycles grouped by family (``cycle_family``), keyed in order
+    of first appearance in the word."""
     fams: dict[str, list[CurveOnSurface]] = {}
     for c in fib.word:
-        fams.setdefault(c.name.rstrip("0123456789"), []).append(c)
+        fams.setdefault(cycle_family(c.name), []).append(c)
     return {k: tuple(v) for k, v in fams.items()}
 
 

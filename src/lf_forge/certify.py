@@ -10,12 +10,7 @@ matrix.  This is the one place a build is checked against them.
 from __future__ import annotations
 
 from .builders import LefschetzFibration, closing_smoothing, word_families
-from .invariants import (
-    FinAbGroup,
-    boundary_open_book,
-    fibration_homology,
-    total_space_euler,
-)
+from .invariants import FinAbGroup, fibration_homology, total_space_euler
 from .ribbon import SurfaceError
 
 __all__ = [
@@ -67,7 +62,7 @@ def fibration_certificate(fib: LefschetzFibration) -> dict:
     g = fib.genus
     want = expected_fiber_profile(fib.construction, g)
     inv = fib.fiber.invariants()
-    h1, h2, boundary = fibration_homology(boundary_open_book(fib.fiber, fib.word))
+    h1, h2, boundary = fibration_homology(fib.fiber, fib.word)
     checks = [
         _check("fiber_genus", want["genus"], inv.genus),
         _check("fiber_boundary_components", want["boundary"], inv.boundary_components),

@@ -18,27 +18,7 @@ from .divides import standard_divide
 DEFAULT_MAX_GENUS = 32
 
 
-# The builders are imported when one runs, so that ``export divide`` does
-# not load them.
-def _johns(genus: int):
-    from .builders import johns_fibration
-
-    return johns_fibration(genus)
-
-
-def _ishikawa(genus: int):
-    from .builders import ishikawa_fibration
-
-    return ishikawa_fibration(genus)
-
-
-def _sphere(genus: int):
-    from .builders import sphere_planar_fibration
-
-    return sphere_planar_fibration()
-
-
-_BUILDERS = {"johns": _johns, "ishikawa": _ishikawa, "sphere": _sphere}
+CONSTRUCTIONS = ("johns", "ishikawa", "sphere")
 
 
 def _parse_genus(text: str, max_genus: int) -> tuple[int, ...]:
@@ -57,10 +37,15 @@ def _parse_genus(text: str, max_genus: int) -> tuple[int, ...]:
 
 
 def _build(construction: str, genus: int):
-    """The ``LefschetzFibration`` of one construction at one genus."""
-    if construction == "sphere" and genus != 0:
+    """The ``LefschetzFibration`` of one construction at one genus; the
+    builders are imported here, so that ``export divide`` does not load them."""
+    from . import builders
+
+    if construction != "sphere":
+        return getattr(builders, f"{construction}_fibration")(genus)
+    if genus != 0:
         raise ValueError("the sphere construction exists only at genus 0")
-    return _BUILDERS[construction](genus)
+    return builders.sphere_planar_fibration()
 
 
 def _builds(args: argparse.Namespace):
@@ -155,7 +140,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     against = None
     if args.against:
         name, sep, g2 = args.against.partition(":")
-        if name not in _BUILDERS or not sep or not g2.isdigit():
+        if name not in CONSTRUCTIONS or not sep or not g2.isdigit():
             raise ValueError(f"--against expects construction:genus, got {args.against!r}")
         (g2,) = _parse_genus(g2, args.max_genus)
         against = _build(name, g2)
@@ -217,11 +202,11 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--verbose", "-v", action="store_true")
         if construction_flag:
             p.add_argument("--construction", default="both",
-                           choices=("johns", "ishikawa", "sphere", "both"))
+                           choices=(*CONSTRUCTIONS, "both"))
 
     g = sub.add_parser("generate", help="write fibration documents")
     g.set_defaults(run=cmd_generate)
-    g.add_argument("construction", choices=("johns", "ishikawa", "sphere", "both"))
+    g.add_argument("construction", choices=(*CONSTRUCTIONS, "both"))
     g.add_argument("--format", default="json", choices=("json", "dot"))
     common(g, construction_flag=False)
 

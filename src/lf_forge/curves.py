@@ -84,17 +84,6 @@ class CurveOnSurface(Record):
     def edge_set(self) -> frozenset[str]:
         return frozenset(e for e, _ in self.walk)
 
-    def passes(self) -> list[tuple[str, HalfEdge, HalfEdge, int]]:
-        """Vertex passes as (vertex, arriving half-edge, departing half-edge,
-        index of the arriving step)."""
-        vertex_of = self.host._vertex_of
-        walk = self.walk
-        out = []
-        for i, ((e, s), (f, t)) in enumerate(zip(walk, walk[1:] + walk[:1])):
-            head = (e, 1) if s > 0 else (e, 0)
-            out.append((vertex_of[head], head, (f, 0) if t > 0 else (f, 1), i))
-        return out
-
     def cyclically_equal(self, other: "CurveOnSurface") -> bool:
         """Same walk up to the choice of basepoint; direction counts.
 

@@ -15,7 +15,9 @@ are cleared or every rotation is reversed; and a bijection of either
 orientation carries one word's smoothing onto the other word's.  So the
 two replays decide the condition for every map, whichever word is the
 source; a fresh plumbing build answers from the smoothing its fiber keeps,
-and any other word traces its own once.
+and any other word traces its own once.  The two words must have the same
+family blocks (maximal runs of one family) in word order; the cycles of one
+family are matched as a set.
 
 The search is anchored: the image of the first first-family core must run
 along a first-family core of the target, so only half-edges on those cores
@@ -27,7 +29,9 @@ words' triple product (``_triple_product``) rules out are skipped.
 
 from __future__ import annotations
 
-from .builders import LefschetzFibration, closing_smoothing, word_families
+from itertools import groupby
+
+from .builders import LefschetzFibration, closing_smoothing, cycle_family, word_families
 from .curves import CurveOnSurface, canonical_rotation
 from .ribbon import HalfEdge, Record, RibbonGraph, SurfaceError
 
@@ -127,7 +131,8 @@ _CHECK_NAMES = (
 
 
 def _gate(lf1: LefschetzFibration, lf2: LefschetzFibration) -> list[tuple[str, bool]]:
-    shape1, shape2 = ([(name, len(cs)) for name, cs in word_families(lf).items()] for lf in (lf1, lf2))
+    shape1, shape2 = ([(fam, len(list(run))) for fam, run in groupby(cycle_family(c.name) for c in lf.word)]
+                      for lf in (lf1, lf2))
     return [
         ("fiber_invariants", lf1.fiber.invariants() == lf2.fiber.invariants()),
         ("word_families", shape1 == shape2),
@@ -139,9 +144,11 @@ def _propagate(g1: RibbonGraph, g2: RibbonGraph, seed1: HalfEdge, seed2: HalfEdg
     """Grow a half-edge correspondence from one seed, or fail.
 
     Rotation-next maps to rotation-next (or -previous when reversing) and
-    partner maps to partner; on a connected graph the closure is total and
-    any conflict kills the seed.  This is the search's inner loop, so it
-    reads the graphs' rotation and vertex tables directly.
+    partner maps to partner; on a connected graph the closure is total, and
+    a conflict or a closure that is not injective kills the seed.  An
+    injective closure carries each rotation cycle onto a whole one, so one
+    half-edge per vertex gives the vertex bijection.  This is the search's
+    inner loop, so it reads the graphs' rotation and vertex tables directly.
     """
     next1 = g1._next
     succ2 = g2._next if preserve else g2._prev
@@ -159,20 +166,10 @@ def _propagate(g1: RibbonGraph, g2: RibbonGraph, seed1: HalfEdge, seed2: HalfEdg
                 stack.append(nxt)
             elif known != nxt_img:
                 return None
-    if len(phi) != 2 * len(g1.edges) or len(set(phi.values())) != len(phi):
+    if len(set(phi.values())) != len(phi):
         return None
-    vertex_of1, vertex_of2 = g1._vertex_of, g2._vertex_of
-    vertex_map: dict[str, str] = {}
-    for h, img in phi.items():
-        w = vertex_of2[img]
-        if vertex_map.setdefault(vertex_of1[h], w) != w:
-            return None
-    if len(set(vertex_map.values())) != len(g1.vertices):
-        return None
-    edge_map: dict[str, tuple[str, int]] = {}
-    for e in g1.edges:
-        e2, end = phi[(e, 0)]
-        edge_map[e] = (e2, 1 if end == 0 else -1)
+    vertex_map = {v: g2._vertex_of[phi[rot[0]]] for v, rot in g1.rotation.items()}
+    edge_map = {e: (phi[(e, 0)][0], 1 if phi[(e, 0)][1] == 0 else -1) for e in g1.edges}
     return vertex_map, edge_map
 
 

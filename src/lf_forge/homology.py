@@ -68,8 +68,6 @@ class Workspace:
 
     def tree_path(self, a: str, b: str) -> list[Step]:
         """Steps along tree edges from vertex a to vertex b."""
-        if a == b:
-            return []
         if self._tree_adj is None:
             self._tree_adj = {v: [] for v in self.norm.vertices}
             for e in self.tree:
@@ -88,8 +86,6 @@ class Workspace:
                 if w not in prev:
                     prev[w] = (e, v)
                     queue.append(w)
-        if b not in prev:
-            raise DisconnectedError("tree path not found")
         steps: list[Step] = []
         v = b
         while v != a:

@@ -12,7 +12,6 @@ groups without building B (``fibration_homology``).
 
 from __future__ import annotations
 
-from .curves import CurveOnSurface
 from .homology import _sparse_class, curve_class, homology_basis, workspace
 from .ribbon import Record, RibbonGraph, SurfaceError
 
@@ -175,29 +174,17 @@ def total_space_euler(fiber: RibbonGraph, cycles) -> int:
     return fiber.euler_characteristic() + len(cycles)
 
 
-class OpenBook(Record):
-    """Boundary open book: page plus the ordered word of positive twists."""
-
-    __slots__ = ("page", "word")
-
-    def __init__(self, page: RibbonGraph, word: tuple[CurveOnSurface, ...]):
-        object.__setattr__(self, "page", page)
-        object.__setattr__(self, "word", word)
-
-
-def boundary_open_book(fiber: RibbonGraph, cycles) -> OpenBook:
-    for c in cycles:
-        if c.host is not fiber:
+def fibration_homology(page: RibbonGraph, word) -> tuple[FinAbGroup, FinAbGroup, FinAbGroup]:
+    """(H1, H2) of the total space and H1 of its boundary open book; the word's
+    cycles must be edge-simple cycles on the page, as the corner rule assumes."""
+    word = tuple(word)
+    for c in word:
+        if c.host is not page:
             raise SurfaceError("cycle lives on a different surface")
         c.require_edge_simple()
-    return OpenBook(fiber, tuple(cycles))
-
-
-def fibration_homology(book: OpenBook) -> tuple[FinAbGroup, FinAbGroup, FinAbGroup]:
-    """(H1, H2) of the total space and H1 of its boundary."""
-    ws = workspace(book.page)  # held, so that every _sparse_class finds it in the weak cache
-    classes = [_sparse_class(book.page, c) for c in book.word]
-    return _peeled_homology(len(ws.basis), classes, ws.pairings(book.word))
+    ws = workspace(page)  # held, so that every _sparse_class finds it in the weak cache
+    classes = [_sparse_class(page, c) for c in word]
+    return _peeled_homology(len(ws.basis), classes, ws.pairings(word))
 
 
 def _peeled_homology(n: int, rows, pairs) -> tuple[FinAbGroup, FinAbGroup, FinAbGroup]:
@@ -246,15 +233,15 @@ def _boundary_matrix(rows, ops, kernel, pairs) -> list[dict[int, int]]:
 
 def total_space_homology(fiber: RibbonGraph, cycles) -> tuple[FinAbGroup, FinAbGroup]:
     """(H1, H2) of the total space, from ``fibration_homology``."""
-    return fibration_homology(boundary_open_book(fiber, cycles))[:2]
+    return fibration_homology(fiber, cycles)[:2]
 
 
-def open_book_h1(book: OpenBook) -> FinAbGroup:
+def open_book_h1(page: RibbonGraph, word) -> FinAbGroup:
     """H1 of the 3-manifold the open book describes (``fibration_homology``)."""
-    return fibration_homology(book)[2]
+    return fibration_homology(page, word)[2]
 
 
-def monodromy_arc_relations(book: OpenBook) -> list[list[int]]:
+def monodromy_arc_relations(page: RibbonGraph, word) -> list[list[int]]:
     """Relation matrix R of H1 of the open book on the page basis; the
     oracle the tests hold ``open_book_h1`` against.
 
@@ -266,10 +253,9 @@ def monodromy_arc_relations(book: OpenBook) -> list[list[int]]:
     R = sum_k [c_k] counts[k]^T.  With U as in the module docstring the counts
     are N = C (I - U)^-1, so R = C (I - U)^-T C^T: dense n x n, built only here.
     """
-    page = book.page
     n = len(homology_basis(page))
-    vecs = [curve_class(page, c).vector for c in book.word]
-    pair = workspace(page).pairing_matrix(book.word)
+    vecs = [curve_class(page, c).vector for c in word]
+    pair = workspace(page).pairing_matrix(word)
     counts: list[list[int]] = []
     for k, vec in enumerate(vecs):
         nk = list(vec)

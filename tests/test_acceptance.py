@@ -22,7 +22,6 @@ from lf_forge.homology import (
 )
 from lf_forge.invariants import (
     FinAbGroup,
-    boundary_open_book,
     open_book_h1,
     total_space_euler,
     total_space_homology,
@@ -105,8 +104,7 @@ def test_criterion_5_boundary_homology(built):
     for construction in CONSTRUCTIONS:
         for g in GENERA:
             fib = built(construction, g)
-            book = boundary_open_book(fib.fiber, fib.word)
-            assert open_book_h1(book) == expected_boundary_group(g)
+            assert open_book_h1(fib.fiber, fib.word) == expected_boundary_group(g)
     print("criterion 5 PASS: boundary open book has H1 = Z^2g + Z/|2-2g| "
           "(Z/2 at g=0, Z^3 at g=1), both builders, g = 0..8")
 
@@ -117,12 +115,12 @@ def test_criterion_6_open_book_unit_oracles(annulus, punctured_torus):
     def annulus_word(n):
         return tuple(CurveOnSurface(annulus, f"c{i}", core) for i in range(n))
 
-    assert open_book_h1(boundary_open_book(annulus, annulus_word(0))) == FinAbGroup.free(1)
-    assert open_book_h1(boundary_open_book(annulus, annulus_word(1))) == FinAbGroup(0, ())
-    assert open_book_h1(boundary_open_book(annulus, annulus_word(2))) == FinAbGroup(0, (2,))
+    assert open_book_h1(annulus, annulus_word(0)) == FinAbGroup.free(1)
+    assert open_book_h1(annulus, annulus_word(1)) == FinAbGroup(0, ())
+    assert open_book_h1(annulus, annulus_word(2)) == FinAbGroup(0, (2,))
     a = CurveOnSurface(punctured_torus, "a", (("a", 1),))
     b = CurveOnSurface(punctured_torus, "b", (("b", 1),))
-    assert open_book_h1(boundary_open_book(punctured_torus, (a, b))) == FinAbGroup(0, ())
+    assert open_book_h1(punctured_torus, (a, b)) == FinAbGroup(0, ())
     print("criterion 6 PASS: annulus words 0/1/2 give Z / 0 / Z/2 and the "
           "punctured-torus two-twist book gives 0")
 

@@ -93,17 +93,18 @@ def test_surgery_output_count_and_conservation(built):
 
 
 def _smoothing_traces(monkeypatch) -> list:
-    """The curves whose passes ``simultaneous_surgery`` reads: each input
-    curve once whenever it traces, none when it rebuilds a kept smoothing."""
+    """The curves ``simultaneous_surgery`` checks for edge-simplicity before
+    it traces: each input curve once whenever it traces, none when it
+    rebuilds a kept smoothing."""
     traced = []
-    passes = CurveOnSurface.passes
+    require_edge_simple = CurveOnSurface.require_edge_simple
 
     def counted(self):
         if sys._getframe(1).f_code.co_name == "simultaneous_surgery":
             traced.append(self)
-        return passes(self)
+        return require_edge_simple(self)
 
-    monkeypatch.setattr(CurveOnSurface, "passes", counted)
+    monkeypatch.setattr(CurveOnSurface, "require_edge_simple", counted)
     return traced
 
 

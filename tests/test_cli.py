@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from lf_forge import cli
+from lf_forge import builders
 from lf_forge.cli import main
 
 
@@ -195,7 +195,7 @@ def test_internal_error_exits_3_with_its_traceback(capsys, monkeypatch, argv):
     def broken(genus):
         raise KeyError("broken builder")
 
-    monkeypatch.setitem(cli._BUILDERS, "johns", broken)
+    monkeypatch.setattr(builders, "johns_fibration", broken)
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == ""

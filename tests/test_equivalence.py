@@ -547,6 +547,40 @@ def test_word_families_group_by_name_prefix(built):
     assert {k: len(v) for k, v in fams.items()} == {"a": 2, "b": 4, "c": 2}
 
 
+def _swapped(fib, x, y):
+    """``fib`` as a document with the cycles named x and y trading places in
+    the word."""
+    doc = fib.to_json_dict()
+    cycles = doc["vanishing_cycles"]
+    i, j = (next(k for k, c in enumerate(cycles) if c["name"] == n) for n in (x, y))
+    cycles[i], cycles[j] = cycles[j], cycles[i]
+    return LefschetzFibration.from_json_dict(doc)
+
+
+def test_compare_matches_family_blocks_in_word_order(built):
+    """With b1 and c1 trading places, the johns word at genus 1 keeps its
+    family counts but not its family blocks (a, a, b, c, b, b, c, b); it
+    fails its own certificate, and it compares with neither sound build,
+    in either order, at ``word_families``.  Two cycles trading places
+    inside one block leave the blocks, and the comparison, as they were."""
+    swapped = _swapped(built("johns", 1), "b1", "c1")
+    assert [c.name for c in swapped.word] == ["a0", "a1", "b0", "c1", "b2", "b3", "c0", "b1"]
+    assert not fibration_certificate(swapped)["passed"]
+    inside = _swapped(built("johns", 1), "b1", "b2")
+    for construction in ("johns", "ishikawa"):
+        sound = built(construction, 1)
+        for pair in ((swapped, sound), (sound, swapped)):
+            assert find_isomorphism(*pair) is None
+            cert = isomorphism_certificate(*pair)
+            assert cert["found"] is False
+            assert [(c["name"], c["passed"]) for c in cert["checks"]] == [
+                ("fiber_invariants", True),
+                ("word_families", False),
+            ]
+        for pair in ((inside, sound), (sound, inside)):
+            assert isomorphism_certificate(*pair)["found"] is True
+
+
 # -- the map really is a ribbon graph isomorphism ------------------------------------
 
 

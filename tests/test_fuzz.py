@@ -1,0 +1,141 @@
+"""Random inputs end in a result or in a named error.
+
+Random plumbing patterns and randomly corrupted documents of both builds go
+the whole library path: build or parse, certify, and compare both ways with
+sound builds.  Each step ends in a model, a certificate or a comparison, or
+in a named ``SurfaceError`` or ``DivideError``; never in ``KeyError``,
+``IndexError``, ``AttributeError`` or any other exception, which the test
+lets through.
+"""
+
+import copy
+
+from hypothesis import given, settings, strategies as st
+
+from lf_forge.builders import LefschetzFibration, PlumbingPattern, realize_plumbing, simultaneous_surgery
+from lf_forge.certify import fibration_certificate
+from lf_forge.divides import DivideError
+from lf_forge.equivalence import isomorphism_certificate
+from lf_forge.ribbon import SurfaceError
+
+NAMED = (SurfaceError, DivideError)
+
+
+def certify_and_compare(fib: LefschetzFibration, built) -> None:
+    """Certify ``fib`` and compare it both ways with both sound builds of
+    its genus; each step may end in a named error, and a finished one
+    returns a well-formed document."""
+    try:
+        cert = fibration_certificate(fib)
+        assert cert["schema"] == "certificate/1" and cert["passed"] in (True, False)
+    except NAMED:
+        pass
+    for construction in ("johns", "ishikawa"):
+        other = built(construction, fib.genus)
+        for lf1, lf2 in ((fib, other), (other, fib)):
+            try:
+                found = isomorphism_certificate(lf1, lf2)["found"]
+            except NAMED:
+                continue
+            assert found in (True, False)
+
+
+# -- plumbing patterns -----------------------------------------------------------
+
+
+@st.composite
+def plumbing_families(draw):
+    """Both families of a pattern on 1-7 squares: each a random order of the
+    squares split into loops, then, one time in four each, one square
+    repeated in a loop and one square dropped from a loop (which can leave a
+    loop empty)."""
+    n = draw(st.integers(1, 7))
+    squares = [f"s{i}" for i in range(n)]
+    families = []
+    for _ in range(2):
+        order = draw(st.permutations(squares))
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1))) if n > 1 else []
+        loops = [list(order[i:j]) for i, j in zip([0, *cuts], [*cuts, n])]
+        if draw(st.integers(0, 3)) == 0:
+            loop = loops[draw(st.integers(0, len(loops) - 1))]
+            loop.insert(draw(st.integers(0, len(loop))), draw(st.sampled_from(squares)))
+        if draw(st.integers(0, 3)) == 0:
+            loop = loops[draw(st.integers(0, len(loops) - 1))]
+            if loop:
+                del loop[draw(st.integers(0, len(loop) - 1))]
+        families.append(tuple(tuple(loop) for loop in loops))
+    return families, draw(st.integers(0, 3))
+
+
+@settings(max_examples=300)
+@given(plumbing_families())
+def test_random_plumbing_patterns_end_in_a_result_or_a_named_error(built, data):
+    (loops_a, loops_b), genus = data
+    try:
+        pattern = PlumbingPattern(loops_a, loops_b)
+        fiber, a_curves, b_curves = realize_plumbing(pattern)
+        c_curves = simultaneous_surgery(fiber, a_curves, b_curves)
+        fib = LefschetzFibration("johns", genus, fiber, (*a_curves, *b_curves, *c_curves))
+    except NAMED:
+        return
+    assert {c.name for c in c_curves} == {f"c{i}" for i in range(len(c_curves))}
+    certify_and_compare(fib, built)
+
+
+# -- corrupted documents -----------------------------------------------------------
+
+
+def _flip(token: str) -> str:
+    return token[1:] if token.startswith("-") else f"-{token}"
+
+
+def corrupt(draw, doc: dict) -> None:
+    """Apply one random corruption to a fibration document in place."""
+    fiber = doc["fiber"]
+    rotation = fiber["rotation"]
+    cycles = doc["vanishing_cycles"]
+    kind = draw(st.sampled_from(("shuffle", "swap", "twist", "reverse", "drop", "replace", "double",
+                                 "swap_cycles", "rename")))
+    if kind == "shuffle":  # one vertex's slots in another order
+        v = draw(st.sampled_from(sorted(rotation)))
+        rotation[v] = draw(st.permutations(rotation[v]))
+    elif kind == "swap":  # two slots exchanged, at one vertex or across two
+        slots = [(v, k) for v in sorted(rotation) for k in range(len(rotation[v]))]
+        (v, k), (w, m) = draw(st.sampled_from(slots)), draw(st.sampled_from(slots))
+        rotation[v][k], rotation[w][m] = rotation[w][m], rotation[v][k]
+    elif kind == "twist":
+        rec = draw(st.sampled_from(fiber["edges"]))
+        rec["twist"] = not rec["twist"]
+    else:
+        rec = draw(st.sampled_from(cycles))
+        walk = rec["walk"]
+        if kind == "reverse":
+            rec["walk"] = [_flip(t) for t in reversed(walk)]
+        elif kind == "drop" and walk:
+            del walk[draw(st.integers(0, len(walk) - 1))]
+        elif kind == "replace" and walk:
+            edge = draw(st.sampled_from(fiber["edges"]))["id"]
+            walk[draw(st.integers(0, len(walk) - 1))] = draw(st.sampled_from((edge, f"-{edge}")))
+        elif kind == "double":
+            rec["walk"] = walk + walk
+        elif kind == "swap_cycles":
+            i, j = draw(st.integers(0, len(cycles) - 1)), draw(st.integers(0, len(cycles) - 1))
+            cycles[i], cycles[j] = cycles[j], cycles[i]
+        elif kind == "rename":
+            others = [c["name"] for c in cycles] + ["a", "b9", "c", "d0"]
+            rec["name"] = draw(st.sampled_from(others))
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_corrupted_documents_end_in_a_result_or_a_named_error(built, data):
+    construction = data.draw(st.sampled_from(("johns", "ishikawa")))
+    genus = data.draw(st.integers(0, 3))
+    doc = copy.deepcopy(built(construction, genus).to_json_dict())
+    for _ in range(data.draw(st.integers(1, 3))):
+        corrupt(data.draw, doc)
+    try:
+        fib = LefschetzFibration.from_json_dict(doc)
+    except NAMED:
+        return
+    certify_and_compare(fib, built)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from lf_forge.builders import ishikawa_fibration, johns_fibration
 from lf_forge.certify import fibration_certificate
-from lf_forge.curves import CurveOnSurface, reversed_step
+from lf_forge.curves import CurveOnSurface, reversed_step, step_head_half
 from lf_forge.equivalence import isomorphism_certificate
 from lf_forge.homology import (
     HomologyClass,
@@ -19,10 +19,17 @@ from lf_forge.homology import (
     homology_basis,
     workspace,
 )
-from lf_forge.invariants import boundary_open_book, open_book_h1
+from lf_forge.invariants import open_book_h1
 from lf_forge.ribbon import RibbonGraph, SurfaceError
 
-from oracles import TransversalityError, algebraic_intersection, dehn_twist_on_class, dehn_twist_on_path
+from oracles import (
+    TransversalityError,
+    algebraic_intersection,
+    dehn_twist_on_class,
+    dehn_twist_on_path,
+    step_head,
+    step_tail_half,
+)
 
 
 def loop(surface, edge, name=None):
@@ -268,13 +275,20 @@ def reference_pairing(surface, curves, push):
         for k, h in enumerate(rot):
             slots[(h, "R")], slots[(h, "S")], slots[(h, "L")] = 3 * k, 3 * k + 1, 3 * k + 2
     q_in, q_out = ("L", "R") if push else ("S", "S")
+
+    def chords(curve):
+        """(vertex, arriving half-edge, departing half-edge) per pass."""
+        walk = curve.walk
+        return [(step_head(surface, step), step_head_half(step), step_tail_half(nxt))
+                for step, nxt in zip(walk, walk[1:] + walk[:1])]
+
     m = [[0] * len(curves) for _ in curves]
     for i, x in enumerate(curves):
         for j, y in enumerate(curves):
             if i == j:
                 continue
-            for v, x_in, x_out, _ in x.passes():
-                for w, y_in, y_out, _ in y.passes():
+            for v, x_in, x_out in chords(x):
+                for w, y_in, y_out in chords(y):
                     if v != w:
                         continue
                     n = 3 * len(norm.rotation[v])
@@ -309,7 +323,7 @@ def test_open_book_rejects_a_pairing_that_is_not_antisymmetric(built, monkeypatc
         ),
     )
     with pytest.raises(SurfaceError, match=r"antisymmetry: <'a0', 'a1'> = 1 but <'a1', 'a0'> = 1"):
-        open_book_h1(boundary_open_book(fib.fiber, fib.word))
+        open_book_h1(fib.fiber, fib.word)
 
 
 # -- Dehn twists ------------------------------------------------------------------

@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lf_forge.builders import sphere_planar_fibration, word_families
+from lf_forge.builders import johns_fibration, sphere_planar_fibration, word_families
 from lf_forge.curves import CurveOnSurface
 from lf_forge.homology import _sparse_class, curve_class, homology_basis, workspace
 from lf_forge.invariants import (
@@ -14,7 +14,6 @@ from lf_forge.invariants import (
     _boundary_matrix,
     _peeled_homology,
     _sparse_snf_diagonal,
-    boundary_open_book,
     fibration_homology,
     monodromy_arc_relations,
     open_book_h1,
@@ -22,6 +21,8 @@ from lf_forge.invariants import (
     total_space_euler,
     total_space_homology,
 )
+
+from lf_forge.ribbon import SurfaceError
 
 from oracles import _bordered_presentation, cokernel
 
@@ -176,7 +177,7 @@ def annulus_book(word_length):
     word = tuple(
         CurveOnSurface(page, f"c{i}", core) for i in range(word_length)
     )
-    return boundary_open_book(page, word)
+    return page, word
 
 
 @pytest.mark.parametrize(
@@ -190,27 +191,24 @@ def annulus_book(word_length):
     ],
 )
 def test_annulus_books_give_cyclic_groups(word_length, expected):
-    assert open_book_h1(annulus_book(word_length)) == expected
+    assert open_book_h1(*annulus_book(word_length)) == expected
 
 
 def test_punctured_torus_two_twist_book_is_a_sphere(punctured_torus):
     a = CurveOnSurface(punctured_torus, "a", (("a", 1),))
     b = CurveOnSurface(punctured_torus, "b", (("b", 1),))
-    book = boundary_open_book(punctured_torus, (a, b))
-    assert open_book_h1(book) == FinAbGroup(0, ())
+    assert open_book_h1(punctured_torus, (a, b)) == FinAbGroup(0, ())
     # conjugate word, homeomorphic total space
-    assert open_book_h1(boundary_open_book(punctured_torus, (b, a))) == FinAbGroup(0, ())
+    assert open_book_h1(punctured_torus, (b, a)) == FinAbGroup(0, ())
 
 
 def test_punctured_torus_single_twist_book(punctured_torus):
     a = CurveOnSurface(punctured_torus, "a", (("a", 1),))
-    book = boundary_open_book(punctured_torus, (a,))
-    assert open_book_h1(book) == FinAbGroup.free(1)
+    assert open_book_h1(punctured_torus, (a,)) == FinAbGroup.free(1)
 
 
 def test_empty_word_book_keeps_page_homology(punctured_torus):
-    book = boundary_open_book(punctured_torus, ())
-    assert open_book_h1(book) == FinAbGroup.free(2)
+    assert open_book_h1(punctured_torus, ()) == FinAbGroup.free(2)
 
 
 # -- total spaces ------------------------------------------------------------------
@@ -223,7 +221,27 @@ def test_sphere_model_total_space():
     assert h1 == FinAbGroup(0, ())
     assert h2 == FinAbGroup.free(1)
     # its boundary open book doubles the core twist
-    assert open_book_h1(boundary_open_book(fib.fiber, fib.word)) == FinAbGroup(0, (2,))
+    assert open_book_h1(fib.fiber, fib.word) == FinAbGroup(0, (2,))
+
+
+@pytest.mark.parametrize("entry_point", [fibration_homology, open_book_h1, total_space_homology],
+                         ids=["fibration_homology", "open_book_h1", "total_space_homology"])
+def test_homology_entry_points_refuse_a_word_the_corner_rule_cannot_read(built, entry_point):
+    """A cycle that runs a0 twice repeats an edge, and a cycle of another
+    build's fiber lives on a different surface; the cycles are checked in
+    word order, each first for its host."""
+    fib = built("johns", 1)
+    a0 = fib.word[0]
+    doubled = CurveOnSurface(fib.fiber, "a0", a0.walk + a0.walk)
+    foreign = johns_fibration(1).word[1]
+    with pytest.raises(SurfaceError, match=r"^curve 'a0' repeats an edge$"):
+        entry_point(fib.fiber, (doubled, *fib.word[1:]))
+    with pytest.raises(SurfaceError, match=r"^cycle lives on a different surface$"):
+        entry_point(fib.fiber, (a0, foreign, *fib.word[2:]))
+    with pytest.raises(SurfaceError, match=r"^curve 'a0' repeats an edge$"):
+        entry_point(fib.fiber, (doubled, foreign))
+    with pytest.raises(SurfaceError, match=r"^cycle lives on a different surface$"):
+        entry_point(fib.fiber, (foreign, doubled))
 
 
 def test_total_space_homology_with_empty_word(punctured_torus):
@@ -254,11 +272,10 @@ def test_total_space_homology_equals_the_dense_class_matrix(built, relabelled, c
 # -- open-book relations -------------------------------------------------------------
 
 
-def per_arc_relations(book):
-    page = book.page
-    vecs = [curve_class(page, c).vector for c in book.word]
+def per_arc_relations(page, word):
+    vecs = [curve_class(page, c).vector for c in word]
     return recurrence_relations(
-        len(homology_basis(page)), vecs, workspace(page).pairing_matrix(book.word)
+        len(homology_basis(page)), vecs, workspace(page).pairing_matrix(word)
     )
 
 
@@ -279,8 +296,7 @@ def recurrence_relations(n, vecs, pair):
 def test_arc_relations_equal_the_per_arc_recurrence(built, construction):
     for g in range(7):
         fib = built(construction, g)
-        book = boundary_open_book(fib.fiber, fib.word)
-        assert monodromy_arc_relations(book) == per_arc_relations(book)
+        assert monodromy_arc_relations(fib.fiber, fib.word) == per_arc_relations(fib.fiber, fib.word)
 
 
 # -- the bordered presentation ------------------------------------------------------
@@ -313,9 +329,8 @@ def test_open_book_h1_equals_the_cokernel_of_the_arc_relations(built, relabelled
         for g in range(9):
             fib = built(construction, g)
             for f in (fib, relabelled(fib, g)):
-                book = boundary_open_book(f.fiber, f.word)
                 n = len(homology_basis(f.fiber))
-                assert open_book_h1(book) == cokernel(monodromy_arc_relations(book), n)
+                assert open_book_h1(f.fiber, f.word) == cokernel(monodromy_arc_relations(f.fiber, f.word), n)
 
 
 # -- one peel for all three groups -----------------------------------------------------
@@ -442,26 +457,25 @@ def entry_point_books(built, relabelled, punctured_torus):
         for g in range(9):
             fib = built(construction, g)
             for f in (fib, relabelled(fib, g)):
-                yield boundary_open_book(f.fiber, f.word)
+                yield f.fiber, f.word
     sphere = sphere_planar_fibration()
-    yield boundary_open_book(sphere.fiber, sphere.word)
+    yield sphere.fiber, sphere.word
     for length in (0, 1, 2, 3, 5):
         yield annulus_book(length)
     a = CurveOnSurface(punctured_torus, "a", (("a", 1),))
     b = CurveOnSurface(punctured_torus, "b", (("b", 1),))
     for word in ((a, b), (b, a), (a,), ()):
-        yield boundary_open_book(punctured_torus, word)
+        yield punctured_torus, word
 
 
 def test_one_answer_from_three_entry_points(built, relabelled, punctured_torus):
     """``fibration_homology`` gives what ``total_space_homology`` and
     ``open_book_h1`` give, and what the dense class matrix and the arc
     relations give."""
-    for book in entry_point_books(built, relabelled, punctured_torus):
-        page, word = book.page, book.word
-        groups = fibration_homology(book)
-        assert groups == (*total_space_homology(page, word), open_book_h1(book))
+    for page, word in entry_point_books(built, relabelled, punctured_torus):
+        groups = fibration_homology(page, word)
+        assert groups == (*total_space_homology(page, word), open_book_h1(page, word))
         n = len(homology_basis(page))
         oracle = dense_total_space_homology(page, word)
-        assert groups == (*oracle, cokernel(monodromy_arc_relations(book), n))
+        assert groups == (*oracle, cokernel(monodromy_arc_relations(page, word), n))
 

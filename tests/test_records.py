@@ -19,7 +19,6 @@ from lf_forge import (
     FinAbGroup,
     HomologyClass,
     LefschetzFibration,
-    OpenBook,
     PlumbingPattern,
     SurfaceInvariants,
     divide_fiber_model,
@@ -39,7 +38,6 @@ RECORDS = {
     "CurveOnSurface": (CurveOnSurface, (SPHERE.fiber, "core", (("c", 1), ("t", -1)))),
     "HomologyClass": (HomologyClass, (SPHERE.fiber, (1,))),
     "FinAbGroup": (FinAbGroup, (2, (3,))),
-    "OpenBook": (OpenBook, (SPHERE.fiber, SPHERE.word)),
     "PlumbingPattern": (PlumbingPattern, ((("s0", "s1"),), (("s0",), ("s1",)))),
     "DivideFiberModel": (DivideFiberModel, (MODEL.divide, MODEL.fiber, MODEL.white_cycles,
                                             MODEL.crossing_cycles, MODEL.black_cycles)),
@@ -106,6 +104,25 @@ def test_every_module_parses_at_the_declared_python_floor():
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
     with pytest.raises(SyntaxError):
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+
+
+def test_every_module_level_import_is_read():
+    """Each name a module of the package imports at module level is read in
+    that module.  An unread import costs its load and hides a dependency
+    that is gone: in ``cli`` or ``ribbon`` it would load a layer in every
+    lf-forge process."""
+    unread = []
+    for path in sorted((SRC / "lf_forge").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        bound = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound.update({a.asname or a.name.partition(".")[0]: node.lineno for a in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update({a.asname or a.name: node.lineno for a in node.names})
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in read]
+    assert unread == []
 
 
 # The layers that check a build; building imports none of them.
