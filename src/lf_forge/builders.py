@@ -19,7 +19,7 @@ nothing they build: ``certify.fibration_certificate`` checks every build.
 
 from __future__ import annotations
 
-from .curves import CurveOnSurface, Step, canonical_rotation, curve_from_json, reversed_step, step_head_half
+from .curves import CurveOnSurface, Step, canonical_rotation, curve_from_json, reversed_step
 from .divides import Divide, check_admissible, checkerboard_coloring, standard_divide
 from .ribbon import HalfEdge, Record, RibbonGraph, SurfaceError, json_field, orientation_signs
 
@@ -150,21 +150,20 @@ def simultaneous_surgery(surface: RibbonGraph, family_x, family_y) -> tuple[Curv
                 if step[0] in owner:
                     raise SurfaceError(f"edge {step[0]!r} is traversed twice; the families must be edge-disjoint")
                 owner[step[0]] = step
-    # depart[h]: the half-edge along which a strand arriving on h leaves
-    depart: dict[HalfEdge, HalfEdge] = {}
-    px: dict[str, tuple[HalfEdge, HalfEdge]] = {}
-    py: dict[str, tuple[HalfEdge, HalfEdge]] = {}
+    dv, pos, half = surface._dv, surface._dpos, surface._half
+    depart = [-1] * len(dv)  # depart[d]: the dart a strand arriving on dart d leaves along
+    px: dict[str, tuple[int, int]] = {}  # vertex -> (arriving dart, departing dart) of family x
+    py: dict[str, tuple[int, int]] = {}
     for curves, at in ((family_x, px), (family_y, py)):
         for c in curves:
-            # a pass arrives on one step's head and departs on the next step's tail
-            for (e, s), (f, t) in zip(c.walk, c.walk[1:] + c.walk[:1]):
-                hin, hout = ((e, 1) if s > 0 else (e, 0)), ((f, 0) if t > 0 else (f, 1))
-                v = surface._vertex_of[hin]
+            # a pass arrives on one step's head dart and departs on the next step's tail dart
+            heads = surface.head_darts(c.walk)
+            for hin, nxt in zip(heads, heads[1:] + heads[:1]):
+                v = dv[hin]
                 if v in at:
                     raise SurfaceError(f"one family passes vertex {v!r} twice; crossings must be simple")
-                at[v] = (hin, hout)
-                depart[hin] = hout
-    pos = surface._pos
+                at[v] = (hin, nxt ^ 1)
+                depart[hin] = nxt ^ 1
     for v in sorted(px.keys() & py.keys()):
         (xin, xout), (yin, yout) = px[v], py[v]
         lo, hi = sorted((pos[xin], pos[xout]))
@@ -173,13 +172,13 @@ def simultaneous_surgery(surface: RibbonGraph, family_x, family_y) -> tuple[Curv
         depart[xin], depart[yin] = yout, xout
 
     outputs = []
-    for e in sorted(owner):
-        if e not in owner:
-            continue
-        walk = [owner.pop(e)]
-        while (nxt := depart[step_head_half(walk[-1])][0]) != e:
-            walk.append(owner.pop(nxt))
-        outputs.append(CurveOnSurface(surface, f"c{len(outputs)}", tuple(walk)))
+    for start in range(len(depart)):  # in dart order, so each resolved curve starts at its least edge
+        walk, d = [], start
+        while depart[d] >= 0:
+            walk.append(owner[half[d][0]])
+            depart[d], d = -1, depart[d] ^ 1
+        if walk:
+            outputs.append(CurveOnSurface(surface, f"c{len(outputs)}", tuple(walk)))
     surface._cache["smoothing"] = (tuple(c.walk for c in family_x), tuple(c.walk for c in family_y),
                                    tuple(c.walk for c in outputs))
     return tuple(outputs)
@@ -296,8 +295,8 @@ def divide_fiber_model(divide: Divide) -> DivideFiberModel:
     # site reads (r_in, band_out, r_out, band_in) in one global orientation.
     # A uniform rule cannot do this directly: the half-twisted bands force
     # opposite signs on the two ends of every band.
-    vertex_of = {h: v for v, rot in rotation.items() for h in rot}
-    eps, components = orientation_signs(vertices, edges, vertex_of, twists)
+    at = {h: v for v, rot in rotation.items() for h in rot}
+    eps, components = orientation_signs(vertices, edges, [(at[(e, 0)], at[(e, 1)]) for e in edges], twists)
     if eps is None:
         raise SurfaceError("divide fiber is non-orientable; twist placement is broken")
     for site, (r_in, r_out, arriving, departing) in site_ends.items():
@@ -317,14 +316,13 @@ def divide_fiber_model(divide: Divide) -> DivideFiberModel:
     wb = len(str(len(divide.vertices) - 1))
     crossing_cycles = [CurveOnSurface(fiber, f"b{j:0{wb}d}", walk) for j, walk in enumerate(crossing_walks)]
 
-    divide_vertex_of = divide.graph._vertex_of
     black_cycles = []
     for j, fi in enumerate(coloring.black):
         steps: list[Step] = []
         for e, end in faces[fi]:
             steps.append((e, 1 if end == 0 else -1))
             landing = (e, 1 - end)
-            steps.extend(passage[site_of_corner[(divide_vertex_of[landing], white_corner_slot[landing])]])
+            steps.extend(passage[site_of_corner[(divide.graph.vertex_of(landing), white_corner_slot[landing])]])
         # the smoothing orientation runs against the black face walk
         walk = tuple(reversed_step(st) for st in reversed(steps))
         black_cycles.append(CurveOnSurface(fiber, f"c{j}", walk))

@@ -5,16 +5,11 @@ A closed curve is a cyclic walk of directed edge traversals.
 
 from __future__ import annotations
 
-from .ribbon import HalfEdge, Record, RibbonGraph, SurfaceError, as_pairs, json_field
+from .ribbon import Record, RibbonGraph, SurfaceError, as_pairs, json_field
 
 
 Step = tuple[str, int]  # (edge id, +1 forward / -1 backward)
 
-
-def step_head_half(step: Step) -> HalfEdge:
-    """Half-edge at the head vertex, i.e. where the traversal arrives."""
-    e, s = step
-    return (e, 1 if s > 0 else 0)
 
 def reversed_step(step: Step) -> Step:
     return (step[0], -step[1])
@@ -24,35 +19,25 @@ def check_walk(surface: RibbonGraph, walk) -> None:
     """Raise SurfaceError unless ``walk`` is a nonempty chain of steps on
     ``surface`` that closes up from its last step to its first.
 
-    One pass looks every step up in the surface's half-edge table and
-    keeps the first break it meets; a step that is not on the surface is
-    raised when it is reached, so it beats any break, and the closing
-    break, from the last step to the first, comes last.
+    Every step is looked up first (``RibbonGraph.head_darts``), so a step
+    that is not on the surface beats any break.  Then each step's tail is
+    compared with the head before it; on a mismatch the first break in walk
+    order is raised, the closing one, from the last step to the first, last.
     """
     if not walk:
         raise SurfaceError("empty walk")
-    vertex_of = surface._vertex_of
-    prev = head = start = fault = None
-    for step in walk:
-        e, s = step
-        if s == 1:
-            tail, next_head = vertex_of.get((e, 0)), vertex_of.get((e, 1))
-        elif s == -1:
-            tail, next_head = vertex_of.get((e, 1)), vertex_of.get((e, 0))
-        else:
-            tail = None
-        if tail is None:
-            raise SurfaceError(f"walk step ({e!r}, {s}) is not on the surface")
-        if tail != head:
-            if prev is None:
-                start = tail
-            elif fault is None:
-                fault = (prev, step)
-        prev, head = step, next_head
-    if fault is None and head != start:
-        fault = (prev, walk[0])
-    if fault is not None:
-        raise SurfaceError(f"walk breaks between {fault[0]} and {fault[1]}")
+    heads = surface.head_darts(walk)
+    dv = surface._dv
+    head = dv[heads[-1]]
+    for d in heads:
+        if dv[d ^ 1] != head:
+            break
+        head = dv[d]
+    else:
+        return
+    for i in (*range(1, len(heads)), 0):
+        if dv[heads[i - 1]] != dv[heads[i] ^ 1]:
+            raise SurfaceError(f"walk breaks between {walk[i - 1]} and {walk[i]}")
 
 
 class CurveOnSurface(Record):

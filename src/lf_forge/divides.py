@@ -35,7 +35,7 @@ class Divide:
 
     ``rotation`` maps each crossing to its four half-edges in counterclockwise
     order, and every half-edge (e, 0), (e, 1) must occur exactly once overall.
-    The graph validates that and holds the half-edge tables; the faces are
+    The graph validates that and holds the dart tables; the faces are
     the boundary circles of its thickening.
     """
 

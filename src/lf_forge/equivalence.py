@@ -141,35 +141,34 @@ def _gate(lf1: LefschetzFibration, lf2: LefschetzFibration) -> list[tuple[str, b
 
 def _propagate(g1: RibbonGraph, g2: RibbonGraph, seed1: HalfEdge, seed2: HalfEdge,
                preserve: bool) -> tuple[dict[str, str], dict[str, tuple[str, int]]] | None:
-    """Grow a half-edge correspondence from one seed, or fail.
+    """Grow a dart correspondence from one seed half-edge each, or fail.
 
     Rotation-next maps to rotation-next (or -previous when reversing) and
-    partner maps to partner; on a connected graph the closure is total, and
-    a conflict or a closure that is not injective kills the seed.  An
-    injective closure carries each rotation cycle onto a whole one, so one
-    half-edge per vertex gives the vertex bijection.  This is the search's
-    inner loop, so it reads the graphs' rotation and vertex tables directly.
+    partner to partner; on a connected graph the closure is total, and a
+    conflict or a closure that is not injective kills the seed.  An
+    injective closure carries each rotation cycle onto a whole one, so the
+    darts' vertices give the vertex bijection.  This is the search's inner
+    loop, so it reads the graphs' dart tables directly.
     """
-    next1 = g1._next
-    succ2 = g2._next if preserve else g2._prev
-    phi: dict[HalfEdge, HalfEdge] = {seed1: seed2}
-    stack = [seed1]
+    dn1, succ2 = g1._dn, (g2._dn if preserve else g2._dp)
+    phi = [-1] * len(dn1)  # phi[d]: the image of dart d
+    stack = [g1._dart(seed1)]
+    phi[stack[0]] = g2._dart(seed2)
     while stack:
-        h = stack.pop()
-        img = phi[h]
-        e, i = h
-        f, j = img
-        for nxt, nxt_img in (((e, 1 - i), (f, 1 - j)), (next1[h], succ2[img])):
-            known = phi.get(nxt)
-            if known is None:
+        d = stack.pop()
+        img = phi[d]
+        for nxt, nxt_img in ((d ^ 1, img ^ 1), (dn1[d], succ2[img])):
+            known = phi[nxt]
+            if known < 0:
                 phi[nxt] = nxt_img
                 stack.append(nxt)
             elif known != nxt_img:
                 return None
-    if len(set(phi.values())) != len(phi):
+    if len(set(phi)) != len(phi):  # also when the closure is not total: -1 repeats
         return None
-    vertex_map = {v: g2._vertex_of[phi[rot[0]]] for v, rot in g1.rotation.items()}
-    edge_map = {e: (phi[(e, 0)][0], 1 if phi[(e, 0)][1] == 0 else -1) for e in g1.edges}
+    dv2, half2 = g2._dv, g2._half
+    vertex_map = dict(zip(g1._dv, [dv2[x] for x in phi]))
+    edge_map = {e: (half2[x][0], 1 if half2[x][1] == 0 else -1) for (e, end), x in zip(g1._half, phi) if end == 0}
     return vertex_map, edge_map
 
 

@@ -119,15 +119,14 @@ class Workspace:
         departure).  The sign is +1 when it crosses t's chord from that
         chord's right to its left.
         """
-        pos = self.norm._pos
-        vertex_of = self.norm._vertex_of
+        pos, dv = self.norm._dpos, self.norm._dv
         q_in, q_out = (2, 0) if push else (1, 1)
         at: dict[str, list] = {}
         for i, walk in enumerate(walks):
-            for t, ((e, s), (f, u)) in enumerate(zip(walk, walk[1:] + walk[:1])):
-                head = (e, 1) if s > 0 else (e, 0)
-                a, d = 3 * pos[head], 3 * pos[(f, 0) if u > 0 else (f, 1)]
-                at.setdefault(vertex_of[head], []).append((i, t, a + 1, d + 1, a + q_in, d + q_out))
+            heads = self.norm.head_darts(walk)
+            for t, (head, nxt) in enumerate(zip(heads, heads[1:] + heads[:1])):
+                a, d = 3 * pos[head], 3 * pos[nxt ^ 1]
+                at.setdefault(dv[head], []).append((i, t, a + 1, d + 1, a + q_in, d + q_out))
         rotation = self.norm.rotation
         for v, chords in at.items():
             if len(chords) < 2:
@@ -259,9 +258,7 @@ def class_from_steps(surface: RibbonGraph, steps) -> HomologyClass:
 
 def _sparse_class(surface: RibbonGraph, curve: CurveOnSurface) -> dict[int, int]:
     """``curve_class`` as a sparse ``{basis index: count}`` map without
-    zero counts."""
-    if curve.host is not surface:
-        raise SurfaceError("curve lives on a different surface")
+    zero counts.  The caller checks the host."""
     index = workspace(surface).index
     counts: dict[int, int] = {}
     for e, s in curve.walk:

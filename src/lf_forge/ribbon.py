@@ -143,10 +143,13 @@ class RibbonGraph:
         self._cache = {}
 
     def _check(self, rotation) -> None:
-        """Validate the data and build the lookup tables: ``rotation``,
-        ``_vertex_of`` (the vertex of every half-edge), ``_next``/``_prev``
-        (the cyclic successor and predecessor at that vertex) and ``_pos``
-        (the index of every half-edge in its vertex's rotation)."""
+        """Validate the data and build the dart tables in one pass: the
+        k-th edge (``_eid``) has darts 2k and 2k + 1 for its ends 0 and 1,
+        so d ^ 1 is the partner of dart d and dart order is half-edge order.
+        ``_half`` holds each dart's half-edge as ``rotation`` lists it, and
+        ``_dv``, ``_dn``, ``_dp`` and ``_dpos`` its vertex, the next and
+        previous darts there and its index in that rotation.  The first
+        anomaly hands over to ``_half_edge_fault``."""
         if len(set(self.vertices)) != len(self.vertices):
             raise SurfaceError("duplicate vertex ids")
         if len(set(self.edges)) != len(self.edges):
@@ -157,40 +160,73 @@ class RibbonGraph:
         if set(rotation) != set(self.vertices):
             raise SurfaceError("rotation keys must match vertex set")
         self.rotation = {v: as_pairs(rotation[v]) for v in self.vertices}
-        seen = {h: v for v, rot in self.rotation.items() for h in rot}
-        if len(seen) != sum(map(len, self.rotation.values())):
-            seen = {}
-            for v, rot in self.rotation.items():
-                for h in rot:
-                    if h in seen:
-                        raise SurfaceError(f"half-edge {h} attached twice")
-                    seen[h] = v
-        if len(seen) != 2 * len(self.edges) or not all((e, 0) in seen and (e, 1) in seen for e in self.edges):
-            expected = {(e, i) for e in self.edges for i in (0, 1)}
-            missing = expected - seen.keys()
-            extra = seen.keys() - expected
-            raise SurfaceError(f"half-edge mismatch: missing {sorted(missing)}, unknown {sorted(extra)}")
+        eid = self._eid = {e: k for k, e in enumerate(self.edges)}
+        n = 2 * len(eid)
+        self._half, self._dv, self._dn, self._dp, self._dpos = half, dv, dn, dp, dpos = (
+            [None] * n, [None] * n, [0] * n, [0] * n, [-1] * n)
+        for v, rot in self.rotation.items():
+            darts = []
+            for i, h in enumerate(rot):
+                k, end = eid.get(h[0]), h[1]
+                if k is None or end != 0 and end != 1 or dpos[d := 2 * k + end] >= 0:
+                    self._half_edge_fault()
+                half[d], dv[d], dpos[d] = h, v, i
+                darts.append(d)
+            prev = darts[-1] if darts else 0
+            for d in darts:
+                dn[prev], dp[d] = d, prev
+                prev = d
+        if -1 in dpos:
+            self._half_edge_fault()
         if not self.twists <= set(self.edges):
             raise SurfaceError("twist set contains unknown edges")
-        self._vertex_of = seen
-        self._next = {a: b for rot in self.rotation.values() for a, b in zip(rot, rot[1:] + rot[:1])}
-        self._prev = {b: a for a, b in self._next.items()}
-        self._pos = {h: i for rot in self.rotation.values() for i, h in enumerate(rot)}
+
+    def _half_edge_fault(self):
+        """Raise the first fault of the half-edges in ``rotation``: one
+        attached twice, else the missing and unknown ones."""
+        seen = set()
+        for h in (h for rot in self.rotation.values() for h in rot):
+            if h in seen:
+                raise SurfaceError(f"half-edge {h} attached twice")
+            seen.add(h)
+        expected = {(e, i) for e in self.edges for i in (0, 1)}
+        raise SurfaceError(f"half-edge mismatch: missing {sorted(expected - seen)}, unknown {sorted(seen - expected)}")
+
+    def _dart(self, half_edge: HalfEdge) -> int:
+        """The dart of a half-edge; KeyError when it is not on this graph."""
+        e, end = half_edge
+        if end != 0 and end != 1:
+            raise KeyError(half_edge)
+        return 2 * self._eid[e] + end
+
+    def head_darts(self, walk) -> list[int]:
+        """The dart every step of ``walk`` arrives on: (e, 1) for a forward
+        step (e, +1), (e, 0) for (e, -1); the step departs from its partner.
+        The first step that is not on this graph raises SurfaceError."""
+        eid = self._eid
+        darts = []
+        for e, s in walk:
+            k = eid.get(e)
+            if k is None or s != 1 and s != -1:
+                raise SurfaceError(f"walk step ({e!r}, {s}) is not on the surface")
+            darts.append(2 * k + (s > 0))
+        return darts
 
     # -- basic structure ---------------------------------------------------
 
     def vertex_of(self, half_edge: HalfEdge) -> str:
-        return self._vertex_of[half_edge]
+        return self._dv[self._dart(half_edge)]
 
     def edge_endpoints(self, edge: str) -> tuple[str, str]:
         """(tail, head) for the forward traversal of ``edge``."""
-        return self._vertex_of[(edge, 0)], self._vertex_of[(edge, 1)]
+        k = 2 * self._eid[edge]
+        return self._dv[k], self._dv[k + 1]
 
     def rotation_next(self, half_edge: HalfEdge) -> HalfEdge:
-        return self._next[half_edge]
+        return self._half[self._dn[self._dart(half_edge)]]
 
     def rotation_prev(self, half_edge: HalfEdge) -> HalfEdge:
-        return self._prev[half_edge]
+        return self._half[self._dp[self._dart(half_edge)]]
 
     @staticmethod
     def partner(half_edge: HalfEdge) -> HalfEdge:
@@ -214,17 +250,16 @@ class RibbonGraph:
         ``tests/oracles.py`` traces the twisted presentation instead.
         """
         if "faces" not in self._cache:
-            nxt = self.normalized()._next
-            seen = set()
+            dn, half = self.normalized()._dn, self._half
+            seen = [False] * len(dn)
             orbits = []
-            for start in ((e, i) for e in self.edges for i in (0, 1)):
-                if start not in seen:
-                    orbit = [start]
-                    cur = nxt[(start[0], 1 - start[1])]
-                    while cur != start:
-                        orbit.append(cur)
-                        cur = nxt[(cur[0], 1 - cur[1])]
-                    seen.update(orbit)
+            for start in range(len(dn)):
+                orbit, cur = [], start
+                while not seen[cur]:
+                    seen[cur] = True
+                    orbit.append(half[cur])
+                    cur = dn[cur ^ 1]
+                if orbit:
                     orbits.append(tuple(orbit))
             self._cache["faces"] = tuple(orbits)
         return self._cache["faces"]
@@ -247,7 +282,8 @@ class RibbonGraph:
         """``orientation_signs`` of this graph, cached: the signs and the
         number of components."""
         if "orientation" not in self._cache:
-            self._cache["orientation"] = orientation_signs(self.vertices, self.edges, self._vertex_of,
+            dv = self._dv
+            self._cache["orientation"] = orientation_signs(self.vertices, self.edges, zip(dv[0::2], dv[1::2]),
                                                            self.twists)
         return self._cache["orientation"]
 
@@ -262,10 +298,10 @@ class RibbonGraph:
         endpoint and leaves the surface unchanged.  Only defined for
         orientable graphs.  Vertex, edge and half-edge ids are preserved.
 
-        The tables come from this validated graph rather than from the
-        constructor, which could not fail on them: the half-edges sit at the
-        same vertices, and at a reversed vertex successor and predecessor
-        swap and the index i of a rotation of length d becomes d - 1 - i.
+        The dart tables come from this validated graph rather than from the
+        constructor, which could not fail on them: the darts sit at the same
+        vertices, and at a reversed vertex successor and predecessor swap
+        and the index i of a rotation of length d becomes d - 1 - i.
         ``tests/oracles.py`` holds the constructor-built reference.
         """
         if "normalized" in self._cache:
@@ -277,22 +313,14 @@ class RibbonGraph:
             self._cache["normalized"] = None  # already oriented; caching self would make a cycle
             return self
         norm = object.__new__(RibbonGraph)
-        norm.vertices = self.vertices
-        norm.edges = self.edges
-        norm.twists = frozenset()
+        norm.vertices, norm.edges, norm.twists, norm._cache = self.vertices, self.edges, frozenset(), {}
         norm.rotation = _oriented_rotation(self.rotation, eps)
-        norm._vertex_of = self._vertex_of
-        nxt, prv, pos = self._next, self._prev, self._pos
-        norm._next, norm._prev, norm._pos = dict(nxt), dict(prv), dict(pos)
-        for v, s in eps.items():
-            if s < 0:
-                rot = self.rotation[v]
-                last = len(rot) - 1
-                for h in rot:
-                    norm._next[h] = prv[h]
-                    norm._prev[h] = nxt[h]
-                    norm._pos[h] = last - pos[h]
-        norm._cache = {}
+        norm._eid, norm._half, norm._dv = self._eid, self._half, self._dv
+        dn, dp, dpos = self._dn, self._dp, self._dpos
+        norm._dn, norm._dp, norm._dpos = ndn, ndp, ndpos = dn[:], dp[:], dpos[:]
+        for d, v in enumerate(self._dv):
+            if eps[v] < 0:
+                ndn[d], ndp[d], ndpos[d] = dp[d], dn[d], len(self.rotation[v]) - 1 - dpos[d]
         self._cache["normalized"] = norm
         return norm
 
@@ -343,35 +371,28 @@ class RibbonGraph:
             return None
         # Walk each maximal chain of degree-2 vertices from its anchored ends.
         edge_map: dict[str, tuple[str, int]] = {}
-        new_edges = []
-        new_twists = set()
-        consumed = set()
+        new_edges, new_twists, consumed = [], set(), set()
         half_replacement: dict[HalfEdge, HalfEdge] = {}
+        dv, dn, half = self._dv, self._dn, self._half
 
-        def hops(h):
-            """Follow a chain starting into half-edge h's edge, away from it."""
+        def hops(d):
+            """Follow a chain starting into dart d's edge, away from it: the
+            half-edges passed and the far anchor's half-edge."""
             path = []
-            cur = h  # half-edge at the anchor vertex, pointing into the chain
-            while True:
-                path.append(cur)
-                far = self.partner(cur)
-                v = self._vertex_of[far]
-                if v not in deg2:
-                    return path, far
-                a, b = self.rotation[v]
-                cur = b if a == far else a
+            while True:  # d sits at the anchor or a chain vertex, pointing into the chain
+                path.append(half[d])
+                d ^= 1
+                if dv[d] not in deg2:
+                    return path, half[d]
+                d = dn[d]  # the degree-2 vertex's other dart
 
         for v in sorted(set(self.vertices) - deg2):
             for h in self.rotation[v]:
-                if h[0] in consumed:
+                if h[0] in consumed or dv[self._dart(h) ^ 1] not in deg2:
                     continue
-                far_v = self._vertex_of[self.partner(h)]
-                if far_v not in deg2:
-                    continue
-                path, far = hops(h)
-                for k in path:
-                    consumed.add(k[0])
+                path, far = hops(self._dart(h))
                 chain = [k[0] for k in path]
+                consumed.update(chain)
                 new_id = min(chain)
                 twist = sum(1 for e in chain if e in self.twists) % 2
                 # Forward orientation of the merged edge follows the walk
@@ -509,20 +530,19 @@ class RibbonGraph:
         return f"RibbonGraph(V={len(self.vertices)}, E={len(self.edges)}, twists={len(self.twists)})"
 
 
-def orientation_signs(vertices, edges, vertex_of, twists) -> tuple[dict[str, int] | None, int]:
+def orientation_signs(vertices, edges, ends, twists) -> tuple[dict[str, int] | None, int]:
     """Consistent +-1 per vertex from the bands alone, and the number of
     connected components.
 
-    ``vertex_of`` maps both half-edges (e, 0) and (e, 1) of every edge to
-    their vertices.  An untwisted band (edge not in ``twists``) asks for
+    ``ends`` gives the (tail, head) pair of every edge, in the order of
+    ``edges``.  An untwisted band (edge not in ``twists``) asks for
     equal signs at its ends, a twisted one for opposite signs, so a loop
     must be untwisted.  Each component's least vertex gets +1.  The signs
     are None when some band disagrees; the components are counted in full
     either way.
     """
     adj: dict[str, list[tuple[str, bool]]] = {v: [] for v in vertices}
-    for e in edges:
-        t, h = vertex_of[(e, 0)], vertex_of[(e, 1)]
+    for e, (t, h) in zip(edges, ends):
         flip = e in twists
         adj[t].append((h, flip))
         adj[h].append((t, flip))

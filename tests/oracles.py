@@ -97,6 +97,20 @@ def mirrored(g: RibbonGraph) -> RibbonGraph:
     return RibbonGraph(g.vertices, g.edges, rotation, g.twists)
 
 
+def half_edge_tables(g: RibbonGraph) -> tuple[dict, dict, dict, dict]:
+    """The reference for the dart tables, keyed by half-edge and rebuilt
+    from ``g.rotation``: each half-edge's vertex, its successor and
+    predecessor in that vertex's rotation, and its index there."""
+    vertex_of, nxt, prv, pos = {}, {}, {}, {}
+    for v, rot in g.rotation.items():
+        for i, h in enumerate(rot):
+            vertex_of[h] = v
+            nxt[h] = rot[(i + 1) % len(rot)]
+            prv[h] = rot[i - 1]
+            pos[h] = i
+    return vertex_of, nxt, prv, pos
+
+
 def normalized(g: RibbonGraph) -> RibbonGraph:
     """The reference for ``RibbonGraph.normalized``: the constructor run on
     the oriented rotation, so every table is built and checked afresh."""
@@ -112,6 +126,12 @@ def step_head(surface: RibbonGraph, step) -> str:
     return surface.vertex_of((e, 1 if s > 0 else 0))
 
 
+def step_head_half(step):
+    """Half-edge at the head vertex, where the traversal arrives."""
+    e, s = step
+    return (e, 1 if s > 0 else 0)
+
+
 def step_tail_half(step):
     """Half-edge at the tail vertex, where the traversal departs."""
     e, s = step
@@ -123,12 +143,11 @@ def check_walk(surface: RibbonGraph, walk) -> None:
     head first, then compare the heads with the next tails."""
     if not walk:
         raise SurfaceError("empty walk")
-    vertex_of = surface._vertex_of
     tails, heads = [], []
     for e, s in walk:
-        if (e, 0) not in vertex_of or s not in (1, -1):
+        if e not in surface.edges or s not in (1, -1):
             raise SurfaceError(f"walk step ({e!r}, {s}) is not on the surface")
-        ends = (vertex_of[(e, 0)], vertex_of[(e, 1)])
+        ends = surface.edge_endpoints(e)
         tails.append(ends[s < 0])
         heads.append(ends[s > 0])
     tails.append(tails[0])

@@ -382,16 +382,16 @@ def test_divide_fiber_keeps_the_orientation_it_computed(monkeypatch, genus):
     them once (the divide's own graph is oriented too)."""
     calls = []
 
-    def counted(vertices, edges, vertex_of, twists):
+    def counted(vertices, edges, ends, twists):
         calls.append(sorted(vertices))
-        return orientation_signs(vertices, edges, vertex_of, twists)
+        return orientation_signs(vertices, edges, ends, twists)
 
     monkeypatch.setattr(builders, "orientation_signs", counted)
     monkeypatch.setattr(ribbon, "orientation_signs", counted)
     fiber = ishikawa_fibration(genus).fiber
     monkeypatch.undo()
     assert calls.count(list(fiber.vertices)) == 1
-    fresh = orientation_signs(fiber.vertices, fiber.edges, fiber._vertex_of, fiber.twists)
+    fresh = orientation_signs(fiber.vertices, fiber.edges, map(fiber.edge_endpoints, fiber.edges), fiber.twists)
     assert fiber._cache["orientation"] == fresh
     assert fresh[0] is not None and fresh[1] == 1
 

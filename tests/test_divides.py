@@ -70,11 +70,22 @@ _X = (("e", 0), ("e", 1), ("f", 0), ("f", 1))
     (("x",), ("e", "f"), {"x": (("e", 0), ("e", 1), ("f", 0))},
      "crossing 'x' has 3 slots, divides need exactly 4"),
     ((), (), {}, "empty divide description"),
+    (("x", "y"), ("e", "f", "g", "h"),
+     {"x": (("zz", 0), ("e", 1), ("f", 0), ("f", 1)), "y": (("g", 0), ("g", 1), ("h", 0), ("h", 0))},
+     "half-edge ('h', 0) attached twice"),
+    (("x",), ("e", "f"), {"x": (("e", 0), ("e", 1), ("f", 0), ("f", 2))},
+     "half-edge mismatch: missing [('f', 1)], unknown [('f', 2)]"),
+    (("x",), ("e", "f"), {"x": (("e", False), ("e", True), ("f", False), ("g", True))},
+     "half-edge mismatch: missing [('f', 1)], unknown [('g', 1)]"),
 ], ids=["duplicate-vertex", "duplicate-edge", "minus-edge", "rotation-keys",
-        "three-slots", "attached-twice", "missing-and-unknown", "lone-three-slots", "empty"])
+        "three-slots", "attached-twice", "missing-and-unknown", "lone-three-slots", "empty",
+        "unknown-then-attached-twice", "end-two", "bool-end-rebuilt"])
 def test_constructor_names_each_fault(vertices, edges, rotation, message):
     """One fault per input, except that a lone odd crossing always leaves a
-    half-edge unpaired too: the valence is named first."""
+    half-edge unpaired too: the valence is named first.  The last rows pin
+    the order of the half-edge faults: a half-edge attached twice is named
+    before an unknown one met earlier, an end other than 0 or 1 is unknown,
+    and a ``bool`` end is read as the integer it equals."""
     with pytest.raises(DivideError) as err:
         Divide(vertices, edges, rotation)
     assert str(err.value) == message

@@ -181,7 +181,7 @@ ODD_ROTATIONS = [
 def test_odd_typed_rotation_entries_are_stored_as_str_int_tuples(pants, rotation):
     g = RibbonGraph(("u", "v"), ("e", "f", "g"), rotation)
     assert g.rotation == pants.rotation
-    halves = [h for rot in g.rotation.values() for h in rot] + [*g._vertex_of, *g._next, *g._prev, *g._pos]
+    halves = [h for rot in g.rotation.values() for h in rot] + g._half
     assert all(type(h) is tuple and type(h[0]) is str and type(h[1]) is int for h in halves)
     assert g.to_json_dict() == pants.to_json_dict()  # half-edge ids read e.0, never e.False
     assert g.invariants() == pants.invariants()
@@ -210,6 +210,25 @@ def test_rotation_steps_follow_the_cyclic_order(g):
         for i, h in enumerate(rot):
             assert g.rotation_next(h) == rot[(i + 1) % len(rot)]
             assert g.rotation_prev(h) == rot[(i - 1) % len(rot)]
+
+
+@given(ribbon_graphs())
+def test_dart_tables_match_the_half_edge_oracle(g):
+    """On a graph and on its normalized form: edge k has darts 2k and 2k + 1,
+    so dart order is sorted half-edge order and the partner of dart d is
+    d ^ 1, and every dart's vertex, successor, predecessor and rotation
+    index are those of its half-edge in the rebuilt reference."""
+    for graph in [g] + ([g.normalized()] if g.is_orientable() else []):
+        vertex_of, nxt, prv, pos = oracles.half_edge_tables(graph)
+        half = graph._half
+        assert graph._eid == {e: k for k, e in enumerate(graph.edges)}
+        assert half == sorted(vertex_of) == [(e, i) for e in graph.edges for i in (0, 1)]
+        for d, h in enumerate(half):
+            assert half[d ^ 1] == graph.partner(h)
+            assert graph._dv[d] == vertex_of[h]
+            assert half[graph._dn[d]] == nxt[h]
+            assert half[graph._dp[d]] == prv[h]
+            assert graph._dpos[d] == pos[h]
 
 
 @given(ribbon_graphs())
@@ -278,7 +297,7 @@ def test_normalization_clears_twists_and_preserves_type(g):
 
 def tables(g):
     """Every table a ribbon graph holds."""
-    return g.vertices, g.edges, g.twists, g.rotation, g._vertex_of, g._next, g._prev, g._pos
+    return g.vertices, g.edges, g.twists, g.rotation, g._eid, g._half, g._dv, g._dn, g._dp, g._dpos
 
 
 @given(ribbon_graphs())
@@ -397,7 +416,7 @@ def brute_force_orientations(g):
 @given(loose_ribbon_graphs())
 def test_orientation_signs_match_the_oracle(g):
     expected = brute_force_orientations(g)
-    assert orientation_signs(g.vertices, g.edges, g._vertex_of, g.twists) == expected
+    assert orientation_signs(g.vertices, g.edges, map(g.edge_endpoints, g.edges), g.twists) == expected
     assert g.local_orientations() == expected[0]
     assert g.is_connected() == (expected[1] <= 1)
 
