@@ -388,9 +388,9 @@ class RibbonGraph:
 
         for v in sorted(set(self.vertices) - deg2):
             for h in self.rotation[v]:
-                if h[0] in consumed or dv[self._dart(h) ^ 1] not in deg2:
+                if h[0] in consumed or dv[(d := self._dart(h)) ^ 1] not in deg2:
                     continue
-                path, far = hops(self._dart(h))
+                path, far = hops(d)
                 chain = [k[0] for k in path]
                 consumed.update(chain)
                 new_id = min(chain)
