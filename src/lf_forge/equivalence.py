@@ -71,14 +71,14 @@ def carry_curve(curve: CurveOnSurface, target: RibbonGraph,
 
 
 def reduced_word(fib: LefschetzFibration) -> tuple[RibbonGraph, dict[str, CurveOnSurface]]:
-    """The fiber with degree-two vertices suppressed and twists cleared
-    (``RibbonGraph._reduced``, each kept vertex oriented by the full
-    fiber's own sign), with the word carried onto it.  When that is the
-    fiber itself (every plumbing fiber, either orientation), the word's own
-    curves are returned: the identity edge map would carry each onto an
-    equal walk on that graph.
+    """The fiber oriented by its own signs and then smoothed
+    (``normalized().smoothed()``), with the word carried onto it.  A
+    non-orientable fiber raises NonOrientableError before any smoothing
+    error.  When the reduction is the fiber itself (every plumbing fiber,
+    either orientation), the word's own curves are returned: the identity
+    edge map would carry each onto an equal walk on that graph.
     """
-    norm, edge_map = fib.fiber._reduced()
+    norm, edge_map = fib.fiber.normalized().smoothed()
     if norm is fib.fiber:
         return norm, {c.name: c for c in fib.word}
     return norm, {c.name: carry_curve(c, norm, edge_map) for c in fib.word}
@@ -109,16 +109,6 @@ class FibrationIso(Record):
         object.__setattr__(self, "edge_map", edge_map)
         object.__setattr__(self, "orientation_preserving", orientation_preserving)
         object.__setattr__(self, "cycle_map", cycle_map)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "isomorphism/1",
-            "genus": self.source.genus,
-            "found": True,
-            "orientation_preserving": self.orientation_preserving,
-            "cycle_map": dict(sorted(self.cycle_map.items())),
-            "checks": [{"name": n, "passed": True} for n in _CHECK_NAMES],
-        }
 
 
 _CHECK_NAMES = (
@@ -316,19 +306,17 @@ def isomorphism_certificate(lf1: LefschetzFibration, lf2: LefschetzFibration) ->
     """Certificate document for a comparison, found or not; a search that
     fails lists its checks up to the one that failed."""
     gate = _gate(lf1, lf2)
-    passed = all(ok for _, ok in gate)
-    iso, failed = _search(lf1, lf2) if passed else (None, None)
-    if iso is not None:
-        return iso.to_json_dict()
     checks = [{"name": n, "passed": ok} for n, ok in gate]
-    if passed:
-        searched = _CHECK_NAMES[len(gate):_CHECK_NAMES.index(failed) + 1]
-        checks += [{"name": n, "passed": n != failed} for n in searched]
+    iso = None
+    if all(ok for _, ok in gate):
+        iso, failed = _search(lf1, lf2)
+        end = len(_CHECK_NAMES) if iso is not None else _CHECK_NAMES.index(failed) + 1
+        checks += [{"name": n, "passed": n != failed} for n in _CHECK_NAMES[len(gate):end]]
     return {
         "schema": "isomorphism/1",
         "genus": lf1.genus,
-        "found": False,
-        "orientation_preserving": None,
-        "cycle_map": None,
+        "found": iso is not None,
+        "orientation_preserving": iso.orientation_preserving if iso else None,
+        "cycle_map": dict(sorted(iso.cycle_map.items())) if iso else None,
         "checks": checks,
     }

@@ -256,10 +256,10 @@ def class_from_steps(surface: RibbonGraph, steps) -> HomologyClass:
     return HomologyClass(surface, tuple(vec))
 
 
-def _sparse_class(surface: RibbonGraph, curve: CurveOnSurface) -> dict[int, int]:
+def _sparse_class(index: dict[str, int], curve: CurveOnSurface) -> dict[int, int]:
     """``curve_class`` as a sparse ``{basis index: count}`` map without
-    zero counts.  The caller checks the host."""
-    index = workspace(surface).index
+    zero counts, read through the host workspace's ``index``.  The caller
+    checks the host."""
     counts: dict[int, int] = {}
     for e, s in curve.walk:
         i = index.get(e)

@@ -182,8 +182,8 @@ def fibration_homology(page: RibbonGraph, word) -> tuple[FinAbGroup, FinAbGroup,
         if c.host is not page:
             raise SurfaceError("cycle lives on a different surface")
         c.require_edge_simple()
-    ws = workspace(page)  # held, so that every _sparse_class finds it in the weak cache
-    classes = [_sparse_class(page, c) for c in word]
+    ws = workspace(page)
+    classes = [_sparse_class(ws.index, c) for c in word]
     return _peeled_homology(len(ws.basis), classes, ws.pairings(word))
 
 

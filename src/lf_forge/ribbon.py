@@ -314,7 +314,7 @@ class RibbonGraph:
             return self
         norm = object.__new__(RibbonGraph)
         norm.vertices, norm.edges, norm.twists, norm._cache = self.vertices, self.edges, frozenset(), {}
-        norm.rotation = _oriented_rotation(self.rotation, eps)
+        norm.rotation = {v: rot if eps[v] == 1 else rot[::-1] for v, rot in self.rotation.items()}
         norm._eid, norm._half, norm._dv = self._eid, self._half, self._dv
         dn, dp, dpos = self._dn, self._dp, self._dpos
         norm._dn, norm._dp, norm._dpos = ndn, ndp, ndpos = dn[:], dp[:], dpos[:]
@@ -348,27 +348,19 @@ class RibbonGraph:
 
         Returns the reduced graph and a map old edge -> (new edge, sign):
         traversing the old edge forward corresponds to traversing the new
-        edge with that sign.  A component that is entirely a cycle of
+        edge with that sign.  Each merged edge runs forward out of the first
+        anchor half-edge that starts its chain, the anchors taken in vertex
+        order and each anchor's half-edges in half-edge order, so reversing
+        a rotation does not change the direction of a chain that leaves and
+        re-enters one anchor: smoothing ``normalized()`` equals smoothing
+        and then orienting.  A component that is entirely a cycle of
         degree-2 vertices cannot be smoothed and raises.  Returns this graph
-        itself when no vertex is suppressible.  ``_reduced`` orients the same
-        tables (``_smoothing_tables``) by this graph's signs without building
-        this graph, and is tested against smoothing and then orienting.
+        itself when no vertex is suppressible.
         """
-        tables = self._smoothing_tables()
-        if tables is None:
-            return self, {e: (e, 1) for e in self.edges}
-        vertices, edges, rotation, twists, edge_map = tables
-        return RibbonGraph(vertices, edges, rotation, twists), edge_map
-
-    def _smoothing_tables(self):
-        """The data of ``smoothed`` before construction: (kept vertices,
-        edges, rotation, twists, edge map), or None when no vertex is
-        suppressible.  Raises the smoothing's own errors; the constructor's
-        are left to whoever builds the graph."""
         deg2 = {v for v in self.vertices if len(self.rotation[v]) == 2
                 and self.rotation[v][0][0] != self.rotation[v][1][0]}
         if not deg2:
-            return None
+            return self, {e: (e, 1) for e in self.edges}
         # Walk each maximal chain of degree-2 vertices from its anchored ends.
         edge_map: dict[str, tuple[str, int]] = {}
         new_edges, new_twists, consumed = [], set(), set()
@@ -387,7 +379,7 @@ class RibbonGraph:
                 d = dn[d]  # the degree-2 vertex's other dart
 
         for v in sorted(set(self.vertices) - deg2):
-            for h in self.rotation[v]:
+            for h in sorted(self.rotation[v]):
                 if h[0] in consumed or dv[(d := self._dart(h)) ^ 1] not in deg2:
                     continue
                 path, far = hops(d)
@@ -395,8 +387,6 @@ class RibbonGraph:
                 consumed.update(chain)
                 new_id = min(chain)
                 twist = sum(1 for e in chain if e in self.twists) % 2
-                # Forward orientation of the merged edge follows the walk
-                # direction out of the first anchor.
                 new_edges.append(new_id)
                 if twist:
                     new_twists.add(new_id)
@@ -415,26 +405,7 @@ class RibbonGraph:
         if not kept:
             raise SurfaceError("cannot smooth a pure cycle of degree-2 vertices")
         rotation = {v: tuple(half_replacement.get(h, h) for h in self.rotation[v]) for v in kept}
-        return kept, new_edges, rotation, new_twists, edge_map
-
-    def _reduced(self) -> tuple["RibbonGraph", dict[str, tuple[str, int]]]:
-        """``smoothed`` and then every kept vertex oriented by this graph's
-        own signs (``local_orientations``), in one construction.  Orienting
-        the smoothed graph by its own signs could anchor a component at
-        another vertex and so mirror it against this page.  Returns the
-        reduced graph and the smoothing's edge map; the smoothing's errors
-        come first, then the smoothed graph's, then NonOrientableError,
-        which ``tests/test_ribbon.py`` keeps as the oracle.
-        """
-        tables = self._smoothing_tables()
-        if tables is None:
-            return self.normalized(), {e: (e, 1) for e in self.edges}
-        vertices, edges, rotation, twists, edge_map = tables
-        eps = self.local_orientations()
-        if eps is None:
-            RibbonGraph(vertices, edges, rotation, twists)  # the smoothed graph's errors come first
-            raise NonOrientableError("cannot orient a non-orientable surface")
-        return RibbonGraph(vertices, edges, _oriented_rotation(rotation, eps), ()), edge_map
+        return RibbonGraph(kept, new_edges, rotation, new_twists), edge_map
 
     # -- serialization -------------------------------------------------------
 
@@ -566,10 +537,3 @@ def orientation_signs(vertices, edges, ends, twists) -> tuple[dict[str, int] | N
                     consistent = False
     return (eps if consistent else None), components
 
-
-def _oriented_rotation(rotation, signs):
-    """``rotation`` with every vertex of sign -1 reversed.
-
-    The signs come from ``orientation_signs``, so they clear every twist: a
-    band is twisted exactly when its ends' signs differ."""
-    return {v: rot if signs[v] == 1 else rot[::-1] for v, rot in rotation.items()}

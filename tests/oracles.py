@@ -12,7 +12,7 @@ from lf_forge.curves import CurveOnSurface, reversed_step
 from lf_forge.divides import Divide, checkerboard_coloring
 from lf_forge.homology import HomologyClass, curve_class, workspace
 from lf_forge.invariants import FinAbGroup, _cokernel_from_diagonal, _sparse_snf_diagonal
-from lf_forge.ribbon import RibbonGraph, SurfaceError, _oriented_rotation
+from lf_forge.ribbon import RibbonGraph, SurfaceError
 
 
 class TransversalityError(SurfaceError):
@@ -114,7 +114,9 @@ def half_edge_tables(g: RibbonGraph) -> tuple[dict, dict, dict, dict]:
 def normalized(g: RibbonGraph) -> RibbonGraph:
     """The reference for ``RibbonGraph.normalized``: the constructor run on
     the oriented rotation, so every table is built and checked afresh."""
-    return RibbonGraph(g.vertices, g.edges, _oriented_rotation(g.rotation, g.local_orientations()), ())
+    eps = g.local_orientations()
+    rotation = {v: rot if eps[v] == 1 else rot[::-1] for v, rot in g.rotation.items()}
+    return RibbonGraph(g.vertices, g.edges, rotation, ())
 
 
 # -- steps of walks -----------------------------------------------------------------

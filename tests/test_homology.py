@@ -62,7 +62,7 @@ def test_certificate_leaves_the_tree_adjacency_unbuilt(build):
     assert ws._tree_adj is None
     cycle = ws.basis_cycle(ws.basis[0])
     assert ws._tree_adj is not None
-    assert _sparse_class(fib.fiber, cycle) == {0: 1}
+    assert _sparse_class(ws.index, cycle) == {0: 1}
 
 
 def test_one_vertex_basis_cycles_are_unit_classes(punctured_torus):
@@ -94,7 +94,7 @@ def test_sparse_class_is_the_nonzero_part_of_curve_class(built):
         )
         for c in fib.word + reversals:
             vector = curve_class(fib.fiber, c).vector
-            assert _sparse_class(fib.fiber, c) == {i: x for i, x in enumerate(vector) if x}
+            assert _sparse_class(workspace(fib.fiber).index, c) == {i: x for i, x in enumerate(vector) if x}
     # _sparse_class trusts its caller with the host: fibration_homology checks it
     with pytest.raises(SurfaceError, match="different surface"):
         fibration_homology(built("johns", 1).fiber, built("johns", 2).word[:1])

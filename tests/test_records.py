@@ -125,6 +125,38 @@ def test_every_module_level_import_is_read():
     assert unread == []
 
 
+
+def test_every_private_name_is_read():
+    """Each private function, method, class or module-level assignment of
+    the package (a name starting with ``_`` that is not a dunder) is read
+    somewhere in the package, as a name or an attribute.  A helper whose
+    last caller is deleted must go with it."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted((SRC / "lf_forge").glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+
+    def private(name):
+        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+    defined = []
+    for module, tree in trees.items():
+        scopes = [tree] + [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+        for scope in scopes:
+            for node in scope.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    defined.append((module, node.lineno, node.name))
+                elif scope is tree and isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    defined += [(module, node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+    unread = [f"{module}:{line} {name}" for module, line, name in defined if private(name) and name not in read]
+    assert unread == []
+
 # The layers that check a build; building imports none of them.
 _CHECKING_LAYERS = ["lf_forge.certify", "lf_forge.equivalence", "lf_forge.invariants", "lf_forge.homology"]
 

@@ -129,8 +129,7 @@ def _unsigned_sparse_class(monkeypatch):
     """Count every co-tree traversal as +1 in the sparse word classes:
     ``abs(s)`` in ``homology._sparse_class``."""
 
-    def unsigned(surface, curve):
-        index = homology.workspace(surface).index
+    def unsigned(index, curve):
         counts = {}
         for e, s in curve.walk:
             i = index.get(e)
