@@ -127,19 +127,24 @@ def simultaneous_surgery(surface: RibbonGraph, family_x, family_y) -> tuple[Curv
     strand of the other.
 
     The resolved curves are returned sorted by their least edge, each walk
-    starting at that edge, named ``c0``, ``c1``, ...
+    starting at that edge, named ``c0``, ``c1``, ... (``_surgery_walks``).
+    """
+    return tuple(CurveOnSurface(surface, f"c{i}", walk)
+                 for i, walk in enumerate(_surgery_walks(surface, family_x, family_y)))
 
-    The last successful smoothing on a surface is kept in its cache as walk
-    tuples only, so the cache makes no cycle through the surface.  A call
-    whose curves carry the very same walk objects (``is``), in order, on
-    that surface rebuilds its outputs from them without tracing: a fresh
-    plumbing build's certificate reuses the builder's smoothing.  Errors are
-    not kept.
+
+def _surgery_walks(surface: RibbonGraph, family_x, family_y) -> tuple[tuple[Step, ...], ...]:
+    """The walks of ``simultaneous_surgery``'s curves.  The last successful
+    smoothing on a surface is kept in its cache as walk tuples only, so the
+    cache makes no cycle through the surface.  A call whose curves carry
+    the very same walk objects (``is``), in order, on that surface returns
+    the kept walks without tracing: a fresh plumbing build's certificate
+    reuses the builder's smoothing.  Errors are not kept.
     """
     family_x, family_y = tuple(family_x), tuple(family_y)
     memo = surface._cache.get("smoothing")
     if memo is not None and _same_walks(surface, memo[0], family_x) and _same_walks(surface, memo[1], family_y):
-        return tuple(CurveOnSurface(surface, f"c{i}", walk) for i, walk in enumerate(memo[2]))
+        return memo[2]
     owner: dict[str, Step] = {}
     for curves in (family_x, family_y):
         for c in curves:
@@ -178,10 +183,10 @@ def simultaneous_surgery(surface: RibbonGraph, family_x, family_y) -> tuple[Curv
             walk.append(owner[half[d][0]])
             depart[d], d = -1, depart[d] ^ 1
         if walk:
-            outputs.append(CurveOnSurface(surface, f"c{len(outputs)}", tuple(walk)))
-    surface._cache["smoothing"] = (tuple(c.walk for c in family_x), tuple(c.walk for c in family_y),
-                                   tuple(c.walk for c in outputs))
-    return tuple(outputs)
+            outputs.append(tuple(walk))
+    outputs = tuple(outputs)
+    surface._cache["smoothing"] = (tuple(c.walk for c in family_x), tuple(c.walk for c in family_y), outputs)
+    return outputs
 
 
 def _same_walks(surface: RibbonGraph, walks: tuple, curves: tuple) -> bool:
@@ -192,20 +197,21 @@ def _same_walks(surface: RibbonGraph, walks: tuple, curves: tuple) -> bool:
 
 def closing_smoothing(fib: LefschetzFibration) -> tuple[bool, str | None] | None:
     """The one check of a word's closing move: smooth its a family through
-    its b family on its own fiber; the outputs must be its c family up to
-    basepoint, compared by canonical rotation.  None when the word lacks
-    one of the three families; else (True, None), (False, None) on a
-    mismatch, or (False, message) when the smoothing raises a SurfaceError.
-    A fresh plumbing build answers from the smoothing its fiber keeps."""
+    its b family on its own fiber; the output walks (``_surgery_walks``,
+    unchecked, as each c-cycle is checked) must be its c family up to
+    basepoint, compared by canonical rotation.  None when the word lacks one
+    of the three families; else (True, None), (False, None) on a mismatch,
+    or (False, message) when the smoothing raises a SurfaceError.  A fresh
+    plumbing build answers from the smoothing its fiber keeps."""
     fams = word_families(fib)
     if not {"a", "b", "c"} <= fams.keys():
         return None
     try:
-        outs = simultaneous_surgery(fib.fiber, fams["a"], fams["b"])
+        outs = _surgery_walks(fib.fiber, fams["a"], fams["b"])
     except SurfaceError as exc:
         return False, str(exc)
     wanted = {canonical_rotation(c.walk) for c in fams["c"]}
-    return len(outs) == len(fams["c"]) and all(canonical_rotation(c.walk) in wanted for c in outs), None
+    return len(outs) == len(fams["c"]) and all(canonical_rotation(w) in wanted for w in outs), None
 
 
 # -- the divide fiber --------------------------------------------------------------

@@ -3,28 +3,27 @@
 The two builders present the same surface differently: the divide fiber
 carries subdivision points and twist bits that the plumbing fiber does not.
 Comparison therefore happens on the reduced presentation (degree-two vertices
-suppressed, twist bits cleared), where an isomorphism is a vertex/edge
-bijection that preserves every rotation or reverses every rotation, carries
-each named cycle of one word onto a cycle of the other within the same
-family, and commutes with the closing smoothing move.  That last condition
-is each word's own ``closing_smoothing``, the check a certificate makes,
-replayed once per word on its own fiber.  The smoothing is resolved at
-4-valent crossing vertices by the interleaving of the strands, so its
-answer does not change when degree-two vertices are suppressed, twist bits
-are cleared or every rotation is reversed; and a bijection of either
-orientation carries one word's smoothing onto the other word's.  So the
-two replays decide the condition for every map, whichever word is the
-source; a fresh plumbing build answers from the smoothing its fiber keeps,
-and any other word traces its own once.  The two words must have the same
-family blocks (maximal runs of one family) in word order; the cycles of one
-family are matched as a set.
+suppressed, twist bits cleared), read off each oriented fiber's own darts
+(``_Reduction``) with no reduced graph or curve built.  There an isomorphism
+is a vertex/edge bijection that preserves every rotation or reverses every
+rotation, carries each named cycle of one word onto a cycle of the other
+within the same family, and commutes with the closing smoothing move.  That
+last condition is each word's own ``closing_smoothing``, the check a
+certificate makes, replayed once per word on its own fiber: the smoothing is
+resolved at 4-valent crossings by the interleaving of the strands, so
+suppressing degree-two vertices, clearing twist bits or reversing every
+rotation does not change it, and a bijection of either orientation carries
+one word's smoothing onto the other's.  A fresh plumbing build answers from
+the smoothing its fiber keeps.  The two words must have the same family
+blocks (maximal runs of one family) in word order; the cycles of one family
+are matched as a set.
 
 The search is anchored: the image of the first first-family core must run
 along a first-family core of the target, so only half-edges on those cores
 seed the propagation, and each seed extends to at most one full map.  Seeds
-are scanned in a fixed order (orientation-preserving first, then by half-edge
-id), making the result deterministic, and those of an orientation that the
-words' triple product (``_triple_product``) rules out are skipped.
+are scanned in a fixed order (orientation-preserving first, then by reduced
+half-edge), making the result deterministic, and those of an orientation
+that the words' triple product (``_triple_product``) rules out are skipped.
 """
 
 from __future__ import annotations
@@ -33,55 +32,85 @@ from itertools import groupby
 
 from .builders import LefschetzFibration, closing_smoothing, cycle_family, word_families
 from .curves import CurveOnSurface, canonical_rotation
-from .ribbon import HalfEdge, Record, RibbonGraph, SurfaceError
+from .ribbon import Record, RibbonGraph, SurfaceError
 
 __all__ = [
     "FibrationIso",
-    "carry_curve",
     "find_isomorphism",
     "isomorphism_certificate",
     "reduced_word",
 ]
 
 
-def carry_curve(curve: CurveOnSurface, target: RibbonGraph,
-                edge_map: dict[str, tuple[str, int]]) -> CurveOnSurface:
-    """Rewrite a closed walk through the edge map of a smoothing.
-
-    Consecutive steps that land on the same merged edge with the same
-    direction are one traversal of a suppressed chain and collapse to a
-    single step, wrapping around the basepoint too.  An immediately repeated
-    loop edge is kept: there the old edge ids coincide, on a chain they
-    cannot.
+class _Reduction:
+    """``graph.normalized().smoothed()`` read off the oriented fiber's own
+    dart tables.  ``anchors`` are the darts at the vertices smoothing keeps
+    (``kept``).  For an anchor dart d, ``far[d]`` is the anchor dart at the
+    other end of its chain (``d ^ 1`` on an edge with no degree-2 vertex)
+    and ``label[d]`` its half-edge on the smoothed graph: a chain is named
+    by its least edge id, end 0 at the end whose (vertex, half-edge) is
+    lesser; an unmerged edge keeps its own.  Other darts: -1 and None.
     """
-    runs: list[list] = []  # [new edge, direction, first old edge, last old edge]
-    for e, s in curve.walk:
-        new, sign = edge_map[e]
-        d = s * sign
-        if runs and runs[-1][0] == new and runs[-1][1] == d and runs[-1][3] != e:
-            runs[-1][3] = e
-        else:
-            runs.append([new, d, e, e])
-    if len(runs) > 1:
-        first, last = runs[0], runs[-1]
-        if first[0] == last[0] and first[1] == last[1] and last[3] != first[2]:
-            runs.pop()
-    walk = tuple((new, d) for new, d, _, _ in runs)
-    return CurveOnSurface(target, curve.name, walk)
+
+    __slots__ = ("norm", "kept", "anchors", "far", "label")
+
+    def __init__(self, graph: RibbonGraph):
+        norm = self.norm = graph.normalized()
+        rotation, dv, dn, half = norm.rotation, norm._dv, norm._dn, norm._half
+        deg2 = {v for v, rot in rotation.items() if len(rot) == 2 and rot[0][0] != rot[1][0]}
+        mid = [v in deg2 for v in dv]
+        far, label = self.far, self.label = [-1] * len(dv), [None] * len(dv)
+        passed = 0
+        for a, at_mid in enumerate(mid):
+            if at_mid or far[a] >= 0:  # reached from the other end of its chain
+                continue
+            b, least = a ^ 1, a >> 1
+            while mid[b]:
+                b = dn[b] ^ 1  # leave by the degree-2 vertex's other dart
+                least = min(least, b >> 1)
+                passed += 1
+            far[a], far[b] = b, a
+            if b == a ^ 1:
+                label[a], label[b] = half[a], half[b]
+            else:  # dart order is half-edge order
+                e = norm.edges[least]
+                label[a], label[b] = ((e, 0), (e, 1)) if (dv[a], a) < (dv[b], b) else ((e, 1), (e, 0))
+        if passed != len(deg2):
+            raise SurfaceError("cannot smooth a pure cycle of degree-2 vertices")
+        self.kept = sorted(set(rotation) - deg2)
+        self.anchors = [d for d, at_mid in enumerate(mid) if not at_mid]
+
+    def walk(self, curve: CurveOnSurface) -> tuple[int, ...]:
+        """The curve's walk on the smoothed graph, as the anchor darts its
+        steps arrive on: one step ends at each arrival at a kept vertex, and
+        one at each turn-back at a degree-2 vertex (the next step leaves by
+        the dart it arrived on), running on to the anchor ahead."""
+        far, dn, eid = self.far, self.norm._dn, self.norm._eid
+        heads = [2 * eid[e] + (s > 0) for e, s in curve.walk]  # checked on this fiber
+        steps = []
+        for h, nxt in zip(heads, heads[1:] + heads[:1]):
+            if far[h] >= 0:
+                steps.append(h)
+            elif nxt ^ 1 == h:
+                while far[h] < 0:
+                    h = dn[h] ^ 1
+                steps.append(h)
+        return tuple(steps)
 
 
 def reduced_word(fib: LefschetzFibration) -> tuple[RibbonGraph, dict[str, CurveOnSurface]]:
-    """The fiber oriented by its own signs and then smoothed
-    (``normalized().smoothed()``), with the word carried onto it.  A
-    non-orientable fiber raises NonOrientableError before any smoothing
-    error.  When the reduction is the fiber itself (every plumbing fiber,
-    either orientation), the word's own curves are returned: the identity
-    edge map would carry each onto an equal walk on that graph.
-    """
-    norm, edge_map = fib.fiber.normalized().smoothed()
-    if norm is fib.fiber:
+    """The fiber oriented by its own signs and then smoothed, with the word
+    carried onto it, built from ``_Reduction``.  A non-orientable fiber
+    raises NonOrientableError before any smoothing error.  A fiber that is
+    its own reduction keeps its word."""
+    red = _Reduction(fib.fiber)
+    norm, label = red.norm, red.label
+    if norm is fib.fiber and len(red.anchors) == len(label):
         return norm, {c.name: c for c in fib.word}
-    return norm, {c.name: carry_curve(c, norm, edge_map) for c in fib.word}
+    rotation = {v: tuple(label[norm._dart(h)] for h in norm.rotation[v]) for v in red.kept}
+    graph = RibbonGraph(red.kept, {label[d][0] for d in red.anchors}, rotation)
+    return graph, {c.name: CurveOnSurface(graph, c.name, tuple(
+        (label[d][0], 1 if label[d][1] else -1) for d in red.walk(c))) for c in fib.word}
 
 
 # -- isomorphism search --------------------------------------------------------------
@@ -129,56 +158,66 @@ def _gate(lf1: LefschetzFibration, lf2: LefschetzFibration) -> list[tuple[str, b
     ]
 
 
-def _propagate(g1: RibbonGraph, g2: RibbonGraph, seed1: HalfEdge, seed2: HalfEdge,
-               preserve: bool) -> tuple[dict[str, str], dict[str, tuple[str, int]]] | None:
-    """Grow a dart correspondence from one seed half-edge each, or fail.
-
-    Rotation-next maps to rotation-next (or -previous when reversing) and
-    partner to partner; on a connected graph the closure is total, and a
-    conflict or a closure that is not injective kills the seed.  An
-    injective closure carries each rotation cycle onto a whole one, so the
-    darts' vertices give the vertex bijection.  This is the search's inner
-    loop, so it reads the graphs' dart tables directly.
+def _propagate(r1: _Reduction, r2: _Reduction, d1: int, d2: int, preserve: bool) -> list[int] | None:
+    """Grow a correspondence of anchor darts from one each, or fail: the
+    image ``phi[d]`` of every anchor dart d.  Rotation-next maps to
+    rotation-next (or -previous when reversing) and ``far`` to ``far``; on a
+    connected graph the closure is total, and a conflict or a closure that
+    is not injective kills the seed.  An injective closure carries each
+    rotation cycle onto a whole one, so it is a ribbon-graph bijection of
+    the smoothed graphs (``_maps``).  This is the search's inner loop.
     """
-    dn1, succ2 = g1._dn, (g2._dn if preserve else g2._dp)
-    phi = [-1] * len(dn1)  # phi[d]: the image of dart d
-    stack = [g1._dart(seed1)]
-    phi[stack[0]] = g2._dart(seed2)
+    far1, far2 = r1.far, r2.far
+    dn1, succ2 = r1.norm._dn, (r2.norm._dn if preserve else r2.norm._dp)
+    phi = [-1] * len(dn1)
+    stack = [d1]
+    phi[d1] = d2
     while stack:
         d = stack.pop()
         img = phi[d]
-        for nxt, nxt_img in ((d ^ 1, img ^ 1), (dn1[d], succ2[img])):
+        for nxt, nxt_img in ((far1[d], far2[img]), (dn1[d], succ2[img])):
             known = phi[nxt]
             if known < 0:
                 phi[nxt] = nxt_img
                 stack.append(nxt)
             elif known != nxt_img:
                 return None
-    if len(set(phi)) != len(phi):  # also when the closure is not total: -1 repeats
+    images = [phi[d] for d in r1.anchors]
+    if len(set(images)) != len(images):  # also when the closure is not total: -1 repeats
         return None
-    dv2, half2 = g2._dv, g2._half
-    vertex_map = dict(zip(g1._dv, [dv2[x] for x in phi]))
-    edge_map = {e: (half2[x][0], 1 if half2[x][1] == 0 else -1) for (e, end), x in zip(g1._half, phi) if end == 0}
-    return vertex_map, edge_map
+    return phi
 
 
-def _triple_product(g: RibbonGraph, curves: dict[str, CurveOnSurface], fams) -> int | None:
+def _maps(r1: _Reduction, r2: _Reduction, phi: list[int]) -> tuple[dict[str, str], dict[str, tuple[str, int]]]:
+    """The vertex and edge maps of a bijection grown by ``_propagate``, on
+    the smoothed graphs' names, keyed in their half-edge order."""
+    order = sorted(r1.anchors, key=r1.label.__getitem__)
+    vertex_map = dict(zip([r1.norm._dv[d] for d in order], [r2.norm._dv[phi[d]] for d in order]))
+    labels = [(r1.label[d], r2.label[phi[d]]) for d in order]
+    return vertex_map, {e: (f, 1 if end2 == 0 else -1) for (e, end), (f, end2) in labels if end == 0}
+
+
+def _triple_product(fiber: RibbonGraph, fams) -> int | None:
     """T = sum of P_ij P_jk P_ki over a-cycles i, b-cycles j and c-cycles k,
-    where P is the intersection pairing of the word carried onto ``g``.
+    where P is the intersection pairing of the word on its own fiber.
 
     Reversing a cycle flips the sign of two factors of each of its terms and
     relabelling inside the families permutes the terms, so T is preserved by
     every orientation-preserving isomorphism and negated by every reversing
-    one.  None when the word lacks the three families or cannot be paired;
-    then T decides nothing.
+    one.  An edge-simple pass crosses nothing at a degree-2 vertex, so T is
+    also that of the word carried onto the smoothed fiber.  None when the
+    word lacks the three families, repeats an edge in one of their cycles
+    or cannot be paired; then T decides nothing.
     """
     from .homology import workspace  # here, the only user, so that a compare that needs no T does not load it
 
     if not {"a", "b", "c"} <= set(fams):
         return None
-    a, b, c = ([curves[x.name] for x in fams[f]] for f in ("a", "b", "c"))
+    a, b, c = (fams[f] for f in ("a", "b", "c"))
+    if not all(x.is_edge_simple() for x in (*a, *b, *c)):
+        return None
     try:
-        p = workspace(g).pairing_matrix(a + b + c)
+        p = workspace(fiber).pairing_matrix((*a, *b, *c))
     except SurfaceError:
         return None
     ai = range(len(a))
@@ -187,17 +226,17 @@ def _triple_product(g: RibbonGraph, curves: dict[str, CurveOnSurface], fams) -> 
     return sum(p[i][j] * p[j][k] * p[k][i] for i in ai for j in bi for k in ci)
 
 
-def _rotation_index(curves2: dict[str, CurveOnSurface],
+def _rotation_index(walks2: dict[str, tuple[int, ...]], far2: list[int],
                     fams2) -> dict[str, dict[tuple, list[str]]]:
-    """Per family, the canonical rotation of every target walk and of its
-    reversal, mapped to the target names having it, each listed once in
-    word order."""
+    """Per family, the canonical rotation of every target walk
+    (``_Reduction.walk``) and of its reversal (the far ends, reversed),
+    mapped to the target names having it, each listed once in word order."""
     index: dict[str, dict[tuple, list[str]]] = {}
     for fam, targets in fams2.items():
         rotations: dict[tuple, list[str]] = {}
         for t in targets:
-            walk = curves2[t.name].walk
-            for w in (walk, tuple((e, -s) for e, s in reversed(walk))):
+            walk = walks2[t.name]
+            for w in (walk, tuple([far2[d] for d in reversed(walk)])):
                 names = rotations.setdefault(canonical_rotation(w), [])
                 if not names or names[-1] != t.name:
                     names.append(t.name)
@@ -205,7 +244,7 @@ def _rotation_index(curves2: dict[str, CurveOnSurface],
     return index
 
 
-def _match_families(curves1: dict[str, CurveOnSurface], index, fams1, edge_map) -> dict[str, str] | None:
+def _match_families(walks1: dict[str, tuple[int, ...]], index, fams1, phi: list[int]) -> dict[str, str] | None:
     """Pair each mapped source cycle with an equal target cycle, family by
     family, up to cyclic rotation and reversal; the name bijection, or None.
 
@@ -223,7 +262,7 @@ def _match_families(curves1: dict[str, CurveOnSurface], index, fams1, edge_map) 
         rotations = index[fam]
         used: set[str] = set()
         for c in sources:
-            image = tuple((edge_map[e][0], s * edge_map[e][1]) for e, s in curves1[c.name].walk)
+            image = tuple([phi[d] for d in walks1[c.name]])
             t = next((t for t in rotations.get(canonical_rotation(image), ()) if t not in used), None)
             if t is None:
                 return None
@@ -256,23 +295,20 @@ def _search(lf1: LefschetzFibration, lf2: LefschetzFibration) -> tuple[Fibration
     ``closing_smoothing``, which no later seed would change.  Once an
     orientation-preserving seed fails the word, seeds of an orientation that
     the words' ``_triple_product`` rules out are skipped (none if unknown).
+    Seeds are scanned in the smoothed graph's half-edge order (``label``).
     """
-    g1, curves1 = reduced_word(lf1)
-    g2, curves2 = reduced_word(lf2)
-    if len(g1.edges) != len(g2.edges) or len(g1.vertices) != len(g2.vertices):
+    r1, r2 = _Reduction(lf1.fiber), _Reduction(lf2.fiber)
+    if len(r1.anchors) != len(r2.anchors) or len(r1.kept) != len(r2.kept):
         return None, "ribbon_graph_bijection"
     fams1, fams2 = word_families(lf1), word_families(lf2)
     if not fams1:
         raise SurfaceError("cannot compare fibrations with an empty word")
-    index = _rotation_index(curves2, fams2)
+    walks1, walks2 = ({c.name: r.walk(c) for c in lf.word} for r, lf in ((r1, lf1), (r2, lf2)))
+    index = _rotation_index(walks2, r2.far, fams2)
     first_family = next(iter(fams1))
-    anchor = curves1[fams1[first_family][0].name]
-    e0, s0 = anchor.walk[0]
-    seed1 = (e0, 0 if s0 > 0 else 1)
-    candidates = sorted({(e, end)
-                         for c in fams2[first_family]
-                         for e in curves2[c.name].edge_set()
-                         for end in (0, 1)})
+    seed1 = r1.far[walks1[fams1[first_family][0].name][0]]  # where the first step departs
+    candidates = sorted({x for c in fams2[first_family] for h in walks2[c.name] for x in (h, r2.far[h])},
+                        key=r2.label.__getitem__)
     possible = {True: True, False: True}
     decided = False
     failed = "ribbon_graph_bijection"
@@ -280,17 +316,16 @@ def _search(lf1: LefschetzFibration, lf2: LefschetzFibration) -> tuple[Fibration
         for seed2 in candidates:
             if not possible[preserve]:
                 break
-            grown = _propagate(g1, g2, seed1, seed2, preserve)
-            if grown is None:
+            phi = _propagate(r1, r2, seed1, seed2, preserve)
+            if phi is None:
                 continue
             failed = "cycle_images_match"
-            vertex_map, edge_map = grown
-            cycle_map = _match_families(curves1, index, fams1, edge_map)
+            cycle_map = _match_families(walks1, index, fams1, phi)
             if cycle_map is None:
                 if preserve and not decided:
                     decided = True
-                    t1 = _triple_product(g1, curves1, fams1)
-                    t2 = _triple_product(g2, curves2, fams2)
+                    t1 = _triple_product(lf1.fiber, fams1)
+                    t2 = _triple_product(lf2.fiber, fams2)
                     if t1 is not None and t2 is not None:
                         possible = {True: t1 == t2, False: t1 == -t2}
                 continue
@@ -298,7 +333,7 @@ def _search(lf1: LefschetzFibration, lf2: LefschetzFibration) -> tuple[Fibration
                 replay = closing_smoothing(lf)
                 if replay is not None and not replay[0]:
                     return None, "surgery_commutes"
-            return FibrationIso(lf1, lf2, vertex_map, edge_map, preserve, cycle_map), None
+            return FibrationIso(lf1, lf2, *_maps(r1, r2, phi), preserve, cycle_map), None
     return None, failed
 
 

@@ -93,14 +93,14 @@ def test_surgery_output_count_and_conservation(built):
 
 
 def _smoothing_traces(monkeypatch) -> list:
-    """The curves ``simultaneous_surgery`` checks for edge-simplicity before
-    it traces: each input curve once whenever it traces, none when it
-    rebuilds a kept smoothing."""
+    """The curves the surgery (``_surgery_walks``) checks for
+    edge-simplicity before it traces: each input curve once whenever it
+    traces, none when it returns a kept smoothing."""
     traced = []
     require_edge_simple = CurveOnSurface.require_edge_simple
 
     def counted(self):
-        if sys._getframe(1).f_code.co_name == "simultaneous_surgery":
+        if sys._getframe(1).f_code.co_name == "_surgery_walks":
             traced.append(self)
         return require_edge_simple(self)
 

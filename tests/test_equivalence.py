@@ -20,12 +20,13 @@ from lf_forge.certify import fibration_certificate
 from lf_forge.curves import CurveOnSurface
 from lf_forge.equivalence import (
     FibrationIso,
+    _maps,
     _match_families,
     _propagate,
+    _Reduction,
     _rotation_index,
     _search,
     _triple_product,
-    carry_curve,
     find_isomorphism,
     isomorphism_certificate,
     reduced_word,
@@ -41,7 +42,7 @@ from lf_forge.ribbon import NonOrientableError, RibbonGraph, SurfaceError
 
 import oracles
 from oracles import dehn_twist_on_class, mapped_surgery_commutes
-from test_ribbon import loose_ribbon_graphs
+from test_ribbon import loose_ribbon_graphs, reduction, ribbon_graphs
 
 
 def matmul(a, b):
@@ -61,11 +62,13 @@ def cyclic_shifts(seq):
     return [seq[i:] + seq[:i] for i in range(len(seq))]
 
 
-# -- curve transport through smoothing ----------------------------------------------
+# -- the reduction: smoothing read off the oriented fiber's darts ---------------------
 
 
-def test_carry_curve_collapses_merged_runs():
-    g = RibbonGraph(
+def loop_chain_fiber():
+    """Vertex v with a loop chain v, m1, m2, v (edges e0, e1, e2) and a
+    loop e3."""
+    return RibbonGraph(
         ("m1", "m2", "v"),
         ("e0", "e1", "e2", "e3"),
         {
@@ -74,11 +77,113 @@ def test_carry_curve_collapses_merged_runs():
             "m2": (("e1", 1), ("e2", 0)),
         },
     )
-    smooth, edge_map = g.smoothed()
-    curve = CurveOnSurface(g, "w", (("e0", 1), ("e1", 1), ("e2", 1), ("e3", 1)))
-    carried = carry_curve(curve, smooth, edge_map)
-    assert carried.walk == (("e0", 1), ("e3", 1))
-    assert carried.name == "w"
+
+
+def one_cycle_word(fiber, walk, name="w"):
+    return LefschetzFibration("walk", 0, fiber, (CurveOnSurface(fiber, name, walk),))
+
+
+def test_reduced_word_collapses_merged_runs():
+    g = loop_chain_fiber()
+    reduced, curves = reduced_word(one_cycle_word(g, (("e0", 1), ("e1", 1), ("e2", 1), ("e3", 1))))
+    assert reduced.rotation == {"v": (("e0", 0), ("e0", 1), ("e3", 0), ("e3", 1))}
+    assert curves["w"].walk == (("e0", 1), ("e3", 1))
+    assert curves["w"].name == "w"
+
+
+def test_reduced_word_keeps_each_pass_and_each_turn_back():
+    """A walk twice around the loop chain passes the kept vertex v twice,
+    so it reduces to two steps, not one.  A walk that turns back at m2 runs
+    on to v and comes back; its class is the loop e3's, as before."""
+    g = loop_chain_fiber()
+    chain = (("e0", 1), ("e1", 1), ("e2", 1))
+    reduced, curves = reduced_word(one_cycle_word(g, chain * 2))
+    assert curves["w"].walk == (("e0", 1), ("e0", 1))
+    back = (("e0", 1), ("e1", 1), ("e1", -1), ("e0", -1), ("e3", 1))
+    reduced, curves = reduced_word(one_cycle_word(g, back))
+    assert curves["w"].walk == (("e0", 1), ("e0", -1), ("e3", 1))
+    assert class_from_steps(reduced, curves["w"].walk) == class_from_steps(reduced, [("e3", 1)])
+
+
+def test_a_word_twice_around_a_loop_chain_is_not_the_word_once_around():
+    """One cycle once around the loop chain against the same cycle twice
+    around: no isomorphism, in either order."""
+    once = one_cycle_word(loop_chain_fiber(), (("e0", 1), ("e1", 1), ("e2", 1)), "a0")
+    twice = one_cycle_word(loop_chain_fiber(), (("e0", 1), ("e1", 1), ("e2", 1)) * 2, "a0")
+    for pair in ((once, twice), (twice, once)):
+        assert isomorphism_certificate(*pair)["found"] is False
+        assert find_isomorphism(*pair) is None
+
+
+@given(loose_ribbon_graphs())
+def test_reduction_labels_are_the_smoothed_rotations(g):
+    """Where ``normalized().smoothed()`` succeeds, the labels of the darts
+    at each kept vertex, in the oriented rotation, are that vertex's
+    rotation on the smoothed graph, and ``far`` is the partner there.  Both
+    raise SurfaceError on the same graphs, NonOrientableError on the
+    non-orientable ones."""
+    if not g.is_orientable():
+        for reduce in (reduction, _Reduction):
+            with pytest.raises(NonOrientableError):
+                reduce(g)
+        return
+    try:
+        smooth, _ = reduction(g)
+    except SurfaceError:
+        with pytest.raises(SurfaceError):
+            _Reduction(g)
+        return
+    red = _Reduction(g)
+    norm, label = red.norm, red.label
+    assert red.kept == list(smooth.vertices)
+    assert sorted(label[d] for d in red.anchors) == sorted((e, end) for e in smooth.edges for end in (0, 1))
+    for v in smooth.vertices:
+        assert tuple(label[norm._dart(h)] for h in norm.rotation[v]) == smooth.rotation[v]
+    for d in red.anchors:
+        assert label[red.far[d]] == RibbonGraph.partner(label[d])
+
+
+def random_closed_walk(g, rng):
+    """A random walk of up to a dozen steps from a random vertex, turn-backs
+    included, closed by a shortest path back to its start."""
+    start = rng.choice([v for v in g.vertices if g.rotation[v]])
+    walk, v = [], start
+    for _ in range(rng.randrange(1, 13)):
+        e, end = rng.choice(g.rotation[v])
+        walk.append((e, 1 if end == 0 else -1))
+        v = g.vertex_of((e, 1 - end))
+    came_by = {v: None}
+    queue = [v]
+    while start not in came_by:
+        u = queue.pop(0)
+        for e, end in g.rotation[u]:
+            w = g.vertex_of((e, 1 - end))
+            if w not in came_by:
+                came_by[w] = (u, (e, 1 if end == 0 else -1))
+                queue.append(w)
+    back, w = [], start
+    while came_by[w] is not None:
+        w, step = came_by[w]
+        back.append(step)
+    return tuple(walk + back[::-1])
+
+
+@given(ribbon_graphs(max_vertices=6, max_edges=8), st.randoms(use_true_random=False))
+def test_a_reduced_walk_keeps_the_class_of_the_walk(g, rng):
+    """A random closed walk, turn-backs included, reduces to a walk whose
+    class is the original walk's read through the smoothing's edge map,
+    counting only the steps on the edge that names each chain.  A
+    non-orientable graph loses its twists."""
+    if not g.is_orientable():
+        g = RibbonGraph(g.vertices, g.edges, g.rotation)
+    try:
+        _, edge_map = reduction(g)
+    except SurfaceError:
+        assume(False)
+    walk = random_closed_walk(g, rng)
+    reduced, curves = reduced_word(one_cycle_word(g, walk))
+    naming = [(new, s * sign) for e, s in walk for new, sign in [edge_map[e]] if new == e]
+    assert class_from_steps(reduced, curves["w"].walk) == class_from_steps(reduced, naming)
 
 
 def test_reduced_word_keeps_families_and_type(built):
@@ -122,21 +227,22 @@ def test_reduced_word_of_a_plumbing_fiber_builds_nothing(built, relabelled, mirr
             assert all(carried[c.name] is c for c in lf.word)
 
 
-def test_comparing_fresh_builds_makes_no_workspace_on_an_unreduced_fiber(mirrored, constructions,
-                                                                         monkeypatch):
-    """Building both sides and comparing them pairs cycles only on reduced
-    fibers: no twisted band, no degree-2 vertex.  The mirrored pairs make
-    the search compute the triple product, which does pair cycles."""
-    for genus in range(4):
-        made = constructions(Workspace)
-        lf1, lf2 = johns_fibration(genus), ishikawa_fibration(genus)
-        for pair in ((lf1, lf2), (lf2, lf1), (mirrored(lf1), lf2), (mirrored(lf2), lf1)):
-            assert isomorphism_certificate(*pair)["found"]
+def test_comparing_fresh_builds_makes_no_graph_and_no_curve(built, relabelled, mirrored, constructions,
+                                                          monkeypatch):
+    """Once both sides exist, comparing them builds no ribbon graph and no
+    curve: johns and ishikawa both ways, a relabelled ishikawa document
+    against johns and a mirrored johns document against ishikawa, at
+    g = 0..8.  The mirrored pairs make the search compute the triple
+    product, and the fresh ishikawa builds replay their closing smoothing."""
+    for genus in range(9):
+        johns, ishikawa = johns_fibration(genus), ishikawa_fibration(genus)
+        pairs = ((johns, ishikawa), (ishikawa, johns), (relabelled(ishikawa, genus), johns),
+                 (mirrored(johns), ishikawa))
+        graphs, curves = constructions(RibbonGraph), constructions(CurveOnSurface)
+        found = [isomorphism_certificate(*pair)["found"] for pair in pairs]
         monkeypatch.undo()
-        assert made
-        for g in (ws.graph for ws in made):
-            assert not g.twists
-            assert all(len(g.rotation[v]) != 2 for v in g.vertices)
+        assert found == [True] * 4
+        assert graphs == [] and curves == []
 
 
 # -- isomorphism search ---------------------------------------------------------------
@@ -187,36 +293,49 @@ def pairwise_match(curves1, curves2, backs2, fams1, fams2, g2, edge_map):
     return cycle_map
 
 
+def first_seed(r1, lf1):
+    """The dart the search seeds from: where the first step of the first
+    cycle of the first family departs."""
+    return r1.far[r1.walk(next(iter(word_families(lf1).values()))[0])[0]]
+
+
+def grown_maps(r1, r2, seed1):
+    """(preserve, phi) for every anchor dart of ``r2``, in label order, and
+    both orientations, whose propagation from ``seed1`` grows a map."""
+    for preserve in (True, False):
+        for seed2 in sorted(r2.anchors, key=r2.label.__getitem__):
+            phi = _propagate(r1, r2, seed1, seed2, preserve)
+            if phi is not None:
+                yield preserve, phi
+
+
 @pytest.mark.parametrize("construction", ["johns", "ishikawa"])
 def test_rotation_index_matches_pairwise_oracle(built, relabelled, mirrored, construction):
     """Every seed of every preference that propagates to a full map gets
-    the oracle's verdict, not only the first that succeeds."""
+    the oracle's verdict on the reduced word, not only the first that
+    succeeds."""
     other = "ishikawa" if construction == "johns" else "johns"
     verdicts = {True: 0, False: 0}
     for genus in range(6):
         fib = built(construction, genus)
         lf2 = built(other, genus)
+        r2 = _Reduction(lf2.fiber)
         g2, curves2 = reduced_word(lf2)
         fams2 = word_families(lf2)
-        index = _rotation_index(curves2, fams2)
+        index = _rotation_index({c.name: r2.walk(c) for c in lf2.word}, r2.far, fams2)
         backs2 = {n: CurveOnSurface(g2, n, tuple((e, -s) for e, s in reversed(c.walk)))
                   for n, c in curves2.items()}
-        halves2 = sorted((e, end) for e in g2.edges for end in (0, 1))
         mirror = mirrored(fib)
         for lf1 in (fib, relabelled(fib, genus), mirror):
-            g1, curves1 = reduced_word(lf1)
+            r1 = _Reduction(lf1.fiber)
+            _, curves1 = reduced_word(lf1)
             fams1 = word_families(lf1)
-            e0, s0 = curves1[fams1["a"][0].name].walk[0]
-            seed1 = (e0, 0 if s0 > 0 else 1)
-            for preserve in (True, False):
-                for seed2 in halves2:
-                    grown = _propagate(g1, g2, seed1, seed2, preserve)
-                    if grown is None:
-                        continue
-                    _, edge_map = grown
-                    expected = pairwise_match(curves1, curves2, backs2, fams1, fams2, g2, edge_map)
-                    assert _match_families(curves1, index, fams1, edge_map) == expected
-                    verdicts[expected is not None] += 1
+            walks1 = {c.name: r1.walk(c) for c in lf1.word}
+            for _, phi in grown_maps(r1, r2, first_seed(r1, lf1)):
+                edge_map = _maps(r1, r2, phi)[1]
+                expected = pairwise_match(curves1, curves2, backs2, fams1, fams2, g2, edge_map)
+                assert _match_families(walks1, index, fams1, phi) == expected
+                verdicts[expected is not None] += 1
             iso = find_isomorphism(lf1, lf2)
             assert iso is not None
             if lf1 is mirror:
@@ -297,11 +416,13 @@ def test_a_failed_search_names_the_check_that_failed(built, construction):
 
 def test_one_replay_decides_every_seed(built, relabelled, mirrored, flipped):
     """On every map that propagates, in both orientations, replaying the
-    smoothing on the mapped word agrees with the word's own replay on its
-    own fiber (``closing_smoothing``), for sound and corrupted words alike."""
+    smoothing on the mapped reduced word agrees with the word's own replay
+    on its own fiber (``closing_smoothing``), for sound and corrupted words
+    alike."""
     verdicts = {True: 0, False: 0}
     for genus in range(4):
-        targets = [reduced_word(built(c, genus))[0] for c in ("johns", "ishikawa")]
+        targets = [(_Reduction(lf.fiber), reduced_word(lf)[0])
+                   for lf in (built(c, genus) for c in ("johns", "ishikawa"))]
         for construction in ("johns", "ishikawa"):
             fib = built(construction, genus)
             fams = word_families(fib)
@@ -309,19 +430,15 @@ def test_one_replay_decides_every_seed(built, relabelled, mirrored, flipped):
                       mirrored(fib), flipped(fib, genus), corrupted(fib, "reversed"), corrupted(fib, "b_cycle"),
                       with_walk(fib, "a0", reversed_walk(fams["a"][0].walk)))
             for lf1 in inputs:
-                g1, curves1 = reduced_word(lf1)
+                r1 = _Reduction(lf1.fiber)
+                _, curves1 = reduced_word(lf1)
                 fams1 = word_families(lf1)
                 expected = closing_smoothing(lf1)[0]
-                e0, s0 = curves1[fams1["a"][0].name].walk[0]
-                seed1 = (e0, 0 if s0 > 0 else 1)
-                for g2 in targets:
-                    for preserve in (True, False):
-                        for seed2 in sorted((e, end) for e in g2.edges for end in (0, 1)):
-                            grown = _propagate(g1, g2, seed1, seed2, preserve)
-                            if grown is None:
-                                continue
-                            assert mapped_surgery_commutes(fams1, curves1, grown[1], g2) == expected
-                            verdicts[expected] += 1
+                for r2, g2 in targets:
+                    for _, phi in grown_maps(r1, r2, first_seed(r1, lf1)):
+                        edge_map = _maps(r1, r2, phi)[1]
+                        assert mapped_surgery_commutes(fams1, curves1, edge_map, g2) == expected
+                        verdicts[expected] += 1
     assert verdicts[True] and verdicts[False]
 
 
@@ -329,7 +446,18 @@ def test_one_replay_decides_every_seed(built, relabelled, mirrored, flipped):
 
 
 def triple_product(lf):
-    return _triple_product(*reduced_word(lf), word_families(lf))
+    return _triple_product(lf.fiber, word_families(lf))
+
+
+def reduced_triple_product(lf):
+    """Oracle for ``_triple_product``: T of the word carried onto the
+    reduced fiber, paired there."""
+    g, curves = reduced_word(lf)
+    fams = word_families(lf)
+    a, b, c = ([curves[x.name] for x in fams[f]] for f in ("a", "b", "c"))
+    p = workspace(g).pairing_matrix(a + b + c)
+    ai, bi = range(len(a)), range(len(a), len(a) + len(b))
+    return sum(p[i][j] * p[j][k] * p[k][i] for i in ai for j in bi for k in range(len(a) + len(b), len(p)))
 
 
 @pytest.mark.parametrize("construction", ["johns", "ishikawa"])
@@ -347,36 +475,57 @@ def test_triple_product_closed_form(built, relabelled, mirrored, construction):
         assert triple_product(renamed) == sign * expected
 
 
+@pytest.mark.parametrize("construction", ["johns", "ishikawa"])
+def test_triple_product_on_the_fiber_is_the_reduced_pairing(built, relabelled, mirrored, flipped, construction):
+    """T paired on each word's own fiber, degree-2 vertices and twisted
+    bands included, equals T of the word carried onto the reduced fiber."""
+    for genus in range(9):
+        fib = built(construction, genus)
+        for lf in (fib, relabelled(fib, genus), mirrored(fib), flipped(fib, genus)):
+            assert triple_product(lf) == reduced_triple_product(lf)
+
+
 def test_triple_product_is_unknown_without_three_families_or_a_pairing(built, monkeypatch):
     fib = built("johns", 2)
-    g, curves = reduced_word(fib)
     fams = word_families(fib)
-    assert _triple_product(g, curves, {f: fams[f] for f in ("a", "b")}) is None
+    assert _triple_product(fib.fiber, {f: fams[f] for f in ("a", "b")}) is None
 
     def unpairable(self, curves, push=True):
         raise SurfaceError("intersection pairing failed antisymmetry")
 
     monkeypatch.setattr(Workspace, "pairing_matrix", unpairable)
-    assert _triple_product(g, curves, fams) is None
+    assert _triple_product(fib.fiber, fams) is None
+
+
+def test_triple_product_is_unknown_when_a_cycle_repeats_an_edge(built):
+    """A cycle of the three families that runs an edge twice has no
+    pushed-off pairing to trust: T decides nothing."""
+    fib = built("johns", 2)
+    walk = word_families(fib)["c"][0].walk
+    assert triple_product(fib) is not None
+    assert triple_product(with_walk(fib, "c0", walk + walk)) is None
 
 
 def exhaustive_search(lf1, lf2):
-    """Oracle for _search: the same seeds in the same order, none skipped."""
-    g1, curves1 = reduced_word(lf1)
+    """Oracle for _search: the same seeds in the same order, none skipped,
+    taken from the edges of the reduced first-family targets."""
+    r1, r2 = _Reduction(lf1.fiber), _Reduction(lf2.fiber)
+    _, curves1 = reduced_word(lf1)
     g2, curves2 = reduced_word(lf2)
     fams1, fams2 = word_families(lf1), word_families(lf2)
-    index = _rotation_index(curves2, fams2)
-    e0, s0 = curves1[fams1["a"][0].name].walk[0]
-    seed1 = (e0, 0 if s0 > 0 else 1)
+    walks1 = {c.name: r1.walk(c) for c in lf1.word}
+    index = _rotation_index({c.name: r2.walk(c) for c in lf2.word}, r2.far, fams2)
+    dart_of = {r2.label[d]: d for d in r2.anchors}
     candidates = sorted({(e, end) for c in fams2["a"]
                          for e in curves2[c.name].edge_set() for end in (0, 1)})
+    seed1 = first_seed(r1, lf1)
     for preserve in (True, False):
         for seed2 in candidates:
-            grown = _propagate(g1, g2, seed1, seed2, preserve)
-            if grown is None:
+            phi = _propagate(r1, r2, seed1, dart_of[seed2], preserve)
+            if phi is None:
                 continue
-            vertex_map, edge_map = grown
-            cycle_map = _match_families(curves1, index, fams1, edge_map)
+            vertex_map, edge_map = _maps(r1, r2, phi)
+            cycle_map = _match_families(walks1, index, fams1, phi)
             if cycle_map is not None and mapped_surgery_commutes(fams1, curves1, edge_map, g2):
                 return FibrationIso(lf1, lf2, vertex_map, edge_map, preserve, cycle_map)
     return None
@@ -390,9 +539,9 @@ def test_skipping_seeds_keeps_the_full_scan_result(built, relabelled, mirrored,
     propagation."""
     preserving = []
 
-    def counted(g1, g2, seed1, seed2, preserve):
+    def counted(r1, r2, d1, d2, preserve):
         preserving.append(preserve)
-        return _propagate(g1, g2, seed1, seed2, preserve)
+        return _propagate(r1, r2, d1, d2, preserve)
 
     other = "ishikawa" if construction == "johns" else "johns"
     for genus in range(6):
@@ -615,34 +764,37 @@ def renamed_graph(g, rng):
 
 @given(loose_ribbon_graphs(), st.randoms(use_true_random=False))
 def test_propagate_grows_only_ribbon_graph_isomorphisms(loose, rng):
-    """From the least half-edge to every half-edge of a renamed copy and of
-    a renamed mirror, both ways: every map grown is a vertex bijection and
-    an edge bijection whose signs carry endpoints to endpoints, under which
+    """From the least anchor dart to every anchor dart of a renamed copy
+    and of a renamed mirror, both ways: every map grown, read off the
+    labels (``_maps``), is a vertex bijection and an edge bijection of the
+    smoothed graphs whose signs carry endpoints to endpoints, under which
     the rotations are all preserved or all reversed as asked.  The true
     isomorphism is found from some seed."""
     g1 = RibbonGraph(loose.vertices, loose.edges, loose.rotation)
     assume(g1.edges and g1.is_connected())
-    seed1 = min((e, end) for e in g1.edges for end in (0, 1))
+    try:
+        s1, _ = g1.smoothed()
+    except SurfaceError:  # a pure cycle of degree-2 vertices
+        assume(False)
+    r1 = _Reduction(g1)
+    seed1 = min(r1.anchors, key=r1.label.__getitem__)
     for g2, wanted in ((renamed_graph(g1, rng), True), (renamed_graph(oracles.mirrored(g1), rng), False)):
+        s2, _ = g2.smoothed()
         found = set()
-        for preserve in (True, False):
-            for seed2 in sorted((e, end) for e in g2.edges for end in (0, 1)):
-                grown = _propagate(g1, g2, seed1, seed2, preserve)
-                if grown is None:
-                    continue
-                found.add(preserve)
-                vertex_map, edge_map = grown
-                assert sorted(vertex_map) == sorted(g1.vertices)
-                assert sorted(vertex_map.values()) == sorted(g2.vertices)
-                assert sorted(edge_map) == sorted(g1.edges)
-                assert sorted(e2 for e2, _ in edge_map.values()) == sorted(g2.edges)
-                for h in ((e, end) for e in g1.edges for end in (0, 1)):
-                    assert g2.vertex_of(half_image(edge_map, h)) == vertex_map[g1.vertex_of(h)]
-                for v, rot in g1.rotation.items():
-                    images = list(g2.rotation[vertex_map[v]])
-                    if not preserve:
-                        images = images[::-1]
-                    assert [half_image(edge_map, h) for h in rot] in cyclic_shifts(images)
+        for preserve, phi in grown_maps(r1, _Reduction(g2), seed1):
+            found.add(preserve)
+            vertex_map, edge_map = _maps(r1, _Reduction(g2), phi)
+            assert sorted(vertex_map) == sorted(s1.vertices)
+            assert sorted(vertex_map.values()) == sorted(s2.vertices)
+            assert sorted(edge_map) == sorted(s1.edges)
+            assert sorted(e2 for e2, _ in edge_map.values()) == sorted(s2.edges)
+            for h in ((e, end) for e in s1.edges for end in (0, 1)):
+                assert s2.vertex_of(half_image(edge_map, h)) == vertex_map[s1.vertex_of(h)]
+            for v, rot in s1.rotation.items():
+                images = list(s2.rotation[vertex_map[v]])
+                if not preserve:
+                    images = images[::-1]
+                assert [half_image(edge_map, h) for h in rot] in cyclic_shifts(images)
         assert wanted in found
 
 
@@ -652,7 +804,8 @@ def test_propagate_rejects_a_map_that_is_not_injective():
     rejects it."""
     two_loops = RibbonGraph(("v",), ("a", "b"), {"v": (("a", 0), ("a", 1), ("b", 0), ("b", 1))})
     one_loop = RibbonGraph(("w",), ("l",), {"w": (("l", 0), ("l", 1))})
-    assert _propagate(two_loops, one_loop, ("a", 0), ("l", 0), True) is None
+    assert _propagate(_Reduction(two_loops), _Reduction(one_loop), two_loops._dart(("a", 0)),
+                      one_loop._dart(("l", 0)), True) is None
 
 
 def test_iso_intertwines_twist_actions(built):

@@ -7,7 +7,8 @@ The certificates of g = 9..18 are pinned too, which covers the genera the
 benchmark certifies from documents.  The `compare` stdout only ever pairs
 builds of the same orientation, so the certificates of relabelled and
 mirrored documents, where the search has to reject seeds, are pinned
-separately.
+separately, and so are the public maps of `find_isomorphism` on relabelled,
+mirrored and edge-flipped documents, which no command prints in full.
 The benchmark's table of all acceptance commands, `perfbench/cli_expected.json`,
 is read here as well, so a change to any of their outputs fails tier-1 too.
 """
@@ -19,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from lf_forge.cli import main
-from lf_forge.equivalence import isomorphism_certificate
+from lf_forge.equivalence import find_isomorphism, isomorphism_certificate
 
 GOLDEN = {
     ("verify", "--genus", "0..8"):
@@ -42,6 +43,8 @@ CLI_TABLE = Path(__file__).resolve().parent.parent / "perfbench" / "cli_expected
 
 MIRRORED_AND_RELABELLED = "05f211f4e67fdb01b99bf8e1f5e8811a83d6996aa129fed01a49111efcfb3a47"
 
+ISOMORPHISM_MAPS = "fedfc0954b6e5327d172413b8ecf2924a1490c0ef558b6f13bc1949ca1346917"
+
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN))
 def test_cli_stdout_is_byte_identical(capsys, argv):
@@ -61,6 +64,25 @@ def test_mirrored_and_relabelled_certificates_are_byte_identical(built, relabell
                 cert = isomorphism_certificate(lf1, built(other, genus))
                 digest.update((json.dumps(cert, indent=2) + "\n").encode())
     assert digest.hexdigest() == MIRRORED_AND_RELABELLED
+
+
+def test_isomorphism_maps_are_pinned(built, relabelled, mirrored, flipped):
+    """``vertex_map``, ``edge_map``, ``orientation_preserving`` and
+    ``cycle_map`` of ``find_isomorphism``, as sorted JSON, for each
+    construction's relabelled, mirrored and edge-flipped documents at
+    g = 0..8 against the other construction's build."""
+    digest = hashlib.sha256()
+    for genus in range(9):
+        for construction, other in (("johns", "ishikawa"), ("ishikawa", "johns")):
+            fib = built(construction, genus)
+            for lf1 in (relabelled(fib, genus), mirrored(fib), flipped(fib, genus)):
+                iso = find_isomorphism(lf1, built(other, genus))
+                maps = None if iso is None else {
+                    "vertex_map": iso.vertex_map, "edge_map": iso.edge_map,
+                    "orientation_preserving": iso.orientation_preserving, "cycle_map": iso.cycle_map,
+                }
+                digest.update((json.dumps(maps, sort_keys=True) + "\n").encode())
+    assert digest.hexdigest() == ISOMORPHISM_MAPS
 
 
 def test_acceptance_commands_match_the_benchmark_table(capsysbinary):
