@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .curves import CurveOnSurface, Step, canonical_rotation, curve_from_json, reversed_step
 from .divides import Divide, check_admissible, checkerboard_coloring, standard_divide
-from .ribbon import HalfEdge, Record, RibbonGraph, SurfaceError, json_field, orientation_signs
+from .ribbon import HalfEdge, Record, RibbonGraph, SurfaceError, json_field, orientation_signs, sorted_ids
 
 
 # -- plumbing patterns -----------------------------------------------------------
@@ -47,12 +47,11 @@ class PlumbingPattern(Record):
             seen = [q for loop in loops for q in loop]
             if not seen:
                 raise SurfaceError(f"family {fam} visits no squares")
-            if len(seen) != len(set(seen)):
+            if len(seen) != len(set(sorted_ids(seen, "square"))):
                 raise SurfaceError(f"family {fam} visits a square twice")
         if set(q for loop in loops_a for q in loop) != set(q for loop in loops_b for q in loop):
             raise SurfaceError("the two families must cross at the same square set")
-        object.__setattr__(self, "loops_a", loops_a)
-        object.__setattr__(self, "loops_b", loops_b)
+        super().__init__(loops_a, loops_b)
 
     @property
     def squares(self) -> tuple[str, ...]:
@@ -217,19 +216,11 @@ def closing_smoothing(fib: LefschetzFibration) -> tuple[bool, str | None] | None
 # -- the divide fiber --------------------------------------------------------------
 
 
-
 class DivideFiberModel(Record):
-    """The thickened divide and its three cycle families."""
+    """The thickened ``divide`` as ``fiber``, with its three cycle families
+    ``white_cycles``, ``crossing_cycles`` and ``black_cycles``."""
 
     __slots__ = ("divide", "fiber", "white_cycles", "crossing_cycles", "black_cycles")
-
-    def __init__(self, divide: Divide, fiber: RibbonGraph, white_cycles: tuple[CurveOnSurface, ...],
-                 crossing_cycles: tuple[CurveOnSurface, ...], black_cycles: tuple[CurveOnSurface, ...]):
-        object.__setattr__(self, "divide", divide)
-        object.__setattr__(self, "fiber", fiber)
-        object.__setattr__(self, "white_cycles", white_cycles)
-        object.__setattr__(self, "crossing_cycles", crossing_cycles)
-        object.__setattr__(self, "black_cycles", black_cycles)
 
 
 def divide_fiber_model(divide: Divide) -> DivideFiberModel:
@@ -351,10 +342,7 @@ class LefschetzFibration(Record):
         for c in word:
             if c.host is not fiber:
                 raise SurfaceError(f"cycle {c.name!r} lives off the fiber")
-        object.__setattr__(self, "construction", construction)
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "fiber", fiber)
-        object.__setattr__(self, "word", word)
+        super().__init__(construction, genus, fiber, word)
 
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.word)

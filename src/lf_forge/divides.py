@@ -46,7 +46,7 @@ class Divide:
         # before the graph's checks: an odd crossing also leaves a half-edge
         # unpaired, and the graph would name only that
         if set(rotation) == set(vertices):
-            for v in sorted(rotation):
+            for v in sorted(rotation, key=str):  # a non-string id is the graph's to name
                 if len(rotation[v]) != VALENCE:
                     raise DivideError(f"crossing {v!r} has {len(rotation[v])} slots, divides need exactly {VALENCE}")
         try:
@@ -166,17 +166,13 @@ class Divide:
 
 
 class Checkerboard(Record):
-    """Face indices split into the two color classes.
+    """Face indices split into the two color classes ``white`` and ``black``.
 
     White is, by convention, the class containing the face that holds the
     overall least half-edge.
     """
 
     __slots__ = ("white", "black")
-
-    def __init__(self, white: tuple[int, ...], black: tuple[int, ...]):
-        object.__setattr__(self, "white", white)
-        object.__setattr__(self, "black", black)
 
     def color_of(self, face: int) -> str:
         if face in self.white:
@@ -252,14 +248,7 @@ class AdmissibilityReport(Record):
 
     def __init__(self, connected: bool, crossings: int, arcs: int, faces: int, euler: int,
                  ambient_genus: int | None, colorable: bool, problem: str | None = None):
-        object.__setattr__(self, "connected", connected)
-        object.__setattr__(self, "crossings", crossings)
-        object.__setattr__(self, "arcs", arcs)
-        object.__setattr__(self, "faces", faces)
-        object.__setattr__(self, "euler", euler)
-        object.__setattr__(self, "ambient_genus", ambient_genus)
-        object.__setattr__(self, "colorable", colorable)
-        object.__setattr__(self, "problem", problem)
+        super().__init__(connected, crossings, arcs, faces, euler, ambient_genus, colorable, problem)
 
     @property
     def admissible(self) -> bool:

@@ -117,7 +117,7 @@ def reduced_word(fib: LefschetzFibration) -> tuple[RibbonGraph, dict[str, CurveO
 
 
 class FibrationIso(Record):
-    """A certified identification of two fibrations on their reduced fibers.
+    """A certified identification of ``source`` and ``target`` on their reduced fibers.
 
     vertex_map and edge_map form a ribbon-graph bijection; edge_map values
     carry the direction sign.  orientation_preserving reports whether all
@@ -129,15 +129,6 @@ class FibrationIso(Record):
     __slots__ = ("source", "target", "vertex_map", "edge_map", "orientation_preserving", "cycle_map")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __init__(self, source: LefschetzFibration, target: LefschetzFibration, vertex_map: dict[str, str],
-                 edge_map: dict[str, tuple[str, int]], orientation_preserving: bool, cycle_map: dict[str, str]):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "vertex_map", vertex_map)
-        object.__setattr__(self, "edge_map", edge_map)
-        object.__setattr__(self, "orientation_preserving", orientation_preserving)
-        object.__setattr__(self, "cycle_map", cycle_map)
 
 
 _CHECK_NAMES = (

@@ -208,8 +208,7 @@ class HomologyClass(Record):
         n = len(workspace(host).basis)
         if len(vector) != n:
             raise SurfaceError(f"class vector has length {len(vector)}, basis has {n}")
-        object.__setattr__(self, "host", host)
-        object.__setattr__(self, "vector", vector)
+        super().__init__(host, vector)
 
     def _require_same_host(self, other: "HomologyClass"):
         if self.host is not other.host:

@@ -33,8 +33,7 @@ class FinAbGroup(Record):
         for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
                 raise ValueError(f"torsion {torsion} is not a divisibility chain")
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "torsion", torsion)
+        super().__init__(free_rank, torsion)
 
     @classmethod
     def free(cls, rank: int) -> "FinAbGroup":

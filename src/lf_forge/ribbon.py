@@ -42,6 +42,19 @@ def as_pairs(items) -> tuple:
     return tuple([(str(a), int(b)) for a, b in items])
 
 
+def sorted_ids(ids, kind: str) -> tuple:
+    """``ids`` sorted; the first that is not a string raises SurfaceError.
+    Only a sort that fails or puts a non-string first reads each id."""
+    ids = list(ids)
+    try:
+        ordered = tuple(sorted(ids))
+        if not ordered or isinstance(ordered[0], str):
+            return ordered
+    except TypeError:
+        pass
+    raise SurfaceError(f"{kind} id must be a string, got {next(x for x in ids if not isinstance(x, str))!r}")
+
+
 _JSON_TYPE_NAMES = {
     str: "a string", int: "an integer", bool: "a boolean", list: "a list", dict: "an object",
 }
@@ -70,21 +83,30 @@ def json_field(doc, key: str, kind: type, where: str, item: type | None = None):
 class Record:
     """Base of the package's immutable record types.
 
-    A record lists its fields in ``__slots__``, in the order of its
-    ``__init__`` parameters, and its ``__init__`` writes them through
-    ``object.__setattr__``; assigning or deleting a field afterwards raises
-    AttributeError.  Records are equal, and hash alike, when they have the
-    same type and equal fields, and repr as ``Name(field=value, ...)``.
-    The methods are written out once here rather than generated per class
-    at import: generating them loads ``inspect`` and ``ast`` and runs
-    dozens of ``exec`` calls, which cost every short CLI process more than
-    the work of most of its commands.
+    A record's fields are the names in its ``__slots__`` after its
+    parent's, read once into ``_names``; ``__init__`` takes one value per
+    field, in that order, and writes it past the frozen ``__setattr__``.
+    Records are equal, and hash alike, when they have the same type and
+    equal fields, and repr as ``Name(field=value, ...)``.  These methods
+    are written out once rather than generated per class at import, which
+    loads ``inspect`` and ``ast`` and costs every short CLI process more
+    than the work of most of its commands.
     """
 
     __slots__ = ()
+    _names = ()
+
+    def __init_subclass__(cls):
+        cls._names += tuple(cls.__dict__.get("__slots__", ()))
+
+    def __init__(self, *values):
+        if len(values) != len(self._names):
+            raise TypeError(f"{type(self).__qualname__} takes {len(self._names)} field values, got {len(values)}")
+        for name, value in zip(self._names, values):
+            object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return tuple([getattr(self, name) for name in self._names])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -95,7 +117,7 @@ class Record:
         return hash(self._fields())
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._names)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
@@ -109,15 +131,10 @@ class Record:
 
 
 class SurfaceInvariants(Record):
-    """Homeomorphism data of the thickened surface, which is orientable:
-    ``RibbonGraph.invariants`` raises on a non-orientable one."""
+    """``euler``, ``boundary_components`` and ``genus`` of the thickened
+    surface; ``RibbonGraph.invariants`` raises on a non-orientable one."""
 
     __slots__ = ("euler", "boundary_components", "genus")
-
-    def __init__(self, euler: int, boundary_components: int, genus: int):
-        object.__setattr__(self, "euler", euler)
-        object.__setattr__(self, "boundary_components", boundary_components)
-        object.__setattr__(self, "genus", genus)
 
 
 class RibbonGraph:
@@ -136,8 +153,8 @@ class RibbonGraph:
     """
 
     def __init__(self, vertices, edges, rotation, twists=()):
-        self.vertices = tuple(sorted(vertices))
-        self.edges = tuple(sorted(edges))
+        self.vertices = sorted_ids(vertices, "vertex")
+        self.edges = sorted_ids(edges, "edge")
         self.twists = frozenset(twists)
         self._check(rotation)
         self._cache = {}
@@ -357,13 +374,12 @@ class RibbonGraph:
         degree-2 vertices cannot be smoothed and raises.  Returns this graph
         itself when no vertex is suppressible.
         """
-        deg2 = {v for v in self.vertices if len(self.rotation[v]) == 2
-                and self.rotation[v][0][0] != self.rotation[v][1][0]}
+        deg2 = {v for v, rot in self.rotation.items() if len(rot) == 2 and rot[0][0] != rot[1][0]}
         if not deg2:
             return self, {e: (e, 1) for e in self.edges}
         # Walk each maximal chain of degree-2 vertices from its anchored ends.
         edge_map: dict[str, tuple[str, int]] = {}
-        new_edges, new_twists, consumed = [], set(), set()
+        new_edges, new_twists, passed = [], set(), 0
         half_replacement: dict[HalfEdge, HalfEdge] = {}
         dv, dn, half = self._dv, self._dn, self._half
 
@@ -378,32 +394,27 @@ class RibbonGraph:
                     return path, half[d]
                 d = dn[d]  # the degree-2 vertex's other dart
 
-        for v in sorted(set(self.vertices) - deg2):
+        kept = sorted(set(self.vertices) - deg2)
+        for v in kept:
             for h in sorted(self.rotation[v]):
-                if h[0] in consumed or dv[(d := self._dart(h)) ^ 1] not in deg2:
+                if h[0] in edge_map or dv[(d := self._dart(h)) ^ 1] not in deg2:  # walked, or no chain
                     continue
                 path, far = hops(d)
-                chain = [k[0] for k in path]
-                consumed.update(chain)
-                new_id = min(chain)
-                twist = sum(1 for e in chain if e in self.twists) % 2
+                passed += len(path) - 1  # the degree-2 vertices between its edges
+                new_id = min(e for e, _ in path)
                 new_edges.append(new_id)
-                if twist:
+                if sum(e in self.twists for e, _ in path) % 2:
                     new_twists.add(new_id)
-                half_replacement[h] = (new_id, 0)
-                half_replacement[far] = (new_id, 1)
-                for k in path:
-                    sign = 1 if k[1] == 0 else -1
-                    edge_map[k[0]] = (new_id, sign)
+                half_replacement[h], half_replacement[far] = (new_id, 0), (new_id, 1)
+                edge_map.update((e, (new_id, 1 - 2 * end)) for e, end in path)
+        if passed != len(deg2):  # the others lie on cycles that meet no kept vertex
+            raise SurfaceError("cannot smooth a pure cycle of degree-2 vertices")
         for e in self.edges:
             if e not in edge_map:
                 edge_map[e] = (e, 1)
                 new_edges.append(e)
                 if e in self.twists:
                     new_twists.add(e)
-        kept = sorted(set(self.vertices) - deg2)
-        if not kept:
-            raise SurfaceError("cannot smooth a pure cycle of degree-2 vertices")
         rotation = {v: tuple(half_replacement.get(h, h) for h in self.rotation[v]) for v in kept}
         return RibbonGraph(kept, new_edges, rotation, new_twists), edge_map
 

@@ -55,6 +55,15 @@ def test_pattern_rejects_mismatched_squares():
         PlumbingPattern((("s", "t"),), (("s",),))
 
 
+def test_pattern_rejects_non_string_squares():
+    """Squares become vertex ids, which are strings; a document could not
+    state any other."""
+    with pytest.raises(SurfaceError, match="^square id must be a string, got 0$"):
+        PlumbingPattern(((0, 1),), ((0,), (1,)))
+    with pytest.raises(SurfaceError, match="^square id must be a string, got 1$"):
+        realize_plumbing(PlumbingPattern((("s0", 1),), (("s0",), (1,))))
+
+
 def test_realized_plumbing_profile():
     for genus in range(3):
         fiber, a_curves, b_curves = realize_plumbing(johns_pattern(genus))

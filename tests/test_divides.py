@@ -77,9 +77,11 @@ _X = (("e", 0), ("e", 1), ("f", 0), ("f", 1))
      "half-edge mismatch: missing [('f', 1)], unknown [('f', 2)]"),
     (("x",), ("e", "f"), {"x": (("e", False), ("e", True), ("f", False), ("g", True))},
      "half-edge mismatch: missing [('f', 1)], unknown [('g', 1)]"),
+    (("x", 1), ("e", "f", "g", "h"), {"x": _X, 1: (("g", 0), ("g", 1), ("h", 0), ("h", 1))},
+     "vertex id must be a string, got 1"),
 ], ids=["duplicate-vertex", "duplicate-edge", "minus-edge", "rotation-keys",
         "three-slots", "attached-twice", "missing-and-unknown", "lone-three-slots", "empty",
-        "unknown-then-attached-twice", "end-two", "bool-end-rebuilt"])
+        "unknown-then-attached-twice", "end-two", "bool-end-rebuilt", "int-crossing"])
 def test_constructor_names_each_fault(vertices, edges, rotation, message):
     """One fault per input, except that a lone odd crossing always leaves a
     half-edge unpaired too: the valence is named first.  The last rows pin

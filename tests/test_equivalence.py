@@ -120,8 +120,8 @@ def test_reduction_labels_are_the_smoothed_rotations(g):
     """Where ``normalized().smoothed()`` succeeds, the labels of the darts
     at each kept vertex, in the oriented rotation, are that vertex's
     rotation on the smoothed graph, and ``far`` is the partner there.  Both
-    raise SurfaceError on the same graphs, NonOrientableError on the
-    non-orientable ones."""
+    raise SurfaceError with the same message on the same graphs,
+    NonOrientableError on the non-orientable ones."""
     if not g.is_orientable():
         for reduce in (reduction, _Reduction):
             with pytest.raises(NonOrientableError):
@@ -129,9 +129,10 @@ def test_reduction_labels_are_the_smoothed_rotations(g):
         return
     try:
         smooth, _ = reduction(g)
-    except SurfaceError:
-        with pytest.raises(SurfaceError):
+    except SurfaceError as exc:
+        with pytest.raises(SurfaceError) as caught:
             _Reduction(g)
+        assert str(caught.value) == str(exc)
         return
     red = _Reduction(g)
     norm, label = red.norm, red.label
@@ -141,6 +142,16 @@ def test_reduction_labels_are_the_smoothed_rotations(g):
         assert tuple(label[norm._dart(h)] for h in norm.rotation[v]) == smooth.rotation[v]
     for d in red.anchors:
         assert label[red.far[d]] == RibbonGraph.partner(label[d])
+
+
+def test_a_pure_degree_two_cycle_beside_a_kept_vertex_cannot_be_smoothed():
+    """One component keeps a vertex, with a loop; the other is a cycle of
+    two degree-2 vertices.  Smoothing and the reduction name the cycle."""
+    g = RibbonGraph(("a", "p", "q"), ("l", "c", "t"),
+                    {"a": (("l", 0), ("l", 1)), "p": (("c", 0), ("t", 0)), "q": (("t", 1), ("c", 1))})
+    for reduce in (RibbonGraph.smoothed, reduction, _Reduction):
+        with pytest.raises(SurfaceError, match="^cannot smooth a pure cycle of degree-2 vertices$"):
+            reduce(g)
 
 
 def random_closed_walk(g, rng):

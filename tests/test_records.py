@@ -3,6 +3,7 @@ the declared Python floor."""
 
 import ast
 import copy
+import importlib
 import os
 import subprocess
 import sys
@@ -25,6 +26,7 @@ from lf_forge import (
     sphere_planar_fibration,
     standard_divide,
 )
+from lf_forge.ribbon import Record
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -76,6 +78,19 @@ def test_record_repr_lists_the_fields_by_name():
     )
 
 
+def test_a_record_subclass_keeps_its_parents_fields():
+    sub = type("Sub", (FinAbGroup,), {"__slots__": ()})
+    assert sub(1) != sub(5, (2,))
+    assert repr(sub(5, (2,))) == "Sub(free_rank=5, torsion=(2,))"
+
+
+@pytest.mark.parametrize("cls", [SurfaceInvariants, Checkerboard, DivideFiberModel, FibrationIso],
+                         ids=lambda cls: cls.__name__)
+def test_a_record_without_checks_takes_one_value_per_field(cls):
+    with pytest.raises(TypeError, match=f"^{cls.__name__} takes {len(cls.__slots__)} field values, got 1$"):
+        cls(0)
+
+
 def test_cli_import_loads_no_unused_standard_modules():
     """Every lf-forge process imports the CLI; the modules named here cost
     it start-up time that no command without --stamp uses.  The package
@@ -124,6 +139,42 @@ def test_every_module_level_import_is_read():
         unread += [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in read]
     assert unread == []
 
+
+
+def test_every_record_type_has_a_semantics_case():
+    """A record type defined in the package is a key of ``RECORDS``, so
+    ``test_record_semantics`` covers it."""
+    for path in (SRC / "lf_forge").glob("*.py"):
+        if path.stem != "__init__":
+            importlib.import_module(f"lf_forge.{path.stem}")
+    found, todo = set(), [Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            if cls.__module__.startswith("lf_forge."):
+                found.add(cls.__name__)
+                todo.append(cls)
+    assert found == set(RECORDS)
+
+
+def test_only_the_record_constructors_write_past_the_frozen_setattr():
+    """``object.__setattr__`` appears only in ``Record.__init__``, the one
+    constructor, and in ``CurveOnSurface.__init__``, which writes its three
+    fields directly because it is built thousands of times per comparison."""
+    writers = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "__setattr__"
+                    and isinstance(child.value, ast.Name) and child.value.id == "object"):
+                writers.append(".".join(scope))
+            visit(child, scope)
+
+    for path in sorted((SRC / "lf_forge").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), (path.stem,))
+    assert sorted(set(writers)) == ["curves.CurveOnSurface.__init__", "ribbon.Record.__init__"]
 
 
 def test_every_private_name_is_read():

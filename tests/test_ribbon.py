@@ -167,6 +167,16 @@ def test_rejects_sign_prefixed_edge_id():
         RibbonGraph(("v",), ("-e",), {"v": (("-e", 0), ("-e", 1))})
 
 
+@pytest.mark.parametrize("vertices, edges, rotation, message", [
+    (("v",), (5,), {"v": ((5, 0), (5, 1))}, "edge id must be a string, got 5"),
+    (("v", 3), ("e",), {"v": (("e", 0), ("e", 1)), 3: ()}, "vertex id must be a string, got 3"),
+    ((None,), ("e",), {None: (("e", 0), ("e", 1))}, "vertex id must be a string, got None"),
+], ids=["int-edge", "mixed-vertices", "none-vertex"])
+def test_rejects_non_string_ids(vertices, edges, rotation, message):
+    with pytest.raises(SurfaceError, match=f"^{message}$"):
+        RibbonGraph(vertices, edges, rotation)
+
+
 # Rotations that are not lists or tuples of (str, int) tuples are rebuilt
 # entry by entry as (str(e), int(end)); these are the results of that rebuild.
 ODD_ROTATIONS = [
