@@ -19,7 +19,7 @@ nothing they build: ``certify.fibration_certificate`` checks every build.
 
 from __future__ import annotations
 
-from .curves import CurveOnSurface, Step, canonical_rotation, curve_from_json, reversed_step
+from .curves import CurveOnSurface, Step, canonical_rotation, curve_from_json, dart_tables, reversed_step
 from .divides import Divide, check_admissible, checkerboard_coloring, standard_divide
 from .ribbon import HalfEdge, Record, RibbonGraph, SurfaceError, json_field, orientation_signs, sorted_ids
 
@@ -128,48 +128,51 @@ def simultaneous_surgery(surface: RibbonGraph, family_x, family_y) -> tuple[Curv
     The resolved curves are returned sorted by their least edge, each walk
     starting at that edge, named ``c0``, ``c1``, ... (``_surgery_walks``).
     """
-    return tuple(CurveOnSurface(surface, f"c{i}", walk)
-                 for i, walk in enumerate(_surgery_walks(surface, family_x, family_y)))
+    steps = dart_tables(surface)[1]
+    return tuple(CurveOnSurface(surface, f"c{i}", tuple([steps[d] for d in heads]), heads)
+                 for i, heads in enumerate(_surgery_walks(surface, family_x, family_y)))
 
 
-def _surgery_walks(surface: RibbonGraph, family_x, family_y) -> tuple[tuple[Step, ...], ...]:
-    """The walks of ``simultaneous_surgery``'s curves.  The last successful
-    smoothing on a surface is kept in its cache as walk tuples only, so the
-    cache makes no cycle through the surface.  A call whose curves carry
-    the very same walk objects (``is``), in order, on that surface returns
-    the kept walks without tracing: a fresh plumbing build's certificate
-    reuses the builder's smoothing.  Errors are not kept.
+def _surgery_walks(surface: RibbonGraph, family_x, family_y) -> tuple[tuple[int, ...], ...]:
+    """The walks of ``simultaneous_surgery``'s curves as the darts their
+    steps arrive on, traced on the curves' kept darts.  The last successful
+    smoothing on a surface is kept in its cache as dart tuples only, with
+    its inputs', so the cache makes no cycle through the surface; a call on
+    that surface with the same input darts, family by family, returns it
+    untraced, as a fresh plumbing build's certificate does.
     """
     family_x, family_y = tuple(family_x), tuple(family_y)
+    key = tuple([c._heads for c in family_x]), tuple([c._heads for c in family_y])
     memo = surface._cache.get("smoothing")
-    if memo is not None and _same_walks(surface, memo[0], family_x) and _same_walks(surface, memo[1], family_y):
-        return memo[2]
-    owner: dict[str, Step] = {}
+    if memo is not None and memo[0] == key and all(c.host is surface for c in family_x + family_y):
+        return memo[1]
+    taken = [False] * len(surface.edges)
     for curves in (family_x, family_y):
         for c in curves:
             if c.host is not surface:
                 raise SurfaceError(f"curve {c.name!r} lives on a different surface")
             c.require_edge_simple()
-            for step in c.walk:
-                if step[0] in owner:
-                    raise SurfaceError(f"edge {step[0]!r} is traversed twice; the families must be edge-disjoint")
-                owner[step[0]] = step
-    dv, pos, half = surface._dv, surface._dpos, surface._half
+            for d in c._heads:
+                if taken[d >> 1]:
+                    raise SurfaceError(f"edge {surface.edges[d >> 1]!r} is traversed twice; "
+                                       "the families must be edge-disjoint")
+                taken[d >> 1] = True
+    dv, pos = surface._dv, surface._dpos
     depart = [-1] * len(dv)  # depart[d]: the dart a strand arriving on dart d leaves along
-    px: dict[str, tuple[int, int]] = {}  # vertex -> (arriving dart, departing dart) of family x
-    py: dict[str, tuple[int, int]] = {}
+    px: dict[str, int] = {}  # vertex -> the dart family x arrives on there
+    py: dict[str, int] = {}
     for curves, at in ((family_x, px), (family_y, py)):
         for c in curves:
             # a pass arrives on one step's head dart and departs on the next step's tail dart
-            heads = surface.head_darts(c.walk)
+            heads = c._heads
             for hin, nxt in zip(heads, heads[1:] + heads[:1]):
                 v = dv[hin]
                 if v in at:
                     raise SurfaceError(f"one family passes vertex {v!r} twice; crossings must be simple")
-                at[v] = (hin, nxt ^ 1)
-                depart[hin] = nxt ^ 1
+                at[v], depart[hin] = hin, nxt ^ 1
     for v in sorted(px.keys() & py.keys()):
-        (xin, xout), (yin, yout) = px[v], py[v]
+        xin, yin = px[v], py[v]
+        xout, yout = depart[xin], depart[yin]
         lo, hi = sorted((pos[xin], pos[xout]))
         if (lo < pos[yin] < hi) == (lo < pos[yout] < hi):
             raise SurfaceError(f"the families meet tangentially at vertex {v!r}")
@@ -177,31 +180,25 @@ def _surgery_walks(surface: RibbonGraph, family_x, family_y) -> tuple[tuple[Step
 
     outputs = []
     for start in range(len(depart)):  # in dart order, so each resolved curve starts at its least edge
+        if depart[start] < 0:
+            continue
         walk, d = [], start
         while depart[d] >= 0:
-            walk.append(owner[half[d][0]])
+            walk.append(d)
             depart[d], d = -1, depart[d] ^ 1
-        if walk:
-            outputs.append(tuple(walk))
+        outputs.append(tuple(walk))
     outputs = tuple(outputs)
-    surface._cache["smoothing"] = (tuple(c.walk for c in family_x), tuple(c.walk for c in family_y), outputs)
+    surface._cache["smoothing"] = key, outputs
     return outputs
-
-
-def _same_walks(surface: RibbonGraph, walks: tuple, curves: tuple) -> bool:
-    """Whether ``curves`` live on ``surface`` and carry exactly the walk
-    objects ``walks``, in order."""
-    return len(walks) == len(curves) and all(c.host is surface and c.walk is w for w, c in zip(walks, curves))
 
 
 def closing_smoothing(fib: LefschetzFibration) -> tuple[bool, str | None] | None:
     """The one check of a word's closing move: smooth its a family through
-    its b family on its own fiber; the output walks (``_surgery_walks``,
-    unchecked, as each c-cycle is checked) must be its c family up to
-    basepoint, compared by canonical rotation.  None when the word lacks one
-    of the three families; else (True, None), (False, None) on a mismatch,
-    or (False, message) when the smoothing raises a SurfaceError.  A fresh
-    plumbing build answers from the smoothing its fiber keeps."""
+    its b family on its own fiber; the output walks (``_surgery_walks``)
+    must be its c family up to basepoint, their darts compared by canonical
+    rotation.  None when the word lacks one of the three families; else
+    (True, None), (False, None) on a mismatch, or (False, message) when the
+    smoothing raises a SurfaceError."""
     fams = word_families(fib)
     if not {"a", "b", "c"} <= fams.keys():
         return None
@@ -209,7 +206,7 @@ def closing_smoothing(fib: LefschetzFibration) -> tuple[bool, str | None] | None
         outs = _surgery_walks(fib.fiber, fams["a"], fams["b"])
     except SurfaceError as exc:
         return False, str(exc)
-    wanted = {canonical_rotation(c.walk) for c in fams["c"]}
+    wanted = {canonical_rotation(c._heads) for c in fams["c"]}
     return len(outs) == len(fams["c"]) and all(canonical_rotation(w) in wanted for w in outs), None
 
 

@@ -15,18 +15,16 @@ def reversed_step(step: Step) -> Step:
     return (step[0], -step[1])
 
 
-def check_walk(surface: RibbonGraph, walk) -> None:
-    """Raise SurfaceError unless ``walk`` is a nonempty chain of steps on
-    ``surface`` that closes up from its last step to its first.
-
-    Every step is looked up first (``RibbonGraph.head_darts``), so a step
-    that is not on the surface beats any break.  Then each step's tail is
-    compared with the head before it; on a mismatch the first break in walk
-    order is raised, the closing one, from the last step to the first, last.
-    """
+def check_walk(surface: RibbonGraph, walk, heads=None) -> tuple[int, ...]:
+    """The darts the steps of ``walk`` arrive on (the one call of
+    ``RibbonGraph.head_darts``, unless the caller has them as ``heads``).
+    SurfaceError unless ``walk`` is a nonempty chain of steps on ``surface``
+    that closes up: a step off the surface beats any break, and of the breaks
+    the first in walk order is raised, the closing one, last to first, last."""
     if not walk:
         raise SurfaceError("empty walk")
-    heads = surface.head_darts(walk)
+    if heads is None:
+        heads = surface.head_darts(walk)
     dv = surface._dv
     head = dv[heads[-1]]
     for d in heads:
@@ -34,10 +32,21 @@ def check_walk(surface: RibbonGraph, walk) -> None:
             break
         head = dv[d]
     else:
-        return
+        return heads
     for i in (*range(1, len(heads)), 0):
         if dv[heads[i - 1]] != dv[heads[i] ^ 1]:
             raise SurfaceError(f"walk breaks between {walk[i - 1]} and {walk[i]}")
+
+
+def dart_tables(surface: RibbonGraph) -> tuple[dict[str, int], list[Step]]:
+    """Each walk token's arriving dart and each dart's arriving step, built
+    once per surface: (e, +1) arrives on dart 2k + 1 of the k-th edge e."""
+    if "darts" not in surface._cache:
+        edges, n = surface.edges, 2 * len(surface.edges)
+        tokens = dict(zip(edges, range(1, n, 2)))
+        tokens.update(zip(["-" + e for e in edges], range(0, n, 2)))
+        surface._cache["darts"] = tokens, [(e, s) for e in edges for s in (-1, 1)]
+    return surface._cache["darts"]
 
 
 class CurveOnSurface(Record):
@@ -45,22 +54,25 @@ class CurveOnSurface(Record):
     stored as ``(str, int)`` steps (``as_pairs``: an exact-typed walk is
     kept as it is).  The walk need not be edge-simple (Dehn-twisted images
     repeat edges); operations that require an embedded curve call
-    ``require_edge_simple`` first.
+    ``require_edge_simple`` first.  ``_heads`` keeps the darts that
+    ``check_walk`` returns, which later layers read instead of the edge ids;
+    it is no field, so equality, hash, repr and pickling ignore it.
     """
 
-    __slots__ = ("host", "name", "walk")
+    __slots__ = ("host", "name", "walk", "_heads")
 
-    def __init__(self, host: RibbonGraph, name: str, walk: tuple[Step, ...]):
-        walk = as_pairs(walk)
-        check_walk(host, walk)
+    def __init__(self, host: RibbonGraph, name: str, walk: tuple[Step, ...], heads=None):
+        if heads is None:
+            walk = as_pairs(walk)
+        heads = check_walk(host, walk, heads)
         # Written directly: Record.__init__ made a curve ~10% slower, and a compare-search pass builds ~3,400.
         object.__setattr__(self, "host", host)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "walk", walk)
+        object.__setattr__(self, "_heads", heads)
 
     def is_edge_simple(self) -> bool:
-        edges = [e for e, _ in self.walk]
-        return len(edges) == len(set(edges))
+        return len({d >> 1 for d in self._heads}) == len(self._heads)
 
     def require_edge_simple(self) -> "CurveOnSurface":
         if not self.is_edge_simple():
@@ -109,11 +121,20 @@ def parse_signed_edge_id(token: str) -> Step:
 def curve_from_json(surface: RibbonGraph, rec: dict) -> CurveOnSurface:
     """A ``vanishing_cycles`` entry on ``surface``.  As in
     ``RibbonGraph.from_json_dict``, only a field whose value has not exactly
-    its JSON type goes to ``json_field``."""
+    its JSON type goes to ``json_field``.  Walk tokens are looked up as darts
+    (``dart_tables``); a walk with a token not there goes on to the checks
+    that name it."""
     name = rec.get("name") if type(rec) is dict else None
     if type(name) is not str:
         name = json_field(rec, "name", str, "vanishing cycle")
     walk = rec.get("walk")
-    if type(walk) is not list or not all(type(t) is str for t in walk):
-        walk = json_field(rec, "walk", list, f"vanishing cycle {name!r}", str)
+    if type(walk) is list:
+        tokens, steps = dart_tables(surface)
+        try:
+            heads = tuple([tokens[t] for t in walk])
+        except (KeyError, TypeError):  # a token off the surface, or not a string
+            pass
+        else:
+            return CurveOnSurface(surface, name, tuple([steps[d] for d in heads]), heads)
+    walk = json_field(rec, "walk", list, f"vanishing cycle {name!r}", str)
     return CurveOnSurface(surface, name, tuple([parse_signed_edge_id(t) for t in walk]))

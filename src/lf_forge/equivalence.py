@@ -13,10 +13,9 @@ certificate makes, replayed once per word on its own fiber: the smoothing is
 resolved at 4-valent crossings by the interleaving of the strands, so
 suppressing degree-two vertices, clearing twist bits or reversing every
 rotation does not change it, and a bijection of either orientation carries
-one word's smoothing onto the other's.  A fresh plumbing build answers from
-the smoothing its fiber keeps.  The two words must have the same family
-blocks (maximal runs of one family) in word order; the cycles of one family
-are matched as a set.
+one word's smoothing onto the other's.  The two words must have the same
+family blocks (maximal runs of one family) in word order; the cycles of one
+family are matched as a set.
 
 The search is anchored: the image of the first first-family core must run
 along a first-family core of the target, so only half-edges on those cores
@@ -34,12 +33,7 @@ from .builders import LefschetzFibration, closing_smoothing, cycle_family, word_
 from .curves import CurveOnSurface, canonical_rotation
 from .ribbon import Record, RibbonGraph, SurfaceError
 
-__all__ = [
-    "FibrationIso",
-    "find_isomorphism",
-    "isomorphism_certificate",
-    "reduced_word",
-]
+__all__ = ["FibrationIso", "find_isomorphism", "isomorphism_certificate", "reduced_word"]
 
 
 class _Reduction:
@@ -85,8 +79,7 @@ class _Reduction:
         steps arrive on: one step ends at each arrival at a kept vertex, and
         one at each turn-back at a degree-2 vertex (the next step leaves by
         the dart it arrived on), running on to the anchor ahead."""
-        far, dn, eid = self.far, self.norm._dn, self.norm._eid
-        heads = [2 * eid[e] + (s > 0) for e, s in curve.walk]  # checked on this fiber
+        far, dn, heads = self.far, self.norm._dn, curve._heads
         steps = []
         for h, nxt in zip(heads, heads[1:] + heads[:1]):
             if far[h] >= 0:
@@ -131,22 +124,15 @@ class FibrationIso(Record):
     __hash__ = object.__hash__
 
 
-_CHECK_NAMES = (
-    "fiber_invariants",
-    "word_families",
-    "ribbon_graph_bijection",
-    "cycle_images_match",
-    "surgery_commutes",
-)
+_CHECK_NAMES = ("fiber_invariants", "word_families", "ribbon_graph_bijection", "cycle_images_match",
+                "surgery_commutes")
 
 
 def _gate(lf1: LefschetzFibration, lf2: LefschetzFibration) -> list[tuple[str, bool]]:
     shape1, shape2 = ([(fam, len(list(run))) for fam, run in groupby(cycle_family(c.name) for c in lf.word)]
                       for lf in (lf1, lf2))
-    return [
-        ("fiber_invariants", lf1.fiber.invariants() == lf2.fiber.invariants()),
-        ("word_families", shape1 == shape2),
-    ]
+    return [("fiber_invariants", lf1.fiber.invariants() == lf2.fiber.invariants()),
+            ("word_families", shape1 == shape2)]
 
 
 def _propagate(r1: _Reduction, r2: _Reduction, d1: int, d2: int, preserve: bool) -> list[int] | None:
@@ -200,7 +186,7 @@ def _triple_product(fiber: RibbonGraph, fams) -> int | None:
     word lacks the three families, repeats an edge in one of their cycles
     or cannot be paired; then T decides nothing.
     """
-    from .homology import workspace  # here, the only user, so that a compare that needs no T does not load it
+    from .homology import Pairing  # here, the only user, so that a compare that needs no T does not load it
 
     if not {"a", "b", "c"} <= set(fams):
         return None
@@ -208,13 +194,11 @@ def _triple_product(fiber: RibbonGraph, fams) -> int | None:
     if not all(x.is_edge_simple() for x in (*a, *b, *c)):
         return None
     try:
-        p = workspace(fiber).pairing_matrix((*a, *b, *c))
+        p = Pairing(fiber).pairing_matrix((*a, *b, *c))
     except SurfaceError:
         return None
-    ai = range(len(a))
-    bi = range(len(a), len(a) + len(b))
-    ci = range(len(a) + len(b), len(p))
-    return sum(p[i][j] * p[j][k] * p[k][i] for i in ai for j in bi for k in ci)
+    na, nab = len(a), len(a) + len(b)
+    return sum(p[i][j] * p[j][k] * p[k][i] for i in range(na) for j in range(na, nab) for k in range(nab, len(p)))
 
 
 def _rotation_index(walks2: dict[str, tuple[int, ...]], far2: list[int],
@@ -269,16 +253,21 @@ def find_isomorphism(lf1: LefschetzFibration, lf2: LefschetzFibration) -> Fibrat
     reduced, or a pair of empty words, raises SurfaceError: that is a
     failure to compare, not a missing isomorphism.  A non-orientable fiber
     has no invariants, so it raises NonOrientableError at the gate,
-    whichever side it is on.
+    whichever side it is on.  Only here are the vertex and edge maps built.
     """
     if not all(ok for _, ok in _gate(lf1, lf2)):
         return None
-    return _search(lf1, lf2)[0]
+    found = _search(lf1, lf2)[0]
+    if found is None:
+        return None
+    preserve, cycle_map, maps = found
+    return FibrationIso(lf1, lf2, *maps(), preserve, cycle_map)
 
 
-def _search(lf1: LefschetzFibration, lf2: LefschetzFibration) -> tuple[FibrationIso | None, str | None]:
+def _search(lf1: LefschetzFibration, lf2: LefschetzFibration) -> tuple[tuple | None, str | None]:
     """The search behind find_isomorphism, for a pair that passed the gate:
-    the isomorphism and None, or None and the check that failed.
+    (orientation_preserving, cycle_map, maps) and None, ``maps()`` building
+    the vertex and edge maps, or None and the check that failed.
 
     Each placement of the first first-family core onto a target first-family
     core propagates to at most one full map, checked against the word; the
@@ -324,7 +313,7 @@ def _search(lf1: LefschetzFibration, lf2: LefschetzFibration) -> tuple[Fibration
                 replay = closing_smoothing(lf)
                 if replay is not None and not replay[0]:
                     return None, "surgery_commutes"
-            return FibrationIso(lf1, lf2, *_maps(r1, r2, phi), preserve, cycle_map), None
+            return (preserve, cycle_map, lambda: _maps(r1, r2, phi)), None
     return None, failed
 
 
@@ -333,16 +322,16 @@ def isomorphism_certificate(lf1: LefschetzFibration, lf2: LefschetzFibration) ->
     fails lists its checks up to the one that failed."""
     gate = _gate(lf1, lf2)
     checks = [{"name": n, "passed": ok} for n, ok in gate]
-    iso = None
+    found = None
     if all(ok for _, ok in gate):
-        iso, failed = _search(lf1, lf2)
-        end = len(_CHECK_NAMES) if iso is not None else _CHECK_NAMES.index(failed) + 1
+        found, failed = _search(lf1, lf2)
+        end = len(_CHECK_NAMES) if found is not None else _CHECK_NAMES.index(failed) + 1
         checks += [{"name": n, "passed": n != failed} for n in _CHECK_NAMES[len(gate):end]]
     return {
         "schema": "isomorphism/1",
         "genus": lf1.genus,
-        "found": iso is not None,
-        "orientation_preserving": iso.orientation_preserving if iso else None,
-        "cycle_map": dict(sorted(iso.cycle_map.items())) if iso else None,
+        "found": found is not None,
+        "orientation_preserving": found[0] if found else None,
+        "cycle_map": dict(sorted(found[1].items())) if found else None,
         "checks": checks,
     }

@@ -15,7 +15,6 @@ counterclockwise) presentation of the surface.
 from __future__ import annotations
 
 import weakref
-from collections import deque
 
 from .curves import CurveOnSurface, Step
 from .ribbon import Record, RibbonGraph, SurfaceError
@@ -25,75 +24,154 @@ class DisconnectedError(SurfaceError):
     """Homology helpers here only handle connected surfaces."""
 
 
-class Workspace:
-    """Oriented homology workspace for one ribbon graph.
+class _CornerSigns(dict):
+    """The corner rule at vertices of degree ``n``: the sign of a pass q,
+    arriving at rotation position qa and departing at qd, against a pass p at
+    pa and pd, keyed by (pa * n + pd) * n * n + qa * n + qd.  A vertex disk's
+    marked points are 0..3n-1 counterclockwise, 3k + 1 at attachment k with
+    3k just before and 3k + 2 just after it.  A pass is the chord between its
+    attachments, q's pushed off when ``push`` (3qa + 2 to 3qd): +1 when q's
+    crosses p's from p's right to its left, -1 the other way, else 0.  Each
+    sign is computed on first lookup: a table holds only the pairs met."""
 
-    Holds the normalized presentation, the lexicographic spanning tree and
-    the co-tree basis, and evaluates the intersection pairing of edge-simple
-    cycles by the pushed-off corner rule (``pairings``).  Certificates
-    pair only the cycles they need that way; the Gram matrix of the whole
-    basis is the pairing of the tests' class-level oracles, which they hold
-    the corner rule against.  Cached weakly on the graph instance
-    (``workspace``); treat as read-only.
-    """
+    def __init__(self, n: int, push: bool):
+        self.n, self.q_in, self.q_out = n, *((2, 0) if push else (1, 1))
+
+    def __missing__(self, key: int) -> int:
+        n = self.n
+        (pa, pd), (qa, qd) = (divmod(x, n) for x in divmod(key, n * n))
+        m, start = 3 * n, 3 * pa + 1
+        r_out = (3 * pd + 1 - start) % m
+        r_qin, r_qout = (3 * qa + self.q_in - start) % m, (3 * qd + self.q_out - start) % m
+        sign = self[key] = 1 if 0 < r_qin < r_out < r_qout else -1 if 0 < r_qout < r_out < r_qin else 0
+        return sign
+
+
+_CORNER_SIGNS: dict[bool, dict[int, _CornerSigns]] = {True: {}, False: {}}  # by push, then degree
+
+
+class Pairing:
+    """The intersection pairing by the corner rule on the oriented
+    presentation ``norm`` of a surface, read off its dart tables and the
+    darts each curve keeps; a ``Workspace`` adds a homology basis."""
+
+    def __init__(self, surface: RibbonGraph):
+        self.norm = surface.normalized()  # raises NonOrientableError if needed
+
+    def _corner_crossings(self, walks, push: bool):
+        """The corner rule: yield (i, t, j, u, sign) for every crossing of
+        the pass of walk i after its step t with the pass of walk j != i
+        after its step u at a common vertex, a walk being the darts its steps
+        arrive on.  Passes are grouped by vertex once; each pair's sign is
+        looked up in the ``_CornerSigns`` of the vertex's degree."""
+        pos, dv, rotation = self.norm._dpos, self.norm._dv, self.norm.rotation
+        at: dict[str, list] = {}  # vertex -> (walk, step, pa * n + pd) of each pass there
+        for i, heads in enumerate(walks):
+            for t, (head, nxt) in enumerate(zip(heads, heads[1:] + heads[:1])):
+                v = dv[head]
+                at.setdefault(v, []).append((i, t, pos[head] * len(rotation[v]) + pos[nxt ^ 1]))
+        tables = _CORNER_SIGNS[push]
+        for v, chords in at.items():
+            if len(chords) < 2:
+                continue
+            n = len(rotation[v])
+            signs = tables[n] if n in tables else tables.setdefault(n, _CornerSigns(n, push))
+            nn = n * n
+            for i, p, cp in chords:
+                cp *= nn
+                for j, q, cq in chords:
+                    if j != i:
+                        s = signs[cp + cq]
+                        if s:
+                            yield i, p, j, q, s
+
+    def pairings(self, curves, push: bool = True) -> list[dict[int, int]]:
+        """Intersection pairing of edge-simple closed curves on this surface,
+        as sparse rows: ``rows[i][j]`` is <curve i, curve j>, the signed
+        crossings of curve i with a copy of curve j pushed off to the right
+        of its own direction (not when ``push`` is false, for walks sharing
+        no edge), with no entry for 0.  It must be antisymmetric; the first
+        pair (i < j, row by row) that is not is raised."""
+        rows: list[dict[int, int]] = [{} for _ in curves]
+        for i, _, j, _, s in self._corner_crossings([c._heads for c in curves], push):
+            row = rows[i]
+            row[j] = row.get(j, 0) + s
+        bad = [(min(i, j), max(i, j)) for i, row in enumerate(rows)
+               for j, x in row.items() if rows[j].get(i, 0) != -x]
+        if bad:
+            i, j = min(bad)
+            x, y = curves[i].name, curves[j].name
+            raise SurfaceError(f"intersection pairing failed antisymmetry: "
+                               f"<{x!r}, {y!r}> = {rows[i].get(j, 0)} but <{y!r}, {x!r}> = {rows[j].get(i, 0)}")
+        return rows
+
+    def pairing_matrix(self, curves, push: bool = True) -> list[list[int]]:
+        """``pairings`` as a dense matrix."""
+        return [[row.get(j, 0) for j in range(len(curves))] for row in self.pairings(curves, push)]
+
+
+class Workspace(Pairing):
+    """The pairing of one connected ribbon graph with its lexicographic
+    spanning tree and co-tree basis.  The Gram matrix of the whole basis is
+    the pairing of the tests' class-level oracles.  Cached weakly on the
+    graph instance (``workspace``); treat as read-only."""
 
     def __init__(self, surface: RibbonGraph):
         if not surface.is_connected():
             raise DisconnectedError("homology requires a connected surface")
+        super().__init__(surface)
         self.graph = surface
-        self.norm = surface.normalized()  # raises NonOrientableError if needed
-        # Lexicographically greedy spanning tree: scan edge ids in order and
-        # keep every edge joining two components (Kruskal).
-        root = {v: v for v in self.norm.vertices}
-
-        def find(v):
-            while root[v] != v:
-                root[v] = root[root[v]]
-                v = root[v]
-            return v
-
-        self.tree: set[str] = set()
-        for e in self.norm.edges:
-            t, h = self.norm.edge_endpoints(e)
-            rt, rh = find(t), find(h)
-            if rt != rh:
-                root[rt] = rh
-                self.tree.add(e)
-        self.basis: tuple[str, ...] = tuple(e for e in self.norm.edges if e not in self.tree)
+        # Lexicographically greedy spanning tree: scan the edges in order and
+        # keep every edge joining two components (Kruskal, with path halving
+        # on integer vertex roots).  _basis_index holds each edge's basis
+        # position, by edge number, and -1 for a tree edge.
+        vid = {v: i for i, v in enumerate(self.norm.vertices)}
+        ends = iter([vid[v] for v in self.norm._dv])
+        root = list(range(len(vid)))
+        self._basis_index = index = []
+        basis = []
+        for e, t, h in zip(self.norm.edges, ends, ends):  # the two ends of each edge in turn
+            while root[t] != t:
+                root[t] = t = root[root[t]]
+            while root[h] != h:
+                root[h] = h = root[root[h]]
+            if t != h:
+                root[t] = h
+                index.append(-1)
+            else:
+                index.append(len(basis))
+                basis.append(e)
+        self.tree: set[str] = {e for e, i in zip(self.norm.edges, index) if i < 0}
+        self.basis: tuple[str, ...] = tuple(basis)
         self.index = {e: i for i, e in enumerate(self.basis)}
-        self._tree_adj: dict[str, list[tuple[str, str]]] | None = None  # built by the first tree_path
+        self._tree_adj: dict[str, list[tuple[str, int, str]]] | None = None  # built by the first tree_path
         self._gram: list[list[int]] | None = None
 
     # -- basis cycles -------------------------------------------------------
 
     def tree_path(self, a: str, b: str) -> list[Step]:
-        """Steps along tree edges from vertex a to vertex b."""
+        """Steps along tree edges from vertex a to vertex b, found breadth
+        first with each vertex's tree edges in edge order."""
         if self._tree_adj is None:
             self._tree_adj = {v: [] for v in self.norm.vertices}
-            for e in self.tree:
+            for e in sorted(self.tree):
                 t, h = self.norm.edge_endpoints(e)
-                self._tree_adj[t].append((e, h))
-                self._tree_adj[h].append((e, t))
-            for adj in self._tree_adj.values():
-                adj.sort()
-        prev: dict[str, tuple[str, str]] = {a: ("", "")}
-        queue = deque([a])
-        while queue:
-            v = queue.popleft()
+                self._tree_adj[t].append((e, 1, h))
+                self._tree_adj[h].append((e, -1, t))
+        prev: dict[str, tuple | None] = {a: None}
+        queue = [a]
+        for v in queue:
             if v == b:
                 break
-            for e, w in self._tree_adj[v]:
+            for e, s, w in self._tree_adj[v]:
                 if w not in prev:
-                    prev[w] = (e, v)
+                    prev[w] = (e, s, v)
                     queue.append(w)
         steps: list[Step] = []
-        v = b
-        while v != a:
-            e, u = prev[v]
-            steps.append((e, 1 if self.norm.edge_endpoints(e) == (u, v) else -1))
-            v = u
-        steps.reverse()
-        return steps
+        while prev[b] is not None:
+            e, s, b = prev[b]
+            steps.append((e, s))
+        return steps[::-1]
 
     def basis_cycle(self, edge: str) -> CurveOnSurface:
         """Fundamental cycle of a co-tree edge: the edge plus the tree path
@@ -103,82 +181,6 @@ class Workspace:
         t, h = self.norm.edge_endpoints(edge)
         walk = [(edge, 1)] + self.tree_path(h, t)
         return CurveOnSurface(self.graph, f"z[{edge}]", tuple(walk))
-
-    def _corner_crossings(self, walks, push: bool):
-        """The corner rule: yield (i, t, j, u, sign) for every crossing of
-        the pass of walk i after its step t with the pass of walk j != i
-        after its step u at a common vertex.
-
-        Each pass is the chord from a step's arriving half-edge to the next
-        step's departing one; chords are grouped by vertex once.  The marked
-        points of a vertex disk with d attachments are numbered 0..3d-1
-        counterclockwise: the attachment at rotation position k is 3k + 1,
-        with 3k just before it and 3k + 2 just after it.  The chord of the
-        pass u is pushed off to the right of its own direction when ``push``
-        (it starts just after its arrival and ends just before its
-        departure).  The sign is +1 when it crosses t's chord from that
-        chord's right to its left.
-        """
-        pos, dv = self.norm._dpos, self.norm._dv
-        q_in, q_out = (2, 0) if push else (1, 1)
-        at: dict[str, list] = {}
-        for i, walk in enumerate(walks):
-            heads = self.norm.head_darts(walk)
-            for t, (head, nxt) in enumerate(zip(heads, heads[1:] + heads[:1])):
-                a, d = 3 * pos[head], 3 * pos[nxt ^ 1]
-                at.setdefault(dv[head], []).append((i, t, a + 1, d + 1, a + q_in, d + q_out))
-        rotation = self.norm.rotation
-        for v, chords in at.items():
-            if len(chords) < 2:
-                continue
-            n = 3 * len(rotation[v])
-            for i, p, pi, po, _, _ in chords:
-                r_out = (po - pi) % n
-                for j, q, _, _, qi, qo in chords:
-                    if j == i:
-                        continue
-                    r_qin = (qi - pi) % n
-                    r_qout = (qo - pi) % n
-                    if 0 < r_qin < r_out < r_qout:
-                        yield i, p, j, q, 1
-                    elif 0 < r_qout < r_out < r_qin:
-                        yield i, p, j, q, -1
-
-    def pairings(self, curves, push: bool = True) -> list[dict[int, int]]:
-        """Intersection pairing of edge-simple closed curves on this surface,
-        as sparse rows: ``rows[i][j]`` is <curve i, curve j> for each pair
-        that crosses at all; the other pairs pair to 0 and have no entry.
-
-        Entry (i, j) counts signed crossings of curve i with a copy of curve
-        j pushed off to the right of its own direction; shared segments stay
-        parallel inside the bands, so only vertex corners contribute.  The
-        diagonal is zero.  With ``push`` false the copies are not pushed off,
-        which counts the crossings of walks that share no edges.  The pairing
-        must be antisymmetric; the first pair (i < j, row by row) that is not
-        is raised.
-        """
-        rows: list[dict[int, int]] = [{} for _ in curves]
-        for i, _, j, _, s in self._corner_crossings([c.walk for c in curves], push):
-            row = rows[i]
-            row[j] = row.get(j, 0) + s
-        bad = [(min(i, j), max(i, j)) for i, row in enumerate(rows)
-               for j, x in row.items() if rows[j].get(i, 0) != -x]
-        if bad:
-            i, j = min(bad)
-            x, y = curves[i].name, curves[j].name
-            raise SurfaceError(
-                f"intersection pairing failed antisymmetry: "
-                f"<{x!r}, {y!r}> = {rows[i].get(j, 0)} but <{y!r}, {x!r}> = {rows[j].get(i, 0)}"
-            )
-        return rows
-
-    def pairing_matrix(self, curves, push: bool = True) -> list[list[int]]:
-        """``pairings`` as a dense matrix."""
-        m = [[0] * len(curves) for _ in curves]
-        for i, row in enumerate(self.pairings(curves, push)):
-            for j, x in row.items():
-                m[i][j] = x
-        return m
 
     def gram_matrix(self) -> list[list[int]]:
         """Intersection pairing of the basis cycles."""
@@ -210,20 +212,10 @@ class HomologyClass(Record):
             raise SurfaceError(f"class vector has length {len(vector)}, basis has {n}")
         super().__init__(host, vector)
 
-    def _require_same_host(self, other: "HomologyClass"):
+    def __add__(self, other: "HomologyClass") -> "HomologyClass":
         if self.host is not other.host:
             raise SurfaceError("homology classes live on different surfaces")
-
-    def __add__(self, other: "HomologyClass") -> "HomologyClass":
-        self._require_same_host(other)
         return HomologyClass(self.host, tuple(a + b for a, b in zip(self.vector, other.vector)))
-
-    def __sub__(self, other: "HomologyClass") -> "HomologyClass":
-        self._require_same_host(other)
-        return HomologyClass(self.host, tuple(a - b for a, b in zip(self.vector, other.vector)))
-
-    def __neg__(self) -> "HomologyClass":
-        return HomologyClass(self.host, tuple(-a for a in self.vector))
 
     def scaled(self, k: int) -> "HomologyClass":
         return HomologyClass(self.host, tuple(k * a for a in self.vector))
@@ -255,13 +247,14 @@ def class_from_steps(surface: RibbonGraph, steps) -> HomologyClass:
     return HomologyClass(surface, tuple(vec))
 
 
-def _sparse_class(index: dict[str, int], curve: CurveOnSurface) -> dict[int, int]:
-    """``curve_class`` as a sparse ``{basis index: count}`` map without
-    zero counts, read through the host workspace's ``index``.  The caller
-    checks the host."""
+def _sparse_class(basis_index: list[int], heads) -> dict[int, int]:
+    """``curve_class`` of the walk that arrives on the darts ``heads``, as a
+    sparse ``{basis index: count}`` map without zero counts, read through
+    the host workspace's ``_basis_index``: dart d runs edge d >> 1, forward
+    when d is odd.  The caller checks the host."""
     counts: dict[int, int] = {}
-    for e, s in curve.walk:
-        i = index.get(e)
-        if i is not None:
-            counts[i] = counts.get(i, 0) + s
+    for d in heads:
+        i = basis_index[d >> 1]
+        if i >= 0:
+            counts[i] = counts.get(i, 0) + (1 if d & 1 else -1)
     return {i: x for i, x in counts.items() if x}

@@ -182,7 +182,7 @@ def fibration_homology(page: RibbonGraph, word) -> tuple[FinAbGroup, FinAbGroup,
             raise SurfaceError("cycle lives on a different surface")
         c.require_edge_simple()
     ws = workspace(page)
-    classes = [_sparse_class(ws.index, c) for c in word]
+    classes = [_sparse_class(ws._basis_index, c._heads) for c in word]
     return _peeled_homology(len(ws.basis), classes, ws.pairings(word))
 
 

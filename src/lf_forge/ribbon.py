@@ -15,6 +15,8 @@ edge "forward" (sign +1) runs from end 0 to end 1.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 
 class SurfaceError(ValueError):
     """Input does not describe the object an operation requires."""
@@ -25,6 +27,7 @@ class NonOrientableError(SurfaceError):
 
 
 HalfEdge = tuple[str, int]
+_ENDS = {0: 0, 1: 1}  # the valid ends of an edge
 
 
 def as_pairs(items) -> tuple:
@@ -71,7 +74,7 @@ def json_field(doc, key: str, kind: type, where: str, item: type | None = None):
     value = doc[key]
     if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
         raise SurfaceError(f"{where} field {key!r} must be {_JSON_TYPE_NAMES[kind]}, got {value!r}")
-    if item is not None:
+    if item is not None and not set(map(type, value)) <= {item}:
         for x in value:
             if not isinstance(x, item):
                 raise SurfaceError(
@@ -83,9 +86,10 @@ def json_field(doc, key: str, kind: type, where: str, item: type | None = None):
 class Record:
     """Base of the package's immutable record types.
 
-    A record's fields are the names in its ``__slots__`` after its
-    parent's, read once into ``_names``; ``__init__`` takes one value per
-    field, in that order, and writes it past the frozen ``__setattr__``.
+    A record's fields are the public names in its ``__slots__`` after its
+    parent's, read once into ``_names``; a private slot holds state derived
+    from the fields.  ``__init__`` takes one value per field, in that order,
+    and writes it past the frozen ``__setattr__``.
     Records are equal, and hash alike, when they have the same type and
     equal fields, and repr as ``Name(field=value, ...)``.  These methods
     are written out once rather than generated per class at import, which
@@ -97,7 +101,7 @@ class Record:
     _names = ()
 
     def __init_subclass__(cls):
-        cls._names += tuple(cls.__dict__.get("__slots__", ()))
+        cls._names += tuple(n for n in cls.__dict__.get("__slots__", ()) if n[0] != "_")
 
     def __init__(self, *values):
         if len(values) != len(self._names):
@@ -153,44 +157,53 @@ class RibbonGraph:
     """
 
     def __init__(self, vertices, edges, rotation, twists=()):
-        self.vertices = sorted_ids(vertices, "vertex")
-        self.edges = sorted_ids(edges, "edge")
-        self.twists = frozenset(twists)
-        self._check(rotation)
-        self._cache = {}
+        self._check(vertices, edges, rotation, twists)
 
-    def _check(self, rotation) -> None:
+    def _check(self, vertices, edges, rotation, twists, eid=None) -> None:
         """Validate the data and build the dart tables in one pass: the
         k-th edge (``_eid``) has darts 2k and 2k + 1 for its ends 0 and 1,
         so d ^ 1 is the partner of dart d and dart order is half-edge order.
-        ``_half`` holds each dart's half-edge as ``rotation`` lists it, and
-        ``_dv``, ``_dn``, ``_dp`` and ``_dpos`` its vertex, the next and
-        previous darts there and its index in that rotation.  The first
-        anomaly hands over to ``_half_edge_fault``."""
+        ``_half``, ``_dv``, ``_dn``, ``_dp`` and ``_dpos`` hold each dart's
+        half-edge, vertex, next and previous darts there and rotation index.
+        Given ``eid``, the rotation lists the darts a parser numbered by it
+        (``from_json_dict``).  The first anomaly goes to ``_half_edge_fault``."""
+        self.vertices = sorted_ids(vertices, "vertex")
+        self.edges = sorted_ids(edges, "edge")
+        self.twists = frozenset(twists)
+        self._cache = {}
         if len(set(self.vertices)) != len(self.vertices):
             raise SurfaceError("duplicate vertex ids")
         if len(set(self.edges)) != len(self.edges):
             raise SurfaceError("duplicate edge ids")
-        for e in self.edges:
-            if e.startswith("-"):
-                raise SurfaceError(f"edge id may not start with '-': {e!r}")
+        i = bisect_left(self.edges, "-")  # the ids that start with '-' sort from here on
+        if i < len(self.edges) and self.edges[i].startswith("-"):
+            raise SurfaceError(f"edge id may not start with '-': {self.edges[i]!r}")
         if set(rotation) != set(self.vertices):
             raise SurfaceError("rotation keys must match vertex set")
-        self.rotation = {v: as_pairs(rotation[v]) for v in self.vertices}
-        eid = self._eid = {e: k for k, e in enumerate(self.edges)}
-        n = 2 * len(eid)
-        self._half, self._dv, self._dn, self._dp, self._dpos = half, dv, dn, dp, dpos = (
-            [None] * n, [None] * n, [0] * n, [0] * n, [-1] * n)
-        for v, rot in self.rotation.items():
-            darts = []
-            for i, h in enumerate(rot):
-                k, end = eid.get(h[0]), h[1]
-                if k is None or end != 0 and end != 1 or dpos[d := 2 * k + end] >= 0:
-                    self._half_edge_fault()
-                half[d], dv[d], dpos[d] = h, v, i
-                darts.append(d)
-            prev = darts[-1] if darts else 0
-            for d in darts:
+        parsed, n = eid is not None, 2 * len(self.edges)
+        if parsed:
+            half = [(e, end) for e in self.edges for end in (0, 1)]
+            self.rotation = {v: tuple([half[d] for d in rotation[v]]) for v in self.vertices}
+        else:  # each half-edge is looked up as it is linked, and kept as its dart's
+            eid, half = {e: k for k, e in enumerate(self.edges)}, [None] * n
+            self.rotation = rotation = {v: as_pairs(rotation[v]) for v in self.vertices}
+        self._eid, self._half = eid, half
+        self._dv, self._dn, self._dp, self._dpos = dv, dn, dp, dpos = [None] * n, [0] * n, [0] * n, [-1] * n
+        for v in self.vertices:
+            ds = []
+            try:  # a half-edge whose edge or end is unknown
+                for i, h in enumerate(rotation[v]):
+                    d = h if parsed else 2 * eid[h[0]] + _ENDS[h[1]]
+                    if dpos[d] >= 0:
+                        self._half_edge_fault()
+                    if not parsed:
+                        half[d] = h
+                    dv[d], dpos[d] = v, i
+                    ds.append(d)
+            except KeyError:
+                self._half_edge_fault()
+            prev = ds[-1] if ds else 0
+            for d in ds:
                 dn[prev], dp[d] = d, prev
                 prev = d
         if -1 in dpos:
@@ -216,7 +229,7 @@ class RibbonGraph:
             raise KeyError(half_edge)
         return 2 * self._eid[e] + end
 
-    def head_darts(self, walk) -> list[int]:
+    def head_darts(self, walk) -> tuple[int, ...]:
         """The dart every step of ``walk`` arrives on: (e, 1) for a forward
         step (e, +1), (e, 0) for (e, -1); the step departs from its partner.
         The first step that is not on this graph raises SurfaceError."""
@@ -227,7 +240,7 @@ class RibbonGraph:
             if k is None or s != 1 and s != -1:
                 raise SurfaceError(f"walk step ({e!r}, {s}) is not on the surface")
             darts.append(2 * k + (s > 0))
-        return darts
+        return tuple(darts)
 
     # -- basic structure ---------------------------------------------------
 
@@ -452,9 +465,10 @@ class RibbonGraph:
 
         A field whose value has exactly its JSON type is taken as it is;
         any other value goes to ``json_field``, which accepts it or raises
-        the field's message.  Rotation ids are looked up among the edges'
-        ``half_edges``; an id not there goes to ``parse_half_edge`` and then
-        to the constructor, which name the malformed id or the unknown edge.
+        the field's message.  Rotation ids are looked up as darts among the
+        edges' ``half_edges``; at the first id not there the whole rotation
+        goes through ``json_field``, ``parse_half_edge`` and the constructor,
+        which name the first fault in rotation order.
         """
         schema = doc.get("schema") if isinstance(doc, dict) else None
         if schema != "ribbon-graph/1":
@@ -463,7 +477,9 @@ class RibbonGraph:
         records = json_field(doc, "edges", list, "ribbon-graph", dict)
         edges = [rec["id"] if type(rec.get("id")) is str else json_field(rec, "id", str, "ribbon-graph edge")
                  for rec in records]
-        half_edge_of = {}
+        order = sorted(edges)  # the constructor's dart numbering; it raises duplicates before reading a dart
+        eid = {e: k for k, e in enumerate(order)}
+        dart_of = {}
         for e, rec in zip(edges, records):
             halves = rec.get("half_edges")
             if type(halves) is not list:
@@ -474,8 +490,8 @@ class RibbonGraph:
                     f"ribbon-graph edge {e!r} field 'half_edges' must be {expected}, got {halves!r}"
                 )
             if e:  # parse_half_edge rejects the ids of an empty edge id
-                half_edge_of[expected[0]] = (e, 0)
-                half_edge_of[expected[1]] = (e, 1)
+                dart_of[expected[0]] = d = 2 * eid[e]
+                dart_of[expected[1]] = d + 1
         twists = []
         for e, rec in zip(edges, records):
             twist = rec.get("twist", False)
@@ -484,17 +500,19 @@ class RibbonGraph:
             if twist:
                 twists.append(e)
         rotation = json_field(doc, "rotation", dict, "ribbon-graph")
-        parsed = {}
+        darts = {}
         for v, halves in rotation.items():
             if type(halves) is list:
                 try:
-                    parsed[v] = [half_edge_of[h] for h in halves]
+                    darts[v] = [dart_of[h] for h in halves]
                     continue
                 except (KeyError, TypeError):  # an unknown id or a non-string entry
                     pass
-            halves = json_field(rotation, v, list, "ribbon-graph rotation", str)
-            parsed[v] = [cls.parse_half_edge(h) for h in halves]
-        return cls(vertices, edges, parsed, twists)
+            return cls(vertices, edges, {u: [cls.parse_half_edge(h) for h in json_field(  # names the first fault
+                rotation, u, list, "ribbon-graph rotation", str)] for u in rotation}, twists)
+        graph = object.__new__(cls)
+        graph._check(vertices, order, darts, twists, eid)
+        return graph
 
     def to_dot(self, name: str = "surface") -> str:
         """Graphviz rendering of the underlying graph; diagnostic only."""

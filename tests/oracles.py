@@ -1,11 +1,14 @@
 """Test oracles: reference versions of what the package computes another way.
 
 No command runs any of these.  Each one traces or enumerates directly
-(boundary walks one state at a time, the pairing of classes through the Gram
-matrix of the basis, Dehn twists on classes and on walks, the closing
-smoothing on the mapped word, divide curves one crossing at a time), so the
-tests can hold the package's faster or more indirect code against it.
+(boundary walks one state at a time, the spanning tree over vertex names,
+corner signs from chords drawn on the circle, the pairing of classes through
+the Gram matrix of the basis, Dehn twists on classes and on walks, the
+closing smoothing on the mapped word, divide curves one crossing at a time),
+so the tests can hold the package's faster or more indirect code against it.
 """
+
+import math
 
 from lf_forge.builders import LefschetzFibration, closing_smoothing
 from lf_forge.curves import CurveOnSurface, reversed_step
@@ -166,6 +169,57 @@ def rebased(curve: CurveOnSurface, index: int):
 # -- homology classes and Dehn twists ---------------------------------------------
 
 
+def lexicographic_tree(surface: RibbonGraph) -> tuple[set, tuple, dict]:
+    """The reference for the spanning tree of ``homology.Workspace``: scan
+    the edge ids of the oriented presentation in order and keep every edge
+    whose ends lie in different components, the components kept as a
+    union-find over vertex names.  Returns (tree, basis, index) as the
+    workspace names them."""
+    norm = surface.normalized()
+    root = {v: v for v in norm.vertices}
+
+    def find(v):
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    tree = set()
+    for e in norm.edges:
+        t, h = norm.edge_endpoints(e)
+        rt, rh = find(t), find(h)
+        if rt != rh:
+            root[rt] = rh
+            tree.add(e)
+    basis = tuple(e for e in norm.edges if e not in tree)
+    return tree, basis, {e: i for i, e in enumerate(basis)}
+
+
+def chord_crossing(n: int, push: bool, pa: int, pd: int, qa: int, qd: int) -> int:
+    """The reference for one corner-rule sign, by plane geometry: the 3n
+    marked points of a vertex of degree n sit evenly on the unit circle,
+    counterclockwise, attachment k at point 3k + 1.  Pass p is the segment
+    from its arriving attachment pa to its departing one pd; pass q runs
+    from just after qa (3qa + 2) to just before qd (3qd) when ``push``, else
+    between the attachments.  Segments that share an end or do not meet give
+    0; else +1 when q starts on the right of p (seen along p), -1 when on its
+    left."""
+    m = 3 * n
+    ends = [3 * pa + 1, 3 * pd + 1, *((3 * qa + 2, 3 * qd) if push else (3 * qa + 1, 3 * qd + 1))]
+    if len({k % m for k in ends}) < 4:
+        return 0
+    (px, py), (qx, qy), (rx, ry), (sx, sy) = [(math.cos(2 * math.pi * k / m), math.sin(2 * math.pi * k / m))
+                                              for k in ends]
+
+    def side(ax, ay, bx, by, cx, cy):  # > 0 when c lies left of the line from a to b
+        return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+    s_in, s_out = side(px, py, qx, qy, rx, ry), side(px, py, qx, qy, sx, sy)
+    if s_in * s_out > 0 or side(rx, ry, sx, sy, px, py) * side(rx, ry, sx, sy, qx, qy) > 0:
+        return 0
+    return 1 if s_in < 0 else -1
+
+
 def algebraic_intersection(surface: RibbonGraph, x: HomologyClass, y: HomologyClass) -> int:
     """Skew-symmetric intersection pairing on H1, through the Gram matrix of
     the basis cycles."""
@@ -185,11 +239,12 @@ def dehn_twist_on_class(surface: RibbonGraph, curve: CurveOnSurface, x: Homology
     return x + c.scaled(algebraic_intersection(surface, x, c))
 
 
-def _crossings_with_curve(surface: RibbonGraph, walk, curve: CurveOnSurface):
+def _crossings_with_curve(surface: RibbonGraph, path: CurveOnSurface, curve: CurveOnSurface):
     """All signed (pass index in host walk, detour steps) crossings of a
-    closed walk's vertex passes with an edge-simple closed curve."""
+    closed walk's vertex passes with an edge-simple closed curve, by the
+    package's corner rule on the darts both curves keep."""
     out = []
-    for i, t, _, u, s in workspace(surface)._corner_crossings([walk, curve.walk], push=False):
+    for i, t, _, u, s in workspace(surface)._corner_crossings([path._heads, curve._heads], push=False):
         if i:
             continue
         detour = list(rebased(curve, (u + 1) % len(curve.walk)))
@@ -219,7 +274,7 @@ def dehn_twist_on_path(surface: RibbonGraph, curve: CurveOnSurface, path: CurveO
             "refine the walk off those bands first"
         )
     by_idx: dict[int, list] = {}
-    for host_idx, _, detour in _crossings_with_curve(surface, path.walk, curve):
+    for host_idx, _, detour in _crossings_with_curve(surface, path, curve):
         by_idx.setdefault(host_idx, []).append(detour)
     new_walk = []
     for i, step in enumerate(path.walk):

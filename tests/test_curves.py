@@ -1,10 +1,14 @@
 """Closed walks on a ribbon graph: validation messages and rotations."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
+from lf_forge.builders import LefschetzFibration, simultaneous_surgery, word_families
 from lf_forge.curves import CurveOnSurface, canonical_rotation, check_walk
-from lf_forge.ribbon import SurfaceError
+from lf_forge.equivalence import reduced_word
+from lf_forge.ribbon import RibbonGraph, SurfaceError
 
 import oracles
 
@@ -111,3 +115,40 @@ def test_canonical_rotation_is_the_least_of_all_rotations(walk):
     assert canonical_rotation(walk) == min(rotations)
     assert all(canonical_rotation(r) == canonical_rotation(walk) for r in rotations)
 
+
+# -- the darts a curve keeps ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("construction", ["johns", "ishikawa"])
+def test_every_curve_keeps_the_darts_of_its_walk(built, relabelled, mirrored, flipped, construction):
+    """Built, parsed, relabelled, mirrored and edge-flipped words, their
+    closing smoothing and their reduced words: each curve's kept darts are
+    the ones ``head_darts`` looks up for its walk."""
+    for genus in range(9):
+        fib = built(construction, genus)
+        parsed = LefschetzFibration.from_json_dict(fib.to_json_dict())
+        for lf in (fib, parsed, relabelled(fib, genus), mirrored(fib), flipped(fib, genus)):
+            fams = word_families(lf)
+            curves = [*lf.word, *simultaneous_surgery(lf.fiber, fams["a"], fams["b"]), *reduced_word(lf)[1].values()]
+            for c in curves:
+                assert type(c._heads) is tuple
+                assert c._heads == c.host.head_darts(c.walk)
+
+
+def test_kept_darts_are_not_a_field():
+    """A curve compares, hashes, reprs and pickles by its three fields only,
+    and its darts come back from the walk when it is unpickled.  The graph is
+    built here, so no other test's cache entries ride along in the pickle."""
+    pants = RibbonGraph(("u", "v"), ("e", "f", "g"),
+                        {"u": (("e", 0), ("f", 0), ("g", 0)), "v": (("g", 1), ("f", 1), ("e", 1))})
+    walk = (("e", 1), ("f", -1))
+    curve = CurveOnSurface(pants, "w", walk)
+    assert CurveOnSurface._names == ("host", "name", "walk")
+    assert repr(curve) == f"CurveOnSurface(host={pants!r}, name='w', walk=(('e', 1), ('f', -1)))"
+    assert "_heads" not in repr(curve)
+    assert curve == CurveOnSurface(pants, "w", [["e", 1], ["f", -1]])
+    assert hash(curve) == hash((pants, "w", walk))
+    assert curve.__reduce__() == (CurveOnSurface, (pants, "w", walk))
+    back = pickle.loads(pickle.dumps(curve))
+    assert (back.name, back.walk, back._heads) == ("w", walk, curve._heads)
+    assert back._heads == back.host.head_darts(walk)

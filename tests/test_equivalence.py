@@ -34,7 +34,7 @@ from lf_forge.equivalence import (
 from lf_forge.homology import (
     HomologyClass,
     class_from_steps,
-    Workspace,
+    Pairing,
     homology_basis,
     workspace,
 )
@@ -504,7 +504,7 @@ def test_triple_product_is_unknown_without_three_families_or_a_pairing(built, mo
     def unpairable(self, curves, push=True):
         raise SurfaceError("intersection pairing failed antisymmetry")
 
-    monkeypatch.setattr(Workspace, "pairing_matrix", unpairable)
+    monkeypatch.setattr(Pairing, "pairing_matrix", unpairable)
     assert _triple_product(fib.fiber, fams) is None
 
 
@@ -563,13 +563,13 @@ def test_skipping_seeds_keeps_the_full_scan_result(built, relabelled, mirrored,
             assert expected is not None
             preserving.clear()
             monkeypatch.setattr(equivalence, "_propagate", counted)
-            iso, failed = _search(lf1, lf2)
+            found, failed = _search(lf1, lf2)
             monkeypatch.undo()
             assert failed is None
-            assert iso.orientation_preserving == expected.orientation_preserving
-            assert iso.vertex_map == expected.vertex_map
-            assert iso.edge_map == expected.edge_map
-            assert iso.cycle_map == expected.cycle_map
+            preserve, cycle_map, maps = found
+            assert preserve == expected.orientation_preserving
+            assert maps() == (expected.vertex_map, expected.edge_map)
+            assert cycle_map == expected.cycle_map
             if lf1 is mirror:
                 assert not expected.orientation_preserving
             if not expected.orientation_preserving:

@@ -1,7 +1,9 @@
 """First homology of surfaces: basis, pairing, and Dehn twist action."""
 
 import gc
+import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,9 @@ from lf_forge.curves import CurveOnSurface, reversed_step
 from lf_forge.equivalence import isomorphism_certificate
 from lf_forge.homology import (
     HomologyClass,
+    Pairing,
     Workspace,
+    _CornerSigns,
     _sparse_class,
     class_from_steps,
     curve_class,
@@ -25,12 +29,15 @@ from lf_forge.ribbon import RibbonGraph, SurfaceError
 from oracles import (
     TransversalityError,
     algebraic_intersection,
+    chord_crossing,
     dehn_twist_on_class,
     dehn_twist_on_path,
+    lexicographic_tree,
     step_head,
     step_head_half,
     step_tail_half,
 )
+from test_ribbon import ribbon_graphs
 
 
 def loop(surface, edge, name=None):
@@ -62,7 +69,7 @@ def test_certificate_leaves_the_tree_adjacency_unbuilt(build):
     assert ws._tree_adj is None
     cycle = ws.basis_cycle(ws.basis[0])
     assert ws._tree_adj is not None
-    assert _sparse_class(ws.index, cycle) == {0: 1}
+    assert _sparse_class(ws._basis_index, cycle._heads) == {0: 1}
 
 
 def test_one_vertex_basis_cycles_are_unit_classes(punctured_torus):
@@ -94,7 +101,8 @@ def test_sparse_class_is_the_nonzero_part_of_curve_class(built):
         )
         for c in fib.word + reversals:
             vector = curve_class(fib.fiber, c).vector
-            assert _sparse_class(workspace(fib.fiber).index, c) == {i: x for i, x in enumerate(vector) if x}
+            assert _sparse_class(workspace(fib.fiber)._basis_index, c._heads) == {
+                i: x for i, x in enumerate(vector) if x}
     # _sparse_class trusts its caller with the host: fibration_homology checks it
     with pytest.raises(SurfaceError, match="different surface"):
         fibration_homology(built("johns", 1).fiber, built("johns", 2).word[:1])
@@ -313,6 +321,49 @@ def test_word_pairing_equals_the_named_point_reference(built, relabelled, mirror
             ws = workspace(f.fiber)
             for push in (True, False):
                 assert ws.pairing_matrix(f.word, push=push) == reference_pairing(f.fiber, f.word, push)
+
+
+@pytest.mark.parametrize("push", [True, False])
+def test_corner_sign_lookup_is_the_chord_geometry(push):
+    """Every key of the sign tables at degrees 1..6, both passes at every
+    arrival and departure position: the looked-up sign is the crossing of
+    the two chords drawn on the circle, and a second lookup gives it too."""
+    for n in range(1, 7):
+        signs = _CornerSigns(n, push)
+        for pa, pd, qa, qd in itertools.product(range(n), repeat=4):
+            key = (pa * n + pd) * n * n + qa * n + qd
+            assert signs[key] == chord_crossing(n, push, pa, pd, qa, qd) == signs[key]
+        assert len(signs) == n ** 4
+
+
+def test_a_vertex_of_degree_200_pairs_in_little_memory():
+    """A bouquet of 100 loops is one vertex of degree 200 at which every two
+    loops interleave.  Pairing two of them evaluates two pairs of passes, so
+    the sign table holds two signs, not one per position quadruple."""
+    loops = [f"l{i:03d}" for i in range(100)]
+    g = RibbonGraph(("v",), loops, {"v": tuple([(e, 0) for e in loops] + [(e, 1) for e in loops])})
+    a, b = (CurveOnSurface(g, e, ((e, 1),)) for e in loops[:2])
+    pairing = Pairing(g)
+    tracemalloc.start()
+    try:
+        matrix = pairing.pairing_matrix([a, b])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matrix in ([[0, 1], [-1, 0]], [[0, -1], [1, 0]])
+    assert peak < 16_000
+
+
+@given(ribbon_graphs())
+def test_the_dart_spanning_tree_is_the_lexicographic_one(g):
+    """Kruskal on integer vertex roots over the dart tables keeps the same
+    tree, basis and basis index as the scan over vertex names."""
+    if not g.is_orientable():
+        return
+    ws = Workspace(g)
+    tree, basis, index = lexicographic_tree(g)
+    assert (ws.tree, ws.basis, ws.index) == (tree, basis, index)
+    assert ws._basis_index == [index.get(e, -1) for e in g.edges]
 
 
 def test_open_book_rejects_a_pairing_that_is_not_antisymmetric(built, monkeypatch):

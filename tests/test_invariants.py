@@ -440,7 +440,7 @@ def test_the_peel_pins_the_h2_generator(built, relabelled, construction):
     for g in range(9):
         fib = built(construction, g)
         for f in (fib, relabelled(fib, g)):
-            rows, ops, _ = peel([_sparse_class(workspace(f.fiber).index, c) for c in f.word])
+            rows, ops, _ = peel([_sparse_class(workspace(f.fiber)._basis_index, c._heads) for c in f.word])
             kernel = [i for i, o in enumerate(ops) if o]
             assert len(kernel) == 1
             assert all(r == {} for r in rows)

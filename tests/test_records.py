@@ -177,6 +177,27 @@ def test_only_the_record_constructors_write_past_the_frozen_setattr():
     assert sorted(set(writers)) == ["curves.CurveOnSurface.__init__", "ribbon.Record.__init__"]
 
 
+def test_only_check_walk_looks_up_a_walks_steps():
+    """Inside the package only ``curves.check_walk`` reads
+    ``RibbonGraph.head_darts``; every other layer reads the darts a curve
+    keeps, so no change can quietly translate walks from edge ids again."""
+    readers = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "head_darts"
+                    or isinstance(child, ast.Name) and child.id == "head_darts"):
+                readers.append(".".join(scope))
+            visit(child, scope)
+
+    for path in sorted((SRC / "lf_forge").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), (path.stem,))
+    assert readers == ["curves.check_walk"]
+
+
 def test_every_private_name_is_read():
     """Each private function, method, class or module-level assignment of
     the package (a name starting with ``_`` that is not a dunder) is read

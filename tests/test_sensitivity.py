@@ -127,14 +127,15 @@ def _flip_u_block(monkeypatch):
 
 def _unsigned_sparse_class(monkeypatch):
     """Count every co-tree traversal as +1 in the sparse word classes:
-    ``abs(s)`` in ``homology._sparse_class``."""
+    ``abs(s)`` in ``homology._sparse_class``, which reads the darts each
+    word cycle keeps (a forward step arrives on an odd dart)."""
 
-    def unsigned(index, curve):
+    def unsigned(basis_index, heads):
         counts = {}
-        for e, s in curve.walk:
-            i = index.get(e)
-            if i is not None:
-                counts[i] = counts.get(i, 0) + abs(s)
+        for d in heads:
+            i = basis_index[d >> 1]
+            if i >= 0:
+                counts[i] = counts.get(i, 0) + abs(1 if d & 1 else -1)
         return {i: x for i, x in counts.items() if x}
 
     monkeypatch.setattr(homology, "_sparse_class", unsigned)
