@@ -173,7 +173,7 @@ def _surgery_walks(surface: RibbonGraph, family_x, family_y) -> tuple[tuple[int,
     for v in sorted(px.keys() & py.keys()):
         xin, yin = px[v], py[v]
         xout, yout = depart[xin], depart[yin]
-        lo, hi = sorted((pos[xin], pos[xout]))
+        lo, hi = (a, b) if (a := pos[xin]) < (b := pos[xout]) else (b, a)
         if (lo < pos[yin] < hi) == (lo < pos[yout] < hi):
             raise SurfaceError(f"the families meet tangentially at vertex {v!r}")
         depart[xin], depart[yin] = yout, xout

@@ -284,13 +284,14 @@ class RibbonGraph:
             seen = [False] * len(dn)
             orbits = []
             for start in range(len(dn)):
+                if seen[start]:
+                    continue
                 orbit, cur = [], start
                 while not seen[cur]:
                     seen[cur] = True
                     orbit.append(half[cur])
                     cur = dn[cur ^ 1]
-                if orbit:
-                    orbits.append(tuple(orbit))
+                orbits.append(tuple(orbit))
             self._cache["faces"] = tuple(orbits)
         return self._cache["faces"]
 
