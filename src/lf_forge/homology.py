@@ -47,7 +47,8 @@ class _CornerSigns(dict):
         return sign
 
 
-_CORNER_SIGNS: dict[bool, dict[int, _CornerSigns]] = {True: {}, False: {}}  # by push, then degree
+# By push, then degree; kept for the process, as tables per pairing would recompute ~50 signs per certificate.
+_CORNER_SIGNS: dict[bool, dict[int, _CornerSigns]] = {True: {}, False: {}}
 
 
 class Pairing:
