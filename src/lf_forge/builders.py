@@ -136,9 +136,9 @@ def simultaneous_surgery(surface: RibbonGraph, family_x, family_y) -> tuple[Curv
 def _surgery_walks(surface: RibbonGraph, family_x, family_y) -> tuple[tuple[int, ...], ...]:
     """The walks of ``simultaneous_surgery``'s curves as the darts their
     steps arrive on, traced on the curves' kept darts.  The last successful
-    smoothing on a surface is kept in its cache as dart tuples only, with
-    its inputs', so the cache makes no cycle through the surface; a call on
-    that surface with the same input darts, family by family, returns it
+    smoothing on a surface is kept in its cache with its input darts, all
+    as dart tuples, so the cache makes no cycle through the surface; a later
+    call on that surface whose families keep the same darts returns it
     untraced, as a fresh plumbing build's certificate does.
     """
     family_x, family_y = tuple(family_x), tuple(family_y)
