@@ -186,7 +186,7 @@ def _triple_product(fiber: RibbonGraph, fams) -> int | None:
     word lacks the three families, repeats an edge in one of their cycles
     or cannot be paired; then T decides nothing.
     """
-    from .homology import Pairing  # here, the only user, so that a compare that needs no T does not load it
+    from .homology import pairing_matrix  # here, the only user, so that a compare that needs no T does not load it
 
     if not {"a", "b", "c"} <= set(fams):
         return None
@@ -194,7 +194,7 @@ def _triple_product(fiber: RibbonGraph, fams) -> int | None:
     if not all(x.is_edge_simple() for x in (*a, *b, *c)):
         return None
     try:
-        p = Pairing(fiber).pairing_matrix((*a, *b, *c))
+        p = pairing_matrix(fiber, (*a, *b, *c))
     except SurfaceError:
         return None
     na, nab = len(a), len(a) + len(b)

@@ -29,99 +29,85 @@ class _CornerSigns(dict):
     arriving at rotation position qa and departing at qd, against a pass p at
     pa and pd, keyed by (pa * n + pd) * n * n + qa * n + qd.  A vertex disk's
     marked points are 0..3n-1 counterclockwise, 3k + 1 at attachment k with
-    3k just before and 3k + 2 just after it.  A pass is the chord between its
-    attachments, q's pushed off when ``push`` (3qa + 2 to 3qd): +1 when q's
-    crosses p's from p's right to its left, -1 the other way, else 0.  Each
-    sign is computed on first lookup: a table holds only the pairs met."""
+    3k just before and 3k + 2 just after it.  p's chord runs between its
+    attachments and q's, pushed off, from 3qa + 2 to 3qd: +1 when q's crosses
+    p's from p's right to its left, -1 the other way, else 0.  Each sign is
+    computed on first lookup: a table holds only the pairs met."""
 
-    def __init__(self, n: int, push: bool):
-        self.n, self.q_in, self.q_out = n, *((2, 0) if push else (1, 1))
+    def __init__(self, n: int):
+        self.n = n
 
     def __missing__(self, key: int) -> int:
         n = self.n
         (pa, pd), (qa, qd) = (divmod(x, n) for x in divmod(key, n * n))
         m, start = 3 * n, 3 * pa + 1
         r_out = (3 * pd + 1 - start) % m
-        r_qin, r_qout = (3 * qa + self.q_in - start) % m, (3 * qd + self.q_out - start) % m
+        r_qin, r_qout = (3 * qa + 2 - start) % m, (3 * qd - start) % m
         sign = self[key] = 1 if 0 < r_qin < r_out < r_qout else -1 if 0 < r_qout < r_out < r_qin else 0
         return sign
 
 
-# By push, then degree; kept for the process, as tables per pairing would recompute ~50 signs per certificate.
-_CORNER_SIGNS: dict[bool, dict[int, _CornerSigns]] = {True: {}, False: {}}
+# By degree; kept for the process, as tables per pairing would recompute ~50 signs per certificate.
+_CORNER_SIGNS: dict[int, _CornerSigns] = {}
 
 
-class Pairing:
-    """The intersection pairing by the corner rule on the oriented
-    presentation ``norm`` of a surface, read off its dart tables and the
-    darts each curve keeps; a ``Workspace`` adds a homology basis."""
-
-    def __init__(self, surface: RibbonGraph):
-        self.norm = surface.normalized()  # raises NonOrientableError if needed
-
-    def _corner_crossings(self, walks, push: bool):
-        """The corner rule: yield (i, t, j, u, sign) for every crossing of
-        the pass of walk i after its step t with the pass of walk j != i
-        after its step u at a common vertex, a walk being the darts its steps
-        arrive on.  Passes are grouped by vertex once; each pair's sign is
-        looked up in the ``_CornerSigns`` of the vertex's degree."""
-        pos, dv, rotation = self.norm._dpos, self.norm._dv, self.norm.rotation
-        at: dict[str, list] = {}  # vertex -> (walk, step, pa * n + pd) of each pass there
-        for i, heads in enumerate(walks):
-            for t, (head, nxt) in enumerate(zip(heads, heads[1:] + heads[:1])):
-                v = dv[head]
-                at.setdefault(v, []).append((i, t, pos[head] * len(rotation[v]) + pos[nxt ^ 1]))
-        tables = _CORNER_SIGNS[push]
-        for v, chords in at.items():
-            if len(chords) < 2:
-                continue
-            n = len(rotation[v])
-            signs = tables[n] if n in tables else tables.setdefault(n, _CornerSigns(n, push))
-            nn = n * n
-            for i, p, cp in chords:
-                cp *= nn
-                for j, q, cq in chords:
-                    if j != i:
-                        s = signs[cp + cq]
-                        if s:
-                            yield i, p, j, q, s
-
-    def pairings(self, curves, push: bool = True) -> list[dict[int, int]]:
-        """Intersection pairing of edge-simple closed curves on this surface,
-        as sparse rows: ``rows[i][j]`` is <curve i, curve j>, the signed
-        crossings of curve i with a copy of curve j pushed off to the right
-        of its own direction (not when ``push`` is false, for walks sharing
-        no edge), with no entry for 0.  It must be antisymmetric; the first
-        pair (i < j, row by row) that is not is raised."""
-        rows: list[dict[int, int]] = [{} for _ in curves]
-        for i, _, j, _, s in self._corner_crossings([c._heads for c in curves], push):
-            row = rows[i]
-            row[j] = row.get(j, 0) + s
-        bad = [(min(i, j), max(i, j)) for i, row in enumerate(rows)
-               for j, x in row.items() if rows[j].get(i, 0) != -x]
-        if bad:
-            i, j = min(bad)
-            x, y = curves[i].name, curves[j].name
-            raise SurfaceError(f"intersection pairing failed antisymmetry: "
-                               f"<{x!r}, {y!r}> = {rows[i].get(j, 0)} but <{y!r}, {x!r}> = {rows[j].get(i, 0)}")
-        return rows
-
-    def pairing_matrix(self, curves, push: bool = True) -> list[list[int]]:
-        """``pairings`` as a dense matrix."""
-        return [[row.get(j, 0) for j in range(len(curves))] for row in self.pairings(curves, push)]
+def pairings(surface: RibbonGraph, curves) -> list[dict[int, int]]:
+    """Intersection pairing of edge-simple closed curves on ``surface``, as
+    sparse rows: ``rows[i][j]`` is <curve i, curve j>, the signed crossings
+    of curve i with a copy of curve j pushed off to the right of its own
+    direction, with no entry for 0.  Evaluated by the corner rule on the
+    oriented presentation, from the darts each curve keeps: the passes are
+    grouped by vertex once, and each pair's sign is looked up in the
+    ``_CornerSigns`` of the vertex's degree.  It must be antisymmetric; the
+    first pair (i < j, row by row) that is not is raised."""
+    norm = surface.normalized()  # raises NonOrientableError if needed
+    pos, dv, rotation = norm._dpos, norm._dv, norm.rotation
+    at: dict[str, list] = {}  # vertex -> (curve, pa * n + pd) of each pass there
+    for i, c in enumerate(curves):
+        heads = c._heads
+        for head, nxt in zip(heads, heads[1:] + heads[:1]):
+            v = dv[head]
+            at.setdefault(v, []).append((i, pos[head] * len(rotation[v]) + pos[nxt ^ 1]))
+    rows: list[dict[int, int]] = [{} for _ in curves]
+    for v, chords in at.items():
+        if len(chords) < 2:
+            continue
+        n = len(rotation[v])
+        signs = _CORNER_SIGNS[n] if n in _CORNER_SIGNS else _CORNER_SIGNS.setdefault(n, _CornerSigns(n))
+        nn = n * n
+        for i, cp in chords:
+            row, cp = rows[i], cp * nn
+            for j, cq in chords:
+                if j != i:
+                    s = signs[cp + cq]
+                    if s:
+                        row[j] = row.get(j, 0) + s
+    bad = [(min(i, j), max(i, j)) for i, row in enumerate(rows)
+           for j, x in row.items() if rows[j].get(i, 0) != -x]
+    if bad:
+        i, j = min(bad)
+        x, y = curves[i].name, curves[j].name
+        raise SurfaceError(f"intersection pairing failed antisymmetry: "
+                           f"<{x!r}, {y!r}> = {rows[i].get(j, 0)} but <{y!r}, {x!r}> = {rows[j].get(i, 0)}")
+    return rows
 
 
-class Workspace(Pairing):
-    """The pairing of one connected ribbon graph with its lexicographic
-    spanning tree and co-tree basis.  The Gram matrix of the whole basis is
-    the pairing of the tests' class-level oracles.  Cached weakly on the
-    graph instance (``workspace``); treat as read-only."""
+def pairing_matrix(surface: RibbonGraph, curves) -> list[list[int]]:
+    """``pairings`` as a dense matrix."""
+    return [[row.get(j, 0) for j in range(len(curves))] for row in pairings(surface, curves)]
+
+
+class Workspace:
+    """One connected ribbon graph with its oriented presentation ``norm``,
+    lexicographic spanning tree and co-tree basis.  The Gram matrix of the
+    whole basis is the pairing of the tests' class-level oracles.  Cached
+    weakly on the graph instance (``workspace``); treat as read-only."""
 
     def __init__(self, surface: RibbonGraph):
         if not surface.is_connected():
             raise DisconnectedError("homology requires a connected surface")
-        super().__init__(surface)
         self.graph = surface
+        self.norm = surface.normalized()  # raises NonOrientableError if needed
         # Lexicographically greedy spanning tree: scan the edges in order and
         # keep every edge joining two components (Kruskal, with path halving
         # on integer vertex roots).  _basis_index holds each edge's basis
@@ -186,7 +172,7 @@ class Workspace(Pairing):
     def gram_matrix(self) -> list[list[int]]:
         """Intersection pairing of the basis cycles."""
         if self._gram is None:
-            self._gram = self.pairing_matrix([self.basis_cycle(e) for e in self.basis])
+            self._gram = pairing_matrix(self.graph, [self.basis_cycle(e) for e in self.basis])
         return self._gram
 
 

@@ -12,7 +12,7 @@ groups without building B (``fibration_homology``).
 
 from __future__ import annotations
 
-from .homology import _sparse_class, curve_class, homology_basis, workspace
+from .homology import _sparse_class, curve_class, homology_basis, pairing_matrix, pairings, workspace
 from .ribbon import Record, RibbonGraph, SurfaceError
 
 
@@ -183,7 +183,7 @@ def fibration_homology(page: RibbonGraph, word) -> tuple[FinAbGroup, FinAbGroup,
         c.require_edge_simple()
     ws = workspace(page)
     classes = [_sparse_class(ws._basis_index, c._heads) for c in word]
-    return _peeled_homology(len(ws.basis), classes, ws.pairings(word))
+    return _peeled_homology(len(ws.basis), classes, pairings(page, word))
 
 
 def _peeled_homology(n: int, rows, pairs) -> tuple[FinAbGroup, FinAbGroup, FinAbGroup]:
@@ -254,7 +254,7 @@ def monodromy_arc_relations(page: RibbonGraph, word) -> list[list[int]]:
     """
     n = len(homology_basis(page))
     vecs = [curve_class(page, c).vector for c in word]
-    pair = workspace(page).pairing_matrix(word)
+    pair = pairing_matrix(page, word)
     counts: list[list[int]] = []
     for k, vec in enumerate(vecs):
         nk = list(vec)

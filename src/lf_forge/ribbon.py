@@ -267,7 +267,7 @@ class RibbonGraph:
         return len(self.vertices) - len(self.edges)
 
     def is_connected(self) -> bool:
-        return self._orientation()[1] <= 1
+        return self._orientation()[1] == 1
 
     # -- boundary tracing --------------------------------------------------
 

@@ -241,16 +241,29 @@ def dehn_twist_on_class(surface: RibbonGraph, curve: CurveOnSurface, x: Homology
 
 def _crossings_with_curve(surface: RibbonGraph, path: CurveOnSurface, curve: CurveOnSurface):
     """All signed (pass index in host walk, detour steps) crossings of a
-    closed walk's vertex passes with an edge-simple closed curve, by the
-    package's corner rule on the darts both curves keep."""
+    closed walk's vertex passes with an edge-simple closed curve: each pass
+    is the chord between its rotation positions on the reference oriented
+    presentation, and two passes at one vertex cross by ``chord_crossing``,
+    neither pushed off."""
+    norm = normalized(surface)
+    pos = half_edge_tables(norm)[3]
+
+    def passes(c):
+        """(vertex, arriving position, departing position) per pass."""
+        walk = c.walk
+        return [(step_head(surface, st), pos[step_head_half(st)], pos[step_tail_half(nxt)])
+                for st, nxt in zip(walk, walk[1:] + walk[:1])]
+
     out = []
-    for i, t, _, u, s in workspace(surface)._corner_crossings([path._heads, curve._heads], push=False):
-        if i:
-            continue
-        detour = list(rebased(curve, (u + 1) % len(curve.walk)))
-        if s < 0:
-            detour = [reversed_step(st) for st in reversed(detour)]
-        out.append((t, s, detour))
+    curve_passes = passes(curve)
+    for t, (v, pa, pd) in enumerate(passes(path)):
+        for u, (w, qa, qd) in enumerate(curve_passes):
+            s = chord_crossing(len(norm.rotation[v]), False, pa, pd, qa, qd) if v == w else 0
+            if s:
+                detour = list(rebased(curve, (u + 1) % len(curve.walk)))
+                if s < 0:
+                    detour = [reversed_step(st) for st in reversed(detour)]
+                out.append((t, s, detour))
     return out
 
 

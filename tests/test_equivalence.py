@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from lf_forge import equivalence
+from lf_forge import equivalence, homology
 from lf_forge.builders import (
     LefschetzFibration,
     closing_smoothing,
@@ -34,8 +34,8 @@ from lf_forge.equivalence import (
 from lf_forge.homology import (
     HomologyClass,
     class_from_steps,
-    Pairing,
     homology_basis,
+    pairing_matrix,
     workspace,
 )
 from lf_forge.ribbon import NonOrientableError, RibbonGraph, SurfaceError
@@ -466,7 +466,7 @@ def reduced_triple_product(lf):
     g, curves = reduced_word(lf)
     fams = word_families(lf)
     a, b, c = ([curves[x.name] for x in fams[f]] for f in ("a", "b", "c"))
-    p = workspace(g).pairing_matrix(a + b + c)
+    p = pairing_matrix(g, a + b + c)
     ai, bi = range(len(a)), range(len(a), len(a) + len(b))
     return sum(p[i][j] * p[j][k] * p[k][i] for i in ai for j in bi for k in range(len(a) + len(b), len(p)))
 
@@ -501,10 +501,10 @@ def test_triple_product_is_unknown_without_three_families_or_a_pairing(built, mo
     fams = word_families(fib)
     assert _triple_product(fib.fiber, {f: fams[f] for f in ("a", "b")}) is None
 
-    def unpairable(self, curves, push=True):
+    def unpairable(surface, curves):
         raise SurfaceError("intersection pairing failed antisymmetry")
 
-    monkeypatch.setattr(Pairing, "pairing_matrix", unpairable)
+    monkeypatch.setattr(homology, "pairing_matrix", unpairable)
     assert _triple_product(fib.fiber, fams) is None
 
 

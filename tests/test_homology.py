@@ -1,5 +1,6 @@
 """First homology of surfaces: basis, pairing, and Dehn twist action."""
 
+import collections
 import gc
 import itertools
 import random
@@ -14,13 +15,14 @@ from lf_forge.curves import CurveOnSurface, reversed_step
 from lf_forge.equivalence import isomorphism_certificate
 from lf_forge.homology import (
     HomologyClass,
-    Pairing,
     Workspace,
+    _CORNER_SIGNS,
     _CornerSigns,
     _sparse_class,
     class_from_steps,
     curve_class,
     homology_basis,
+    pairing_matrix,
     workspace,
 )
 from lf_forge.invariants import fibration_homology, open_book_h1
@@ -254,7 +256,7 @@ def test_pushed_crossings_equal_class_pairing_on_random_tree_cycles(
     x = rng.choice(cycles)
     sharing = [c for c in cycles if c is not x and c.edge_set() & x.edge_set()]
     y = rng.choice(sharing or cycles)
-    pushed = workspace(fiber).pairing_matrix([x, y])[0][1]
+    pushed = pairing_matrix(fiber, [x, y])[0][1]
     assert pushed == algebraic_intersection(
         fiber, curve_class(fiber, x), curve_class(fiber, y)
     )
@@ -266,25 +268,24 @@ def test_word_pairing_equals_class_pairing(built, relabelled, construction):
         fib = built(construction, genus)
         for f in (fib, relabelled(fib, genus)):
             classes = [curve_class(f.fiber, c) for c in f.word]
-            assert workspace(f.fiber).pairing_matrix(f.word) == [
+            assert pairing_matrix(f.fiber, f.word) == [
                 [algebraic_intersection(f.fiber, x, y) for y in classes] for x in classes
             ]
 
 
-def reference_pairing(surface, curves, push):
-    """Oracle for ``Workspace.pairing_matrix``: the corner rule with the
+def reference_pairing(surface, curves):
+    """Oracle for ``homology.pairing_matrix``: the corner rule with the
     marked points of each vertex disk of the normalized presentation keyed
     by (half-edge, point), where "R" lies just before the attachment, "S"
     is the attachment and "L" lies just after it, at 3k, 3k + 1 and 3k + 2
     for rotation position k.  Every pass of each curve is held against
-    every pass of each other curve; q's chord runs from L to R when
-    ``push``, from S to S otherwise."""
+    every pass of each other curve; p's chord runs from S to S and q's,
+    pushed off, from L to R."""
     norm = surface.normalized()
     slots = {}
     for rot in norm.rotation.values():
         for k, h in enumerate(rot):
             slots[(h, "R")], slots[(h, "S")], slots[(h, "L")] = 3 * k, 3 * k + 1, 3 * k + 2
-    q_in, q_out = ("L", "R") if push else ("S", "S")
 
     def chords(curve):
         """(vertex, arriving half-edge, departing half-edge) per pass."""
@@ -304,8 +305,8 @@ def reference_pairing(surface, curves, push):
                     n = 3 * len(norm.rotation[v])
                     start = slots[(x_in, "S")]
                     r_out = (slots[(x_out, "S")] - start) % n
-                    r_qin = (slots[(y_in, q_in)] - start) % n
-                    r_qout = (slots[(y_out, q_out)] - start) % n
+                    r_qin = (slots[(y_in, "L")] - start) % n
+                    r_qout = (slots[(y_out, "R")] - start) % n
                     if 0 < r_qin < r_out < r_qout:
                         m[i][j] += 1
                     elif 0 < r_qout < r_out < r_qin:
@@ -318,21 +319,18 @@ def test_word_pairing_equals_the_named_point_reference(built, relabelled, mirror
     for genus in range(9):
         fib = built(construction, genus)
         for f in (fib, relabelled(fib, genus), mirrored(fib)):
-            ws = workspace(f.fiber)
-            for push in (True, False):
-                assert ws.pairing_matrix(f.word, push=push) == reference_pairing(f.fiber, f.word, push)
+            assert pairing_matrix(f.fiber, f.word) == reference_pairing(f.fiber, f.word)
 
 
-@pytest.mark.parametrize("push", [True, False])
-def test_corner_sign_lookup_is_the_chord_geometry(push):
+def test_corner_sign_lookup_is_the_chord_geometry():
     """Every key of the sign tables at degrees 1..6, both passes at every
     arrival and departure position: the looked-up sign is the crossing of
     the two chords drawn on the circle, and a second lookup gives it too."""
     for n in range(1, 7):
-        signs = _CornerSigns(n, push)
+        signs = _CornerSigns(n)
         for pa, pd, qa, qd in itertools.product(range(n), repeat=4):
             key = (pa * n + pd) * n * n + qa * n + qd
-            assert signs[key] == chord_crossing(n, push, pa, pd, qa, qd) == signs[key]
+            assert signs[key] == chord_crossing(n, True, pa, pd, qa, qd) == signs[key]
         assert len(signs) == n ** 4
 
 
@@ -343,10 +341,10 @@ def test_a_vertex_of_degree_200_pairs_in_little_memory():
     loops = [f"l{i:03d}" for i in range(100)]
     g = RibbonGraph(("v",), loops, {"v": tuple([(e, 0) for e in loops] + [(e, 1) for e in loops])})
     a, b = (CurveOnSurface(g, e, ((e, 1),)) for e in loops[:2])
-    pairing = Pairing(g)
+    g.normalized()
     tracemalloc.start()
     try:
-        matrix = pairing.pairing_matrix([a, b])
+        matrix = pairing_matrix(g, [a, b])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -367,15 +365,12 @@ def test_the_dart_spanning_tree_is_the_lexicographic_one(g):
 
 
 def test_open_book_rejects_a_pairing_that_is_not_antisymmetric(built, monkeypatch):
+    """Sign tables by which every two passes at a vertex cross positively,
+    both ways round: the first pair of cycles that meet is named."""
     fib = built("johns", 1)
-    monkeypatch.setattr(
-        Workspace, "_corner_crossings",
-        lambda self, pass_lists, push: (
-            (i, None, j, None, 1)
-            for i in range(len(pass_lists)) for j in range(len(pass_lists)) if i != j
-        ),
-    )
-    with pytest.raises(SurfaceError, match=r"antisymmetry: <'a0', 'a1'> = 1 but <'a1', 'a0'> = 1"):
+    for rot in fib.fiber.normalized().rotation.values():
+        monkeypatch.setitem(_CORNER_SIGNS, len(rot), collections.defaultdict(lambda: 1))
+    with pytest.raises(SurfaceError, match=r"antisymmetry: <'a0', 'b0'> = 1 but <'b0', 'a0'> = 1"):
         open_book_h1(fib.fiber, fib.word)
 
 

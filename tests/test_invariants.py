@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from lf_forge.builders import johns_fibration, sphere_planar_fibration, word_families
 from lf_forge.curves import CurveOnSurface
-from lf_forge.homology import _sparse_class, curve_class, homology_basis, workspace
+from lf_forge.homology import _sparse_class, curve_class, homology_basis, pairing_matrix, pairings, workspace
 from lf_forge.invariants import (
     FinAbGroup,
     _boundary_matrix,
@@ -275,7 +275,7 @@ def test_total_space_homology_equals_the_dense_class_matrix(built, relabelled, c
 def per_arc_relations(page, word):
     vecs = [curve_class(page, c).vector for c in word]
     return recurrence_relations(
-        len(homology_basis(page)), vecs, workspace(page).pairing_matrix(word)
+        len(homology_basis(page)), vecs, pairing_matrix(page, word)
     )
 
 
@@ -448,7 +448,7 @@ def test_the_peel_pins_the_h2_generator(built, relabelled, construction):
             v = {i: 1 if c.name.startswith("c") else -1 for i, c in enumerate(f.word)}
             assert ops[kernel[0]] in (v, {i: -x for i, x in v.items()})
             if f is fib:
-                square = _boundary_matrix(rows, ops, kernel, workspace(f.fiber).pairings(f.word))
+                square = _boundary_matrix(rows, ops, kernel, pairings(f.fiber, f.word))
                 assert square == [{0: 2 - 2 * g} if g != 1 else {}]
 
 

@@ -229,6 +229,26 @@ def test_every_private_name_is_read():
     unread = [f"{module}:{line} {name}" for module, line, name in defined if private(name) and name not in read]
     assert unread == []
 
+
+def test_every_boolean_flag_is_set_by_the_package():
+    """Each parameter of a package function whose default is ``True`` or
+    ``False`` is passed by keyword in some call of that function inside the
+    package.  A flag that only the tests set keeps a code path that no
+    production run takes."""
+    flags, passed = [], set()
+    for path in sorted((SRC / "lf_forge").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                params = a.posonlyargs + a.args
+                defaults = [*zip(params[len(params) - len(a.defaults):], a.defaults), *zip(a.kwonlyargs, a.kw_defaults)]
+                flags += [(f"{path.stem}:{node.lineno}", node.name, p.arg) for p, d in defaults
+                          if isinstance(d, ast.Constant) and isinstance(d.value, bool)]
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                passed.update((name, k.arg) for k in node.keywords)
+    assert [f"{where} {fn}({arg}=)" for where, fn, arg in flags if (fn, arg) not in passed] == []
+
 # The layers that check a build; building imports none of them.
 _CHECKING_LAYERS = ["lf_forge.certify", "lf_forge.equivalence", "lf_forge.invariants", "lf_forge.homology"]
 

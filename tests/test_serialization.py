@@ -178,6 +178,20 @@ def test_sphere_document_of_another_genus_raises_surface_error():
     assert str(err.value) == "the annulus-page model exists only at genus 0"
 
 
+def test_an_empty_fiber_has_no_surface_invariants():
+    """The empty graph has no components, so it is not connected: neither it
+    nor a genus-0 johns document with an empty fiber reports genus 1."""
+    with pytest.raises(SurfaceError) as err:
+        RibbonGraph([], [], {}).invariants()
+    assert str(err.value) == "surface invariants require a connected graph"
+    doc = johns_fibration(0).to_json_dict()
+    doc["fiber"].update(vertices=[], edges=[], rotation={})
+    doc["vanishing_cycles"] = []
+    with pytest.raises(SurfaceError) as err:
+        fibration_certificate(LefschetzFibration.from_json_dict(doc))
+    assert str(err.value) == "surface invariants require a connected graph"
+
+
 @pytest.mark.parametrize(
     "field,value,message",
     [
