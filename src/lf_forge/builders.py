@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .curves import CurveOnSurface, Step, canonical_rotation, curve_from_json, dart_tables, reversed_step
 from .divides import Divide, check_admissible, checkerboard_coloring, standard_divide
-from .ribbon import HalfEdge, Record, RibbonGraph, SurfaceError, json_field, orientation_signs, sorted_ids
+from .ribbon import HalfEdge, Record, RibbonGraph, SurfaceError, json_field, sorted_ids, spanning_forest
 
 
 # -- plumbing patterns -----------------------------------------------------------
@@ -157,26 +157,25 @@ def _surgery_walks(surface: RibbonGraph, family_x, family_y) -> tuple[tuple[int,
                     raise SurfaceError(f"edge {surface.edges[d >> 1]!r} is traversed twice; "
                                        "the families must be edge-disjoint")
                 taken[d >> 1] = True
-    dv, pos = surface._dv, surface._dpos
+    dv, pos, names = surface._dv, surface._dpos, surface.vertices
     depart = [-1] * len(dv)  # depart[d]: the dart a strand arriving on dart d leaves along
-    px: dict[str, int] = {}  # vertex -> the dart family x arrives on there
-    py: dict[str, int] = {}
+    px, py = [-1] * len(names), [-1] * len(names)  # by vertex number: the dart each family arrives on there
     for curves, at in ((family_x, px), (family_y, py)):
         for c in curves:
             # a pass arrives on one step's head dart and departs on the next step's tail dart
             heads = c._heads
             for hin, nxt in zip(heads, heads[1:] + heads[:1]):
                 v = dv[hin]
-                if v in at:
-                    raise SurfaceError(f"one family passes vertex {v!r} twice; crossings must be simple")
+                if at[v] >= 0:
+                    raise SurfaceError(f"one family passes vertex {names[v]!r} twice; crossings must be simple")
                 at[v], depart[hin] = hin, nxt ^ 1
-    for v in sorted(px.keys() & py.keys()):
-        xin, yin = px[v], py[v]
-        xout, yout = depart[xin], depart[yin]
-        lo, hi = (a, b) if (a := pos[xin]) < (b := pos[xout]) else (b, a)
-        if (lo < pos[yin] < hi) == (lo < pos[yout] < hi):
-            raise SurfaceError(f"the families meet tangentially at vertex {v!r}")
-        depart[xin], depart[yin] = yout, xout
+    for v, (xin, yin) in enumerate(zip(px, py)):  # in vertex order
+        if xin >= 0 and yin >= 0:
+            xout, yout = depart[xin], depart[yin]
+            lo, hi = (a, b) if (a := pos[xin]) < (b := pos[xout]) else (b, a)
+            if (lo < pos[yin] < hi) == (lo < pos[yout] < hi):
+                raise SurfaceError(f"the families meet tangentially at vertex {names[v]!r}")
+            depart[xin], depart[yin] = yout, xout
 
     outputs = []
     for start in range(len(depart)):  # in dart order, so each resolved curve starts at its least edge
@@ -232,8 +231,8 @@ def divide_fiber_model(divide: Divide) -> DivideFiberModel:
     passages).  Smoothing the first family through the second reproduces
     the third exactly, which pins every orientation convention in here; the
     certificate's ``closing_smoothing`` check replays it.  The fiber is
-    constructed once, its site rotations set from orientation signs read
-    off the edge tables.
+    constructed once, its site rotations set from the orientation signs of
+    its ``spanning_forest``, which it keeps.
     """
     report = check_admissible(divide)
     if not report.admissible:
@@ -283,23 +282,24 @@ def divide_fiber_model(divide: Divide) -> DivideFiberModel:
         raise SurfaceError(f"divide edge ids collide with roundabout ids: {sorted(clash)}")
     edges += list(divide.edges)
     twists.update(divide.edges)
-    # Local orientation signs depend only on twists and endpoints, so they
-    # are read off the tables of the provisional rotation.  Each site is then
-    # rewritten so that, after normalization flips the -1 vertices, every
-    # site reads (r_in, band_out, r_out, band_in) in one global orientation.
-    # A uniform rule cannot do this directly: the half-twisted bands force
-    # opposite signs on the two ends of every band.
-    at = {h: v for v, rot in rotation.items() for h in rot}
-    eps, components = orientation_signs(vertices, edges, [(at[(e, 0)], at[(e, 1)]) for e in edges], twists)
-    if eps is None:
+    # Local orientation signs depend only on twists and endpoints, so they are
+    # read off the provisional rotation, numbered as the fiber numbers its
+    # (sorted) vertices and edges.  Each site is then rewritten so that, after
+    # normalization flips the -1 vertices, every site reads (r_in, band_out,
+    # r_out, band_in) in one global orientation.  A uniform rule cannot do this
+    # directly: the half-twisted bands force opposite signs on both band ends.
+    vertices, edges = sorted(vertices), sorted(edges)
+    vid = {v: i for i, v in enumerate(vertices)}
+    at = {h: vid[v] for v, rot in rotation.items() for h in rot}
+    forest = spanning_forest(len(vertices), [at[(e, end)] for e in edges for end in (0, 1)],
+                             {k for k, e in enumerate(edges) if e in twists})
+    if forest[0] is None:
         raise SurfaceError("divide fiber is non-orientable; twist placement is broken")
     for site, (r_in, r_out, arriving, departing) in site_ends.items():
-        if eps[site] == 1:
-            rotation[site] = (r_in, departing, r_out, arriving)
-        else:
-            rotation[site] = (r_in, arriving, r_out, departing)
+        out, back = (departing, arriving) if forest[0][vid[site]] == 1 else (arriving, departing)
+        rotation[site] = (r_in, out, r_out, back)
     fiber = RibbonGraph(vertices, edges, rotation, twists)
-    fiber._cache["orientation"] = (eps, components)  # the rewrite moved no band end
+    fiber._cache["forest"] = forest  # the rewrite moved no band end
 
     faces = divide.faces()
     white_cycles = []

@@ -50,9 +50,10 @@ class _Reduction:
 
     def __init__(self, graph: RibbonGraph):
         norm = self.norm = graph.normalized()
-        rotation, dv, dn, half = norm.rotation, norm._dv, norm._dn, norm._half
-        deg2 = {v for v, rot in rotation.items() if len(rot) == 2 and rot[0][0] != rot[1][0]}
-        mid = [v in deg2 for v in dv]
+        dv, dn, half = norm._dv, norm._dn, norm._half
+        # by vertex number: of degree 2 and no loop; mid: by dart
+        gone = [len(rot) == 2 and rot[0][0] != rot[1][0] for rot in norm.rotation.values()]
+        mid = [gone[v] for v in dv]
         far, label = self.far, self.label = [-1] * len(dv), [None] * len(dv)
         passed = 0
         for a, at_mid in enumerate(mid):
@@ -69,9 +70,9 @@ class _Reduction:
             else:  # dart order is half-edge order
                 e = norm.edges[least]
                 label[a], label[b] = ((e, 0), (e, 1)) if (dv[a], a) < (dv[b], b) else ((e, 1), (e, 0))
-        if passed != len(deg2):
+        if passed != gone.count(True):
             raise SurfaceError("cannot smooth a pure cycle of degree-2 vertices")
-        self.kept = sorted(set(rotation) - deg2)
+        self.kept = [v for v, smoothed in zip(norm.vertices, gone) if not smoothed]
         self.anchors = [d for d, at_mid in enumerate(mid) if not at_mid]
 
     def walk(self, curve: CurveOnSurface) -> tuple[int, ...]:
@@ -169,7 +170,8 @@ def _maps(r1: _Reduction, r2: _Reduction, phi: list[int]) -> tuple[dict[str, str
     """The vertex and edge maps of a bijection grown by ``_propagate``, on
     the smoothed graphs' names, keyed in their half-edge order."""
     order = sorted(r1.anchors, key=r1.label.__getitem__)
-    vertex_map = dict(zip([r1.norm._dv[d] for d in order], [r2.norm._dv[phi[d]] for d in order]))
+    names1, dv1, names2, dv2 = r1.norm.vertices, r1.norm._dv, r2.norm.vertices, r2.norm._dv
+    vertex_map = dict(zip([names1[dv1[d]] for d in order], [names2[dv2[phi[d]]] for d in order]))
     labels = [(r1.label[d], r2.label[phi[d]]) for d in order]
     return vertex_map, {e: (f, 1 if end2 == 0 else -1) for (e, end), (f, end2) in labels if end == 0}
 

@@ -61,18 +61,18 @@ def pairings(surface: RibbonGraph, curves) -> list[dict[int, int]]:
     ``_CornerSigns`` of the vertex's degree.  It must be antisymmetric; the
     first pair (i < j, row by row) that is not is raised."""
     norm = surface.normalized()  # raises NonOrientableError if needed
-    pos, dv, rotation = norm._dpos, norm._dv, norm.rotation
-    at: dict[str, list] = {}  # vertex -> (curve, pa * n + pd) of each pass there
+    pos, dv, deg = norm._dpos, norm._dv, norm._deg
+    at: dict[int, list] = {}  # vertex number -> (curve, pa * n + pd) of each pass there
     for i, c in enumerate(curves):
         heads = c._heads
         for head, nxt in zip(heads, heads[1:] + heads[:1]):
             v = dv[head]
-            at.setdefault(v, []).append((i, pos[head] * len(rotation[v]) + pos[nxt ^ 1]))
+            at.setdefault(v, []).append((i, pos[head] * deg[v] + pos[nxt ^ 1]))
     rows: list[dict[int, int]] = [{} for _ in curves]
     for v, chords in at.items():
         if len(chords) < 2:
             continue
-        n = len(rotation[v])
+        n = deg[v]
         signs = _CORNER_SIGNS[n] if n in _CORNER_SIGNS else _CORNER_SIGNS.setdefault(n, _CornerSigns(n))
         nn = n * n
         for i, cp in chords:
@@ -108,28 +108,11 @@ class Workspace:
             raise DisconnectedError("homology requires a connected surface")
         self.graph = surface
         self.norm = surface.normalized()  # raises NonOrientableError if needed
-        # Lexicographically greedy spanning tree: scan the edges in order and
-        # keep every edge joining two components (Kruskal, with path halving
-        # on integer vertex roots).  _basis_index holds each edge's basis
-        # position, by edge number, and -1 for a tree edge.
-        vid = {v: i for i, v in enumerate(self.norm.vertices)}
-        ends = iter([vid[v] for v in self.norm._dv])
-        root = list(range(len(vid)))
-        self._basis_index = index = []
-        basis = []
-        for e, t, h in zip(self.norm.edges, ends, ends):  # the two ends of each edge in turn
-            while root[t] != t:
-                root[t] = t = root[root[t]]
-            while root[h] != h:
-                root[h] = h = root[root[h]]
-            if t != h:
-                root[t] = h
-                index.append(-1)
-            else:
-                index.append(len(basis))
-                basis.append(e)
-        self.tree: set[str] = {e for e, i in zip(self.norm.edges, index) if i < 0}
-        self.basis: tuple[str, ...] = tuple(basis)
+        # The co-tree positions of the graph's spanning forest, by edge number
+        # and -1 on its lexicographically greedy spanning tree, index the basis.
+        self._basis_index = index = surface._forest()[2]
+        self.tree: set[str] = {e for e, i in zip(surface.edges, index) if i < 0}
+        self.basis: tuple[str, ...] = tuple([e for e, i in zip(surface.edges, index) if i >= 0])
         self.index = {e: i for i, e in enumerate(self.basis)}
         self._tree_adj: dict[str, list[tuple[str, int, str]]] | None = None  # built by the first tree_path
         self._gram: list[list[int]] | None = None

@@ -4,7 +4,7 @@ A ribbon graph is a finite graph together with a cyclic order of half-edge
 attachments around every vertex and a twist bit per edge.  Thickening vertices
 to disks and edges to (half-twisted, when flagged) bands produces a compact
 surface with boundary.  Orientability is read off the twist bits and the
-edge ends alone (``orientation_signs``).  The boundary circles, and with them
+edge ends alone (``spanning_forest``).  The boundary circles, and with them
 the boundary count and genus, are traced on the oriented presentation
 (``normalized``), so only an orientable surface has them; a non-orientable
 one raises NonOrientableError.
@@ -164,7 +164,9 @@ class RibbonGraph:
         k-th edge (``_eid``) has darts 2k and 2k + 1 for its ends 0 and 1,
         so d ^ 1 is the partner of dart d and dart order is half-edge order.
         ``_half``, ``_dv``, ``_dn``, ``_dp`` and ``_dpos`` hold each dart's
-        half-edge, vertex, next and previous darts there and rotation index.
+        half-edge, vertex number (its index in ``vertices``), next and
+        previous darts there and rotation index; ``_deg`` each vertex's degree.
+        ``rotation`` is keyed in vertex order, so it too is read by number.
         Given ``eid``, the rotation lists the darts a parser numbered by it
         (``from_json_dict``).  The first anomaly goes to ``_half_edge_fault``."""
         self.vertices = sorted_ids(vertices, "vertex")
@@ -188,8 +190,8 @@ class RibbonGraph:
             eid, half = {e: k for k, e in enumerate(self.edges)}, [None] * n
             self.rotation = rotation = {v: as_pairs(rotation[v]) for v in self.vertices}
         self._eid, self._half = eid, half
-        self._dv, self._dn, self._dp, self._dpos = dv, dn, dp, dpos = [None] * n, [0] * n, [0] * n, [-1] * n
-        for v in self.vertices:
+        self._dv, self._dn, self._dp, self._dpos = dv, dn, dp, dpos = [0] * n, [0] * n, [0] * n, [-1] * n
+        for vi, v in enumerate(self.vertices):
             ds = []
             try:  # a half-edge whose edge or end is unknown
                 for i, h in enumerate(rotation[v]):
@@ -198,7 +200,7 @@ class RibbonGraph:
                         self._half_edge_fault()
                     if not parsed:
                         half[d] = h
-                    dv[d], dpos[d] = v, i
+                    dv[d], dpos[d] = vi, i
                     ds.append(d)
             except KeyError:
                 self._half_edge_fault()
@@ -208,6 +210,7 @@ class RibbonGraph:
                 prev = d
         if -1 in dpos:
             self._half_edge_fault()
+        self._deg = list(map(len, self.rotation.values()))
         if not self.twists <= set(self.edges):
             raise SurfaceError("twist set contains unknown edges")
 
@@ -245,12 +248,12 @@ class RibbonGraph:
     # -- basic structure ---------------------------------------------------
 
     def vertex_of(self, half_edge: HalfEdge) -> str:
-        return self._dv[self._dart(half_edge)]
+        return self.vertices[self._dv[self._dart(half_edge)]]
 
     def edge_endpoints(self, edge: str) -> tuple[str, str]:
         """(tail, head) for the forward traversal of ``edge``."""
         k = 2 * self._eid[edge]
-        return self._dv[k], self._dv[k + 1]
+        return self.vertices[self._dv[k]], self.vertices[self._dv[k + 1]]
 
     def rotation_next(self, half_edge: HalfEdge) -> HalfEdge:
         return self._half[self._dn[self._dart(half_edge)]]
@@ -267,7 +270,7 @@ class RibbonGraph:
         return len(self.vertices) - len(self.edges)
 
     def is_connected(self) -> bool:
-        return self._orientation()[1] == 1
+        return self._forest()[1] == 1
 
     # -- boundary tracing --------------------------------------------------
 
@@ -304,22 +307,20 @@ class RibbonGraph:
     def local_orientations(self) -> dict[str, int] | None:
         """Consistent +-1 per vertex, or None if the surface is non-orientable.
 
-        The signs of ``orientation_signs`` over this graph's bands: each
-        component is rooted at its lexicographically least vertex, set to +1.
+        The signs of ``spanning_forest`` over this graph's bands: each
+        component's lexicographically least vertex gets +1.
         """
-        return self._orientation()[0]
+        signs = self._forest()[0]
+        return None if signs is None else dict(zip(self.vertices, signs))
 
-    def _orientation(self) -> tuple[dict[str, int] | None, int]:
-        """``orientation_signs`` of this graph, cached: the signs and the
-        number of components."""
-        if "orientation" not in self._cache:
-            dv = self._dv
-            self._cache["orientation"] = orientation_signs(self.vertices, self.edges, zip(dv[0::2], dv[1::2]),
-                                                           self.twists)
-        return self._cache["orientation"]
+    def _forest(self) -> tuple[list[int] | None, int, list[int]]:
+        """``spanning_forest`` of this graph, by vertex and edge number, cached."""
+        if "forest" not in self._cache:
+            self._cache["forest"] = spanning_forest(len(self.vertices), self._dv, {self._eid[e] for e in self.twists})
+        return self._cache["forest"]
 
     def is_orientable(self) -> bool:
-        return self.local_orientations() is not None
+        return self._forest()[0] is not None
 
     def normalized(self) -> "RibbonGraph":
         """Equivalent presentation with every twist bit cleared.
@@ -337,21 +338,21 @@ class RibbonGraph:
         """
         if "normalized" in self._cache:
             return self._cache["normalized"] or self
-        eps = self.local_orientations()
-        if eps is None:
-            raise NonOrientableError("cannot orient a non-orientable surface")
-        if not self.twists and all(s == 1 for s in eps.values()):
-            self._cache["normalized"] = None  # already oriented; caching self would make a cycle
+        if not self.twists:  # every sign is +1: the graph is already oriented
+            self._cache["normalized"] = None  # caching self would make a cycle
             return self
+        signs = self._forest()[0]
+        if signs is None:
+            raise NonOrientableError("cannot orient a non-orientable surface")
         norm = object.__new__(RibbonGraph)
         norm.vertices, norm.edges, norm.twists, norm._cache = self.vertices, self.edges, frozenset(), {}
-        norm.rotation = {v: rot if eps[v] == 1 else rot[::-1] for v, rot in self.rotation.items()}
-        norm._eid, norm._half, norm._dv = self._eid, self._half, self._dv
-        dn, dp, dpos = self._dn, self._dp, self._dpos
+        norm.rotation = {v: rot if s == 1 else rot[::-1] for (v, rot), s in zip(self.rotation.items(), signs)}
+        norm._eid, norm._half, norm._dv, norm._deg = self._eid, self._half, self._dv, self._deg
+        dn, dp, dpos, deg = self._dn, self._dp, self._dpos, self._deg
         norm._dn, norm._dp, norm._dpos = ndn, ndp, ndpos = dn[:], dp[:], dpos[:]
         for d, v in enumerate(self._dv):
-            if eps[v] < 0:
-                ndn[d], ndp[d], ndpos[d] = dp[d], dn[d], len(self.rotation[v]) - 1 - dpos[d]
+            if signs[v] < 0:
+                ndn[d], ndp[d], ndpos[d] = dp[d], dn[d], deg[v] - 1 - dpos[d]
         self._cache["normalized"] = norm
         return norm
 
@@ -395,7 +396,7 @@ class RibbonGraph:
         edge_map: dict[str, tuple[str, int]] = {}
         new_edges, new_twists, passed = [], set(), 0
         half_replacement: dict[HalfEdge, HalfEdge] = {}
-        dv, dn, half = self._dv, self._dn, self._half
+        dv, dn, half, names = self._dv, self._dn, self._half, self.vertices
 
         def hops(d):
             """Follow a chain starting into dart d's edge, away from it: the
@@ -404,14 +405,14 @@ class RibbonGraph:
             while True:  # d sits at the anchor or a chain vertex, pointing into the chain
                 path.append(half[d])
                 d ^= 1
-                if dv[d] not in deg2:
+                if names[dv[d]] not in deg2:
                     return path, half[d]
                 d = dn[d]  # the degree-2 vertex's other dart
 
         kept = sorted(set(self.vertices) - deg2)
         for v in kept:
             for h in sorted(self.rotation[v]):
-                if h[0] in edge_map or dv[(d := self._dart(h)) ^ 1] not in deg2:  # walked, or no chain
+                if h[0] in edge_map or names[dv[(d := self._dart(h)) ^ 1]] not in deg2:  # walked, or no chain
                     continue
                 path, far = hops(d)
                 passed += len(path) - 1  # the degree-2 vertices between its edges
@@ -531,39 +532,53 @@ class RibbonGraph:
         return f"RibbonGraph(V={len(self.vertices)}, E={len(self.edges)}, twists={len(self.twists)})"
 
 
-def orientation_signs(vertices, edges, ends, twists) -> tuple[dict[str, int] | None, int]:
-    """Consistent +-1 per vertex from the bands alone, and the number of
-    connected components.
+def spanning_forest(n: int, ends, twisted) -> tuple[list[int] | None, int, list[int]]:
+    """One union-find pass over the bands of a graph on vertices 0..n-1.
 
-    ``ends`` gives the (tail, head) pair of every edge, in the order of
-    ``edges``.  An untwisted band (edge not in ``twists``) asks for
-    equal signs at its ends, a twisted one for opposite signs, so a loop
-    must be untwisted.  Each component's least vertex gets +1.  The signs
-    are None when some band disagrees; the components are counted in full
-    either way.
+    ``ends`` lists the tail and head vertex numbers of every edge in turn,
+    as ``RibbonGraph._dv`` does, and ``twisted`` holds the numbers of the
+    half-twisted edges.  An untwisted band asks for equal signs at its ends,
+    a twisted one for opposite signs, so a loop must be untwisted.  The
+    edges are joined in order, by union by size with path halving; each
+    vertex keeps its parity against its parent (Tarjan, J. ACM 22, 1975).
+    Returns the +-1 sign of every vertex, +1 at each component's least
+    vertex, or None when some band disagrees; the number of components; and
+    each edge's position among the co-tree edges, -1 for an edge of the
+    lexicographically first spanning forest.
     """
-    adj: dict[str, list[tuple[str, bool]]] = {v: [] for v in vertices}
-    for e, (t, h) in zip(edges, ends):
-        flip = e in twists
-        adj[t].append((h, flip))
-        adj[h].append((t, flip))
-    eps: dict[str, int] = {}
-    consistent = True
-    components = 0
-    for root in sorted(vertices):
-        if root in eps:
-            continue
-        components += 1
-        eps[root] = 1
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w, flip in adj[v]:
-                want = -eps[v] if flip else eps[v]
-                if w not in eps:
-                    eps[w] = want
-                    stack.append(w)
-                elif eps[w] != want:
-                    consistent = False
-    return (eps if consistent else None), components
-
+    parent, size, parity = list(range(n)), [1] * n, [0] * n
+    index, cotree, consistent = [], 0, True
+    it = iter(ends)
+    for k, (t, h) in enumerate(zip(it, it)):
+        flip = k in twisted  # xor both ends' parities to their roots: h's root against t's
+        while (u := parent[t]) != t:
+            parity[t] ^= parity[u]  # now against u's parent; a root's parity is 0
+            flip ^= parity[t]
+            parent[t] = t = parent[u]  # halve the path
+        while (u := parent[h]) != h:
+            parity[h] ^= parity[u]
+            flip ^= parity[h]
+            parent[h] = h = parent[u]
+        if t == h:
+            consistent = consistent and not flip
+            index.append(cotree)
+            cotree += 1
+        else:
+            if size[t] > size[h]:
+                t, h = h, t
+            parent[t], parity[t] = h, flip
+            size[h] += size[t]
+            index.append(-1)
+    components = n - len(index) + cotree
+    if not consistent:
+        return None, components, index
+    if not twisted:
+        return [1] * n, components, index
+    signs, anchor = [], {}  # anchor: the parity of each root's least vertex
+    for v in range(n):
+        r, p = v, 0
+        while (u := parent[r]) != r:
+            p ^= parity[r]
+            r = u
+        signs.append(1 if p == anchor.setdefault(r, p) else -1)
+    return signs, components, index

@@ -170,13 +170,13 @@ def rebased(curve: CurveOnSurface, index: int):
 
 
 def lexicographic_tree(surface: RibbonGraph) -> tuple[set, tuple, dict]:
-    """The reference for the spanning tree of ``homology.Workspace``: scan
-    the edge ids of the oriented presentation in order and keep every edge
-    whose ends lie in different components, the components kept as a
-    union-find over vertex names.  Returns (tree, basis, index) as the
-    workspace names them."""
-    norm = surface.normalized()
-    root = {v: v for v in norm.vertices}
+    """The reference for the spanning forest of ``ribbon.spanning_forest``
+    and ``homology.Workspace``: scan the edge ids in order and keep every
+    edge whose ends lie in different components, the components kept as a
+    union-find over vertex names.  Twist bits play no part, and orienting
+    moves no edge end.  Returns (tree, basis, index) as the workspace names
+    them."""
+    root = {v: v for v in surface.vertices}
 
     def find(v):
         while root[v] != v:
@@ -185,13 +185,13 @@ def lexicographic_tree(surface: RibbonGraph) -> tuple[set, tuple, dict]:
         return v
 
     tree = set()
-    for e in norm.edges:
-        t, h = norm.edge_endpoints(e)
+    for e in surface.edges:
+        t, h = surface.edge_endpoints(e)
         rt, rh = find(t), find(h)
         if rt != rh:
             root[rt] = rh
             tree.add(e)
-    basis = tuple(e for e in norm.edges if e not in tree)
+    basis = tuple(e for e in surface.edges if e not in tree)
     return tree, basis, {e: i for i, e in enumerate(basis)}
 
 

@@ -22,8 +22,7 @@ from lf_forge.curves import CurveOnSurface, reversed_step
 from lf_forge.divides import Divide, DivideError, check_admissible, checkerboard_coloring, standard_divide
 from lf_forge.equivalence import find_isomorphism, isomorphism_certificate
 from lf_forge.homology import curve_class
-from lf_forge import builders, ribbon
-from lf_forge.ribbon import RibbonGraph, SurfaceError, orientation_signs
+from lf_forge.ribbon import RibbonGraph, SurfaceError, spanning_forest
 
 
 # -- plumbing patterns -------------------------------------------------------------
@@ -385,24 +384,16 @@ def test_random_divides_build_or_raise_a_named_error(system):
 
 
 @pytest.mark.parametrize("genus", range(9))
-def test_divide_fiber_keeps_the_orientation_it_computed(monkeypatch, genus):
-    """The signs the divide model read off its provisional rotation are the
-    fiber's own: the site rewrite moves no band end.  Building computes
-    them once (the divide's own graph is oriented too)."""
-    calls = []
-
-    def counted(vertices, edges, ends, twists):
-        calls.append(sorted(vertices))
-        return orientation_signs(vertices, edges, ends, twists)
-
-    monkeypatch.setattr(builders, "orientation_signs", counted)
-    monkeypatch.setattr(ribbon, "orientation_signs", counted)
+def test_divide_fiber_keeps_the_orientation_it_computed(genus):
+    """The forest the divide model computed on its provisional rotation,
+    numbered as the fiber numbers its vertices and edges, is the fiber's
+    own: the site rewrite moves no band end.  The fiber is built holding
+    it, oriented and connected."""
     fiber = ishikawa_fibration(genus).fiber
-    monkeypatch.undo()
-    assert calls.count(list(fiber.vertices)) == 1
-    fresh = orientation_signs(fiber.vertices, fiber.edges, map(fiber.edge_endpoints, fiber.edges), fiber.twists)
-    assert fiber._cache["orientation"] == fresh
-    assert fresh[0] is not None and fresh[1] == 1
+    kept = fiber._cache["forest"]
+    twisted = {k for k, e in enumerate(fiber.edges) if e in fiber.twists}
+    assert kept == spanning_forest(len(fiber.vertices), fiber._dv, twisted)
+    assert kept[0] is not None and kept[1] == 1
 
 
 # -- assembled fibrations ----------------------------------------------------------

@@ -354,8 +354,9 @@ def test_a_vertex_of_degree_200_pairs_in_little_memory():
 
 @given(ribbon_graphs())
 def test_the_dart_spanning_tree_is_the_lexicographic_one(g):
-    """Kruskal on integer vertex roots over the dart tables keeps the same
-    tree, basis and basis index as the scan over vertex names."""
+    """The workspace's tree, basis and basis index, taken from the graph's
+    ``spanning_forest`` on vertex numbers, are those of the scan over
+    vertex names."""
     if not g.is_orientable():
         return
     ws = Workspace(g)

@@ -1,11 +1,12 @@
 """Ribbon graph structure, classification invariants, and rewriting."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
-from lf_forge.ribbon import NonOrientableError, RibbonGraph, SurfaceError, orientation_signs
+from lf_forge.ribbon import NonOrientableError, RibbonGraph, SurfaceError, spanning_forest
 
 import oracles
 
@@ -226,16 +227,18 @@ def test_rotation_steps_follow_the_cyclic_order(g):
 def test_dart_tables_match_the_half_edge_oracle(g):
     """On a graph and on its normalized form: edge k has darts 2k and 2k + 1,
     so dart order is sorted half-edge order and the partner of dart d is
-    d ^ 1, and every dart's vertex, successor, predecessor and rotation
-    index are those of its half-edge in the rebuilt reference."""
+    d ^ 1, and every dart's vertex number (its index in ``vertices``),
+    successor, predecessor and rotation index are those of its half-edge in
+    the rebuilt reference; ``_deg`` holds each vertex's rotation length."""
     for graph in [g] + ([g.normalized()] if g.is_orientable() else []):
         vertex_of, nxt, prv, pos = oracles.half_edge_tables(graph)
         half = graph._half
         assert graph._eid == {e: k for k, e in enumerate(graph.edges)}
+        assert graph._deg == [len(graph.rotation[v]) for v in graph.vertices]
         assert half == sorted(vertex_of) == [(e, i) for e in graph.edges for i in (0, 1)]
         for d, h in enumerate(half):
             assert half[d ^ 1] == graph.partner(h)
-            assert graph._dv[d] == vertex_of[h]
+            assert graph.vertices.index(vertex_of[h]) == graph._dv[d]
             assert half[graph._dn[d]] == nxt[h]
             assert half[graph._dp[d]] == prv[h]
             assert graph._dpos[d] == pos[h]
@@ -307,7 +310,7 @@ def test_normalization_clears_twists_and_preserves_type(g):
 
 def tables(g):
     """Every table a ribbon graph holds."""
-    return g.vertices, g.edges, g.twists, g.rotation, g._eid, g._half, g._dv, g._dn, g._dp, g._dpos
+    return g.vertices, g.edges, g.twists, g.rotation, g._eid, g._half, g._dv, g._deg, g._dn, g._dp, g._dpos
 
 
 @given(ribbon_graphs())
@@ -397,7 +400,7 @@ def test_json_round_trip_is_exact():
 
 
 def brute_force_orientations(g):
-    """Oracle for ``orientation_signs``: the sign vector, found by trying
+    """Oracle for the signs of ``spanning_forest``: the sign vector, found by trying
     them all, that every band accepts and that puts +1 on the least vertex
     of each component (None when there is none), and the component count."""
     root = {}
@@ -425,10 +428,37 @@ def brute_force_orientations(g):
 
 @given(loose_ribbon_graphs())
 def test_orientation_signs_match_the_oracle(g):
-    expected = brute_force_orientations(g)
-    assert orientation_signs(g.vertices, g.edges, map(g.edge_endpoints, g.edges), g.twists) == expected
-    assert g.local_orientations() == expected[0]
-    assert g.is_connected() == (expected[1] == 1)
+    """``spanning_forest`` on the vertex numbers of the dart tables: its
+    signs and component count are the brute-force ones, and its co-tree
+    positions those of the lexicographic tree over vertex names."""
+    eps, components = brute_force_orientations(g)
+    twisted = {k for k, e in enumerate(g.edges) if e in g.twists}
+    signs, count, index = spanning_forest(len(g.vertices), g._dv, twisted)
+    assert signs == (None if eps is None else [eps[v] for v in g.vertices])
+    assert count == components
+    basis_index = oracles.lexicographic_tree(g)[2]
+    assert index == [basis_index.get(e, -1) for e in g.edges]
+    assert g._forest() == (signs, count, index)
+    assert g.local_orientations() == eps
+    assert g.is_connected() == (components == 1)
+
+
+def test_a_path_joined_from_its_far_end_inward_takes_linear_time():
+    """50,000 vertices on a path whose edges, in order, join vertex n - 2 - k
+    to n - 1 - k, every other one twisted.  Hanging the grown tree under the
+    new vertex at each join, as a union that ignored sizes could, would
+    leave one path 50,000 deep, and finding every vertex's root for its
+    sign would take quadratic time."""
+    n = 50_000
+    ends = [v for k in range(n - 1) for v in (n - 2 - k, n - 1 - k)]
+    start = time.perf_counter()
+    signs, components, index = spanning_forest(n, ends, {k for k in range(0, n - 1, 2)})
+    assert time.perf_counter() - start < 10
+    assert components == 1 and index == [-1] * (n - 1)
+    expected = [1]
+    for u in range(n - 1):  # the edge from u to u + 1 is edge n - 2 - u, twisted when that is even
+        expected.append(-expected[-1] if (n - 2 - u) % 2 == 0 else expected[-1])
+    assert signs == expected
 
 
 def chain_reduction(g):

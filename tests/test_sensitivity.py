@@ -1,18 +1,31 @@
-"""Where a corrupted build or document is caught.
+"""Where a corrupted build or document is caught, and that a pure renaming
+is not.
 
 The builders check nothing about what they build; ``fibration_certificate``
 checks every build against the closed forms.  Each case here corrupts a
-sound build in one way and names exactly the certificate checks that fail.
+sound build in one way and names exactly the certificate checks that fail,
+and for a corrupted document the verdict of comparing it with the other
+construction.  A pure renaming of a document changes no check and no
+verdict.
 """
 
-import pytest
+import random
 
-from lf_forge import builders, homology, invariants
-from lf_forge.builders import LefschetzFibration, johns_fibration, realize_plumbing
+import pytest
+from hypothesis import given, strategies as st
+
+from lf_forge import builders, homology, invariants, ribbon
+from lf_forge.builders import LefschetzFibration, ishikawa_fibration, johns_fibration, realize_plumbing
 from lf_forge.certify import fibration_certificate
 from lf_forge.curves import CurveOnSurface
+from lf_forge.equivalence import isomorphism_certificate
 from lf_forge.invariants import FinAbGroup
 from lf_forge.ribbon import RibbonGraph
+
+import oracles
+
+BUILDERS = {"johns": johns_fibration, "ishikawa": ishikawa_fibration}
+OTHER = {"johns": "ishikawa", "ishikawa": "johns"}
 
 
 def failed_checks(fib: LefschetzFibration) -> list[tuple[str, str, str]]:
@@ -88,27 +101,110 @@ def _reverse_a_branch_vertex(doc):
     rotation[v] = rotation[v][::-1]
 
 
-# Each corruption and the checks it fails at genus g, in certificate order.
+# Each corruption, the checks it fails at genus g, in certificate order, and
+# the verdict (``verdict``) of comparing the corrupted document with a fresh
+# build of the other construction, the same in both argument orders.  A
+# mirrored page is the same page the other way round, so the search finds it
+# reversed.
 CORRUPTIONS = {
-    "mirrored": (_mirror, lambda g: ["boundary_h1"]),
+    "mirrored": (_mirror, lambda g: ["boundary_h1"], (True, False, None)),
     "a0-duplicated": (_duplicate_a0, lambda g: ["word_length", "total_space_euler", "total_space_h2",
-                                                "boundary_h1", "closing_smoothing"]),
-    "c0-reversed": (_reverse_c0, lambda g: ["closing_smoothing"]),
-    "b0-walk-as-c0": (_b0_walk_as_c0, lambda g: ["boundary_h1"] * (g % 2) + ["closing_smoothing"]),
+                                                "boundary_h1", "closing_smoothing"],
+                      (False, None, "word_families")),
+    "c0-reversed": (_reverse_c0, lambda g: ["closing_smoothing"], (False, None, "surgery_commutes")),
+    "b0-walk-as-c0": (_b0_walk_as_c0, lambda g: ["boundary_h1"] * (g % 2) + ["closing_smoothing"],
+                      (False, None, "cycle_images_match")),
     "rotation-reversed": (_reverse_a_branch_vertex, lambda g: ["fiber_genus", "fiber_boundary_components",
-                                                               "boundary_h1"]),
+                                                               "boundary_h1"],
+                          (False, None, "fiber_invariants")),
 }
 
 
 @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
 @pytest.mark.parametrize("construction", ["johns", "ishikawa"])
 def test_each_corrupted_document_fails_exactly_its_checks(built, construction, corruption):
-    corrupt, expected = CORRUPTIONS[corruption]
+    corrupt, expected, _ = CORRUPTIONS[corruption]
     for genus in range(4):
         doc = built(construction, genus).to_json_dict()
         corrupt(doc)
         fib = LefschetzFibration.from_json_dict(doc)
         assert [name for name, _, _ in failed_checks(fib)] == expected(genus)
+
+
+def verdict(cert: dict) -> tuple:
+    """``found``, ``orientation_preserving`` and the first failed check
+    (None when none fails) of an ``isomorphism/1`` certificate."""
+    failed = next((c["name"] for c in cert["checks"] if not c["passed"]), None)
+    return cert["found"], cert["orientation_preserving"], failed
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+@pytest.mark.parametrize("construction", ["johns", "ishikawa"])
+def test_each_corrupted_document_compares_to_its_verdict(built, construction, corruption):
+    corrupt, _, expected = CORRUPTIONS[corruption]
+    for genus in range(4):
+        doc = built(construction, genus).to_json_dict()
+        corrupt(doc)
+        fib, other = LefschetzFibration.from_json_dict(doc), BUILDERS[OTHER[construction]](genus)
+        assert verdict(isomorphism_certificate(fib, other)) == expected
+        assert verdict(isomorphism_certificate(other, fib)) == expected
+
+
+# -- pure renamings ----------------------------------------------------------------
+
+
+def renamed(doc: dict, rng: random.Random) -> dict:
+    """``doc`` presented afresh: new vertex and edge names, the vertex, edge
+    and rotation lists shuffled, a random set of edges flipped (their ends
+    swap in the rotations and their walk steps change sign), and every
+    rotation and every walk started at a random place.  Nothing compensates
+    for the least vertex, which anchors a twisted fiber's orientation."""
+    fiber = doc["fiber"]
+    vname = {v: f"v{n}" for v, n in zip(fiber["vertices"], rng.sample(range(10**6), len(fiber["vertices"])))}
+    ids = [rec["id"] for rec in fiber["edges"]]
+    ename = {e: f"e{n}" for e, n in zip(ids, rng.sample(range(10**6), len(ids)))}
+    flip = {e for e in ids if rng.random() < 0.5}
+
+    def half(token):
+        edge, _, end = token.rpartition(".")
+        return f"{ename[edge]}.{1 - int(end) if edge in flip else end}"
+
+    def step(token):
+        edge = token.lstrip("-")
+        return ename[edge] if token.startswith("-") == (edge in flip) else f"-{ename[edge]}"
+
+    def started_anywhere(tokens):
+        k = rng.randrange(len(tokens))
+        return tokens[k:] + tokens[:k]
+
+    records = rng.sample(fiber["edges"], len(ids))
+    return {**doc, "fiber": {
+        "schema": "ribbon-graph/1",
+        "vertices": rng.sample([vname[v] for v in fiber["vertices"]], len(vname)),
+        "edges": [{"id": ename[r["id"]], "half_edges": [f"{ename[r['id']]}.0", f"{ename[r['id']]}.1"],
+                   "twist": r["twist"]} for r in records],
+        "rotation": {vname[v]: started_anywhere([half(t) for t in fiber["rotation"][v]])
+                     for v in rng.sample(list(fiber["rotation"]), len(vname))},
+    }, "vanishing_cycles": [{"name": r["name"], "walk": started_anywhere([step(t) for t in r["walk"]])}
+                            for r in doc["vanishing_cycles"]]}
+
+
+@pytest.mark.parametrize("construction", [
+    "johns",
+    pytest.param("ishikawa", marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="ROADMAP item 8: the twisted divide fiber is oriented by its least vertex, so a renaming can "
+               "mirror it")),
+])
+@given(genus=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+def test_a_pure_renaming_changes_no_check_and_no_verdict(built, construction, genus, seed):
+    """Every certificate check, and the verdict of comparing with the other
+    construction in both orders, is that of the build itself."""
+    fib, other = built(construction, genus), built(OTHER[construction], genus)
+    lf = LefschetzFibration.from_json_dict(renamed(fib.to_json_dict(), random.Random(seed)))
+    assert fibration_certificate(lf) == fibration_certificate(fib)
+    assert verdict(isomorphism_certificate(lf, other)) == verdict(isomorphism_certificate(fib, other))
+    assert verdict(isomorphism_certificate(other, lf)) == verdict(isomorphism_certificate(other, fib))
 
 
 # -- corrupted production seams ----------------------------------------------------
@@ -142,21 +238,106 @@ def _unsigned_sparse_class(monkeypatch):
     monkeypatch.setattr(invariants, "_sparse_class", unsigned)
 
 
-# Each corrupted seam and the checks it fails, the same at every genus.  The
-# unsigned classes fail none: a blind spot, which the intersection-form
-# checks of ROADMAP items 2 and 12 must catch.
+def _patch_forest(monkeypatch, forest):
+    """Put ``forest(real, n, ends, twisted)`` in place of
+    ``ribbon.spanning_forest`` for the graphs and the divide builder."""
+    real = ribbon.spanning_forest
+
+    def patched(n, ends, twisted):
+        return forest(real, n, ends, twisted)
+
+    monkeypatch.setattr(ribbon, "spanning_forest", patched)
+    monkeypatch.setattr(builders, "spanning_forest", patched)
+
+
+def _twist_blind_forest(monkeypatch):
+    """A spanning forest that reads no twist bit: every sign is +1."""
+    _patch_forest(monkeypatch, lambda real, n, ends, twisted: real(n, ends, ()))
+
+
+def _cotree_edge_in_tree(monkeypatch):
+    """A spanning forest that reports its first co-tree edge as a tree edge,
+    so the basis loses that edge and the other positions move down."""
+
+    def forest(real, n, ends, twisted):
+        signs, components, index = real(n, ends, twisted)
+        first = index.index(0)
+        return signs, components, [-1 if k == first else i - (i > 0) for k, i in enumerate(index)]
+
+    _patch_forest(monkeypatch, forest)
+
+
+class _UnpushedSigns(dict):
+    """The corner signs at vertices of degree ``n`` with neither pass pushed
+    off: both chords run between the attachments themselves
+    (``oracles.chord_crossing`` with push False), keyed as
+    ``homology._CornerSigns`` keys them."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __missing__(self, key: int) -> int:
+        n = self.n
+        (pa, pd), (qa, qd) = (divmod(x, n) for x in divmod(key, n * n))
+        sign = self[key] = oracles.chord_crossing(n, False, pa, pd, qa, qd)
+        return sign
+
+
+def _unpushed_corner_signs(monkeypatch):
+    """The word pairing without its push-off, at every degree up to 8 (the
+    fibers' vertices have degree 2 or 4)."""
+    monkeypatch.setattr(homology, "_CORNER_SIGNS", {n: _UnpushedSigns(n) for n in range(1, 9)})
+
+
+def _twist_blind_fails(construction: str, document: bool, genus: int) -> set:
+    """Only a parsed ishikawa document meets the twist-blind forest with
+    twisted bands it has to orient by: normalizing then clears the twists
+    without reversing a vertex.  The johns fiber has no twist.  An ishikawa
+    build writes every site as it would at sign +1, which is the twist-free
+    fiber of ROADMAP item 8, a sound page, so its certificate passes."""
+    if construction == "johns" or not document:
+        return set()
+    return {"boundary_h1"} | ({"fiber_genus", "fiber_boundary_components"} if genus else set())
+
+
+# Each corrupted seam and the checks it fails on a fresh build or a parsed
+# document of either construction at genus g.  The unsigned classes and the
+# unpushed pairing fail none.  On the paper's family ``abs(s)`` only re-signs
+# basis columns, a change of basis that no group check can see; only a class
+# witness (ROADMAP item 12) can catch it.  The unpushed pairing changes the
+# word pairing but not boundary H1; ROADMAP item 2's ``pairing_kills_h2`` is
+# meant to catch it.
 SEAMS = {
-    "u-block-flipped": (_flip_u_block, {"boundary_h1"}),
-    "unsigned-sparse-class": (_unsigned_sparse_class, set()),
+    "u-block-flipped": (_flip_u_block, lambda construction, document, genus: {"boundary_h1"}),
+    "unsigned-sparse-class": (_unsigned_sparse_class, lambda construction, document, genus: set()),
+    "forest-ignores-twists": (_twist_blind_forest, _twist_blind_fails),
+    "cotree-edge-in-tree": (_cotree_edge_in_tree,
+                            lambda construction, document, genus: {"total_space_h2", "boundary_h1"}),
+    "unpushed-corner-signs": (_unpushed_corner_signs, lambda construction, document, genus: set()),
 }
 
 
 @pytest.mark.parametrize("seam", sorted(SEAMS))
 @pytest.mark.parametrize("construction", ["johns", "ishikawa"])
 def test_each_corrupted_seam_fails_exactly_its_checks(built, monkeypatch, construction, seam):
+    """Builds and parses after corrupting, so that no graph holds a forest
+    or an oriented presentation computed before."""
     corrupt, expected = SEAMS[seam]
-    fibs = [built(construction, genus) for genus in range(9)]
-    docs = [LefschetzFibration.from_json_dict(fib.to_json_dict()) for fib in fibs]
+    docs = [built(construction, genus).to_json_dict() for genus in range(9)]
     corrupt(monkeypatch)
-    for fib in fibs + docs:
-        assert {name for name, _, _ in failed_checks(fib)} == expected
+    for genus, doc in enumerate(docs):
+        fibs = {False: BUILDERS[construction](genus), True: LefschetzFibration.from_json_dict(doc)}
+        for document, fib in fibs.items():
+            assert {name for name, _, _ in failed_checks(fib)} == expected(construction, document, genus)
+
+
+@pytest.mark.parametrize("construction", ["johns", "ishikawa"])
+def test_the_unpushed_corner_signs_change_the_word_pairing(built, monkeypatch, construction):
+    """The unpushed seam fails no check, but it is live: the word pairing
+    it gives differs from the pushed one."""
+    for genus in range(9):
+        fib = built(construction, genus)
+        pushed = homology.pairing_matrix(fib.fiber, fib.word)
+        with monkeypatch.context() as patch:
+            _unpushed_corner_signs(patch)
+            assert homology.pairing_matrix(fib.fiber, fib.word) != pushed
