@@ -1,0 +1,116 @@
+#!/usr/bin/env python3
+"""Time both constructions in process at fixed genera and write one JSON file.
+
+Per construction and genus, each stage is timed on objects made for that
+run alone, and the best of --repeat runs is kept:
+
+  build    ``johns_fibration`` or ``ishikawa_fibration``;
+  certify  ``fibration_certificate`` of a fresh build, the build not timed;
+  compare  ``isomorphism_certificate`` of a fresh build against a fresh
+           build of the other construction, the builds not timed.
+
+The growth exponent of a stage is the slope of log time over log genus
+between the two largest genera.  ``perfbench/hostspeed.time_reference()``
+is read before and after the runs, so that files written at different
+moments or on different hosts can be scaled to one speed.
+
+    PYTHONPATH=src python3 scripts/bench.py --out BENCH.json
+"""
+
+import argparse
+import json
+import math
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import hostspeed  # noqa: E402
+from lf_forge import (  # noqa: E402
+    fibration_certificate,
+    ishikawa_fibration,
+    isomorphism_certificate,
+    johns_fibration,
+)
+
+BUILDERS = {"johns": johns_fibration, "ishikawa": ishikawa_fibration}
+STAGES = ("build", "certify", "compare")
+
+
+def _timed(fn, *args):
+    t0 = time.perf_counter()
+    result = fn(*args)
+    return time.perf_counter() - t0, result
+
+
+def time_stages(construction: str, genus: int, repeat: int) -> tuple[dict, bool]:
+    """Best seconds of each stage over ``repeat`` runs, and whether every
+    certificate passed and every comparison found an isomorphism."""
+    build = BUILDERS[construction]
+    other = BUILDERS["ishikawa" if construction == "johns" else "johns"]
+    best, ok = dict.fromkeys(STAGES, math.inf), True
+    for _ in range(repeat):
+        seconds, fib = _timed(build, genus)
+        best["build"] = min(best["build"], seconds)
+        seconds, cert = _timed(fibration_certificate, fib)
+        best["certify"] = min(best["certify"], seconds)
+        seconds, iso = _timed(isomorphism_certificate, build(genus), other(genus))
+        best["compare"] = min(best["compare"], seconds)
+        ok = ok and cert["passed"] and iso["found"]
+    return best, ok
+
+
+def growth_exponent(times: dict[int, float]) -> float | None:
+    """Slope of log time over log genus between the two largest genera;
+    None when there are fewer than two positive ones."""
+    pts = sorted((g, t) for g, t in times.items() if g > 0 and t > 0)[-2:]
+    if len(pts) < 2:
+        return None
+    (g0, t0), (g1, t1) = pts
+    return math.log(t1 / t0) / math.log(g1 / g0)
+
+
+def reference_seconds(samples: int = 5) -> float:
+    return statistics.median(hostspeed.time_reference() for _ in range(samples))
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--genus", type=int, nargs="+", default=[0, 8, 32, 256, 2048])
+    parser.add_argument("--repeat", type=int, default=3, help="runs per stage; the best is kept")
+    parser.add_argument("--out", required=True, help="the JSON file to write")
+    args = parser.parse_args()
+
+    before = reference_seconds()
+    stages, ok = {}, True
+    for construction in BUILDERS:
+        stages[construction] = {stage: {} for stage in STAGES}
+        for genus in args.genus:
+            best, passed = time_stages(construction, genus, args.repeat)
+            ok = ok and passed
+            for stage, seconds in best.items():
+                stages[construction][stage][genus] = seconds
+            print(f"{construction:<9} g={genus:<5} " + "  ".join(f"{s} {best[s] * 1e3:9.3f} ms" for s in STAGES))
+    after = reference_seconds()
+    doc = {
+        "python": platform.python_version(),
+        "genera": args.genus,
+        "repeat": args.repeat,
+        "all_passed": ok,
+        "hostspeed": {"reference_seconds": hostspeed.REFERENCE_SECONDS, "before_s": before, "after_s": after},
+        "seconds": {c: {s: {str(g): t for g, t in ts.items()} for s, ts in by.items()} for c, by in stages.items()},
+        "growth_exponent": {c: {s: growth_exponent(ts) for s, ts in by.items()} for c, by in stages.items()},
+    }
+    Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
+    for construction, exps in doc["growth_exponent"].items():
+        print(f"{construction:<9} growth " + "  ".join(f"{s} {e:.2f}" if e is not None else f"{s} -"
+                                                      for s, e in exps.items()))
+    print(f"reference task {before * 1e3:.2f} ms before, {after * 1e3:.2f} ms after")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -19,9 +19,9 @@ nothing they build: ``certify.fibration_certificate`` checks every build.
 
 from __future__ import annotations
 
-from .curves import CurveOnSurface, Step, canonical_rotation, curve_from_json, dart_tables, reversed_step
+from .curves import CurveOnSurface, canonical_rotation, curve_from_json, curve_on_darts
 from .divides import Divide, check_admissible, checkerboard_coloring, standard_divide
-from .ribbon import HalfEdge, Record, RibbonGraph, SurfaceError, json_field, sorted_ids, spanning_forest
+from .ribbon import Record, RibbonGraph, SurfaceError, json_field, sorted_ids, spanning_forest
 
 
 # -- plumbing patterns -----------------------------------------------------------
@@ -39,8 +39,7 @@ class PlumbingPattern(Record):
     __slots__ = ("loops_a", "loops_b")
 
     def __init__(self, loops_a: tuple[tuple[str, ...], ...], loops_b: tuple[tuple[str, ...], ...]):
-        loops_a = tuple(tuple(q for q in loop) for loop in loops_a)
-        loops_b = tuple(tuple(q for q in loop) for loop in loops_b)
+        loops_a, loops_b = tuple(map(tuple, loops_a)), tuple(map(tuple, loops_b))
         for fam, loops in (("a", loops_a), ("b", loops_b)):
             if not loops:
                 raise SurfaceError(f"family {fam} has no annuli")
@@ -80,7 +79,8 @@ def realize_plumbing(pattern: PlumbingPattern) -> tuple[RibbonGraph, tuple[Curve
     Every square becomes a vertex; every strip contributes one edge per
     consecutive square pair.  At each square the two strips cross
     transversally, so the rotation interleaves them: (a out, b out, a in,
-    b in) counterclockwise.  Returns (fiber, a-cores, b-cores).
+    b in) counterclockwise; it and the cores' head darts are written as
+    darts of the edge ids sorted once.  Returns (fiber, a-cores, b-cores).
     """
     families = []
     for fam, loops in (("a", pattern.loops_a), ("b", pattern.loops_b)):
@@ -88,27 +88,22 @@ def realize_plumbing(pattern: PlumbingPattern) -> tuple[RibbonGraph, tuple[Curve
         families.append([(f"{fam}{i:0{w}d}", loop) for i, loop in enumerate(loops)])
     squares = pattern.squares
     edges = []
-    strands: dict[str, dict[str, tuple[HalfEdge, HalfEdge]]] = {q: {} for q in squares}
-    walks: dict[str, list[Step]] = {}
-    for fam, named_loops in zip("ab", families):
+    strands: dict[str, list[str]] = {q: [] for q in squares}  # a in, a out, b in, b out
+    walks: dict[str, list[str]] = {}
+    for named_loops in families:
         for name, loop in named_loops:
-            m = len(loop)
-            wt = len(str(m - 1))
-            eids = [f"{name}e{t:0{wt}d}" for t in range(m)]
-            edges.extend(eids)
-            walks[name] = [(e, 1) for e in eids]
+            wt = len(str(len(loop) - 1))
+            walks[name] = eids = [f"{name}e{t:0{wt}d}" for t in range(len(loop))]
+            edges += eids
             for t, q in enumerate(loop):
-                arriving = (eids[(t - 1) % m], 1)
-                departing = (eids[t], 0)
-                strands[q][fam] = (arriving, departing)
-    rotation = {}
-    for q in squares:
-        (a_in, a_out) = strands[q]["a"]
-        (b_in, b_out) = strands[q]["b"]
-        rotation[q] = (a_out, b_out, a_in, b_in)
-    fiber = RibbonGraph(squares, edges, rotation)
-    a_curves = tuple(CurveOnSurface(fiber, name, tuple(walks[name])) for name, _ in families[0])
-    b_curves = tuple(CurveOnSurface(fiber, name, tuple(walks[name])) for name, _ in families[1])
+                strands[q] += (eids[t - 1], eids[t])  # arriving at end 1, departing from end 0
+    edges.sort()
+    eid = {e: k for k, e in enumerate(edges)}
+    rotation = {q: (2 * eid[a_out], 2 * eid[b_out], 2 * eid[a_in] + 1, 2 * eid[b_in] + 1)
+                for q, (a_in, a_out, b_in, b_out) in strands.items()}
+    fiber = RibbonGraph._linked(squares, edges, rotation, (), eid)
+    a_curves, b_curves = (tuple(curve_on_darts(fiber, name, tuple([2 * eid[e] + 1 for e in walks[name]]))
+                                for name, _ in named_loops) for named_loops in families)
     return fiber, a_curves, b_curves
 
 
@@ -128,9 +123,8 @@ def simultaneous_surgery(surface: RibbonGraph, family_x, family_y) -> tuple[Curv
     The resolved curves are returned sorted by their least edge, each walk
     starting at that edge, named ``c0``, ``c1``, ... (``_surgery_walks``).
     """
-    steps = dart_tables(surface)[1]
-    return tuple(CurveOnSurface(surface, f"c{i}", tuple([steps[d] for d in heads]), heads)
-                 for i, heads in enumerate(_surgery_walks(surface, family_x, family_y)))
+    walks = _surgery_walks(surface, family_x, family_y)
+    return tuple(curve_on_darts(surface, f"c{i}", walk) for i, walk in enumerate(walks))
 
 
 def _surgery_walks(surface: RibbonGraph, family_x, family_y) -> tuple[tuple[int, ...], ...]:
@@ -230,57 +224,54 @@ def divide_fiber_model(divide: Divide) -> DivideFiberModel:
     (the roundabout core) and per black face (bands plus two-edge roundabout
     passages).  Smoothing the first family through the second reproduces
     the third exactly, which pins every orientation convention in here; the
-    certificate's ``closing_smoothing`` check replays it.  The fiber is
-    constructed once, its site rotations set from the orientation signs of
-    its ``spanning_forest``, which it keeps.
+    certificate's ``closing_smoothing`` check replays it.  Rotations and
+    cycles are written as darts of the sorted fiber edges, read off the
+    divide's darts and dart faces, so neither graph names a half-edge; the
+    sites follow the signs of that numbering's ``spanning_forest``, which
+    the fiber keeps, and ``RibbonGraph._linked`` links the fiber once.
     """
     report = check_admissible(divide)
     if not report.admissible:
         raise SurfaceError(f"divide is not admissible: {report.problem}")
     coloring = checkerboard_coloring(divide)
-    white_corner_slot: dict[HalfEdge, int] = {}
-    site_of_corner: dict[tuple[str, int], str] = {}
-    # per site: (r_in, r_out, arriving band half, departing band half)
-    site_ends: dict[str, tuple[HalfEdge, HalfEdge, HalfEdge, HalfEdge]] = {}
-    # per site: the two-edge passage across its roundabout, against the core
-    passage: dict[str, tuple[Step, Step]] = {}
-    crossing_walks = []
-    vertices = []
-    edges = []
-    twists = set()
-    rotation: dict[str, tuple[HalfEdge, ...]] = {}
-    for v in divide.vertices:
-        # A proper face 2-coloring alternates around a 4-valent crossing, so
-        # the white corners are k0 and k0 + 2 and each slot borders one.
-        k0 = 0 if coloring.color_of(divide.corner_face(v, 0)) == "white" else 1
-        w0, m1, w2, m3 = f"{v}_w0", f"{v}_m1", f"{v}_w2", f"{v}_m3"
-        site_of_corner[(v, k0)] = w0
-        site_of_corner[(v, k0 + 2)] = w2
-        for k, h in enumerate(divide.rotation[v]):
-            white_corner_slot[h] = k if (k - k0) % 2 == 0 else (k - 1) % 4
-        r = [f"{v}_r{k}" for k in range(4)]
-        crossing_walks.append(tuple((e, 1) for e in r))
-        passage[w0] = ((r[3], -1), (r[2], -1))
-        passage[w2] = ((r[1], -1), (r[0], -1))
-        vertices += [w0, m1, w2, m3]
-        edges += r
-        twists.update((r[0], r[2]))
-        rotation[m1] = ((r[0], 1), (r[1], 0))
-        rotation[m3] = ((r[2], 1), (r[3], 0))
-        for site, corner, r_in, r_out in (
-            (w0, k0, (r[3], 1), (r[0], 0)),
-            (w2, k0 + 2, (r[1], 1), (r[2], 0)),
-        ):
-            # the white face walk enters the corner along the lower slot's
-            # half-edge and leaves along the upper slot's
-            arriving = divide.rotation[v][corner]
-            departing = divide.rotation[v][(corner + 1) % 4]
-            site_ends[site] = (r_in, r_out, arriving, departing)
-            rotation[site] = (r_in, departing, r_out, arriving)
-    clash = set(divide.edges) & set(edges)
+    ring = [[f"{v}_r{k}" for k in range(4)] for v in divide.vertices]
+    clash = set(divide.edges).intersection(e for r in ring for e in r)
     if clash:
         raise SurfaceError(f"divide edge ids collide with roundabout ids: {sorted(clash)}")
-    edges += list(divide.edges)
+    edges = sorted([e for r in ring for e in r] + list(divide.edges))
+    eid = {e: k for k, e in enumerate(edges)}
+    # each divide dart's fiber dart: the band of arc e is the fiber's edge e
+    band = [2 * eid[e] + end for e in divide.edges for end in (0, 1)]
+    graph, face = divide.graph, divide._face()
+    # per site: (r_in, r_out, arriving band dart, departing band dart)
+    site_ends: dict[str, tuple[int, int, int, int]] = {}
+    # per divide dart: the two-edge passage, against the core, across the
+    # roundabout at the white corner that the dart lands in
+    landing = [None] * len(band)
+    crossing_heads = []
+    vertices = []
+    twists = set()
+    rotation: dict[str, tuple[int, ...]] = {}
+    for v, r, xs in zip(divide.vertices, ring, graph._darts()):  # xs: the crossing's darts in slot order
+        # A proper face 2-coloring alternates around a 4-valent crossing, so
+        # the white corners are k0 and k0 + 2 and each slot borders one.
+        k0 = 0 if face[xs[1]] in coloring.white else 1
+        w0, m1, w2, m3 = f"{v}_w0", f"{v}_m1", f"{v}_w2", f"{v}_m3"
+        d0, d1, d2, d3 = [2 * eid[e] for e in r]  # the roundabout edges' end-0 darts
+        passage = {k0: (d3, d2), k0 + 2: (d1, d0)}  # across w0 and across w2
+        for k, x in enumerate(xs):
+            landing[x] = passage[k if (k - k0) % 2 == 0 else (k - 1) % 4]
+        crossing_heads.append((d0 + 1, d1 + 1, d2 + 1, d3 + 1))
+        vertices += [w0, m1, w2, m3]
+        twists.update((r[0], r[2]))
+        rotation[m1] = (d0 + 1, d1)
+        rotation[m3] = (d2 + 1, d3)
+        for site, corner, r_in, r_out in ((w0, k0, d3 + 1, d0), (w2, k0 + 2, d1 + 1, d2)):
+            # the white face walk enters the corner along the lower slot's
+            # half-edge and leaves along the upper slot's
+            arriving, departing = band[xs[corner]], band[xs[(corner + 1) % 4]]
+            site_ends[site] = (r_in, r_out, arriving, departing)
+            rotation[site] = (r_in, departing, r_out, arriving)
     twists.update(divide.edges)
     # Local orientation signs depend only on twists and endpoints, so they are
     # read off the provisional rotation, numbered as the fiber numbers its
@@ -288,38 +279,38 @@ def divide_fiber_model(divide: Divide) -> DivideFiberModel:
     # normalization flips the -1 vertices, every site reads (r_in, band_out,
     # r_out, band_in) in one global orientation.  A uniform rule cannot do this
     # directly: the half-twisted bands force opposite signs on both band ends.
-    vertices, edges = sorted(vertices), sorted(edges)
+    vertices.sort()
     vid = {v: i for i, v in enumerate(vertices)}
-    at = {h: vid[v] for v, rot in rotation.items() for h in rot}
-    forest = spanning_forest(len(vertices), [at[(e, end)] for e in edges for end in (0, 1)],
-                             {k for k, e in enumerate(edges) if e in twists})
+    at = [0] * (2 * len(edges))
+    for v, rot in rotation.items():
+        for d in rot:
+            at[d] = vid[v]
+    forest = spanning_forest(len(vertices), at, {k for k, e in enumerate(edges) if e in twists})
     if forest[0] is None:
         raise SurfaceError("divide fiber is non-orientable; twist placement is broken")
     for site, (r_in, r_out, arriving, departing) in site_ends.items():
         out, back = (departing, arriving) if forest[0][vid[site]] == 1 else (arriving, departing)
         rotation[site] = (r_in, out, r_out, back)
-    fiber = RibbonGraph(vertices, edges, rotation, twists)
+    fiber = RibbonGraph._linked(vertices, edges, rotation, twists, eid)
     fiber._cache["forest"] = forest  # the rewrite moved no band end
 
-    faces = divide.faces()
-    white_cycles = []
-    for j, fi in enumerate(coloring.white):
-        walk = tuple((e, 1 if end == 0 else -1) for (e, end) in faces[fi])
-        white_cycles.append(CurveOnSurface(fiber, f"a{j}", walk))
+    # a face walk steps along each of its darts' bands, arriving on the partner
+    faces = graph._boundary()
+    white_cycles = [curve_on_darts(fiber, f"a{j}", tuple([band[x] ^ 1 for x in faces[fi]]))
+                    for j, fi in enumerate(coloring.white)]
 
     wb = len(str(len(divide.vertices) - 1))
-    crossing_cycles = [CurveOnSurface(fiber, f"b{j:0{wb}d}", walk) for j, walk in enumerate(crossing_walks)]
+    crossing_cycles = [curve_on_darts(fiber, f"b{j:0{wb}d}", heads) for j, heads in enumerate(crossing_heads)]
 
     black_cycles = []
     for j, fi in enumerate(coloring.black):
-        steps: list[Step] = []
-        for e, end in faces[fi]:
-            steps.append((e, 1 if end == 0 else -1))
-            landing = (e, 1 - end)
-            steps.extend(passage[site_of_corner[(divide.graph.vertex_of(landing), white_corner_slot[landing])]])
-        # the smoothing orientation runs against the black face walk
-        walk = tuple(reversed_step(st) for st in reversed(steps))
-        black_cycles.append(CurveOnSurface(fiber, f"c{j}", walk))
+        heads = []
+        for x in faces[fi]:
+            heads.append(band[x] ^ 1)
+            heads += landing[x ^ 1]
+        # the smoothing orientation runs against the black face walk: the
+        # reversed walk arrives on each step's partner dart
+        black_cycles.append(curve_on_darts(fiber, f"c{j}", tuple([d ^ 1 for d in reversed(heads)])))
 
     return DivideFiberModel(divide, fiber, tuple(white_cycles), tuple(crossing_cycles), tuple(black_cycles))
 

@@ -11,10 +11,6 @@ from .ribbon import Record, RibbonGraph, SurfaceError, as_pairs, json_field
 Step = tuple[str, int]  # (edge id, +1 forward / -1 backward)
 
 
-def reversed_step(step: Step) -> Step:
-    return (step[0], -step[1])
-
-
 def check_walk(surface: RibbonGraph, walk, heads=None) -> tuple[int, ...]:
     """The darts the steps of ``walk`` arrive on (the one call of
     ``RibbonGraph.head_darts``, unless the caller has them as ``heads``).
@@ -38,14 +34,13 @@ def check_walk(surface: RibbonGraph, walk, heads=None) -> tuple[int, ...]:
             raise SurfaceError(f"walk breaks between {walk[i - 1]} and {walk[i]}")
 
 
-def dart_tables(surface: RibbonGraph) -> tuple[dict[str, int], list[Step]]:
-    """Each walk token's arriving dart and each dart's arriving step, built
-    once per surface: (e, +1) arrives on dart 2k + 1 of the k-th edge e."""
+def dart_tokens(surface: RibbonGraph) -> dict[str, int]:
+    """Each walk token's arriving dart, built once per surface: (e, +1)
+    arrives on dart 2k + 1 of the k-th edge e, (e, -1) on dart 2k."""
     if "darts" not in surface._cache:
         edges, n = surface.edges, 2 * len(surface.edges)
-        tokens = dict(zip(edges, range(1, n, 2)))
+        tokens = surface._cache["darts"] = dict(zip(edges, range(1, n, 2)))
         tokens.update(zip(["-" + e for e in edges], range(0, n, 2)))
-        surface._cache["darts"] = tokens, [(e, s) for e in edges for s in (-1, 1)]
     return surface._cache["darts"]
 
 
@@ -79,9 +74,6 @@ class CurveOnSurface(Record):
             raise SurfaceError(f"curve {self.name!r} repeats an edge")
         return self
 
-    def edge_set(self) -> frozenset[str]:
-        return frozenset(e for e, _ in self.walk)
-
     def cyclically_equal(self, other: "CurveOnSurface") -> bool:
         """Same walk up to the choice of basepoint; direction counts.
 
@@ -95,6 +87,13 @@ class CurveOnSurface(Record):
 
     def to_json_dict(self) -> dict:
         return {"name": self.name, "walk": [signed_edge_id(s) for s in self.walk]}
+
+
+def curve_on_darts(surface: RibbonGraph, name: str, heads: tuple[int, ...]) -> CurveOnSurface:
+    """The curve ``name`` whose steps arrive on the darts ``heads``, its
+    steps named from ``surface.edges``; ``check_walk`` checks that it closes."""
+    edges = surface.edges
+    return CurveOnSurface(surface, name, tuple([(edges[d >> 1], 1 if d & 1 else -1) for d in heads]), heads)
 
 
 def canonical_rotation(walk: tuple[Step, ...]) -> tuple[Step, ...]:
@@ -122,19 +121,19 @@ def curve_from_json(surface: RibbonGraph, rec: dict) -> CurveOnSurface:
     """A ``vanishing_cycles`` entry on ``surface``.  As in
     ``RibbonGraph.from_json_dict``, only a field whose value has not exactly
     its JSON type goes to ``json_field``.  Walk tokens are looked up as darts
-    (``dart_tables``); a walk with a token not there goes on to the checks
+    (``dart_tokens``); a walk with a token not there goes on to the checks
     that name it."""
     name = rec.get("name") if type(rec) is dict else None
     if type(name) is not str:
         name = json_field(rec, "name", str, "vanishing cycle")
     walk = rec.get("walk")
     if type(walk) is list:
-        tokens, steps = dart_tables(surface)
+        tokens = dart_tokens(surface)
         try:
             heads = tuple([tokens[t] for t in walk])
         except (KeyError, TypeError):  # a token off the surface, or not a string
             pass
         else:
-            return CurveOnSurface(surface, name, tuple([steps[d] for d in heads]), heads)
+            return curve_on_darts(surface, name, heads)
     walk = json_field(rec, "walk", list, f"vanishing cycle {name!r}", str)
     return CurveOnSurface(surface, name, tuple([parse_signed_edge_id(t) for t in walk]))

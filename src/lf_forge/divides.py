@@ -36,7 +36,8 @@ class Divide:
     ``rotation`` maps each crossing to its four half-edges in counterclockwise
     order, and every half-edge (e, 0), (e, 1) must occur exactly once overall.
     The graph validates that and holds the dart tables; the faces are
-    the boundary circles of its thickening.
+    the boundary circles of its thickening.  ``standard_divide`` links its
+    darts straight through ``_linked``; ids and ``rotation`` are the graph's.
     """
 
     def __init__(self, vertices, edges, rotation):
@@ -53,8 +54,18 @@ class Divide:
             self.graph = RibbonGraph(vertices, edges, rotation)
         except SurfaceError as exc:
             raise DivideError(str(exc)) from exc
-        self.vertices, self.edges, self.rotation = self.graph.vertices, self.graph.edges, self.graph.rotation
         self._cache = {}
+
+    @classmethod
+    def _linked(cls, vertices, edges, darts, eid) -> "Divide":
+        """The divide on ``RibbonGraph._linked``'s untwisted graph; each crossing must list four darts."""
+        divide = object.__new__(cls)
+        divide.graph, divide._cache = RibbonGraph._linked(vertices, edges, darts, (), eid), {}
+        return divide
+
+    vertices = property(lambda self: self.graph.vertices)
+    edges = property(lambda self: self.graph.edges)
+    rotation = property(lambda self: self.graph.rotation)
 
     # -- faces -----------------------------------------------------------------
 
@@ -66,12 +77,19 @@ class Divide:
         """
         return self.graph.faces()
 
+    def _face(self) -> list[int]:
+        """Each dart's face, the index of its ``_boundary`` orbit; cached."""
+        if "face" not in self._cache:
+            face = self._cache["face"] = [0] * (2 * len(self.edges))
+            for i, orbit in enumerate(self.graph._boundary()):
+                for d in orbit:
+                    face[d] = i
+        return self._cache["face"]
+
     def face_of(self, half_edge: HalfEdge) -> int:
-        if "face_of" not in self._cache:
-            self._cache["face_of"] = {h: i for i, orbit in enumerate(self.faces()) for h in orbit}
         try:
-            return self._cache["face_of"][half_edge]
-        except (KeyError, TypeError):  # not a half-edge of this divide, or unhashable
+            return self._face()[self.graph._dart(half_edge)]
+        except (KeyError, TypeError, ValueError):  # not a half-edge of this divide
             raise DivideError(f"no half-edge {half_edge!r} in the divide") from None
 
     def corner_face(self, vertex: str, slot: int) -> int:
@@ -86,7 +104,7 @@ class Divide:
 
     def euler_characteristic(self) -> int:
         """Of the closed surface: the graph's plus one disk per face."""
-        return self.graph.euler_characteristic() + len(self.faces())
+        return self.graph.euler_characteristic() + self.graph.num_boundary_components()
 
     # -- serialization ---------------------------------------------------------
 
@@ -191,18 +209,17 @@ def checkerboard_coloring(divide: Divide) -> Checkerboard:
     """
     if "coloring" in divide._cache:
         return divide._cache["coloring"]
-    faces = divide.faces()
-    adjacency: dict[int, set[int]] = {i: set() for i in range(len(faces))}
-    for e in divide.edges:
-        i = divide.face_of((e, 0))
-        j = divide.face_of((e, 1))
+    face, n = divide._face(), divide.graph.num_boundary_components()
+    adjacency: dict[int, set[int]] = {i: set() for i in range(n)}
+    for k, e in enumerate(divide.edges):
+        i, j = face[2 * k], face[2 * k + 1]
         if i == j:
             raise ColoringError(f"face {i} touches both sides of edge {e!r}")
         adjacency[i].add(j)
         adjacency[j].add(i)
     color: dict[int, int] = {}
     parent: dict[int, int | None] = {}
-    for root in range(len(faces)):
+    for root in range(n):
         if root in color:
             continue
         color[root] = 0
@@ -216,9 +233,9 @@ def checkerboard_coloring(divide: Divide) -> Checkerboard:
                     queue.append(w)
                 elif color[w] == color[u]:
                     raise ColoringError("odd face chain " + _odd_chain(parent, u, w))
-    anchor = color[divide.face_of((divide.edges[0], 0))] if divide.edges else 0
-    white = tuple(i for i in range(len(faces)) if color[i] == anchor)
-    black = tuple(i for i in range(len(faces)) if color[i] != anchor)
+    anchor = color[face[0]] if face else 0
+    white = tuple(i for i in range(n) if color[i] == anchor)
+    black = tuple(i for i in range(n) if color[i] != anchor)
     result = Checkerboard(white, black)
     divide._cache["coloring"] = result
     return result
@@ -258,11 +275,8 @@ class AdmissibilityReport(Record):
 def check_admissible(divide: Divide) -> AdmissibilityReport:
     """Connectedness plus checkerboard colorability, with the counts."""
     connected = divide.graph.is_connected()
-    faces = divide.faces()
     chi = divide.euler_characteristic()
-    genus = None
-    colorable = False
-    problem = None
+    genus, colorable, problem = None, False, None
     if not connected:
         problem = "divide is not connected"
     else:
@@ -272,16 +286,9 @@ def check_admissible(divide: Divide) -> AdmissibilityReport:
             colorable = True
         except ColoringError as exc:
             problem = str(exc)
-    return AdmissibilityReport(
-        connected=connected,
-        crossings=len(divide.vertices),
-        arcs=len(divide.edges),
-        faces=len(faces),
-        euler=chi,
-        ambient_genus=genus,
-        colorable=colorable,
-        problem=problem,
-    )
+    return AdmissibilityReport(connected=connected, crossings=len(divide.vertices), arcs=len(divide.edges),
+                               faces=divide.graph.num_boundary_components(), euler=chi, ambient_genus=genus,
+                               colorable=colorable, problem=problem)
 
 
 # -- the necklace family ----------------------------------------------------------
@@ -303,5 +310,8 @@ def standard_divide(genus: int) -> Divide:
     vertices = [f"v{i:0{w}d}" for i in range(n)]
     a = [f"a{i:0{w}d}" for i in range(n)]
     b = [f"b{i:0{w}d}" for i in range(n)]
-    rotation = {v: ((a[i - 1], 1), (a[i], 0), (b[i - 1], 1), (b[i], 0)) for i, v in enumerate(vertices)}
-    return Divide(vertices, a + b, rotation)
+    edges = sorted(a + b)
+    eid = {e: k for k, e in enumerate(edges)}
+    darts = {v: (2 * eid[a[i - 1]] + 1, 2 * eid[a[i]], 2 * eid[b[i - 1]] + 1, 2 * eid[b[i]])
+             for i, v in enumerate(vertices)}
+    return Divide._linked(vertices, edges, darts, eid)

@@ -50,9 +50,12 @@ class _Reduction:
 
     def __init__(self, graph: RibbonGraph):
         norm = self.norm = graph.normalized()
-        dv, dn, half = norm._dv, norm._dn, norm._half
+        dv, dn, edges = norm._dv, norm._dn, norm.edges
         # by vertex number: of degree 2 and no loop; mid: by dart
-        gone = [len(rot) == 2 and rot[0][0] != rot[1][0] for rot in norm.rotation.values()]
+        gone = [k == 2 for k in norm._deg]
+        for d in range(0, len(dn), 2):
+            if dn[d] == d + 1:  # a loop, so its vertex is no chain vertex
+                gone[dv[d]] = False
         mid = [gone[v] for v in dv]
         far, label = self.far, self.label = [-1] * len(dv), [None] * len(dv)
         passed = 0
@@ -66,9 +69,9 @@ class _Reduction:
                 passed += 1
             far[a], far[b] = b, a
             if b == a ^ 1:
-                label[a], label[b] = half[a], half[b]
+                label[a], label[b] = (edges[a >> 1], a & 1), (edges[b >> 1], b & 1)
             else:  # dart order is half-edge order
-                e = norm.edges[least]
+                e = edges[least]
                 label[a], label[b] = ((e, 0), (e, 1)) if (dv[a], a) < (dv[b], b) else ((e, 1), (e, 0))
         if passed != gone.count(True):
             raise SurfaceError("cannot smooth a pure cycle of degree-2 vertices")

@@ -15,6 +15,7 @@ counterclockwise) presentation of the surface.
 from __future__ import annotations
 
 import weakref
+from functools import cached_property
 
 from .curves import CurveOnSurface, Step
 from .ribbon import Record, RibbonGraph, SurfaceError
@@ -98,24 +99,27 @@ def pairing_matrix(surface: RibbonGraph, curves) -> list[list[int]]:
 
 
 class Workspace:
-    """One connected ribbon graph with its oriented presentation ``norm``,
-    lexicographic spanning tree and co-tree basis.  The Gram matrix of the
-    whole basis is the pairing of the tests' class-level oracles.  Cached
-    weakly on the graph instance (``workspace``); treat as read-only."""
+    """One connected ribbon graph with its oriented presentation ``norm``
+    and co-tree basis: ``_basis_index`` gives each edge number's position
+    among the co-tree edges of the graph's ``spanning_forest``, -1 on its
+    lexicographically greedy spanning tree, and ``rank`` their count.  The
+    named views ``tree``, ``basis`` and ``index`` are built on request.  The
+    Gram matrix of the whole basis is the pairing of the tests' class-level
+    oracles.  Cached weakly on the graph (``workspace``); treat as read-only."""
 
     def __init__(self, surface: RibbonGraph):
         if not surface.is_connected():
             raise DisconnectedError("homology requires a connected surface")
         self.graph = surface
         self.norm = surface.normalized()  # raises NonOrientableError if needed
-        # The co-tree positions of the graph's spanning forest, by edge number
-        # and -1 on its lexicographically greedy spanning tree, index the basis.
         self._basis_index = index = surface._forest()[2]
-        self.tree: set[str] = {e for e, i in zip(surface.edges, index) if i < 0}
-        self.basis: tuple[str, ...] = tuple([e for e, i in zip(surface.edges, index) if i >= 0])
-        self.index = {e: i for i, e in enumerate(self.basis)}
+        self.rank = len(index) - index.count(-1)
         self._tree_adj: dict[str, list[tuple[str, int, str]]] | None = None  # built by the first tree_path
         self._gram: list[list[int]] | None = None
+
+    tree = cached_property(lambda self: {e for e, i in zip(self.graph.edges, self._basis_index) if i < 0})
+    basis = cached_property(lambda self: tuple([e for e, i in zip(self.graph.edges, self._basis_index) if i >= 0]))
+    index = cached_property(lambda self: {e: i for i, e in enumerate(self.basis)})
 
     # -- basis cycles -------------------------------------------------------
 
@@ -177,7 +181,7 @@ class HomologyClass(Record):
     __slots__ = ("host", "vector")
 
     def __init__(self, host: RibbonGraph, vector: tuple[int, ...]):
-        n = len(workspace(host).basis)
+        n = workspace(host).rank
         if len(vector) != n:
             raise SurfaceError(f"class vector has length {len(vector)}, basis has {n}")
         super().__init__(host, vector)
@@ -186,12 +190,6 @@ class HomologyClass(Record):
         if self.host is not other.host:
             raise SurfaceError("homology classes live on different surfaces")
         return HomologyClass(self.host, tuple(a + b for a, b in zip(self.vector, other.vector)))
-
-    def scaled(self, k: int) -> "HomologyClass":
-        return HomologyClass(self.host, tuple(k * a for a in self.vector))
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.vector)
 
 
 def homology_basis(surface: RibbonGraph) -> tuple[str, ...]:
@@ -209,7 +207,7 @@ def curve_class(surface: RibbonGraph, curve: CurveOnSurface) -> HomologyClass:
 def class_from_steps(surface: RibbonGraph, steps) -> HomologyClass:
     """Net signed co-tree traversal counts of a sequence of steps."""
     ws = workspace(surface)
-    vec = [0] * len(ws.basis)
+    vec = [0] * ws.rank
     for e, s in steps:
         i = ws.index.get(e)
         if i is not None:

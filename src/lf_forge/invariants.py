@@ -183,7 +183,7 @@ def fibration_homology(page: RibbonGraph, word) -> tuple[FinAbGroup, FinAbGroup,
         c.require_edge_simple()
     ws = workspace(page)
     classes = [_sparse_class(ws._basis_index, c._heads) for c in word]
-    return _peeled_homology(len(ws.basis), classes, pairings(page, word))
+    return _peeled_homology(ws.rank, classes, pairings(page, word))
 
 
 def _peeled_homology(n: int, rows, pairs) -> tuple[FinAbGroup, FinAbGroup, FinAbGroup]:

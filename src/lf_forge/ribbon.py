@@ -16,6 +16,7 @@ edge "forward" (sign +1) runs from end 0 to end 1.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import cached_property
 
 
 class SurfaceError(ValueError):
@@ -154,76 +155,99 @@ class RibbonGraph:
 
     Every half-edge (e, 0) and (e, 1) must occur exactly once in the
     rotations.  Instances are treated as immutable after construction.
+    Every producer links numbered darts once (``_check``); the parser and
+    both builders number them themselves (``_linked``), and the name views
+    ``rotation`` and ``_half``, which no check reads, are built on request.
     """
 
     def __init__(self, vertices, edges, rotation, twists=()):
         self._check(vertices, edges, rotation, twists)
 
+    @classmethod
+    def _linked(cls, vertices, edges, darts, twists, eid) -> "RibbonGraph":
+        """The graph whose vertex v lists the darts ``darts[v]``, dart 2k + end
+        being end ``end`` of edge k in ``eid``, the sorted edges' numbering."""
+        graph = object.__new__(cls)
+        graph._check(vertices, edges, darts, twists, eid)
+        return graph
+
     def _check(self, vertices, edges, rotation, twists, eid=None) -> None:
-        """Validate the data and build the dart tables in one pass: the
+        """Validate the data and link the dart tables in one pass: the
         k-th edge (``_eid``) has darts 2k and 2k + 1 for its ends 0 and 1,
         so d ^ 1 is the partner of dart d and dart order is half-edge order.
-        ``_half``, ``_dv``, ``_dn``, ``_dp`` and ``_dpos`` hold each dart's
-        half-edge, vertex number (its index in ``vertices``), next and
-        previous darts there and rotation index; ``_deg`` each vertex's degree.
-        ``rotation`` is keyed in vertex order, so it too is read by number.
-        Given ``eid``, the rotation lists the darts a parser numbered by it
-        (``from_json_dict``).  The first anomaly goes to ``_half_edge_fault``."""
+        ``_dv``, ``_dn``, ``_dp`` and ``_dpos`` hold each dart's vertex
+        number (its index in ``vertices``), next and previous darts there
+        and rotation index; ``_deg`` each vertex's degree.  Given ``eid``,
+        ``rotation`` lists darts (``_linked``); else half-edges, looked up
+        as darts, and the validated input is kept as ``rotation``.  Either
+        way a dart attached twice or never goes to ``_half_edge_fault``."""
         self.vertices = sorted_ids(vertices, "vertex")
         self.edges = sorted_ids(edges, "edge")
         self.twists = frozenset(twists)
         self._cache = {}
-        if len(set(self.vertices)) != len(self.vertices):
+        vset, eset = set(self.vertices), set(self.edges)
+        if len(vset) != len(self.vertices):
             raise SurfaceError("duplicate vertex ids")
-        if len(set(self.edges)) != len(self.edges):
+        if len(eset) != len(self.edges):
             raise SurfaceError("duplicate edge ids")
         i = bisect_left(self.edges, "-")  # the ids that start with '-' sort from here on
         if i < len(self.edges) and self.edges[i].startswith("-"):
             raise SurfaceError(f"edge id may not start with '-': {self.edges[i]!r}")
-        if set(rotation) != set(self.vertices):
+        if set(rotation) != vset:
             raise SurfaceError("rotation keys must match vertex set")
-        parsed, n = eid is not None, 2 * len(self.edges)
-        if parsed:
-            half = [(e, end) for e in self.edges for end in (0, 1)]
-            self.rotation = {v: tuple([half[d] for d in rotation[v]]) for v in self.vertices}
-        else:  # each half-edge is looked up as it is linked, and kept as its dart's
-            eid, half = {e: k for k, e in enumerate(self.edges)}, [None] * n
+        if eid is None:
+            eid = {e: k for k, e in enumerate(self.edges)}
             self.rotation = rotation = {v: as_pairs(rotation[v]) for v in self.vertices}
-        self._eid, self._half = eid, half
-        self._dv, self._dn, self._dp, self._dpos = dv, dn, dp, dpos = [0] * n, [0] * n, [0] * n, [-1] * n
-        for vi, v in enumerate(self.vertices):
-            ds = []
-            try:  # a half-edge whose edge or end is unknown
-                for i, h in enumerate(rotation[v]):
-                    d = h if parsed else 2 * eid[h[0]] + _ENDS[h[1]]
-                    if dpos[d] >= 0:
-                        self._half_edge_fault()
-                    if not parsed:
-                        half[d] = h
-                    dv[d], dpos[d] = vi, i
-                    ds.append(d)
-            except KeyError:
+            try:
+                darts = [[2 * eid[e] + _ENDS[end] for e, end in rot] for rot in rotation.values()]
+            except KeyError:  # a half-edge whose edge or end is unknown
                 self._half_edge_fault()
-            prev = ds[-1] if ds else 0
-            for d in ds:
+        else:
+            darts = [rotation[v] for v in self.vertices]
+        self._eid, n = eid, 2 * len(self.edges)
+        self._dv, self._dn, self._dp, self._dpos = dv, dn, dp, dpos = [0] * n, [0] * n, [0] * n, [-1] * n
+        for vi, ds in enumerate(darts):
+            i, prev = 0, ds[-1] if ds else 0
+            for d in ds:  # pairwise stores: enumerate, or one four-way tuple store, costs a third more
+                if dpos[d] >= 0:
+                    self._half_edge_fault(darts)
+                dv[d], dpos[d] = vi, i
                 dn[prev], dp[d] = d, prev
-                prev = d
+                prev, i = d, i + 1
         if -1 in dpos:
-            self._half_edge_fault()
-        self._deg = list(map(len, self.rotation.values()))
-        if not self.twists <= set(self.edges):
+            self._half_edge_fault(darts)
+        self._deg = list(map(len, darts))
+        if not self.twists <= eset:
             raise SurfaceError("twist set contains unknown edges")
 
-    def _half_edge_fault(self):
-        """Raise the first fault of the half-edges in ``rotation``: one
-        attached twice, else the missing and unknown ones."""
+    def _half_edge_fault(self, darts=()):
+        """Raise the first fault of the attachments, by vertex, of the kept
+        ``rotation``, else of ``darts`` named: a half-edge attached twice,
+        else the missing and unknown ones."""
+        kept = vars(self).get("rotation")
+        halves = kept.values() if kept is not None else [[self._half[d] for d in ds] for ds in darts]
         seen = set()
-        for h in (h for rot in self.rotation.values() for h in rot):
+        for h in (h for rot in halves for h in rot):
             if h in seen:
                 raise SurfaceError(f"half-edge {h} attached twice")
             seen.add(h)
         expected = {(e, i) for e in self.edges for i in (0, 1)}
         raise SurfaceError(f"half-edge mismatch: missing {sorted(expected - seen)}, unknown {sorted(seen - expected)}")
+
+    _half = cached_property(lambda self: [(e, end) for e in self.edges for end in (0, 1)])
+
+    @cached_property
+    def rotation(self) -> dict[str, tuple[HalfEdge, ...]]:
+        """Each vertex's half-edges in rotation order, from ``_darts``."""
+        half = self._half
+        return {v: tuple([half[d] for d in ds]) for v, ds in zip(self.vertices, self._darts())}
+
+    def _darts(self) -> list[list[int]]:
+        """Each vertex's darts in rotation order, by vertex number."""
+        rot = [[0] * k for k in self._deg]
+        for d, (v, i) in enumerate(zip(self._dv, self._dpos)):
+            rot[v][i] = d
+        return rot
 
     def _dart(self, half_edge: HalfEdge) -> int:
         """The dart of a half-edge; KeyError when it is not on this graph."""
@@ -255,12 +279,6 @@ class RibbonGraph:
         k = 2 * self._eid[edge]
         return self.vertices[self._dv[k]], self.vertices[self._dv[k + 1]]
 
-    def rotation_next(self, half_edge: HalfEdge) -> HalfEdge:
-        return self._half[self._dn[self._dart(half_edge)]]
-
-    def rotation_prev(self, half_edge: HalfEdge) -> HalfEdge:
-        return self._half[self._dp[self._dart(half_edge)]]
-
     @staticmethod
     def partner(half_edge: HalfEdge) -> HalfEdge:
         e, i = half_edge
@@ -275,32 +293,36 @@ class RibbonGraph:
     # -- boundary tracing --------------------------------------------------
 
     def faces(self) -> tuple[tuple[HalfEdge, ...], ...]:
-        """Boundary circles of the thickened surface, traced once on the
-        oriented presentation ``normalized()``, where no band is twisted:
-        the orbits of rotation-next after partner, each starting at its
-        least half-edge and listed in half-edge order.  Cached; raises
-        NonOrientableError on a non-orientable graph.  ``boundary_walks`` in
-        ``tests/oracles.py`` traces the twisted presentation instead.
-        """
+        """Boundary circles of the thickened surface: ``_boundary`` as
+        half-edges, cached.  ``boundary_walks`` in ``tests/oracles.py``
+        traces the twisted presentation instead."""
         if "faces" not in self._cache:
-            dn, half = self.normalized()._dn, self._half
+            half = self._half
+            self._cache["faces"] = tuple([tuple([half[d] for d in orbit]) for orbit in self._boundary()])
+        return self._cache["faces"]
+
+    def _boundary(self) -> list[list[int]]:
+        """The boundary circles as dart orbits, traced once on ``normalized()``
+        (no band twisted; NonOrientableError if there is none): the orbits of
+        rotation-next after partner, each from its least dart, in dart order."""
+        if "boundary" not in self._cache:
+            dn = self.normalized()._dn
             seen = [False] * len(dn)
             orbits = []
             for start in range(len(dn)):
-                if seen[start]:
-                    continue
-                orbit, cur = [], start
-                while not seen[cur]:
-                    seen[cur] = True
-                    orbit.append(half[cur])
-                    cur = dn[cur ^ 1]
-                orbits.append(tuple(orbit))
-            self._cache["faces"] = tuple(orbits)
-        return self._cache["faces"]
+                if not seen[start]:
+                    orbit, cur = [], start
+                    while not seen[cur]:
+                        seen[cur] = True
+                        orbit.append(cur)
+                        cur = dn[cur ^ 1]
+                    orbits.append(orbit)
+            self._cache["boundary"] = orbits
+        return self._cache["boundary"]
 
     def num_boundary_components(self) -> int:
-        """Number of boundary circles: the orbits of ``faces``."""
-        return len(self.faces())
+        """Number of boundary circles: the orbits of ``_boundary``."""
+        return len(self._boundary())
 
     # -- orientation -------------------------------------------------------
 
@@ -333,7 +355,8 @@ class RibbonGraph:
         The dart tables come from this validated graph rather than from the
         constructor, which could not fail on them: the darts sit at the same
         vertices, and at a reversed vertex successor and predecessor swap
-        and the index i of a rotation of length d becomes d - 1 - i.
+        and the index i of a rotation of length d becomes d - 1 - i.  It
+        keeps no reference to this graph and builds ``rotation`` on request.
         ``tests/oracles.py`` holds the constructor-built reference.
         """
         if "normalized" in self._cache:
@@ -346,8 +369,7 @@ class RibbonGraph:
             raise NonOrientableError("cannot orient a non-orientable surface")
         norm = object.__new__(RibbonGraph)
         norm.vertices, norm.edges, norm.twists, norm._cache = self.vertices, self.edges, frozenset(), {}
-        norm.rotation = {v: rot if s == 1 else rot[::-1] for (v, rot), s in zip(self.rotation.items(), signs)}
-        norm._eid, norm._half, norm._dv, norm._deg = self._eid, self._half, self._dv, self._deg
+        norm._eid, norm._dv, norm._deg = self._eid, self._dv, self._deg
         dn, dp, dpos, deg = self._dn, self._dp, self._dpos, self._deg
         norm._dn, norm._dp, norm._dpos = ndn, ndp, ndpos = dn[:], dp[:], dpos[:]
         for d, v in enumerate(self._dv):
@@ -512,9 +534,7 @@ class RibbonGraph:
                     pass
             return cls(vertices, edges, {u: [cls.parse_half_edge(h) for h in json_field(  # names the first fault
                 rotation, u, list, "ribbon-graph rotation", str)] for u in rotation}, twists)
-        graph = object.__new__(cls)
-        graph._check(vertices, order, darts, twists, eid)
-        return graph
+        return cls._linked(vertices, order, darts, twists, eid)
 
     def to_dot(self, name: str = "surface") -> str:
         """Graphviz rendering of the underlying graph; diagnostic only."""

@@ -142,7 +142,9 @@ def mirrored():
 @pytest.fixture
 def constructions(monkeypatch):
     """``constructions(cls)``: a list that receives every ``cls`` instance
-    built from then on, until ``monkeypatch.undo()``."""
+    built from then on, until ``monkeypatch.undo()``: through ``__init__``
+    or through the class's numbered-dart entry ``_linked``, which the
+    parser, the builders and ``standard_divide`` use."""
 
     def start(cls):
         made = []
@@ -153,6 +155,14 @@ def constructions(monkeypatch):
             made.append(self)
 
         monkeypatch.setattr(cls, "__init__", counted)
+        if "_linked" in vars(cls):
+            linked = cls._linked
+
+            def counted_linked(*args):
+                made.append(linked(*args))
+                return made[-1]
+
+            monkeypatch.setattr(cls, "_linked", staticmethod(counted_linked))
         return made
 
     return start

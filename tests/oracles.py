@@ -11,7 +11,7 @@ so the tests can hold the package's faster or more indirect code against it.
 import math
 
 from lf_forge.builders import LefschetzFibration, closing_smoothing
-from lf_forge.curves import CurveOnSurface, reversed_step
+from lf_forge.curves import CurveOnSurface
 from lf_forge.divides import Divide, checkerboard_coloring
 from lf_forge.homology import HomologyClass, curve_class, workspace
 from lf_forge.invariants import FinAbGroup, _cokernel_from_diagonal, _sparse_snf_diagonal
@@ -32,6 +32,16 @@ SIDE_R = 0
 SIDE_L = 1
 
 
+def rotation_next(g: RibbonGraph, half_edge):
+    """The half-edge after ``half_edge`` in its vertex's rotation."""
+    return g._half[g._dn[g._dart(half_edge)]]
+
+
+def rotation_prev(g: RibbonGraph, half_edge):
+    """The half-edge before ``half_edge`` in its vertex's rotation."""
+    return g._half[g._dp[g._dart(half_edge)]]
+
+
 def _advance(g: RibbonGraph, state):
     """One step of the boundary walk.
 
@@ -45,11 +55,11 @@ def _advance(g: RibbonGraph, state):
     twisted = h[0] in g.twists
     if side == SIDE_R:
         if not twisted:
-            return (g.rotation_next(k), SIDE_R)
-        return (g.rotation_prev(k), SIDE_L)
+            return (rotation_next(g, k), SIDE_R)
+        return (rotation_prev(g, k), SIDE_L)
     if not twisted:
-        return (g.rotation_prev(k), SIDE_L)
-    return (g.rotation_next(k), SIDE_R)
+        return (rotation_prev(g, k), SIDE_L)
+    return (rotation_next(g, k), SIDE_R)
 
 
 def _reverse_state(g: RibbonGraph, state):
@@ -125,6 +135,11 @@ def normalized(g: RibbonGraph) -> RibbonGraph:
 # -- steps of walks -----------------------------------------------------------------
 
 
+def reversed_step(step):
+    """The step along the same edge the other way."""
+    return (step[0], -step[1])
+
+
 def step_head(surface: RibbonGraph, step) -> str:
     """The vertex a step arrives at."""
     e, s = step
@@ -161,12 +176,27 @@ def check_walk(surface: RibbonGraph, walk) -> None:
             raise SurfaceError(f"walk breaks between {walk[i]} and {walk[(i + 1) % len(walk)]}")
 
 
+def edge_set(curve: CurveOnSurface) -> frozenset:
+    """The edge ids that ``curve`` runs along."""
+    return frozenset(e for e, _ in curve.walk)
+
+
 def rebased(curve: CurveOnSurface, index: int):
     """The cyclic walk of ``curve`` starting at step ``index``."""
     return curve.walk[index:] + curve.walk[:index]
 
 
 # -- homology classes and Dehn twists ---------------------------------------------
+
+
+def scaled(x: HomologyClass, k: int) -> HomologyClass:
+    """The class k x."""
+    return HomologyClass(x.host, tuple(k * a for a in x.vector))
+
+
+def is_zero(x: HomologyClass) -> bool:
+    """Whether every coordinate of x is 0."""
+    return not any(x.vector)
 
 
 def lexicographic_tree(surface: RibbonGraph) -> tuple[set, tuple, dict]:
@@ -236,7 +266,7 @@ def algebraic_intersection(surface: RibbonGraph, x: HomologyClass, y: HomologyCl
 def dehn_twist_on_class(surface: RibbonGraph, curve: CurveOnSurface, x: HomologyClass) -> HomologyClass:
     """Action of the positive Dehn twist along ``curve``: x + <x, c> [c]."""
     c = curve_class(surface, curve.require_edge_simple())
-    return x + c.scaled(algebraic_intersection(surface, x, c))
+    return x + scaled(c, algebraic_intersection(surface, x, c))
 
 
 def _crossings_with_curve(surface: RibbonGraph, path: CurveOnSurface, curve: CurveOnSurface):
@@ -280,7 +310,7 @@ def dehn_twist_on_path(surface: RibbonGraph, curve: CurveOnSurface, path: CurveO
         raise SurfaceError(f"cannot twist object of type {type(path).__name__}")
     if path.host is not surface or curve.host is not surface:
         raise SurfaceError("twist inputs live on different surfaces")
-    shared = path.edge_set() & curve.edge_set()
+    shared = edge_set(path) & edge_set(curve)
     if shared:
         raise TransversalityError(
             f"walk shares edges {sorted(shared)} with twist curve {curve.name!r}; "
@@ -321,7 +351,9 @@ def components(divide: Divide):
     Each walk starts at its least edge, traversed forward; walks are ordered
     by that edge.  Every edge appears in exactly one walk.
     """
-    nxt = divide.graph.rotation_next
+    def nxt(h):
+        return rotation_next(divide.graph, h)
+
     claimed = set()
     walks = []
     for e in divide.edges:

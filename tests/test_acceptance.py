@@ -28,7 +28,7 @@ from lf_forge.invariants import (
 )
 from lf_forge.ribbon import RibbonGraph
 
-from oracles import algebraic_intersection, dehn_twist_on_class, dehn_twist_on_path, morse_data
+from oracles import algebraic_intersection, dehn_twist_on_class, dehn_twist_on_path, edge_set, morse_data
 
 GENERA = range(9)
 CONSTRUCTIONS = ("johns", "ishikawa")
@@ -77,9 +77,9 @@ def test_criterion_3_surgery_components_and_conservation(built):
             total_out = curve_class(fib.fiber, outs[0]) + curve_class(fib.fiber, outs[1])
             assert total_in == total_out
             # the closing family is exactly the surgery output
-            by_min = {min(c.edge_set()): c for c in fams["c"]}
+            by_min = {min(edge_set(c)): c for c in fams["c"]}
             for out in outs:
-                target = by_min[min(out.edge_set())]
+                target = by_min[min(edge_set(out))]
                 assert out.cyclically_equal(target)
     print("criterion 3 PASS: smoothing the first two families gives exactly 2 "
           "closed curves, conserves the total class, and reproduces the "

@@ -1,5 +1,7 @@
 """Fibration builders: plumbing realization, surgery, and the divide model."""
 
+import hashlib
+import json
 import sys
 
 import pytest
@@ -18,11 +20,14 @@ from lf_forge.builders import (
     word_families,
 )
 from lf_forge.certify import fibration_certificate
-from lf_forge.curves import CurveOnSurface, reversed_step
+from lf_forge.curves import CurveOnSurface
 from lf_forge.divides import Divide, DivideError, check_admissible, checkerboard_coloring, standard_divide
 from lf_forge.equivalence import find_isomorphism, isomorphism_certificate
-from lf_forge.homology import curve_class
+from lf_forge.homology import curve_class, workspace
 from lf_forge.ribbon import RibbonGraph, SurfaceError, spanning_forest
+
+import oracles
+from test_golden import CLI_TABLE
 
 
 # -- plumbing patterns -------------------------------------------------------------
@@ -174,7 +179,7 @@ def test_kept_smoothing_cannot_vouch_for_a_foreign_closing_family(build, corrupt
     fams = word_families(fib)
     c0 = fams["c"][0]
     if corruption == "reversed":
-        walk = tuple(reversed_step(step) for step in reversed(c0.walk))
+        walk = tuple(oracles.reversed_step(step) for step in reversed(c0.walk))
     else:
         walk = fams["b"][0].walk
     word = (*fams["a"], *fams["b"], CurveOnSurface(fib.fiber, c0.name, walk), *fams["c"][1:])
@@ -182,6 +187,16 @@ def test_kept_smoothing_cannot_vouch_for_a_foreign_closing_family(build, corrupt
     check = cert["checks"][-1]
     assert check["name"] == "closing_smoothing"
     assert not check["passed"] and not cert["passed"]
+
+
+def test_realize_plumbing_builds_one_ribbon_graph(constructions, monkeypatch):
+    patterns = [johns_pattern(genus) for genus in range(4)]
+    patterns.append(PlumbingPattern((("p", "q"), ("r",)), (("p",), ("q", "r"))))
+    for pattern in patterns:
+        made = constructions(RibbonGraph)
+        fiber, _, _ = realize_plumbing(pattern)
+        monkeypatch.undo()
+        assert made == [fiber]
 
 
 def test_divide_fiber_model_builds_one_ribbon_graph(constructions, monkeypatch):
@@ -394,6 +409,50 @@ def test_divide_fiber_keeps_the_orientation_it_computed(genus):
     twisted = {k for k, e in enumerate(fiber.edges) if e in fiber.twists}
     assert kept == spanning_forest(len(fiber.vertices), fiber._dv, twisted)
     assert kept[0] is not None and kept[1] == 1
+
+
+# -- one linking pass ---------------------------------------------------------------
+
+DART_TABLES = ("vertices", "edges", "twists", "_eid", "_dv", "_dn", "_dp", "_dpos", "_deg")
+
+
+@pytest.mark.parametrize("construction", ["johns", "ishikawa"])
+def test_one_linking_pass_gives_the_constructor_graph(built, relabelled, mirrored, construction):
+    """A fiber linked from numbered darts, by a builder or by the parser of
+    its relabelled or mirrored document, is the graph the half-edge
+    constructor builds from the fiber's on-request rotation; the on-request
+    views of ``normalized()`` and the workspace match their oracles."""
+    for genus in range(9):
+        fib = built(construction, genus)
+        for lf in (fib, relabelled(fib, genus), mirrored(fib)):
+            g = lf.fiber
+            rebuilt = RibbonGraph(g.vertices, g.edges, g.rotation, g.twists)
+            for name in DART_TABLES:
+                assert getattr(g, name) == getattr(rebuilt, name), name
+            assert g.faces() == rebuilt.faces()
+            assert g.normalized().rotation == oracles.normalized(g).rotation
+            ws = workspace(g)
+            assert (ws.tree, ws.basis, ws.index) == oracles.lexicographic_tree(g)
+
+
+@pytest.mark.parametrize("construction", ["johns", "ishikawa"])
+def test_a_certificate_builds_no_names(construction):
+    """Certifying a fresh build reads only dart tables: neither the fiber
+    nor its ``normalized()`` gains ``rotation`` or ``_half``, and the
+    workspace builds no ``tree``, ``basis`` or ``index``.  The document
+    written afterwards still has the pinned bytes of ``generate``."""
+    table = json.loads(CLI_TABLE.read_text())
+    build = {"johns": johns_fibration, "ishikawa": ishikawa_fibration}[construction]
+    for genus in range(5):
+        fib = build(genus)
+        ws = workspace(fib.fiber)  # held, so that the certificate uses this one
+        assert fibration_certificate(fib)["passed"]
+        for g in (fib.fiber, fib.fiber.normalized()):
+            assert not {"rotation", "_half"} & vars(g).keys()
+        assert not {"tree", "basis", "index"} & vars(ws).keys()
+        text = json.dumps(fib.to_json_dict(), indent=2) + "\n"
+        want = table[f"generate {construction} --genus {genus}"]["sha256"]
+        assert hashlib.sha256(text.encode()).hexdigest() == want
 
 
 # -- assembled fibrations ----------------------------------------------------------

@@ -135,18 +135,18 @@ def test_necklace_counts(genus):
 
 def test_admissibility_traces_the_faces_once(monkeypatch):
     """``check_admissible``, ``divide_fiber_model`` and the graph's own
-    invariants share one trace of the divide's faces: the ambient genus
-    comes from the face count ``check_admissible`` already has, and the
-    boundary count from the faces cached on the graph."""
+    invariants share one trace of the divide's faces, as the dart orbits
+    ``RibbonGraph._boundary`` caches on the graph: the ambient genus, the
+    coloring, the fiber's cycles and the boundary count all read it."""
     traced = []
-    faces = RibbonGraph.faces
+    boundary = RibbonGraph._boundary
 
     def counted(self):
-        if "faces" not in self._cache:
+        if "boundary" not in self._cache:
             traced.append(self)
-        return faces(self)
+        return boundary(self)
 
-    monkeypatch.setattr(RibbonGraph, "faces", counted)
+    monkeypatch.setattr(RibbonGraph, "_boundary", counted)
     divides = [standard_divide(genus) for genus in range(9)]
     reports = [check_admissible(d) for d in divides]
     for d in divides:

@@ -528,7 +528,7 @@ def exhaustive_search(lf1, lf2):
     index = _rotation_index({c.name: r2.walk(c) for c in lf2.word}, r2.far, fams2)
     dart_of = {r2.label[d]: d for d in r2.anchors}
     candidates = sorted({(e, end) for c in fams2["a"]
-                         for e in curves2[c.name].edge_set() for end in (0, 1)})
+                         for e in oracles.edge_set(curves2[c.name]) for end in (0, 1)})
     seed1 = first_seed(r1, lf1)
     for preserve in (True, False):
         for seed2 in candidates:

@@ -1,9 +1,13 @@
 """The scripts under ``scripts/`` run end to end."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -16,3 +20,29 @@ def test_genus_survey_identifies_both_constructions():
     rows = [line.split() for line in proc.stdout.splitlines()[2:]]
     assert [row[:2] for row in rows] == [["0", "johns"], ["0", "ishikawa"], ["1", "johns"], ["1", "ishikawa"]]
     assert [row[-2] for row in rows if row[1] == "johns"] == ["yes+", "yes+"]
+
+
+def test_bench_writes_every_stage_and_the_growth_exponent(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = tmp_path / "bench.json"
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench.py"), "--genus", "0", "1", "--repeat", "1",
+                           "--out", str(out)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out.read_text())
+    assert doc["genera"] == [0, 1] and doc["all_passed"]
+    for construction in ("johns", "ishikawa"):
+        assert set(doc["seconds"][construction]) == {"build", "certify", "compare"}
+        for times in doc["seconds"][construction].values():
+            assert set(times) == {"0", "1"} and all(t > 0 for t in times.values())
+        # only g = 1 is positive, so no slope between two genera exists
+        assert doc["growth_exponent"][construction] == {"build": None, "certify": None, "compare": None}
+    assert doc["hostspeed"]["before_s"] > 0 and doc["hostspeed"]["after_s"] > 0
+
+
+def test_bench_growth_exponent_is_the_log_log_slope_of_the_two_largest_genera():
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert bench.growth_exponent({0: 5.0, 8: 1.0, 256: 1.0, 2048: 8.0}) == pytest.approx(1.0)
+    assert bench.growth_exponent({0: 5.0, 256: 2.0, 2048: 2.0}) == 0.0
+    assert bench.growth_exponent({0: 1.0, 1: 1.0}) is None
