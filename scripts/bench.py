@@ -10,7 +10,11 @@ run alone, and the best of --repeat runs is kept:
            build of the other construction, the builds not timed.
 
 The growth exponent of a stage is the slope of log time over log genus
-between the two largest genera.  ``perfbench/hostspeed.time_reference()``
+between the two largest genera.  Each per-genus line also prints the
+certified H1, H2 and boundary H1 and the comparison's verdict ("yes+" for
+an orientation-preserving isomorphism, "yes-" for a reversing one, "NO"
+when none is found), read off the last run's certificates.
+``perfbench/hostspeed.time_reference()``
 is read before and after the runs, so that files written at different
 moments or on different hosts can be scaled to one speed.
 
@@ -46,9 +50,10 @@ def _timed(fn, *args):
     return time.perf_counter() - t0, result
 
 
-def time_stages(construction: str, genus: int, repeat: int) -> tuple[dict, bool]:
-    """Best seconds of each stage over ``repeat`` runs, and whether every
-    certificate passed and every comparison found an isomorphism."""
+def time_stages(construction: str, genus: int, repeat: int) -> tuple[dict, bool, dict, dict]:
+    """Best seconds of each stage over ``repeat`` runs, whether every
+    certificate passed and every comparison found an isomorphism, and the
+    last run's fibration and isomorphism certificates."""
     build = BUILDERS[construction]
     other = BUILDERS["ishikawa" if construction == "johns" else "johns"]
     best, ok = dict.fromkeys(STAGES, math.inf), True
@@ -60,7 +65,15 @@ def time_stages(construction: str, genus: int, repeat: int) -> tuple[dict, bool]
         seconds, iso = _timed(isomorphism_certificate, build(genus), other(genus))
         best["compare"] = min(best["compare"], seconds)
         ok = ok and cert["passed"] and iso["found"]
-    return best, ok
+    return best, ok, cert, iso
+
+
+def summary(cert: dict, iso: dict) -> str:
+    """The certified groups and the comparison's verdict, as one line's tail."""
+    actual = {c["name"]: c["actual"] for c in cert["checks"]}
+    found = ("yes+" if iso["orientation_preserving"] else "yes-") if iso["found"] else "NO"
+    return (f"H1 {actual['total_space_h1']}  H2 {actual['total_space_h2']}  "
+            f"boundary H1 {actual['boundary_h1']}  iso {found}")
 
 
 def growth_exponent(times: dict[int, float]) -> float | None:
@@ -89,11 +102,12 @@ def main() -> int:
     for construction in BUILDERS:
         stages[construction] = {stage: {} for stage in STAGES}
         for genus in args.genus:
-            best, passed = time_stages(construction, genus, args.repeat)
+            best, passed, cert, iso = time_stages(construction, genus, args.repeat)
             ok = ok and passed
             for stage, seconds in best.items():
                 stages[construction][stage][genus] = seconds
-            print(f"{construction:<9} g={genus:<5} " + "  ".join(f"{s} {best[s] * 1e3:9.3f} ms" for s in STAGES))
+            print(f"{construction:<9} g={genus:<5} " + "  ".join(f"{s} {best[s] * 1e3:9.3f} ms" for s in STAGES)
+                  + "  " + summary(cert, iso))
     after = reference_seconds()
     doc = {
         "python": platform.python_version(),

@@ -46,12 +46,12 @@ def dart_tokens(surface: RibbonGraph) -> dict[str, int]:
 
 class CurveOnSurface(Record):
     """A named closed walk on a ribbon graph, checked by ``check_walk`` and
-    stored as ``(str, int)`` steps (``as_pairs``: an exact-typed walk is
-    kept as it is).  The walk need not be edge-simple (Dehn-twisted images
-    repeat edges); operations that require an embedded curve call
-    ``require_edge_simple`` first.  ``_heads`` keeps the darts that
-    ``check_walk`` returns, which later layers read instead of the edge ids;
-    it is no field, so equality, hash, repr and pickling ignore it.
+    rebuilt as ``(str, int)`` steps (``as_pairs``).  The walk need not be
+    edge-simple (Dehn-twisted images repeat edges); operations that require
+    an embedded curve call ``require_edge_simple`` first.  ``_heads`` keeps
+    the darts that ``check_walk`` returns, which later layers read instead
+    of the edge ids; it is no field, so equality, hash, repr and pickling
+    ignore it.
     """
 
     __slots__ = ("host", "name", "walk", "_heads")

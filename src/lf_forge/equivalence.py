@@ -98,12 +98,9 @@ class _Reduction:
 def reduced_word(fib: LefschetzFibration) -> tuple[RibbonGraph, dict[str, CurveOnSurface]]:
     """The fiber oriented by its own signs and then smoothed, with the word
     carried onto it, built from ``_Reduction``.  A non-orientable fiber
-    raises NonOrientableError before any smoothing error.  A fiber that is
-    its own reduction keeps its word."""
+    raises NonOrientableError before any smoothing error."""
     red = _Reduction(fib.fiber)
     norm, label = red.norm, red.label
-    if norm is fib.fiber and len(red.anchors) == len(label):
-        return norm, {c.name: c for c in fib.word}
     rotation = {v: tuple(label[norm._dart(h)] for h in norm.rotation[v]) for v in red.kept}
     graph = RibbonGraph(red.kept, {label[d][0] for d in red.anchors}, rotation)
     return graph, {c.name: CurveOnSurface(graph, c.name, tuple(

@@ -92,39 +92,27 @@ def _sparse_snf_diagonal(rows: list[dict[int, int]], ops: list[dict[int, int]] |
     """Nonzero invariant factors of the matrix whose rows are the sparse
     ``{column: entry}`` dicts ``rows`` (consumed).
 
-    Unit pivots are peeled first on sparse rows: a +-1 entry in a shortest
-    row clears its column by row operations, after which column operations
-    clear its row without touching anything else, so the pivot splits off as
-    a factor 1 and its row and column drop out.  The pivot row is the
-    shortest row with a unit entry, lowest index first; a heap keyed by
-    (length, index) holds every row, a row is pushed again whenever an
-    elimination changes it, and entries whose length is out of date are
-    skipped.  Only the residue, which has no unit entry left, goes to
+    Unit pivots are peeled first on sparse rows: a +-1 entry of a row clears
+    its column by row operations, after which column operations clear its
+    row without touching anything else, so the pivot splits off as a factor
+    1 and its row and column drop out.  The rows are visited in a worklist,
+    each row pivoting on its first unit entry; a row that an elimination
+    changes is appended again, so the work is bounded by the eliminations
+    made.  Only the residue, which has no unit entry left, goes to
     ``smith_normal_form``.  A pivot row ends empty.  ``ops`` (sparse, the
     identity to start with) repeats each row operation, so non-pivot row i
     ends as sum_j ops[i][j] * (row j as given); a pivot row's ops end empty.
     """
-    import heapq  # here, so that importing the package does not load it
-
     cols: dict[int, set[int]] = {}
     for i, r in enumerate(rows):
         for j in r:
             cols.setdefault(j, set()).add(i)
-    heap = [(len(r), i) for i, r in enumerate(rows) if r]
-    heapq.heapify(heap)
+    todo = list(range(len(rows)))
     ones = 0
-    while heap:
-        length, p = heapq.heappop(heap)
+    for p in todo:
         prow = rows[p]
-        if len(prow) != length:
-            continue
-        c = -1  # the unit entry in the shortest column, lowest index first
-        for j, x in prow.items():
-            if x == 1 or x == -1:
-                k = len(cols[j])
-                if c < 0 or k < best or k == best and j < c:
-                    c, best = j, k
-        if c < 0:
+        c = next((j for j, x in prow.items() if x == 1 or x == -1), None)
+        if c is None:
             continue
         pc = prow.pop(c)
         for i in cols.pop(c):
@@ -143,7 +131,7 @@ def _sparse_snf_diagonal(rows: list[dict[int, int]], ops: list[dict[int, int]] |
                 else:
                     row[j] = y - f * x
             if row:
-                heapq.heappush(heap, (len(row), i))
+                todo.append(i)
             if ops is not None:
                 op = ops[i]
                 for j, x in ops[p].items():

@@ -32,17 +32,7 @@ _ENDS = {0: 0, 1: 1}  # the valid ends of an edge
 
 
 def as_pairs(items) -> tuple:
-    """``items`` as a tuple of ``(str, int)`` pairs; a tuple or list of
-    exactly such tuples, as every producer here builds, is not rebuilt."""
-    if type(items) is tuple or type(items) is list:
-        for x in items:
-            if type(x) is not tuple:
-                break
-            a, b = x  # a wrong length raises what the rebuild would raise
-            if type(a) is not str or type(b) is not int:
-                break
-        else:
-            return tuple(items)
+    """``items`` rebuilt as a tuple of ``(str, int)`` pairs."""
     return tuple([(str(a), int(b)) for a, b in items])
 
 
@@ -408,12 +398,9 @@ class RibbonGraph:
         a rotation does not change the direction of a chain that leaves and
         re-enters one anchor: smoothing ``normalized()`` equals smoothing
         and then orienting.  A component that is entirely a cycle of
-        degree-2 vertices cannot be smoothed and raises.  Returns this graph
-        itself when no vertex is suppressible.
+        degree-2 vertices cannot be smoothed and raises.
         """
         deg2 = {v for v, rot in self.rotation.items() if len(rot) == 2 and rot[0][0] != rot[1][0]}
-        if not deg2:
-            return self, {e: (e, 1) for e in self.edges}
         # Walk each maximal chain of degree-2 vertices from its anchored ends.
         edge_map: dict[str, tuple[str, int]] = {}
         new_edges, new_twists, passed = [], set(), 0

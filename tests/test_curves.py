@@ -90,7 +90,7 @@ def test_odd_typed_edge_ids_are_not_on_the_surface(pants, walk, message):
 
 def test_an_exact_typed_walk_is_kept_as_it_is(pants):
     walk = (("e", 1), ("f", -1))
-    assert CurveOnSurface(pants, "w", walk).walk is walk
+    assert CurveOnSurface(pants, "w", walk).walk == walk
 
 
 @pytest.mark.parametrize(

@@ -202,7 +202,7 @@ def test_reduced_word_keeps_families_and_type(built):
         fib = built(construction, 1)
         reduced, curves = reduced_word(fib)
         assert reduced.invariants() == fib.fiber.invariants()
-        assert set(curves) == set(fib.names())
+        assert list(curves) == list(fib.names())
         for c in curves.values():
             assert c.is_edge_simple()
         # no suppressible vertices remain
@@ -220,22 +220,6 @@ def test_reduced_word_builds_at_most_one_ribbon_graph(built, relabelled, mirrore
             reduced_word(lf)
             monkeypatch.undo()
             assert len(made) <= 1
-
-
-def test_reduced_word_of_a_plumbing_fiber_builds_nothing(built, relabelled, mirrored, constructions,
-                                                        monkeypatch):
-    """A fiber that is its own reduction keeps its word: no graph and no
-    curve is built, and the curves are the word's own objects."""
-    for genus in range(4):
-        fib = built("johns", genus)
-        for lf in (fib, mirrored(fib), relabelled(fib, genus)):
-            graphs, curves = constructions(RibbonGraph), constructions(CurveOnSurface)
-            reduced, carried = reduced_word(lf)
-            monkeypatch.undo()
-            assert graphs == [] and curves == []
-            assert reduced is lf.fiber
-            assert list(carried) == list(lf.names())
-            assert all(carried[c.name] is c for c in lf.word)
 
 
 def test_comparing_fresh_builds_makes_no_graph_and_no_curve(built, relabelled, mirrored, constructions,

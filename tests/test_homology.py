@@ -14,6 +14,7 @@ from lf_forge.certify import fibration_certificate
 from lf_forge.curves import CurveOnSurface
 from lf_forge.equivalence import isomorphism_certificate
 from lf_forge.homology import (
+    DisconnectedError,
     HomologyClass,
     Workspace,
     _CORNER_SIGNS,
@@ -64,6 +65,15 @@ def test_basis_ranks(annulus, punctured_torus, pants, genus_two):
     assert len(homology_basis(punctured_torus)) == 2
     assert len(homology_basis(pants)) == 2
     assert len(homology_basis(genus_two)) == 4
+
+
+def test_homology_of_a_disconnected_page_raises():
+    """Two loops on separate vertices: the workspace refuses the page."""
+    page = RibbonGraph(("u", "v"), ("e", "f"), {"u": (("e", 0), ("e", 1)), "v": (("f", 0), ("f", 1))})
+    for compute in (lambda: fibration_homology(page, ()), lambda: homology_basis(page)):
+        with pytest.raises(DisconnectedError, match="^homology requires a connected surface$") as err:
+            compute()
+        assert isinstance(err.value, SurfaceError)
 
 
 @pytest.mark.parametrize("build", [johns_fibration, ishikawa_fibration], ids=["johns", "ishikawa"])

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,14 +13,19 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_genus_survey_identifies_both_constructions():
+def test_bench_prints_the_certified_groups_and_identifies_both_constructions(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "genus_survey.py"), "--max-genus", "1"],
-                          env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench.py"), "--genus", "0", "1", "--repeat", "1",
+                           "--out", str(tmp_path / "bench.json")], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    rows = [line.split() for line in proc.stdout.splitlines()[2:]]
-    assert [row[:2] for row in rows] == [["0", "johns"], ["0", "ishikawa"], ["1", "johns"], ["1", "ishikawa"]]
-    assert [row[-2] for row in rows if row[1] == "johns"] == ["yes+", "yes+"]
+    lines = [re.fullmatch(r"(\w+) +g=(\d+) .* ms  (H1 .*)", line) for line in proc.stdout.splitlines()]
+    rows = [m.groups() for m in lines if m]
+    assert rows == [
+        ("johns", "0", "H1 0  H2 Z  boundary H1 Z/2  iso yes+"),
+        ("johns", "1", "H1 Z^2  H2 Z  boundary H1 Z^3  iso yes+"),
+        ("ishikawa", "0", "H1 0  H2 Z  boundary H1 Z/2  iso yes+"),
+        ("ishikawa", "1", "H1 Z^2  H2 Z  boundary H1 Z^3  iso yes+"),
+    ]
 
 
 def test_bench_writes_every_stage_and_the_growth_exponent(tmp_path):

@@ -189,15 +189,7 @@ def renamed(doc: dict, rng: random.Random) -> dict:
                             for r in doc["vanishing_cycles"]]}
 
 
-@pytest.mark.parametrize("construction", [
-    "johns",
-    pytest.param("ishikawa", marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="ROADMAP item 8: the twisted divide fiber is oriented by its least vertex, so a renaming can "
-               "mirror it")),
-])
-@given(genus=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
-def test_a_pure_renaming_changes_no_check_and_no_verdict(built, construction, genus, seed):
+def assert_renaming_changes_nothing(built, construction: str, genus: int, seed: int) -> None:
     """Every certificate check, and the verdict of comparing with the other
     construction in both orders, is that of the build itself."""
     fib, other = built(construction, genus), built(OTHER[construction], genus)
@@ -205,6 +197,22 @@ def test_a_pure_renaming_changes_no_check_and_no_verdict(built, construction, ge
     assert fibration_certificate(lf) == fibration_certificate(fib)
     assert verdict(isomorphism_certificate(lf, other)) == verdict(isomorphism_certificate(fib, other))
     assert verdict(isomorphism_certificate(other, lf)) == verdict(isomorphism_certificate(other, fib))
+
+
+@pytest.mark.parametrize("construction", ["johns"])
+@given(genus=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+def test_a_pure_renaming_changes_no_check_and_no_verdict(built, construction, genus, seed):
+    assert_renaming_changes_nothing(built, construction, genus, seed)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 8: the twisted divide fiber is oriented by its least vertex, so a renaming "
+                          "can mirror it")
+@pytest.mark.parametrize("genus,seed", [(0, 1), (2, 4), (4, 6)])
+def test_a_pure_renaming_of_a_divide_build_changes_nothing(built, genus, seed):
+    """Fixed renamings that mirror the divide fiber today; drawn by
+    hypothesis, a failing case would be saved as a patch on every run."""
+    assert_renaming_changes_nothing(built, "ishikawa", genus, seed)
 
 
 # -- corrupted production seams ----------------------------------------------------
