@@ -140,17 +140,21 @@ def _surgery_walks(surface: RibbonGraph, family_x, family_y) -> tuple[tuple[int,
     memo = surface._cache.get("smoothing")
     if memo is not None and memo[0] == key and all(c.host is surface for c in family_x + family_y):
         return memo[1]
-    taken = [False] * len(surface.edges)
-    for curves in (family_x, family_y):
-        for c in curves:
-            if c.host is not surface:
-                raise SurfaceError(f"curve {c.name!r} lives on a different surface")
-            c.require_edge_simple()
-            for d in c._heads:
-                if taken[d >> 1]:
-                    raise SurfaceError(f"edge {surface.edges[d >> 1]!r} is traversed twice; "
-                                       "the families must be edge-disjoint")
-                taken[d >> 1] = True
+    taken = [-1] * len(surface.edges)  # by edge number: the index of the last curve that ran it
+    for i, c in enumerate(family_x + family_y):
+        if c.host is not surface:
+            raise SurfaceError(f"curve {c.name!r} lives on a different surface")
+        shared = -1  # the first edge of c that an earlier curve ran; a repeat within c is raised first
+        for d in c._heads:
+            j = taken[d >> 1]
+            if j == i:
+                raise SurfaceError(f"curve {c.name!r} repeats an edge")
+            if j >= 0 and shared < 0:
+                shared = d >> 1
+            taken[d >> 1] = i
+        if shared >= 0:
+            raise SurfaceError(f"edge {surface.edges[shared]!r} is traversed twice; "
+                               "the families must be edge-disjoint")
     dv, pos, names = surface._dv, surface._dpos, surface.vertices
     depart = [-1] * len(dv)  # depart[d]: the dart a strand arriving on dart d leaves along
     px, py = [-1] * len(names), [-1] * len(names)  # by vertex number: the dart each family arrives on there

@@ -15,23 +15,18 @@ def check_walk(surface: RibbonGraph, walk, heads=None) -> tuple[int, ...]:
     """The darts the steps of ``walk`` arrive on (the one call of
     ``RibbonGraph.head_darts``, unless the caller has them as ``heads``).
     SurfaceError unless ``walk`` is a nonempty chain of steps on ``surface``
-    that closes up: a step off the surface beats any break, and of the breaks
-    the first in walk order is raised, the closing one, last to first, last."""
+    that closes up: a step off the surface beats any break.  One pass checks
+    that each step departs where the one before arrived, steps 1..n-1 and
+    then the closing step, last to first, and raises the first break."""
     if not walk:
         raise SurfaceError("empty walk")
     if heads is None:
         heads = surface.head_darts(walk)
     dv = surface._dv
-    head = dv[heads[-1]]
-    for d in heads:
-        if dv[d ^ 1] != head:
-            break
-        head = dv[d]
-    else:
-        return heads
     for i in (*range(1, len(heads)), 0):
         if dv[heads[i - 1]] != dv[heads[i] ^ 1]:
             raise SurfaceError(f"walk breaks between {walk[i - 1]} and {walk[i]}")
+    return heads
 
 
 def dart_tokens(surface: RibbonGraph) -> dict[str, int]:
@@ -48,10 +43,10 @@ class CurveOnSurface(Record):
     """A named closed walk on a ribbon graph, checked by ``check_walk`` and
     rebuilt as ``(str, int)`` steps (``as_pairs``).  The walk need not be
     edge-simple (Dehn-twisted images repeat edges); operations that require
-    an embedded curve call ``require_edge_simple`` first.  ``_heads`` keeps
-    the darts that ``check_walk`` returns, which later layers read instead
-    of the edge ids; it is no field, so equality, hash, repr and pickling
-    ignore it.
+    an embedded curve check that first, with ``require_edge_simple`` or, in
+    the surgery, in its edge-disjointness pass.  ``_heads`` keeps the darts
+    that ``check_walk`` returns, which later layers read instead of the edge
+    ids; it is no field, so equality, hash, repr and pickling ignore it.
     """
 
     __slots__ = ("host", "name", "walk", "_heads")

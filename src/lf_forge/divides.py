@@ -36,8 +36,9 @@ class Divide:
     ``rotation`` maps each crossing to its four half-edges in counterclockwise
     order, and every half-edge (e, 0), (e, 1) must occur exactly once overall.
     The graph validates that and holds the dart tables; the faces are
-    the boundary circles of its thickening.  ``standard_divide`` links its
-    darts straight through ``_linked``; ids and ``rotation`` are the graph's.
+    the boundary circles of its thickening, ``graph.faces()``.
+    ``standard_divide`` links its darts straight through ``_linked``; ids
+    and the on-request ``rotation`` view are the graph's.
     """
 
     def __init__(self, vertices, edges, rotation):
@@ -69,16 +70,10 @@ class Divide:
 
     # -- faces -----------------------------------------------------------------
 
-    def faces(self) -> tuple[tuple[HalfEdge, ...], ...]:
-        """Complementary disks: the boundary circles of the graph's
-        thickening, ``RibbonGraph.faces``.  Each orbit of next-after-partner
-        starts at its least half-edge and the orbits come sorted, so face
-        indices are canonical.
-        """
-        return self.graph.faces()
-
     def _face(self) -> list[int]:
-        """Each dart's face, the index of its ``_boundary`` orbit; cached."""
+        """Each dart's face, the index of its ``_boundary`` orbit; cached.
+        The orbits come in the order of their least darts, so face indices
+        are canonical."""
         if "face" not in self._cache:
             face = self._cache["face"] = [0] * (2 * len(self.edges))
             for i, orbit in enumerate(self.graph._boundary()):
@@ -205,7 +200,7 @@ def checkerboard_coloring(divide: Divide) -> Checkerboard:
 
     Raises ColoringError when impossible, naming an odd closed chain of
     faces as the witness.  The coloring is cached on the divide, as its
-    faces are on its graph; an error is not.
+    faces' dart orbits are on its graph; an error is not.
     """
     if "coloring" in divide._cache:
         return divide._cache["coloring"]

@@ -14,7 +14,6 @@ counterclockwise) presentation of the surface.
 
 from __future__ import annotations
 
-import weakref
 from functools import cached_property
 
 from .curves import CurveOnSurface, Step
@@ -105,7 +104,8 @@ class Workspace:
     lexicographically greedy spanning tree, and ``rank`` their count.  The
     named views ``tree``, ``basis`` and ``index`` are built on request.  The
     Gram matrix of the whole basis is the pairing of the tests' class-level
-    oracles.  Cached weakly on the graph (``workspace``); treat as read-only."""
+    oracles.  Nothing caches a workspace: a caller that reads it more than
+    once holds it.  Treat as read-only."""
 
     def __init__(self, surface: RibbonGraph):
         if not surface.is_connected():
@@ -115,7 +115,6 @@ class Workspace:
         self._basis_index = index = surface._forest()[2]
         self.rank = len(index) - index.count(-1)
         self._tree_adj: dict[str, list[tuple[str, int, str]]] | None = None  # built by the first tree_path
-        self._gram: list[list[int]] | None = None
 
     tree = cached_property(lambda self: {e for e, i in zip(self.graph.edges, self._basis_index) if i < 0})
     basis = cached_property(lambda self: tuple([e for e, i in zip(self.graph.edges, self._basis_index) if i >= 0]))
@@ -157,22 +156,14 @@ class Workspace:
         return CurveOnSurface(self.graph, f"z[{edge}]", tuple(walk))
 
     def gram_matrix(self) -> list[list[int]]:
-        """Intersection pairing of the basis cycles."""
-        if self._gram is None:
-            self._gram = pairing_matrix(self.graph, [self.basis_cycle(e) for e in self.basis])
-        return self._gram
+        """Intersection pairing of the basis cycles, computed on each call."""
+        return pairing_matrix(self.graph, [self.basis_cycle(e) for e in self.basis])
 
 
 def workspace(surface: RibbonGraph) -> Workspace:
-    """The surface's ``Workspace``, cached weakly: the workspace holds the
-    surface, so a strong cache entry would make a reference cycle.  It lives
-    as long as a caller holds it."""
-    ref = surface._cache.get("homology")
-    ws = ref() if ref is not None else None
-    if ws is None:
-        ws = Workspace(surface)
-        surface._cache["homology"] = weakref.ref(ws)
-    return ws
+    """A new ``Workspace`` of the surface; the one function that makes one,
+    so that a trace can time it and read its size."""
+    return Workspace(surface)
 
 
 class HomologyClass(Record):

@@ -146,8 +146,9 @@ class RibbonGraph:
     Every half-edge (e, 0) and (e, 1) must occur exactly once in the
     rotations.  Instances are treated as immutable after construction.
     Every producer links numbered darts once (``_check``); the parser and
-    both builders number them themselves (``_linked``), and the name views
-    ``rotation`` and ``_half``, which no check reads, are built on request.
+    both builders number them themselves (``_linked``).  No graph keeps its
+    input: the name views ``rotation`` and ``_half``, which no check reads,
+    are built on request from the dart tables.
     """
 
     def __init__(self, vertices, edges, rotation, twists=()):
@@ -168,9 +169,9 @@ class RibbonGraph:
         ``_dv``, ``_dn``, ``_dp`` and ``_dpos`` hold each dart's vertex
         number (its index in ``vertices``), next and previous darts there
         and rotation index; ``_deg`` each vertex's degree.  Given ``eid``,
-        ``rotation`` lists darts (``_linked``); else half-edges, looked up
-        as darts, and the validated input is kept as ``rotation``.  Either
-        way a dart attached twice or never goes to ``_half_edge_fault``."""
+        ``rotation`` lists darts (``_linked``); else half-edges, rebuilt by
+        ``as_pairs`` and looked up as darts.  Either way a dart attached
+        twice or never goes to ``_half_edge_fault``."""
         self.vertices = sorted_ids(vertices, "vertex")
         self.edges = sorted_ids(edges, "edge")
         self.twists = frozenset(twists)
@@ -185,13 +186,14 @@ class RibbonGraph:
             raise SurfaceError(f"edge id may not start with '-': {self.edges[i]!r}")
         if set(rotation) != vset:
             raise SurfaceError("rotation keys must match vertex set")
+        named = None
         if eid is None:
             eid = {e: k for k, e in enumerate(self.edges)}
-            self.rotation = rotation = {v: as_pairs(rotation[v]) for v in self.vertices}
+            named = [as_pairs(rotation[v]) for v in self.vertices]
             try:
-                darts = [[2 * eid[e] + _ENDS[end] for e, end in rot] for rot in rotation.values()]
+                darts = [[2 * eid[e] + _ENDS[end] for e, end in rot] for rot in named]
             except KeyError:  # a half-edge whose edge or end is unknown
-                self._half_edge_fault()
+                self._half_edge_fault(named)
         else:
             darts = [rotation[v] for v in self.vertices]
         self._eid, n = eid, 2 * len(self.edges)
@@ -200,22 +202,21 @@ class RibbonGraph:
             i, prev = 0, ds[-1] if ds else 0
             for d in ds:  # pairwise stores: enumerate, or one four-way tuple store, costs a third more
                 if dpos[d] >= 0:
-                    self._half_edge_fault(darts)
+                    self._half_edge_fault(named, darts)
                 dv[d], dpos[d] = vi, i
                 dn[prev], dp[d] = d, prev
                 prev, i = d, i + 1
         if -1 in dpos:
-            self._half_edge_fault(darts)
+            self._half_edge_fault(named, darts)
         self._deg = list(map(len, darts))
         if not self.twists <= eset:
             raise SurfaceError("twist set contains unknown edges")
 
-    def _half_edge_fault(self, darts=()):
-        """Raise the first fault of the attachments, by vertex, of the kept
-        ``rotation``, else of ``darts`` named: a half-edge attached twice,
-        else the missing and unknown ones."""
-        kept = vars(self).get("rotation")
-        halves = kept.values() if kept is not None else [[self._half[d] for d in ds] for ds in darts]
+    def _half_edge_fault(self, named, darts=()):
+        """Raise the first fault of the attachments, by vertex, of ``named``,
+        the constructor's half-edge lists, or when it is None of ``darts``
+        named: a half-edge attached twice, else the missing and unknown ones."""
+        halves = named if named is not None else [[self._half[d] for d in ds] for ds in darts]
         seen = set()
         for h in (h for rot in halves for h in rot):
             if h in seen:
@@ -284,12 +285,10 @@ class RibbonGraph:
 
     def faces(self) -> tuple[tuple[HalfEdge, ...], ...]:
         """Boundary circles of the thickened surface: ``_boundary`` as
-        half-edges, cached.  ``boundary_walks`` in ``tests/oracles.py``
-        traces the twisted presentation instead."""
-        if "faces" not in self._cache:
-            half = self._half
-            self._cache["faces"] = tuple([tuple([half[d] for d in orbit]) for orbit in self._boundary()])
-        return self._cache["faces"]
+        half-edges, named on each call.  ``boundary_walks`` in
+        ``tests/oracles.py`` traces the twisted presentation instead."""
+        half = self._half
+        return tuple([tuple([half[d] for d in orbit]) for orbit in self._boundary()])
 
     def _boundary(self) -> list[list[int]]:
         """The boundary circles as dart orbits, traced once on ``normalized()``
@@ -375,15 +374,11 @@ class RibbonGraph:
         chi = 2 - 2h - b.  Requires a connected graph; a non-orientable one
         raises NonOrientableError.
         """
-        if "invariants" in self._cache:
-            return self._cache["invariants"]
         if not self.is_connected():
             raise SurfaceError("surface invariants require a connected graph")
         chi = self.euler_characteristic()
         b = self.num_boundary_components()
-        result = SurfaceInvariants(chi, b, (2 - chi - b) // 2)
-        self._cache["invariants"] = result
-        return result
+        return SurfaceInvariants(chi, b, (2 - chi - b) // 2)
 
     # -- degree-two smoothing ------------------------------------------------
 

@@ -2,11 +2,11 @@
 
 import hashlib
 import json
-import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lf_forge import builders
 from lf_forge.builders import (
     LefschetzFibration,
     PlumbingPattern,
@@ -23,7 +23,7 @@ from lf_forge.certify import fibration_certificate
 from lf_forge.curves import CurveOnSurface
 from lf_forge.divides import Divide, DivideError, check_admissible, checkerboard_coloring, standard_divide
 from lf_forge.equivalence import find_isomorphism, isomorphism_certificate
-from lf_forge.homology import curve_class, workspace
+from lf_forge.homology import Workspace, curve_class, workspace
 from lf_forge.ribbon import RibbonGraph, SurfaceError, spanning_forest
 
 import oracles
@@ -106,18 +106,21 @@ def test_surgery_output_count_and_conservation(built):
 
 
 def _smoothing_traces(monkeypatch) -> list:
-    """The curves the surgery (``_surgery_walks``) checks for
-    edge-simplicity before it traces: each input curve once whenever it
-    traces, none when it returns a kept smoothing."""
+    """The input curves of each ``_surgery_walks`` call that traces: one
+    that writes a new smoothing into its surface's cache.  A call that
+    returns the kept smoothing writes none and records nothing."""
     traced = []
-    require_edge_simple = CurveOnSurface.require_edge_simple
+    surgery_walks = builders._surgery_walks
 
-    def counted(self):
-        if sys._getframe(1).f_code.co_name == "_surgery_walks":
-            traced.append(self)
-        return require_edge_simple(self)
+    def recorded(surface, family_x, family_y):
+        family_x, family_y = tuple(family_x), tuple(family_y)
+        kept = surface._cache.get("smoothing")
+        walks = surgery_walks(surface, family_x, family_y)
+        if surface._cache.get("smoothing") is not kept:
+            traced.extend(family_x + family_y)
+        return walks
 
-    monkeypatch.setattr(CurveOnSurface, "require_edge_simple", counted)
+    monkeypatch.setattr(builders, "_surgery_walks", recorded)
     return traced
 
 
@@ -274,6 +277,8 @@ def _surgery_fault_cases():
          "one family passes vertex 'v' twice; crossings must be simple"),
         ("tangency", on(touching, "x", ("a", 1)), on(touching, "y", ("b", 1)), touching,
          "the families meet tangentially at vertex 'v'"),
+        ("repeated-and-shared-edge", on(loops, "x", ("a", 1)), on(loops, "y", ("a", 1), ("b", 1), ("b", 1)), loops,
+         "curve 'y' repeats an edge"),
         ("vertex-twice-and-shared-edge", on(loops, "x", ("a", 1), ("b", 1)), on(loops, "y", ("b", 1)), loops,
          "edge 'b' is traversed twice; the families must be edge-disjoint"),
         ("two-tangencies", on(twice, "x", ("p", 1), ("q", 1)), on(twice, "y", ("r", 1), ("s", 1)), twice,
@@ -284,8 +289,8 @@ def _surgery_fault_cases():
 @pytest.mark.parametrize("case", _surgery_fault_cases(), ids=lambda case: case[0])
 def test_surgery_names_each_fault(case):
     """The exact message, and with coinciding faults the one reported
-    first: edge-disjointness before vertex passes, the least tangential
-    vertex."""
+    first: a curve's own repeated edge before an edge another curve ran,
+    edge-disjointness before vertex passes, the least tangential vertex."""
     _, x, y, surface, message = case
     with pytest.raises(SurfaceError) as err:
         simultaneous_surgery(surface, x, y)
@@ -383,7 +388,7 @@ def test_random_divides_build_or_raise_a_named_error(system):
             for k, h in enumerate(rot):
                 white_corner[h] = k if colors[k] == "white" else (k - 1) % 4
         for fi in coloring.black:
-            orbit = d.faces()[fi]
+            orbit = d.graph.faces()[fi]
             for h, nxt in zip(orbit, orbit[1:] + orbit[:1]):
                 landing = d.graph.partner(h)
                 assert d.graph.vertex_of(landing) == d.graph.vertex_of(nxt)
@@ -436,20 +441,24 @@ def test_one_linking_pass_gives_the_constructor_graph(built, relabelled, mirrore
 
 
 @pytest.mark.parametrize("construction", ["johns", "ishikawa"])
-def test_a_certificate_builds_no_names(construction):
+def test_a_certificate_builds_no_names(construction, constructions, monkeypatch):
     """Certifying a fresh build reads only dart tables: neither the fiber
     nor its ``normalized()`` gains ``rotation`` or ``_half``, and the
-    workspace builds no ``tree``, ``basis`` or ``index``.  The document
-    written afterwards still has the pinned bytes of ``generate``."""
+    workspace the certificate makes builds no ``tree``, ``basis`` or
+    ``index``.  The document written afterwards still has the pinned bytes
+    of ``generate``."""
     table = json.loads(CLI_TABLE.read_text())
     build = {"johns": johns_fibration, "ishikawa": ishikawa_fibration}[construction]
     for genus in range(5):
         fib = build(genus)
-        ws = workspace(fib.fiber)  # held, so that the certificate uses this one
+        made = constructions(Workspace)
         assert fibration_certificate(fib)["passed"]
+        monkeypatch.undo()
         for g in (fib.fiber, fib.fiber.normalized()):
             assert not {"rotation", "_half"} & vars(g).keys()
-        assert not {"tree", "basis", "index"} & vars(ws).keys()
+        assert made
+        for ws in made:
+            assert not {"tree", "basis", "index"} & vars(ws).keys()
         text = json.dumps(fib.to_json_dict(), indent=2) + "\n"
         want = table[f"generate {construction} --genus {genus}"]["sha256"]
         assert hashlib.sha256(text.encode()).hexdigest() == want

@@ -95,7 +95,7 @@ def test_constructor_names_each_fault(vertices, edges, rotation, message):
 
 def test_faces_partition_half_edges():
     d = standard_divide(1)
-    seen = [h for face in d.faces() for h in face]
+    seen = [h for face in d.graph.faces() for h in face]
     assert len(seen) == len(set(seen)) == 2 * len(d.edges)
     for h in seen:
         assert d.face_of(h) == d.face_of(h)
@@ -258,7 +258,7 @@ def test_disconnected_divide_is_rejected():
 def test_coloring_classes_cover_all_faces():
     d = standard_divide(2)
     coloring = checkerboard_coloring(d)
-    faces = set(range(len(d.faces())))
+    faces = set(range(len(d.graph.faces())))
     assert set(coloring.white) | set(coloring.black) == faces
     assert not set(coloring.white) & set(coloring.black)
     for e in d.edges:

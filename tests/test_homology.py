@@ -124,13 +124,13 @@ def test_sparse_class_is_the_nonzero_part_of_curve_class(built):
         fibration_homology(built("johns", 1).fiber, built("johns", 2).word[:1])
 
 
-# -- the workspace cache ----------------------------------------------------------
+# -- the workspace ----------------------------------------------------------------
 
 
 def test_certifying_and_comparing_leave_no_cyclic_garbage(relabelled, mirrored):
-    """Graphs are freed by reference counting: ``workspace`` caches its
-    workspace weakly and an oriented graph's ``normalized()`` caches a
-    marker, not the graph itself."""
+    """Graphs are freed by reference counting: nothing caches a workspace,
+    and an oriented graph's ``normalized()`` caches a marker, not the graph
+    itself."""
     gc.collect()
     gc.disable()
     try:
@@ -147,8 +147,8 @@ def test_certifying_and_comparing_leave_no_cyclic_garbage(relabelled, mirrored):
 
 
 def test_a_certificate_builds_one_workspace(constructions, monkeypatch):
-    """The weak cache still serves a whole certificate: every class and the
-    pairing come from one workspace."""
+    """A certificate makes one workspace and holds it: every class and the
+    pairing come from it, with no cache to serve a second."""
     fib = ishikawa_fibration(3)
     made = constructions(Workspace)
     fibration_certificate(fib)

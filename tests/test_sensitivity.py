@@ -93,6 +93,13 @@ def _b0_walk_as_c0(doc):
     _cycle(doc, "c0")["walk"] = list(_cycle(doc, "b0")["walk"])
 
 
+def _swap_a0_b0(doc):
+    """a0 and b0, which meet, trade places in the word."""
+    cycles = doc["vanishing_cycles"]
+    i, j = cycles.index(_cycle(doc, "a0")), cycles.index(_cycle(doc, "b0"))
+    cycles[i], cycles[j] = cycles[j], cycles[i]
+
+
 def _reverse_a_branch_vertex(doc):
     """Reverse the rotation of the least vertex of degree >= 3; reversing a
     degree-2 rotation changes nothing."""
@@ -114,6 +121,9 @@ CORRUPTIONS = {
     "c0-reversed": (_reverse_c0, lambda g: ["closing_smoothing"], (False, None, "surgery_commutes")),
     "b0-walk-as-c0": (_b0_walk_as_c0, lambda g: ["boundary_h1"] * (g % 2) + ["closing_smoothing"],
                       (False, None, "cycle_images_match")),
+    # Only boundary H1 sees the swap, and not at g = 2; item 2's Q(v,v) check
+    # (ROADMAP) should close that blind spot, as Q(v,v) changes sign.
+    "a0-b0-swapped": (_swap_a0_b0, lambda g: ["boundary_h1"] * (g != 2), (False, None, "word_families")),
     "rotation-reversed": (_reverse_a_branch_vertex, lambda g: ["fiber_genus", "fiber_boundary_components",
                                                                "boundary_h1"],
                           (False, None, "fiber_invariants")),
