@@ -18,14 +18,22 @@ when none is found), read off the last run's certificates.
 is read before and after the runs, so that files written at different
 moments or on different hosts can be scaled to one speed.
 
+Last, ``cli_seconds`` holds the median wall clock of fresh processes: the
+bare ``import lf_forge`` and three ``lf-forge`` commands, each run 5 *
+--repeat times, interleaved so that a drift of the host's speed spreads over
+all four.  Run with ``PYTHONDONTWRITEBYTECODE=1`` to include compiling the
+package, as a host without bytecode caches pays it.
+
     PYTHONPATH=src python3 scripts/bench.py --out BENCH.json
 """
 
 import argparse
 import json
 import math
+import os
 import platform
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -33,6 +41,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import hostspeed  # noqa: E402
+import lf_forge  # noqa: E402
 from lf_forge import (  # noqa: E402
     fibration_certificate,
     ishikawa_fibration,
@@ -42,6 +51,13 @@ from lf_forge import (  # noqa: E402
 
 BUILDERS = {"johns": johns_fibration, "ishikawa": ishikawa_fibration}
 STAGES = ("build", "certify", "compare")
+# Fresh processes for cli_seconds: name -> the interpreter's arguments.
+CLI_PROCESSES = {
+    "import lf_forge": ["-c", "import lf_forge"],
+    "export divide --genus 2 --format text": ["-m", "lf_forge.cli", "export", "divide", "--genus", "2", "--format", "text"],
+    "generate ishikawa --genus 4": ["-m", "lf_forge.cli", "generate", "ishikawa", "--genus", "4"],
+    "verify --genus 8": ["-m", "lf_forge.cli", "verify", "--genus", "8"],
+}
 
 
 def _timed(fn, *args):
@@ -86,6 +102,22 @@ def growth_exponent(times: dict[int, float]) -> float | None:
     return math.log(t1 / t0) / math.log(g1 / g0)
 
 
+def time_cli(runs: int) -> tuple[dict[str, float], bool]:
+    """Median wall seconds of each of ``CLI_PROCESSES`` over ``runs`` fresh
+    processes, the four taking turns, and whether every process exited 0.
+    The processes load the package this script imports."""
+    src = str(Path(lf_forge.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    samples, ok = {name: [] for name in CLI_PROCESSES}, True
+    for _ in range(runs):
+        for name, args in CLI_PROCESSES.items():
+            t0 = time.perf_counter()
+            done = subprocess.run([sys.executable, *args], env=env, stdout=subprocess.DEVNULL, check=False)
+            samples[name].append(time.perf_counter() - t0)
+            ok = ok and done.returncode == 0
+    return {name: statistics.median(times) for name, times in samples.items()}, ok
+
+
 def reference_seconds(samples: int = 5) -> float:
     return statistics.median(hostspeed.time_reference() for _ in range(samples))
 
@@ -108,6 +140,10 @@ def main() -> int:
                 stages[construction][stage][genus] = seconds
             print(f"{construction:<9} g={genus:<5} " + "  ".join(f"{s} {best[s] * 1e3:9.3f} ms" for s in STAGES)
                   + "  " + summary(cert, iso))
+    cli, cli_ok = time_cli(5 * args.repeat)
+    ok = ok and cli_ok
+    for name, seconds in cli.items():
+        print(f"cli {name:<38} {seconds * 1e3:8.2f} ms  (median of {5 * args.repeat} processes)")
     after = reference_seconds()
     doc = {
         "python": platform.python_version(),
@@ -117,6 +153,7 @@ def main() -> int:
         "hostspeed": {"reference_seconds": hostspeed.REFERENCE_SECONDS, "before_s": before, "after_s": after},
         "seconds": {c: {s: {str(g): t for g, t in ts.items()} for s, ts in by.items()} for c, by in stages.items()},
         "growth_exponent": {c: {s: growth_exponent(ts) for s, ts in by.items()} for c, by in stages.items()},
+        "cli_seconds": cli,
     }
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
     for construction, exps in doc["growth_exponent"].items():

@@ -1,22 +1,18 @@
-"""Command line front end: generate, verify, compare, export.
-
-Every command is a pure function of its arguments: the same flags give the
-same bytes on stdout, with stable key order and no timestamps unless --stamp.
+"""lf-forge: build, verify, compare and export the two genus-one Lefschetz
+fibrations on disk cotangent bundles.  Options go by their full names, a
+value next or after "=" (--genus 2, --genus=2).  Defaults: --genus 0 (N or
+A..B, at most --max-genus 32), --construction both, --format json; -v is
+--verbose.  The same arguments give the same bytes on stdout unless --stamp.
 Exit codes: 0 success, 1 failed check or missing isomorphism, 2 usage error
 (the message on stderr), 3 internal error (the traceback on stderr).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
-from pathlib import Path
+from types import SimpleNamespace
 
 from .divides import standard_divide
-
-DEFAULT_MAX_GENUS = 32
-
 
 CONSTRUCTIONS = ("johns", "ishikawa", "sphere")
 
@@ -48,7 +44,7 @@ def _build(construction: str, genus: int):
     return builders.sphere_planar_fibration()
 
 
-def _builds(args: argparse.Namespace):
+def _builds(args: SimpleNamespace):
     """Each selected construction at each selected genus, built, as
     (construction, genus, fibration); the sphere only at genus 0."""
     selected = ("johns", "ishikawa") if args.construction == "both" else (args.construction,)
@@ -59,10 +55,12 @@ def _builds(args: argparse.Namespace):
 
 
 def _dumps(doc) -> str:
+    import json  # here, so that dot and text output do not load it
+
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _stamped(doc: dict, args: argparse.Namespace) -> dict:
+def _stamped(doc: dict, args: SimpleNamespace) -> dict:
     if args.stamp:
         import datetime  # here, so that a run without --stamp does not load it
 
@@ -71,16 +69,17 @@ def _stamped(doc: dict, args: argparse.Namespace) -> dict:
     return doc
 
 
-def _emit(texts: dict[str, str], args: argparse.Namespace) -> None:
+def _emit(texts: dict[str, str], args: SimpleNamespace) -> None:
     """Write named documents to --out (file or directory) or stdout.
 
     Several documents need a directory; a single one may go to a plain file.
     A filesystem error is a usage error naming --out.
     """
     if args.out is None:
-        for text in texts.values():
-            sys.stdout.write(text)
+        sys.stdout.write("".join(texts.values()))
         return
+    from pathlib import Path  # here, so that output to stdout does not load it
+
     out = Path(args.out)
     try:
         if len(texts) == 1 and not out.is_dir() and not args.out.endswith("/"):
@@ -94,12 +93,12 @@ def _emit(texts: dict[str, str], args: argparse.Namespace) -> None:
         raise ValueError(f"cannot write --out {args.out}: {exc}") from None
 
 
-def _note(args: argparse.Namespace, message: str) -> None:
+def _note(args: SimpleNamespace, message: str) -> None:
     if args.verbose:
         print(message, file=sys.stderr)
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
+def cmd_generate(args: SimpleNamespace) -> int:
     texts = {}
     for construction, g, fib in _builds(args):
         _note(args, f"built {construction} genus {g}")
@@ -113,7 +112,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     from .certify import fibration_certificate  # here, so that generate and export do not load it
 
     certificates = []
@@ -134,7 +133,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def cmd_compare(args: SimpleNamespace) -> int:
     from .equivalence import isomorphism_certificate  # here, so that generate and export do not load it
 
     against = None
@@ -160,7 +159,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 1 if missing else 0
 
 
-def cmd_export(args: argparse.Namespace) -> int:
+def cmd_export(args: SimpleNamespace) -> int:
     texts = {}
     if args.target == "divide":
         for g in args.genus:
@@ -185,58 +184,74 @@ def cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lf-forge",
-        description="Build, verify, compare and export the two genus-one "
-                    "Lefschetz fibrations on disk cotangent bundles.")
-    sub = parser.add_subparsers(dest="command", required=True)
+_BOTH = (*CONSTRUCTIONS, "both")
+_SHARED = {"--genus": "N|A..B", "--max-genus": "N", "--out": "PATH", "--stamp": True, "--verbose": True}
 
-    def common(p, construction_flag=True):
-        p.add_argument("--genus", default="0", help="N or A..B (default 0)")
-        p.add_argument("--max-genus", type=int, default=DEFAULT_MAX_GENUS,
-                       help=f"range cap (default {DEFAULT_MAX_GENUS})")
-        p.add_argument("--out", default=None, help="output file or directory")
-        p.add_argument("--stamp", action="store_true",
-                       help="add a generation timestamp to JSON output")
-        p.add_argument("--verbose", "-v", action="store_true")
-        if construction_flag:
-            p.add_argument("--construction", default="both",
-                           choices=(*CONSTRUCTIONS, "both"))
+# Each command's function and arguments: its positional argument (no dashes)
+# and its options, each with its choices, the name of its value, or True for
+# a flag.  An argument not given reads as its entry in _DEFAULTS.
+_COMMANDS = {
+    "generate": (cmd_generate, {"construction": _BOTH, "--format": ("json", "dot"), **_SHARED}),
+    "verify": (cmd_verify, {"--construction": _BOTH, **_SHARED}),
+    "compare": (cmd_compare, {"--against": "NAME:GENUS", **_SHARED}),
+    "export": (cmd_export, {"target": ("divide", "fiber"), "--format": ("json", "dot", "text"),
+                            "--construction": _BOTH, **_SHARED}),
+}
+_DEFAULTS = {"genus": "0", "max_genus": "32", "out": None, "stamp": False, "verbose": False,
+             "construction": "both", "format": "json", "against": None}
 
-    g = sub.add_parser("generate", help="write fibration documents")
-    g.set_defaults(run=cmd_generate)
-    g.add_argument("construction", choices=(*CONSTRUCTIONS, "both"))
-    g.add_argument("--format", default="json", choices=("json", "dot"))
-    common(g, construction_flag=False)
 
-    v = sub.add_parser("verify", help="run all invariant checks")
-    v.set_defaults(run=cmd_verify)
-    common(v)
-
-    c = sub.add_parser("compare", help="search for the fibration isomorphism")
-    c.set_defaults(run=cmd_compare)
-    c.add_argument("--against", default=None,
-                   help="compare against construction:genus instead of ishikawa")
-    common(c, construction_flag=False)
-
-    e = sub.add_parser("export", help="write the underlying combinatorial objects")
-    e.set_defaults(run=cmd_export)
-    e.add_argument("target", choices=("divide", "fiber"))
-    e.add_argument("--format", default="json", choices=("json", "dot", "text"))
-    common(e)
-
-    return parser
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """``argv`` read against ``_COMMANDS``: the command, then its arguments
+    in any order, an option's value after it or after ``=``.  -h or --help
+    prints the module docstring and each command's arguments and exits 0;
+    anything else amiss raises ValueError."""
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(__doc__)
+        for command, (_, arguments) in _COMMANDS.items():
+            words = [f"  lf-forge {command}"]
+            for name, kind in arguments.items():
+                shown = "|".join(kind) if isinstance(kind, tuple) else kind
+                words.append(shown if not name.startswith("-") else name if kind is True else f"{name} {shown}")
+            print(" ".join(words))
+        raise SystemExit(0)
+    if not argv or argv[0] not in _COMMANDS:
+        raise ValueError(f"the first argument must be one of {', '.join(_COMMANDS)}")
+    arguments = _COMMANDS[argv[0]][1]
+    args = dict(_DEFAULTS, command=argv[0])
+    positional = [name for name in arguments if not name.startswith("-")]
+    words = iter(argv[1:])
+    for word in words:
+        name, eq, value = word.partition("=")
+        name = "--verbose" if name == "-v" else name
+        if not word.startswith("-") and positional:
+            name, value = positional.pop(0), word
+        elif not name.startswith("-") or name not in arguments or (arguments[name] is True and eq):
+            raise ValueError(f"unrecognized argument {word}")
+        elif arguments[name] is not True and not eq:
+            value = next(words, "--")  # a missing value reads as the next option
+            if value.startswith("--"):
+                raise ValueError(f"argument {name} expects a value")
+        kind = arguments[name]
+        if isinstance(kind, tuple) and value not in kind:
+            raise ValueError(f"argument {name}: invalid choice {value!r} (choose from {', '.join(kind)})")
+        args[name.lstrip("-").replace("-", "_")] = True if kind is True else value
+    if positional:
+        raise ValueError(f"the following argument is required: {positional[0]}")
+    if not args["max_genus"].isdecimal():
+        raise ValueError(f"argument --max-genus: invalid int value {args['max_genus']!r}")
+    args["max_genus"] = int(args["max_genus"])
+    return SimpleNamespace(**args)
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
     try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
         args.genus = _parse_genus(args.genus, args.max_genus)
-        return args.run(args)
+        return _COMMANDS[args.command][0](args)
     except ValueError as exc:
-        parser.error(str(exc))
+        sys.stderr.write(f"usage: lf-forge {{{','.join(_COMMANDS)}}} ... (-h for help)\nlf-forge: error: {exc}\n")
+        raise SystemExit(2) from None
     except Exception:
         import traceback  # here, so that a run without errors does not load it
 

@@ -113,7 +113,7 @@ class Workspace:
         self.graph = surface
         self.norm = surface.normalized()  # raises NonOrientableError if needed
         self._basis_index = index = surface._forest()[2]
-        self.rank = len(index) - index.count(-1)
+        self.rank = _rank(index)
         self._tree_adj: dict[str, list[tuple[str, int, str]]] | None = None  # built by the first tree_path
 
     tree = cached_property(lambda self: {e for e, i in zip(self.graph.edges, self._basis_index) if i < 0})
@@ -160,6 +160,11 @@ class Workspace:
         return pairing_matrix(self.graph, [self.basis_cycle(e) for e in self.basis])
 
 
+def _rank(basis_index: list[int]) -> int:
+    """The rank of H1: the co-tree edges of a ``_basis_index``."""
+    return len(basis_index) - basis_index.count(-1)
+
+
 def workspace(surface: RibbonGraph) -> Workspace:
     """A new ``Workspace`` of the surface; the one function that makes one,
     so that a trace can time it and read its size."""
@@ -167,12 +172,15 @@ def workspace(surface: RibbonGraph) -> Workspace:
 
 
 class HomologyClass(Record):
-    """Element of H1 of the thickened surface in the co-tree basis."""
+    """Element of H1 of the thickened surface in the co-tree basis.  The
+    vector's length is checked against the host's cached spanning forest,
+    without a workspace; ``class_from_steps`` builds one first, and that
+    rejects a disconnected or non-orientable host."""
 
     __slots__ = ("host", "vector")
 
     def __init__(self, host: RibbonGraph, vector: tuple[int, ...]):
-        n = workspace(host).rank
+        n = _rank(host._forest()[2])
         if len(vector) != n:
             raise SurfaceError(f"class vector has length {len(vector)}, basis has {n}")
         super().__init__(host, vector)

@@ -201,3 +201,36 @@ def test_internal_error_exits_3_with_its_traceback(capsys, monkeypatch, argv):
     assert out == ""
     assert err.startswith("Traceback")
     assert "KeyError: 'broken builder'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["frobnicate"], ["generate"],
+    ["generate", "jons"], ["generate", "johns", "ishikawa"],
+    ["verify", "--format", "dot"], ["compare", "--construction", "johns"],
+    ["generate", "johns", "--genus"], ["verify", "--max-genus", "x"],
+    ["generate", "johns", "--stamp=yes"], ["verify", "--gen", "2"],
+], ids=["empty", "unknown-command", "missing-positional", "bad-choice", "extra-positional",
+        "format-on-verify", "construction-on-compare", "missing-value", "non-integer-cap",
+        "value-on-flag", "abbreviated-option"])
+def test_malformed_command_lines_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage: lf-forge ")
+    assert "\nlf-forge: error: " in captured.err
+
+
+def test_an_option_value_may_follow_an_equals_sign_before_the_positional(capsys):
+    assert run(capsys, "generate", "--genus=2", "johns") == run(capsys, "generate", "johns", "--genus", "2")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["verify", "--help"]], ids=["top-level", "after-a-command"])
+def test_help_names_every_command(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    for command in ("generate", "verify", "compare", "export"):
+        assert f"\n  lf-forge {command} " in out

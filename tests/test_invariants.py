@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lf_forge.builders import johns_fibration, sphere_planar_fibration, word_families
+from lf_forge import homology
 from lf_forge.curves import CurveOnSurface
 from lf_forge.homology import _sparse_class, curve_class, homology_basis, pairing_matrix, pairings, workspace
 from lf_forge.invariants import (
@@ -290,6 +291,22 @@ def recurrence_relations(n, vecs, pair):
             counts.append(vecs[k][i] + sum(counts[j] * pair[j][k] for j in range(k)))
         columns.append([sum(nk * vecs[k][r] for k, nk in enumerate(counts)) for r in range(n)])
     return [[columns[i][r] for i in range(n)] for r in range(n)]
+
+
+def test_arc_relations_build_one_workspace_per_curve_and_one_for_the_basis(monkeypatch):
+    """A class's vector length is checked against the host's spanning forest,
+    so each ``curve_class`` builds only its own workspace."""
+    fib = johns_fibration(8)
+    built = []
+    init = homology.Workspace.__init__
+
+    def counted(self, surface):
+        built.append(surface)
+        init(self, surface)
+
+    monkeypatch.setattr(homology.Workspace, "__init__", counted)
+    monodromy_arc_relations(fib.fiber, fib.word)
+    assert len(fib.word) == 22 and len(built) == 1 + len(fib.word)
 
 
 @pytest.mark.parametrize("construction", ["johns", "ishikawa"])

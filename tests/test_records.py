@@ -93,13 +93,14 @@ def test_a_record_without_checks_takes_one_value_per_field(cls):
 
 def test_cli_import_loads_no_unused_standard_modules():
     """Every lf-forge process imports the CLI; the modules named here cost
-    it start-up time that no command without --stamp uses.  The package
-    loads no layer of its own, and the CLI only the layers that generate
-    and export need: verify and compare import theirs when they run."""
+    it start-up time that no command without --stamp or JSON output uses,
+    and the command line is read without argparse.  The package loads no
+    layer of its own, and the CLI only the layers that generate and export
+    need: verify and compare import theirs when they run."""
     code = ("import sys; import lf_forge; "
             "print(sorted(m for m in sys.modules if m.startswith('lf_forge.'))); "
             "import lf_forge.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'datetime'} & set(sys.modules))); "
+            "print(sorted({'dataclasses', 'inspect', 'datetime', 'argparse', 'gettext', 'json'} & set(sys.modules))); "
             "print(sorted({'lf_forge.certify', 'lf_forge.equivalence', 'lf_forge.invariants', "
             "'lf_forge.homology'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -259,7 +260,10 @@ _CHECKING_LAYERS = ["lf_forge.certify", "lf_forge.equivalence", "lf_forge.invari
     (["export", "divide", "--genus", "0..2"], 0, ["lf_forge.builders", "lf_forge.curves"]),
     (["generate", "both", "--genus", "0..2"], 0, _CHECKING_LAYERS),
     (["export", "fiber", "--genus", "0..2"], 0, _CHECKING_LAYERS),
-], ids=["compare", "compare-against", "export-divide", "generate", "export-fiber"])
+    (["export", "divide", "--genus", "2", "--format", "text"], 0, ["lf_forge.builders", "json"]),
+    (["generate", "johns", "--genus", "2", "--format", "dot"], 0, [*_CHECKING_LAYERS, "json"]),
+], ids=["compare", "compare-against", "export-divide", "generate", "export-fiber", "export-divide-text",
+        "generate-dot"])
 def test_each_command_loads_only_the_layers_it_runs(argv, exit_code, unused):
     """A compare that needs no triple product never pairs curves, an
     exported divide needs no fiber, and a build checks nothing: none of

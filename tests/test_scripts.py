@@ -43,6 +43,12 @@ def test_bench_writes_every_stage_and_the_growth_exponent(tmp_path):
         # only g = 1 is positive, so no slope between two genera exists
         assert doc["growth_exponent"][construction] == {"build": None, "certify": None, "compare": None}
     assert doc["hostspeed"]["before_s"] > 0 and doc["hostspeed"]["after_s"] > 0
+    assert list(doc["cli_seconds"]) == ["import lf_forge", "export divide --genus 2 --format text",
+                                        "generate ishikawa --genus 4", "verify --genus 8"]
+    assert all(t > 0 for t in doc["cli_seconds"].values())
+    printed = [re.fullmatch(r"cli (.+?) +[\d.]+ ms  \(median of 5 processes\)", line)
+               for line in proc.stdout.splitlines() if line.startswith("cli ")]
+    assert [m.group(1) for m in printed] == list(doc["cli_seconds"])
 
 
 def test_bench_growth_exponent_is_the_log_log_slope_of_the_two_largest_genera():
