@@ -21,8 +21,12 @@ moments or on different hosts can be scaled to one speed.
 Last, ``cli_seconds`` holds the median wall clock of fresh processes: the
 bare ``import lf_forge`` and three ``lf-forge`` commands, each run 5 *
 --repeat times, interleaved so that a drift of the host's speed spreads over
-all four.  Run with ``PYTHONDONTWRITEBYTECODE=1`` to include compiling the
-package, as a host without bytecode caches pays it.
+all four.  The reference task is timed before and after each process, and
+each sample is scaled by the speed those two timings show
+(``hostspeed.adjust``, as ``perfbench/run.py`` scales its samples);
+``cli_seconds_raw`` holds the unscaled medians.  Run with
+``PYTHONDONTWRITEBYTECODE=1`` to include compiling the package, as a host
+without bytecode caches pays it.
 
     PYTHONPATH=src python3 scripts/bench.py --out BENCH.json
 """
@@ -102,20 +106,27 @@ def growth_exponent(times: dict[int, float]) -> float | None:
     return math.log(t1 / t0) / math.log(g1 / g0)
 
 
-def time_cli(runs: int) -> tuple[dict[str, float], bool]:
-    """Median wall seconds of each of ``CLI_PROCESSES`` over ``runs`` fresh
-    processes, the four taking turns, and whether every process exited 0.
-    The processes load the package this script imports."""
+def time_cli(runs: int) -> tuple[dict[str, float], dict[str, float], bool]:
+    """Median seconds of each of ``CLI_PROCESSES`` over ``runs`` fresh
+    processes, the four taking turns, host-adjusted and raw, and whether
+    every process exited 0.  The processes load the package this script
+    imports."""
     src = str(Path(lf_forge.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    samples, ok = {name: [] for name in CLI_PROCESSES}, True
+    raw, adjusted, ok = {name: [] for name in CLI_PROCESSES}, {name: [] for name in CLI_PROCESSES}, True
+    before = hostspeed.time_reference()
     for _ in range(runs):
         for name, args in CLI_PROCESSES.items():
             t0 = time.perf_counter()
             done = subprocess.run([sys.executable, *args], env=env, stdout=subprocess.DEVNULL, check=False)
-            samples[name].append(time.perf_counter() - t0)
+            seconds = time.perf_counter() - t0
+            after = hostspeed.time_reference()
+            raw[name].append(seconds)
+            adjusted[name].append(hostspeed.adjust(seconds, before, after))
+            before = after
             ok = ok and done.returncode == 0
-    return {name: statistics.median(times) for name, times in samples.items()}, ok
+    return ({name: statistics.median(times) for name, times in adjusted.items()},
+            {name: statistics.median(times) for name, times in raw.items()}, ok)
 
 
 def reference_seconds(samples: int = 5) -> float:
@@ -140,10 +151,11 @@ def main() -> int:
                 stages[construction][stage][genus] = seconds
             print(f"{construction:<9} g={genus:<5} " + "  ".join(f"{s} {best[s] * 1e3:9.3f} ms" for s in STAGES)
                   + "  " + summary(cert, iso))
-    cli, cli_ok = time_cli(5 * args.repeat)
+    cli, cli_raw, cli_ok = time_cli(5 * args.repeat)
     ok = ok and cli_ok
     for name, seconds in cli.items():
         print(f"cli {name:<38} {seconds * 1e3:8.2f} ms  (median of {5 * args.repeat} processes)")
+    print("host-adjusted; raw medians " + ", ".join(f"{seconds * 1e3:.2f}" for seconds in cli_raw.values()) + " ms")
     after = reference_seconds()
     doc = {
         "python": platform.python_version(),
@@ -154,6 +166,7 @@ def main() -> int:
         "seconds": {c: {s: {str(g): t for g, t in ts.items()} for s, ts in by.items()} for c, by in stages.items()},
         "growth_exponent": {c: {s: growth_exponent(ts) for s, ts in by.items()} for c, by in stages.items()},
         "cli_seconds": cli,
+        "cli_seconds_raw": cli_raw,
     }
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
     for construction, exps in doc["growth_exponent"].items():

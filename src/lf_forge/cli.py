@@ -4,11 +4,13 @@ value next or after "=" (--genus 2, --genus=2).  Defaults: --genus 0 (N or
 A..B, at most --max-genus 32), --construction both, --format json; -v is
 --verbose.  The same arguments give the same bytes on stdout unless --stamp.
 Exit codes: 0 success, 1 failed check or missing isomorphism, 2 usage error
-(the message on stderr), 3 internal error (the traceback on stderr).
+(the message on stderr), 3 internal error (the traceback on stderr), 141
+stdout closed by its reader (nothing on stderr).
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from types import SimpleNamespace
 
@@ -248,7 +250,14 @@ def main(argv=None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
         args.genus = _parse_genus(args.genus, args.max_genus)
-        return _COMMANDS[args.command][0](args)
+        code = _COMMANDS[args.command][0](args)
+        sys.stdout.flush()  # here, so that a closed stdout shows below and not at exit
+        return code
+    except BrokenPipeError:
+        # 128 + SIGPIPE, as a shell reports a writer its reader left; stdout
+        # now points at os.devnull, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ValueError as exc:
         sys.stderr.write(f"usage: lf-forge {{{','.join(_COMMANDS)}}} ... (-h for help)\nlf-forge: error: {exc}\n")
         raise SystemExit(2) from None

@@ -13,20 +13,29 @@ Step = tuple[str, int]  # (edge id, +1 forward / -1 backward)
 
 def check_walk(surface: RibbonGraph, walk, heads=None) -> tuple[int, ...]:
     """The darts the steps of ``walk`` arrive on (the one call of
-    ``RibbonGraph.head_darts``, unless the caller has them as ``heads``).
-    SurfaceError unless ``walk`` is a nonempty chain of steps on ``surface``
-    that closes up: a step off the surface beats any break.  One pass checks
-    that each step departs where the one before arrived, steps 1..n-1 and
-    then the closing step, last to first, and raises the first break."""
-    if not walk:
-        raise SurfaceError("empty walk")
+    ``RibbonGraph.head_darts``), or ``heads`` when the caller has them in
+    place of a walk.  SurfaceError unless the walk is a nonempty chain of
+    steps on ``surface`` that closes up: a step off the surface beats any
+    break.  One pass checks that each step departs where the one before
+    arrived, steps 1..n-1 and then the closing step, last to first, and
+    raises the first break, naming its two steps as ``(edge, sign)`` pairs
+    built from the darts only then."""
     if heads is None:
         heads = surface.head_darts(walk)
-    dv = surface._dv
-    for i in (*range(1, len(heads)), 0):
-        if dv[heads[i - 1]] != dv[heads[i] ^ 1]:
-            raise SurfaceError(f"walk breaks between {walk[i - 1]} and {walk[i]}")
+    if not heads:
+        raise SurfaceError("empty walk")
+    dv, n = surface._dv, len(heads)
+    for i in range(1, n + 1):
+        if dv[heads[i - 1]] != dv[heads[i % n] ^ 1]:
+            steps = _steps(surface.edges, heads)
+            raise SurfaceError(f"walk breaks between {steps[i - 1]} and {steps[i % n]}")
     return heads
+
+
+def _steps(edges, heads: tuple[int, ...]) -> tuple[Step, ...]:
+    """The ``(edge id, sign)`` steps that arrive on the darts ``heads``:
+    dart 2k + 1 of the k-th edge for +1, dart 2k for -1."""
+    return tuple([(edges[d >> 1], 1 if d & 1 else -1) for d in heads])
 
 
 def dart_tokens(surface: RibbonGraph) -> dict[str, int]:
@@ -39,27 +48,34 @@ def dart_tokens(surface: RibbonGraph) -> dict[str, int]:
     return surface._cache["darts"]
 
 
-class CurveOnSurface(Record):
-    """A named closed walk on a ribbon graph, checked by ``check_walk`` and
-    rebuilt as ``(str, int)`` steps (``as_pairs``).  The walk need not be
+class CurveOnSurface(Record, views=("walk",)):
+    """A named closed walk on a ribbon graph, kept as the darts its steps
+    arrive on (``_heads``), which every layer reads in place of edge ids.
+    Its fields are ``host``, ``name`` and ``walk``.  ``walk`` is a view: the
+    ``(str, int)`` steps, named from ``host.edges`` each time it is read,
+    so only equality, hash, repr, pickling and the tests' oracles build
+    them.  The constructor takes a walk, rebuilds it as ``(str, int)``
+    steps (``as_pairs``) and checks it (``check_walk``);
+    ``curve_on_darts`` passes darts in place of it.  The walk need not be
     edge-simple (Dehn-twisted images repeat edges); operations that require
     an embedded curve check that first, with ``require_edge_simple`` or, in
-    the surgery, in its edge-disjointness pass.  ``_heads`` keeps the darts
-    that ``check_walk`` returns, which later layers read instead of the edge
-    ids; it is no field, so equality, hash, repr and pickling ignore it.
+    the surgery, in its edge-disjointness pass.
     """
 
-    __slots__ = ("host", "name", "walk", "_heads")
+    __slots__ = ("host", "name", "_heads")
 
-    def __init__(self, host: RibbonGraph, name: str, walk: tuple[Step, ...], heads=None):
+    def __init__(self, host: RibbonGraph, name: str, walk: tuple[Step, ...] | None, heads=None):
         if heads is None:
             walk = as_pairs(walk)
         heads = check_walk(host, walk, heads)
         # Written directly: Record.__init__ made a curve ~10% slower, and a compare-search pass builds ~3,400.
         object.__setattr__(self, "host", host)
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "walk", walk)
         object.__setattr__(self, "_heads", heads)
+
+    @property
+    def walk(self) -> tuple[Step, ...]:
+        return _steps(self.host.edges, self._heads)
 
     def is_edge_simple(self) -> bool:
         return len({d >> 1 for d in self._heads}) == len(self._heads)
@@ -74,30 +90,38 @@ class CurveOnSurface(Record):
 
         Test oracle, trying every rotation: production code compares
         ``canonical_rotation`` keys."""
-        if len(self.walk) != len(other.walk):
+        walk, other_walk = self.walk, other.walk
+        if len(walk) != len(other_walk):
             return False
-        doubled = other.walk + other.walk
-        n = len(self.walk)
-        return any(self.walk == doubled[i:i + n] for i in range(n))
+        doubled = other_walk + other_walk
+        n = len(walk)
+        return any(walk == doubled[i:i + n] for i in range(n))
 
     def to_json_dict(self) -> dict:
-        return {"name": self.name, "walk": [signed_edge_id(s) for s in self.walk]}
+        """The walk's tokens (``signed_edge_id``) written from the darts."""
+        edges = self.host.edges
+        return {"name": self.name, "walk": [edges[d >> 1] if d & 1 else "-" + edges[d >> 1] for d in self._heads]}
 
 
 def curve_on_darts(surface: RibbonGraph, name: str, heads: tuple[int, ...]) -> CurveOnSurface:
-    """The curve ``name`` whose steps arrive on the darts ``heads``, its
-    steps named from ``surface.edges``; ``check_walk`` checks that it closes."""
-    edges = surface.edges
-    return CurveOnSurface(surface, name, tuple([(edges[d >> 1], 1 if d & 1 else -1) for d in heads]), heads)
+    """The curve ``name`` whose steps arrive on the darts ``heads``, built
+    without naming a step: ``check_walk`` checks that it closes, and only
+    a break names the steps."""
+    return CurveOnSurface(surface, name, None, heads)
 
 
 def canonical_rotation(walk: tuple[Step, ...]) -> tuple[Step, ...]:
     """The least rotation of a nonempty cyclic walk, so that two walks are
     equal up to basepoint exactly when their canonical rotations are.
 
-    Only the rotations that start at the least step compete; an edge-simple
-    walk has one, which makes the key linear in the walk's length."""
+    Only the rotations that start at the least step compete.  When the
+    least step occurs once, as in every edge-simple walk, the key is that
+    one rotation, cut with one slice pair at ``walk.index``; otherwise the
+    least of the competing rotations."""
     least = min(walk)
+    if walk.count(least) == 1:
+        i = walk.index(least)
+        return walk[i:] + walk[:i]
     return min(walk[i:] + walk[:i] for i, step in enumerate(walk) if step == least)
 
 

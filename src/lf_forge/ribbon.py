@@ -78,9 +78,12 @@ class Record:
     """Base of the package's immutable record types.
 
     A record's fields are the public names in its ``__slots__`` after its
-    parent's, read once into ``_names``; a private slot holds state derived
-    from the fields.  ``__init__`` takes one value per field, in that order,
-    and writes it past the frozen ``__setattr__``.
+    parent's, then the ``views`` its class statement names
+    (``class C(Record, views=("walk",))``), read once into ``_names``.  A
+    private slot holds state derived from the fields; a view is a field
+    read off the slots each time (a property), so a class with views
+    writes its own ``__init__``.  ``__init__`` takes one value per field,
+    in that order, and writes it past the frozen ``__setattr__``.
     Records are equal, and hash alike, when they have the same type and
     equal fields, and repr as ``Name(field=value, ...)``.  These methods
     are written out once rather than generated per class at import, which
@@ -91,8 +94,8 @@ class Record:
     __slots__ = ()
     _names = ()
 
-    def __init_subclass__(cls):
-        cls._names += tuple(n for n in cls.__dict__.get("__slots__", ()) if n[0] != "_")
+    def __init_subclass__(cls, views: tuple[str, ...] = ()):
+        cls._names += tuple(n for n in cls.__dict__.get("__slots__", ()) if n[0] != "_") + views
 
     def __init__(self, *values):
         if len(values) != len(self._names):

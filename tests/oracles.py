@@ -13,7 +13,7 @@ import math
 from lf_forge.builders import LefschetzFibration, closing_smoothing
 from lf_forge.curves import CurveOnSurface
 from lf_forge.divides import Divide, checkerboard_coloring
-from lf_forge.homology import HomologyClass, curve_class, workspace
+from lf_forge.homology import HomologyClass, _sparse_class, curve_class, pairing_matrix, workspace
 from lf_forge.invariants import FinAbGroup, _cokernel_from_diagonal, _sparse_snf_diagonal
 from lf_forge.ribbon import RibbonGraph, SurfaceError
 
@@ -419,3 +419,24 @@ def _bordered_presentation(n: int, classes, pair) -> list[dict[int, int]]:
                 row[n + j] = -pair[j][k]
         rows.append(row)
     return rows
+
+
+# -- the total space ----------------------------------------------------------------
+
+
+def self_intersection(fib: LefschetzFibration) -> int:
+    """Q(v, v) of the generator v of H2 of the total space, whose 2-handles
+    are attached along the word with page framing -1 (Gompf-Stipsicz,
+    section 8.2): Q(v, v) = -sum v_i^2 + sum_{i<j} v_i v_j P_ij, with P the
+    word's pairing matrix.  The word's classes are peeled by
+    ``_sparse_snf_diagonal`` with ops from the identity, and v is the ops
+    row of the one row that is no pivot, so H2 must be Z.  DT*Sigma_g has
+    Q(v, v) = 2g - 2, the tangent disk bundle 2 - 2g."""
+    index = workspace(fib.fiber)._basis_index
+    rows = [_sparse_class(index, c._heads) for c in fib.word]
+    ops = [{i: 1} for i in range(len(rows))]
+    _sparse_snf_diagonal(rows, ops)
+    (kernel,) = [op for op in ops if op]
+    v = [kernel.get(i, 0) for i in range(len(rows))]
+    p = pairing_matrix(fib.fiber, fib.word)
+    return -sum(x * x for x in v) + sum(v[i] * v[j] * p[i][j] for i in range(len(v)) for j in range(i + 1, len(v)))

@@ -1,6 +1,7 @@
 """Command line driver: exit codes, output files, determinism."""
 
 import json
+import os
 
 import pytest
 
@@ -234,3 +235,27 @@ def test_help_names_every_command(capsys, argv):
     assert exc.value.code == 0
     for command in ("generate", "verify", "compare", "export"):
         assert f"\n  lf-forge {command} " in out
+
+
+def test_a_closed_stdout_exits_141_with_nothing_on_stderr(capsys, monkeypatch, tmp_path):
+    """A reader that leaves early (``lf-forge ... | head -c 10``) makes the
+    write raise BrokenPipeError: that is exit 141, as a shell reports a
+    writer killed by SIGPIPE, with no traceback, and the stdout descriptor
+    then points at os.devnull, so the flush at interpreter exit cannot
+    raise again."""
+    with open(tmp_path / "stdout", "w") as target:
+
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return target.fileno()
+
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        assert main(["generate", "both", "--genus", "0..1"]) == 141
+        assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
+    assert capsys.readouterr().err == ""

@@ -5,9 +5,16 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from lf_forge.builders import LefschetzFibration, simultaneous_surgery, word_families
-from lf_forge.curves import CurveOnSurface, canonical_rotation, check_walk
-from lf_forge.equivalence import reduced_word
+from lf_forge.builders import (
+    LefschetzFibration,
+    ishikawa_fibration,
+    johns_fibration,
+    simultaneous_surgery,
+    word_families,
+)
+from lf_forge.certify import fibration_certificate
+from lf_forge.curves import CurveOnSurface, canonical_rotation, check_walk, curve_on_darts, signed_edge_id
+from lf_forge.equivalence import isomorphism_certificate, reduced_word
 from lf_forge.ribbon import RibbonGraph, SurfaceError
 
 import oracles
@@ -116,6 +123,20 @@ def test_canonical_rotation_is_the_least_of_all_rotations(walk):
     assert all(canonical_rotation(r) == canonical_rotation(walk) for r in rotations)
 
 
+dart_walks = st.one_of(
+    st.lists(st.integers(0, 99), min_size=1, max_size=12, unique=True),  # edge-simple, as production keys
+    st.lists(st.integers(0, 3), min_size=1, max_size=12),  # the least dart repeats
+).map(tuple)
+
+
+@given(dart_walks)
+def test_canonical_rotation_of_a_dart_walk_is_the_least_of_all_rotations(walk):
+    """The one-slice key of a walk whose least step occurs once, and the
+    competition of a walk whose least step repeats, both give the oracle's
+    least rotation."""
+    assert canonical_rotation(walk) == min(walk[i:] + walk[:i] for i in range(len(walk)))
+
+
 # -- the darts a curve keeps ----------------------------------------------------------
 
 
@@ -123,7 +144,8 @@ def test_canonical_rotation_is_the_least_of_all_rotations(walk):
 def test_every_curve_keeps_the_darts_of_its_walk(built, relabelled, mirrored, flipped, construction):
     """Built, parsed, relabelled, mirrored and edge-flipped words, their
     closing smoothing and their reduced words: each curve's kept darts are
-    the ones ``head_darts`` looks up for its walk."""
+    the ones ``head_darts`` looks up for its walk, the walk is the steps
+    named from those darts, and the document's tokens are those steps'."""
     for genus in range(9):
         fib = built(construction, genus)
         parsed = LefschetzFibration.from_json_dict(fib.to_json_dict())
@@ -133,6 +155,36 @@ def test_every_curve_keeps_the_darts_of_its_walk(built, relabelled, mirrored, fl
             for c in curves:
                 assert type(c._heads) is tuple
                 assert c._heads == c.host.head_darts(c.walk)
+                edges = c.host.edges
+                assert c.walk == tuple((edges[d >> 1], 1 if d & 1 else -1) for d in c._heads)
+                assert c.to_json_dict()["walk"] == [signed_edge_id(step) for step in c.walk]
+
+
+def test_no_parse_build_or_certificate_reads_a_walk(relabelled, monkeypatch):
+    """Building, parsing, certifying and comparing read the kept darts
+    only: with a counting ``walk`` patched in, both builds, their
+    relabelled documents (``from_json_dict``), both certificates and the
+    comparisons at g = 0..8 read no walk."""
+    reads = []
+    view = CurveOnSurface.walk
+    monkeypatch.setattr(CurveOnSurface, "walk", property(lambda c: reads.append(c.name) or view.fget(c)))
+    for genus in range(9):
+        johns, ishikawa = johns_fibration(genus), ishikawa_fibration(genus)
+        docs = relabelled(johns, genus), relabelled(ishikawa, genus)
+        for fib in (johns, ishikawa, *docs):
+            fibration_certificate(fib)
+        for a, b in ((johns, ishikawa), (ishikawa, johns), docs, (docs[0], ishikawa)):
+            isomorphism_certificate(a, b)
+    assert reads == []
+
+
+def test_a_curve_on_darts_that_breaks_names_its_steps(pants):
+    """A curve built from darts alone is still checked; the break names its
+    steps as ``(edge, sign)`` pairs, as for a walk."""
+    with pytest.raises(SurfaceError, match=r"^walk breaks between \('e', 1\) and \('f', 1\)$"):
+        curve_on_darts(pants, "w", pants.head_darts([("e", 1), ("f", 1)]))
+    with pytest.raises(SurfaceError, match="^empty walk$"):
+        curve_on_darts(pants, "w", ())
 
 
 def test_kept_darts_are_not_a_field():

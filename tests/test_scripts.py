@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -46,9 +47,29 @@ def test_bench_writes_every_stage_and_the_growth_exponent(tmp_path):
     assert list(doc["cli_seconds"]) == ["import lf_forge", "export divide --genus 2 --format text",
                                         "generate ishikawa --genus 4", "verify --genus 8"]
     assert all(t > 0 for t in doc["cli_seconds"].values())
+    # cli_seconds are scaled to the reference host's speed, cli_seconds_raw are the wall clock
+    assert list(doc["cli_seconds_raw"]) == list(doc["cli_seconds"])
+    assert all(t > 0 for t in doc["cli_seconds_raw"].values())
+    assert doc["cli_seconds"] != doc["cli_seconds_raw"]
+    raw_line = next(line for line in proc.stdout.splitlines() if line.startswith("host-adjusted; raw medians "))
+    assert raw_line == ("host-adjusted; raw medians "
+                        + ", ".join(f"{t * 1e3:.2f}" for t in doc["cli_seconds_raw"].values()) + " ms")
     printed = [re.fullmatch(r"cli (.+?) +[\d.]+ ms  \(median of 5 processes\)", line)
                for line in proc.stdout.splitlines() if line.startswith("cli ")]
     assert [m.group(1) for m in printed] == list(doc["cli_seconds"])
+
+
+def test_bench_scales_each_cli_sample_by_the_reference_timings_around_it(monkeypatch):
+    """With the reference task reading twice the reference machine's time
+    around every process, each adjusted median is half the raw one."""
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    monkeypatch.setattr(bench.hostspeed, "time_reference", lambda: 2 * bench.hostspeed.REFERENCE_SECONDS)
+    monkeypatch.setattr(bench.subprocess, "run", lambda *args, **kwargs: SimpleNamespace(returncode=0))
+    adjusted, raw, ok = bench.time_cli(3)
+    assert ok and list(adjusted) == list(raw) == list(bench.CLI_PROCESSES)
+    assert adjusted == {name: pytest.approx(seconds / 2) for name, seconds in raw.items()}
 
 
 def test_bench_growth_exponent_is_the_log_log_slope_of_the_two_largest_genera():
