@@ -230,7 +230,8 @@ def divide_fiber_model(divide: Divide) -> DivideFiberModel:
     the third exactly, which pins every orientation convention in here; the
     certificate's ``closing_smoothing`` check replays it.  Rotations and
     cycles are written as darts of the sorted fiber edges, read off the
-    divide's darts and dart faces, so neither graph names a half-edge; the
+    divide's darts and boundary trace (``_boundary``: each face's darts and
+    each dart's face), so neither graph names a half-edge; the
     sites follow the signs of that numbering's ``spanning_forest``, which
     the fiber keeps, and ``RibbonGraph._linked`` links the fiber once.
     """
@@ -246,7 +247,8 @@ def divide_fiber_model(divide: Divide) -> DivideFiberModel:
     eid = {e: k for k, e in enumerate(edges)}
     # each divide dart's fiber dart: the band of arc e is the fiber's edge e
     band = [2 * eid[e] + end for e in divide.edges for end in (0, 1)]
-    graph, face = divide.graph, divide._face()
+    graph = divide.graph
+    faces, face = graph._boundary()  # each face's darts, and each dart's face
     # per site: (r_in, r_out, arriving band dart, departing band dart)
     site_ends: dict[str, tuple[int, int, int, int]] = {}
     # per divide dart: the two-edge passage, against the core, across the
@@ -299,7 +301,6 @@ def divide_fiber_model(divide: Divide) -> DivideFiberModel:
     fiber._cache["forest"] = forest  # the rewrite moved no band end
 
     # a face walk steps along each of its darts' bands, arriving on the partner
-    faces = graph._boundary()
     white_cycles = [curve_on_darts(fiber, f"a{j}", tuple([band[x] ^ 1 for x in faces[fi]]))
                     for j, fi in enumerate(coloring.white)]
 

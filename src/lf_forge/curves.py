@@ -38,16 +38,6 @@ def _steps(edges, heads: tuple[int, ...]) -> tuple[Step, ...]:
     return tuple([(edges[d >> 1], 1 if d & 1 else -1) for d in heads])
 
 
-def dart_tokens(surface: RibbonGraph) -> dict[str, int]:
-    """Each walk token's arriving dart, built once per surface: (e, +1)
-    arrives on dart 2k + 1 of the k-th edge e, (e, -1) on dart 2k."""
-    if "darts" not in surface._cache:
-        edges, n = surface.edges, 2 * len(surface.edges)
-        tokens = surface._cache["darts"] = dict(zip(edges, range(1, n, 2)))
-        tokens.update(zip(["-" + e for e in edges], range(0, n, 2)))
-    return surface._cache["darts"]
-
-
 class CurveOnSurface(Record, views=("walk",)):
     """A named closed walk on a ribbon graph, kept as the darts its steps
     arrive on (``_heads``), which every layer reads in place of edge ids.
@@ -139,17 +129,17 @@ def parse_signed_edge_id(token: str) -> Step:
 def curve_from_json(surface: RibbonGraph, rec: dict) -> CurveOnSurface:
     """A ``vanishing_cycles`` entry on ``surface``.  As in
     ``RibbonGraph.from_json_dict``, only a field whose value has not exactly
-    its JSON type goes to ``json_field``.  Walk tokens are looked up as darts
-    (``dart_tokens``); a walk with a token not there goes on to the checks
-    that name it."""
+    its JSON type goes to ``json_field``.  Token ``e`` arrives on dart 2k + 1
+    of the k-th edge (``_eid``), ``-e`` on dart 2k; a walk with a token that
+    names no edge, or is not a string, goes on to the checks that name it."""
     name = rec.get("name") if type(rec) is dict else None
     if type(name) is not str:
         name = json_field(rec, "name", str, "vanishing cycle")
     walk = rec.get("walk")
     if type(walk) is list:
-        tokens = dart_tokens(surface)
+        eid = surface._eid
         try:
-            heads = tuple([tokens[t] for t in walk])
+            heads = tuple([2 * eid[t[1:]] if t[:1] == "-" else 2 * eid[t] + 1 for t in walk])
         except (KeyError, TypeError):  # a token off the surface, or not a string
             pass
         else:

@@ -36,7 +36,8 @@ class Divide:
     ``rotation`` maps each crossing to its four half-edges in counterclockwise
     order, and every half-edge (e, 0), (e, 1) must occur exactly once overall.
     The graph validates that and holds the dart tables; the faces are
-    the boundary circles of its thickening, ``graph.faces()``.
+    the boundary circles of its thickening, ``graph.faces()``; each dart's
+    face is read from the graph's boundary trace (``graph._boundary()``).
     ``standard_divide`` links its darts straight through ``_linked``; ids
     and the on-request ``rotation`` view are the graph's.
     """
@@ -70,20 +71,11 @@ class Divide:
 
     # -- faces -----------------------------------------------------------------
 
-    def _face(self) -> list[int]:
-        """Each dart's face, the index of its ``_boundary`` orbit; cached.
-        The orbits come in the order of their least darts, so face indices
-        are canonical."""
-        if "face" not in self._cache:
-            face = self._cache["face"] = [0] * (2 * len(self.edges))
-            for i, orbit in enumerate(self.graph._boundary()):
-                for d in orbit:
-                    face[d] = i
-        return self._cache["face"]
-
     def face_of(self, half_edge: HalfEdge) -> int:
+        """The face that holds ``half_edge``: the index of its dart's orbit
+        in the graph's boundary trace (``RibbonGraph._boundary``)."""
         try:
-            return self._face()[self.graph._dart(half_edge)]
+            return self.graph._boundary()[1][self.graph._dart(half_edge)]
         except (KeyError, TypeError, ValueError):  # not a half-edge of this divide
             raise DivideError(f"no half-edge {half_edge!r} in the divide") from None
 
@@ -199,12 +191,13 @@ def checkerboard_coloring(divide: Divide) -> Checkerboard:
     """2-color the faces so the two sides of every edge differ.
 
     Raises ColoringError when impossible, naming an odd closed chain of
-    faces as the witness.  The coloring is cached on the divide, as its
-    faces' dart orbits are on its graph; an error is not.
+    faces as the witness.  The two sides of edge k are the faces of darts
+    2k and 2k + 1, read from the graph's boundary trace.  The coloring is
+    cached on the divide, as the trace is on its graph; an error is not.
     """
     if "coloring" in divide._cache:
         return divide._cache["coloring"]
-    face, n = divide._face(), divide.graph.num_boundary_components()
+    face, n = divide.graph._boundary()[1], divide.graph.num_boundary_components()
     adjacency: dict[int, set[int]] = {i: set() for i in range(n)}
     for k, e in enumerate(divide.edges):
         i, j = face[2 * k], face[2 * k + 1]

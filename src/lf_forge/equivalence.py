@@ -278,6 +278,8 @@ def _search(lf1: LefschetzFibration, lf2: LefschetzFibration) -> tuple[tuple | N
     orientation-preserving seed fails the word, seeds of an orientation that
     the words' ``_triple_product`` rules out are skipped (none if unknown).
     Seeds are scanned in the smoothed graph's half-edge order (``label``).
+    It matches presentations: smoothed graphs of different sizes fail
+    ``ribbon_graph_bijection``, even when one page contracts the other's edge.
     """
     r1, r2 = _Reduction(lf1.fiber), _Reduction(lf2.fiber)
     if len(r1.anchors) != len(r2.anchors) or len(r1.kept) != len(r2.kept):

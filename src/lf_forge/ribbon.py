@@ -152,6 +152,10 @@ class RibbonGraph:
     both builders number them themselves (``_linked``).  No graph keeps its
     input: the name views ``rotation`` and ``_half``, which no check reads,
     are built on request from the dart tables.
+    ``_cache`` holds ``"forest"``, ``"normalized"`` and ``"boundary"``.  Two
+    keys are written in ``builders``: ``divide_fiber_model`` leaves the
+    ``"forest"`` it joined on the fiber's numbering, and ``_surgery_walks``
+    keeps the last smoothing (``"smoothing"``) for a certificate to replay.
     """
 
     def __init__(self, vertices, edges, rotation, twists=()):
@@ -287,34 +291,35 @@ class RibbonGraph:
     # -- boundary tracing --------------------------------------------------
 
     def faces(self) -> tuple[tuple[HalfEdge, ...], ...]:
-        """Boundary circles of the thickened surface: ``_boundary`` as
-        half-edges, named on each call.  ``boundary_walks`` in
-        ``tests/oracles.py`` traces the twisted presentation instead."""
+        """Boundary circles of the thickened surface: the orbits of
+        ``_boundary`` as half-edges, named on each call.  ``boundary_walks``
+        in ``tests/oracles.py`` traces the twisted presentation instead."""
         half = self._half
-        return tuple([tuple([half[d] for d in orbit]) for orbit in self._boundary()])
+        return tuple([tuple([half[d] for d in orbit]) for orbit in self._boundary()[0]])
 
-    def _boundary(self) -> list[list[int]]:
+    def _boundary(self) -> tuple[list[list[int]], list[int]]:
         """The boundary circles as dart orbits, traced once on ``normalized()``
         (no band twisted; NonOrientableError if there is none): the orbits of
-        rotation-next after partner, each from its least dart, in dart order."""
+        rotation-next after partner, each from its least dart, in dart order;
+        and each dart's face, the index of its orbit.  Cached."""
         if "boundary" not in self._cache:
             dn = self.normalized()._dn
-            seen = [False] * len(dn)
+            face = [-1] * len(dn)  # -1 until the dart's orbit is traced
             orbits = []
             for start in range(len(dn)):
-                if not seen[start]:
-                    orbit, cur = [], start
-                    while not seen[cur]:
-                        seen[cur] = True
+                if face[start] < 0:
+                    orbit, cur, i = [], start, len(orbits)
+                    while face[cur] < 0:
+                        face[cur] = i
                         orbit.append(cur)
                         cur = dn[cur ^ 1]
                     orbits.append(orbit)
-            self._cache["boundary"] = orbits
+            self._cache["boundary"] = orbits, face
         return self._cache["boundary"]
 
     def num_boundary_components(self) -> int:
         """Number of boundary circles: the orbits of ``_boundary``."""
-        return len(self._boundary())
+        return len(self._boundary()[0])
 
     # -- orientation -------------------------------------------------------
 

@@ -157,6 +157,40 @@ def test_sphere_off_genus_zero_is_a_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--genus", "x"], "genus must be N or A..B, got 'x'"),
+    (["compare", "--genus", "0", "--against", "sphere:1"], "the sphere construction exists only at genus 0"),
+    (["verify", "--construction", "sphere", "--genus", "1"], "nothing to verify for that construction/genus choice"),
+    (["export", "fiber", "--construction", "sphere", "--genus", "1"], "nothing to export for that choice"),
+], ids=["genus-not-a-number", "sphere-against-off-genus-zero", "nothing-to-verify", "nothing-to-export"])
+def test_usage_errors_name_their_fault(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.endswith(f"\nlf-forge: error: {message}\n")
+
+
+def test_a_failed_check_exits_1_and_names_it_on_stderr(capsys, monkeypatch):
+    """A word with a0 and b0 traded is still a certificate, whose failed
+    checks are named one per line on stderr."""
+    johns = builders.johns_fibration
+
+    def traded(genus):
+        fib = johns(genus)
+        word = list(fib.word)
+        i, j = fib.names().index("a0"), fib.names().index("b0")
+        word[i], word[j] = word[j], word[i]
+        return builders.LefschetzFibration(fib.construction, fib.genus, fib.fiber, tuple(word))
+
+    monkeypatch.setattr(builders, "johns_fibration", traded)
+    code, out, err = run(capsys, "verify", "--construction", "johns", "--genus", "1")
+    assert code == 1
+    assert json.loads(out)["passed"] is False
+    assert err == "failed invariant: johns genus 1: boundary_h1\n"
+
+
 def test_single_output_to_file(capsys, tmp_path):
     target = tmp_path / "one.json"
     code, out, _ = run(

@@ -94,11 +94,16 @@ def test_constructor_names_each_fault(vertices, edges, rotation, message):
 
 
 def test_faces_partition_half_edges():
-    d = standard_divide(1)
-    seen = [h for face in d.graph.faces() for h in face]
-    assert len(seen) == len(set(seen)) == 2 * len(d.edges)
-    for h in seen:
-        assert d.face_of(h) == d.face_of(h)
+    """The faces hold every half-edge once, and ``face_of`` names the index
+    of the face that holds it."""
+    for genus in range(9):
+        d = standard_divide(genus)
+        faces = d.graph.faces()
+        seen = [h for face in faces for h in face]
+        assert len(seen) == len(set(seen)) == 2 * len(d.edges)
+        for i, face in enumerate(faces):
+            for h in face:
+                assert d.face_of(h) == i
 
 
 def test_face_of_names_a_half_edge_not_in_the_divide():

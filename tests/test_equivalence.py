@@ -678,6 +678,46 @@ def test_no_isomorphism_across_genus(built):
     assert failed
 
 
+def _contracted(doc, edge):
+    """``doc`` with the fiber edge ``edge`` contracted: the rotation at its
+    head, read cyclically from just after the head, takes the tail's place
+    in the rotation at its tail; the head vertex, the edge record and every
+    walk token of the edge are dropped."""
+    fiber = doc["fiber"]
+    rotation = fiber["rotation"]
+    tail = next(v for v, halves in rotation.items() if f"{edge}.0" in halves)
+    head = next(v for v, halves in rotation.items() if f"{edge}.1" in halves)
+    around, at = rotation.pop(head), rotation[tail]
+    i, j = around.index(f"{edge}.1"), at.index(f"{edge}.0")
+    rotation[tail] = at[:j] + around[i + 1:] + around[:i] + at[j + 1:]
+    fiber["vertices"].remove(head)
+    fiber["edges"] = [rec for rec in fiber["edges"] if rec["id"] != edge]
+    for rec in doc["vanishing_cycles"]:
+        rec["walk"] = [t for t in rec["walk"] if t not in (edge, f"-{edge}")]
+    return doc
+
+
+def test_compare_rejects_pages_of_different_size():
+    """Compare matches presentations: contracting edge b0e0 of the johns
+    g = 1 page keeps the fiber invariants and family blocks, yet leaves
+    fewer vertices to smooth, so the search stops at its size check, in
+    either order, with ``ribbon_graph_bijection`` failed.  The contracted
+    page's own certificate fails only ``closing_smoothing``, which is a
+    presentation check too."""
+    johns = johns_fibration(1)
+    contracted = LefschetzFibration.from_json_dict(_contracted(johns.to_json_dict(), "b0e0"))
+    failed = [c["name"] for c in fibration_certificate(contracted)["checks"] if not c["passed"]]
+    assert failed == ["closing_smoothing"]
+    assert contracted.fiber.invariants() == johns.fiber.invariants()
+    assert equivalence._gate(contracted, johns) == [("fiber_invariants", True), ("word_families", True)]
+    assert len(_Reduction(contracted.fiber).kept) != len(_Reduction(johns.fiber).kept)
+    for lf1, lf2 in ((contracted, johns), (johns, contracted)):
+        cert = isomorphism_certificate(lf1, lf2)
+        assert cert["found"] is False
+        assert [c["name"] for c in cert["checks"] if not c["passed"]] == ["ribbon_graph_bijection"]
+        assert _search(lf1, lf2) == (None, "ribbon_graph_bijection")
+
+
 def test_found_certificate_shape(built):
     cert = isomorphism_certificate(built("johns", 0), built("ishikawa", 0))
     assert cert["found"] is True

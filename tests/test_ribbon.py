@@ -288,6 +288,10 @@ def test_faces_are_the_sorted_orbits_of_next_after_partner(g):
         assert face[0] == min(face)
         for h, k in zip(face, face[1:] + face[:1]):
             assert oracles.rotation_next(norm, g.partner(h)) == k
+    orbits, face_of = g._boundary()
+    for i, orbit in enumerate(orbits):
+        for d in orbit:
+            assert face_of[d] == i
 
 
 @given(ribbon_graphs())

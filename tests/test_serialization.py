@@ -121,6 +121,10 @@ def _edit(path, value):
         (("fiber", "rotation", "s1_0", 0), "a0e0.2", "bad half-edge id 'a0e0.2'"),
         (("fiber", "edges", 0, "id"), DELETE, "ribbon-graph edge is missing field 'id'"),
         (("vanishing_cycles", 0, "walk", 0), 3, "cycle 'a0' field 'walk' has an entry that is not a string: 3"),
+        (("vanishing_cycles", 0, "walk", 0), "zz", "walk step ('zz', 1) is not on the surface"),
+        (("vanishing_cycles", 0, "walk", 0), "-zz", "walk step ('zz', -1) is not on the surface"),
+        (("vanishing_cycles", 0, "walk", 0), "", "walk step ('', 1) is not on the surface"),
+        (("vanishing_cycles", 0, "name"), DELETE, "vanishing cycle is missing field 'name'"),
     ],
 )
 def test_malformed_documents_raise_surface_error(path, value, message):
@@ -150,6 +154,8 @@ def _divide_edit(path, value):
         (_divide_edit(("rotation", "v0", 0), "a0"), "bad half-edge id 'a0'"),
         (_divide_edit(("rotation", "v0"), "a0.1"), "divide rotation field 'v0' must be a list, got 'a0.1'"),
         ({"schema": "divide/1", "vertices": [], "edges": [], "rotation": {}}, "empty divide description"),
+        (_edited(_divide_edit(("edges", 0, "tail"), "v1"), ("edges", 0, "head"), "v0"),
+         "edge 'a0' endpoints disagree with rotation placement"),
     ],
 )
 def test_malformed_divide_documents_raise_divide_error(doc, message):
@@ -161,6 +167,16 @@ def test_malformed_divide_documents_raise_divide_error(doc, message):
 def test_divide_text_with_a_bad_half_edge_raises_divide_error():
     with pytest.raises(DivideError, match="bad half-edge id 'a0.2'"):
         Divide.from_text("v0: a0.0 a0.2 b0.0 b0.1\n")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("v0 a0.0 a0.1 b0.0 b0.1\n", "expected 'vertex: h h h h', got 'v0 a0.0 a0.1 b0.0 b0.1'"),
+    ("v0: a0.0 a0.1 b0.0 b0.1\nv0: a1.0 a1.1 b1.0 b1.1\n", "crossing 'v0' listed twice"),
+], ids=["no-colon", "listed-twice"])
+def test_malformed_divide_text_raises_divide_error(text, message):
+    with pytest.raises(DivideError) as err:
+        Divide.from_text(text)
+    assert str(err.value) == message
 
 
 def test_divide_text_without_crossings_raises_divide_error():
