@@ -9,14 +9,17 @@ run alone, and the best of --repeat runs is kept:
   compare  ``isomorphism_certificate`` of a fresh build against a fresh
            build of the other construction, the builds not timed.
 
-The growth exponent of a stage is the slope of log time over log genus
-between the two largest genera.  Each per-genus line also prints the
+The reference task (``perfbench/hostspeed.time_reference()``) is timed right
+before and after each stage sample, and the sample is scaled by the speed
+those two timings show (``hostspeed.adjust``): ``seconds`` holds the best
+scaled times and ``seconds_raw`` the best wall clock.  The growth exponent
+of a stage is the slope of log scaled time over log genus between the two
+largest genera.  Each per-genus line prints the scaled times, the
 certified H1, H2 and boundary H1 and the comparison's verdict ("yes+" for
 an orientation-preserving isomorphism, "yes-" for a reversing one, "NO"
-when none is found), read off the last run's certificates.
-``perfbench/hostspeed.time_reference()``
-is read before and after the runs, so that files written at different
-moments or on different hosts can be scaled to one speed.
+when none is found), read off the last run's certificates.  The median
+of five reference timings before and after all runs is kept under
+``hostspeed`` as a record of the host's speed.
 
 Last, ``cli_seconds`` holds the median wall clock of fresh processes: the
 bare ``import lf_forge`` and three ``lf-forge`` commands, each run 5 *
@@ -64,28 +67,29 @@ CLI_PROCESSES = {
 }
 
 
-def _timed(fn, *args):
-    t0 = time.perf_counter()
-    result = fn(*args)
-    return time.perf_counter() - t0, result
-
-
-def time_stages(construction: str, genus: int, repeat: int) -> tuple[dict, bool, dict, dict]:
-    """Best seconds of each stage over ``repeat`` runs, whether every
-    certificate passed and every comparison found an isomorphism, and the
-    last run's fibration and isomorphism certificates."""
+def time_stages(construction: str, genus: int, repeat: int) -> tuple[dict, dict, bool, dict, dict]:
+    """Best seconds of each stage over ``repeat`` runs, host-adjusted and
+    raw, whether every certificate passed and every comparison found an
+    isomorphism, and the last run's fibration and isomorphism certificates."""
     build = BUILDERS[construction]
     other = BUILDERS["ishikawa" if construction == "johns" else "johns"]
-    best, ok = dict.fromkeys(STAGES, math.inf), True
+    best, best_raw, ok = dict.fromkeys(STAGES, math.inf), dict.fromkeys(STAGES, math.inf), True
+
+    def timed(stage, fn, *args):
+        before = hostspeed.time_reference()
+        t0 = time.perf_counter()
+        result = fn(*args)
+        seconds = time.perf_counter() - t0
+        best[stage] = min(best[stage], hostspeed.adjust(seconds, before, hostspeed.time_reference()))
+        best_raw[stage] = min(best_raw[stage], seconds)
+        return result
+
     for _ in range(repeat):
-        seconds, fib = _timed(build, genus)
-        best["build"] = min(best["build"], seconds)
-        seconds, cert = _timed(fibration_certificate, fib)
-        best["certify"] = min(best["certify"], seconds)
-        seconds, iso = _timed(isomorphism_certificate, build(genus), other(genus))
-        best["compare"] = min(best["compare"], seconds)
+        fib = timed("build", build, genus)
+        cert = timed("certify", fibration_certificate, fib)
+        iso = timed("compare", isomorphism_certificate, build(genus), other(genus))
         ok = ok and cert["passed"] and iso["found"]
-    return best, ok, cert, iso
+    return best, best_raw, ok, cert, iso
 
 
 def summary(cert: dict, iso: dict) -> str:
@@ -129,6 +133,11 @@ def time_cli(runs: int) -> tuple[dict[str, float], dict[str, float], bool]:
             {name: statistics.median(times) for name, times in raw.items()}, ok)
 
 
+def _by_genus_name(stages: dict) -> dict:
+    """construction -> stage -> genus -> seconds, each genus as a JSON key."""
+    return {c: {s: {str(g): t for g, t in ts.items()} for s, ts in by.items()} for c, by in stages.items()}
+
+
 def reference_seconds(samples: int = 5) -> float:
     return statistics.median(hostspeed.time_reference() for _ in range(samples))
 
@@ -141,14 +150,16 @@ def main() -> int:
     args = parser.parse_args()
 
     before = reference_seconds()
-    stages, ok = {}, True
+    stages = {construction: {stage: {} for stage in STAGES} for construction in BUILDERS}
+    stages_raw = {construction: {stage: {} for stage in STAGES} for construction in BUILDERS}
+    ok = True
     for construction in BUILDERS:
-        stages[construction] = {stage: {} for stage in STAGES}
         for genus in args.genus:
-            best, passed, cert, iso = time_stages(construction, genus, args.repeat)
+            best, best_raw, passed, cert, iso = time_stages(construction, genus, args.repeat)
             ok = ok and passed
-            for stage, seconds in best.items():
-                stages[construction][stage][genus] = seconds
+            for stage in STAGES:
+                stages[construction][stage][genus] = best[stage]
+                stages_raw[construction][stage][genus] = best_raw[stage]
             print(f"{construction:<9} g={genus:<5} " + "  ".join(f"{s} {best[s] * 1e3:9.3f} ms" for s in STAGES)
                   + "  " + summary(cert, iso))
     cli, cli_raw, cli_ok = time_cli(5 * args.repeat)
@@ -163,7 +174,8 @@ def main() -> int:
         "repeat": args.repeat,
         "all_passed": ok,
         "hostspeed": {"reference_seconds": hostspeed.REFERENCE_SECONDS, "before_s": before, "after_s": after},
-        "seconds": {c: {s: {str(g): t for g, t in ts.items()} for s, ts in by.items()} for c, by in stages.items()},
+        "seconds": _by_genus_name(stages),
+        "seconds_raw": _by_genus_name(stages_raw),
         "growth_exponent": {c: {s: growth_exponent(ts) for s, ts in by.items()} for c, by in stages.items()},
         "cli_seconds": cli,
         "cli_seconds_raw": cli_raw,

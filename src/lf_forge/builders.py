@@ -340,6 +340,10 @@ class LefschetzFibration(Record):
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.word)
 
+    def to_dot(self, name: str) -> str:
+        """The fiber's dot graph, named ``name``: the word is not drawn."""
+        return self.fiber.to_dot(name)
+
     def to_json_dict(self) -> dict:
         return {
             "schema": "lefschetz-fibration/1",

@@ -3,9 +3,11 @@ fibrations on disk cotangent bundles.  Options go by their full names, a
 value next or after "=" (--genus 2, --genus=2).  Defaults: --genus 0 (N or
 A..B, at most --max-genus 32), --construction both, --format json; -v is
 --verbose.  The same arguments give the same bytes on stdout unless --stamp.
-Exit codes: 0 success, 1 failed check or missing isomorphism, 2 usage error
-(the message on stderr), 3 internal error (the traceback on stderr), 141
-stdout closed by its reader (nothing on stderr).
+Exit codes: 0 success, 1 a failed check, or a compare that found no
+relabeling carrying one word onto the other word for word (which does not
+show that the fibrations differ), 2 usage error (the message on stderr), 3
+internal error (the traceback on stderr), 141 stdout closed by its reader
+(nothing on stderr).
 """
 
 from __future__ import annotations
@@ -56,27 +58,36 @@ def _builds(args: SimpleNamespace):
                 yield construction, g, _build(construction, g)
 
 
-def _dumps(doc) -> str:
+def _render(obj, args: SimpleNamespace, name: str) -> dict[str, str]:
+    """``obj`` as one document in ``--format``, keyed by its file name, which
+    is ``name`` with dashes: a record's dot graph named ``name``, its text,
+    or the JSON of its ``to_json_dict()``, or of a certificate or a list of
+    them as it is.  ``--stamp`` adds ``generated_at`` to each JSON dict."""
+    stem = name.replace("_", "-")
+    if args.format == "dot":
+        return {f"{stem}.dot": obj.to_dot(name)}
+    if args.format == "text":
+        return {f"{stem}.txt": obj.to_text()}
     import json  # here, so that dot and text output do not load it
 
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def _stamped(doc: dict, args: SimpleNamespace) -> dict:
+    doc = obj if isinstance(obj, (dict, list)) else obj.to_json_dict()
     if args.stamp:
         import datetime  # here, so that a run without --stamp does not load it
 
-        doc = dict(doc)
-        doc["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    return doc
+        now = datetime.datetime.now(datetime.timezone.utc).isoformat()
+        doc = [dict(d, generated_at=now) for d in doc] if isinstance(doc, list) else dict(doc, generated_at=now)
+    return {f"{stem}.json": json.dumps(doc, indent=2) + "\n"}
 
 
-def _emit(texts: dict[str, str], args: SimpleNamespace) -> None:
-    """Write named documents to --out (file or directory) or stdout.
+def _emit(texts: dict[str, str], args: SimpleNamespace, empty: str) -> None:
+    """Write named documents to --out (file or directory) or stdout; none
+    at all is the usage error ``empty``.
 
     Several documents need a directory; a single one may go to a plain file.
     A filesystem error is a usage error naming --out.
     """
+    if not texts:
+        raise ValueError(empty)
     if args.out is None:
         sys.stdout.write("".join(texts.values()))
         return
@@ -95,6 +106,18 @@ def _emit(texts: dict[str, str], args: SimpleNamespace) -> None:
         raise ValueError(f"cannot write --out {args.out}: {exc}") from None
 
 
+def _report(certificates: list[dict], problems: list[str], args: SimpleNamespace, command: str) -> int:
+    """Emit the certificates of ``verify`` or ``compare`` as ``{command}.json``,
+    one alone and several as a list, then each problem line on stderr; exit
+    1 if there is any."""
+    doc = certificates[0] if len(certificates) == 1 else certificates
+    _emit(_render(doc, args, command) if certificates else {}, args,
+          f"nothing to {command} for that construction/genus choice")
+    for line in problems:
+        print(line, file=sys.stderr)
+    return 1 if problems else 0
+
+
 def _note(args: SimpleNamespace, message: str) -> None:
     if args.verbose:
         print(message, file=sys.stderr)
@@ -104,13 +127,8 @@ def cmd_generate(args: SimpleNamespace) -> int:
     texts = {}
     for construction, g, fib in _builds(args):
         _note(args, f"built {construction} genus {g}")
-        if args.format == "dot":
-            texts[f"{construction}-g{g}.dot"] = fib.fiber.to_dot(f"{construction}_g{g}")
-        else:
-            texts[f"{construction}-g{g}.json"] = _dumps(_stamped(fib.to_json_dict(), args))
-    if not texts:
-        raise ValueError("nothing to generate for that construction/genus choice")
-    _emit(texts, args)
+        texts.update(_render(fib, args, f"{construction}_g{g}"))
+    _emit(texts, args, "nothing to generate for that construction/genus choice")
     return 0
 
 
@@ -118,21 +136,15 @@ def cmd_verify(args: SimpleNamespace) -> int:
     from .certify import fibration_certificate  # here, so that generate and export do not load it
 
     certificates = []
-    failures = []
+    problems = []
     for construction, g, fib in _builds(args):
         cert = fibration_certificate(fib)
-        certificates.append(_stamped(cert, args))
+        certificates.append(cert)
         _note(args, f"verified {construction} genus {g}: "
                     f"{'ok' if cert['passed'] else 'FAILED'}")
-        failures += [f"{construction} genus {g}: {c['name']}"
+        problems += [f"failed invariant: {construction} genus {g}: {c['name']}"
                      for c in cert["checks"] if not c["passed"]]
-    if not certificates:
-        raise ValueError("nothing to verify for that construction/genus choice")
-    doc = certificates[0] if len(certificates) == 1 else certificates
-    _emit({"verify.json": _dumps(doc)}, args)
-    for line in failures:
-        print(f"failed invariant: {line}", file=sys.stderr)
-    return 1 if failures else 0
+    return _report(certificates, problems, args, "verify")
 
 
 def cmd_compare(args: SimpleNamespace) -> int:
@@ -146,43 +158,29 @@ def cmd_compare(args: SimpleNamespace) -> int:
         (g2,) = _parse_genus(g2, args.max_genus)
         against = _build(name, g2)
     certificates = []
-    missing = []
+    problems = []
     for g in args.genus:
         other = against if against is not None else _build("ishikawa", g)
         cert = isomorphism_certificate(_build("johns", g), other)
-        certificates.append(_stamped(cert, args))
+        certificates.append(cert)
         _note(args, f"compared genus {g}: found={cert['found']}")
         if not cert["found"]:
-            missing.append((g, next(c["name"] for c in cert["checks"] if not c["passed"])))
-    doc = certificates[0] if len(certificates) == 1 else certificates
-    _emit({"compare.json": _dumps(doc)}, args)
-    for g, failed in missing:
-        print(f"no isomorphism at genus {g}: {failed}", file=sys.stderr)
-    return 1 if missing else 0
+            failed = next(c["name"] for c in cert["checks"] if not c["passed"])
+            problems.append(f"no isomorphism at genus {g}: {failed}")
+    return _report(certificates, problems, args, "compare")
 
 
 def cmd_export(args: SimpleNamespace) -> int:
-    texts = {}
     if args.target == "divide":
-        for g in args.genus:
-            divide = standard_divide(g)
-            if args.format == "text":
-                texts[f"divide-g{g}.txt"] = divide.to_text()
-            elif args.format == "dot":
-                texts[f"divide-g{g}.dot"] = divide.to_dot(f"divide_g{g}")
-            else:
-                texts[f"divide-g{g}.json"] = _dumps(_stamped(divide.to_json_dict(), args))
+        named = ((f"divide_g{g}", standard_divide(g)) for g in args.genus)
+    elif args.format == "text":
+        raise ValueError("text export exists only for divides")
     else:
-        if args.format == "text":
-            raise ValueError("text export exists only for divides")
-        for construction, g, fib in _builds(args):
-            if args.format == "dot":
-                texts[f"fiber-{construction}-g{g}.dot"] = fib.fiber.to_dot(f"fiber_{construction}_g{g}")
-            else:
-                texts[f"fiber-{construction}-g{g}.json"] = _dumps(_stamped(fib.fiber.to_json_dict(), args))
-    if not texts:
-        raise ValueError("nothing to export for that choice")
-    _emit(texts, args)
+        named = ((f"fiber_{construction}_g{g}", fib.fiber) for construction, g, fib in _builds(args))
+    texts = {}
+    for name, obj in named:
+        texts.update(_render(obj, args, name))
+    _emit(texts, args, "nothing to export for that choice")
     return 0
 
 

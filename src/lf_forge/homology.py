@@ -81,7 +81,10 @@ def pairings(surface: RibbonGraph, curves) -> list[dict[int, int]]:
                 if j != i:
                     s = signs[cp + cq]
                     if s:
-                        row[j] = row.get(j, 0) + s
+                        if x := row.get(j, 0) + s:
+                            row[j] = x
+                        else:  # two passes that cancel leave no entry
+                            del row[j]
     bad = [(min(i, j), max(i, j)) for i, row in enumerate(rows)
            for j, x in row.items() if rows[j].get(i, 0) != -x]
     if bad:

@@ -51,6 +51,26 @@ def test_stamp_adds_timestamp(capsys):
     assert "generated_at" in json.loads(out)
 
 
+@pytest.mark.parametrize("argv, documents", [
+    (["generate", "johns"], 1), (["verify", "--genus", "0..1"], 4), (["compare", "--genus", "0..1"], 2),
+    (["export", "divide"], 1), (["export", "fiber", "--construction", "johns"], 1),
+    (["export", "divide", "--format", "text"], 0), (["generate", "johns", "--format", "dot"], 0),
+], ids=["generate", "verify", "compare", "export-divide", "export-fiber", "export-divide-text", "generate-dot"])
+def test_stamp_stamps_every_json_document_and_nothing_else(capsys, argv, documents):
+    """--stamp adds ``generated_at`` to each JSON document, each certificate
+    of a list included; with it taken out, the bytes are those of a run
+    without --stamp.  Dot and text output do not change at all."""
+    plain = run(capsys, *argv)
+    code, out, err = run(capsys, *argv, "--stamp")
+    if documents:
+        docs = json.loads(out)
+        docs = docs if isinstance(docs, list) else [docs]
+        assert len(docs) == documents and all("generated_at" in doc for doc in docs)
+        unstamped = [{k: v for k, v in doc.items() if k != "generated_at"} for doc in docs]
+        out = json.dumps(unstamped if documents > 1 else unstamped[0], indent=2) + "\n"
+    assert (code, out, err) == plain
+
+
 def test_verify_single(capsys):
     code, out, _ = run(capsys, "verify", "--construction", "johns", "--genus", "1")
     assert code == 0
@@ -98,12 +118,6 @@ def test_compare_against_genus_respects_the_cap(capsys):
     assert "genus 40 exceeds the cap 32; raise --max-genus" in capsys.readouterr().err
 
 
-def test_compare_rejects_malformed_against(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["compare", "--genus", "0", "--against", "johns"])
-    assert exc.value.code == 2
-
-
 def test_export_divide_text(capsys):
     code, out, _ = run(
         capsys, "export", "divide", "--genus", "0", "--format", "text"
@@ -133,36 +147,19 @@ def test_export_fiber_dot(capsys, tmp_path):
     assert outdir.joinpath("fiber-johns-g0.dot").read_text().startswith("graph")
 
 
-def test_export_fiber_rejects_text_format(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["export", "fiber", "--format", "text"])
-    assert exc.value.code == 2
-
-
-def test_negative_genus_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["generate", "johns", "--genus", "-1"])
-    assert exc.value.code == 2
-
-
-def test_genus_range_cap(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["generate", "johns", "--genus", "0..99"])
-    assert exc.value.code == 2
-
-
-def test_sphere_off_genus_zero_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["generate", "sphere", "--genus", "1"])
-    assert exc.value.code == 2
-
-
 @pytest.mark.parametrize("argv, message", [
     (["verify", "--genus", "x"], "genus must be N or A..B, got 'x'"),
+    (["generate", "johns", "--genus", "-1"], "invalid genus range '-1'"),
+    (["generate", "johns", "--genus", "0..99"], "genus 99 exceeds the cap 32; raise --max-genus"),
     (["compare", "--genus", "0", "--against", "sphere:1"], "the sphere construction exists only at genus 0"),
+    (["compare", "--genus", "0", "--against", "johns"], "--against expects construction:genus, got 'johns'"),
+    (["generate", "sphere", "--genus", "1"], "nothing to generate for that construction/genus choice"),
     (["verify", "--construction", "sphere", "--genus", "1"], "nothing to verify for that construction/genus choice"),
     (["export", "fiber", "--construction", "sphere", "--genus", "1"], "nothing to export for that choice"),
-], ids=["genus-not-a-number", "sphere-against-off-genus-zero", "nothing-to-verify", "nothing-to-export"])
+    (["export", "fiber", "--format", "text"], "text export exists only for divides"),
+], ids=["genus-not-a-number", "negative-genus", "genus-range-cap", "sphere-against-off-genus-zero",
+        "malformed-against", "nothing-to-generate", "nothing-to-verify", "nothing-to-export",
+        "fiber-text-format"])
 def test_usage_errors_name_their_fault(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)

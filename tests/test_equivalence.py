@@ -765,6 +765,22 @@ def test_compare_matches_family_blocks_in_word_order(built):
             assert isomorphism_certificate(*pair)["found"] is True
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 24: compare matches the two words cycle for cycle, in order")
+@pytest.mark.parametrize("construction", ["johns", "ishikawa"])
+@pytest.mark.parametrize("genus", range(4))
+def test_a_rotated_word_compares_with_its_own_build(built, construction, genus):
+    """Moving the first cycle to the end of the word is a sequence of
+    Hurwitz moves followed by a conjugation by its twist: the same
+    fibration, whose word passes its own certificate.  ``found: false``
+    means only that no relabeling carries one word onto the other word for
+    word, so today compare stops at ``word_families``."""
+    fib = built(construction, genus)
+    rotated = LefschetzFibration(fib.construction, fib.genus, fib.fiber, fib.word[1:] + fib.word[:1])
+    assert fibration_certificate(rotated)["passed"]
+    assert isomorphism_certificate(rotated, fib)["found"] is True
+
+
 # -- the map really is a ribbon graph isomorphism ------------------------------------
 
 

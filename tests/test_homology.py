@@ -24,6 +24,7 @@ from lf_forge.homology import (
     curve_class,
     homology_basis,
     pairing_matrix,
+    pairings,
     workspace,
 )
 from lf_forge.invariants import fibration_homology, open_book_h1
@@ -274,6 +275,17 @@ def test_pushed_crossings_equal_class_pairing_on_random_tree_cycles(
     assert pushed == algebraic_intersection(
         fiber, curve_class(fiber, x), curve_class(fiber, y)
     )
+
+
+def test_crossings_that_cancel_leave_no_pairing_entry(built):
+    """An edge-simple walk on the johns g = 1 page that crosses itself in a
+    vertex disk (ROADMAP item 21) meets a copy of itself with signs that sum
+    to 0; like every 0, that pairing has no entry."""
+    page = built("johns", 1).fiber
+    tokens = ["a1e2", "-b3e0", "-a0e2", "-a0e1", "-b1e1", "-b1e0", "-a0e0", "-a0e3", "-b3e1", "a1e3", "a1e0", "a1e1"]
+    walk = tuple((t.lstrip("-"), -1 if t.startswith("-") else 1) for t in tokens)
+    curves = [CurveOnSurface(page, "w", walk).require_edge_simple(), CurveOnSurface(page, "copy", walk)]
+    assert pairings(page, curves) == [{}, {}]
 
 
 @pytest.mark.parametrize("construction", ["johns", "ishikawa"])

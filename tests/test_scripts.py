@@ -38,9 +38,12 @@ def test_bench_writes_every_stage_and_the_growth_exponent(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["genera"] == [0, 1] and doc["all_passed"]
     for construction in ("johns", "ishikawa"):
-        assert set(doc["seconds"][construction]) == {"build", "certify", "compare"}
-        for times in doc["seconds"][construction].values():
-            assert set(times) == {"0", "1"} and all(t > 0 for t in times.values())
+        # seconds are scaled to the reference host's speed, seconds_raw are the wall clock
+        for key in ("seconds", "seconds_raw"):
+            assert set(doc[key][construction]) == {"build", "certify", "compare"}
+            for times in doc[key][construction].values():
+                assert set(times) == {"0", "1"} and all(t > 0 for t in times.values())
+        assert doc["seconds"][construction] != doc["seconds_raw"][construction]
         # only g = 1 is positive, so no slope between two genera exists
         assert doc["growth_exponent"][construction] == {"build": None, "certify": None, "compare": None}
     assert doc["hostspeed"]["before_s"] > 0 and doc["hostspeed"]["after_s"] > 0
@@ -70,6 +73,18 @@ def test_bench_scales_each_cli_sample_by_the_reference_timings_around_it(monkeyp
     adjusted, raw, ok = bench.time_cli(3)
     assert ok and list(adjusted) == list(raw) == list(bench.CLI_PROCESSES)
     assert adjusted == {name: pytest.approx(seconds / 2) for name, seconds in raw.items()}
+
+
+def test_bench_scales_each_stage_sample_by_the_reference_timings_around_it(monkeypatch):
+    """With the reference task reading twice the reference machine's time
+    around every stage sample, each adjusted best time is half the raw one."""
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    monkeypatch.setattr(bench.hostspeed, "time_reference", lambda: 2 * bench.hostspeed.REFERENCE_SECONDS)
+    adjusted, raw, ok, _, _ = bench.time_stages("johns", 1, 2)
+    assert ok and list(adjusted) == list(raw) == list(bench.STAGES)
+    assert adjusted == {stage: pytest.approx(seconds / 2) for stage, seconds in raw.items()}
 
 
 def test_bench_growth_exponent_is_the_log_log_slope_of_the_two_largest_genera():
