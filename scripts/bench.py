@@ -10,9 +10,10 @@ run alone, and the best of --repeat runs is kept:
            build of the other construction, the builds not timed.
 
 The reference task (``perfbench/hostspeed.time_reference()``) is timed right
-before and after each stage sample, and the sample is scaled by the speed
-those two timings show (``hostspeed.adjust``): ``seconds`` holds the best
-scaled times and ``seconds_raw`` the best wall clock.  The growth exponent
+before and after each stage sample.  ``seconds_raw`` holds each stage's best
+wall clock, and ``seconds`` that time scaled by the median of all the
+reference timings taken around the stage's samples (``hostspeed.adjust``),
+so that one slow reading does not pick the sample.  The growth exponent
 of a stage is the slope of log scaled time over log genus between the two
 largest genera.  Each per-genus line prints the scaled times, the
 certified H1, H2 and boundary H1 and the comparison's verdict ("yes+" for
@@ -68,19 +69,20 @@ CLI_PROCESSES = {
 
 
 def time_stages(construction: str, genus: int, repeat: int) -> tuple[dict, dict, bool, dict, dict]:
-    """Best seconds of each stage over ``repeat`` runs, host-adjusted and
-    raw, whether every certificate passed and every comparison found an
-    isomorphism, and the last run's fibration and isomorphism certificates."""
+    """Best seconds of each stage over ``repeat`` runs, host-adjusted by the
+    median of the stage's reference timings and raw, whether every
+    certificate passed and every comparison found an isomorphism, and the
+    last run's fibration and isomorphism certificates."""
     build = BUILDERS[construction]
     other = BUILDERS["ishikawa" if construction == "johns" else "johns"]
-    best, best_raw, ok = dict.fromkeys(STAGES, math.inf), dict.fromkeys(STAGES, math.inf), True
+    best_raw, references, ok = dict.fromkeys(STAGES, math.inf), {stage: [] for stage in STAGES}, True
 
     def timed(stage, fn, *args):
-        before = hostspeed.time_reference()
+        references[stage].append(hostspeed.time_reference())
         t0 = time.perf_counter()
         result = fn(*args)
         seconds = time.perf_counter() - t0
-        best[stage] = min(best[stage], hostspeed.adjust(seconds, before, hostspeed.time_reference()))
+        references[stage].append(hostspeed.time_reference())
         best_raw[stage] = min(best_raw[stage], seconds)
         return result
 
@@ -89,6 +91,8 @@ def time_stages(construction: str, genus: int, repeat: int) -> tuple[dict, dict,
         cert = timed("certify", fibration_certificate, fib)
         iso = timed("compare", isomorphism_certificate, build(genus), other(genus))
         ok = ok and cert["passed"] and iso["found"]
+    medians = {stage: statistics.median(times) for stage, times in references.items()}
+    best = {stage: hostspeed.adjust(best_raw[stage], medians[stage], medians[stage]) for stage in STAGES}
     return best, best_raw, ok, cert, iso
 
 

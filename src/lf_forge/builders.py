@@ -20,7 +20,7 @@ nothing they build: ``certify.fibration_certificate`` checks every build.
 from __future__ import annotations
 
 from .curves import CurveOnSurface, canonical_rotation, curve_from_json, curve_on_darts
-from .divides import Divide, check_admissible, checkerboard_coloring, standard_divide
+from .divides import Divide, check_admissible, standard_divide
 from .ribbon import Record, RibbonGraph, SurfaceError, json_field, sorted_ids, spanning_forest
 
 
@@ -238,7 +238,7 @@ def divide_fiber_model(divide: Divide) -> DivideFiberModel:
     report = check_admissible(divide)
     if not report.admissible:
         raise SurfaceError(f"divide is not admissible: {report.problem}")
-    coloring = checkerboard_coloring(divide)
+    coloring = report.coloring
     ring = [[f"{v}_r{k}" for k in range(4)] for v in divide.vertices]
     clash = set(divide.edges).intersection(e for r in ring for e in r)
     if clash:
@@ -249,8 +249,6 @@ def divide_fiber_model(divide: Divide) -> DivideFiberModel:
     band = [2 * eid[e] + end for e in divide.edges for end in (0, 1)]
     graph = divide.graph
     faces, face = graph._boundary()  # each face's darts, and each dart's face
-    # per site: (r_in, r_out, arriving band dart, departing band dart)
-    site_ends: dict[str, tuple[int, int, int, int]] = {}
     # per divide dart: the two-edge passage, against the core, across the
     # roundabout at the white corner that the dart lands in
     landing = [None] * len(band)
@@ -275,9 +273,7 @@ def divide_fiber_model(divide: Divide) -> DivideFiberModel:
         for site, corner, r_in, r_out in ((w0, k0, d3 + 1, d0), (w2, k0 + 2, d1 + 1, d2)):
             # the white face walk enters the corner along the lower slot's
             # half-edge and leaves along the upper slot's
-            arriving, departing = band[xs[corner]], band[xs[(corner + 1) % 4]]
-            site_ends[site] = (r_in, r_out, arriving, departing)
-            rotation[site] = (r_in, departing, r_out, arriving)
+            rotation[site] = (r_in, band[xs[(corner + 1) % 4]], r_out, band[xs[corner]])
     twists.update(divide.edges)
     # Local orientation signs depend only on twists and endpoints, so they are
     # read off the provisional rotation, numbered as the fiber numbers its
@@ -294,9 +290,9 @@ def divide_fiber_model(divide: Divide) -> DivideFiberModel:
     forest = spanning_forest(len(vertices), at, {k for k, e in enumerate(edges) if e in twists})
     if forest[0] is None:
         raise SurfaceError("divide fiber is non-orientable; twist placement is broken")
-    for site, (r_in, r_out, arriving, departing) in site_ends.items():
-        out, back = (departing, arriving) if forest[0][vid[site]] == 1 else (arriving, departing)
-        rotation[site] = (r_in, out, r_out, back)
+    for site, rot in rotation.items():  # the sites are the 4-valent vertices
+        if len(rot) == 4 and forest[0][vid[site]] == -1:
+            rotation[site] = (rot[0], rot[3], rot[2], rot[1])
     fiber = RibbonGraph._linked(vertices, edges, rotation, twists, eid)
     fiber._cache["forest"] = forest  # the rewrite moved no band end
 

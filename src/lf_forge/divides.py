@@ -16,7 +16,7 @@ carry band attachments in the fiber construction.
 
 from __future__ import annotations
 
-from .ribbon import HalfEdge, Record, RibbonGraph, SurfaceError, json_field
+from .ribbon import Record, RibbonGraph, SurfaceError, json_field
 
 
 class DivideError(ValueError):
@@ -56,38 +56,17 @@ class Divide:
             self.graph = RibbonGraph(vertices, edges, rotation)
         except SurfaceError as exc:
             raise DivideError(str(exc)) from exc
-        self._cache = {}
 
     @classmethod
     def _linked(cls, vertices, edges, darts, eid) -> "Divide":
         """The divide on ``RibbonGraph._linked``'s untwisted graph; each crossing must list four darts."""
         divide = object.__new__(cls)
-        divide.graph, divide._cache = RibbonGraph._linked(vertices, edges, darts, (), eid), {}
+        divide.graph = RibbonGraph._linked(vertices, edges, darts, (), eid)
         return divide
 
     vertices = property(lambda self: self.graph.vertices)
     edges = property(lambda self: self.graph.edges)
     rotation = property(lambda self: self.graph.rotation)
-
-    # -- faces -----------------------------------------------------------------
-
-    def face_of(self, half_edge: HalfEdge) -> int:
-        """The face that holds ``half_edge``: the index of its dart's orbit
-        in the graph's boundary trace (``RibbonGraph._boundary``)."""
-        try:
-            return self.graph._boundary()[1][self.graph._dart(half_edge)]
-        except (KeyError, TypeError, ValueError):  # not a half-edge of this divide
-            raise DivideError(f"no half-edge {half_edge!r} in the divide") from None
-
-    def corner_face(self, vertex: str, slot: int) -> int:
-        """Face filling the corner between ``slot`` and the next slot."""
-        try:
-            rot = self.rotation[vertex]
-        except (KeyError, TypeError):  # not a crossing of this divide, or unhashable
-            raise DivideError(f"no crossing {vertex!r} in the divide") from None
-        if type(slot) is not int or not 0 <= slot < VALENCE:
-            raise DivideError(f"slot {slot!r} is not one of 0..{VALENCE - 1}")
-        return self.face_of(rot[(slot + 1) % VALENCE])
 
     def euler_characteristic(self) -> int:
         """Of the closed surface: the graph's plus one disk per face."""
@@ -179,24 +158,14 @@ class Checkerboard(Record):
 
     __slots__ = ("white", "black")
 
-    def color_of(self, face: int) -> str:
-        if face in self.white:
-            return "white"
-        if face in self.black:
-            return "black"
-        raise DivideError(f"no face {face!r}")
-
 
 def checkerboard_coloring(divide: Divide) -> Checkerboard:
     """2-color the faces so the two sides of every edge differ.
 
     Raises ColoringError when impossible, naming an odd closed chain of
     faces as the witness.  The two sides of edge k are the faces of darts
-    2k and 2k + 1, read from the graph's boundary trace.  The coloring is
-    cached on the divide, as the trace is on its graph; an error is not.
+    2k and 2k + 1, read from the graph's boundary trace.
     """
-    if "coloring" in divide._cache:
-        return divide._cache["coloring"]
     face, n = divide.graph._boundary()[1], divide.graph.num_boundary_components()
     adjacency: dict[int, set[int]] = {i: set() for i in range(n)}
     for k, e in enumerate(divide.edges):
@@ -224,9 +193,7 @@ def checkerboard_coloring(divide: Divide) -> Checkerboard:
     anchor = color[face[0]] if face else 0
     white = tuple(i for i in range(n) if color[i] == anchor)
     black = tuple(i for i in range(n) if color[i] != anchor)
-    result = Checkerboard(white, black)
-    divide._cache["coloring"] = result
-    return result
+    return Checkerboard(white, black)
 
 
 def _odd_chain(parent: dict[int, int | None], u: int, w: int) -> str:
@@ -249,34 +216,31 @@ def _odd_chain(parent: dict[int, int | None], u: int, w: int) -> str:
 
 
 class AdmissibilityReport(Record):
-    __slots__ = ("connected", "crossings", "arcs", "faces", "euler", "ambient_genus", "colorable", "problem")
+    """``check_admissible``'s counts, its ``coloring`` (a ``Checkerboard``, or
+    None) and the ``problem`` that makes the divide inadmissible, or None."""
 
-    def __init__(self, connected: bool, crossings: int, arcs: int, faces: int, euler: int,
-                 ambient_genus: int | None, colorable: bool, problem: str | None = None):
-        super().__init__(connected, crossings, arcs, faces, euler, ambient_genus, colorable, problem)
+    __slots__ = ("connected", "crossings", "arcs", "faces", "euler", "ambient_genus", "coloring", "problem")
 
     @property
     def admissible(self) -> bool:
-        return self.connected and self.colorable
+        return self.connected and self.coloring is not None
 
 
 def check_admissible(divide: Divide) -> AdmissibilityReport:
-    """Connectedness plus checkerboard colorability, with the counts."""
+    """Connectedness plus the checkerboard coloring, with the counts."""
     connected = divide.graph.is_connected()
     chi = divide.euler_characteristic()
-    genus, colorable, problem = None, False, None
+    genus, coloring, problem = None, None, None
     if not connected:
         problem = "divide is not connected"
     else:
         genus = (2 - chi) // 2
         try:
-            checkerboard_coloring(divide)
-            colorable = True
+            coloring = checkerboard_coloring(divide)
         except ColoringError as exc:
             problem = str(exc)
-    return AdmissibilityReport(connected=connected, crossings=len(divide.vertices), arcs=len(divide.edges),
-                               faces=divide.graph.num_boundary_components(), euler=chi, ambient_genus=genus,
-                               colorable=colorable, problem=problem)
+    return AdmissibilityReport(connected, len(divide.vertices), len(divide.edges),
+                               divide.graph.num_boundary_components(), chi, genus, coloring, problem)
 
 
 # -- the necklace family ----------------------------------------------------------

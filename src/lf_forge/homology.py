@@ -134,6 +134,9 @@ class Workspace:
                 t, h = self.norm.edge_endpoints(e)
                 self._tree_adj[t].append((e, 1, h))
                 self._tree_adj[h].append((e, -1, t))
+        for v in (a, b):
+            if not isinstance(v, str) or v not in self._tree_adj:  # vertex ids are strings
+                raise SurfaceError(f"vertex {v!r} is not on the surface")
         prev: dict[str, tuple | None] = {a: None}
         queue = [a]
         for v in queue:

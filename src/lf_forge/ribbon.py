@@ -248,11 +248,14 @@ class RibbonGraph:
         return rot
 
     def _dart(self, half_edge: HalfEdge) -> int:
-        """The dart of a half-edge; KeyError when it is not on this graph."""
-        e, end = half_edge
-        if end != 0 and end != 1:
-            raise KeyError(half_edge)
-        return 2 * self._eid[e] + end
+        """The dart of a half-edge; SurfaceError when it is not on this graph."""
+        try:
+            e, end = half_edge
+            if end == 0 or end == 1:
+                return 2 * self._eid[e] + end
+        except (KeyError, TypeError, ValueError):  # no such edge, or not an (edge, end) pair
+            pass
+        raise SurfaceError(f"half-edge {half_edge!r} is not on the surface")
 
     def head_darts(self, walk) -> tuple[int, ...]:
         """The dart every step of ``walk`` arrives on: (e, 1) for a forward
@@ -274,7 +277,10 @@ class RibbonGraph:
 
     def edge_endpoints(self, edge: str) -> tuple[str, str]:
         """(tail, head) for the forward traversal of ``edge``."""
-        k = 2 * self._eid[edge]
+        try:
+            k = 2 * self._eid[edge]
+        except (KeyError, TypeError):  # no such edge, or an unhashable id
+            raise SurfaceError(f"edge {edge!r} is not on the surface") from None
         return self.vertices[self._dv[k]], self.vertices[self._dv[k + 1]]
 
     @staticmethod

@@ -440,3 +440,39 @@ def self_intersection(fib: LefschetzFibration) -> int:
     v = [kernel.get(i, 0) for i in range(len(rows))]
     p = pairing_matrix(fib.fiber, fib.word)
     return -sum(x * x for x in v) + sum(v[i] * v[j] * p[i][j] for i in range(len(v)) for j in range(i + 1, len(v)))
+
+
+# -- stabilization ------------------------------------------------------------------
+
+
+def stabilize(fib: LefschetzFibration, rng) -> LefschetzFibration:
+    """A positive stabilization of ``fib`` (ROADMAP item 25), which changes
+    neither the total space nor its boundary.  On the twist-free
+    ``normalized()`` page, a new edge goes in at two corners of one boundary
+    orbit of ``_boundary()``, its end 0 at the corner after orbit dart a and
+    its end 1 after dart b; the new cycle runs the edge forward, then the
+    orbit's darts from b + 1 back to a.  A pair whose stretch repeats an
+    edge is skipped, so the cycle is edge-simple.  ``rng`` picks the pair
+    and the cycle's place in the word."""
+    page = fib.fiber.normalized()
+    half = page._half
+    pairs = [(orbit, a, b) for orbit in page._boundary()[0] for a in range(len(orbit)) for b in range(len(orbit))
+             if a != b and len({d >> 1 for d in _stretch(orbit, b, a)}) == (a - b) % len(orbit)]
+    orbit, a, b = rng.choice(pairs)
+    new = "stab" + "~" * max(map(len, page.edges))  # longer than, so unlike, every edge id
+    rotation = {v: [half[d] for d in ds] for v, ds in zip(page.vertices, page._darts())}
+    for corner, end in ((a, 0), (b, 1)):
+        arrived = half[orbit[corner] ^ 1]
+        rot = rotation[page.vertex_of(arrived)]
+        rot.insert(rot.index(arrived) + 1, (new, end))
+    fiber = RibbonGraph(page.vertices, page.edges + (new,), rotation)
+    walk = ((new, 1),) + tuple((page.edges[d >> 1], -1 if d & 1 else 1) for d in _stretch(orbit, b, a))
+    word = [CurveOnSurface(fiber, c.name, c.walk) for c in fib.word]
+    word.insert(rng.randrange(len(word) + 1), CurveOnSurface(fiber, f"s{len(word)}", walk))
+    return LefschetzFibration(fib.construction, fib.genus, fiber, tuple(word))
+
+
+def _stretch(orbit: list[int], b: int, a: int) -> list[int]:
+    """The orbit's darts from position b + 1 on, cyclically, through a."""
+    n = len(orbit)
+    return [orbit[(b + 1 + k) % n] for k in range((a - b) % n)]

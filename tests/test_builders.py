@@ -21,7 +21,7 @@ from lf_forge.builders import (
 )
 from lf_forge.certify import fibration_certificate
 from lf_forge.curves import CurveOnSurface
-from lf_forge.divides import Divide, DivideError, check_admissible, checkerboard_coloring, standard_divide
+from lf_forge.divides import Divide, DivideError, check_admissible, standard_divide
 from lf_forge.equivalence import find_isomorphism, isomorphism_certificate
 from lf_forge.homology import Workspace, curve_class, workspace
 from lf_forge.ribbon import RibbonGraph, SurfaceError, spanning_forest
@@ -378,16 +378,18 @@ def test_random_divides_build_or_raise_a_named_error(system):
         d = Divide(*system)
     except DivideError:
         return
-    admissible = check_admissible(d).admissible
+    report = check_admissible(d)
+    admissible = report.admissible
     if admissible:
-        coloring = checkerboard_coloring(d)
+        face = d.graph._boundary()[1]
         white_corner = {}  # per half-edge, the white one of the two corners beside its slot
-        for v, rot in d.rotation.items():
-            colors = [coloring.color_of(d.corner_face(v, k)) for k in range(4)]
-            assert all(colors[k] != colors[(k + 1) % 4] for k in range(4))
+        for rot in d.rotation.values():
+            # corner k, between slots k and k + 1, is the face of slot k + 1's half-edge
+            white = [face[d.graph._dart(rot[(k + 1) % 4])] in report.coloring.white for k in range(4)]
+            assert all(white[k] != white[(k + 1) % 4] for k in range(4))
             for k, h in enumerate(rot):
-                white_corner[h] = k if colors[k] == "white" else (k - 1) % 4
-        for fi in coloring.black:
+                white_corner[h] = k if white[k] else (k - 1) % 4
+        for fi in report.coloring.black:
             orbit = d.graph.faces()[fi]
             for h, nxt in zip(orbit, orbit[1:] + orbit[:1]):
                 landing = d.graph.partner(h)

@@ -94,8 +94,8 @@ def test_constructor_names_each_fault(vertices, edges, rotation, message):
 
 
 def test_faces_partition_half_edges():
-    """The faces hold every half-edge once, and ``face_of`` names the index
-    of the face that holds it."""
+    """The faces hold every half-edge once, and the boundary trace names
+    the index of the face that holds it."""
     for genus in range(9):
         d = standard_divide(genus)
         faces = d.graph.faces()
@@ -103,24 +103,7 @@ def test_faces_partition_half_edges():
         assert len(seen) == len(set(seen)) == 2 * len(d.edges)
         for i, face in enumerate(faces):
             for h in face:
-                assert d.face_of(h) == i
-
-
-def test_face_of_names_a_half_edge_not_in_the_divide():
-    with pytest.raises(DivideError, match=r"^no half-edge \('zz', 0\) in the divide$"):
-        standard_divide(1).face_of(("zz", 0))
-
-
-@pytest.mark.parametrize("vertex, slot, message", [
-    ("nope", 0, "no crossing 'nope' in the divide"),
-    (["v0"], 0, "no crossing ['v0'] in the divide"),
-    ("v0", 7, "slot 7 is not one of 0..3"),
-    ("v0", -1, "slot -1 is not one of 0..3"),
-], ids=["unknown-crossing", "unhashable-crossing", "slot-past-the-end", "negative-slot"])
-def test_corner_face_names_a_crossing_or_slot_not_in_the_divide(vertex, slot, message):
-    with pytest.raises(DivideError) as err:
-        standard_divide(1).corner_face(vertex, slot)
-    assert str(err.value) == message
+                assert d.graph._boundary()[1][d.graph._dart(h)] == i
 
 
 # -- the necklace family ----------------------------------------------------------
@@ -163,8 +146,8 @@ def test_admissibility_traces_the_faces_once(monkeypatch):
 
 
 def test_admissibility_and_the_fiber_model_colour_once(monkeypatch):
-    """``divide_fiber_model`` reads the coloring that ``check_admissible``
-    already found: it is cached on the divide."""
+    """``divide_fiber_model`` colours its divide once, through
+    ``check_admissible``, and reads the coloring off the report."""
     made = []
     init = Checkerboard.__init__
 
@@ -174,13 +157,11 @@ def test_admissibility_and_the_fiber_model_colour_once(monkeypatch):
 
     monkeypatch.setattr(Checkerboard, "__init__", counted)
     for genus in range(9):
-        d = standard_divide(genus)
         made.clear()
-        assert check_admissible(d).admissible
-        model = divide_fiber_model(d)
+        model = divide_fiber_model(standard_divide(genus))
         assert len(made) == 1
-        assert checkerboard_coloring(d) is made[0]
         assert len(model.white_cycles) == len(made[0].white)
+        assert len(model.black_cycles) == len(made[0].black)
 
 
 @pytest.mark.parametrize("genus", range(6))
@@ -228,11 +209,10 @@ def test_odd_dual_cycle_is_rejected():
         }
     )
     rep = check_admissible(d)
-    assert rep.connected and not rep.colorable and not rep.admissible
+    assert rep.connected and rep.coloring is None and not rep.admissible
     assert (rep.faces, rep.ambient_genus) == (3, 1)
     assert rep.problem.startswith("odd face chain")
-    # a failed coloring is not cached: every call raises again
-    for _ in range(2):
+    for _ in range(2):  # every call raises again
         with pytest.raises(ColoringError, match="odd face chain"):
             checkerboard_coloring(d)
 
@@ -262,19 +242,13 @@ def test_disconnected_divide_is_rejected():
 
 def test_coloring_classes_cover_all_faces():
     d = standard_divide(2)
-    coloring = checkerboard_coloring(d)
+    coloring = check_admissible(d).coloring
     faces = set(range(len(d.graph.faces())))
     assert set(coloring.white) | set(coloring.black) == faces
     assert not set(coloring.white) & set(coloring.black)
     for e in d.edges:
-        sides = {coloring.color_of(d.face_of((e, i))) for i in (0, 1)}
-        assert sides == {"white", "black"}
-
-
-def test_color_of_names_a_face_not_in_the_coloring():
-    coloring = checkerboard_coloring(standard_divide(1))
-    with pytest.raises(DivideError, match=r"^no face 9$"):
-        coloring.color_of(9)
+        sides = {d.graph._boundary()[1][d.graph._dart((e, i))] in coloring.white for i in (0, 1)}
+        assert sides == {True, False}
 
 
 # -- components and serialization --------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from lf_forge.builders import ishikawa_fibration, johns_fibration
 from lf_forge.certify import fibration_certificate
-from lf_forge.curves import CurveOnSurface
+from lf_forge.curves import CurveOnSurface, curve_from_json
 from lf_forge.equivalence import isomorphism_certificate
 from lf_forge.homology import (
     DisconnectedError,
@@ -123,6 +123,29 @@ def test_sparse_class_is_the_nonzero_part_of_curve_class(built):
     # _sparse_class trusts its caller with the host: fibration_homology checks it
     with pytest.raises(SurfaceError, match="different surface"):
         fibration_homology(built("johns", 1).fiber, built("johns", 2).word[:1])
+
+
+@pytest.mark.parametrize("call, outcome", [
+    (lambda f, g: workspace(f.fiber).basis_cycle("a0e0"), "'a0e0' is not a basis (co-tree) edge"),
+    (lambda f, g: HomologyClass(f.fiber, (1,)), "class vector has length 1, basis has 9"),
+    (lambda f, g: HomologyClass(f.fiber, (0,) * 9) + HomologyClass(g.fiber, (0,) * 5),
+     "homology classes live on different surfaces"),
+    (lambda f, g: curve_class(f.fiber, g.word[0]), "curve lives on a different surface"),
+    (lambda f, g: curve_from_json(f.fiber, []), "vanishing cycle must be an object, got list"),
+    (lambda f, g: f.word[0].cyclically_equal(f.word[6]), False),
+], ids=["tree-edge-basis-cycle", "class-vector-length", "classes-on-two-surfaces", "foreign-curve-class",
+        "cycle-not-an-object", "cyclically-equal-lengths-differ"])
+def test_named_raises_and_early_returns(call, outcome):
+    """The named faults of the homology layer and the cycle parser, and
+    ``cyclically_equal``'s answer for walks of different lengths, on the
+    ``johns`` g = 1 build (H1 rank 9) and the g = 0 one (rank 5)."""
+    f, g = johns_fibration(1), johns_fibration(0)
+    if isinstance(outcome, str):
+        with pytest.raises(SurfaceError) as err:
+            call(f, g)
+        assert str(err.value) == outcome
+    else:
+        assert call(f, g) is outcome
 
 
 # -- the workspace ----------------------------------------------------------------

@@ -45,7 +45,7 @@ RECORDS = {
                                             MODEL.crossing_cycles, MODEL.black_cycles)),
     "LefschetzFibration": (LefschetzFibration, ("sphere", 0, SPHERE.fiber, SPHERE.word)),
     "Checkerboard": (Checkerboard, ((0, 2), (1, 3))),
-    "AdmissibilityReport": (AdmissibilityReport, (True, 2, 4, 4, 2, 0, True)),
+    "AdmissibilityReport": (AdmissibilityReport, (True, 2, 4, 4, 2, 0, Checkerboard((0, 2), (1, 3)), None)),
     "FibrationIso": (FibrationIso, (SPHERE, SPHERE, {"p": "p"}, {"c": ("c", 1)}, True, {"core0": "core0"})),
 }
 
@@ -72,9 +72,9 @@ def test_record_semantics(name):
 
 def test_record_repr_lists_the_fields_by_name():
     assert repr(FinAbGroup(2, (3,))) == "FinAbGroup(free_rank=2, torsion=(3,))"
-    assert repr(AdmissibilityReport(False, 0, 0, 0, 0, None, False, "divide is not connected")) == (
+    assert repr(AdmissibilityReport(False, 0, 0, 0, 0, None, None, "divide is not connected")) == (
         "AdmissibilityReport(connected=False, crossings=0, arcs=0, faces=0, euler=0, "
-        "ambient_genus=None, colorable=False, problem='divide is not connected')"
+        "ambient_genus=None, coloring=None, problem='divide is not connected')"
     )
 
 
@@ -84,7 +84,7 @@ def test_a_record_subclass_keeps_its_parents_fields():
     assert repr(sub(5, (2,))) == "Sub(free_rank=5, torsion=(2,))"
 
 
-@pytest.mark.parametrize("cls", [SurfaceInvariants, Checkerboard, DivideFiberModel, FibrationIso],
+@pytest.mark.parametrize("cls", [SurfaceInvariants, Checkerboard, AdmissibilityReport, DivideFiberModel, FibrationIso],
                          ids=lambda cls: cls.__name__)
 def test_a_record_without_checks_takes_one_value_per_field(cls):
     with pytest.raises(TypeError, match=f"^{cls.__name__} takes {len(cls.__slots__)} field values, got 1$"):

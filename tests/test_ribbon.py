@@ -6,7 +6,9 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+from lf_forge.builders import johns_fibration
 from lf_forge.divides import Divide
+from lf_forge.homology import workspace
 from lf_forge.ribbon import NonOrientableError, RibbonGraph, SurfaceError, as_pairs, spanning_forest
 
 import oracles
@@ -213,6 +215,28 @@ def test_a_constructor_keeps_no_rotation_until_it_is_read():
         assert "rotation" not in vars(graph)
         assert graph.rotation == {v: as_pairs(rot) for v, rot in rotation.items()}
         assert "rotation" in vars(graph)
+
+
+@pytest.mark.parametrize("lookup, message", [
+    (lambda g: g.vertex_of(("zz", 0)), "half-edge ('zz', 0) is not on the surface"),
+    (lambda g: g.vertex_of(("a0e0", 2)), "half-edge ('a0e0', 2) is not on the surface"),
+    (lambda g: g.vertex_of("a0e0"), "half-edge 'a0e0' is not on the surface"),
+    (lambda g: g.vertex_of((["a0e0"], 0)), "half-edge (['a0e0'], 0) is not on the surface"),
+    (lambda g: g.edge_endpoints("zz"), "edge 'zz' is not on the surface"),
+    (lambda g: g.edge_endpoints(["a0e0"]), "edge ['a0e0'] is not on the surface"),
+    (lambda g: workspace(g).tree_path("zz", g.vertices[0]), "vertex 'zz' is not on the surface"),
+    (lambda g: workspace(g).tree_path(g.vertices[0], "zz"), "vertex 'zz' is not on the surface"),
+    (lambda g: workspace(g).tree_path([g.vertices[0]], "zz"), "vertex ['s1_0'] is not on the surface"),
+], ids=["unknown-edge", "end-two", "not-a-pair", "unhashable-edge", "unknown-endpoints-edge",
+        "unhashable-endpoints-edge", "unknown-path-start", "unknown-path-end", "unhashable-path-start"])
+def test_graph_lookups_name_what_is_not_on_the_surface(lookup, message):
+    """A half-edge, edge or vertex that the graph does not have ends in a
+    SurfaceError that names it, never a KeyError or an unpacking error."""
+    fiber = johns_fibration(1).fiber
+    with pytest.raises(SurfaceError) as err:
+        lookup(fiber)
+    assert str(err.value) == message
+    assert fiber.vertex_of(("a0e0", 1)) == fiber.edge_endpoints("a0e0")[1]
 
 
 def test_rotation_next_prev_are_inverse(punctured_torus):

@@ -1,6 +1,7 @@
 """The scripts under ``scripts/`` run end to end."""
 
 import importlib.util
+import itertools
 import json
 import os
 import re
@@ -85,6 +86,24 @@ def test_bench_scales_each_stage_sample_by_the_reference_timings_around_it(monke
     adjusted, raw, ok, _, _ = bench.time_stages("johns", 1, 2)
     assert ok and list(adjusted) == list(raw) == list(bench.STAGES)
     assert adjusted == {stage: pytest.approx(seconds / 2) for stage, seconds in raw.items()}
+
+
+def test_bench_scales_each_stage_best_by_the_median_of_its_reference_timings(monkeypatch):
+    """The reference task reads fast twice, then four times slower twice,
+    over and over: the three stages take turns, so build and compare see
+    two fast pairs of readings and one slow pair, and certify the reverse.
+    Each best raw time is scaled by that median, not by the pair around
+    whichever sample happened to be best."""
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    fast = bench.hostspeed.REFERENCE_SECONDS
+    readings = itertools.cycle([fast, fast, 4 * fast, 4 * fast])
+    monkeypatch.setattr(bench.hostspeed, "time_reference", lambda: next(readings))
+    adjusted, raw, ok, _, _ = bench.time_stages("johns", 1, 3)
+    assert ok
+    assert adjusted == {"build": pytest.approx(raw["build"]), "certify": pytest.approx(raw["certify"] / 4),
+                        "compare": pytest.approx(raw["compare"])}
 
 
 def test_bench_growth_exponent_is_the_log_log_slope_of_the_two_largest_genera():

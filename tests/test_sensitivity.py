@@ -20,7 +20,7 @@ from lf_forge.builders import LefschetzFibration, ishikawa_fibration, johns_fibr
 from lf_forge.certify import fibration_certificate
 from lf_forge.curves import CurveOnSurface
 from lf_forge.equivalence import isomorphism_certificate
-from lf_forge.invariants import FinAbGroup
+from lf_forge.invariants import FinAbGroup, fibration_homology
 from lf_forge.ribbon import RibbonGraph
 
 import oracles
@@ -395,6 +395,52 @@ def test_swapping_a0_and_b0_lowers_the_self_intersection_by_4(built, constructio
         doc = built(construction, genus).to_json_dict()
         _swap_a0_b0(doc)
         assert oracles.self_intersection(LefschetzFibration.from_json_dict(doc)) == 2 * genus - 6
+
+
+# -- stabilization (oracles.stabilize, ROADMAP item 25) ------------------------------
+
+
+class _NegatedSigns(homology._CornerSigns):
+    """The corner rule at vertices of degree ``n`` with every sign negated."""
+
+    def __missing__(self, key: int) -> int:
+        sign = self[key] = -super().__missing__(key)
+        return sign
+
+
+@pytest.mark.parametrize("corner_rule", ["sound", "negated-at-degree-5-and-up"])
+@pytest.mark.parametrize("construction", ["johns", "ishikawa"])
+def test_stabilizing_the_page_changes_no_group(built, monkeypatch, construction, corner_rule):
+    """One to three seeded stabilizations of each build at g = 0..2, 40
+    words per genus.  Each stabilization keeps the fiber genus, adds a
+    boundary circle, lowers the fiber's Euler characteristic by 1 and adds
+    one cycle to the word; none changes ``fibration_homology`` or Q(v, v).
+    The builds' vertices have degree 2 or 4, so a corner rule negated at
+    degree 5 and up (a degree-4 vertex gets at most six new ends) changes
+    no build's Q(v, v), while the stabilized words catch it, as a wrong
+    group or a pairing that is not antisymmetric."""
+    if corner_rule != "sound":
+        monkeypatch.setattr(homology, "_CORNER_SIGNS", {n: _NegatedSigns(n) for n in range(5, 11)})
+    rng, changed = random.Random(25), 0
+    for genus in range(3):
+        fib = built(construction, genus)
+        assert oracles.self_intersection(fib) == 2 * genus - 2
+        groups = (fibration_homology(fib.fiber, fib.word), 2 * genus - 2)
+        for _ in range(40):
+            stabilized = fib
+            for _ in range(rng.randint(1, 3)):
+                before, length = stabilized.fiber.invariants(), len(stabilized.word)
+                stabilized = oracles.stabilize(stabilized, rng)
+                after = stabilized.fiber.invariants()
+                assert (after.genus, after.boundary_components, after.euler, len(stabilized.word)) == (
+                    before.genus, before.boundary_components + 1, before.euler - 1, length + 1)
+            try:
+                changed += (fibration_homology(stabilized.fiber, stabilized.word),
+                            oracles.self_intersection(stabilized)) != groups
+            except ribbon.SurfaceError as exc:
+                assert str(exc).startswith("intersection pairing failed antisymmetry"), exc
+                changed += 1
+    assert changed == 0 if corner_rule == "sound" else changed > 100
 
 
 @functools.cache
