@@ -5,6 +5,8 @@ Per construction and genus, each stage is timed on objects made for that
 run alone, and the best of --repeat runs is kept:
 
   build    ``johns_fibration`` or ``ishikawa_fibration``;
+  parse    ``LefschetzFibration.from_json_dict`` of that build's document,
+           the document written before the timer starts;
   certify  ``fibration_certificate`` of a fresh build, the build not timed;
   compare  ``isomorphism_certificate`` of a fresh build against a fresh
            build of the other construction, the builds not timed.
@@ -51,6 +53,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import hostspeed  # noqa: E402
 import lf_forge  # noqa: E402
 from lf_forge import (  # noqa: E402
+    LefschetzFibration,
     fibration_certificate,
     ishikawa_fibration,
     isomorphism_certificate,
@@ -58,7 +61,7 @@ from lf_forge import (  # noqa: E402
 )
 
 BUILDERS = {"johns": johns_fibration, "ishikawa": ishikawa_fibration}
-STAGES = ("build", "certify", "compare")
+STAGES = ("build", "parse", "certify", "compare")
 # Fresh processes for cli_seconds: name -> the interpreter's arguments.
 CLI_PROCESSES = {
     "import lf_forge": ["-c", "import lf_forge"],
@@ -70,9 +73,10 @@ CLI_PROCESSES = {
 
 def time_stages(construction: str, genus: int, repeat: int) -> tuple[dict, dict, bool, dict, dict]:
     """Best seconds of each stage over ``repeat`` runs, host-adjusted by the
-    median of the stage's reference timings and raw, whether every
-    certificate passed and every comparison found an isomorphism, and the
-    last run's fibration and isomorphism certificates."""
+    median of the stage's reference timings and raw, whether every parsed
+    document wrote its document back, every certificate passed and every
+    comparison found an isomorphism, and the last run's fibration and
+    isomorphism certificates."""
     build = BUILDERS[construction]
     other = BUILDERS["ishikawa" if construction == "johns" else "johns"]
     best_raw, references, ok = dict.fromkeys(STAGES, math.inf), {stage: [] for stage in STAGES}, True
@@ -88,9 +92,11 @@ def time_stages(construction: str, genus: int, repeat: int) -> tuple[dict, dict,
 
     for _ in range(repeat):
         fib = timed("build", build, genus)
+        doc = fib.to_json_dict()
+        parsed = timed("parse", LefschetzFibration.from_json_dict, doc)
         cert = timed("certify", fibration_certificate, fib)
         iso = timed("compare", isomorphism_certificate, build(genus), other(genus))
-        ok = ok and cert["passed"] and iso["found"]
+        ok = ok and parsed.to_json_dict() == doc and cert["passed"] and iso["found"]
     medians = {stage: statistics.median(times) for stage, times in references.items()}
     best = {stage: hostspeed.adjust(best_raw[stage], medians[stage], medians[stage]) for stage in STAGES}
     return best, best_raw, ok, cert, iso

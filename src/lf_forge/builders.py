@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .curves import CurveOnSurface, canonical_rotation, curve_from_json, curve_on_darts
 from .divides import Divide, check_admissible, standard_divide
-from .ribbon import Record, RibbonGraph, SurfaceError, json_field, sorted_ids, spanning_forest
+from .ribbon import Record, RibbonGraph, SurfaceError, json_field, json_records, sorted_ids, spanning_forest
 
 
 # -- plumbing patterns -----------------------------------------------------------
@@ -358,8 +358,9 @@ class LefschetzFibration(Record):
         construction = json_field(doc, "construction", str, where)
         genus = json_field(doc, "genus", int, where)
         fiber = RibbonGraph.from_json_dict(json_field(doc, "fiber", dict, where))
-        cycles = json_field(doc, "vanishing_cycles", list, where, dict)
-        word = tuple(curve_from_json(fiber, rec) for rec in cycles)
+        names, walks = json_records(json_field(doc, "vanishing_cycles", list, where, dict), "vanishing cycle",
+                                    ("name", str, None), ("walk", list, None))
+        word = tuple([curve_from_json(fiber, name, walk) for name, walk in zip(names, walks)])
         return cls(construction, genus, fiber, word)
 
 

@@ -45,8 +45,8 @@ class CurveOnSurface(Record, views=("walk",)):
     ``(str, int)`` steps, named from ``host.edges`` each time it is read,
     so only equality, hash, repr, pickling and the tests' oracles build
     them.  The constructor takes a walk, rebuilds it as ``(str, int)``
-    steps (``as_pairs``) and checks it (``check_walk``);
-    ``curve_on_darts`` passes darts in place of it.  The walk need not be
+    steps (``as_pairs``) and checks it (``check_walk``); ``curve_on_darts``
+    and ``curve_from_json`` pass darts in place of it.  The walk need not be
     edge-simple (Dehn-twisted images repeat edges); operations that require
     an embedded curve check that first, with ``require_edge_simple`` or, in
     the surgery, in its edge-disjointness pass.
@@ -126,23 +126,13 @@ def parse_signed_edge_id(token: str) -> Step:
     return (token, 1)
 
 
-def curve_from_json(surface: RibbonGraph, rec: dict) -> CurveOnSurface:
-    """A ``vanishing_cycles`` entry on ``surface``.  As in
-    ``RibbonGraph.from_json_dict``, only a field whose value has not exactly
-    its JSON type goes to ``json_field``.  Token ``e`` arrives on dart 2k + 1
-    of the k-th edge (``_eid``), ``-e`` on dart 2k; a walk with a token that
-    names no edge, or is not a string, goes on to the checks that name it."""
-    name = rec.get("name") if type(rec) is dict else None
-    if type(name) is not str:
-        name = json_field(rec, "name", str, "vanishing cycle")
-    walk = rec.get("walk")
-    if type(walk) is list:
-        eid = surface._eid
-        try:
-            heads = tuple([2 * eid[t[1:]] if t[:1] == "-" else 2 * eid[t] + 1 for t in walk])
-        except (KeyError, TypeError):  # a token off the surface, or not a string
-            pass
-        else:
-            return curve_on_darts(surface, name, heads)
-    walk = json_field(rec, "walk", list, f"vanishing cycle {name!r}", str)
-    return CurveOnSurface(surface, name, tuple([parse_signed_edge_id(t) for t in walk]))
+def curve_from_json(surface: RibbonGraph, name: str, walk: list) -> CurveOnSurface:
+    """The ``vanishing_cycles`` entry ``name`` on ``surface``: token ``e`` of ``walk`` arrives on dart 2k + 1 of
+    edge k (``_eid``), ``-e`` on dart 2k; any other token goes on to ``json_field`` and the checks that name it."""
+    eid = surface._eid
+    try:
+        heads = tuple([2 * eid[t[1:]] if t[0] == "-" else 2 * eid[t] + 1 for t in walk])  # t[:1] is a sixth slower
+    except (KeyError, IndexError, TypeError):  # a token off the surface, empty or not a string
+        walk = json_field({"walk": walk}, "walk", list, f"vanishing cycle {name!r}", str)
+        return CurveOnSurface(surface, name, tuple([parse_signed_edge_id(t) for t in walk]))
+    return CurveOnSurface(surface, name, None, heads)

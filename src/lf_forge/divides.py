@@ -16,7 +16,7 @@ carry band attachments in the fiber construction.
 
 from __future__ import annotations
 
-from .ribbon import Record, RibbonGraph, SurfaceError, json_field
+from .ribbon import Record, RibbonGraph, SurfaceError, json_field, json_records
 
 
 class DivideError(ValueError):
@@ -87,25 +87,23 @@ class Divide:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Divide":
-        """Parse a ``divide/1`` document.  Fields are validated by
-        ``ribbon.json_field``; every fault raises DivideError."""
+        """Parse a ``divide/1`` document through ``ribbon.json_field`` and,
+        for the edges, ``json_records``; every fault raises DivideError."""
         schema = doc.get("schema") if isinstance(doc, dict) else None
         if schema != "divide/1":
             raise DivideError(f"unsupported schema {schema!r}")
         try:
             vertices = json_field(doc, "vertices", list, "divide", str)
-            records = json_field(doc, "edges", list, "divide", dict)
-            edges = [json_field(rec, "id", str, "divide edge") for rec in records]
-            declared = [tuple(json_field(rec, k, str, f"divide edge {e!r}") for k in ("tail", "head"))
-                        for e, rec in zip(edges, records)]
+            edges, tails, heads = json_records(json_field(doc, "edges", list, "divide", dict), "divide edge",
+                                               ("id", str, None), ("tail", str, None), ("head", str, None))
             rotation = json_field(doc, "rotation", dict, "divide")
             parsed = {v: [RibbonGraph.parse_half_edge(h) for h in json_field(rotation, v, list, "divide rotation", str)]
                       for v in rotation}
         except SurfaceError as exc:
             raise DivideError(str(exc)) from exc
         divide = cls(vertices, edges, parsed)
-        for e, ends in zip(edges, declared):
-            if divide.graph.edge_endpoints(e) != ends:
+        for e, tail, head in zip(edges, tails, heads):
+            if divide.graph.edge_endpoints(e) != (tail, head):
                 raise DivideError(f"edge {e!r} endpoints disagree with rotation placement")
         return divide
 
@@ -120,6 +118,8 @@ class Divide:
     @classmethod
     def from_text(cls, text: str) -> "Divide":
         """Parse the plain-text format; '#' comments and blank lines allowed."""
+        if not isinstance(text, str):
+            raise DivideError(f"divide text must be a string, got {type(text).__name__}")
         rotation = {}
         for raw in text.splitlines():
             line = raw.split("#", 1)[0].strip()

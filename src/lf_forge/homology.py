@@ -187,6 +187,8 @@ class HomologyClass(Record):
 
     def __init__(self, host: RibbonGraph, vector: tuple[int, ...]):
         n = _rank(host._forest()[2])
+        if not isinstance(vector, tuple):
+            raise SurfaceError(f"class vector must be a tuple, got {vector!r}")
         if len(vector) != n:
             raise SurfaceError(f"class vector has length {len(vector)}, basis has {n}")
         super().__init__(host, vector)

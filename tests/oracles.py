@@ -9,6 +9,7 @@ so the tests can hold the package's faster or more indirect code against it.
 """
 
 import math
+from fractions import Fraction
 
 from lf_forge.builders import LefschetzFibration, closing_smoothing
 from lf_forge.curves import CurveOnSurface
@@ -424,22 +425,76 @@ def _bordered_presentation(n: int, classes, pair) -> list[dict[int, int]]:
 # -- the total space ----------------------------------------------------------------
 
 
-def self_intersection(fib: LefschetzFibration) -> int:
-    """Q(v, v) of the generator v of H2 of the total space, whose 2-handles
-    are attached along the word with page framing -1 (Gompf-Stipsicz,
-    section 8.2): Q(v, v) = -sum v_i^2 + sum_{i<j} v_i v_j P_ij, with P the
-    word's pairing matrix.  The word's classes are peeled by
-    ``_sparse_snf_diagonal`` with ops from the identity, and v is the ops
-    row of the one row that is no pivot, so H2 must be Z.  DT*Sigma_g has
-    Q(v, v) = 2g - 2, the tangent disk bundle 2 - 2g."""
-    index = workspace(fib.fiber)._basis_index
-    rows = [_sparse_class(index, c._heads) for c in fib.word]
+def intersection_form(fiber: RibbonGraph, word) -> list[list[int]]:
+    """The intersection form of the total space, whose 2-handles are
+    attached along ``word`` with page framing -1 (Gompf-Stipsicz, section
+    8.2), on the basis of H2 that the peel leaves: the word's classes are
+    peeled by ``_sparse_snf_diagonal`` with ops from the identity, and each
+    row that ends with no entry and no pivot gives its ops row v, so
+    C v = 0.  Q(v, w) = -sum v_i w_i + sum_{i<j} v_i w_j P_ij, with P the
+    word's pairing matrix.  A row left in the residue, whose kernel the peel
+    does not give, and a form that is not symmetric raise ValueError."""
+    index = workspace(fiber)._basis_index
+    rows = [_sparse_class(index, c._heads) for c in word]
     ops = [{i: 1} for i in range(len(rows))]
     _sparse_snf_diagonal(rows, ops)
-    (kernel,) = [op for op in ops if op]
-    v = [kernel.get(i, 0) for i in range(len(rows))]
-    p = pairing_matrix(fib.fiber, fib.word)
-    return -sum(x * x for x in v) + sum(v[i] * v[j] * p[i][j] for i in range(len(v)) for j in range(i + 1, len(v)))
+    if any(rows):
+        raise ValueError("the peel left a residue: its kernel needs smith_normal_form's operations")
+    n = len(rows)
+    basis = [[op.get(i, 0) for i in range(n)] for op in ops if op]
+    p = pairing_matrix(fiber, word)
+
+    def q(v, w):
+        return -sum(x * y for x, y in zip(v, w)) + sum(v[i] * w[j] * p[i][j] for i in range(n) for j in range(i + 1, n))
+
+    form = [[q(v, w) for w in basis] for v in basis]
+    if any(form[i][j] != form[j][i] for i in range(len(form)) for j in range(i)):
+        raise ValueError(f"the intersection form is not symmetric: {form}")
+    return form
+
+
+def self_intersection(fib: LefschetzFibration) -> int:
+    """Q(v, v) of the generator v of H2 of the total space: the 1 x 1
+    ``intersection_form``, so H2 must be Z.  DT*Sigma_g has Q(v, v) =
+    2g - 2, the tangent disk bundle 2 - 2g."""
+    ((q,),) = intersection_form(fib.fiber, fib.word)
+    return q
+
+
+def lattice(form: list[list[int]]) -> dict:
+    """The rank, signature, nullity, parity and |det| of the symmetric
+    integer matrix ``form``, by symmetric elimination over the rationals.
+    Each step pivots on a nonzero diagonal entry of what is left, clearing
+    its row and column; when every diagonal entry left is 0 but some entry
+    a_ij is not, row and column j are first added to i, which puts 2 a_ij on
+    the diagonal.  These are congruences of determinant 1, so the pivots'
+    signs count the positive and negative eigenvalues (Sylvester's law of
+    inertia) and their product is det; the rows left once every entry left
+    is 0 span the radical, and their count is the nullity.  The form is even
+    when every diagonal entry Q(v, v) is."""
+    a = [[Fraction(x) for x in row] for row in form]
+    live, pivots = list(range(len(a))), []
+    while live:
+        p = next((i for i in live if a[i][i]), None)
+        if p is None:
+            pair = next(((i, j) for i in live for j in live if a[i][j]), None)
+            if pair is None:
+                break
+            p, j = pair
+            for k in live:
+                a[p][k] += a[j][k]
+            for k in live:
+                a[k][p] += a[k][j]
+        live.remove(p)
+        d = a[p][p]
+        pivots.append(d)
+        for i in live:
+            f = a[i][p] / d
+            for k in live:
+                a[i][k] -= f * a[p][k]
+    det = math.prod(pivots) if not live else 0
+    return {"rank": len(a), "signature": sum(d > 0 for d in pivots) - sum(d < 0 for d in pivots),
+            "nullity": len(live), "even": all(row[i] % 2 == 0 for i, row in enumerate(form)), "det": abs(int(det))}
 
 
 # -- stabilization ------------------------------------------------------------------

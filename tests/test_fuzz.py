@@ -14,9 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from lf_forge.builders import LefschetzFibration, PlumbingPattern, realize_plumbing, simultaneous_surgery
 from lf_forge.certify import fibration_certificate
-from lf_forge.divides import DivideError
+from lf_forge.divides import Divide, DivideError, standard_divide
 from lf_forge.equivalence import isomorphism_certificate
-from lf_forge.ribbon import SurfaceError
+from lf_forge.ribbon import RibbonGraph, SurfaceError
 
 NAMED = (SurfaceError, DivideError)
 
@@ -139,3 +139,84 @@ def test_corrupted_documents_end_in_a_result_or_a_named_error(built, data):
     except NAMED:
         return
     certify_and_compare(fib, built)
+
+
+# -- malformed values in every document reader ---------------------------------------
+
+
+def _paths(node, path=()):
+    """Every field path of a JSON document, the document itself first."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, (*path, key))
+
+
+def _text_lines(text: str) -> list:
+    """A divide text as a list of lines, each a list of its tokens."""
+    return [line.split() for line in text.splitlines()]
+
+
+READERS = {
+    "lefschetz-fibration": lambda built, g: (built("johns" if g % 2 else "ishikawa", g).to_json_dict(),
+                                             LefschetzFibration.from_json_dict),
+    "ribbon-graph": lambda built, g: (built("johns" if g % 2 else "ishikawa", g).fiber.to_json_dict(),
+                                      RibbonGraph.from_json_dict),
+    "divide": lambda built, g: (standard_divide(g).to_json_dict(), Divide.from_json_dict),
+    "divide-text": lambda built, g: (_text_lines(standard_divide(g).to_text()),
+                                     lambda lines: Divide.from_text(_render(lines))),
+}
+
+
+def _render(lines):
+    """``lines`` joined back into a divide text; a line or token that a
+    malformed value replaced is written with ``str``, and a document that
+    one replaced whole is passed on as it is."""
+    if not isinstance(lines, list):
+        return lines
+    return "".join((" ".join(map(str, line)) if isinstance(line, list) else str(line)) + "\n" for line in lines)
+
+
+@st.composite
+def malformed_values(draw, old):
+    """None, an integer, a string, a nested list, a list one entry too short
+    or too long, or a name that no document uses."""
+    kind = draw(st.sampled_from(("none", "int", "string", "nested", "length", "unknown")))
+    if kind == "none":
+        return None
+    if kind == "int":
+        return draw(st.integers(-2, 3) | st.booleans())
+    if kind == "string":
+        return draw(st.text(max_size=4))
+    if kind == "nested":
+        return [[old]] if draw(st.booleans()) else [[]]
+    if kind == "length":
+        seq = old if isinstance(old, list) else [old]
+        return seq[:-1] if draw(st.booleans()) else seq + seq[-1:]
+    return draw(st.sampled_from(("ghost", "-ghost", "ghost.0", "ghost: a0.0 a0.1 b0.0 b0.1")))
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_malformed_values_in_documents_end_in_a_document_or_a_named_error(built, data):
+    """A malformed value at a random field path of a valid document (in
+    place of the whole document, or of a divide text's line or token, too),
+    or a field moved to an unknown name, is parsed, or raises a named
+    error, by each of the four readers."""
+    reader = data.draw(st.sampled_from(sorted(READERS)))
+    doc, parse = READERS[reader](built, data.draw(st.integers(0, 2)))
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    if not path:
+        doc = data.draw(malformed_values(doc))
+    else:
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        if isinstance(node, dict) and data.draw(st.integers(0, 5)) == 0:  # the field under an unknown name
+            node["ghost"] = node.pop(path[-1])
+        else:
+            node[path[-1]] = data.draw(malformed_values(node[path[-1]]))
+    try:
+        parse(doc)
+    except NAMED:
+        pass

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from lf_forge.builders import ishikawa_fibration, johns_fibration
 from lf_forge.certify import fibration_certificate
-from lf_forge.curves import CurveOnSurface, curve_from_json
+from lf_forge.curves import CurveOnSurface
 from lf_forge.equivalence import isomorphism_certificate
 from lf_forge.homology import (
     DisconnectedError,
@@ -131,14 +131,19 @@ def test_sparse_class_is_the_nonzero_part_of_curve_class(built):
     (lambda f, g: HomologyClass(f.fiber, (0,) * 9) + HomologyClass(g.fiber, (0,) * 5),
      "homology classes live on different surfaces"),
     (lambda f, g: curve_class(f.fiber, g.word[0]), "curve lives on a different surface"),
-    (lambda f, g: curve_from_json(f.fiber, []), "vanishing cycle must be an object, got list"),
+    (lambda f, g: HomologyClass(f.fiber, None), "class vector must be a tuple, got None"),
+    (lambda f, g: CurveOnSurface(f.fiber, "y", (("a0e0",),)), "('a0e0',) is not an (id, integer) pair"),
+    (lambda f, g: CurveOnSurface(f.fiber, "y", (("a0e0", 1), ("a0e0", "x"))),
+     "('a0e0', 'x') is not an (id, integer) pair"),
+    (lambda f, g: CurveOnSurface(f.fiber, "y", None), "None is not an (id, integer) pair"),
     (lambda f, g: f.word[0].cyclically_equal(f.word[6]), False),
 ], ids=["tree-edge-basis-cycle", "class-vector-length", "classes-on-two-surfaces", "foreign-curve-class",
-        "cycle-not-an-object", "cyclically-equal-lengths-differ"])
+        "class-vector-none", "step-not-a-pair", "sign-not-an-integer", "walk-not-a-sequence",
+        "cyclically-equal-lengths-differ"])
 def test_named_raises_and_early_returns(call, outcome):
-    """The named faults of the homology layer and the cycle parser, and
-    ``cyclically_equal``'s answer for walks of different lengths, on the
-    ``johns`` g = 1 build (H1 rank 9) and the g = 0 one (rank 5)."""
+    """The named faults of the homology layer and of ``ribbon.as_pairs``,
+    and ``cyclically_equal``'s answer for walks of different lengths, on
+    the ``johns`` g = 1 build (H1 rank 9) and the g = 0 one (rank 5)."""
     f, g = johns_fibration(1), johns_fibration(0)
     if isinstance(outcome, str):
         with pytest.raises(SurfaceError) as err:

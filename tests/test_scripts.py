@@ -41,12 +41,12 @@ def test_bench_writes_every_stage_and_the_growth_exponent(tmp_path):
     for construction in ("johns", "ishikawa"):
         # seconds are scaled to the reference host's speed, seconds_raw are the wall clock
         for key in ("seconds", "seconds_raw"):
-            assert set(doc[key][construction]) == {"build", "certify", "compare"}
+            assert set(doc[key][construction]) == {"build", "parse", "certify", "compare"}
             for times in doc[key][construction].values():
                 assert set(times) == {"0", "1"} and all(t > 0 for t in times.values())
         assert doc["seconds"][construction] != doc["seconds_raw"][construction]
         # only g = 1 is positive, so no slope between two genera exists
-        assert doc["growth_exponent"][construction] == {"build": None, "certify": None, "compare": None}
+        assert doc["growth_exponent"][construction] == dict.fromkeys(("build", "parse", "certify", "compare"))
     assert doc["hostspeed"]["before_s"] > 0 and doc["hostspeed"]["after_s"] > 0
     assert list(doc["cli_seconds"]) == ["import lf_forge", "export divide --genus 2 --format text",
                                         "generate ishikawa --genus 4", "verify --genus 8"]
@@ -89,21 +89,23 @@ def test_bench_scales_each_stage_sample_by_the_reference_timings_around_it(monke
 
 
 def test_bench_scales_each_stage_best_by_the_median_of_its_reference_timings(monkeypatch):
-    """The reference task reads fast twice, then four times slower twice,
-    over and over: the three stages take turns, so build and compare see
-    two fast pairs of readings and one slow pair, and certify the reverse.
-    Each best raw time is scaled by that median, not by the pair around
-    whichever sample happened to be best."""
+    """The reference task reads fast, slow, fast, slow, slow, fast, a pair
+    of readings each, slow being four times slower, over and over: the four
+    stages take turns, so build and certify see two fast pairs of readings
+    and one slow pair, and parse and compare the reverse.  Each best raw
+    time is scaled by that median, not by the pair around whichever sample
+    happened to be best."""
     spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     fast = bench.hostspeed.REFERENCE_SECONDS
-    readings = itertools.cycle([fast, fast, 4 * fast, 4 * fast])
+    readings = itertools.cycle([fast, fast, 4 * fast, 4 * fast, fast, fast, 4 * fast, 4 * fast, 4 * fast, 4 * fast,
+                                fast, fast])
     monkeypatch.setattr(bench.hostspeed, "time_reference", lambda: next(readings))
     adjusted, raw, ok, _, _ = bench.time_stages("johns", 1, 3)
     assert ok
-    assert adjusted == {"build": pytest.approx(raw["build"]), "certify": pytest.approx(raw["certify"] / 4),
-                        "compare": pytest.approx(raw["compare"])}
+    assert adjusted == {"build": pytest.approx(raw["build"]), "parse": pytest.approx(raw["parse"] / 4),
+                        "certify": pytest.approx(raw["certify"]), "compare": pytest.approx(raw["compare"] / 4)}
 
 
 def test_bench_growth_exponent_is_the_log_log_slope_of_the_two_largest_genera():

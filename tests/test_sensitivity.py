@@ -397,6 +397,72 @@ def test_swapping_a0_and_b0_lowers_the_self_intersection_by_4(built, constructio
         assert oracles.self_intersection(LefschetzFibration.from_json_dict(doc)) == 2 * genus - 6
 
 
+# -- a known-answer corpus: genus-one Milnor fibers (oracles.intersection_form) ------
+
+# The one-vertex torus page: genus 1, one boundary circle, chi = -1.  Its
+# one-step cycles a and b meet once.
+TORUS_PAGE = RibbonGraph(["v"], ["a", "b"], {"v": (("a", 0), ("b", 0), ("a", 1), ("b", 1))})
+A, B, A_PLUS_B, A_MINUS_B, B_MINUS_A = (("a", 1),), (("b", 1),), (("a", 1), ("b", 1)), (("a", 1), ("b", -1)), (
+    ("b", 1), ("a", -1))
+
+
+def torus_word(walks) -> tuple[CurveOnSurface, ...]:
+    return tuple(CurveOnSurface(TORUS_PAGE, f"c{i}", walk) for i, walk in enumerate(walks))
+
+
+@pytest.mark.parametrize("k, h2, boundary, signature, nullity, det", [
+    (2, "Z^2", "Z/3", -2, 0, 3),
+    (3, "Z^4", "Z/2 + Z/2", -4, 0, 4),
+    (4, "Z^6", "Z/3", -6, 0, 3),
+    (5, "Z^8", "0", -8, 0, 1),
+    (6, "Z^10", "Z^2", -8, 2, 0),
+    (7, "Z^12", "0", -8, 0, 1),
+])
+def test_the_words_ab_to_the_k_give_the_milnor_fibers_of_x2_y3_zk(k, h2, boundary, signature, nullity, det):
+    """(t_a t_b)^k on the one-holed torus is a genus-one PALF whose total
+    space is the Milnor fiber of x^2 + y^3 + z^k (Milnor 1968; Durfee 1979):
+    the negative definite even lattices -A2, -D4, -E6 and -E8 at k = 2..5,
+    with |det| the order of the boundary's H1.  At k = 6, (t_a t_b)^6 = t_delta
+    (the 2-chain relation), and the form has the rank 10 and signature -8 of
+    the elliptic surface E(1) (Gompf-Stipsicz, ch. 3 and 8), with a radical
+    of rank 2."""
+    word = torus_word([A, B] * k)
+    assert [str(g) for g in fibration_homology(TORUS_PAGE, word)] == ["0", h2, boundary]
+    assert oracles.lattice(oracles.intersection_form(TORUS_PAGE, word)) == {
+        "rank": 2 * k - 2, "signature": signature, "nullity": nullity, "even": True, "det": det}
+
+
+@pytest.mark.parametrize("walks, boundary, det", [
+    ([B, A_PLUS_B, A, B], "Z/3", 3),
+    ([A, A, B_MINUS_A, B], "Z/3", 3),
+    ([A, A_MINUS_B, B, B], "Z/3", 3),
+    ([B, A_MINUS_B, A, B], "Z/7", 7),
+], ids=["b,a+b,a,b", "a,a,b-a,b", "a,a-b,b,b", "b,a-b,a,b"])
+def test_hurwitz_moves_of_abab_keep_its_lattice_and_a_wrong_handed_one_does_not(walks, boundary, det):
+    """A Hurwitz move replaces two adjacent cycles x, y by t_x(y), x (or y,
+    t_y^-1(x)) and keeps the total space.  Three moved words of (ab)^2 keep
+    -A2 and Z/3; the word moved with the wrong handedness is another space,
+    with |det| 7."""
+    word = torus_word(walks)
+    assert [str(g) for g in fibration_homology(TORUS_PAGE, word)] == ["0", "Z^2", boundary]
+    form = oracles.intersection_form(TORUS_PAGE, word)
+    assert oracles.lattice(form)["det"] == det
+    if det == 3:
+        assert oracles.lattice(form) == oracles.lattice([[-2, 1], [1, -2]])
+
+
+@pytest.mark.parametrize("form, expected", [
+    ([[0, 1], [1, 0]], (2, 0, 0, True, 1)),
+    ([[1, 0], [0, -1]], (2, 0, 0, False, 1)),
+    ([[0, 0], [0, 0]], (2, 0, 2, True, 0)),
+    ([[0, 2, 0], [2, 0, 0], [0, 0, 0]], (3, 0, 1, True, 0)),
+    ([[-2, 1, 0], [1, -2, 1], [0, 1, -2]], (3, -3, 0, True, 4)),
+], ids=["hyperbolic", "odd-unimodular", "zero", "degenerate", "minus-A3"])
+def test_lattice_reads_rank_signature_nullity_parity_and_det(form, expected):
+    """Forms with every diagonal entry 0 take the pairing step of ``lattice``."""
+    assert tuple(oracles.lattice(form).values()) == expected
+
+
 # -- stabilization (oracles.stabilize, ROADMAP item 25) ------------------------------
 
 

@@ -26,7 +26,7 @@ def test_curve_json_round_trip(punctured_torus):
     curve = CurveOnSurface(punctured_torus, "w", (("a", 1), ("b", -1)))
     rec = curve.to_json_dict()
     assert rec == {"name": "w", "walk": ["a", "-b"]}
-    back = curve_from_json(punctured_torus, rec)
+    back = curve_from_json(punctured_torus, rec["name"], rec["walk"])
     assert back.name == curve.name and back.walk == curve.walk
 
 
@@ -132,6 +132,21 @@ def test_malformed_documents_raise_surface_error(path, value, message):
         LefschetzFibration.from_json_dict(_edit(path, value))
 
 
+def test_edge_records_read_a_missing_twist_as_false_and_name_the_first_fault():
+    """``json_records`` takes a field's default where its key is missing,
+    and of two mistyped records names the first in record order."""
+    doc = johns_fibration(1).to_json_dict()
+    _, second, third = doc["fiber"]["edges"][:3]
+    for rec in doc["fiber"]["edges"]:
+        del rec["twist"]
+    second["twist"] = True
+    assert RibbonGraph.from_json_dict(doc["fiber"]).twists == {second["id"]}
+    second["twist"], third["twist"] = "no", 1
+    with pytest.raises(SurfaceError) as err:
+        RibbonGraph.from_json_dict(doc["fiber"])
+    assert str(err.value) == f"ribbon-graph edge {second['id']!r} field 'twist' must be a boolean, got 'no'"
+
+
 def test_divide_document_with_an_unlisted_crossing_raises_divide_error():
     doc = standard_divide(1).to_json_dict()
     doc["rotation"]["ghost"] = []
@@ -172,7 +187,8 @@ def test_divide_text_with_a_bad_half_edge_raises_divide_error():
 @pytest.mark.parametrize("text,message", [
     ("v0 a0.0 a0.1 b0.0 b0.1\n", "expected 'vertex: h h h h', got 'v0 a0.0 a0.1 b0.0 b0.1'"),
     ("v0: a0.0 a0.1 b0.0 b0.1\nv0: a1.0 a1.1 b1.0 b1.1\n", "crossing 'v0' listed twice"),
-], ids=["no-colon", "listed-twice"])
+    (None, "divide text must be a string, got NoneType"),
+], ids=["no-colon", "listed-twice", "not-a-string"])
 def test_malformed_divide_text_raises_divide_error(text, message):
     with pytest.raises(DivideError) as err:
         Divide.from_text(text)
