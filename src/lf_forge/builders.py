@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .curves import CurveOnSurface, canonical_rotation, curve_from_json, curve_on_darts
 from .divides import Divide, check_admissible, standard_divide
-from .ribbon import Record, RibbonGraph, SurfaceError, json_field, json_records, sorted_ids, spanning_forest
+from .ribbon import Record, RibbonGraph, SurfaceError, checked_genus, json_field, json_records, sorted_ids, spanning_forest
 
 
 # -- plumbing patterns -----------------------------------------------------------
@@ -63,9 +63,7 @@ def johns_pattern(genus: int) -> PlumbingPattern:
     Each short annulus meets each long one exactly once, in cyclic position
     j along both long strips, so the squares form two rows of length 2g+2.
     """
-    if genus < 0:
-        raise ValueError(f"genus must be nonnegative, got {genus}")
-    n = 2 * genus + 2
+    n = 2 * checked_genus(genus) + 2
     w = len(str(n - 1))
     row1 = tuple(f"s1_{j:0{w}d}" for j in range(n))
     row2 = tuple(f"s2_{j:0{w}d}" for j in range(n))
@@ -325,6 +323,8 @@ class LefschetzFibration(Record):
     __slots__ = ("construction", "genus", "fiber", "word")
 
     def __init__(self, construction: str, genus: int, fiber: RibbonGraph, word: tuple[CurveOnSurface, ...]):
+        if not isinstance(fiber, RibbonGraph):
+            raise SurfaceError(f"fiber must be a RibbonGraph, got {fiber!r}")
         names = [c.name for c in word]
         if len(names) != len(set(names)):
             raise SurfaceError("vanishing cycle names must be unique")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .builders import LefschetzFibration, closing_smoothing, word_families
 from .invariants import FinAbGroup, fibration_homology, total_space_euler
-from .ribbon import SurfaceError
+from .ribbon import SurfaceError, checked_genus
 
 __all__ = [
     "expected_boundary_group",
@@ -25,8 +25,7 @@ def expected_fiber_profile(construction: str, genus: int) -> dict:
     ishikawa at any genus >= 0, sphere at genus 0."""
     if construction not in ("johns", "ishikawa", "sphere"):
         raise SurfaceError(f"no closed-form expectations for construction {construction!r}")
-    if genus < 0:
-        raise SurfaceError(f"genus must be nonnegative, got {genus}")
+    checked_genus(genus)
     if construction == "sphere":
         if genus != 0:
             raise SurfaceError("the annulus-page model exists only at genus 0")
@@ -42,7 +41,7 @@ def expected_fiber_profile(construction: str, genus: int) -> dict:
 def expected_boundary_group(genus: int) -> FinAbGroup:
     """First homology of the unit cotangent circle bundle: Z^2g plus a cyclic
     factor of order |2 - 2g| (a free factor when that vanishes)."""
-    e = abs(2 - 2 * genus)
+    e = abs(2 - 2 * checked_genus(genus))
     if e == 0:
         return FinAbGroup(2 * genus + 1, ())
     return FinAbGroup(2 * genus, (e,))

@@ -16,7 +16,7 @@ carry band attachments in the fiber construction.
 
 from __future__ import annotations
 
-from .ribbon import Record, RibbonGraph, SurfaceError, json_field, json_records
+from .ribbon import Record, RibbonGraph, SurfaceError, checked_genus, json_field, json_records
 
 
 class DivideError(ValueError):
@@ -49,8 +49,8 @@ class Divide:
         # before the graph's checks: an odd crossing also leaves a half-edge
         # unpaired, and the graph would name only that
         if set(rotation) == set(vertices):
-            for v in sorted(rotation, key=str):  # a non-string id is the graph's to name
-                if len(rotation[v]) != VALENCE:
+            for v in sorted(rotation, key=str):  # a non-string id, or unsized slots, are the graph's to name
+                if hasattr(rotation[v], "__len__") and len(rotation[v]) != VALENCE:
                     raise DivideError(f"crossing {v!r} has {len(rotation[v])} slots, divides need exactly {VALENCE}")
         try:
             self.graph = RibbonGraph(vertices, edges, rotation)
@@ -255,9 +255,7 @@ def standard_divide(genus: int) -> Divide:
     yields four faces: two bounded by parallel strands (the white class) and
     two by alternating strands.
     """
-    if genus < 0:
-        raise ValueError(f"genus must be nonnegative, got {genus}")
-    n = 2 * genus + 2
+    n = 2 * checked_genus(genus) + 2
     w = len(str(n - 1))  # pad indices so id order equals cyclic order
     vertices = [f"v{i:0{w}d}" for i in range(n)]
     a = [f"a{i:0{w}d}" for i in range(n)]

@@ -17,12 +17,15 @@ one word's smoothing onto the other's.  The two words must have the same
 family blocks (maximal runs of one family) in word order; the cycles of one
 family are matched as a set.
 
-The search is anchored: the image of the first first-family core must run
-along a first-family core of the target, so only half-edges on those cores
-seed the propagation, and each seed extends to at most one full map.  Seeds
-are scanned in a fixed order (orientation-preserving first, then by reduced
-half-edge), making the result deterministic, and those of an orientation
-that the words' triple product (``_triple_product``) rules out are skipped.
+Both entries read one comparison, ``_compare``: the gate's checks and the
+search's in certificate order, and the search's match as data, from which
+only ``find_isomorphism`` builds maps.  The search is anchored: the image of
+the first first-family core must run along a first-family core of the
+target, so only half-edges on those cores seed the propagation, and each
+seed extends to at most one full map.  Seeds are scanned in a fixed order
+(orientation-preserving first, then by reduced half-edge), making the
+result deterministic, and those of an orientation that the words' triple
+product (``_triple_product``) rules out are skipped.
 """
 
 from __future__ import annotations
@@ -123,17 +126,6 @@ class FibrationIso(Record):
     __slots__ = ("source", "target", "vertex_map", "edge_map", "orientation_preserving", "cycle_map")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-
-_CHECK_NAMES = ("fiber_invariants", "word_families", "ribbon_graph_bijection", "cycle_images_match",
-                "surgery_commutes")
-
-
-def _gate(lf1: LefschetzFibration, lf2: LefschetzFibration) -> list[tuple[str, bool]]:
-    shape1, shape2 = ([(fam, len(list(run))) for fam, run in groupby(cycle_family(c.name) for c in lf.word)]
-                      for lf in (lf1, lf2))
-    return [("fiber_invariants", lf1.fiber.invariants() == lf2.fiber.invariants()),
-            ("word_families", shape1 == shape2)]
 
 
 def _propagate(r1: _Reduction, r2: _Reduction, d1: int, d2: int, preserve: bool) -> list[int] | None:
@@ -251,35 +243,65 @@ def _match_families(walks1: dict[str, tuple[int, ...]], index, fams1, phi: list[
 def find_isomorphism(lf1: LefschetzFibration, lf2: LefschetzFibration) -> FibrationIso | None:
     """Search for an isomorphism of fibrations, None when there is none.
 
-    Cheap invariants gate the search (``_search``).  A fiber that cannot be
-    reduced, or a pair of empty words, raises SurfaceError: that is a
-    failure to compare, not a missing isomorphism.  A non-orientable fiber
-    has no invariants, so it raises NonOrientableError at the gate,
-    whichever side it is on.  Only here are the vertex and edge maps built.
+    A fiber that cannot be reduced, or a pair of empty words, raises
+    SurfaceError: that is a failure to compare, not a missing isomorphism.
+    A non-orientable fiber has no invariants, so it raises
+    NonOrientableError at the gate, whichever side it is on.  Only here are
+    the vertex and edge maps built, from the match ``_compare`` returns.
     """
-    if not all(ok for _, ok in _gate(lf1, lf2)):
-        return None
-    found = _search(lf1, lf2)[0]
+    found = _compare(lf1, lf2)[1]
     if found is None:
         return None
-    preserve, cycle_map, maps = found
-    return FibrationIso(lf1, lf2, *maps(), preserve, cycle_map)
+    preserve, cycle_map, r1, r2, phi = found
+    return FibrationIso(lf1, lf2, *_maps(r1, r2, phi), preserve, cycle_map)
+
+
+def isomorphism_certificate(lf1: LefschetzFibration, lf2: LefschetzFibration) -> dict:
+    """Certificate document for a comparison, found or not: ``_compare``'s
+    checks and match."""
+    checks, found = _compare(lf1, lf2)
+    return {
+        "schema": "isomorphism/1",
+        "genus": lf1.genus,
+        "found": found is not None,
+        "orientation_preserving": found[0] if found else None,
+        "cycle_map": dict(sorted(found[1].items())) if found else None,
+        "checks": [{"name": n, "passed": ok} for n, ok in checks],
+    }
+
+
+def _compare(lf1: LefschetzFibration, lf2: LefschetzFibration) -> tuple[list[tuple[str, bool]], tuple | None]:
+    """The (name, passed) checks in certificate order, and the search's
+    match or None: both gate checks, then, if both pass, the search's up to
+    and including the one that failed."""
+    shape1, shape2 = ([(f, len(list(run))) for f, run in groupby(map(cycle_family, lf.names()))] for lf in (lf1, lf2))
+    checks = [("fiber_invariants", lf1.fiber.invariants() == lf2.fiber.invariants()),
+              ("word_families", shape1 == shape2)]
+    if not all(ok for _, ok in checks):
+        return checks, None
+    found, failed = _search(lf1, lf2)
+    for name in ("ribbon_graph_bijection", "cycle_images_match", "surgery_commutes"):
+        checks.append((name, name != failed))
+        if name == failed:
+            break
+    return checks, found
 
 
 def _search(lf1: LefschetzFibration, lf2: LefschetzFibration) -> tuple[tuple | None, str | None]:
-    """The search behind find_isomorphism, for a pair that passed the gate:
-    (orientation_preserving, cycle_map, maps) and None, ``maps()`` building
-    the vertex and edge maps, or None and the check that failed.
+    """The search behind ``_compare``, for a pair that passed the gate:
+    (orientation_preserving, cycle_map, r1, r2, phi) and None, ``_maps``
+    building the vertex and edge maps, or None and the check that failed.
 
     Each placement of the first first-family core onto a target first-family
     core propagates to at most one full map, checked against the word; the
     first match in scan order is returned if both words pass their own
-    ``closing_smoothing``, which no later seed would change.  Once an
-    orientation-preserving seed fails the word, seeds of an orientation that
-    the words' ``_triple_product`` rules out are skipped (none if unknown).
-    Seeds are scanned in the smoothed graph's half-edge order (``label``).
-    It matches presentations: smoothed graphs of different sizes fail
-    ``ribbon_graph_bijection``, even when one page contracts the other's edge.
+    ``closing_smoothing``, which no later seed would change.  When the first
+    orientation-preserving seed fails the word, the words' ``_triple_product``
+    leaves the ``allowed`` orientations (both if unknown), and seeds of any
+    other are skipped.  Seeds are scanned in the smoothed graph's half-edge
+    order (``label``).  It matches presentations: smoothed graphs of
+    different sizes fail ``ribbon_graph_bijection``, even when one page
+    contracts the other's edge.
     """
     r1, r2 = _Reduction(lf1.fiber), _Reduction(lf2.fiber)
     if len(r1.anchors) != len(r2.anchors) or len(r1.kept) != len(r2.kept):
@@ -293,12 +315,11 @@ def _search(lf1: LefschetzFibration, lf2: LefschetzFibration) -> tuple[tuple | N
     seed1 = r1.far[walks1[fams1[first_family][0].name][0]]  # where the first step departs
     candidates = sorted({x for c in fams2[first_family] for h in walks2[c.name] for x in (h, r2.far[h])},
                         key=r2.label.__getitem__)
-    possible = {True: True, False: True}
-    decided = False
+    allowed = None  # until the first orientation-preserving seed fails the word
     failed = "ribbon_graph_bijection"
     for preserve in (True, False):
         for seed2 in candidates:
-            if not possible[preserve]:
+            if allowed is not None and preserve not in allowed:
                 break
             phi = _propagate(r1, r2, seed1, seed2, preserve)
             if phi is None:
@@ -306,36 +327,11 @@ def _search(lf1: LefschetzFibration, lf2: LefschetzFibration) -> tuple[tuple | N
             failed = "cycle_images_match"
             cycle_map = _match_families(walks1, index, fams1, phi)
             if cycle_map is None:
-                if preserve and not decided:
-                    decided = True
-                    t1 = _triple_product(lf1.fiber, fams1)
-                    t2 = _triple_product(lf2.fiber, fams2)
-                    if t1 is not None and t2 is not None:
-                        possible = {True: t1 == t2, False: t1 == -t2}
+                if preserve and allowed is None:
+                    t1, t2 = (_triple_product(lf.fiber, fams) for lf, fams in ((lf1, fams1), (lf2, fams2)))
+                    allowed = {o for o in (True, False) if None in (t1, t2) or t1 == (t2 if o else -t2)}
                 continue
-            for lf in (lf1, lf2):
-                replay = closing_smoothing(lf)
-                if replay is not None and not replay[0]:
-                    return None, "surgery_commutes"
-            return (preserve, cycle_map, lambda: _maps(r1, r2, phi)), None
+            if any(replay is not None and not replay[0] for replay in map(closing_smoothing, (lf1, lf2))):
+                return None, "surgery_commutes"
+            return (preserve, cycle_map, r1, r2, phi), None
     return None, failed
-
-
-def isomorphism_certificate(lf1: LefschetzFibration, lf2: LefschetzFibration) -> dict:
-    """Certificate document for a comparison, found or not; a search that
-    fails lists its checks up to the one that failed."""
-    gate = _gate(lf1, lf2)
-    checks = [{"name": n, "passed": ok} for n, ok in gate]
-    found = None
-    if all(ok for _, ok in gate):
-        found, failed = _search(lf1, lf2)
-        end = len(_CHECK_NAMES) if found is not None else _CHECK_NAMES.index(failed) + 1
-        checks += [{"name": n, "passed": n != failed} for n in _CHECK_NAMES[len(gate):end]]
-    return {
-        "schema": "isomorphism/1",
-        "genus": lf1.genus,
-        "found": found is not None,
-        "orientation_preserving": found[0] if found else None,
-        "cycle_map": dict(sorted(found[1].items())) if found else None,
-        "checks": checks,
-    }

@@ -58,6 +58,15 @@ def sorted_ids(ids, kind: str) -> tuple:
     raise SurfaceError(f"{kind} id must be a string, got {next(x for x in ids if not isinstance(x, str))!r}")
 
 
+def checked_genus(genus) -> int:
+    """``genus`` itself if it is an int, not a bool, and >= 0; else SurfaceError."""
+    if not isinstance(genus, int) or isinstance(genus, bool):
+        raise SurfaceError(f"genus must be an integer, got {genus!r}")
+    if genus < 0:
+        raise SurfaceError(f"genus must be nonnegative, got {genus}")
+    return genus
+
+
 _JSON_TYPE_NAMES = {
     str: "a string", int: "an integer", bool: "a boolean", list: "a list", dict: "an object",
 }

@@ -19,7 +19,7 @@ from lf_forge.builders import (
     sphere_planar_fibration,
     word_families,
 )
-from lf_forge.certify import fibration_certificate
+from lf_forge.certify import expected_boundary_group, expected_fiber_profile, fibration_certificate
 from lf_forge.curves import CurveOnSurface
 from lf_forge.divides import Divide, DivideError, check_admissible, standard_divide
 from lf_forge.equivalence import find_isomorphism, isomorphism_certificate
@@ -498,7 +498,25 @@ def test_sphere_model():
     assert fib.word[0].walk == fib.word[1].walk
 
 
-def test_negative_genus_rejected():
-    for builder in (johns_fibration, ishikawa_fibration):
-        with pytest.raises(ValueError):
-            builder(-1)
+@pytest.mark.parametrize("genus, message", [
+    (-1, "genus must be nonnegative, got -1"),
+    ("x", "genus must be an integer, got 'x'"),
+    (1.5, "genus must be an integer, got 1.5"),
+    (None, "genus must be an integer, got None"),
+    (True, "genus must be an integer, got True"),
+], ids=["negative", "string", "float", "none", "bool"])
+@pytest.mark.parametrize("builder", [johns_fibration, ishikawa_fibration, expected_boundary_group,
+                                     lambda genus: expected_fiber_profile("johns", genus)],
+                         ids=["johns", "ishikawa", "boundary-group", "fiber-profile"])
+def test_negative_genus_rejected(builder, genus, message):
+    """Both builds and both closed-form expectations take one genus rule
+    (``ribbon.checked_genus``): an int that is not a bool, and >= 0."""
+    with pytest.raises(SurfaceError) as err:
+        builder(genus)
+    assert str(err.value) == message
+
+
+def test_a_fibration_needs_a_ribbon_graph_fiber():
+    with pytest.raises(SurfaceError) as err:
+        LefschetzFibration("johns", 1, None, ())
+    assert str(err.value) == "fiber must be a RibbonGraph, got None"

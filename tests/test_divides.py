@@ -12,7 +12,7 @@ from lf_forge.divides import (
     checkerboard_coloring,
     standard_divide,
 )
-from lf_forge.ribbon import RibbonGraph
+from lf_forge.ribbon import RibbonGraph, SurfaceError
 
 from oracles import components, morse_data
 
@@ -79,12 +79,16 @@ _X = (("e", 0), ("e", 1), ("f", 0), ("f", 1))
      "half-edge mismatch: missing [('f', 1)], unknown [('g', 1)]"),
     (("x", 1), ("e", "f", "g", "h"), {"x": _X, 1: (("g", 0), ("g", 1), ("h", 0), ("h", 1))},
      "vertex id must be a string, got 1"),
+    (("x",), ("e", "f"), {"x": None}, "None is not an (id, integer) pair"),
+    (("x",), ("e", "f"), {"x": 3}, "3 is not an (id, integer) pair"),
 ], ids=["duplicate-vertex", "duplicate-edge", "minus-edge", "rotation-keys",
         "three-slots", "attached-twice", "missing-and-unknown", "lone-three-slots", "empty",
-        "unknown-then-attached-twice", "end-two", "bool-end-rebuilt", "int-crossing"])
+        "unknown-then-attached-twice", "end-two", "bool-end-rebuilt", "int-crossing",
+        "slots-none", "slots-int"])
 def test_constructor_names_each_fault(vertices, edges, rotation, message):
     """One fault per input, except that a lone odd crossing always leaves a
-    half-edge unpaired too: the valence is named first.  The last rows pin
+    half-edge unpaired too: the valence is named first.  Slots with no
+    length are left to the graph, which names them.  The last rows pin
     the order of the half-edge faults: a half-edge attached twice is named
     before an unknown one met earlier, an end other than 0 or 1 is unknown,
     and a ``bool`` end is read as the integer it equals."""
@@ -172,9 +176,17 @@ def test_necklace_morse_counts(genus):
     assert minima - saddles + maxima == d.euler_characteristic()
 
 
-def test_necklace_rejects_negative_genus():
-    with pytest.raises(ValueError):
-        standard_divide(-1)
+@pytest.mark.parametrize("genus, message", [
+    (-1, "genus must be nonnegative, got -1"),
+    ("x", "genus must be an integer, got 'x'"),
+    (1.5, "genus must be an integer, got 1.5"),
+    (None, "genus must be an integer, got None"),
+    (True, "genus must be an integer, got True"),
+], ids=["negative", "string", "float", "none", "bool"])
+def test_necklace_rejects_negative_genus(genus, message):
+    with pytest.raises(SurfaceError) as err:
+        standard_divide(genus)
+    assert str(err.value) == message
 
 
 # -- coloring ---------------------------------------------------------------------

@@ -384,6 +384,25 @@ def test_a_reversed_closing_cycle_is_rejected_by_the_surgery_check(built, monkey
             assert [ok for _, ok in calls] == [True] * (len(calls) - 1) + [False]
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 20: a reversed vanishing cycle fails closing_smoothing and compares found: false")
+def test_reversing_one_cycle_changes_no_check_and_no_verdict(built):
+    """A Dehn twist does not depend on the direction of its curve: with any
+    one cycle of either build at g = 1..3 run the other way (60 words), the
+    fibration still certifies and still compares with the johns build."""
+    wrong = []
+    for construction in ("johns", "ishikawa"):
+        for genus in range(1, 4):
+            fib = built(construction, genus)
+            for c in fib.word:
+                lf = with_walk(fib, c.name, reversed_walk(c.walk))
+                if not fibration_certificate(lf)["passed"]:
+                    wrong.append((construction, genus, c.name, "certificate"))
+                if not isomorphism_certificate(lf, built("johns", genus))["found"]:
+                    wrong.append((construction, genus, c.name, "compare"))
+    assert wrong == []
+
+
 @pytest.mark.parametrize("construction", ["johns", "ishikawa"])
 def test_a_failed_search_names_the_check_that_failed(built, construction):
     """Against the other, sound build, in both orders, a word with c0
@@ -550,9 +569,9 @@ def test_skipping_seeds_keeps_the_full_scan_result(built, relabelled, mirrored,
             found, failed = _search(lf1, lf2)
             monkeypatch.undo()
             assert failed is None
-            preserve, cycle_map, maps = found
+            preserve, cycle_map, r1, r2, phi = found
             assert preserve == expected.orientation_preserving
-            assert maps() == (expected.vertex_map, expected.edge_map)
+            assert _maps(r1, r2, phi) == (expected.vertex_map, expected.edge_map)
             assert cycle_map == expected.cycle_map
             if lf1 is mirror:
                 assert not expected.orientation_preserving
@@ -709,7 +728,7 @@ def test_compare_rejects_pages_of_different_size():
     failed = [c["name"] for c in fibration_certificate(contracted)["checks"] if not c["passed"]]
     assert failed == ["closing_smoothing"]
     assert contracted.fiber.invariants() == johns.fiber.invariants()
-    assert equivalence._gate(contracted, johns) == [("fiber_invariants", True), ("word_families", True)]
+    assert equivalence._compare(contracted, johns)[0][:2] == [("fiber_invariants", True), ("word_families", True)]
     assert len(_Reduction(contracted.fiber).kept) != len(_Reduction(johns.fiber).kept)
     for lf1, lf2 in ((contracted, johns), (johns, contracted)):
         cert = isomorphism_certificate(lf1, lf2)
