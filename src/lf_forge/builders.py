@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .curves import CurveOnSurface, canonical_rotation, curve_from_json, curve_on_darts
 from .divides import Divide, check_admissible, standard_divide
-from .ribbon import Record, RibbonGraph, SurfaceError, checked_genus, json_field, json_records, sorted_ids, spanning_forest
+from .ribbon import Record, RibbonGraph, SurfaceError, checked_genus, json_field, json_records, json_schema, sorted_ids, spanning_forest
 
 
 # -- plumbing patterns -----------------------------------------------------------
@@ -127,7 +127,10 @@ def simultaneous_surgery(surface: RibbonGraph, family_x, family_y) -> tuple[Curv
 
 def _surgery_walks(surface: RibbonGraph, family_x, family_y) -> tuple[tuple[int, ...], ...]:
     """The walks of ``simultaneous_surgery``'s curves as the darts their
-    steps arrive on, traced on the curves' kept darts.  The last successful
+    steps arrive on, traced on the curves' kept darts.  Each input curve, in
+    order, must lie on ``surface`` and pass ``require_edge_simple``, which
+    owns the repeated-edge error; then the first of its edges that an
+    earlier curve ran is named as traversed twice.  The last successful
     smoothing on a surface is kept in its cache with its input darts, all
     as dart tuples, so the cache makes no cycle through the surface; a later
     call on that surface whose families keep the same darts returns it
@@ -138,21 +141,16 @@ def _surgery_walks(surface: RibbonGraph, family_x, family_y) -> tuple[tuple[int,
     memo = surface._cache.get("smoothing")
     if memo is not None and memo[0] == key and all(c.host is surface for c in family_x + family_y):
         return memo[1]
-    taken = [-1] * len(surface.edges)  # by edge number: the index of the last curve that ran it
-    for i, c in enumerate(family_x + family_y):
+    taken = [False] * len(surface.edges)  # by edge number: whether an earlier curve ran it
+    for c in family_x + family_y:
         if c.host is not surface:
             raise SurfaceError(f"curve {c.name!r} lives on a different surface")
-        shared = -1  # the first edge of c that an earlier curve ran; a repeat within c is raised first
+        c.require_edge_simple()  # so the first edge of c found taken is the first that an earlier curve ran
         for d in c._heads:
-            j = taken[d >> 1]
-            if j == i:
-                raise SurfaceError(f"curve {c.name!r} repeats an edge")
-            if j >= 0 and shared < 0:
-                shared = d >> 1
-            taken[d >> 1] = i
-        if shared >= 0:
-            raise SurfaceError(f"edge {surface.edges[shared]!r} is traversed twice; "
-                               "the families must be edge-disjoint")
+            if taken[d >> 1]:
+                raise SurfaceError(f"edge {surface.edges[d >> 1]!r} is traversed twice; "
+                                   "the families must be edge-disjoint")
+            taken[d >> 1] = True
     dv, pos, names = surface._dv, surface._dpos, surface.vertices
     depart = [-1] * len(dv)  # depart[d]: the dart a strand arriving on dart d leaves along
     px, py = [-1] * len(names), [-1] * len(names)  # by vertex number: the dart each family arrives on there
@@ -187,22 +185,25 @@ def _surgery_walks(surface: RibbonGraph, family_x, family_y) -> tuple[tuple[int,
     return outputs
 
 
-def closing_smoothing(fib: LefschetzFibration) -> tuple[bool, str | None] | None:
-    """The one check of a word's closing move: smooth its a family through
-    its b family on its own fiber; the output walks (``_surgery_walks``)
-    must be its c family up to basepoint, their darts compared by canonical
-    rotation.  None when the word lacks one of the three families; else
-    (True, None), (False, None) on a mismatch, or (False, message) when the
-    smoothing raises a SurfaceError."""
+def closing_smoothing(fib: LefschetzFibration) -> tuple[bool, str, str] | None:
+    """The one check of a word's closing move, worded as the certificate's
+    ``closing_smoothing`` entry: smooth its a family through its b family on
+    its own fiber; the output walks (``_surgery_walks``) must be its c family
+    up to basepoint, their darts compared by canonical rotation.  None when
+    the word lacks one of the three families; else (passed, expected,
+    actual): expected "N closing cycles reproduced" and actual "reproduced"
+    or "mismatch", or, when the smoothing raises a SurfaceError, expected
+    "smoothing succeeds" and actual its message."""
     fams = word_families(fib)
     if not {"a", "b", "c"} <= fams.keys():
         return None
     try:
         outs = _surgery_walks(fib.fiber, fams["a"], fams["b"])
     except SurfaceError as exc:
-        return False, str(exc)
+        return False, "smoothing succeeds", str(exc)
     wanted = {canonical_rotation(c._heads) for c in fams["c"]}
-    return len(outs) == len(fams["c"]) and all(canonical_rotation(w) in wanted for w in outs), None
+    ok = len(outs) == len(fams["c"]) and all(canonical_rotation(w) in wanted for w in outs)
+    return ok, f"{len(fams['c'])} closing cycles reproduced", "reproduced" if ok else "mismatch"
 
 
 # -- the divide fiber --------------------------------------------------------------
@@ -325,12 +326,16 @@ class LefschetzFibration(Record):
     def __init__(self, construction: str, genus: int, fiber: RibbonGraph, word: tuple[CurveOnSurface, ...]):
         if not isinstance(fiber, RibbonGraph):
             raise SurfaceError(f"fiber must be a RibbonGraph, got {fiber!r}")
+        if not isinstance(word, tuple):
+            raise SurfaceError(f"word must be a tuple of curves, got {type(word).__name__}")
+        for c in word:
+            if not isinstance(c, CurveOnSurface):
+                raise SurfaceError(f"word entry {c!r} is not a curve")
+            if c.host is not fiber:
+                raise SurfaceError(f"cycle {c.name!r} lives off the fiber")
         names = [c.name for c in word]
         if len(names) != len(set(names)):
             raise SurfaceError("vanishing cycle names must be unique")
-        for c in word:
-            if c.host is not fiber:
-                raise SurfaceError(f"cycle {c.name!r} lives off the fiber")
         super().__init__(construction, genus, fiber, word)
 
     def names(self) -> tuple[str, ...]:
@@ -351,9 +356,7 @@ class LefschetzFibration(Record):
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "LefschetzFibration":
-        schema = doc.get("schema") if isinstance(doc, dict) else None
-        if schema != "lefschetz-fibration/1":
-            raise SurfaceError(f"unsupported schema {schema!r}")
+        json_schema(doc, "lefschetz-fibration/1")
         where = "lefschetz-fibration"
         construction = json_field(doc, "construction", str, where)
         genus = json_field(doc, "genus", int, where)

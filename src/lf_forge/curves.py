@@ -48,8 +48,8 @@ class CurveOnSurface(Record, views=("walk",)):
     steps (``as_pairs``) and checks it (``check_walk``); ``curve_on_darts``
     and ``curve_from_json`` pass darts in place of it.  The walk need not be
     edge-simple (Dehn-twisted images repeat edges); operations that require
-    an embedded curve check that first, with ``require_edge_simple`` or, in
-    the surgery, in its edge-disjointness pass.
+    an embedded curve, the surgery among them, check that first with
+    ``require_edge_simple``.
     """
 
     __slots__ = ("host", "name", "_heads")

@@ -16,7 +16,7 @@ carry band attachments in the fiber construction.
 
 from __future__ import annotations
 
-from .ribbon import Record, RibbonGraph, SurfaceError, checked_genus, json_field, json_records
+from .ribbon import Record, RibbonGraph, SurfaceError, checked_genus, json_field, json_records, json_schema
 
 
 class DivideError(ValueError):
@@ -89,10 +89,8 @@ class Divide:
     def from_json_dict(cls, doc: dict) -> "Divide":
         """Parse a ``divide/1`` document through ``ribbon.json_field`` and,
         for the edges, ``json_records``; every fault raises DivideError."""
-        schema = doc.get("schema") if isinstance(doc, dict) else None
-        if schema != "divide/1":
-            raise DivideError(f"unsupported schema {schema!r}")
         try:
+            json_schema(doc, "divide/1")
             vertices = json_field(doc, "vertices", list, "divide", str)
             edges, tails, heads = json_records(json_field(doc, "edges", list, "divide", dict), "divide edge",
                                                ("id", str, None), ("tail", str, None), ("head", str, None))

@@ -177,8 +177,8 @@ def _triple_product(fiber: RibbonGraph, fams) -> int | None:
     every orientation-preserving isomorphism and negated by every reversing
     one.  An edge-simple pass crosses nothing at a degree-2 vertex, so T is
     also that of the word carried onto the smoothed fiber.  None when the
-    word lacks the three families, repeats an edge in one of their cycles
-    or cannot be paired; then T decides nothing.
+    word lacks the three families, has a cycle among them that is not
+    edge-simple or cannot be paired; then T decides nothing.
     """
     from .homology import pairing_matrix  # here, the only user, so that a compare that needs no T does not load it
 
@@ -273,7 +273,11 @@ def isomorphism_certificate(lf1: LefschetzFibration, lf2: LefschetzFibration) ->
 def _compare(lf1: LefschetzFibration, lf2: LefschetzFibration) -> tuple[list[tuple[str, bool]], tuple | None]:
     """The (name, passed) checks in certificate order, and the search's
     match or None: both gate checks, then, if both pass, the search's up to
-    and including the one that failed."""
+    and including the one that failed.  An argument that is not a
+    fibration raises SurfaceError first."""
+    for lf in (lf1, lf2):
+        if not isinstance(lf, LefschetzFibration):
+            raise SurfaceError(f"can compare only fibrations, got {type(lf).__name__}")
     shape1, shape2 = ([(f, len(list(run))) for f, run in groupby(map(cycle_family, lf.names()))] for lf in (lf1, lf2))
     checks = [("fiber_invariants", lf1.fiber.invariants() == lf2.fiber.invariants()),
               ("word_families", shape1 == shape2)]

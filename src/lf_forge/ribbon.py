@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property
+from operator import index
 
 
 class SurfaceError(ValueError):
@@ -90,6 +91,14 @@ def json_field(doc, key: str, kind: type, where: str, item: type | None = None):
                     f"{where} field {key!r} has an entry that is not {_JSON_TYPE_NAMES[item]}: {x!r}"
                 )
     return value
+
+
+def json_schema(doc, schema: str) -> None:
+    """The one schema gate of the document readers: SurfaceError naming the
+    schema found unless ``doc`` is an object whose ``schema`` is ``schema``."""
+    found = doc.get("schema") if isinstance(doc, dict) else None
+    if found != schema:
+        raise SurfaceError(f"unsupported schema {found!r}")
 
 
 def json_records(records, where: str, *fields) -> list[list]:
@@ -209,8 +218,10 @@ class RibbonGraph:
         number (its index in ``vertices``), next and previous darts there
         and rotation index; ``_deg`` each vertex's degree.  Given ``eid``,
         ``rotation`` lists darts (``_linked``); else half-edges, rebuilt by
-        ``as_pairs`` and looked up as darts.  Either way a dart attached
-        twice or never goes to ``_half_edge_fault``."""
+        ``as_pairs`` and looked up as darts.  The link pass checks nothing;
+        one check after it finds every dart placed and no more placements
+        than darts, so each dart is attached once, or hands the attachments
+        to ``_half_edge_fault``, which names the first fault."""
         self.vertices = sorted_ids(vertices, "vertex")
         self.edges = sorted_ids(edges, "edge")
         self.twists = frozenset(twists)
@@ -240,14 +251,12 @@ class RibbonGraph:
         for vi, ds in enumerate(darts):
             i, prev = 0, ds[-1] if ds else 0
             for d in ds:  # pairwise stores: enumerate, or one four-way tuple store, costs a third more
-                if dpos[d] >= 0:
-                    self._half_edge_fault(named, darts)
                 dv[d], dpos[d] = vi, i
                 dn[prev], dp[d] = d, prev
                 prev, i = d, i + 1
-        if -1 in dpos:
+        self._deg = deg = list(map(len, darts))
+        if -1 in dpos or sum(deg) != n:  # a dart never placed, or more placements than darts
             self._half_edge_fault(named, darts)
-        self._deg = list(map(len, darts))
         if not self.twists <= eset:
             raise SurfaceError("twist set contains unknown edges")
 
@@ -284,8 +293,8 @@ class RibbonGraph:
         try:
             e, end = half_edge
             if end == 0 or end == 1:
-                return 2 * self._eid[e] + end
-        except (KeyError, TypeError, ValueError):  # no such edge, or not an (edge, end) pair
+                return 2 * self._eid[e] + index(end)  # an end equal to 0 or 1 but no integer, as 0.0, raises
+        except (KeyError, TypeError, ValueError):  # no such edge, not an (edge, end) pair, or a non-integer end
             pass
         raise SurfaceError(f"half-edge {half_edge!r} is not on the surface")
 
@@ -517,9 +526,7 @@ class RibbonGraph:
         each rotation id as a dart among their ``half_edges``.  At the first id
         not there the rotation goes through ``json_field``, ``parse_half_edge``
         and the constructor, which name the first fault in rotation order."""
-        schema = doc.get("schema") if isinstance(doc, dict) else None
-        if schema != "ribbon-graph/1":
-            raise SurfaceError(f"unsupported schema {schema!r}")
+        json_schema(doc, "ribbon-graph/1")
         vertices = json_field(doc, "vertices", list, "ribbon-graph", str)
         edges, halves, twisted = json_records(json_field(doc, "edges", list, "ribbon-graph", dict), "ribbon-graph edge",
                                               ("id", str, None), ("half_edges", list, None), ("twist", bool, False))

@@ -490,6 +490,17 @@ def test_cycle_must_live_on_the_fiber(built):
         LefschetzFibration("johns", 0, fib0.fiber, (fib1.word[0],))
 
 
+def test_word_must_be_a_tuple_of_curves(built):
+    fib = built("johns", 1)
+    for word, message in ((None, "word must be a tuple of curves, got NoneType"),
+                          (list(fib.word), "word must be a tuple of curves, got list"),
+                          ((None,), "word entry None is not a curve"),
+                          ((fib.word[0], "a1"), "word entry 'a1' is not a curve")):
+        with pytest.raises(SurfaceError) as err:
+            LefschetzFibration("johns", 1, fib.fiber, word)
+        assert str(err.value) == message
+
+
 def test_sphere_model():
     fib = sphere_planar_fibration()
     inv = fib.fiber.invariants()

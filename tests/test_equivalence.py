@@ -647,6 +647,15 @@ def test_non_orientable_input_raises_instead_of_no_isomorphism():
             call()
 
 
+def test_an_argument_that_is_not_a_fibration_raises_instead_of_no_isomorphism(built):
+    fib = built("johns", 1)
+    for compare in (find_isomorphism, isomorphism_certificate):
+        for pair, got in (((fib, None), "NoneType"), (("x", fib), "str")):
+            with pytest.raises(SurfaceError) as err:
+                compare(*pair)
+            assert str(err.value) == f"can compare only fibrations, got {got}"
+
+
 def test_empty_words_raise_instead_of_no_isomorphism():
     empty = LefschetzFibration("johns", 1, johns_fibration(1).fiber, ())
     with pytest.raises(SurfaceError, match="cannot compare fibrations with an empty word"):

@@ -222,12 +222,13 @@ def test_a_constructor_keeps_no_rotation_until_it_is_read():
     (lambda g: g.vertex_of(("a0e0", 2)), "half-edge ('a0e0', 2) is not on the surface"),
     (lambda g: g.vertex_of("a0e0"), "half-edge 'a0e0' is not on the surface"),
     (lambda g: g.vertex_of((["a0e0"], 0)), "half-edge (['a0e0'], 0) is not on the surface"),
+    (lambda g: g.vertex_of(("a0e0", 0.0)), "half-edge ('a0e0', 0.0) is not on the surface"),
     (lambda g: g.edge_endpoints("zz"), "edge 'zz' is not on the surface"),
     (lambda g: g.edge_endpoints(["a0e0"]), "edge ['a0e0'] is not on the surface"),
     (lambda g: workspace(g).tree_path("zz", g.vertices[0]), "vertex 'zz' is not on the surface"),
     (lambda g: workspace(g).tree_path(g.vertices[0], "zz"), "vertex 'zz' is not on the surface"),
     (lambda g: workspace(g).tree_path([g.vertices[0]], "zz"), "vertex ['s1_0'] is not on the surface"),
-], ids=["unknown-edge", "end-two", "not-a-pair", "unhashable-edge", "unknown-endpoints-edge",
+], ids=["unknown-edge", "end-two", "not-a-pair", "unhashable-edge", "float-end", "unknown-endpoints-edge",
         "unhashable-endpoints-edge", "unknown-path-start", "unknown-path-end", "unhashable-path-start"])
 def test_graph_lookups_name_what_is_not_on_the_surface(lookup, message):
     """A half-edge, edge or vertex that the graph does not have ends in a
