@@ -19,9 +19,10 @@ nothing they build: ``certify.fibration_certificate`` checks every build.
 
 from __future__ import annotations
 
-from .curves import CurveOnSurface, canonical_rotation, curve_from_json, curve_on_darts
+from .curves import CurveOnSurface, canonical_rotation, checked_curves, curve_from_json, curve_on_darts
 from .divides import Divide, check_admissible, standard_divide
-from .ribbon import Record, RibbonGraph, SurfaceError, checked_genus, json_field, json_records, json_schema, sorted_ids, spanning_forest
+from .ribbon import (Record, RibbonGraph, SurfaceError, checked_count, checked_kind, json_field, json_records, json_schema,
+                     sorted_ids, spanning_forest)
 
 
 # -- plumbing patterns -----------------------------------------------------------
@@ -33,12 +34,16 @@ class PlumbingPattern(Record):
     ``loops_a`` and ``loops_b`` list, per annulus, the cyclic order of the
     squares its strip runs through.  Every square must be visited exactly
     once by each family: a square is one transverse crossing of one a-strip
-    with one b-strip.
+    with one b-strip.  Each family is a tuple or list of loops, and each
+    loop a tuple or list of square ids.
     """
 
     __slots__ = ("loops_a", "loops_b")
 
     def __init__(self, loops_a: tuple[tuple[str, ...], ...], loops_b: tuple[tuple[str, ...], ...]):
+        for fam, loops in (("a", loops_a), ("b", loops_b)):
+            if not isinstance(loops, (tuple, list)) or not all(isinstance(loop, (tuple, list)) for loop in loops):
+                raise SurfaceError(f"family {fam} must be a sequence of loops of squares, got {loops!r}")
         loops_a, loops_b = tuple(map(tuple, loops_a)), tuple(map(tuple, loops_b))
         for fam, loops in (("a", loops_a), ("b", loops_b)):
             if not loops:
@@ -63,7 +68,7 @@ def johns_pattern(genus: int) -> PlumbingPattern:
     Each short annulus meets each long one exactly once, in cyclic position
     j along both long strips, so the squares form two rows of length 2g+2.
     """
-    n = 2 * checked_genus(genus) + 2
+    n = 2 * checked_count(genus) + 2
     w = len(str(n - 1))
     row1 = tuple(f"s1_{j:0{w}d}" for j in range(n))
     row2 = tuple(f"s2_{j:0{w}d}" for j in range(n))
@@ -80,6 +85,7 @@ def realize_plumbing(pattern: PlumbingPattern) -> tuple[RibbonGraph, tuple[Curve
     b in) counterclockwise; it and the cores' head darts are written as
     darts of the edge ids sorted once.  Returns (fiber, a-cores, b-cores).
     """
+    checked_kind(pattern, PlumbingPattern, "pattern")
     families = []
     for fam, loops in (("a", pattern.loops_a), ("b", pattern.loops_b)):
         w = len(str(len(loops) - 1))
@@ -121,7 +127,8 @@ def simultaneous_surgery(surface: RibbonGraph, family_x, family_y) -> tuple[Curv
     The resolved curves are returned sorted by their least edge, each walk
     starting at that edge, named ``c0``, ``c1``, ... (``_surgery_walks``).
     """
-    walks = _surgery_walks(surface, family_x, family_y)
+    checked_kind(surface, RibbonGraph, "surface")
+    walks = _surgery_walks(surface, checked_curves(family_x, "family_x"), checked_curves(family_y, "family_y"))
     return tuple(curve_on_darts(surface, f"c{i}", walk) for i, walk in enumerate(walks))
 
 
@@ -324,13 +331,8 @@ class LefschetzFibration(Record):
     __slots__ = ("construction", "genus", "fiber", "word")
 
     def __init__(self, construction: str, genus: int, fiber: RibbonGraph, word: tuple[CurveOnSurface, ...]):
-        if not isinstance(fiber, RibbonGraph):
-            raise SurfaceError(f"fiber must be a RibbonGraph, got {fiber!r}")
-        if not isinstance(word, tuple):
-            raise SurfaceError(f"word must be a tuple of curves, got {type(word).__name__}")
-        for c in word:
-            if not isinstance(c, CurveOnSurface):
-                raise SurfaceError(f"word entry {c!r} is not a curve")
+        checked_kind(fiber, RibbonGraph, "fiber")
+        for c in checked_curves(word, "word", (tuple,)):
             if c.host is not fiber:
                 raise SurfaceError(f"cycle {c.name!r} lives off the fiber")
         names = [c.name for c in word]

@@ -11,21 +11,14 @@ from __future__ import annotations
 
 from .builders import LefschetzFibration, closing_smoothing
 from .invariants import FinAbGroup, fibration_homology, total_space_euler
-from .ribbon import SurfaceError, checked_genus
-
-__all__ = [
-    "expected_boundary_group",
-    "expected_fiber_profile",
-    "fibration_certificate",
-]
-
+from .ribbon import SurfaceError, checked_count
 
 def expected_fiber_profile(construction: str, genus: int) -> dict:
     """Fiber and word-shape expectations per construction: johns and
     ishikawa at any genus >= 0, sphere at genus 0."""
     if construction not in ("johns", "ishikawa", "sphere"):
         raise SurfaceError(f"no closed-form expectations for construction {construction!r}")
-    checked_genus(genus)
+    checked_count(genus)
     if construction == "sphere":
         if genus != 0:
             raise SurfaceError("the annulus-page model exists only at genus 0")
@@ -41,7 +34,7 @@ def expected_fiber_profile(construction: str, genus: int) -> dict:
 def expected_boundary_group(genus: int) -> FinAbGroup:
     """First homology of the unit cotangent circle bundle: Z^2g plus a cyclic
     factor of order |2 - 2g| (a free factor when that vanishes)."""
-    e = abs(2 - 2 * checked_genus(genus))
+    e = abs(2 - 2 * checked_count(genus))
     if e == 0:
         return FinAbGroup(2 * genus + 1, ())
     return FinAbGroup(2 * genus, (e,))
@@ -58,6 +51,8 @@ def _check(name: str, expected, actual) -> dict:
 
 def fibration_certificate(fib: LefschetzFibration) -> dict:
     """Check every stated invariant of one fibration; schema certificate/1."""
+    if not isinstance(fib, LefschetzFibration):
+        raise SurfaceError(f"can certify only fibrations, got {type(fib).__name__}")
     g = fib.genus
     want = expected_fiber_profile(fib.construction, g)
     inv = fib.fiber.invariants()

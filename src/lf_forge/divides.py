@@ -16,7 +16,8 @@ carry band attachments in the fiber construction.
 
 from __future__ import annotations
 
-from .ribbon import Record, RibbonGraph, SurfaceError, checked_genus, json_field, json_records, json_schema
+from .ribbon import (Record, RibbonGraph, SurfaceError, check_graph_arguments, checked_count, checked_kind, json_field,
+                     json_records, json_schema)
 
 
 class DivideError(ValueError):
@@ -43,18 +44,20 @@ class Divide:
     """
 
     def __init__(self, vertices, edges, rotation):
-        vertices = tuple(vertices)
-        if not vertices:
-            raise DivideError("empty divide description")
-        # before the graph's checks: an odd crossing also leaves a half-edge
-        # unpaired, and the graph would name only that
-        if set(rotation) == set(vertices):
-            for v in sorted(rotation, key=str):  # a non-string id, or unsized slots, are the graph's to name
-                if hasattr(rotation[v], "__len__") and len(rotation[v]) != VALENCE:
-                    raise DivideError(f"crossing {v!r} has {len(rotation[v])} slots, divides need exactly {VALENCE}")
         try:
+            check_graph_arguments(vertices, edges, rotation)
+            vertices = tuple(vertices)
+            if not vertices:
+                raise DivideError("empty divide description")
+            # before the graph's checks: an odd crossing also leaves a half-edge
+            # unpaired, and the graph would name only that
+            if set(rotation) == set(vertices):
+                for v in sorted(rotation, key=str):  # a non-string id, or unsized slots, are the graph's to name
+                    if hasattr(rotation[v], "__len__") and len(rotation[v]) != VALENCE:
+                        raise DivideError(f"crossing {v!r} has {len(rotation[v])} slots, "
+                                          f"divides need exactly {VALENCE}")
             self.graph = RibbonGraph(vertices, edges, rotation)
-        except SurfaceError as exc:
+        except SurfaceError as exc:  # the divide's own DivideErrors are no SurfaceError and pass through
             raise DivideError(str(exc)) from exc
 
     @classmethod
@@ -164,6 +167,7 @@ def checkerboard_coloring(divide: Divide) -> Checkerboard:
     faces as the witness.  The two sides of edge k are the faces of darts
     2k and 2k + 1, read from the graph's boundary trace.
     """
+    checked_kind(divide, Divide, "divide", DivideError)
     face, n = divide.graph._boundary()[1], divide.graph.num_boundary_components()
     adjacency: dict[int, set[int]] = {i: set() for i in range(n)}
     for k, e in enumerate(divide.edges):
@@ -226,6 +230,7 @@ class AdmissibilityReport(Record):
 
 def check_admissible(divide: Divide) -> AdmissibilityReport:
     """Connectedness plus the checkerboard coloring, with the counts."""
+    checked_kind(divide, Divide, "divide", DivideError)
     connected = divide.graph.is_connected()
     chi = divide.euler_characteristic()
     genus, coloring, problem = None, None, None
@@ -253,7 +258,7 @@ def standard_divide(genus: int) -> Divide:
     yields four faces: two bounded by parallel strands (the white class) and
     two by alternating strands.
     """
-    n = 2 * checked_genus(genus) + 2
+    n = 2 * checked_count(genus) + 2
     w = len(str(n - 1))  # pad indices so id order equals cyclic order
     vertices = [f"v{i:0{w}d}" for i in range(n)]
     a = [f"a{i:0{w}d}" for i in range(n)]

@@ -36,9 +36,6 @@ from .builders import LefschetzFibration, closing_smoothing, cycle_family, word_
 from .curves import CurveOnSurface, canonical_rotation
 from .ribbon import Record, RibbonGraph, SurfaceError
 
-__all__ = ["FibrationIso", "find_isomorphism", "isomorphism_certificate", "reduced_word"]
-
-
 class _Reduction:
     """``graph.normalized().smoothed()`` read off the oriented fiber's own
     dart tables.  ``anchors`` are the darts at the vertices smoothing keeps

@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .curves import CurveOnSurface, Step
-from .ribbon import Record, RibbonGraph, SurfaceError
+from .ribbon import Record, RibbonGraph, SurfaceError, checked_kind
 
 
 class DisconnectedError(SurfaceError):
@@ -174,7 +174,7 @@ def _rank(basis_index: list[int]) -> int:
 def workspace(surface: RibbonGraph) -> Workspace:
     """A new ``Workspace`` of the surface; the one function that makes one,
     so that a trace can time it and read its size."""
-    return Workspace(surface)
+    return Workspace(checked_kind(surface, RibbonGraph, "surface"))
 
 
 class HomologyClass(Record):
@@ -186,7 +186,7 @@ class HomologyClass(Record):
     __slots__ = ("host", "vector")
 
     def __init__(self, host: RibbonGraph, vector: tuple[int, ...]):
-        n = _rank(host._forest()[2])
+        n = _rank(checked_kind(host, RibbonGraph, "host")._forest()[2])
         if not isinstance(vector, tuple):
             raise SurfaceError(f"class vector must be a tuple, got {vector!r}")
         if len(vector) != n:
@@ -206,7 +206,7 @@ def homology_basis(surface: RibbonGraph) -> tuple[str, ...]:
 
 def curve_class(surface: RibbonGraph, curve: CurveOnSurface) -> HomologyClass:
     """Homology class of a closed walk."""
-    if curve.host is not surface:
+    if checked_kind(curve, CurveOnSurface, "curve").host is not surface:
         raise SurfaceError("curve lives on a different surface")
     return class_from_steps(surface, curve.walk)
 

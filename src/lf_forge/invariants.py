@@ -12,28 +12,33 @@ groups without building B (``fibration_homology``).
 
 from __future__ import annotations
 
+from operator import index
+
+from .curves import checked_curves
 from .homology import _sparse_class, curve_class, homology_basis, pairing_matrix, pairings, workspace
-from .ribbon import Record, RibbonGraph, SurfaceError
+from .ribbon import Record, RibbonGraph, SurfaceError, checked_count, checked_kind
 
 
 # -- finitely generated abelian groups ------------------------------------------
 
 
 class FinAbGroup(Record):
-    """Z^free_rank plus cyclic torsion factors in a divisibility chain."""
+    """Z^free_rank plus cyclic torsion factors in a divisibility chain, kept
+    as a tuple; a malformed argument raises SurfaceError."""
 
     __slots__ = ("free_rank", "torsion")
 
     def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()):
-        if free_rank < 0:
-            raise ValueError("negative free rank")
+        checked_count(free_rank, "free rank")
+        if not isinstance(torsion, (tuple, list)) or not all(isinstance(t, int) for t in torsion):
+            raise SurfaceError(f"torsion must be a sequence of integers, got {torsion!r}")
         for t in torsion:
             if t < 2:
-                raise ValueError(f"torsion factor {t} must be at least 2 (Z/0 is never stored)")
+                raise SurfaceError(f"torsion factor {t} must be at least 2 (Z/0 is never stored)")
         for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
-                raise ValueError(f"torsion {torsion} is not a divisibility chain")
-        super().__init__(free_rank, torsion)
+                raise SurfaceError(f"torsion {torsion} is not a divisibility chain")
+        super().__init__(free_rank, tuple(torsion))
 
     @classmethod
     def free(cls, rank: int) -> "FinAbGroup":
@@ -44,19 +49,22 @@ class FinAbGroup(Record):
         parts += [f"Z/{t}" for t in self.torsion]
         return " + ".join(parts) if parts else "0"
 
-    def to_json_dict(self) -> dict:
-        return {"rank": self.free_rank, "torsion": list(self.torsion)}
-
 
 # -- Smith normal form -----------------------------------------------------------
 
 
 def smith_normal_form(matrix: list[list[int]]) -> list[int]:
     """The nonzero invariant factors d_1 | d_2 | ... of an integer matrix,
-    exact over Python ints."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    a = [list(map(int, r)) for r in matrix]
+    exact over Python ints.  SurfaceError unless ``matrix`` is a list of
+    equal-length rows of integers."""
+    try:
+        a = [list(map(index, r)) for r in matrix]
+    except TypeError:  # not a list of rows, or an entry that is no integer
+        raise SurfaceError(f"matrix must be a list of integer rows, got {matrix!r}") from None
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    if any(len(r) != cols for r in a):
+        raise SurfaceError("matrix rows must have equal lengths")
     t = 0
     while t < min(rows, cols):
         # Pivot: smallest nonzero magnitude in the remaining block.
@@ -158,14 +166,16 @@ def _cokernel_from_diagonal(diag: list[int], ambient_rank: int) -> FinAbGroup:
 
 def total_space_euler(fiber: RibbonGraph, cycles) -> int:
     """chi of the 4-manifold: chi(F) x chi(disk) + one per critical point."""
+    checked_kind(fiber, RibbonGraph, "fiber")
+    if not hasattr(cycles, "__len__"):
+        raise SurfaceError(f"cycles must have a length, got {cycles!r}")
     return fiber.euler_characteristic() + len(cycles)
 
 
 def fibration_homology(page: RibbonGraph, word) -> tuple[FinAbGroup, FinAbGroup, FinAbGroup]:
     """(H1, H2) of the total space and H1 of its boundary open book; the word's
     cycles must be edge-simple cycles on the page, as the corner rule assumes."""
-    word = tuple(word)
-    for c in word:
+    for c in checked_curves(word, "word"):
         if c.host is not page:
             raise SurfaceError("cycle lives on a different surface")
         c.require_edge_simple()

@@ -16,6 +16,7 @@ edge "forward" (sign +1) runs from end 0 to end 1.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterable, Mapping
 from functools import cached_property
 from operator import index
 
@@ -59,13 +60,31 @@ def sorted_ids(ids, kind: str) -> tuple:
     raise SurfaceError(f"{kind} id must be a string, got {next(x for x in ids if not isinstance(x, str))!r}")
 
 
-def checked_genus(genus) -> int:
-    """``genus`` itself if it is an int, not a bool, and >= 0; else SurfaceError."""
-    if not isinstance(genus, int) or isinstance(genus, bool):
-        raise SurfaceError(f"genus must be an integer, got {genus!r}")
-    if genus < 0:
-        raise SurfaceError(f"genus must be nonnegative, got {genus}")
-    return genus
+def checked_count(value, role: str = "genus") -> int:
+    """``value`` itself if it is an int, not a bool, and >= 0; else
+    SurfaceError naming ``role``: the one rule of a genus or a free rank."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SurfaceError(f"{role} must be an integer, got {value!r}")
+    if value < 0:
+        raise SurfaceError(f"{role} must be nonnegative, got {value}")
+    return value
+
+
+def checked_kind(value, kind: type, role: str, error: type = SurfaceError):
+    """``value`` itself if it is a ``kind``; else ``error`` naming ``role``,
+    the one wording of a public argument of the wrong kind."""
+    if not isinstance(value, kind):
+        raise error(f"{role} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
+def check_graph_arguments(vertices, edges, rotation, twists=()) -> None:
+    """SurfaceError unless the ids are iterables and ``rotation`` a mapping:
+    the kinds that ``RibbonGraph`` and ``Divide`` check before reading any."""
+    for ids, role in ((vertices, "vertices"), (edges, "edges"), (twists, "twists")):
+        if not isinstance(ids, Iterable):
+            raise SurfaceError(f"{role} must be an iterable of ids, got {ids!r}")
+    checked_kind(rotation, Mapping, "rotation")
 
 
 _JSON_TYPE_NAMES = {
@@ -200,6 +219,7 @@ class RibbonGraph:
     """
 
     def __init__(self, vertices, edges, rotation, twists=()):
+        check_graph_arguments(vertices, edges, rotation, twists)
         self._check(vertices, edges, rotation, twists)
 
     @classmethod
@@ -323,11 +343,6 @@ class RibbonGraph:
         except (KeyError, TypeError):  # no such edge, or an unhashable id
             raise SurfaceError(f"edge {edge!r} is not on the surface") from None
         return self.vertices[self._dv[k]], self.vertices[self._dv[k + 1]]
-
-    @staticmethod
-    def partner(half_edge: HalfEdge) -> HalfEdge:
-        e, i = half_edge
-        return (e, 1 - i)
 
     def euler_characteristic(self) -> int:
         return len(self.vertices) - len(self.edges)

@@ -33,6 +33,18 @@ SIDE_R = 0
 SIDE_L = 1
 
 
+def partner(half_edge):
+    """The other end of ``half_edge``'s edge: (e, 1 - i) for (e, i)."""
+    e, i = half_edge
+    return (e, 1 - i)
+
+
+def signed_edge_id(step) -> str:
+    """The token of a walk step: ``e`` for (e, +1), ``-e`` for (e, -1)."""
+    e, s = step
+    return e if s > 0 else f"-{e}"
+
+
 def rotation_next(g: RibbonGraph, half_edge):
     """The half-edge after ``half_edge`` in its vertex's rotation."""
     return g._half[g._dn[g._dart(half_edge)]]
@@ -52,7 +64,7 @@ def _advance(g: RibbonGraph, state):
     reverses the corner direction.  The map is a bijection on states.
     """
     h, side = state
-    k = g.partner(h)
+    k = partner(h)
     twisted = h[0] in g.twists
     if side == SIDE_R:
         if not twisted:
@@ -66,7 +78,7 @@ def _advance(g: RibbonGraph, state):
 def _reverse_state(g: RibbonGraph, state):
     """The same band side entered from its other end."""
     h, side = state
-    k = g.partner(h)
+    k = partner(h)
     if h[0] in g.twists:
         return (k, side)
     return (k, 1 - side)

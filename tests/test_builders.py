@@ -392,7 +392,7 @@ def test_random_divides_build_or_raise_a_named_error(system):
         for fi in report.coloring.black:
             orbit = d.graph.faces()[fi]
             for h, nxt in zip(orbit, orbit[1:] + orbit[:1]):
-                landing = d.graph.partner(h)
+                landing = oracles.partner(h)
                 assert d.graph.vertex_of(landing) == d.graph.vertex_of(nxt)
                 assert white_corner[landing] != white_corner[nxt]
     try:
@@ -521,7 +521,7 @@ def test_sphere_model():
                          ids=["johns", "ishikawa", "boundary-group", "fiber-profile"])
 def test_negative_genus_rejected(builder, genus, message):
     """Both builds and both closed-form expectations take one genus rule
-    (``ribbon.checked_genus``): an int that is not a bool, and >= 0."""
+    (``ribbon.checked_count``): an int that is not a bool, and >= 0."""
     with pytest.raises(SurfaceError) as err:
         builder(genus)
     assert str(err.value) == message

@@ -1,5 +1,6 @@
 """Closed walks on a ribbon graph: validation messages and rotations."""
 
+import inspect
 import pickle
 
 import pytest
@@ -13,7 +14,7 @@ from lf_forge.builders import (
     word_families,
 )
 from lf_forge.certify import fibration_certificate
-from lf_forge.curves import CurveOnSurface, canonical_rotation, check_walk, curve_on_darts, signed_edge_id
+from lf_forge.curves import CurveOnSurface, canonical_rotation, check_walk, curve_on_darts
 from lf_forge.equivalence import isomorphism_certificate, reduced_word
 from lf_forge.ribbon import RibbonGraph, SurfaceError
 
@@ -157,7 +158,7 @@ def test_every_curve_keeps_the_darts_of_its_walk(built, relabelled, mirrored, fl
                 assert c._heads == c.host.head_darts(c.walk)
                 edges = c.host.edges
                 assert c.walk == tuple((edges[d >> 1], 1 if d & 1 else -1) for d in c._heads)
-                assert c.to_json_dict()["walk"] == [signed_edge_id(step) for step in c.walk]
+                assert c.to_json_dict()["walk"] == [oracles.signed_edge_id(step) for step in c.walk]
 
 
 def test_no_parse_build_or_certificate_reads_a_walk(relabelled, monkeypatch):
@@ -185,6 +186,15 @@ def test_a_curve_on_darts_that_breaks_names_its_steps(pants):
         curve_on_darts(pants, "w", pants.head_darts([("e", 1), ("f", 1)]))
     with pytest.raises(SurfaceError, match="^empty walk$"):
         curve_on_darts(pants, "w", ())
+
+
+def test_steps_have_one_constructor_and_darts_one_entry(pants):
+    """``CurveOnSurface(host, name, walk)`` takes steps and nothing else;
+    ``curve_on_darts`` is the one entry that takes darts, and both build
+    the same curve."""
+    assert list(inspect.signature(CurveOnSurface).parameters) == ["host", "name", "walk"]
+    walk = (("e", 1), ("f", -1))
+    assert curve_on_darts(pants, "w", pants.head_darts(walk)) == CurveOnSurface(pants, "w", walk)
 
 
 def test_kept_darts_are_not_a_field():

@@ -141,7 +141,7 @@ def test_reduction_labels_are_the_smoothed_rotations(g):
     for v in smooth.vertices:
         assert tuple(label[norm._dart(h)] for h in norm.rotation[v]) == smooth.rotation[v]
     for d in red.anchors:
-        assert label[red.far[d]] == RibbonGraph.partner(label[d])
+        assert label[red.far[d]] == oracles.partner(label[d])
 
 
 def test_a_pure_degree_two_cycle_beside_a_kept_vertex_cannot_be_smoothed():

@@ -252,28 +252,23 @@ def _well_formed(callable_name: str) -> dict:
 
 
 MALFORMED = (None, 3, "zz", [None], ("x",))
-# The callables that still end some malformed argument in an unnamed error (ROADMAP item 28).
-UNNAMED = {
-    "CurveOnSurface", "Divide", "FinAbGroup", "HomologyClass", "PlumbingPattern", "RibbonGraph", "check_admissible",
-    "checkerboard_coloring", "curve_class", "divide_fiber_model", "fibration_certificate", "fibration_homology",
-    "homology_basis", "open_book_h1", "realize_plumbing", "simultaneous_surgery", "smith_normal_form",
-    "total_space_euler", "total_space_homology",
-}
 CALLABLES = [name for name in lf_forge.__all__
              if not (isinstance(obj := getattr(lf_forge, name), type) and issubclass(obj, Exception))]
 
 
-@pytest.mark.parametrize("name", [
-    pytest.param(name, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 28: a malformed argument "
-                                                                   "ends in an unnamed error"))
-    if name in UNNAMED else name for name in CALLABLES])
+def _positional(name: str, optional: bool) -> list[str]:
+    """The names of the required (or the optional) positional parameters of the public callable ``name``."""
+    return [p.name for p in inspect.signature(getattr(lf_forge, name)).parameters.values()
+            if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD) and (p.default is not p.empty) == optional]
+
+
+@pytest.mark.parametrize("name", CALLABLES)
 def test_public_callables_name_malformed_arguments(name):
     """Each required positional argument of a public callable replaced in
     turn by each malformed value, the others well formed: every call
     returns, or raises a named error."""
     func = getattr(lf_forge, name)
-    params = [p.name for p in inspect.signature(func).parameters.values()
-              if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD) and p.default is p.empty]
+    params = _positional(name, optional=False)
     for i in range(len(params)):
         for bad in MALFORMED:
             good = _well_formed(name)
@@ -281,3 +276,58 @@ def test_public_callables_name_malformed_arguments(name):
                 func(*[bad if j == i else good[p] for j, p in enumerate(params)])
             except NAMED:
                 pass
+
+
+@pytest.mark.parametrize("name", [name for name in CALLABLES if _positional(name, optional=True)])
+def test_public_callables_name_malformed_optional_arguments(name):
+    """Each optional positional argument of a public callable given, in
+    turn, each malformed value, the required ones well formed and the other
+    optional ones left at their defaults: every call returns, or raises a
+    named error."""
+    func = getattr(lf_forge, name)
+    required = _positional(name, optional=False)
+    for param in _positional(name, optional=True):
+        for bad in MALFORMED:
+            good = _well_formed(name)
+            try:
+                func(*[good[p] for p in required], **{param: bad})
+            except NAMED:
+                pass
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda f: lf_forge.CurveOnSurface(None, "y", f.word[0].walk), SurfaceError, "host must be a RibbonGraph, got None"),
+    (lambda f: lf_forge.HomologyClass(3, ()), SurfaceError, "host must be a RibbonGraph, got 3"),
+    (lambda f: lf_forge.homology_basis("zz"), SurfaceError, "surface must be a RibbonGraph, got 'zz'"),
+    (lambda f: lf_forge.curve_class(f.fiber, None), SurfaceError, "curve must be a CurveOnSurface, got None"),
+    (lambda f: lf_forge.fibration_homology(f.fiber, None), SurfaceError,
+     "word must be a tuple or list of curves, got NoneType"),
+    (lambda f: lf_forge.open_book_h1(f.fiber, [None]), SurfaceError, "word entry None is not a curve"),
+    (lambda f: lf_forge.total_space_euler(f.fiber, 3), SurfaceError, "cycles must have a length, got 3"),
+    (lambda f: lf_forge.simultaneous_surgery(f.fiber, "zz", ()), SurfaceError,
+     "family_x must be a tuple or list of curves, got str"),
+    (lambda f: lf_forge.realize_plumbing(None), SurfaceError, "pattern must be a PlumbingPattern, got None"),
+    (lambda f: lf_forge.fibration_certificate(f.fiber), SurfaceError, "can certify only fibrations, got RibbonGraph"),
+    (lambda f: lf_forge.check_admissible(None), DivideError, "divide must be a Divide, got None"),
+    (lambda f: lf_forge.Divide(None, (), {}), DivideError, "vertices must be an iterable of ids, got None"),
+    (lambda f: lf_forge.RibbonGraph(f.fiber.vertices, 3, f.fiber.rotation), SurfaceError,
+     "edges must be an iterable of ids, got 3"),
+    (lambda f: lf_forge.RibbonGraph(f.fiber.vertices, f.fiber.edges, [None]), SurfaceError,
+     "rotation must be a Mapping, got [None]"),
+    (lambda f: lf_forge.RibbonGraph(f.fiber.vertices, f.fiber.edges, f.fiber.rotation, 3), SurfaceError,
+     "twists must be an iterable of ids, got 3"),
+    (lambda f: lf_forge.FinAbGroup(True), SurfaceError, "free rank must be an integer, got True"),
+    (lambda f: lf_forge.FinAbGroup(-1), SurfaceError, "free rank must be nonnegative, got -1"),
+    (lambda f: lf_forge.FinAbGroup(1, 3), SurfaceError, "torsion must be a sequence of integers, got 3"),
+    (lambda f: lf_forge.FinAbGroup(1, ("x",)), SurfaceError, "torsion must be a sequence of integers, got ('x',)"),
+    (lambda f: lf_forge.PlumbingPattern([None], ()), SurfaceError,
+     "family a must be a sequence of loops of squares, got [None]"),
+    (lambda f: lf_forge.smith_normal_form([[1, 2], [3]]), SurfaceError, "matrix rows must have equal lengths"),
+    (lambda f: lf_forge.smith_normal_form([[1.5]]), SurfaceError, "matrix must be a list of integer rows, got [[1.5]]"),
+])
+def test_a_malformed_argument_is_named_by_its_role(call, error, message):
+    """The named errors of the sweep word the argument's role and what it
+    got; a bool is no free rank, and a float no matrix entry."""
+    with pytest.raises(error) as err:
+        call(johns_fibration(1))
+    assert type(err.value) is error and str(err.value) == message

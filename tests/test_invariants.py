@@ -64,8 +64,12 @@ def test_group_validation():
         FinAbGroup(0, (4, 2))
 
 
-def test_group_json():
-    assert FinAbGroup(2, (6,)).to_json_dict() == {"rank": 2, "torsion": [6]}
+def test_torsion_given_as_a_list_is_kept_as_a_tuple():
+    """A group is a record: equal to, and hashing like, the same group with
+    its torsion given as a tuple."""
+    group = FinAbGroup(1, [2, 4])
+    assert group.torsion == (2, 4)
+    assert group == FinAbGroup(1, (2, 4)) and hash(group) == hash(FinAbGroup(1, (2, 4)))
 
 
 # -- Smith normal form -------------------------------------------------------------

@@ -272,7 +272,7 @@ def test_dart_tables_match_the_half_edge_oracle(g):
         assert graph._deg == [len(graph.rotation[v]) for v in graph.vertices]
         assert half == sorted(vertex_of) == [(e, i) for e in graph.edges for i in (0, 1)]
         for d, h in enumerate(half):
-            assert half[d ^ 1] == graph.partner(h)
+            assert half[d ^ 1] == oracles.partner(h)
             assert graph.vertices.index(vertex_of[h]) == graph._dv[d]
             assert half[graph._dn[d]] == nxt[h]
             assert half[graph._dp[d]] == prv[h]
@@ -312,7 +312,7 @@ def test_faces_are_the_sorted_orbits_of_next_after_partner(g):
     for face in faces:
         assert face[0] == min(face)
         for h, k in zip(face, face[1:] + face[:1]):
-            assert oracles.rotation_next(norm, g.partner(h)) == k
+            assert oracles.rotation_next(norm, oracles.partner(h)) == k
     orbits, face_of = g._boundary()
     for i, orbit in enumerate(orbits):
         for d in orbit:

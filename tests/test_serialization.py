@@ -7,10 +7,12 @@ import pytest
 
 from lf_forge.builders import LefschetzFibration, johns_fibration, sphere_planar_fibration
 from lf_forge.certify import fibration_certificate
-from lf_forge.curves import curve_from_json, parse_signed_edge_id, signed_edge_id
+from lf_forge.curves import curve_from_json, parse_signed_edge_id
 from lf_forge.divides import Divide, DivideError, standard_divide
 from lf_forge.equivalence import isomorphism_certificate
 from lf_forge.ribbon import RibbonGraph, SurfaceError
+
+from oracles import signed_edge_id
 
 
 def test_signed_edge_tokens():
