@@ -127,31 +127,31 @@ def simultaneous_surgery(surface: RibbonGraph, family_x, family_y) -> tuple[Curv
     The resolved curves are returned sorted by their least edge, each walk
     starting at that edge, named ``c0``, ``c1``, ... (``_surgery_walks``).
     """
-    checked_kind(surface, RibbonGraph, "surface")
-    walks = _surgery_walks(surface, checked_curves(family_x, "family_x"), checked_curves(family_y, "family_y"))
+    family_x = checked_curves(family_x, checked_kind(surface, RibbonGraph, "surface"), "family_x")
+    walks = _surgery_walks(surface, family_x, checked_curves(family_y, surface, "family_y"))
     return tuple(curve_on_darts(surface, f"c{i}", walk) for i, walk in enumerate(walks))
 
 
 def _surgery_walks(surface: RibbonGraph, family_x, family_y) -> tuple[tuple[int, ...], ...]:
     """The walks of ``simultaneous_surgery``'s curves as the darts their
-    steps arrive on, traced on the curves' kept darts.  Each input curve, in
-    order, must lie on ``surface`` and pass ``require_edge_simple``, which
-    owns the repeated-edge error; then the first of its edges that an
-    earlier curve ran is named as traversed twice.  The last successful
-    smoothing on a surface is kept in its cache with its input darts, all
-    as dart tuples, so the cache makes no cycle through the surface; a later
-    call on that surface whose families keep the same darts returns it
-    untraced, as a fresh plumbing build's certificate does.
+    steps arrive on, traced on the curves' kept darts.  Both families are
+    tuples of curves on ``surface``: ``simultaneous_surgery`` checks them
+    (``checked_curves``), and ``closing_smoothing`` reads a fibration's
+    word, checked when it was made.  Each input curve, in order, must pass
+    ``require_edge_simple``, which owns the repeated-edge error; then the
+    first of its edges that an earlier curve ran is named as traversed
+    twice.  The last successful smoothing on a surface is kept in its cache
+    with its input darts, all as dart tuples, so the cache makes no cycle
+    through the surface; a later call on that surface whose families keep
+    the same darts returns it untraced, as a fresh plumbing build's
+    certificate does.
     """
-    family_x, family_y = tuple(family_x), tuple(family_y)
     key = tuple([c._heads for c in family_x]), tuple([c._heads for c in family_y])
     memo = surface._cache.get("smoothing")
-    if memo is not None and memo[0] == key and all(c.host is surface for c in family_x + family_y):
+    if memo is not None and memo[0] == key:
         return memo[1]
     taken = [False] * len(surface.edges)  # by edge number: whether an earlier curve ran it
     for c in family_x + family_y:
-        if c.host is not surface:
-            raise SurfaceError(f"curve {c.name!r} lives on a different surface")
         c.require_edge_simple()  # so the first edge of c found taken is the first that an earlier curve ran
         for d in c._heads:
             if taken[d >> 1]:
@@ -326,15 +326,14 @@ def divide_fiber_model(divide: Divide) -> DivideFiberModel:
 
 
 class LefschetzFibration(Record):
-    """An ordered word of vanishing cycles on a fixed fiber surface."""
+    """An ordered word of vanishing cycles on a fixed fiber surface: the
+    constructor takes the word as a tuple or list of curves on ``fiber``
+    (``checked_curves``) and keeps it as a tuple."""
 
     __slots__ = ("construction", "genus", "fiber", "word")
 
     def __init__(self, construction: str, genus: int, fiber: RibbonGraph, word: tuple[CurveOnSurface, ...]):
-        checked_kind(fiber, RibbonGraph, "fiber")
-        for c in checked_curves(word, "word", (tuple,)):
-            if c.host is not fiber:
-                raise SurfaceError(f"cycle {c.name!r} lives off the fiber")
+        word = checked_curves(word, checked_kind(fiber, RibbonGraph, "fiber"), "word")
         names = [c.name for c in word]
         if len(names) != len(set(names)):
             raise SurfaceError("vanishing cycle names must be unique")

@@ -44,19 +44,20 @@ class CurveOnSurface(Record, views=("walk",)):
     Its fields are ``host``, ``name`` and ``walk``.  ``walk`` is a view: the
     ``(str, int)`` steps, named from ``host.edges`` each time it is read,
     so only equality, hash, repr, pickling and the tests' oracles build
-    them.  The constructor takes a host ``RibbonGraph`` and a walk, rebuilds
-    the walk as ``(str, int)`` steps (``as_pairs``) and checks it
-    (``check_walk``); ``curve_on_darts`` is the one entry that takes darts
-    in place of it.  The walk need not be edge-simple (Dehn-twisted images
-    repeat edges); operations that require an embedded curve, the surgery
-    among them, check that first with ``require_edge_simple``.
+    them.  The constructor takes a host ``RibbonGraph``, a string name and
+    a walk, rebuilds the walk as ``(str, int)`` steps (``as_pairs``) and
+    checks it (``check_walk``); ``curve_on_darts`` is the one entry that
+    takes darts in place of it, and its name unchecked.  The walk need not
+    be edge-simple (Dehn-twisted images repeat edges); operations that
+    require an embedded curve, the surgery among them, check that first
+    with ``require_edge_simple``.
     """
 
     __slots__ = ("host", "name", "_heads")
 
     def __init__(self, host: RibbonGraph, name: str, walk: tuple[Step, ...]):
         object.__setattr__(self, "host", checked_kind(host, RibbonGraph, "host"))
-        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "name", checked_kind(name, str, "name"))
         object.__setattr__(self, "_heads", check_walk(host, as_pairs(walk)))
 
     @property
@@ -89,17 +90,20 @@ class CurveOnSurface(Record, views=("walk",)):
         return {"name": self.name, "walk": [edges[d >> 1] if d & 1 else "-" + edges[d >> 1] for d in self._heads]}
 
 
-def checked_curves(curves, role: str, kinds: tuple[type, ...] = (tuple, list)):
-    """``curves`` itself if it is one of ``kinds`` and holds only curves;
-    else SurfaceError naming ``role``: its kind, or its first entry that is
-    no ``CurveOnSurface``.  The one check of a word or family argument."""
-    if not isinstance(curves, kinds):
-        raise SurfaceError(f"{role} must be a {' or '.join(k.__name__ for k in kinds)} of curves, "
-                           f"got {type(curves).__name__}")
+def checked_curves(curves, host, role):
+    """``curves`` as a tuple if it is a tuple or list of curves on ``host``;
+    else SurfaceError naming ``role``: its kind or its first entry that is
+    no ``CurveOnSurface``, or the curve's name when it lives on another
+    surface.  The one check of a word or family argument, and the one host
+    test of a curve."""
+    if not isinstance(curves, (tuple, list)):
+        raise SurfaceError(f"{role} must be a tuple or list of curves, got {type(curves).__name__}")
     for c in curves:
         if not isinstance(c, CurveOnSurface):
             raise SurfaceError(f"{role} entry {c!r} is not a curve")
-    return curves
+        if c.host is not host:
+            raise SurfaceError(f"curve {c.name!r} lives on a different surface")
+    return tuple(curves)
 
 
 def curve_on_darts(surface: RibbonGraph, name: str, heads: tuple[int, ...]) -> CurveOnSurface:
@@ -107,7 +111,7 @@ def curve_on_darts(surface: RibbonGraph, name: str, heads: tuple[int, ...]) -> C
     ``surface``, built without naming a step: ``check_walk`` checks that it
     closes, and only a break names the steps.  The builders and the
     document reader's fast path call it with darts they numbered on
-    ``surface``, so it skips the constructor's host check."""
+    ``surface``, so it skips the constructor's host and name checks."""
     # Written directly: Record.__init__ made a curve ~10% slower, and a compare-search pass builds ~3,400.
     curve = object.__new__(CurveOnSurface)
     object.__setattr__(curve, "host", surface)

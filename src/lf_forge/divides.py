@@ -17,7 +17,7 @@ carry band attachments in the fiber construction.
 from __future__ import annotations
 
 from .ribbon import (Record, RibbonGraph, SurfaceError, check_graph_arguments, checked_count, checked_kind, json_field,
-                     json_records, json_schema)
+                     json_records, json_schema, sorted_ids)
 
 
 class DivideError(ValueError):
@@ -46,7 +46,7 @@ class Divide:
     def __init__(self, vertices, edges, rotation):
         try:
             check_graph_arguments(vertices, edges, rotation)
-            vertices = tuple(vertices)
+            vertices = sorted_ids(vertices, "vertex")  # before set(vertices): an unhashable id is named
             if not vertices:
                 raise DivideError("empty divide description")
             # before the graph's checks: an odd crossing also leaves a half-edge

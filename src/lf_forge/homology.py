@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .curves import CurveOnSurface, Step
+from .curves import CurveOnSurface, Step, checked_curves
 from .ribbon import Record, RibbonGraph, SurfaceError, checked_kind
 
 
@@ -206,8 +206,7 @@ def homology_basis(surface: RibbonGraph) -> tuple[str, ...]:
 
 def curve_class(surface: RibbonGraph, curve: CurveOnSurface) -> HomologyClass:
     """Homology class of a closed walk."""
-    if checked_kind(curve, CurveOnSurface, "curve").host is not surface:
-        raise SurfaceError("curve lives on a different surface")
+    checked_curves((checked_kind(curve, CurveOnSurface, "curve"),), surface, "curve")
     return class_from_steps(surface, curve.walk)
 
 

@@ -165,19 +165,16 @@ def _cokernel_from_diagonal(diag: list[int], ambient_rank: int) -> FinAbGroup:
 
 
 def total_space_euler(fiber: RibbonGraph, cycles) -> int:
-    """chi of the 4-manifold: chi(F) x chi(disk) + one per critical point."""
-    checked_kind(fiber, RibbonGraph, "fiber")
-    if not hasattr(cycles, "__len__"):
-        raise SurfaceError(f"cycles must have a length, got {cycles!r}")
+    """chi of the 4-manifold: chi(F) x chi(disk) + one per critical point,
+    one per curve of ``cycles`` on ``fiber``."""
+    checked_curves(cycles, checked_kind(fiber, RibbonGraph, "fiber"), "cycles")
     return fiber.euler_characteristic() + len(cycles)
 
 
 def fibration_homology(page: RibbonGraph, word) -> tuple[FinAbGroup, FinAbGroup, FinAbGroup]:
     """(H1, H2) of the total space and H1 of its boundary open book; the word's
     cycles must be edge-simple cycles on the page, as the corner rule assumes."""
-    for c in checked_curves(word, "word"):
-        if c.host is not page:
-            raise SurfaceError("cycle lives on a different surface")
+    for c in checked_curves(word, checked_kind(page, RibbonGraph, "page"), "word"):
         c.require_edge_simple()
     ws = workspace(page)
     classes = [_sparse_class(ws._basis_index, c._heads) for c in word]

@@ -34,17 +34,25 @@ _ENDS = {0: 0, 1: 1}  # the valid ends of an edge
 
 
 def as_pairs(items) -> tuple:
-    """The sequence ``items`` as ``(str(a), int(b))`` pairs; SurfaceError names the first item that is not."""
+    """The sequence ``items`` as ``(str(a), int(b))`` pairs, ``b`` an integer's text or a number equal to its ``int``
+    (``True``, ``1.0``, not ``0.5``); SurfaceError names the first item that is not."""
     try:
-        return tuple([(str(a), int(b)) for a, b in items])
-    except (TypeError, ValueError):
+        return tuple([(str(a), b if b.__class__ is int else _whole(b)) for a, b in items])
+    except (TypeError, ValueError, OverflowError):
         for item in items if isinstance(items, (tuple, list)) else [items]:
             try:
                 _, end = item
-                int(end)
-            except (TypeError, ValueError):
+                _whole(end)
+            except (TypeError, ValueError, OverflowError):
                 raise SurfaceError(f"{item!r} is not an (id, integer) pair") from None
         raise
+
+
+def _whole(x) -> int:
+    """``int(x)`` unless that truncates: ValueError for a number ``x`` that differs from it."""
+    if (n := int(x)) != x and not isinstance(x, str):
+        raise ValueError(x)
+    return n
 
 
 def sorted_ids(ids, kind: str) -> tuple:
@@ -220,7 +228,7 @@ class RibbonGraph:
 
     def __init__(self, vertices, edges, rotation, twists=()):
         check_graph_arguments(vertices, edges, rotation, twists)
-        self._check(vertices, edges, rotation, twists)
+        self._check(vertices, edges, rotation, sorted_ids(twists, "twist"))  # an unhashable id is named
 
     @classmethod
     def _linked(cls, vertices, edges, darts, twists, eid) -> "RibbonGraph":

@@ -486,14 +486,17 @@ def test_duplicate_cycle_names_rejected(built):
 def test_cycle_must_live_on_the_fiber(built):
     fib0 = built("johns", 0)
     fib1 = built("johns", 1)
-    with pytest.raises(SurfaceError, match="lives off"):
+    with pytest.raises(SurfaceError, match=r"^curve 'a0' lives on a different surface$"):
         LefschetzFibration("johns", 0, fib0.fiber, (fib1.word[0],))
 
 
 def test_word_must_be_a_tuple_of_curves(built):
+    """A word is a tuple or a list of curves, and a list word is kept as the
+    tuple: the fibration equals the one built from the tuple."""
     fib = built("johns", 1)
-    for word, message in ((None, "word must be a tuple of curves, got NoneType"),
-                          (list(fib.word), "word must be a tuple of curves, got list"),
+    listed = LefschetzFibration("johns", 1, fib.fiber, list(fib.word))
+    assert listed == fib and type(listed.word) is tuple
+    for word, message in ((None, "word must be a tuple or list of curves, got NoneType"),
                           ((None,), "word entry None is not a curve"),
                           ((fib.word[0], "a1"), "word entry 'a1' is not a curve")):
         with pytest.raises(SurfaceError) as err:

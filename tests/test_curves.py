@@ -96,6 +96,25 @@ def test_odd_typed_edge_ids_are_not_on_the_surface(pants, walk, message):
     assert str(err.value) == message
 
 
+def test_a_curve_name_must_be_a_string(built):
+    """A curve named 3 is refused where it is made, so no fibration holds it:
+    neither the certificate nor the comparison can meet the name (both ended
+    in an ``AttributeError`` from ``cycle_family`` when it was accepted)."""
+    fib = built("johns", 1)
+    with pytest.raises(SurfaceError) as err:
+        CurveOnSurface(fib.fiber, 3, fib.word[0].walk)
+    assert str(err.value) == "name must be a str, got 3"
+
+    def renamed():
+        return LefschetzFibration("johns", 1, fib.fiber,
+                                  (CurveOnSurface(fib.fiber, 3, fib.word[0].walk), *fib.word[1:]))
+
+    for step in (lambda: fibration_certificate(renamed()), lambda: isomorphism_certificate(renamed(), fib),
+                 lambda: isomorphism_certificate(fib, renamed())):
+        with pytest.raises(SurfaceError, match=r"^name must be a str, got 3$"):
+            step()
+
+
 def test_an_exact_typed_walk_is_kept_as_it_is(pants):
     walk = (("e", 1), ("f", -1))
     assert CurveOnSurface(pants, "w", walk).walk == walk

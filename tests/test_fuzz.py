@@ -251,7 +251,7 @@ def _well_formed(callable_name: str) -> dict:
     }
 
 
-MALFORMED = (None, 3, "zz", [None], ("x",))
+MALFORMED = (None, 3, "zz", [None], ("x",), [["x"]])
 CALLABLES = [name for name in lf_forge.__all__
              if not (isinstance(obj := getattr(lf_forge, name), type) and issubclass(obj, Exception))]
 
@@ -303,19 +303,23 @@ def test_public_callables_name_malformed_optional_arguments(name):
     (lambda f: lf_forge.fibration_homology(f.fiber, None), SurfaceError,
      "word must be a tuple or list of curves, got NoneType"),
     (lambda f: lf_forge.open_book_h1(f.fiber, [None]), SurfaceError, "word entry None is not a curve"),
-    (lambda f: lf_forge.total_space_euler(f.fiber, 3), SurfaceError, "cycles must have a length, got 3"),
+    (lambda f: lf_forge.total_space_euler(f.fiber, 3), SurfaceError,
+     "cycles must be a tuple or list of curves, got int"),
     (lambda f: lf_forge.simultaneous_surgery(f.fiber, "zz", ()), SurfaceError,
      "family_x must be a tuple or list of curves, got str"),
     (lambda f: lf_forge.realize_plumbing(None), SurfaceError, "pattern must be a PlumbingPattern, got None"),
     (lambda f: lf_forge.fibration_certificate(f.fiber), SurfaceError, "can certify only fibrations, got RibbonGraph"),
     (lambda f: lf_forge.check_admissible(None), DivideError, "divide must be a Divide, got None"),
     (lambda f: lf_forge.Divide(None, (), {}), DivideError, "vertices must be an iterable of ids, got None"),
+    (lambda f: lf_forge.Divide([["x"]], (), {}), DivideError, "vertex id must be a string, got ['x']"),
     (lambda f: lf_forge.RibbonGraph(f.fiber.vertices, 3, f.fiber.rotation), SurfaceError,
      "edges must be an iterable of ids, got 3"),
     (lambda f: lf_forge.RibbonGraph(f.fiber.vertices, f.fiber.edges, [None]), SurfaceError,
      "rotation must be a Mapping, got [None]"),
     (lambda f: lf_forge.RibbonGraph(f.fiber.vertices, f.fiber.edges, f.fiber.rotation, 3), SurfaceError,
      "twists must be an iterable of ids, got 3"),
+    (lambda f: lf_forge.RibbonGraph(f.fiber.vertices, f.fiber.edges, f.fiber.rotation, [["x"]]), SurfaceError,
+     "twist id must be a string, got ['x']"),
     (lambda f: lf_forge.FinAbGroup(True), SurfaceError, "free rank must be an integer, got True"),
     (lambda f: lf_forge.FinAbGroup(-1), SurfaceError, "free rank must be nonnegative, got -1"),
     (lambda f: lf_forge.FinAbGroup(1, 3), SurfaceError, "torsion must be a sequence of integers, got 3"),
@@ -327,7 +331,8 @@ def test_public_callables_name_malformed_optional_arguments(name):
 ])
 def test_a_malformed_argument_is_named_by_its_role(call, error, message):
     """The named errors of the sweep word the argument's role and what it
-    got; a bool is no free rank, and a float no matrix entry."""
+    got; a bool is no free rank, a float no matrix entry, and an unhashable
+    id is named before any set is made of the ids."""
     with pytest.raises(error) as err:
         call(johns_fibration(1))
     assert type(err.value) is error and str(err.value) == message

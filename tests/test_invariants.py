@@ -219,6 +219,20 @@ def test_empty_word_book_keeps_page_homology(punctured_torus):
 # -- total spaces ------------------------------------------------------------------
 
 
+def test_total_space_euler_counts_only_curves_on_the_fiber(built):
+    """The cycles are a word of curves on the fiber (``checked_curves``):
+    anything with a length was counted once, so "zz" read as two critical
+    points, [None] as one, and another build's word as its own length."""
+    fib = built("johns", 1)
+    for cycles, message in (("zz", "cycles must be a tuple or list of curves, got str"),
+                            ([None], "cycles entry None is not a curve"),
+                            (built("johns", 2).word, "curve 'a0' lives on a different surface")):
+        with pytest.raises(SurfaceError) as err:
+            total_space_euler(fib.fiber, cycles)
+        assert str(err.value) == message
+    assert total_space_euler(fib.fiber, list(fib.word)) == total_space_euler(fib.fiber, fib.word) == 0
+
+
 def test_sphere_model_total_space():
     fib = sphere_planar_fibration()
     assert total_space_euler(fib.fiber, fib.word) == 2
@@ -232,20 +246,22 @@ def test_sphere_model_total_space():
 @pytest.mark.parametrize("entry_point", [fibration_homology, open_book_h1, total_space_homology],
                          ids=["fibration_homology", "open_book_h1", "total_space_homology"])
 def test_homology_entry_points_refuse_a_word_the_corner_rule_cannot_read(built, entry_point):
-    """A cycle that runs a0 twice repeats an edge, and a cycle of another
-    build's fiber lives on a different surface; the cycles are checked in
-    word order, each first for its host."""
+    """A cycle that runs a0 twice repeats an edge, and a1 of another build's
+    fiber lives on a different surface.  The word's kind, entries and hosts
+    are read first (``checked_curves``), then each cycle's edges in word
+    order, so a foreign cycle is named before a doubled one wherever it
+    stands."""
     fib = built("johns", 1)
     a0 = fib.word[0]
     doubled = CurveOnSurface(fib.fiber, "a0", a0.walk + a0.walk)
     foreign = johns_fibration(1).word[1]
     with pytest.raises(SurfaceError, match=r"^curve 'a0' repeats an edge$"):
         entry_point(fib.fiber, (doubled, *fib.word[1:]))
-    with pytest.raises(SurfaceError, match=r"^cycle lives on a different surface$"):
+    with pytest.raises(SurfaceError, match=r"^curve 'a1' lives on a different surface$"):
         entry_point(fib.fiber, (a0, foreign, *fib.word[2:]))
-    with pytest.raises(SurfaceError, match=r"^curve 'a0' repeats an edge$"):
+    with pytest.raises(SurfaceError, match=r"^curve 'a1' lives on a different surface$"):
         entry_point(fib.fiber, (doubled, foreign))
-    with pytest.raises(SurfaceError, match=r"^cycle lives on a different surface$"):
+    with pytest.raises(SurfaceError, match=r"^curve 'a1' lives on a different surface$"):
         entry_point(fib.fiber, (foreign, doubled))
 
 

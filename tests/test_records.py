@@ -200,6 +200,29 @@ def test_only_check_walk_looks_up_a_walks_steps():
     assert readers == ["curves.check_walk"]
 
 
+def test_only_checked_curves_compares_a_curves_host():
+    """Inside the package a ``.host`` is compared by identity only in
+    ``curves.checked_curves``, the one host test of a word, family or curve
+    argument, and in ``HomologyClass.__add__``, which compares two classes;
+    every layer behind a checked argument trusts its host."""
+    comparers = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Compare) and any(isinstance(op, (ast.Is, ast.IsNot)) for op in child.ops)
+                    and any(isinstance(side, ast.Attribute) and side.attr == "host"
+                            for side in (child.left, *child.comparators))):
+                comparers.append(".".join(scope))
+            visit(child, scope)
+
+    for path in sorted((SRC / "lf_forge").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), (path.stem,))
+    assert comparers == ["curves.checked_curves", "homology.HomologyClass.__add__"]
+
+
 def test_every_private_name_is_read():
     """Each private function, method, class or module-level assignment of
     the package (a name starting with ``_`` that is not a dunder) is read
