@@ -24,10 +24,12 @@ when none is found), read off the last run's certificates.  The median
 of five reference timings before and after all runs is kept under
 ``hostspeed`` as a record of the host's speed.
 
-Last, ``cli_seconds`` holds the median wall clock of fresh processes: the
-bare ``import lf_forge`` and three ``lf-forge`` commands, each run 5 *
---repeat times, interleaved so that a drift of the host's speed spreads over
-all four.  The reference task is timed before and after each process, and
+Last, ``cli_seconds`` holds the median wall clock of fresh processes: a
+bare interpreter (``-c pass``, the floor that no change to the package can
+move), the bare ``import lf_forge`` and four ``lf-forge`` commands, the
+last the one that loads ``equivalence``, each run 5 * --repeat times,
+interleaved so that a drift of the host's speed spreads over all six.  The
+reference task is timed before and after each process, and
 each sample is scaled by the speed those two timings show
 (``hostspeed.adjust``, as ``perfbench/run.py`` scales its samples);
 ``cli_seconds_raw`` holds the unscaled medians.  Run with
@@ -64,10 +66,12 @@ BUILDERS = {"johns": johns_fibration, "ishikawa": ishikawa_fibration}
 STAGES = ("build", "parse", "certify", "compare")
 # Fresh processes for cli_seconds: name -> the interpreter's arguments.
 CLI_PROCESSES = {
+    "bare interpreter": ["-c", "pass"],
     "import lf_forge": ["-c", "import lf_forge"],
     "export divide --genus 2 --format text": ["-m", "lf_forge.cli", "export", "divide", "--genus", "2", "--format", "text"],
     "generate ishikawa --genus 4": ["-m", "lf_forge.cli", "generate", "ishikawa", "--genus", "4"],
     "verify --genus 8": ["-m", "lf_forge.cli", "verify", "--genus", "8"],
+    "compare --genus 3": ["-m", "lf_forge.cli", "compare", "--genus", "3"],
 }
 
 
@@ -122,7 +126,7 @@ def growth_exponent(times: dict[int, float]) -> float | None:
 
 def time_cli(runs: int) -> tuple[dict[str, float], dict[str, float], bool]:
     """Median seconds of each of ``CLI_PROCESSES`` over ``runs`` fresh
-    processes, the four taking turns, host-adjusted and raw, and whether
+    processes, all of them taking turns, host-adjusted and raw, and whether
     every process exited 0.  The processes load the package this script
     imports."""
     src = str(Path(lf_forge.__file__).resolve().parent.parent)

@@ -12,6 +12,7 @@ internal error (the traceback on stderr), 141 stdout closed by its reader
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from types import SimpleNamespace
@@ -245,6 +246,12 @@ def _parse(argv: list[str]) -> SimpleNamespace:
 
 
 def main(argv=None) -> int:
+    """Run the command ``argv`` and return its exit code.  With ``argv``
+    None, ``main`` is the program: it reads ``sys.argv[1:]`` and, once the
+    command has written its output or its error, freezes the heap
+    (``gc.freeze``), so that the full collection the interpreter runs at
+    exit has nothing to walk.  A call that passes ``argv`` leaves the
+    collector as it was."""
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
         args.genus = _parse_genus(args.genus, args.max_genus)
@@ -264,6 +271,9 @@ def main(argv=None) -> int:
 
         traceback.print_exc()
         return 3
+    finally:
+        if argv is None:
+            gc.freeze()
 
 
 if __name__ == "__main__":

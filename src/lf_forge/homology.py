@@ -206,6 +206,7 @@ def homology_basis(surface: RibbonGraph) -> tuple[str, ...]:
 
 def curve_class(surface: RibbonGraph, curve: CurveOnSurface) -> HomologyClass:
     """Homology class of a closed walk."""
+    checked_kind(surface, RibbonGraph, "surface")
     checked_curves((checked_kind(curve, CurveOnSurface, "curve"),), surface, "curve")
     return class_from_steps(surface, curve.walk)
 

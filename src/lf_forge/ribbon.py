@@ -36,6 +36,11 @@ _ENDS = {0: 0, 1: 1}  # the valid ends of an edge
 def as_pairs(items) -> tuple:
     """The sequence ``items`` as ``(str(a), int(b))`` pairs, ``b`` an integer's text or a number equal to its ``int``
     (``True``, ``1.0``, not ``0.5``); SurfaceError names the first item that is not."""
+    if not isinstance(items, (tuple, list, str)):
+        try:
+            items = list(items)  # read once, so that the fallback names an iterator's entry
+        except TypeError:
+            pass
     try:
         return tuple([(str(a), b if b.__class__ is int else _whole(b)) for a, b in items])
     except (TypeError, ValueError, OverflowError):

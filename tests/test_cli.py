@@ -1,12 +1,27 @@
 """Command line driver: exit codes, output files, determinism."""
 
+import gc
+import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from lf_forge import builders
 from lf_forge.cli import main
+
+
+ROOT = Path(__file__).resolve().parent.parent
+CLI_TABLE = ROOT / "perfbench" / "cli_expected.json"
+
+
+def run_process(*args, **kwargs) -> subprocess.CompletedProcess:
+    """A fresh interpreter with the arguments ``args``, on this tree's sources."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *args], env=env, check=False, **kwargs)
 
 
 def run(capsys, *argv):
@@ -290,3 +305,48 @@ def test_a_closed_stdout_exits_141_with_nothing_on_stderr(capsys, monkeypatch, t
         assert main(["generate", "both", "--genus", "0..1"]) == 141
         assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", [
+    "generate johns --genus 1", "verify --genus 2", "compare --genus 3", "compare --genus 0 --against johns:1",
+    "export divide --genus 2 --format text", "export fiber --genus 1 --format dot",
+])
+def test_a_process_run_prints_the_pinned_bytes(command):
+    """One pinned command per subcommand, and a compare that exits 1, run as
+    a fresh process: stdout and exit code match the benchmark's table, as the
+    in-process run of every row does (``tests/test_golden.py``)."""
+    want = json.loads(CLI_TABLE.read_text())[command]
+    done = run_process("-m", "lf_forge.cli", *command.split(" "), capture_output=True)
+    got = {"exit": done.returncode, "bytes": len(done.stdout), "sha256": hashlib.sha256(done.stdout).hexdigest()}
+    assert got == want, done.stderr.decode()
+
+
+def test_a_process_run_freezes_the_heap_and_an_in_process_call_does_not(capsys):
+    """``main()`` is the program and freezes the heap before the interpreter
+    exits; ``main(argv)`` leaves its caller's collector as it was."""
+    frozen = gc.get_freeze_count()
+    assert run(capsys, "export", "divide", "--format", "text")[0] == 0
+    with pytest.raises(SystemExit):
+        main(["verify", "--gen", "2"])
+    assert gc.get_freeze_count() == frozen
+    script = ("import gc, sys; from lf_forge.cli import main; "
+              "sys.argv[1:] = ['export', 'divide', '--format', 'text']; "
+              "code = main(); print(code, gc.get_freeze_count() > 0, file=sys.stderr)")
+    done = run_process("-c", script, capture_output=True, text=True)
+    assert done.stderr == "0 True\n"
+
+
+def test_a_process_keeps_its_exit_codes():
+    """A usage error exits 2 and a closed stdout 141 with nothing on stderr,
+    as a process as well as in process."""
+    usage = run_process("-m", "lf_forge.cli", "verify", "--gen", "2", capture_output=True, text=True)
+    assert usage.returncode == 2 and usage.stdout == ""
+    assert usage.stderr.startswith("usage: lf-forge ")
+    read, write = os.pipe()
+    os.close(read)  # the reader has left before the first write
+    try:
+        closed = run_process("-m", "lf_forge.cli", "generate", "both", "--genus", "0..1",
+                             stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert closed.returncode == 141 and closed.stderr == b""

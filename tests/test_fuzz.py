@@ -300,6 +300,7 @@ def test_public_callables_name_malformed_optional_arguments(name):
     (lambda f: lf_forge.HomologyClass(3, ()), SurfaceError, "host must be a RibbonGraph, got 3"),
     (lambda f: lf_forge.homology_basis("zz"), SurfaceError, "surface must be a RibbonGraph, got 'zz'"),
     (lambda f: lf_forge.curve_class(f.fiber, None), SurfaceError, "curve must be a CurveOnSurface, got None"),
+    (lambda f: lf_forge.curve_class(None, f.word[0]), SurfaceError, "surface must be a RibbonGraph, got None"),
     (lambda f: lf_forge.fibration_homology(f.fiber, None), SurfaceError,
      "word must be a tuple or list of curves, got NoneType"),
     (lambda f: lf_forge.open_book_h1(f.fiber, [None]), SurfaceError, "word entry None is not a curve"),

@@ -140,17 +140,23 @@ def test_sparse_class_is_the_nonzero_part_of_curve_class(built):
     (lambda f, g: CurveOnSurface(f.fiber, "y", [["a0e0", 0.6]]), "['a0e0', 0.6] is not an (id, integer) pair"),
     (lambda f, g: RibbonGraph(["v"], ["a"], {"v": [("a", 0.5), ("a", 1)]}),
      "('a', 0.5) is not an (id, integer) pair"),
+    (lambda f, g: CurveOnSurface(f.fiber, "y", iter([("a0e0", 1), ("a0e0", "x")])),
+     "('a0e0', 'x') is not an (id, integer) pair"),
+    (lambda f, g: RibbonGraph(["v"], ["a"], {"v": iter([("a", 0), ("a", 0.5)])}),
+     "('a', 0.5) is not an (id, integer) pair"),
     (lambda f, g: f.word[0].cyclically_equal(f.word[6]), False),
 ], ids=["tree-edge-basis-cycle", "class-vector-length", "classes-on-two-surfaces", "foreign-curve-class",
         "class-vector-none", "step-not-a-pair", "sign-not-an-integer", "walk-not-a-sequence",
         "sign-truncated-to-one", "sign-truncated-to-zero", "end-truncated-to-zero",
+        "iterator-walk-names-its-step", "iterator-rotation-names-its-half-edge",
         "cyclically-equal-lengths-differ"])
 def test_named_raises_and_early_returns(call, outcome):
     """The named faults of the homology layer and of ``ribbon.as_pairs``
     (a sign or end that ``int`` would truncate is named as given, never read
-    as 0 or 1), and ``cyclically_equal``'s answer for walks of different
-    lengths, on the ``johns`` g = 1 build (H1 rank 9) and the g = 0 one
-    (rank 5)."""
+    as 0 or 1, and a walk or rotation given as an iterator names its entry
+    as the tuple form does), and ``cyclically_equal``'s answer for walks of
+    different lengths, on the ``johns`` g = 1 build (H1 rank 9) and the
+    g = 0 one (rank 5)."""
     f, g = johns_fibration(1), johns_fibration(0)
     if isinstance(outcome, str):
         with pytest.raises(SurfaceError) as err:

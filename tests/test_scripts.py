@@ -48,8 +48,8 @@ def test_bench_writes_every_stage_and_the_growth_exponent(tmp_path):
         # only g = 1 is positive, so no slope between two genera exists
         assert doc["growth_exponent"][construction] == dict.fromkeys(("build", "parse", "certify", "compare"))
     assert doc["hostspeed"]["before_s"] > 0 and doc["hostspeed"]["after_s"] > 0
-    assert list(doc["cli_seconds"]) == ["import lf_forge", "export divide --genus 2 --format text",
-                                        "generate ishikawa --genus 4", "verify --genus 8"]
+    assert list(doc["cli_seconds"]) == ["bare interpreter", "import lf_forge", "export divide --genus 2 --format text",
+                                        "generate ishikawa --genus 4", "verify --genus 8", "compare --genus 3"]
     assert all(t > 0 for t in doc["cli_seconds"].values())
     # cli_seconds are scaled to the reference host's speed, cli_seconds_raw are the wall clock
     assert list(doc["cli_seconds_raw"]) == list(doc["cli_seconds"])
