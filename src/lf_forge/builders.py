@@ -22,7 +22,7 @@ from __future__ import annotations
 from .curves import CurveOnSurface, canonical_rotation, checked_curves, curve_from_json, curve_on_darts
 from .divides import Divide, check_admissible, standard_divide
 from .ribbon import (Record, RibbonGraph, SurfaceError, checked_count, checked_kind, json_field, json_records, json_schema,
-                     sorted_ids, spanning_forest)
+                     numbered_ids, padded_ids, sorted_ids, spanning_forest)
 
 
 # -- plumbing patterns -----------------------------------------------------------
@@ -69,9 +69,7 @@ def johns_pattern(genus: int) -> PlumbingPattern:
     j along both long strips, so the squares form two rows of length 2g+2.
     """
     n = 2 * checked_count(genus) + 2
-    w = len(str(n - 1))
-    row1 = tuple(f"s1_{j:0{w}d}" for j in range(n))
-    row2 = tuple(f"s2_{j:0{w}d}" for j in range(n))
+    row1, row2 = tuple(padded_ids("s1_", n)), tuple(padded_ids("s2_", n))
     loops_b = tuple((row1[j], row2[j]) for j in range(n))
     return PlumbingPattern((row1, row2), loops_b)
 
@@ -88,21 +86,18 @@ def realize_plumbing(pattern: PlumbingPattern) -> tuple[RibbonGraph, tuple[Curve
     checked_kind(pattern, PlumbingPattern, "pattern")
     families = []
     for fam, loops in (("a", pattern.loops_a), ("b", pattern.loops_b)):
-        w = len(str(len(loops) - 1))
-        families.append([(f"{fam}{i:0{w}d}", loop) for i, loop in enumerate(loops)])
+        families.append(list(zip(padded_ids(fam, len(loops)), loops)))
     squares = pattern.squares
     edges = []
     strands: dict[str, list[str]] = {q: [] for q in squares}  # a in, a out, b in, b out
     walks: dict[str, list[str]] = {}
     for named_loops in families:
         for name, loop in named_loops:
-            wt = len(str(len(loop) - 1))
-            walks[name] = eids = [f"{name}e{t:0{wt}d}" for t in range(len(loop))]
+            walks[name] = eids = padded_ids(f"{name}e", len(loop))
             edges += eids
             for t, q in enumerate(loop):
                 strands[q] += (eids[t - 1], eids[t])  # arriving at end 1, departing from end 0
-    edges.sort()
-    eid = {e: k for k, e in enumerate(edges)}
+    edges, eid = numbered_ids(edges, "edge")
     rotation = {q: (2 * eid[a_out], 2 * eid[b_out], 2 * eid[a_in] + 1, 2 * eid[b_in] + 1)
                 for q, (a_in, a_out, b_in, b_out) in strands.items()}
     fiber = RibbonGraph._linked(squares, edges, rotation, (), eid)
@@ -249,8 +244,7 @@ def divide_fiber_model(divide: Divide) -> DivideFiberModel:
     clash = set(divide.edges).intersection(e for r in ring for e in r)
     if clash:
         raise SurfaceError(f"divide edge ids collide with roundabout ids: {sorted(clash)}")
-    edges = sorted([e for r in ring for e in r] + list(divide.edges))
-    eid = {e: k for k, e in enumerate(edges)}
+    edges, eid = numbered_ids([e for r in ring for e in r] + list(divide.edges), "edge")
     # each divide dart's fiber dart: the band of arc e is the fiber's edge e
     band = [2 * eid[e] + end for e in divide.edges for end in (0, 1)]
     graph = divide.graph
@@ -287,13 +281,12 @@ def divide_fiber_model(divide: Divide) -> DivideFiberModel:
     # normalization flips the -1 vertices, every site reads (r_in, band_out,
     # r_out, band_in) in one global orientation.  A uniform rule cannot do this
     # directly: the half-twisted bands force opposite signs on both band ends.
-    vertices.sort()
-    vid = {v: i for i, v in enumerate(vertices)}
+    vertices, vid = numbered_ids(vertices, "vertex")
     at = [0] * (2 * len(edges))
     for v, rot in rotation.items():
         for d in rot:
             at[d] = vid[v]
-    forest = spanning_forest(len(vertices), at, {k for k, e in enumerate(edges) if e in twists})
+    forest = spanning_forest(len(vertices), at, {eid[e] for e in twists})
     if forest[0] is None:
         raise SurfaceError("divide fiber is non-orientable; twist placement is broken")
     for site, rot in rotation.items():  # the sites are the 4-valent vertices
@@ -306,8 +299,8 @@ def divide_fiber_model(divide: Divide) -> DivideFiberModel:
     white_cycles = [curve_on_darts(fiber, f"a{j}", tuple([band[x] ^ 1 for x in faces[fi]]))
                     for j, fi in enumerate(coloring.white)]
 
-    wb = len(str(len(divide.vertices) - 1))
-    crossing_cycles = [curve_on_darts(fiber, f"b{j:0{wb}d}", heads) for j, heads in enumerate(crossing_heads)]
+    crossing_cycles = [curve_on_darts(fiber, name, heads)
+                       for name, heads in zip(padded_ids("b", len(divide.vertices)), crossing_heads)]
 
     black_cycles = []
     for j, fi in enumerate(coloring.black):

@@ -5,7 +5,7 @@ A closed curve is a cyclic walk of directed edge traversals.
 
 from __future__ import annotations
 
-from .ribbon import Record, RibbonGraph, SurfaceError, as_pairs, checked_kind, json_field
+from .ribbon import Record, RibbonGraph, SurfaceError, checked_kind, json_field
 
 
 Step = tuple[str, int]  # (edge id, +1 forward / -1 backward)
@@ -45,12 +45,12 @@ class CurveOnSurface(Record, views=("walk",)):
     ``(str, int)`` steps, named from ``host.edges`` each time it is read,
     so only equality, hash, repr, pickling and the tests' oracles build
     them.  The constructor takes a host ``RibbonGraph``, a string name and
-    a walk, rebuilds the walk as ``(str, int)`` steps (``as_pairs``) and
-    checks it (``check_walk``); ``curve_on_darts`` is the one entry that
-    takes darts in place of it, and its name unchecked.  The walk need not
-    be edge-simple (Dehn-twisted images repeat edges); operations that
-    require an embedded curve, the surgery among them, check that first
-    with ``require_edge_simple``.
+    a walk, and checks the walk (``check_walk``), whose steps
+    ``head_darts`` reads as ``(str, int)`` pairs (``as_pairs``);
+    ``curve_on_darts`` is the one entry that takes darts in place of it,
+    and its name unchecked.  The walk need not be edge-simple (Dehn-twisted
+    images repeat edges); operations that require an embedded curve, the
+    surgery among them, check that first with ``require_edge_simple``.
     """
 
     __slots__ = ("host", "name", "_heads")
@@ -58,7 +58,7 @@ class CurveOnSurface(Record, views=("walk",)):
     def __init__(self, host: RibbonGraph, name: str, walk: tuple[Step, ...]):
         object.__setattr__(self, "host", checked_kind(host, RibbonGraph, "host"))
         object.__setattr__(self, "name", checked_kind(name, str, "name"))
-        object.__setattr__(self, "_heads", check_walk(host, as_pairs(walk)))
+        object.__setattr__(self, "_heads", check_walk(host, walk))
 
     @property
     def walk(self) -> tuple[Step, ...]:

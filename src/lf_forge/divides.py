@@ -17,7 +17,7 @@ carry band attachments in the fiber construction.
 from __future__ import annotations
 
 from .ribbon import (Record, RibbonGraph, SurfaceError, check_graph_arguments, checked_count, checked_kind, json_field,
-                     json_records, json_schema, sorted_ids)
+                     json_records, json_schema, numbered_ids, padded_ids, sorted_ids)
 
 
 class DivideError(ValueError):
@@ -82,8 +82,8 @@ class Divide:
             "schema": "divide/1",
             "vertices": list(self.vertices),
             "edges": [
-                {"id": e, "tail": self.graph.vertex_of((e, 0)), "head": self.graph.vertex_of((e, 1))}
-                for e in self.edges
+                {"id": e, "tail": tail, "head": head}
+                for e in self.edges for tail, head in [self.graph.edge_endpoints(e)]
             ],
             "rotation": {v: [RibbonGraph.half_edge_id(h) for h in self.rotation[v]] for v in self.vertices},
         }
@@ -259,12 +259,8 @@ def standard_divide(genus: int) -> Divide:
     two by alternating strands.
     """
     n = 2 * checked_count(genus) + 2
-    w = len(str(n - 1))  # pad indices so id order equals cyclic order
-    vertices = [f"v{i:0{w}d}" for i in range(n)]
-    a = [f"a{i:0{w}d}" for i in range(n)]
-    b = [f"b{i:0{w}d}" for i in range(n)]
-    edges = sorted(a + b)
-    eid = {e: k for k, e in enumerate(edges)}
+    vertices, a, b = (padded_ids(prefix, n) for prefix in "vab")  # id order is cyclic order
+    edges, eid = numbered_ids(a + b, "edge")
     darts = {v: (2 * eid[a[i - 1]] + 1, 2 * eid[a[i]], 2 * eid[b[i - 1]] + 1, 2 * eid[b[i]])
              for i, v in enumerate(vertices)}
     return Divide._linked(vertices, edges, darts, eid)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .curves import CurveOnSurface, Step, checked_curves
-from .ribbon import Record, RibbonGraph, SurfaceError, checked_kind
+from .ribbon import Record, RibbonGraph, SurfaceError, as_pairs, checked_kind
 
 
 class DisconnectedError(SurfaceError):
@@ -121,7 +121,7 @@ class Workspace:
 
     tree = cached_property(lambda self: {e for e, i in zip(self.graph.edges, self._basis_index) if i < 0})
     basis = cached_property(lambda self: tuple([e for e, i in zip(self.graph.edges, self._basis_index) if i >= 0]))
-    index = cached_property(lambda self: {e: i for i, e in enumerate(self.basis)})
+    index = cached_property(lambda self: {e: i for e, i in zip(self.graph.edges, self._basis_index) if i >= 0})
 
     # -- basis cycles -------------------------------------------------------
 
@@ -178,10 +178,11 @@ def workspace(surface: RibbonGraph) -> Workspace:
 
 
 class HomologyClass(Record):
-    """Element of H1 of the thickened surface in the co-tree basis.  The
-    vector's length is checked against the host's cached spanning forest,
-    without a workspace; ``class_from_steps`` builds one first, and that
-    rejects a disconnected or non-orientable host."""
+    """Element of H1 of the thickened surface in the co-tree basis: a tuple
+    of integers (``int``, no ``bool``), any sign.  The vector's length is
+    checked against the host's cached spanning forest, without a
+    workspace; ``class_from_steps`` builds one first, and that rejects a
+    disconnected or non-orientable host."""
 
     __slots__ = ("host", "vector")
 
@@ -191,6 +192,9 @@ class HomologyClass(Record):
             raise SurfaceError(f"class vector must be a tuple, got {vector!r}")
         if len(vector) != n:
             raise SurfaceError(f"class vector has length {len(vector)}, basis has {n}")
+        for x in vector:
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise SurfaceError(f"class vector entry must be an integer, got {x!r}")
         super().__init__(host, vector)
 
     def __add__(self, other: "HomologyClass") -> "HomologyClass":
@@ -212,13 +216,18 @@ def curve_class(surface: RibbonGraph, curve: CurveOnSurface) -> HomologyClass:
 
 
 def class_from_steps(surface: RibbonGraph, steps) -> HomologyClass:
-    """Net signed co-tree traversal counts of a sequence of steps."""
+    """Net signed co-tree traversal counts of a sequence of steps, read by
+    ``as_pairs`` and counted by edge name: the reference that the tests hold
+    ``_sparse_class`` against.  A step off the surface, or with a sign other
+    than +-1, raises SurfaceError as ``RibbonGraph.head_darts`` words it."""
     ws = workspace(surface)
+    eid, index = surface._eid, ws.index
     vec = [0] * ws.rank
-    for e, s in steps:
-        i = ws.index.get(e)
-        if i is not None:
-            vec[i] += s
+    for e, s in as_pairs(steps):
+        if e not in eid or s != 1 and s != -1:
+            raise SurfaceError(f"walk step ({e!r}, {s}) is not on the surface")
+        if e in index:
+            vec[index[e]] += s
     return HomologyClass(surface, tuple(vec))
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping
 from functools import cached_property
-from operator import index
 
 
 class SurfaceError(ValueError):
@@ -71,6 +70,21 @@ def sorted_ids(ids, kind: str) -> tuple:
     except TypeError:
         pass
     raise SurfaceError(f"{kind} id must be a string, got {next(x for x in ids if not isinstance(x, str))!r}")
+
+
+def numbered_ids(ids, kind: str) -> tuple[tuple, dict]:
+    """``sorted_ids(ids, kind)`` and each id's number, its index there: the
+    one numbering of vertices and edges.  Edge k has darts 2k and 2k + 1
+    for its ends 0 and 1."""
+    ordered = sorted_ids(ids, kind)
+    return ordered, {e: k for k, e in enumerate(ordered)}
+
+
+def padded_ids(prefix: str, n: int) -> list[str]:
+    """``prefix`` followed by each of 0..n-1, zero-padded to one width so
+    that id order is index order."""
+    w = len(str(n - 1))
+    return [f"{prefix}{i:0{w}d}" for i in range(n)]
 
 
 def checked_count(value, role: str = "genus") -> int:
@@ -221,10 +235,11 @@ class RibbonGraph:
 
     Every half-edge (e, 0) and (e, 1) must occur exactly once in the
     rotations.  Instances are treated as immutable after construction.
-    Every producer links numbered darts once (``_check``); the parser and
-    both builders number them themselves (``_linked``).  No graph keeps its
-    input: the name views ``rotation`` and ``_half``, which no check reads,
-    are built on request from the dart tables.
+    Every producer links numbered darts once (``_check``); the parser, both
+    builders and ``standard_divide`` number the edges by ``numbered_ids``,
+    as the constructor does, and hand the darts over through ``_linked``.
+    No graph keeps its input: the name views ``rotation`` and ``_half``,
+    which no check reads, are built on request from the dart tables.
     ``_cache`` holds ``"forest"``, ``"normalized"`` and ``"boundary"``.  Two
     keys are written in ``builders``: ``divide_fiber_model`` leaves the
     ``"forest"`` it joined on the fiber's numbering, and ``_surgery_walks``
@@ -238,25 +253,28 @@ class RibbonGraph:
     @classmethod
     def _linked(cls, vertices, edges, darts, twists, eid) -> "RibbonGraph":
         """The graph whose vertex v lists the darts ``darts[v]``, dart 2k + end
-        being end ``end`` of edge k in ``eid``, the sorted edges' numbering."""
+        being end ``end`` of edge k in ``eid``: ``edges, eid`` are
+        ``numbered_ids(..., "edge")``."""
         graph = object.__new__(cls)
         graph._check(vertices, edges, darts, twists, eid)
         return graph
 
     def _check(self, vertices, edges, rotation, twists, eid=None) -> None:
         """Validate the data and link the dart tables in one pass: the
-        k-th edge (``_eid``) has darts 2k and 2k + 1 for its ends 0 and 1,
-        so d ^ 1 is the partner of dart d and dart order is half-edge order.
-        ``_dv``, ``_dn``, ``_dp`` and ``_dpos`` hold each dart's vertex
-        number (its index in ``vertices``), next and previous darts there
-        and rotation index; ``_deg`` each vertex's degree.  Given ``eid``,
-        ``rotation`` lists darts (``_linked``); else half-edges, rebuilt by
-        ``as_pairs`` and looked up as darts.  The link pass checks nothing;
+        k-th edge (``_eid``, from ``numbered_ids``) has darts 2k and 2k + 1
+        for its ends 0 and 1, so d ^ 1 is the partner of dart d and dart
+        order is half-edge order.  ``_dv``, ``_dn``, ``_dp`` and ``_dpos``
+        hold each dart's vertex number (its index in ``vertices``), next and
+        previous darts there and rotation index; ``_deg`` each vertex's
+        degree.  Given ``eid``, ``edges`` are its sorted ids and ``rotation``
+        lists darts (``_linked``); else half-edges, rebuilt by ``as_pairs``
+        and looked up as darts.  The link pass checks nothing;
         one check after it finds every dart placed and no more placements
         than darts, so each dart is attached once, or hands the attachments
         to ``_half_edge_fault``, which names the first fault."""
+        linked = eid is not None
         self.vertices = sorted_ids(vertices, "vertex")
-        self.edges = sorted_ids(edges, "edge")
+        self.edges, self._eid = (edges, eid) if linked else numbered_ids(edges, "edge")
         self.twists = frozenset(twists)
         self._cache = {}
         vset, eset = set(self.vertices), set(self.edges)
@@ -270,16 +288,15 @@ class RibbonGraph:
         if set(rotation) != vset:
             raise SurfaceError("rotation keys must match vertex set")
         named = None
-        if eid is None:
-            eid = {e: k for k, e in enumerate(self.edges)}
-            named = [as_pairs(rotation[v]) for v in self.vertices]
+        if linked:
+            darts = [rotation[v] for v in self.vertices]
+        else:
+            eid, named = self._eid, [as_pairs(rotation[v]) for v in self.vertices]
             try:
                 darts = [[2 * eid[e] + _ENDS[end] for e, end in rot] for rot in named]
             except KeyError:  # a half-edge whose edge or end is unknown
                 self._half_edge_fault(named)
-        else:
-            darts = [rotation[v] for v in self.vertices]
-        self._eid, n = eid, 2 * len(self.edges)
+        n = 2 * len(self.edges)
         self._dv, self._dn, self._dp, self._dpos = dv, dn, dp, dpos = [0] * n, [0] * n, [0] * n, [-1] * n
         for vi, ds in enumerate(darts):
             i, prev = 0, ds[-1] if ds else 0
@@ -322,22 +339,22 @@ class RibbonGraph:
         return rot
 
     def _dart(self, half_edge: HalfEdge) -> int:
-        """The dart of a half-edge; SurfaceError when it is not on this graph."""
+        """The dart of a half-edge, read as a rotation entry is (``as_pairs``);
+        SurfaceError when it is not on this graph."""
         try:
-            e, end = half_edge
-            if end == 0 or end == 1:
-                return 2 * self._eid[e] + index(end)  # an end equal to 0 or 1 but no integer, as 0.0, raises
-        except (KeyError, TypeError, ValueError):  # no such edge, not an (edge, end) pair, or a non-integer end
-            pass
-        raise SurfaceError(f"half-edge {half_edge!r} is not on the surface")
+            ((e, end),) = as_pairs((half_edge,))
+            return 2 * self._eid[e] + _ENDS[end]
+        except (SurfaceError, KeyError):  # not an (edge, end) pair, no such edge, or an end other than 0 or 1
+            raise SurfaceError(f"half-edge {half_edge!r} is not on the surface") from None
 
     def head_darts(self, walk) -> tuple[int, ...]:
-        """The dart every step of ``walk`` arrives on: (e, 1) for a forward
-        step (e, +1), (e, 0) for (e, -1); the step departs from its partner.
-        The first step that is not on this graph raises SurfaceError."""
+        """The dart every step of ``walk``, read by ``as_pairs``, arrives on:
+        (e, 1) for a forward step (e, +1), (e, 0) for (e, -1); the step
+        departs from its partner.  The first step that is not on this graph
+        raises SurfaceError."""
         eid = self._eid
         darts = []
-        for e, s in walk:
+        for e, s in as_pairs(walk):
             k = eid.get(e)
             if k is None or s != 1 and s != -1:
                 raise SurfaceError(f"walk step ({e!r}, {s}) is not on the surface")
@@ -558,8 +575,7 @@ class RibbonGraph:
         vertices = json_field(doc, "vertices", list, "ribbon-graph", str)
         edges, halves, twisted = json_records(json_field(doc, "edges", list, "ribbon-graph", dict), "ribbon-graph edge",
                                               ("id", str, None), ("half_edges", list, None), ("twist", bool, False))
-        order = sorted(edges)  # the constructor's dart numbering; it raises duplicates before reading a dart
-        eid = {e: k for k, e in enumerate(order)}
+        order, eid = numbered_ids(edges, "edge")  # the constructor raises duplicates before reading a dart
         dart_of = {}
         for e, pair in zip(edges, halves):
             expected = [f"{e}.0", f"{e}.1"]

@@ -20,7 +20,7 @@ from lf_forge.builders import (LefschetzFibration, PlumbingPattern, johns_fibrat
 from lf_forge.certify import fibration_certificate
 from lf_forge.divides import Divide, DivideError, standard_divide
 from lf_forge.equivalence import isomorphism_certificate
-from lf_forge.homology import curve_class
+from lf_forge.homology import class_from_steps, curve_class
 from lf_forge.ribbon import RibbonGraph, SurfaceError
 
 NAMED = (SurfaceError, DivideError)
@@ -301,6 +301,9 @@ def test_public_callables_name_malformed_optional_arguments(name):
     (lambda f: lf_forge.homology_basis("zz"), SurfaceError, "surface must be a RibbonGraph, got 'zz'"),
     (lambda f: lf_forge.curve_class(f.fiber, None), SurfaceError, "curve must be a CurveOnSurface, got None"),
     (lambda f: lf_forge.curve_class(None, f.word[0]), SurfaceError, "surface must be a RibbonGraph, got None"),
+    (lambda f: lf_forge.HomologyClass(f.fiber, (True,) * 9), SurfaceError,
+     "class vector entry must be an integer, got True"),
+    (lambda f: class_from_steps(f.fiber, None), SurfaceError, "None is not an (id, integer) pair"),
     (lambda f: lf_forge.fibration_homology(f.fiber, None), SurfaceError,
      "word must be a tuple or list of curves, got NoneType"),
     (lambda f: lf_forge.open_book_h1(f.fiber, [None]), SurfaceError, "word entry None is not a curve"),
@@ -332,8 +335,9 @@ def test_public_callables_name_malformed_optional_arguments(name):
 ])
 def test_a_malformed_argument_is_named_by_its_role(call, error, message):
     """The named errors of the sweep word the argument's role and what it
-    got; a bool is no free rank, a float no matrix entry, and an unhashable
-    id is named before any set is made of the ids."""
+    got; a bool is no free rank or class vector entry, a float no matrix
+    entry, steps must be a sequence of pairs, and an unhashable id is
+    named before any set is made of the ids."""
     with pytest.raises(error) as err:
         call(johns_fibration(1))
     assert type(err.value) is error and str(err.value) == message

@@ -145,18 +145,26 @@ def test_sparse_class_is_the_nonzero_part_of_curve_class(built):
     (lambda f, g: RibbonGraph(["v"], ["a"], {"v": iter([("a", 0), ("a", 0.5)])}),
      "('a', 0.5) is not an (id, integer) pair"),
     (lambda f, g: f.word[0].cyclically_equal(f.word[6]), False),
+    (lambda f, g: class_from_steps(f.fiber, [("zz", 1)]), "walk step ('zz', 1) is not on the surface"),
+    (lambda f, g: class_from_steps(f.fiber, [("a0e3", 7)]), "walk step ('a0e3', 7) is not on the surface"),
+    (lambda f, g: class_from_steps(f.fiber, [("a0e0",)]), "('a0e0',) is not an (id, integer) pair"),
+    (lambda f, g: HomologyClass(f.fiber, ("a",) * 9), "class vector entry must be an integer, got 'a'"),
+    (lambda f, g: HomologyClass(f.fiber, (0.5,) * 9), "class vector entry must be an integer, got 0.5"),
 ], ids=["tree-edge-basis-cycle", "class-vector-length", "classes-on-two-surfaces", "foreign-curve-class",
         "class-vector-none", "step-not-a-pair", "sign-not-an-integer", "walk-not-a-sequence",
         "sign-truncated-to-one", "sign-truncated-to-zero", "end-truncated-to-zero",
         "iterator-walk-names-its-step", "iterator-rotation-names-its-half-edge",
-        "cyclically-equal-lengths-differ"])
+        "cyclically-equal-lengths-differ", "class-step-off-the-surface", "class-step-sign-not-one",
+        "class-step-not-a-pair", "class-vector-entry-text", "class-vector-entry-float"])
 def test_named_raises_and_early_returns(call, outcome):
     """The named faults of the homology layer and of ``ribbon.as_pairs``
     (a sign or end that ``int`` would truncate is named as given, never read
     as 0 or 1, and a walk or rotation given as an iterator names its entry
     as the tuple form does), and ``cyclically_equal``'s answer for walks of
     different lengths, on the ``johns`` g = 1 build (H1 rank 9) and the
-    g = 0 one (rank 5)."""
+    g = 0 one (rank 5).  ``class_from_steps`` names a step off the surface
+    or with a sign other than +-1 (``a0e3`` is a co-tree edge) as
+    ``head_darts`` does, and a class vector entry must be an integer."""
     f, g = johns_fibration(1), johns_fibration(0)
     if isinstance(outcome, str):
         with pytest.raises(SurfaceError) as err:

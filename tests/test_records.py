@@ -200,6 +200,46 @@ def test_only_check_walk_looks_up_a_walks_steps():
     assert readers == ["curves.check_walk"]
 
 
+def test_only_ribbon_pads_and_numbers_ids():
+    """Inside the package the width of a zero-padded id (``len(str(...))``)
+    is computed only in ``ribbon.padded_ids``, and an id numbering
+    (``{e: k for k, e in enumerate(...)}``) only in ``ribbon.numbered_ids``,
+    so every producer pads and numbers ids as the parser does; and only
+    ``homology.class_from_steps`` reads pairs outside ``ribbon``, as
+    ``curves`` leaves a walk's steps to ``RibbonGraph.head_darts``."""
+    widths, numberings, pair_readers = [], [], []
+
+    def is_call(node, name):
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+
+    def is_numbering(node):
+        if not isinstance(node, ast.DictComp) or len(node.generators) != 1:
+            return False
+        gen = node.generators[0]
+        names = [x.id for x in getattr(gen.target, "elts", ()) if isinstance(x, ast.Name)]
+        return (is_call(gen.iter, "enumerate") and len(names) == 2 and isinstance(node.key, ast.Name)
+                and isinstance(node.value, ast.Name) and [node.value.id, node.key.id] == names)
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if is_call(child, "len") and child.args and is_call(child.args[0], "str"):
+                widths.append(".".join(scope))
+            if is_numbering(child):
+                numberings.append(".".join(scope))
+            if isinstance(child, ast.ImportFrom) and any(a.name == "as_pairs" for a in child.names):
+                pair_readers.append(".".join(scope))
+            visit(child, scope)
+
+    for path in sorted((SRC / "lf_forge").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), (path.stem,))
+    assert widths == ["ribbon.padded_ids"]
+    assert numberings == ["ribbon.numbered_ids"]
+    assert pair_readers == ["homology"]
+
+
 def test_only_checked_curves_compares_a_curves_host():
     """Inside the package a ``.host`` is compared by identity only in
     ``curves.checked_curves``, the one host test of a word, family or curve

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lf_forge.builders import johns_fibration
+from lf_forge.curves import CurveOnSurface
 from lf_forge.divides import Divide
 from lf_forge.homology import workspace
 from lf_forge.ribbon import NonOrientableError, RibbonGraph, SurfaceError, as_pairs, spanning_forest
@@ -222,7 +223,7 @@ def test_a_constructor_keeps_no_rotation_until_it_is_read():
     (lambda g: g.vertex_of(("a0e0", 2)), "half-edge ('a0e0', 2) is not on the surface"),
     (lambda g: g.vertex_of("a0e0"), "half-edge 'a0e0' is not on the surface"),
     (lambda g: g.vertex_of((["a0e0"], 0)), "half-edge (['a0e0'], 0) is not on the surface"),
-    (lambda g: g.vertex_of(("a0e0", 0.0)), "half-edge ('a0e0', 0.0) is not on the surface"),
+    (lambda g: g.vertex_of(("a0e0", 0.5)), "half-edge ('a0e0', 0.5) is not on the surface"),
     (lambda g: g.edge_endpoints("zz"), "edge 'zz' is not on the surface"),
     (lambda g: g.edge_endpoints(["a0e0"]), "edge ['a0e0'] is not on the surface"),
     (lambda g: workspace(g).tree_path("zz", g.vertices[0]), "vertex 'zz' is not on the surface"),
@@ -238,6 +239,28 @@ def test_graph_lookups_name_what_is_not_on_the_surface(lookup, message):
         lookup(fiber)
     assert str(err.value) == message
     assert fiber.vertex_of(("a0e0", 1)) == fiber.edge_endpoints("a0e0")[1]
+
+
+@pytest.mark.parametrize("tail, head", [
+    (("a0e0", 0), ("a0e0", 1)),
+    (("a0e0", False), ("a0e0", True)),
+    (("a0e0", "0"), ("a0e0", "1")),
+    (["a0e0", 0], ["a0e0", 1]),
+    (("a0e0", 0.0), ("a0e0", 1.0)),
+], ids=["int", "bool", "text", "list", "whole-float"])
+def test_every_reader_of_a_pair_gives_one_dart(tail, head):
+    """``vertex_of``, ``head_darts`` and ``CurveOnSurface`` read a half-edge
+    or a step as the constructor reads a rotation entry (``as_pairs``), so
+    every form of ``ODD_ROTATIONS``, and a whole float, gives one dart:
+    the half-edge (e, 1) and the step (e, +1) both arrive on dart 2k + 1."""
+    fib = johns_fibration(1)
+    fiber, a0 = fib.fiber, fib.word[0]
+    dart = 2 * fiber._eid["a0e0"] + 1
+    assert (fiber._dart(tail), fiber._dart(head)) == (dart - 1, dart)
+    assert (fiber.vertex_of(tail), fiber.vertex_of(head)) == fiber.edge_endpoints("a0e0")
+    assert fiber.head_darts([head]) == (dart,)
+    assert a0.walk[0] == ("a0e0", 1)
+    assert CurveOnSurface(fiber, "a0", (head,) + a0.walk[1:]) == a0
 
 
 def test_rotation_next_prev_are_inverse(punctured_torus):
